@@ -14,6 +14,16 @@ so the embedded sample process inherits the spin coefficient: the features
 determine the spins, hence conditional laws are pushforwards under a fixed
 injective map and total variation is preserved.
 
+Glauber dynamics is table driven. A site's conditional depends only on its
+neighbours (the nonzero entries of its coupling row), so each IsingSpec
+builds, on first use, one table per site holding P(s_i = +1 | neighbour
+pattern) for all 2^degree patterns. Each entry is the logistic expression a
+single-chain update would evaluate, on a spin vector with that pattern, so
+the table holds the same floats. Sites with degree above
+TABLE_DEGREE_LIMIT keep the direct local-field computation. The spec's
+coupling and field are read-only copies, so a table can never go stale.
+Vertex replacement reads the same tables.
+
 Perturbed sets Z^Lambda replace the samples indexed by Lambda and keep every
 other coordinate bit-identical, which realizes the single-vertex sets Z^i
 used by the stability definitions.
@@ -21,6 +31,7 @@ used by the stability definitions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +42,6 @@ from .seeding import child_rng
 
 class CapacityError(ValueError):
     """Problem size exceeds what exact enumeration supports."""
-
-
-@dataclass(frozen=True, eq=False)
-class VertexSample:
-    x: np.ndarray  # feature vector, ||x|| <= B_X
-    y: float  # label, |y| <= B_y
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,9 +68,6 @@ class SampleSet:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def sample(self, i: int) -> VertexSample:
-        return VertexSample(x=self.features[i].copy(), y=float(self.labels[i]))
 
     def differing_vertices(self, other: "SampleSet") -> np.ndarray:
         """Indices where the two sets disagree in feature or label."""
@@ -150,10 +152,6 @@ class IidSampler:
         )
 
 
-def sample_iid(rf: ReceptiveFieldMap, dim: int, seed: int, b_x: float = 1.0, b_y: float = 1.0) -> SampleSet:
-    return IidSampler(rf=rf, dim=dim, b_x=b_x, b_y=b_y).sample(seed)
-
-
 # ---------------------------------------------------------------------------
 # Binary-spin Gibbs family
 
@@ -181,8 +179,11 @@ class IsingSpec:
     label_rule: str = "field-mean"
 
     def __post_init__(self):
-        j = np.asarray(self.coupling, dtype=float)
-        h = np.asarray(self.external_field, dtype=float)
+        # Private read-only copies: the cached conditional tables can never go stale.
+        j = np.array(self.coupling, dtype=float)
+        h = np.array(self.external_field, dtype=float)
+        j.setflags(write=False)
+        h.setflags(write=False)
         if j.ndim != 2 or j.shape[0] != j.shape[1]:
             raise ValueError("coupling must be square")
         if j.shape[0] != self.rf.n or h.shape != (self.rf.n,):
@@ -203,6 +204,15 @@ class IsingSpec:
     @property
     def n(self) -> int:
         return self.rf.n
+
+    @functools.cached_property
+    def _conditionals(self):
+        """(neighbours, tables): per site, the indices k with J_sk != 0 and the
+        P(s = +1 | neighbour pattern) table, or None above TABLE_DEGREE_LIMIT."""
+        neighbours = [np.flatnonzero(self.coupling[s]) for s in range(self.n)]
+        tables = [_site_table(self, s, nb) if len(nb) <= TABLE_DEGREE_LIMIT else None
+                  for s, nb in enumerate(neighbours)]
+        return neighbours, tables
 
     def diameter(self) -> float:
         return sample_space_diameter(self.b_x, self.b_y)
@@ -251,24 +261,105 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
+# Largest degree whose conditionals are tabulated (2^degree entries per site).
+# At most 8: the many-chain sweep builds pattern indices in uint8.
+TABLE_DEGREE_LIMIT = 8
+
+
+def _p_up(spec: IsingSpec, spins: np.ndarray, site: int) -> np.ndarray:
+    """P(s_site = +1 | rest) = sigmoid(2(J_site.s + h_site)) for spins of shape (..., n)."""
+    return _sigmoid(2.0 * (spins @ spec.coupling[site] + spec.external_field[site]))
+
+
+def _site_table(spec: IsingSpec, site: int, neighbours: np.ndarray) -> np.ndarray:
+    """P(s_site = +1 | neighbour pattern) for every pattern, by _p_up on one row each.
+
+    Pattern k sets neighbours[m] to bit (d - 1 - m) of k (first neighbour most
+    significant), so the rows follow enumerate_spin_configs(d). Each entry is
+    evaluated on a single spin vector, exactly as a one-chain update would.
+    """
+    row = np.ones(spec.n, dtype=np.int8)  # other sites have zero coupling
+    out = np.empty(2 ** len(neighbours))
+    for k, pattern in enumerate(enumerate_spin_configs(len(neighbours))):
+        row[neighbours] = pattern
+        out[k] = _p_up(spec, row[None, :], site)[0]
+    return out
+
+
+def _conditional_p_up(spec: IsingSpec, spins: np.ndarray, site: int) -> float:
+    """P(s_site = +1 | rest) for one (n,) configuration, read from the site's table."""
+    neighbours, tables = spec._conditionals
+    if tables[site] is None:
+        return float(_p_up(spec, spins[None, :], site)[0])
+    index = 0
+    for k in neighbours[site]:
+        index += index + int(spins[k] > 0)
+    return float(tables[site][index])
+
+
+def _glauber_one_chain(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> np.ndarray:
+    """One chain in pure Python: booleans and table lookups, no numpy call per site."""
+    neighbours, tables = spec._conditionals
+    sites = [(s, tuple(neighbours[s].tolist()), tables[s].tolist()) for s in range(spec.n)]
+    up = (spins > 0).tolist()
+    for _ in range(sweeps):
+        u = rng.random(spec.n).tolist()
+        for s, nbrs, table in sites:
+            index = 0
+            for k in nbrs:
+                index += index + up[k]
+            up[s] = u[s] < table[index]
+    return np.array([[1 if b else -1 for b in up]], dtype=int)
+
+
+def _spins_from_up(up: np.ndarray, dtype) -> np.ndarray:
+    """(n_chains, n) C-ordered +-1 spins from the (n, n_chains) 0/1 state."""
+    return np.where(up.T, 1, -1).astype(dtype, order="C")
+
+
+def _glauber_chains(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> np.ndarray:
+    """All chains at once: site state is a (n, n_chains) array of 0/1 bytes."""
+    n, n_chains = spec.n, spins.shape[0]
+    neighbours, tables = spec._conditionals
+    up = np.ascontiguousarray((spins > 0).T, dtype=np.uint8)
+    index = np.empty(n_chains, dtype=np.uint8)
+    for _ in range(sweeps):
+        u = rng.random(n * n_chains).reshape(n, n_chains)
+        for s in range(n):
+            if tables[s] is None:
+                p_up = _p_up(spec, _spins_from_up(up, np.int8), s)
+            else:
+                index.fill(0)
+                for k in neighbours[s]:
+                    index += index
+                    index += up[k]
+                p_up = tables[s][index]
+            np.less(u[s], p_up, out=up[s])
+    return _spins_from_up(up, int)
+
+
 def glauber_spins(
     spec: IsingSpec, sweeps: int, rng: np.random.Generator, n_chains: int = 1
 ) -> np.ndarray:
     """Run independent single-site Glauber chains; returns (n_chains, n) spins.
 
     One sweep visits every site once in index order; each visit resamples the
-    spin from its exact conditional P(s_i = +1 | rest) = sigmoid(2(J_i.s + h_i)).
+    spin from its exact conditional P(s_i = +1 | rest) = sigmoid(2(J_i.s + h_i)),
+    read from the spec's per-site table (a site of degree above
+    TABLE_DEGREE_LIMIT computes it from the local field instead).
+
+    The random stream is: one rng.choice for the initial spins, then per sweep
+    one rng.random(n * n_chains) read as (site, chain). A Generator fills an
+    array from the same sequence of doubles however it is split into calls, so
+    this equals n per-site rng.random(n_chains) calls, and the draws are
+    bit-identical to a plain per-site loop. One chain with every site tabulated
+    runs as a pure-Python loop over booleans; otherwise all chains advance
+    together with numpy, one site at a time.
     """
-    n = spec.n
-    spins = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_chains, n))
-    j = spec.coupling
-    h = spec.external_field
-    for _ in range(sweeps):
-        for site in range(n):
-            local = spins @ j[site] + h[site]
-            p_up = _sigmoid(2.0 * local)
-            spins[:, site] = np.where(rng.random(n_chains) < p_up, 1, -1).astype(np.int8)
-    return spins.astype(int)
+    spins = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_chains, spec.n))
+    if n_chains == 1 and all(t is not None for t in spec._conditionals[1]):
+        return _glauber_one_chain(spec, spins[0], sweeps, rng)
+    return _glauber_chains(spec, spins, sweeps, rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,10 +399,6 @@ class IsingSampler:
         """(n_chains, n) independent approximate Gibbs draws, vectorized."""
         return glauber_spins(self.spec, self.sweeps, child_rng(seed, "glauber-batch"), n_chains)
 
-    def sample_batch(self, n_chains: int, seed: int):
-        spins = self.sample_spins_batch(n_chains, seed)
-        return [self.spec.sample_set_from_spins(spins[k], seed) for k in range(n_chains)]
-
     def replace(self, z: SampleSet, indices, seed: int, mode: str = "fresh-conditional") -> SampleSet:
         """Replace the vertices in Lambda.
 
@@ -333,8 +420,7 @@ class IsingSampler:
             rng = child_rng(seed, "ising-replace", mode)
             if mode == "fresh-conditional":
                 for site in indices:
-                    local = float(spins @ self.spec.coupling[site] + self.spec.external_field[site])
-                    p_up = float(_sigmoid(np.array([2.0 * local]))[0])
+                    p_up = _conditional_p_up(self.spec, spins, site)
                     spins[site] = 1 if rng.random() < p_up else -1
             else:
                 fresh = glauber_spins(self.spec, self.sweeps, rng, 1)[0]
@@ -355,10 +441,6 @@ class IsingSampler:
             perturbed=frozenset(indices),
             spins=spins,
         )
-
-
-def glauber_sample(spec: IsingSpec, sweeps: int, seed: int, min_sweeps: int = 1000) -> SampleSet:
-    return IsingSampler(spec=spec, sweeps=sweeps, min_sweeps=min_sweeps).sample(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +468,6 @@ def gibbs_probabilities(spec: IsingSpec) -> np.ndarray:
     logw -= logw.max()
     w = np.exp(logw)
     return w / w.sum()
-
-
-def exact_magnetization(spec: IsingSpec) -> np.ndarray:
-    configs = enumerate_spin_configs(spec.n)
-    p = gibbs_probabilities(spec)
-    return p @ configs.astype(float)
 
 
 def dobrushin_exact(spec: IsingSpec) -> float:

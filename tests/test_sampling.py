@@ -111,6 +111,102 @@ def test_glauber_two_spin_agreement_probability():
     assert abs(emp - expected) <= 4 * se
 
 
+def reference_glauber_spins(spec, sweeps, rng, n_chains=1):
+    """The direct per-site kernel: local field, logistic, one draw per site."""
+    n = spec.n
+    spins = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_chains, n))
+    j = spec.coupling
+    h = spec.external_field
+    for _ in range(sweeps):
+        for site in range(n):
+            local = spins @ j[site] + h[site]
+            p_up = sampling._sigmoid(2.0 * local)
+            spins[:, site] = np.where(rng.random(n_chains) < p_up, 1, -1).astype(np.int8)
+    return spins.astype(int)
+
+
+def reference_p_up(spec, spins, site):
+    local = float(spins @ spec.coupling[site] + spec.external_field[site])
+    return float(sampling._sigmoid(np.array([2.0 * local]))[0])
+
+
+def general_spec(g, seed):
+    """Non-uniform symmetric couplings on g's edges and a non-uniform field."""
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.normal(scale=0.3, size=(g.n, g.n)), 1)
+    return sampling.IsingSpec(coupling=(w + w.T) * g.adjacency,
+                              external_field=rng.normal(scale=0.4, size=g.n),
+                              rf=graphs.one_hop_receptive_fields(g))
+
+
+KERNEL_SPECS = {
+    "cycle": lambda: ring_spec(7, 0.3, field=0.1),
+    "star": lambda: general_spec(graphs.star_graph(6), 1),
+    "complete-11": lambda: general_spec(graphs.complete_graph(11), 2),
+    "erdos-renyi": lambda: general_spec(graphs.erdos_renyi_graph(10, 0.4, 5), 3),
+}
+
+
+@pytest.mark.parametrize("n_chains", [1, 64])
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_glauber_matches_reference_kernel(name, n_chains):
+    spec = KERNEL_SPECS[name]()
+    expected = reference_glauber_spins(spec, 40, np.random.default_rng(17), n_chains)
+    got = sampling.glauber_spins(spec, 40, np.random.default_rng(17), n_chains)
+    assert got.dtype == expected.dtype and got.flags.c_contiguous
+    assert np.array_equal(got, expected)
+
+
+def test_complete_graph_exceeds_table_limit():
+    spec = KERNEL_SPECS["complete-11"]()
+    assert spec.n - 1 > sampling.TABLE_DEGREE_LIMIT
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_conditional_table_matches_reference_expression(name):
+    spec = KERNEL_SPECS[name]()
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        spins = rng.choice([-1, 1], size=spec.n)
+        for site in range(spec.n):
+            expected = reference_p_up(spec, spins, site)
+            assert sampling._conditional_p_up(spec, spins, site) == expected
+
+
+def test_replace_conditional_matches_reference_draws():
+    from grlstab.seeding import child_rng
+
+    spec = KERNEL_SPECS["erdos-renyi"]()
+    s = sampling.IsingSampler(spec=spec, sweeps=20, min_sweeps=20)
+    z = s.sample(3)
+    lam = [0, 4, 7]
+    for seed in range(20):
+        rng = child_rng(seed, "ising-replace", "fresh-conditional")
+        spins = z.spins.copy()
+        for site in lam:
+            spins[site] = 1 if rng.random() < reference_p_up(spec, spins, site) else -1
+        assert np.array_equal(s.replace(z, lam, seed=seed, mode="fresh-conditional").spins, spins)
+
+
+def test_spec_arrays_are_read_only_copies():
+    g = graphs.cycle_graph(5)
+    rf = graphs.one_hop_receptive_fields(g)
+    j = 0.3 * g.adjacency.astype(float)
+    h = np.full(5, 0.1)
+    spec = sampling.IsingSpec(coupling=j, external_field=h, rf=rf)
+    untouched = sampling.IsingSpec(coupling=j.copy(), external_field=h.copy(), rf=rf)
+    with pytest.raises(ValueError):
+        spec.coupling[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        spec.external_field[0] = 1.0
+    j[:] = 0.0
+    h[:] = 5.0
+    for n_chains in (1, 16):
+        got = sampling.glauber_spins(spec, 20, np.random.default_rng(8), n_chains)
+        expected = sampling.glauber_spins(untouched, 20, np.random.default_rng(8), n_chains)
+        assert np.array_equal(got, expected)
+
+
 def test_nonfinite_coupling_rejected():
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(3))
     j = np.zeros((3, 3))
