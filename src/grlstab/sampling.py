@@ -19,10 +19,11 @@ neighbours (the nonzero entries of its coupling row), so each IsingSpec
 builds, on first use, one table per site holding P(s_i = +1 | neighbour
 pattern) for all 2^degree patterns. Each entry is the logistic expression a
 single-chain update would evaluate, on a spin vector with that pattern, so
-the table holds the same floats. Sites with degree above
-TABLE_DEGREE_LIMIT keep the direct local-field computation. The spec's
-coupling and field are read-only copies, so a table can never go stale.
-Vertex replacement reads the same tables.
+the table holds the same floats. A spec with a site of degree above
+TABLE_DEGREE_LIMIT builds no tables and keeps the direct local-field
+computation for every site. The spec's coupling and field are read-only
+copies, so a table can never go stale. Vertex replacement evaluates the
+same logistic expression the tables are built from.
 
 Perturbed sets Z^Lambda replace the samples indexed by Lambda and keep every
 other coordinate bit-identical, which realizes the single-vertex sets Z^i
@@ -208,11 +209,12 @@ class IsingSpec:
     @functools.cached_property
     def _conditionals(self):
         """(neighbours, tables): per site, the indices k with J_sk != 0 and the
-        P(s = +1 | neighbour pattern) table, or None above TABLE_DEGREE_LIMIT."""
+        P(s = +1 | neighbour pattern) table; None if a site's degree exceeds
+        TABLE_DEGREE_LIMIT."""
         neighbours = [np.flatnonzero(self.coupling[s]) for s in range(self.n)]
-        tables = [_site_table(self, s, nb) if len(nb) <= TABLE_DEGREE_LIMIT else None
-                  for s, nb in enumerate(neighbours)]
-        return neighbours, tables
+        if any(len(nb) > TABLE_DEGREE_LIMIT for nb in neighbours):
+            return None
+        return neighbours, [_site_table(self, s, nb) for s, nb in enumerate(neighbours)]
 
     def diameter(self) -> float:
         return sample_space_diameter(self.b_x, self.b_y)
@@ -286,15 +288,14 @@ def _site_table(spec: IsingSpec, site: int, neighbours: np.ndarray) -> np.ndarra
     return out
 
 
-def _conditional_p_up(spec: IsingSpec, spins: np.ndarray, site: int) -> float:
-    """P(s_site = +1 | rest) for one (n,) configuration, read from the site's table."""
-    neighbours, tables = spec._conditionals
-    if tables[site] is None:
-        return float(_p_up(spec, spins[None, :], site)[0])
-    index = 0
-    for k in neighbours[site]:
-        index += index + int(spins[k] > 0)
-    return float(tables[site][index])
+def _glauber_direct(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> np.ndarray:
+    """All chains at once from the local field, one rng.random(n_chains) per site."""
+    n_chains = spins.shape[0]
+    for _ in range(sweeps):
+        for site in range(spec.n):
+            p_up = _p_up(spec, spins, site)
+            spins[:, site] = np.where(rng.random(n_chains) < p_up, 1, -1).astype(np.int8)
+    return spins.astype(int)
 
 
 def _glauber_one_chain(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> np.ndarray:
@@ -312,11 +313,6 @@ def _glauber_one_chain(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> 
     return np.array([[1 if b else -1 for b in up]], dtype=int)
 
 
-def _spins_from_up(up: np.ndarray, dtype) -> np.ndarray:
-    """(n_chains, n) C-ordered +-1 spins from the (n, n_chains) 0/1 state."""
-    return np.where(up.T, 1, -1).astype(dtype, order="C")
-
-
 def _glauber_chains(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> np.ndarray:
     """All chains at once: site state is a (n, n_chains) array of 0/1 bytes."""
     n, n_chains = spec.n, spins.shape[0]
@@ -326,16 +322,12 @@ def _glauber_chains(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> np.
     for _ in range(sweeps):
         u = rng.random(n * n_chains).reshape(n, n_chains)
         for s in range(n):
-            if tables[s] is None:
-                p_up = _p_up(spec, _spins_from_up(up, np.int8), s)
-            else:
-                index.fill(0)
-                for k in neighbours[s]:
-                    index += index
-                    index += up[k]
-                p_up = tables[s][index]
-            np.less(u[s], p_up, out=up[s])
-    return _spins_from_up(up, int)
+            index.fill(0)
+            for k in neighbours[s]:
+                index += index
+                index += up[k]
+            np.less(u[s], tables[s][index], out=up[s])
+    return np.where(up.T, 1, -1).astype(int, order="C")
 
 
 def glauber_spins(
@@ -345,19 +337,22 @@ def glauber_spins(
 
     One sweep visits every site once in index order; each visit resamples the
     spin from its exact conditional P(s_i = +1 | rest) = sigmoid(2(J_i.s + h_i)),
-    read from the spec's per-site table (a site of degree above
-    TABLE_DEGREE_LIMIT computes it from the local field instead).
+    read from the spec's per-site table. If some site has degree above
+    TABLE_DEGREE_LIMIT the spec has no tables, and every conditional is
+    computed from the local field, one rng.random(n_chains) draw per site.
 
-    The random stream is: one rng.choice for the initial spins, then per sweep
-    one rng.random(n * n_chains) read as (site, chain). A Generator fills an
-    array from the same sequence of doubles however it is split into calls, so
-    this equals n per-site rng.random(n_chains) calls, and the draws are
-    bit-identical to a plain per-site loop. One chain with every site tabulated
-    runs as a pure-Python loop over booleans; otherwise all chains advance
-    together with numpy, one site at a time.
+    With tables, the random stream is: one rng.choice for the initial spins,
+    then per sweep one rng.random(n * n_chains) read as (site, chain). A
+    Generator fills an array from the same sequence of doubles however it is
+    split into calls, so this equals n per-site rng.random(n_chains) calls,
+    and the draws are bit-identical to the local-field loop. One chain runs
+    as a pure-Python loop over booleans; more chains advance together with
+    numpy, one site at a time.
     """
     spins = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_chains, spec.n))
-    if n_chains == 1 and all(t is not None for t in spec._conditionals[1]):
+    if spec._conditionals is None:
+        return _glauber_direct(spec, spins, sweeps, rng)
+    if n_chains == 1:
         return _glauber_one_chain(spec, spins[0], sweeps, rng)
     return _glauber_chains(spec, spins, sweeps, rng)
 
@@ -420,7 +415,7 @@ class IsingSampler:
             rng = child_rng(seed, "ising-replace", mode)
             if mode == "fresh-conditional":
                 for site in indices:
-                    p_up = _conditional_p_up(self.spec, spins, site)
+                    p_up = float(_p_up(self.spec, spins[None, :], site)[0])
                     spins[site] = 1 if rng.random() < p_up else -1
             else:
                 fresh = glauber_spins(self.spec, self.sweeps, rng, 1)[0]

@@ -160,6 +160,7 @@ def test_glauber_matches_reference_kernel(name, n_chains):
 def test_complete_graph_exceeds_table_limit():
     spec = KERNEL_SPECS["complete-11"]()
     assert spec.n - 1 > sampling.TABLE_DEGREE_LIMIT
+    assert spec._conditionals is None
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
@@ -170,7 +171,13 @@ def test_conditional_table_matches_reference_expression(name):
         spins = rng.choice([-1, 1], size=spec.n)
         for site in range(spec.n):
             expected = reference_p_up(spec, spins, site)
-            assert sampling._conditional_p_up(spec, spins, site) == expected
+            assert sampling._p_up(spec, spins[None, :], site)[0] == expected
+            if spec._conditionals is not None:
+                neighbours, tables = spec._conditionals
+                index = 0
+                for k in neighbours[site]:
+                    index = 2 * index + int(spins[k] > 0)
+                assert tables[site][index] == expected
 
 
 def test_replace_conditional_matches_reference_draws():
