@@ -41,7 +41,7 @@ this is recorded, not hidden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -483,9 +483,7 @@ def bound_report(p: SgdBoundParams, delta: float) -> dict:
             "vertex": i,
             "growth": g,
             "kick": k,
-            "expected_beta2": (
-                None if expected_stability_bound(p, i) is None else expected_stability_bound(p, i)
-            ),
+            "expected_beta2": expected_stability_bound(p, i),
             "variance_loose": float(var.per_vertex_loose[i]),
             "variance_exact": float(var.per_vertex_exact[i]),
         })
@@ -496,15 +494,7 @@ def bound_report(p: SgdBoundParams, delta: float) -> dict:
         "steps": p.steps,
         "step_size": p.step_size,
         "delta": delta,
-        "certificate": {
-            "smoothness": cert.smoothness,
-            "strong_convexity": cert.strong_convexity,
-            "lipschitz": cert.lipschitz,
-            "gradient_data_lipschitz": cert.gradient_data_lipschitz,
-            "loss_bound": cert.loss_bound,
-            "sample_diameter": cert.sample_diameter,
-            "weight_radius": cert.weight_radius,
-        },
+        "certificate": asdict(cert),
         "conditions": conditions,
         "per_vertex": per_vertex,
         "expected_beta2": expected_stability_bound(p),

@@ -16,6 +16,7 @@ The worker count for trial-parallel sweeps comes from GRLSTAB_WORKERS
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -32,11 +33,7 @@ from .harness import (SgdAlgorithm, estimate_mu, estimate_stability)
 from .objectives import make_nonconvex_objective, make_strongly_convex_objective
 from .reporting import config_hash, read_csv, write_csv, write_json, write_manifest
 from .sgd import SgdConfig, coupled_train, envelope_check, train
-from .seeding import child_seed
-
-
-def _seed_int(master: int, *path) -> int:
-    return int(child_seed(master, *path).generate_state(1, np.uint32)[0])
+from .seeding import seed_int
 
 
 def workers() -> int:
@@ -50,20 +47,6 @@ def workers() -> int:
 # Config-driven builders
 
 GRAPH_KEYS = ("graph.kind", "graph.n", "graph.p", "graph.path")
-
-
-def certificate_dict(obj) -> dict:
-    cert = obj.certificate
-    return {
-        "objective": obj.kind,
-        "smoothness": cert.smoothness,
-        "strong_convexity": cert.strong_convexity,
-        "lipschitz": cert.lipschitz,
-        "gradient_data_lipschitz": cert.gradient_data_lipschitz,
-        "loss_bound": cert.loss_bound,
-        "sample_diameter": cert.sample_diameter,
-        "weight_radius": cert.weight_radius,
-    }
 SAMPLER_KEYS = ("sampler.kind", "sampler.dim", "sampler.bx", "sampler.by",
                 "sampler.coupling", "sampler.field", "sampler.rule",
                 "sampler.sweeps", "sampler.feature_dim", "sampler.label_noise")
@@ -80,7 +63,7 @@ def build_graph(cfg: ExperimentConfig) -> graphs.Graph:
     if kind == "erdos-renyi":
         return graphs.erdos_renyi_graph(
             cfg.get_int("graph.n"), cfg.get_float("graph.p"),
-            _seed_int(cfg.seed, "graph"),
+            seed_int(cfg.seed, "graph"),
         )
     if kind in graphs.GENERATORS:
         return graphs.GENERATORS[kind](cfg.get_int("graph.n"))
@@ -141,7 +124,7 @@ def build_sgd_config(cfg: ExperimentConfig) -> SgdConfig:
     return SgdConfig(
         step_size=cfg.get_float("sgd.step_size", 0.1),
         steps=cfg.get_int("sgd.steps", 100),
-        seed=_seed_int(cfg.seed, "sgd"),
+        seed=seed_int(cfg.seed, "sgd"),
     )
 
 
@@ -159,13 +142,13 @@ def run_sample(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     cfg.validate_keys(GRAPH_KEYS + SAMPLER_KEYS + ("out", "sample.replace", "sample.replace_mode"))
     rf = graphs.one_hop_receptive_fields(build_graph(cfg))
     sampler = build_sampler(cfg, rf)
-    z = sampler.sample(_seed_int(cfg.seed, "sampler"))
+    z = sampler.sample(seed_int(cfg.seed, "sampler"))
     if cfg.has("sample.replace"):
         indices = cfg.get_ints("sample.replace")
         mode = cfg.get_str("sample.replace_mode",
                            "fresh-marginal" if isinstance(sampler, sampling.IidSampler)
                            else "fresh-conditional")
-        z = sampler.replace(z, indices, _seed_int(cfg.seed, "replace"), mode)
+        z = sampler.replace(z, indices, seed_int(cfg.seed, "replace"), mode)
     header = ["vertex"] + [f"x{k}" for k in range(z.dim)] + ["label", "perturbed"]
     rows = [
         [i, *z.features[i].tolist(), z.labels[i], i in z.perturbed]
@@ -190,9 +173,9 @@ def run_train(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
         first = None
         for r in range(runs):
             run_cfg = SgdConfig(step_size=sgd_cfg.step_size, steps=sgd_cfg.steps,
-                                seed=_seed_int(cfg.seed, "sgd", r))
-            z = sampler.sample(_seed_int(cfg.seed, "sampler", r))
-            z_i = sampler.replace(z, [vertex], _seed_int(cfg.seed, "replace", r))
+                                seed=seed_int(cfg.seed, "sgd", r))
+            z = sampler.sample(seed_int(cfg.seed, "sampler", r))
+            z_i = sampler.replace(z, [vertex], seed_int(cfg.seed, "replace", r))
             trace = coupled_train(z, z_i, rf, obj, run_cfg)
             sum_delta += trace.delta_norms
             if first is None:
@@ -225,7 +208,7 @@ def run_train(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
             "ok": report.ok,
         }, chash)
     else:
-        z = sampler.sample(_seed_int(cfg.seed, "sampler"))
+        z = sampler.sample(seed_int(cfg.seed, "sampler"))
         traj = train(z, rf, obj, sgd_cfg)
         rows = [[t,
                  traj.indices[t - 1] if t else "",
@@ -248,11 +231,11 @@ def run_stability(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     alg = SgdAlgorithm(obj, rf, build_sgd_config(cfg))
     k = cfg.get_int("harness.pert_draws", 4)
     kp = cfg.get_int("harness.test_draws", 4)
-    est = estimate_stability(alg, sampler, k, kp, _seed_int(cfg.seed, "harness"))
+    est = estimate_stability(alg, sampler, k, kp, seed_int(cfg.seed, "harness"))
     mu = None
     if cfg.has("harness.m"):
         mu = estimate_mu(alg, sampler, cfg.get_int("harness.m"), k, kp,
-                         _seed_int(cfg.seed, "harness"))
+                         seed_int(cfg.seed, "harness"))
     rows = [[i, est.beta1_i[i], est.beta2_i[i], k, kp, est.seed] for i in range(rf.n)]
     write_csv(outdir / "stability.csv",
               ["i", "beta1_i", "beta2_i", "pert_draws", "test_draws", "seed"], rows, chash)
@@ -260,7 +243,7 @@ def run_stability(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
         "algorithm": est.algorithm,
         "beta1": est.beta1, "beta2": est.beta2,
         "discrepancy": est.discrepancy, "mu": mu,
-        "constants": certificate_dict(obj),
+        "constants": {"objective": obj.kind, **dataclasses.asdict(obj.certificate)},
     }, chash)
 
 
@@ -270,9 +253,9 @@ GNN_KEYS = ("gnn.kind", "gnn.trials", "gnn.eps", "gnn.ridge", "gnn.test_draws",
 
 def _gnn_sweep_job(args):
     n, p, rep, trials, kind, eps, seed, extra = args
-    rf = gnn_mod.density_mask_fields(n, p, _seed_int(seed, "mask", int(p * 10000), rep))
+    rf = gnn_mod.density_mask_fields(n, p, seed_int(seed, "mask", int(p * 10000), rep))
     res = gnn_mod.gnn_stability_experiment(
-        rf, kind, trials, eps, _seed_int(seed, "exp", int(p * 10000), rep), **extra
+        rf, kind, trials, eps, seed_int(seed, "exp", int(p * 10000), rep), **extra
     )
     return [res.n, res.sup_d, res.inf_d, kind, res.beta1, res.beta2,
             res.discrepancy, trials, res.seed]
@@ -308,7 +291,7 @@ def run_gnn(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     else:
         rf = graphs.one_hop_receptive_fields(build_graph(cfg))
         res = gnn_mod.gnn_stability_experiment(
-            rf, kind, trials, eps, _seed_int(cfg.seed, "gnn"), **extra)
+            rf, kind, trials, eps, seed_int(cfg.seed, "gnn"), **extra)
         rows = [[res.n, res.sup_d, res.inf_d, kind, res.beta1, res.beta2,
                  res.discrepancy, trials, res.seed]]
         write_csv(outdir / "results.csv", header, rows, chash)
@@ -338,7 +321,8 @@ def run_compare(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     delta = cfg.get_float("delta", 0.1)
     k = cfg.get_int("harness.pert_draws", 2)
     kp = cfg.get_int("harness.test_draws", 2)
-    est = estimate_stability(alg, sampler, k, kp, _seed_int(cfg.seed, "harness"))
+    est = estimate_stability(alg, sampler, k, kp, seed_int(cfg.seed, "harness"))
+    expected_all = bnd.expected_stability_bound(params)
     highprob = bnd.highprob_stability_bound(params, delta)
     rows = []
     for i in range(rf.n):
@@ -352,12 +336,11 @@ def run_compare(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
                "dominated"], rows, chash)
     write_json(outdir / "summary.json", {
         "beta2_empirical": est.beta2,
-        "expected_bound": bnd.expected_stability_bound(params),
+        "expected_bound": expected_all,
         "highprob_bound": highprob,
         "delta": delta,
-        "dominated": (bnd.expected_stability_bound(params) is not None
-                      and est.beta2 <= bnd.expected_stability_bound(params)),
-        "constants": certificate_dict(obj),
+        "dominated": expected_all is not None and est.beta2 <= expected_all,
+        "constants": {"objective": obj.kind, **dataclasses.asdict(obj.certificate)},
     }, chash)
 
 
@@ -380,10 +363,10 @@ def run_srm(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
         est = estimate_stability(
             srm.SrmClassAlgorithm(family, d), sampler,
             cfg.get_int("srm.beta_pert_draws", 2), cfg.get_int("srm.beta_test_draws", 2),
-            _seed_int(cfg.seed, "srm-beta", d),
+            seed_int(cfg.seed, "srm-beta", d),
         )
         beta2_by_degree[d] = est.beta2
-    z = sampler.sample(_seed_int(cfg.seed, "srm-train"))
+    z = sampler.sample(seed_int(cfg.seed, "srm-train"))
     rows = []
     selections = {}
     for lam in cfg.get_floats("srm.lambdas", "0.0 0.1 1.0"):
@@ -395,7 +378,7 @@ def run_srm(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     write_csv(outdir / "srm.csv",
               ["lambda", "d", "class_risk", "penalty", "penalized_risk", "selected"],
               rows, chash)
-    holdout = [sampler.sample(_seed_int(cfg.seed, "srm-holdout", k))
+    holdout = [sampler.sample(seed_int(cfg.seed, "srm-holdout", k))
                for k in range(cfg.get_int("srm.holdout", 4))]
     last = selections[cfg.get_floats("srm.lambdas", "0.0 0.1 1.0")[-1]]
     beta2 = max(beta2_by_degree.values())
@@ -435,7 +418,7 @@ def run_concentration(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     probs = sampling.gibbs_probabilities(spec)
     phi_exact = float(probs @ (configs > 0).sum(axis=1))
     draws = cfg.get_int("conc.draws", 20000)
-    spins = sampler.sample_spins_batch(draws, _seed_int(cfg.seed, "conc"))
+    spins = sampler.sample_spins_batch(draws, seed_int(cfg.seed, "conc"))
     phi = (spins > 0).sum(axis=1)
     t_grid = cfg.get_floats("conc.t_grid", "0.5 1 1.5 2 2.5 3")
     c = np.ones(spec.n)

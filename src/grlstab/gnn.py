@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import ReceptiveFieldMap, mask_from_fields
-from .seeding import child_rng
+from .seeding import child_rng, seed_int
 
 
 class SupportError(ValueError):
@@ -139,10 +139,6 @@ def full_objective_gradient(p: GnnProblem, sol: GnnSolution) -> np.ndarray:
 def masked_objective_gradient(p: GnnProblem, sol: GnnSolution) -> np.ndarray:
     """Pi o [ -y v' + A~ (v v' + gamma I) ], the masked first-order condition."""
     return np.where(p.mask, full_objective_gradient(p, sol), 0.0)
-
-
-def predictions(a_tilde: np.ndarray, test_features: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    return a_tilde @ (test_features @ weight)
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +304,10 @@ def scaling_sweep(n: int, densities, replicates: int, trials: int, seed: int,
     records = []
     for di, p in enumerate(densities):
         for rep in range(replicates):
-            rf = density_mask_fields(n, p, child_seed_int(seed, "mask", di, rep))
+            rf = density_mask_fields(n, p, seed_int(seed, "mask", di, rep))
             res = gnn_stability_experiment(
                 rf, kind, trials, eps_feature,
-                child_seed_int(seed, "exp", di, rep), **kwargs
+                seed_int(seed, "exp", di, rep), **kwargs
             )
             records.append({
                 "n": n, "density": p, "replicate": rep,
@@ -320,13 +316,6 @@ def scaling_sweep(n: int, densities, replicates: int, trials: int, seed: int,
                 "discrepancy": res.discrepancy,
             })
     return records
-
-
-def child_seed_int(master: int, *path) -> int:
-    """Stable derived integer seed for nested experiment stages."""
-    from .seeding import child_seed
-
-    return int(child_seed(master, *path).generate_state(1, np.uint32)[0])
 
 
 def loglog_slope(xs, ys) -> float:

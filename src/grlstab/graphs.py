@@ -48,12 +48,6 @@ class ReceptiveFieldMap:
     d_bar: float
     sup_d: float
 
-    def members(self, i: int) -> np.ndarray:
-        return np.asarray(self.xi[i], dtype=int)
-
-    def contains(self, i: int, j: int) -> bool:
-        return j in self.xi[i]
-
     def outside(self, i: int) -> np.ndarray:
         """Vertices j with j not in Xi(i)."""
         inside = np.zeros(self.n, dtype=bool)

@@ -30,7 +30,7 @@ from .graphs import ReceptiveFieldMap
 from .objectives import FieldObjective
 from .sampling import IsingSpec, SampleSet, enumerate_spin_configs, gibbs_probabilities
 from .sgd import SgdConfig, train, train_pooled
-from .seeding import child_seed
+from .seeding import seed_int
 
 
 class NonDeterministicAlgorithmError(RuntimeError):
@@ -189,15 +189,15 @@ def estimate_vertex_stability(alg, sampler, i: int, pert_draws: int, test_draws:
     rf = sampler.rf
     outside = rf.outside(i)
     test_sets = [
-        sampler.sample(_seed_int(seed, "test", k)) for k in range(test_draws)
+        sampler.sample(seed_int(seed, "test", k)) for k in range(test_draws)
     ]
     b1 = 0.0
     b2 = 0.0
     for k in range(pert_draws):
-        z = sampler.sample(_seed_int(seed, "train", i, k))
+        z = sampler.sample(seed_int(seed, "train", i, k))
         if check_determinism and k == 0:
             _check_deterministic(alg, z)
-        z_i = sampler.replace(z, [i], _seed_int(seed, "replace", i, k))
+        z_i = sampler.replace(z, [i], seed_int(seed, "replace", i, k))
         h = alg.train(z)
         h_i = alg.train(z_i)
         for gap in _loss_gaps(alg, h, h_i, test_sets):
@@ -238,20 +238,20 @@ def estimate_mu(alg, sampler, m: int, pert_draws: int, test_draws: int, seed: in
         raise ValueError("m must be >= 1")
     rf = sampler.rf
     test_sets = [
-        sampler.sample(_seed_int(seed, "test", k)) for k in range(test_draws)
+        sampler.sample(seed_int(seed, "test", k)) for k in range(test_draws)
     ]
     mu = 0.0
     for i0 in range(rf.n):
         for k in range(pert_draws):
             draw_rng_path = ("train", i0, k)
-            sets = [sampler.sample(_seed_int(seed, *draw_rng_path))]
+            sets = [sampler.sample(seed_int(seed, *draw_rng_path))]
             for extra in range(1, m):
-                sets.append(sampler.sample(_seed_int(seed, *draw_rng_path, "extra", extra)))
+                sets.append(sampler.sample(seed_int(seed, *draw_rng_path, "extra", extra)))
             for j0 in range(m):
                 perturbed = list(sets)
                 perturbed[j0] = sampler.replace(
-                    sets[j0], [i0], _seed_int(seed, "replace", i0, k, j0)
-                    if j0 else _seed_int(seed, "replace", i0, k)
+                    sets[j0], [i0], seed_int(seed, "replace", i0, k, j0)
+                    if j0 else seed_int(seed, "replace", i0, k)
                 )
                 h = alg.train_pooled(sets)
                 h_p = alg.train_pooled(perturbed)
@@ -266,21 +266,17 @@ def estimate_generalization_gap(alg, sampler, test_graphs: int, trials: int, see
         raise ValueError("need at least one test graph")
     out = []
     for t in range(trials):
-        z = sampler.sample(_seed_int(seed, "gap-train", t))
+        z = sampler.sample(seed_int(seed, "gap-train", t))
         h = alg.train(z)
         train_risk = float(alg.losses(h, z).mean())
         test_risk = 0.0
         for k in range(test_graphs):
-            z_test = sampler.sample(_seed_int(seed, "gap-test", t, k))
+            z_test = sampler.sample(seed_int(seed, "gap-test", t, k))
             test_risk += float(alg.losses(h, z_test).mean())
         test_risk /= test_graphs
         out.append(GapSample(phi=test_risk - train_risk, test_graphs=test_graphs,
-                             seed=_seed_int(seed, "gap-train", t)))
+                             seed=seed_int(seed, "gap-train", t)))
     return out
-
-
-def _seed_int(master: int, *path) -> int:
-    return int(child_seed(master, *path).generate_state(1, np.uint32)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -135,9 +135,6 @@ class FieldObjective:
     def hessian_uy(self, u, w) -> np.ndarray:
         raise NotImplementedError
 
-    def predict(self, u, w) -> float:
-        return float(np.dot(u, w))
-
     # convenience wrappers over (z, rf, i)
     def evaluate(self, z: SampleSet, rf: ReceptiveFieldMap, i: int, w) -> float:
         u = self.field_feature(z.features[list(rf.xi[i])])

@@ -28,3 +28,8 @@ def child_seed(master: int, *path) -> np.random.SeedSequence:
 def child_rng(master: int, *path) -> np.random.Generator:
     """Independent generator for the child stream identified by ``path``."""
     return np.random.default_rng(child_seed(master, *path))
+
+
+def seed_int(master: int, *path) -> int:
+    """32-bit integer master seed for the nested stage identified by ``path``."""
+    return int(child_seed(master, *path).generate_state(1, np.uint32)[0])

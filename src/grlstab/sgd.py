@@ -11,6 +11,10 @@ step:
 - "self": n_t = i
 - "miss": i is outside the sampled receptive field
 
+One private loop, ``_descend``, serves the single, pooled and coupled runs:
+a coupled run is two descents on the same index stream, and the pooled
+m-graph run is one descent over an index stream on the m*N pooled vertices.
+
 Per-step deviation envelopes for the strongly convex and the smooth
 non-convex regimes can be rechecked against a recorded trace, and the
 contraction properties of G itself can be stress-tested over random pairs.
@@ -106,20 +110,29 @@ def draw_indices(cfg: SgdConfig, n: int) -> np.ndarray:
     return rng.integers(0, n, size=cfg.steps)
 
 
-def train(z: SampleSet, rf: ReceptiveFieldMap, obj: FieldObjective, cfg: SgdConfig) -> Trajectory:
-    """Run SGD from w_0 = 0 and record the full trajectory."""
-    bound = obj.bind(z, rf)
-    radius = _radius(obj, cfg)
-    indices = draw_indices(cfg, z.n)
-    w = np.zeros(obj.dim)
-    weights = np.empty((cfg.steps + 1, obj.dim))
+def _descend(bounds, indices: np.ndarray, radius: float, cfg: SgdConfig) -> np.ndarray:
+    """Projected SGD from w_0 = 0 along a pooled index stream; weights (T+1, dim).
+
+    Pooled index k visits vertex k % N of bounds[k // N].
+    """
+    n = bounds[0].y.shape[0]
+    weights = np.empty((len(indices) + 1, bounds[0].objective.dim))
+    w = np.zeros(weights.shape[1])
     weights[0] = w
-    for t, i in enumerate(indices):
-        g = bound.gradient(int(i), w)
+    copies, vertices = np.divmod(indices, n)
+    for t, (c, i) in enumerate(zip(copies.tolist(), vertices.tolist())):
+        g = bounds[c].gradient(i, w)
         if not np.all(np.isfinite(g)):
             raise SgdDivergenceError(f"non-finite gradient at step {t}, vertex {i}")
         w = project(w - cfg.alpha_at(t) * g, radius)
         weights[t + 1] = w
+    return weights
+
+
+def train(z: SampleSet, rf: ReceptiveFieldMap, obj: FieldObjective, cfg: SgdConfig) -> Trajectory:
+    """Run SGD from w_0 = 0 and record the full trajectory."""
+    indices = draw_indices(cfg, z.n)
+    weights = _descend([obj.bind(z, rf)], indices, _radius(obj, cfg), cfg)
     return Trajectory(weights=weights, indices=indices, config=cfg)
 
 
@@ -131,19 +144,8 @@ def train_pooled(sets, rf: ReceptiveFieldMap, obj: FieldObjective, cfg: SgdConfi
     copy. With m = 1 this is exactly the single-graph run.
     """
     bounds = [obj.bind(z, rf) for z in sets]
-    radius = _radius(obj, cfg)
-    n = sets[0].n
-    total = len(sets) * n
-    rng = child_rng(cfg.seed, "indices")
-    pooled = rng.integers(0, total, size=cfg.steps)
-    w = np.zeros(obj.dim)
-    for t, k in enumerate(pooled):
-        bound = bounds[int(k) // n]
-        g = bound.gradient(int(k) % n, w)
-        if not np.all(np.isfinite(g)):
-            raise SgdDivergenceError(f"non-finite gradient at step {t}")
-        w = project(w - cfg.alpha_at(t) * g, radius)
-    return w
+    indices = draw_indices(cfg, len(sets) * sets[0].n)
+    return _descend(bounds, indices, _radius(obj, cfg), cfg)[-1]
 
 
 def case_label(rf: ReceptiveFieldMap, vertex: int, sampled: int) -> str:
@@ -167,34 +169,15 @@ def coupled_train(z: SampleSet, z_pert: SampleSet, rf: ReceptiveFieldMap,
     bound_p = obj.bind(z_pert, rf)
     radius = _radius(obj, cfg)
     indices = draw_indices(cfg, z.n)
-
-    w = np.zeros(obj.dim)
-    wp = np.zeros(obj.dim)
-    weights = np.empty((cfg.steps + 1, obj.dim))
-    weights_p = np.empty((cfg.steps + 1, obj.dim))
-    weights[0] = w
-    weights_p[0] = wp
-    deltas = np.empty(cfg.steps + 1)
-    deltas[0] = 0.0
-    labels = []
-    for t, i in enumerate(indices):
-        i = int(i)
-        alpha = cfg.alpha_at(t)
-        g = bound.gradient(i, w)
-        gp = bound_p.gradient(i, wp)
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(gp))):
-            raise SgdDivergenceError(f"non-finite gradient at step {t}, vertex {i}")
-        w = project(w - alpha * g, radius)
-        wp = project(wp - alpha * gp, radius)
-        weights[t + 1] = w
-        weights_p[t + 1] = wp
-        deltas[t + 1] = float(np.linalg.norm(w - wp))
-        labels.append(case_label(rf, vertex, i))
+    weights = _descend([bound], indices, radius, cfg)
+    weights_p = _descend([bound_p], indices, radius, cfg)
+    deltas = np.array([float(np.linalg.norm(w - wp)) for w, wp in zip(weights, weights_p)])
+    labels = tuple(case_label(rf, vertex, i) for i in indices.tolist())
 
     base = Trajectory(weights=weights, indices=indices, config=cfg)
     pert = Trajectory(weights=weights_p, indices=indices.copy(), config=cfg)
     return CoupledTrace(base=base, perturbed=pert, vertex=vertex,
-                        delta_norms=deltas, case_labels=tuple(labels))
+                        delta_norms=deltas, case_labels=labels)
 
 
 def first_hit_time(trace_indices: np.ndarray, rf: ReceptiveFieldMap, vertex: int) -> int:

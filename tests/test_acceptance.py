@@ -17,11 +17,7 @@ from grlstab.objectives import (cocoercivity_check,
                                 make_strongly_convex_objective)
 from grlstab.sgd import (SgdConfig, contraction_check, coupled_train,
                          envelope_check)
-from grlstab.seeding import child_rng, child_seed
-
-
-def _seed_int(master, *path):
-    return int(child_seed(master, *path).generate_state(1, np.uint32)[0])
+from grlstab.seeding import child_rng, seed_int
 
 
 def report(number, name, ok, detail):
@@ -93,12 +89,12 @@ def test_criterion_03_per_step_envelopes():
         field_sizes=rf.sizes, regime=bounds.STRONGLY_CONVEX))
     worst_margin = np.inf
     for run in range(runs):
-        z = sampler.sample(_seed_int(301, "draw", run))
+        z = sampler.sample(seed_int(301, "draw", run))
         vertex = run % n
-        z_i = sampler.replace(z, [vertex], _seed_int(301, "repl", run))
+        z_i = sampler.replace(z, [vertex], seed_int(301, "repl", run))
         trace = coupled_train(z, z_i, rf, obj_sc,
                               SgdConfig(step_size=alpha, steps=steps,
-                                        seed=_seed_int(301, "sgd", run)))
+                                        seed=seed_int(301, "sgd", run)))
         rep = envelope_check(trace, obj_sc)
         worst_margin = min(worst_margin, float(rep.margins.min()))
     ok_sc = worst_margin >= -1e-9
@@ -106,12 +102,12 @@ def test_criterion_03_per_step_envelopes():
     obj_nc = RIPPLE
     worst_margin_nc = np.inf
     for run in range(runs):
-        z = sampler.sample(_seed_int(302, "draw", run))
+        z = sampler.sample(seed_int(302, "draw", run))
         vertex = run % n
-        z_i = sampler.replace(z, [vertex], _seed_int(302, "repl", run))
+        z_i = sampler.replace(z, [vertex], seed_int(302, "repl", run))
         trace = coupled_train(z, z_i, rf, obj_nc,
                               SgdConfig(step_size=0.05, steps=steps,
-                                        seed=_seed_int(302, "sgd", run)))
+                                        seed=seed_int(302, "sgd", run)))
         rep = envelope_check(trace, obj_nc)
         worst_margin_nc = min(worst_margin_nc, float(rep.margins.min()))
     ok_nc = worst_margin_nc >= -1e-9
@@ -138,8 +134,8 @@ def _beta2_replicates(regime, n, steps, replicates, master):
     values = []
     for rep in range(replicates):
         alg = SgdAlgorithm(obj, rf, SgdConfig(step_size=alpha, steps=steps,
-                                              seed=_seed_int(master, "alg", rep)))
-        est = estimate_stability(alg, sampler, 2, 2, _seed_int(master, "est", rep))
+                                              seed=seed_int(master, "alg", rep)))
+        est = estimate_stability(alg, sampler, 2, 2, seed_int(master, "est", rep))
         values.append(est.beta2)
     return np.array(values), params
 
@@ -152,7 +148,7 @@ def test_criterion_04_expected_bound_domination():
         for n in (8, 16):
             for steps in (50, 200):
                 values, params = _beta2_replicates(regime, n, steps, 32,
-                                                   _seed_int(401, regime, n, steps))
+                                                   seed_int(401, regime, n, steps))
                 bound = bounds.expected_stability_bound(params)
                 mean = float(values.mean())
                 se = float(values.std(ddof=1) / math.sqrt(len(values)))
@@ -172,7 +168,7 @@ def test_criterion_05_highprob_domination():
     ok = True
     for regime in (bounds.STRONGLY_CONVEX, bounds.NON_CONVEX):
         values, params = _beta2_replicates(regime, 8, 50, replicates,
-                                           _seed_int(501, regime))
+                                           seed_int(501, regime))
         bound = bounds.highprob_stability_bound(params, delta)
         frac = float(np.mean(values > bound))
         ok = ok and frac <= allowance
@@ -285,7 +281,7 @@ def test_criterion_08_dobrushin_oracle():
     worst_gap = np.inf
     for trial in range(100):
         n = int(rng.integers(2, 9))
-        graph = graphs.erdos_renyi_graph(n, 0.5, _seed_int(801, "g", trial))
+        graph = graphs.erdos_renyi_graph(n, 0.5, seed_int(801, "g", trial))
         rf = graphs.one_hop_receptive_fields(graph)
         coupling = graph.adjacency.astype(float) * float(rng.uniform(-0.5, 0.5))
         spec = sampling.IsingSpec(coupling=coupling,
@@ -308,7 +304,7 @@ def test_criterion_09_gnn_solver():
     worst_gap = np.inf
     for trial in range(100):
         n = int(rng.integers(4, 10))
-        graph = graphs.erdos_renyi_graph(n, 0.5, _seed_int(901, "g", trial))
+        graph = graphs.erdos_renyi_graph(n, 0.5, seed_int(901, "g", trial))
         rf = graphs.one_hop_receptive_fields(graph)
         dim = 3
         x = rng.normal(size=(n, dim))
@@ -363,7 +359,7 @@ def test_criterion_11_discrepancy_lower_bounds():
             for rep in range(6):
                 res = gnn.gnn_stability_experiment(
                     rf, kind, trials=2, eps_feature=eps,
-                    seed=_seed_int(1101, kind, n, rep), n_test_draws=8,
+                    seed=seed_int(1101, kind, n, rep), n_test_draws=8,
                 )
                 gap = res.beta2 - res.beta1
                 vals.append(n * gap if kind == "label" else gap / res.inf_d)
@@ -426,7 +422,7 @@ def test_criterion_13_srm():
     beta2_by_degree = {}
     for d in range(1, d_max + 1):
         est = estimate_stability(srm.SrmClassAlgorithm(family, d), sampler, 2, 2,
-                                 _seed_int(1301, "beta", d))
+                                 seed_int(1301, "beta", d))
         beta2_by_degree[d] = est.beta2
     increasing_penalty = all(
         d1 * beta2_by_degree[d1] < d2 * beta2_by_degree[d2]
@@ -435,7 +431,7 @@ def test_criterion_13_srm():
 
     monotone = True
     for inst in range(10):
-        z = sampler.sample(_seed_int(1302, "inst", inst))
+        z = sampler.sample(seed_int(1302, "inst", inst))
         degrees = [srm.select_sparse(family, z, lam, beta2_by_degree).selected.degree
                    for lam in (0.0, 0.1, 1.0, 10.0)]
         monotone = monotone and all(b <= a for a, b in zip(degrees, degrees[1:]))
@@ -456,9 +452,9 @@ def test_criterion_13_srm():
         violations = 0
         instances = 100
         for inst in range(instances):
-            z = sampler.sample(_seed_int(1303, "train", inst))
+            z = sampler.sample(seed_int(1303, "train", inst))
             sel = srm.select_sparse(family, z, lam, beta2_by_degree)
-            holdout = [sampler.sample(_seed_int(1303, "hold", inst, k)) for k in range(3)]
+            holdout = [sampler.sample(seed_int(1303, "hold", inst, k)) for k in range(3)]
             record = srm.srm_report(sel, family, holdout, eps, beta1=0.0, n_vertices=n)
             if not record.satisfied:
                 violations += 1

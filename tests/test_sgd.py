@@ -4,9 +4,9 @@ import pytest
 from grlstab import graphs, sampling
 from grlstab.objectives import (make_nonconvex_objective,
                                 make_strongly_convex_objective)
-from grlstab.sgd import (SgdConfig, contraction_check,
+from grlstab.sgd import (SgdConfig, SgdDivergenceError, contraction_check,
                          coupled_train, envelope_check, first_hit_time,
-                         sgd_step, train, train_pooled)
+                         project, sgd_step, train, train_pooled)
 from grlstab.seeding import child_rng
 
 
@@ -73,6 +73,58 @@ def test_train_pooled_single_set_matches_train():
     rf, sampler, obj, z = setup_problem()
     cfg = SgdConfig(step_size=0.1, steps=40, seed=7)
     assert np.array_equal(train_pooled([z], rf, obj, cfg), train(z, rf, obj, cfg).final)
+
+
+def reference_train_pooled(sets, rf, obj, cfg):
+    """Straight-line pooled SGD loop that `train_pooled` must match bit for bit."""
+    bounds = [obj.bind(z, rf) for z in sets]
+    radius = obj.certificate.weight_radius
+    n = sets[0].n
+    pooled = child_rng(cfg.seed, "indices").integers(0, len(sets) * n, size=cfg.steps)
+    w = np.zeros(obj.dim)
+    for t, k in enumerate(pooled):
+        g = bounds[int(k) // n].gradient(int(k) % n, w)
+        w = project(w - cfg.alpha_at(t) * g, radius)
+    return w
+
+
+def test_train_pooled_matches_reference_loop():
+    rf, sampler, obj, z = setup_problem()
+    sets = [z, sampler.sample(1)]
+    for seed in range(5):
+        cfg = SgdConfig(step_size=0.1, steps=60, seed=seed)
+        assert np.array_equal(train_pooled(sets, rf, obj, cfg),
+                              reference_train_pooled(sets, rf, obj, cfg))
+
+
+def test_coupled_sides_equal_separate_trainings():
+    rf, sampler, obj, z = setup_problem()
+    z_i = sampler.replace(z, [5], seed=30)
+    cfg = SgdConfig(step_size=0.1, steps=50, seed=31)
+    trace = coupled_train(z, z_i, rf, obj, cfg)
+    assert np.array_equal(trace.base.weights, train(z, rf, obj, cfg).weights)
+    assert np.array_equal(trace.perturbed.weights, train(z_i, rf, obj, cfg).weights)
+    # one norm per row: norm(..., axis=1) differs in the last bits and would
+    # change the recorded deviation files
+    rows = [float(np.linalg.norm(w - wp)) for w, wp in zip(trace.base.weights,
+                                                          trace.perturbed.weights)]
+    assert np.array_equal(trace.delta_norms, rows)
+
+
+def test_non_finite_gradient_raises_divergence_error():
+    rf, sampler, obj, z = setup_problem()
+    features = z.features.copy()
+    features[0, 0] = np.inf
+    z_bad = sampling.SampleSet(features=features, labels=z.labels, sampler_id="bad", seed=0)
+    z_bad_i = sampler.replace(z_bad, [4], seed=32)
+    assert z_bad.differing_vertices(z_bad_i).tolist() == [4]
+    cfg = SgdConfig(step_size=0.1, steps=50, seed=33)
+    with pytest.raises(SgdDivergenceError):
+        train(z_bad, rf, obj, cfg)
+    with pytest.raises(SgdDivergenceError):
+        train_pooled([z, z_bad], rf, obj, cfg)
+    with pytest.raises(SgdDivergenceError):
+        coupled_train(z_bad, z_bad_i, rf, obj, cfg)
 
 
 def test_coupled_rejects_multi_vertex_difference():
