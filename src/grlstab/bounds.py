@@ -22,6 +22,10 @@ B_Z, B_L):
     PM   = (N-1)/N * a lam               (flagged divergent when PM > 1)
     PY_i as above
 
+Each depends on vertex i only through NN_i: ``recursion_constants``
+returns them as (N,) arrays over the field sizes, every bound reads them
+there, and the scalar kernels are mapped over them one vertex at a time.
+
 Expected stability:  E[beta_{2,i}] <= L * geom(PZ_i or PM, T) * PY_i.
 
 Second-moment recursion v_t = PZ^2 v_{t-1} + 2 PY PZ m_{t-1} + PY^2 with
@@ -35,7 +39,9 @@ The looser sum form
 is what the high-probability expressions consume; both are reported. The
 second ratio of the loose form has no finite limit at PZ = 1, so within
 the branch width it falls back to the exact-solution limit (geom^2 = T^2);
-this is recorded, not hidden.
+this is recorded, not hidden. For growth > 1 at small T the loose form is
+negative; the high-probability expressions that take its square root are
+then not-applicable (None).
 """
 
 from __future__ import annotations
@@ -133,9 +139,7 @@ class SgdBoundParams:
 
 def params_from_sgd_config(certificate: ConstantsCertificate, config, n_vertices: int,
                            field_sizes, regime: str) -> SgdBoundParams:
-    """Bound parameters from an SGD config; step schedules are refused."""
-    if getattr(config, "step_schedule", None) is not None:
-        raise ValueError("bounds are stated for a fixed step size; schedules are refused")
+    """Bound parameters from a (fixed-step) SGD config."""
     return SgdBoundParams(
         certificate=certificate, step_size=config.step_size, steps=config.steps,
         n_vertices=n_vertices, field_sizes=field_sizes, regime=regime,
@@ -158,66 +162,60 @@ def step_condition_ok(p: SgdBoundParams) -> bool:
 # Recursion constants
 
 
-def convex_recursion_constants(p: SgdBoundParams, i: int):
-    """(PZ_i, PY_i) for the strongly convex recursion at vertex i."""
-    if p.regime != STRONGLY_CONVEX:
-        raise ValueError("convex recursion constants need the strongly-convex regime")
+def recursion_constants(p: SgdBoundParams):
+    """(growth, kick): the active regime's per-vertex constants as (N,) arrays.
+
+    growth is PZ_i (strongly convex) or PM at every vertex (non-convex);
+    kick is PY_i. Both depend on vertex i only through NN_i.
+    """
     cert = p.certificate
-    lam, gamma = cert.smoothness, cert.strong_convexity
     a = p.step_size
     n = p.n_vertices
-    d_i = p.field_sizes[i] / n
-    pz = d_i * a * lam * (gamma / (lam + gamma) - a) + a**2 * lam / n + (
-        1.0 - a * lam * gamma / (lam + gamma)
-    )
-    py = a * cert.sample_diameter * cert.gradient_data_lipschitz * (p.field_sizes[i] - 1) / n \
+    sizes = p.field_sizes
+    kick = a * cert.sample_diameter * cert.gradient_data_lipschitz * (sizes - 1) / n \
         + 2.0 * a * cert.lipschitz / n
-    return float(pz), float(py)
-
-
-def nonconvex_growth_constant(p: SgdBoundParams) -> float:
-    """PM = (N - 1)/N * a * lam."""
-    return (p.n_vertices - 1) / p.n_vertices * p.step_size * p.certificate.smoothness
-
-
-def nonconvex_kick_constant(p: SgdBoundParams, i: int) -> float:
-    cert = p.certificate
-    n = p.n_vertices
-    return float(
-        p.step_size * cert.sample_diameter * cert.gradient_data_lipschitz
-        * (p.field_sizes[i] - 1) / n
-        + 2.0 * p.step_size * cert.lipschitz / n
-    )
-
-
-def _constants(p: SgdBoundParams, i: int):
-    """(growth, kick) for vertex i in the active regime."""
     if p.regime == STRONGLY_CONVEX:
-        return convex_recursion_constants(p, i)
-    return nonconvex_growth_constant(p), nonconvex_kick_constant(p, i)
+        lam, gamma = cert.smoothness, cert.strong_convexity
+        growth = sizes / n * a * lam * (gamma / (lam + gamma) - a) + a**2 * lam / n + (
+            1.0 - a * lam * gamma / (lam + gamma)
+        )
+    else:
+        growth = np.full(n, (n - 1) / n * a * cert.smoothness)
+    return growth, kick
+
+
+def _geometric(growth: np.ndarray, steps: int) -> np.ndarray:
+    """geometric_series at each growth constant, one scalar call per vertex."""
+    return np.array([geometric_series(g, steps) for g in growth.tolist()])
+
+
+def _sup(values: np.ndarray) -> float:
+    """max(0, v_0, v_1, ...) taken left to right, as a scalar loop from 0."""
+    return max([0.0, *values.tolist()])
 
 
 # ---------------------------------------------------------------------------
 # Expected stability
 
 
+def _expected_envelope(p: SgdBoundParams) -> np.ndarray | None:
+    """(N,) L * geom(growth_i, T) * kick_i; None when the step condition fails."""
+    if p.regime == STRONGLY_CONVEX and not step_condition_ok(p):
+        return None
+    growth, kick = recursion_constants(p)
+    return p.certificate.lipschitz * _geometric(growth, p.steps) * kick
+
+
 def expected_stability_bound(p: SgdBoundParams, i: int | None = None) -> float | None:
-    """L * geom(growth, T) * kick_i; sup over i when i is None.
+    """L * geom(growth_i, T) * kick_i; sup over i when i is None.
 
     Returns None (not-applicable) when the strongly convex step-size
     condition fails.
     """
-    if p.regime == STRONGLY_CONVEX and not step_condition_ok(p):
+    env = _expected_envelope(p)
+    if env is None:
         return None
-    lip = p.certificate.lipschitz
-    if i is not None:
-        growth, kick = _constants(p, i)
-        return lip * geometric_series(growth, p.steps) * kick
-    best = 0.0
-    for j in range(p.n_vertices):
-        growth, kick = _constants(p, j)
-        best = max(best, lip * geometric_series(growth, p.steps) * kick)
-    return best
+    return _sup(env) if i is None else float(env[i])
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +256,10 @@ def variance_abcd_coefficients(growth: float, kick: float):
 
 
 def variance_bound(p: SgdBoundParams) -> VarianceBound:
-    loose = np.empty(p.n_vertices)
-    exact = np.empty(p.n_vertices)
-    for i in range(p.n_vertices):
-        growth, kick = _constants(p, i)
-        loose[i] = variance_term_loose(growth, kick, p.steps)
-        exact[i] = variance_term_exact(growth, kick, p.steps)
+    growth, kick = recursion_constants(p)
+    pairs = list(zip(growth.tolist(), kick.tolist()))
+    loose = np.array([variance_term_loose(g, k, p.steps) for g, k in pairs])
+    exact = np.array([variance_term_exact(g, k, p.steps) for g, k in pairs])
     return VarianceBound(
         per_vertex_loose=loose,
         per_vertex_exact=exact,
@@ -281,29 +277,28 @@ def highprob_stability_bound(p: SgdBoundParams, delta: float) -> float | None:
 
     Chebyshev mass enters under 1/delta and the sub-Gaussian tail under
     log(2/delta) (the union-bound split). Returns None when the
-    strongly-convex step-size condition fails.
+    strongly-convex step-size condition fails or the loose second moment
+    is negative (growth > 1 at small T).
     """
     if not 0.0 < delta < 1.0:
         raise BoundDomainError(f"delta must be in (0, 1), got {delta}")
     if p.regime == STRONGLY_CONVEX and not step_condition_ok(p):
         return None
+    var = variance_bound(p)
+    if np.any(var.per_vertex_loose < 0.0):
+        return None
     cert = p.certificate
     lip = cert.lipschitz
-    var = variance_bound(p).total_loose
     log_term = math.log(2.0 / delta)
     if p.regime == STRONGLY_CONVEX:
         lam, gamma = cert.smoothness, cert.strong_convexity
-        sup_env = 0.0
-        for i in range(p.n_vertices):
-            growth, kick = convex_recursion_constants(p, i)
-            sup_env = max(sup_env, geometric_series(growth, p.steps) * kick)
+        growth, kick = recursion_constants(p)
+        sup_env = _sup(_geometric(growth, p.steps) * kick)
         gap = (lam - gamma) * math.sqrt(log_term / 8.0)
-        chebyshev = math.sqrt(var / delta)
+        chebyshev = math.sqrt(var.total_loose / delta)
         return (lip + gap) * sup_env + gap * (sup_env + chebyshev) ** 2
-    growth = nonconvex_growth_constant(p)
-    sup_kick = max(nonconvex_kick_constant(p, i) for i in range(p.n_vertices))
-    expected = lip * geometric_series(growth, p.steps) * sup_kick
-    return expected * (1.0 + math.sqrt(log_term / 2.0)) + lip * math.sqrt(log_term / delta * var)
+    return expected_stability_bound(p) * (1.0 + math.sqrt(log_term / 2.0)) \
+        + lip * math.sqrt(log_term / delta * var.total_loose)
 
 
 # ---------------------------------------------------------------------------
@@ -376,36 +371,26 @@ def sgd_generalization_bound(p: SgdBoundParams, delta: float) -> float | None:
 
     surplus = [(2 - 1/N) sqrt(2N log(2/delta)) + 2] * sup_i envelope_i
             + (B_L / N) sqrt(2N log(2/delta))
-    with the regime's per-vertex stability envelope inside the sup.
+    with the regime's per-vertex stability envelope inside the sup. Returns
+    None when the strongly-convex step-size condition fails or the loose
+    second moment is negative.
     """
     if not 0.0 < delta < 1.0:
         raise BoundDomainError(f"delta must be in (0, 1), got {delta}")
-    if p.regime == STRONGLY_CONVEX and not step_condition_ok(p):
+    expected = _expected_envelope(p)
+    var = variance_bound(p).per_vertex_loose
+    if expected is None or np.any(var < 0.0):
         return None
     cert = p.certificate
     n = p.n_vertices
-    lip = cert.lipschitz
     prefactor = (2.0 - 1.0 / n) * math.sqrt(2.0 * n * math.log(2.0 / delta)) + 2.0
     tail = cert.loss_bound / n * math.sqrt(2.0 * n * math.log(2.0 / delta))
-
-    sup_env = 0.0
     if p.regime == STRONGLY_CONVEX:
         lam, gamma = cert.smoothness, cert.strong_convexity
-        for i in range(n):
-            growth, kick = convex_recursion_constants(p, i)
-            var_i = variance_term_loose(growth, kick, p.steps)
-            env = lip * geometric_series(growth, p.steps) * kick \
-                + math.sqrt(1.0 / (4.0 * delta)) * (lam - gamma) * (4.0 / delta * var_i)
-            sup_env = max(sup_env, env)
+        env = expected + math.sqrt(1.0 / (4.0 * delta)) * (lam - gamma) * (4.0 / delta * var)
     else:
-        growth = nonconvex_growth_constant(p)
-        for i in range(n):
-            kick = nonconvex_kick_constant(p, i)
-            var_i = variance_term_loose(growth, kick, p.steps)
-            env = lip * geometric_series(growth, p.steps) * kick * (1.0 + math.sqrt(1.0 / delta)) \
-                + math.sqrt(4.0 / delta * var_i)
-            sup_env = max(sup_env, env)
-    return prefactor * sup_env + tail
+        env = expected * (1.0 + math.sqrt(1.0 / delta)) + np.sqrt(4.0 / delta * var)
+    return prefactor * _sup(env) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +444,8 @@ def bound_report(p: SgdBoundParams, delta: float) -> dict:
     numeric but is flagged.
     """
     cert = p.certificate
+    growth, kick = recursion_constants(p)
     conditions = {}
-    per_vertex = []
     if p.regime == STRONGLY_CONVEX:
         value = step_condition_value(p)
         conditions["step-size: a^4 lam^2 + 2 a lam gamma/(lam+gamma) <= 1"] = {
@@ -473,20 +458,19 @@ def bound_report(p: SgdBoundParams, delta: float) -> dict:
             "ok": bool(rho_ok),
         }
     else:
-        growth = nonconvex_growth_constant(p)
-        conditions["convergence: PM <= 1"] = {"value": growth, "ok": bool(growth <= 1.0)}
+        pm = float(growth[0])  # the same PM at every vertex
+        conditions["convergence: PM <= 1"] = {"value": pm, "ok": bool(pm <= 1.0)}
 
+    env = _expected_envelope(p)
     var = variance_bound(p)
-    for i in range(p.n_vertices):
-        g, k = _constants(p, i)
-        per_vertex.append({
-            "vertex": i,
-            "growth": g,
-            "kick": k,
-            "expected_beta2": expected_stability_bound(p, i),
-            "variance_loose": float(var.per_vertex_loose[i]),
-            "variance_exact": float(var.per_vertex_exact[i]),
-        })
+    per_vertex = [{
+        "vertex": i,
+        "growth": g,
+        "kick": k,
+        "expected_beta2": None if env is None else float(env[i]),
+        "variance_loose": float(var.per_vertex_loose[i]),
+        "variance_exact": float(var.per_vertex_exact[i]),
+    } for i, (g, k) in enumerate(zip(growth.tolist(), kick.tolist()))]
 
     return {
         "regime": p.regime,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -191,10 +192,8 @@ def run_train(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
             ])
         write_csv(outdir / "trajectory.csv",
                   ["t", "sampled_vertex", "w_norm", "delta_norm", "case"], rows, chash)
-        growth, kick = (bnd.convex_recursion_constants(params, vertex)
-                        if params.regime == bnd.STRONGLY_CONVEX
-                        else (bnd.nonconvex_growth_constant(params),
-                              bnd.nonconvex_kick_constant(params, vertex)))
+        growths, kicks = bnd.recursion_constants(params)
+        growth, kick = float(growths[vertex]), float(kicks[vertex])
         stats = [[t, float(sum_delta[t] / runs),
                   kick * bnd.geometric_series(growth, t)]
                  for t in range(sgd_cfg.steps + 1)]
@@ -251,16 +250,6 @@ GNN_KEYS = ("gnn.kind", "gnn.trials", "gnn.eps", "gnn.ridge", "gnn.test_draws",
             "gnn.densities", "gnn.replicates", "gnn.dim", "gnn.bw")
 
 
-def _gnn_sweep_job(args):
-    n, p, rep, trials, kind, eps, seed, extra = args
-    rf = gnn_mod.density_mask_fields(n, p, seed_int(seed, "mask", int(p * 10000), rep))
-    res = gnn_mod.gnn_stability_experiment(
-        rf, kind, trials, eps, seed_int(seed, "exp", int(p * 10000), rep), **extra
-    )
-    return [res.n, res.sup_d, res.inf_d, kind, res.beta1, res.beta2,
-            res.discrepancy, trials, res.seed]
-
-
 def run_gnn(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     cfg.validate_keys(GRAPH_KEYS + GNN_KEYS + ("out",))
     kind = cfg.get_str("gnn.kind", "label")
@@ -274,27 +263,30 @@ def run_gnn(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     }
     header = ["n", "sup_d", "inf_d", "kind", "beta1", "beta2",
               "discrepancy", "trials", "seed"]
+
+    def row(res):
+        return [res.n, res.sup_d, res.inf_d, kind, res.beta1, res.beta2,
+                res.discrepancy, trials, res.seed]
+
     if cfg.has("gnn.densities"):
-        n = cfg.get_int("graph.n")
-        densities = cfg.get_floats("gnn.densities")
-        reps = cfg.get_int("gnn.replicates", 4)
-        jobs = [(n, p, rep, trials, kind, eps, cfg.seed, extra)
-                for p in densities for rep in range(reps)]
+        point = functools.partial(gnn_mod.sweep_point, n=cfg.get_int("graph.n"),
+                                  trials=trials, seed=cfg.seed, kind=kind,
+                                  eps_feature=eps, **extra)
+        jobs = [(p, di, rep) for di, p in enumerate(cfg.get_floats("gnn.densities"))
+                for rep in range(cfg.get_int("gnn.replicates", 4))]
         if workers() > 1:
             from multiprocessing import Pool
 
             with Pool(workers()) as pool:
-                rows = pool.map(_gnn_sweep_job, jobs)
+                results = pool.starmap(point, jobs)
         else:
-            rows = [_gnn_sweep_job(job) for job in jobs]
-        write_csv(outdir / "results.csv", header, rows, chash)
+            results = [point(*job) for job in jobs]
+        write_csv(outdir / "results.csv", header, [row(res) for res in results], chash)
     else:
         rf = graphs.one_hop_receptive_fields(build_graph(cfg))
         res = gnn_mod.gnn_stability_experiment(
             rf, kind, trials, eps, seed_int(cfg.seed, "gnn"), **extra)
-        rows = [[res.n, res.sup_d, res.inf_d, kind, res.beta1, res.beta2,
-                 res.discrepancy, trials, res.seed]]
-        write_csv(outdir / "results.csv", header, rows, chash)
+        write_csv(outdir / "results.csv", header, [row(res)], chash)
         write_csv(outdir / "per_vertex.csv", ["i", "beta1_i", "beta2_i"],
                   [[i, res.beta1_i[i], res.beta2_i[i]] for i in range(res.n)], chash)
 

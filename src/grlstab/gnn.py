@@ -298,17 +298,26 @@ def density_mask_fields(n: int, p: float, seed: int) -> ReceptiveFieldMap:
     return one_hop_receptive_fields(erdos_renyi_graph(n, p, seed))
 
 
+def sweep_point(density: float, index: int, replicate: int, n: int, trials: int, seed: int,
+                kind: str = LABEL_MODE, eps_feature: float = 0.05,
+                **kwargs) -> GnnStabilityResult:
+    """One (density, replicate) experiment of a density sweep.
+
+    Its seeds derive from the density's index in the sweep, so a sweep
+    gives the same numbers whichever caller or worker process runs it.
+    """
+    rf = density_mask_fields(n, density, seed_int(seed, "mask", index, replicate))
+    return gnn_stability_experiment(rf, kind, trials, eps_feature,
+                                    seed_int(seed, "exp", index, replicate), **kwargs)
+
+
 def scaling_sweep(n: int, densities, replicates: int, trials: int, seed: int,
                   kind: str = LABEL_MODE, eps_feature: float = 0.05, **kwargs):
     """beta2 vs sup_d over a density sweep; one record per (density, replicate)."""
     records = []
     for di, p in enumerate(densities):
         for rep in range(replicates):
-            rf = density_mask_fields(n, p, seed_int(seed, "mask", di, rep))
-            res = gnn_stability_experiment(
-                rf, kind, trials, eps_feature,
-                seed_int(seed, "exp", di, rep), **kwargs
-            )
+            res = sweep_point(p, di, rep, n, trials, seed, kind, eps_feature, **kwargs)
             records.append({
                 "n": n, "density": p, "replicate": rep,
                 "sup_d": res.sup_d, "inf_d": res.inf_d,

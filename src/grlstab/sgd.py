@@ -39,22 +39,18 @@ class SgdDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SgdConfig:
+    """T steps of the fixed step size alpha, the setting every bound and
+    envelope is stated for; iterates project onto the certificate radius."""
+
     step_size: float
     steps: int
     seed: int
-    projection_radius: float | None = None  # defaults to the certificate radius
-    step_schedule: object = None  # optional t -> alpha hook; bounds refuse schedules
 
     def __post_init__(self):
         if self.step_size < 0:
             raise ValueError("step size must be >= 0")
         if self.steps < 0:
             raise ValueError("step count must be >= 0")
-
-    def alpha_at(self, t: int) -> float:
-        if self.step_schedule is not None:
-            return float(self.step_schedule(t))
-        return self.step_size
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,12 +80,6 @@ def project(w: np.ndarray, radius: float) -> np.ndarray:
     return w
 
 
-def _radius(obj: FieldObjective, cfg: SgdConfig) -> float:
-    if cfg.projection_radius is not None:
-        return float(cfg.projection_radius)
-    return obj.certificate.weight_radius
-
-
 def sgd_step(w, alpha, i, z: SampleSet, rf: ReceptiveFieldMap, obj: FieldObjective,
              radius: float | None = None) -> np.ndarray:
     """One projected update G(w, alpha, i) on vertex i's objective."""
@@ -110,12 +100,14 @@ def draw_indices(cfg: SgdConfig, n: int) -> np.ndarray:
     return rng.integers(0, n, size=cfg.steps)
 
 
-def _descend(bounds, indices: np.ndarray, radius: float, cfg: SgdConfig) -> np.ndarray:
+def _descend(bounds, indices: np.ndarray, cfg: SgdConfig) -> np.ndarray:
     """Projected SGD from w_0 = 0 along a pooled index stream; weights (T+1, dim).
 
     Pooled index k visits vertex k % N of bounds[k // N].
     """
     n = bounds[0].y.shape[0]
+    alpha = cfg.step_size
+    radius = bounds[0].objective.certificate.weight_radius
     weights = np.empty((len(indices) + 1, bounds[0].objective.dim))
     w = np.zeros(weights.shape[1])
     weights[0] = w
@@ -124,7 +116,7 @@ def _descend(bounds, indices: np.ndarray, radius: float, cfg: SgdConfig) -> np.n
         g = bounds[c].gradient(i, w)
         if not np.all(np.isfinite(g)):
             raise SgdDivergenceError(f"non-finite gradient at step {t}, vertex {i}")
-        w = project(w - cfg.alpha_at(t) * g, radius)
+        w = project(w - alpha * g, radius)
         weights[t + 1] = w
     return weights
 
@@ -132,7 +124,7 @@ def _descend(bounds, indices: np.ndarray, radius: float, cfg: SgdConfig) -> np.n
 def train(z: SampleSet, rf: ReceptiveFieldMap, obj: FieldObjective, cfg: SgdConfig) -> Trajectory:
     """Run SGD from w_0 = 0 and record the full trajectory."""
     indices = draw_indices(cfg, z.n)
-    weights = _descend([obj.bind(z, rf)], indices, _radius(obj, cfg), cfg)
+    weights = _descend([obj.bind(z, rf)], indices, cfg)
     return Trajectory(weights=weights, indices=indices, config=cfg)
 
 
@@ -145,7 +137,7 @@ def train_pooled(sets, rf: ReceptiveFieldMap, obj: FieldObjective, cfg: SgdConfi
     """
     bounds = [obj.bind(z, rf) for z in sets]
     indices = draw_indices(cfg, len(sets) * sets[0].n)
-    return _descend(bounds, indices, _radius(obj, cfg), cfg)[-1]
+    return _descend(bounds, indices, cfg)[-1]
 
 
 def case_label(rf: ReceptiveFieldMap, vertex: int, sampled: int) -> str:
@@ -167,10 +159,9 @@ def coupled_train(z: SampleSet, z_pert: SampleSet, rf: ReceptiveFieldMap,
     vertex = int(differing[0])
     bound = obj.bind(z, rf)
     bound_p = obj.bind(z_pert, rf)
-    radius = _radius(obj, cfg)
     indices = draw_indices(cfg, z.n)
-    weights = _descend([bound], indices, radius, cfg)
-    weights_p = _descend([bound_p], indices, radius, cfg)
+    weights = _descend([bound], indices, cfg)
+    weights_p = _descend([bound_p], indices, cfg)
     deltas = np.array([float(np.linalg.norm(w - wp)) for w, wp in zip(weights, weights_p)])
     labels = tuple(case_label(rf, vertex, i) for i in indices.tolist())
 
@@ -227,10 +218,7 @@ def envelope_check(trace: CoupledTrace, obj: FieldObjective, tol: float = 1e-9) 
     branch conditions overlap at equality; the active one is recorded.
     """
     cert = obj.certificate
-    cfg = trace.base.config
-    if cfg.step_schedule is not None:
-        raise ValueError("envelopes are stated for a fixed step size; schedules are refused")
-    alpha = cfg.step_size
+    alpha = trace.base.config.step_size
     lam = cert.smoothness
     gamma = cert.strong_convexity
     strongly = getattr(obj, "strongly_convex", False) and gamma > 0

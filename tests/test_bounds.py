@@ -109,9 +109,45 @@ def test_variance_abcd_substitution_matches_iteration():
 # Recursion constants
 
 
+def convex_recursion_constants(p, i):
+    """Scalar (PZ_i, PY_i) at vertex i, written out as the theorem states them."""
+    cert = p.certificate
+    lam, gamma = cert.smoothness, cert.strong_convexity
+    a = p.step_size
+    n = p.n_vertices
+    d_i = p.field_sizes[i] / n
+    pz = d_i * a * lam * (gamma / (lam + gamma) - a) + a**2 * lam / n + (
+        1.0 - a * lam * gamma / (lam + gamma)
+    )
+    py = a * cert.sample_diameter * cert.gradient_data_lipschitz * (p.field_sizes[i] - 1) / n \
+        + 2.0 * a * cert.lipschitz / n
+    return float(pz), float(py)
+
+
+def nonconvex_growth_constant(p):
+    """PM = (N - 1)/N * a * lam."""
+    return (p.n_vertices - 1) / p.n_vertices * p.step_size * p.certificate.smoothness
+
+
+def nonconvex_kick_constant(p, i):
+    cert = p.certificate
+    n = p.n_vertices
+    return float(
+        p.step_size * cert.sample_diameter * cert.gradient_data_lipschitz
+        * (p.field_sizes[i] - 1) / n
+        + 2.0 * p.step_size * cert.lipschitz / n
+    )
+
+
+def reference_constants(p, i):
+    if p.regime == bounds.STRONGLY_CONVEX:
+        return convex_recursion_constants(p, i)
+    return nonconvex_growth_constant(p), nonconvex_kick_constant(p, i)
+
+
 def test_hand_substitution_constants():
     p = hand_params()
-    pz, py = bounds.convex_recursion_constants(p, 0)
+    pz, py = convex_recursion_constants(p, 0)
     assert pz == pytest.approx(0.959)
     assert py == pytest.approx(0.03)
     assert bounds.step_condition_value(p) == pytest.approx(0.1001)
@@ -124,7 +160,7 @@ def test_zero_step_limits():
         p = bounds.SgdBoundParams(certificate=cert, step_size=alpha, steps=5,
                                   n_vertices=10, field_sizes=np.full(10, 2),
                                   regime=bounds.STRONGLY_CONVEX)
-        pz, py = bounds.convex_recursion_constants(p, 0)
+        pz, py = convex_recursion_constants(p, 0)
         assert pz == pytest.approx(1.0, abs=1e-5)
         assert py == pytest.approx(0.0, abs=1e-5)
 
@@ -134,7 +170,7 @@ def test_isolated_vertex_kick_only_self_term():
     p = bounds.SgdBoundParams(certificate=cert, step_size=0.1, steps=5,
                               n_vertices=10, field_sizes=np.full(10, 1),
                               regime=bounds.STRONGLY_CONVEX)
-    _, py = bounds.convex_recursion_constants(p, 0)
+    _, py = convex_recursion_constants(p, 0)
     assert py == pytest.approx(2 * 0.1 * 1.0 / 10)
 
 
@@ -143,7 +179,7 @@ def test_nonconvex_growth_constant():
     p = bounds.SgdBoundParams(certificate=cert, step_size=0.1, steps=5,
                               n_vertices=10, field_sizes=np.full(10, 2),
                               regime=bounds.NON_CONVEX)
-    assert bounds.nonconvex_growth_constant(p) == pytest.approx(0.9 * 0.1)
+    assert nonconvex_growth_constant(p) == pytest.approx(0.9 * 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +208,8 @@ def test_expected_bound_nonconvex_growth_limits():
     p = bounds.SgdBoundParams(certificate=cert, step_size=alpha_unit, steps=7,
                               n_vertices=n, field_sizes=np.full(n, 2),
                               regime=bounds.NON_CONVEX)
-    assert bounds.nonconvex_growth_constant(p) == pytest.approx(1.0, abs=1e-12)
-    kick = bounds.nonconvex_kick_constant(p, 0)
+    assert nonconvex_growth_constant(p) == pytest.approx(1.0, abs=1e-12)
+    kick = nonconvex_kick_constant(p, 0)
     assert bounds.expected_stability_bound(p, 0) == pytest.approx(7 * kick, rel=1e-9)
 
     cert0 = ConstantsCertificate(smoothness=1e-12, strong_convexity=0.0, lipschitz=1.0,
@@ -182,7 +218,7 @@ def test_expected_bound_nonconvex_growth_limits():
     p0 = bounds.SgdBoundParams(certificate=cert0, step_size=0.1, steps=7,
                                n_vertices=n, field_sizes=np.full(n, 2),
                                regime=bounds.NON_CONVEX)
-    kick0 = bounds.nonconvex_kick_constant(p0, 0)
+    kick0 = nonconvex_kick_constant(p0, 0)
     assert bounds.expected_stability_bound(p0, 0) == pytest.approx(kick0, rel=1e-6)
 
 
@@ -215,7 +251,7 @@ def test_variance_zero_cases():
 
 def test_variance_exact_matches_recursion_loop():
     p = hand_params(steps=10)
-    pz, py = bounds.convex_recursion_constants(p, 0)
+    pz, py = convex_recursion_constants(p, 0)
     v = m = 0.0
     for _ in range(10):
         v = pz * pz * v + 2 * py * pz * m + py * py
@@ -265,7 +301,7 @@ def test_highprob_convex_dual_implementation():
     envs = []
     var_sum = 0.0
     for i in range(10):
-        pz, py = bounds.convex_recursion_constants(p, i)
+        pz, py = convex_recursion_constants(p, i)
         envs.append((pz**10 - 1) / (pz - 1) * py)
         var_sum += (2 * py**2 * (pz**20 - pz**10) / (pz**2 - pz)
                     + py**2 * (1 - pz**10) / (1 - pz) ** 2)
@@ -374,7 +410,7 @@ def test_sgd_generalization_bound_dual_implementation_convex():
     n = 10
     envs = []
     for i in range(n):
-        pz, py = bounds.convex_recursion_constants(p, i)
+        pz, py = convex_recursion_constants(p, i)
         var_i = (2 * py**2 * (pz**20 - pz**10) / (pz**2 - pz)
                  + py**2 * (1 - pz**10) / (1 - pz) ** 2)
         envs.append(1.0 * (pz**10 - 1) / (pz - 1) * py
@@ -453,13 +489,171 @@ def test_bound_report_nonconvex_divergent_flagged_but_numeric():
     assert report["expected_beta2"] is not None and np.isfinite(report["expected_beta2"])
 
 
-def test_params_from_sgd_config_refuses_schedules():
+def test_params_from_sgd_config_fixed_step():
     from grlstab.sgd import SgdConfig
 
-    cert = unit_cert()
-    cfg = SgdConfig(step_size=0.1, steps=5, seed=0, step_schedule=lambda t: 0.1)
-    with pytest.raises(ValueError, match="schedules are refused"):
-        bounds.params_from_sgd_config(cert, cfg, 10, np.full(10, 2), bounds.STRONGLY_CONVEX)
     fixed = SgdConfig(step_size=0.1, steps=5, seed=0)
-    p = bounds.params_from_sgd_config(cert, fixed, 10, np.full(10, 2), bounds.STRONGLY_CONVEX)
+    p = bounds.params_from_sgd_config(unit_cert(), fixed, 10, np.full(10, 2),
+                                      bounds.STRONGLY_CONVEX)
     assert p.steps == 5
+
+
+# ---------------------------------------------------------------------------
+# Per-vertex arrays against the scalar reference loops
+
+
+def reference_expected(p, i=None):
+    if p.regime == bounds.STRONGLY_CONVEX and not bounds.step_condition_ok(p):
+        return None
+    lip = p.certificate.lipschitz
+
+    def envelope(j):
+        growth, kick = reference_constants(p, j)
+        return lip * bounds.geometric_series(growth, p.steps) * kick
+
+    if i is not None:
+        return envelope(i)
+    best = 0.0
+    for j in range(p.n_vertices):
+        best = max(best, envelope(j))
+    return best
+
+
+def reference_variances(p):
+    consts = [reference_constants(p, i) for i in range(p.n_vertices)]
+    return ([bounds.variance_term_loose(g, k, p.steps) for g, k in consts],
+            [bounds.variance_term_exact(g, k, p.steps) for g, k in consts])
+
+
+def reference_highprob(p, delta):
+    if p.regime == bounds.STRONGLY_CONVEX and not bounds.step_condition_ok(p):
+        return None
+    loose, _ = reference_variances(p)
+    if any(v < 0.0 for v in loose):
+        return None
+    var = float(np.array(loose).sum())
+    cert = p.certificate
+    lip = cert.lipschitz
+    log_term = math.log(2.0 / delta)
+    if p.regime == bounds.STRONGLY_CONVEX:
+        lam, gamma = cert.smoothness, cert.strong_convexity
+        sup_env = 0.0
+        for i in range(p.n_vertices):
+            growth, kick = convex_recursion_constants(p, i)
+            sup_env = max(sup_env, bounds.geometric_series(growth, p.steps) * kick)
+        gap = (lam - gamma) * math.sqrt(log_term / 8.0)
+        chebyshev = math.sqrt(var / delta)
+        return (lip + gap) * sup_env + gap * (sup_env + chebyshev) ** 2
+    growth = nonconvex_growth_constant(p)
+    sup_kick = max(nonconvex_kick_constant(p, i) for i in range(p.n_vertices))
+    expected = lip * bounds.geometric_series(growth, p.steps) * sup_kick
+    return expected * (1.0 + math.sqrt(log_term / 2.0)) + lip * math.sqrt(log_term / delta * var)
+
+
+def reference_generalization(p, delta):
+    if p.regime == bounds.STRONGLY_CONVEX and not bounds.step_condition_ok(p):
+        return None
+    loose, _ = reference_variances(p)
+    if any(v < 0.0 for v in loose):
+        return None
+    cert = p.certificate
+    n = p.n_vertices
+    lip = cert.lipschitz
+    prefactor = (2.0 - 1.0 / n) * math.sqrt(2.0 * n * math.log(2.0 / delta)) + 2.0
+    tail = cert.loss_bound / n * math.sqrt(2.0 * n * math.log(2.0 / delta))
+    sup_env = 0.0
+    for i in range(n):
+        growth, kick = reference_constants(p, i)
+        expected = lip * bounds.geometric_series(growth, p.steps) * kick
+        if p.regime == bounds.STRONGLY_CONVEX:
+            lam, gamma = cert.smoothness, cert.strong_convexity
+            env = expected + math.sqrt(1.0 / (4.0 * delta)) * (lam - gamma) * (4.0 / delta * loose[i])
+        else:
+            env = expected * (1.0 + math.sqrt(1.0 / delta)) + math.sqrt(4.0 / delta * loose[i])
+        sup_env = max(sup_env, env)
+    return prefactor * sup_env + tail
+
+
+def random_params(rng):
+    """Bound parameters over both regimes, with field sizes 1 and N present."""
+    n = int(rng.integers(2, 25))
+    sizes = rng.integers(1, n + 1, size=n)
+    sizes[0], sizes[-1] = 1, n
+    lam = float(rng.uniform(0.1, 2.0))
+    convex = bool(rng.random() < 0.5)
+    cert = ConstantsCertificate(
+        smoothness=lam, strong_convexity=float(rng.uniform(0.01, lam)) if convex else 0.0,
+        lipschitz=float(rng.uniform(0.1, 2.0)), gradient_data_lipschitz=float(rng.uniform(0.0, 2.0)),
+        loss_bound=float(rng.uniform(0.1, 2.0)), sample_diameter=float(rng.uniform(0.1, 2.0)),
+        weight_radius=1.0,
+    )
+    if rng.random() < 0.2 and not convex:
+        step = n / (n - 1) / lam  # PM = 1 up to rounding, checked by the caller
+    else:
+        step = float(10.0 ** rng.uniform(-3.0, 0.2))
+    return bounds.SgdBoundParams(
+        certificate=cert, step_size=step, steps=int(rng.integers(0, 120)), n_vertices=n,
+        field_sizes=sizes, regime=bounds.STRONGLY_CONVEX if convex else bounds.NON_CONVEX,
+    )
+
+
+def test_vectorised_bounds_equal_scalar_reference_loops_exactly():
+    rng = np.random.default_rng(40)
+    seen = {"pm_one": 0, "pm_above_one": 0, "not_applicable": 0, "convex": 0}
+    for _ in range(600):
+        p = random_params(rng)
+        delta = float(rng.uniform(0.01, 0.9))
+        n = p.n_vertices
+        growth, kick = bounds.recursion_constants(p)
+        assert growth.shape == kick.shape == (n,)
+        consts = [reference_constants(p, i) for i in range(n)]
+        assert growth.tolist() == [g for g, _ in consts]
+        assert kick.tolist() == [k for _, k in consts]
+
+        assert bounds.expected_stability_bound(p) == reference_expected(p)
+        assert [bounds.expected_stability_bound(p, i) for i in range(n)] \
+            == [reference_expected(p, i) for i in range(n)]
+        loose, exact = reference_variances(p)
+        var = bounds.variance_bound(p)
+        assert var.per_vertex_loose.tolist() == loose
+        assert var.per_vertex_exact.tolist() == exact
+        assert var.total_loose == float(np.array(loose).sum())
+        assert var.total_exact == float(np.array(exact).sum())
+        highprob = bounds.highprob_stability_bound(p, delta)
+        surplus = bounds.sgd_generalization_bound(p, delta)
+        assert highprob == reference_highprob(p, delta)
+        assert surplus == reference_generalization(p, delta)
+
+        report = bounds.bound_report(p, delta)
+        assert [(v["growth"], v["kick"]) for v in report["per_vertex"]] == consts
+        assert [v["expected_beta2"] for v in report["per_vertex"]] \
+            == [reference_expected(p, i) for i in range(n)]
+        assert [v["variance_loose"] for v in report["per_vertex"]] == loose
+        assert report["expected_beta2"] == reference_expected(p)
+        assert report["highprob_beta2"] == highprob
+        assert report["generalization_surplus"] == surplus
+
+        if p.regime == bounds.STRONGLY_CONVEX:
+            seen["convex"] += 1
+        else:
+            pm = nonconvex_growth_constant(p)
+            seen["pm_one"] += pm == 1.0
+            seen["pm_above_one"] += pm > 1.0
+        seen["not_applicable"] += highprob is None
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_pm_just_above_one_makes_highprob_bounds_not_applicable():
+    # ripple on cycle-10 at a = 1.12: PM = 0.9 * 1.12 = 1.008, and at T = 10
+    # the loose second-moment sum is negative, so its square root is undefined
+    p = bounds.SgdBoundParams(certificate=unit_cert(gamma=0.0), step_size=1.12, steps=10,
+                              n_vertices=10, field_sizes=np.full(10, 3),
+                              regime=bounds.NON_CONVEX)
+    assert nonconvex_growth_constant(p) == pytest.approx(1.008)
+    assert bounds.variance_bound(p).total_loose < 0.0
+    assert bounds.highprob_stability_bound(p, 0.1) is None
+    assert bounds.sgd_generalization_bound(p, 0.1) is None
+    assert bounds.expected_stability_bound(p) > 0.0
+    report = bounds.bound_report(p, 0.1)
+    assert not report["conditions"]["convergence: PM <= 1"]["ok"]
+    assert report["highprob_beta2"] is None and report["generalization_surplus"] is None

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from grlstab import cli
+from grlstab import cli, gnn
 from grlstab.config import ConfigError, ExperimentConfig, parse_config
 from grlstab.reporting import read_csv
 
@@ -153,6 +153,29 @@ delta = 0.1
     assert all(c["ok"] for c in report["conditions"].values())
 
 
+def test_bounds_experiment_pm_just_above_one_not_applicable(tmp_path):
+    # PM = 0.9 * 1.12 = 1.008: the loose second moment is negative at T = 10
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "pm.ini", f"""
+experiment = bounds
+seed = 2
+out = {out}
+graph.kind = cycle
+graph.n = 10
+objective = ripple
+sgd.step_size = 1.12
+sgd.steps = 10
+""")
+    assert run_cli(["run", path]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["regime"] == "non-convex"
+    assert not report["conditions"]["convergence: PM <= 1"]["ok"]
+    assert report["variance_sum_loose"] < 0
+    assert report["expected_beta2"] > 0
+    assert report["highprob_beta2"] is None
+    assert report["generalization_surplus"] is None
+
+
 def test_compare_experiment_domination(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, "cmp.ini", f"""
@@ -222,6 +245,29 @@ gnn.replicates = 2
             os.environ.pop("GRLSTAB_WORKERS", None)
         outs.append((out / "results.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_gnn_sweep_rows_equal_library_scaling_sweep(tmp_path):
+    out = tmp_path / "s"
+    path = write_config(tmp_path, "gs.ini", f"""
+experiment = gnn
+seed = 9
+out = {out}
+graph.kind = erdos-renyi
+graph.n = 12
+gnn.kind = label
+gnn.trials = 1
+gnn.test_draws = 4
+gnn.densities = 0.2 0.5
+gnn.replicates = 2
+""")
+    assert run_cli(["run", path]) == 0
+    header, rows = read_csv(out / "results.csv")
+    records = gnn.scaling_sweep(n=12, densities=[0.2, 0.5], replicates=2, trials=1,
+                                seed=9, kind="label", n_test_draws=4)
+    sup_i, b2_i = header.index("sup_d"), header.index("beta2")
+    assert [(float(r[sup_i]), float(r[b2_i])) for r in rows] \
+        == [(rec["sup_d"], rec["beta2"]) for rec in records]
 
 
 def test_concentration_experiment(tmp_path):

@@ -82,9 +82,9 @@ def reference_train_pooled(sets, rf, obj, cfg):
     n = sets[0].n
     pooled = child_rng(cfg.seed, "indices").integers(0, len(sets) * n, size=cfg.steps)
     w = np.zeros(obj.dim)
-    for t, k in enumerate(pooled):
+    for k in pooled:
         g = bounds[int(k) // n].gradient(int(k) % n, w)
-        w = project(w - cfg.alpha_at(t) * g, radius)
+        w = project(w - cfg.step_size * g, radius)
     return w
 
 
@@ -272,15 +272,3 @@ def test_projection_keeps_iterates_in_ball():
     cfg = SgdConfig(step_size=0.5, steps=200, seed=25)
     traj = train(z, rf, obj, cfg)
     assert np.all(np.linalg.norm(traj.weights, axis=1) <= 0.3 + 1e-12)
-
-
-def test_step_schedule_hook_runs_but_is_refused_by_envelopes():
-    rf, sampler, obj, z = setup_problem()
-    schedule = lambda t: 0.1 / (1 + 0.01 * t)
-    cfg = SgdConfig(step_size=0.1, steps=20, seed=26, step_schedule=schedule)
-    traj = train(z, rf, obj, cfg)
-    assert traj.weights.shape == (21, 3)
-    z_i = sampler.replace(z, [1], seed=27)
-    trace = coupled_train(z, z_i, rf, obj, cfg)
-    with pytest.raises(ValueError, match="fixed step size"):
-        envelope_check(trace, obj)
