@@ -51,12 +51,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .objectives import ConstantsCertificate
+from .objectives import NON_CONVEX, STRONGLY_CONVEX, ConstantsCertificate
 
 BRANCH_WIDTH = 1e-7
-
-STRONGLY_CONVEX = "strongly-convex"
-NON_CONVEX = "non-convex"
 
 
 class BoundDomainError(ValueError):
@@ -146,12 +143,16 @@ def params_from_sgd_config(certificate: ConstantsCertificate, config, n_vertices
     )
 
 
-def step_condition_value(p: SgdBoundParams) -> float:
-    """a^4 lam^2 + 2 a lam gamma / (lam + gamma)."""
-    lam = p.certificate.smoothness
-    gamma = p.certificate.strong_convexity
-    a = p.step_size
+def step_condition(a: float, lam: float, gamma: float) -> float:
+    """a^4 lam^2 + 2 a lam gamma / (lam + gamma), at most 1 in the strongly
+    convex domain; the per-step envelopes pick their hit-case branch by it."""
     return a**4 * lam**2 + 2.0 * a * lam * gamma / (lam + gamma)
+
+
+def step_condition_value(p: SgdBoundParams) -> float:
+    """``step_condition`` at p's step size and certificate."""
+    return step_condition(p.step_size, p.certificate.smoothness,
+                          p.certificate.strong_convexity)
 
 
 def step_condition_ok(p: SgdBoundParams) -> bool:

@@ -31,7 +31,7 @@ from . import gnn as gnn_mod
 from . import graphs, sampling, srm
 from .config import ConfigError, ExperimentConfig, load_config
 from .harness import (SgdAlgorithm, estimate_mu, estimate_stability)
-from .objectives import make_nonconvex_objective, make_strongly_convex_objective
+from .objectives import QuadraticFieldObjective, RippleFieldObjective
 from .reporting import config_hash, read_csv, write_csv, write_json, write_manifest
 from .sgd import SgdConfig, coupled_train, envelope_check, train
 from .seeding import seed_int
@@ -50,10 +50,13 @@ def workers() -> int:
 GRAPH_KEYS = ("graph.kind", "graph.n", "graph.p", "graph.path")
 SAMPLER_KEYS = ("sampler.kind", "sampler.dim", "sampler.bx", "sampler.by",
                 "sampler.coupling", "sampler.field", "sampler.rule",
-                "sampler.sweeps", "sampler.feature_dim", "sampler.label_noise")
-OBJECTIVE_KEYS = ("objective", "objective.dim", "objective.smoothness",
-                  "objective.strong_convexity", "objective.ripple_amplitude",
-                  "objective.frequency", "objective.weight_radius")
+                "sampler.sweeps", "sampler.label_noise")
+OBJECTIVE_KEYS = ("objective", "objective.smoothness", "objective.strong_convexity",
+                  "objective.ripple_amplitude", "objective.frequency",
+                  "objective.weight_radius")
+# keys read by one objective family only; the other family rejects them
+FAMILY_KEYS = {"quadratic": ("objective.strong_convexity",),
+               "ripple": ("objective.ripple_amplitude", "objective.frequency")}
 SGD_KEYS = ("sgd.step_size", "sgd.steps")
 
 
@@ -87,7 +90,7 @@ def build_sampler(cfg: ExperimentConfig, rf: graphs.ReceptiveFieldMap):
             coupling=coupling * mask_offdiag(rf),
             external_field=np.full(rf.n, field),
             rf=rf,
-            feature_dim=cfg.get_int("sampler.feature_dim", 3),
+            feature_dim=cfg.get_int("sampler.dim", 3),
             b_x=b_x, b_y=b_y,
             label_rule=cfg.get_str("sampler.rule", "field-mean"),
         )
@@ -104,21 +107,25 @@ def mask_offdiag(rf: graphs.ReceptiveFieldMap) -> np.ndarray:
 
 def build_objective(cfg: ExperimentConfig):
     kind = cfg.get_str("objective", "quadratic")
-    dim = cfg.get_int("objective.dim", cfg.get_int("sampler.dim", 3))
+    if kind not in FAMILY_KEYS:
+        raise ConfigError(f"unknown objective {kind!r}")
+    ignored = [key for family, keys in FAMILY_KEYS.items() if family != kind
+               for key in keys if cfg.has(key)]
+    if ignored:
+        raise ConfigError(f"objective {kind!r} does not use {ignored}")
+    dim = cfg.get_int("sampler.dim", 3)
     b_x = cfg.get_float("sampler.bx", 1.0)
     b_y = cfg.get_float("sampler.by", 1.0)
     radius = cfg.get_float("objective.weight_radius", 1.0)
     lam = cfg.get_float("objective.smoothness", 1.0)
     if kind == "quadratic":
-        return make_strongly_convex_objective(
+        return QuadraticFieldObjective(
             dim, lam, cfg.get_float("objective.strong_convexity", 0.5),
             b_x, b_y, radius,
         )
-    if kind == "ripple":
-        freq = cfg.get_float("objective.frequency", 4.0)
-        amp = cfg.get_float("objective.ripple_amplitude", lam / (2 * freq * freq))
-        return make_nonconvex_objective(dim, lam, b_x, b_y, amp, radius, freq)
-    raise ConfigError(f"unknown objective {kind!r}")
+    freq = cfg.get_float("objective.frequency", 4.0)
+    amp = cfg.get_float("objective.ripple_amplitude", lam / (2 * freq * freq))
+    return RippleFieldObjective(dim, lam, b_x, b_y, amp, radius, freq)
 
 
 def build_sgd_config(cfg: ExperimentConfig) -> SgdConfig:
@@ -130,9 +137,8 @@ def build_sgd_config(cfg: ExperimentConfig) -> SgdConfig:
 
 
 def build_bound_params(cfg: ExperimentConfig, obj, rf) -> bnd.SgdBoundParams:
-    regime = bnd.STRONGLY_CONVEX if getattr(obj, "strongly_convex", False) else bnd.NON_CONVEX
     return bnd.params_from_sgd_config(obj.certificate, build_sgd_config(cfg),
-                                      rf.n, rf.sizes, regime)
+                                      rf.n, rf.sizes, obj.regime)
 
 
 # ---------------------------------------------------------------------------

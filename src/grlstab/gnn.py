@@ -150,6 +150,13 @@ FEATURE_MODE = "feature-first-order"
 _SOLVERS = {"projected": fit_projected_closed_form, "rowwise": fit_exact_rowwise}
 
 
+def _solver(name: str):
+    """The fit function registered under ``name`` in ``_SOLVERS``."""
+    if name not in _SOLVERS:
+        raise ValueError(f"unknown GNN solver {name!r}; known solvers: {sorted(_SOLVERS)}")
+    return _SOLVERS[name]
+
+
 @dataclass(frozen=True, eq=False)
 class GnnStabilityResult:
     n: int
@@ -229,7 +236,7 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
         raise ValueError(f"unknown perturbation kind {kind!r}")
     if kind == FEATURE_MODE and eps_feature >= 0.1 * b_x:
         raise ValueError("feature bump must stay below 0.1 b_x (first-order regime)")
-    fit = _SOLVERS[solver]
+    fit = _solver(solver)
     mask = mask_from_fields(rf)
     n = rf.n
     beta1_i = np.zeros(n)

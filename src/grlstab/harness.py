@@ -124,14 +124,14 @@ class ClosedFormGnnAlgorithm:
 
     def __init__(self, rf: ReceptiveFieldMap, weight: np.ndarray, ridge: float,
                  solver: str = "projected"):
-        from .gnn import fit_exact_rowwise, fit_projected_closed_form, GnnProblem
+        from .gnn import GnnProblem, _solver
         from .graphs import mask_from_fields
 
         self.rf = rf
         self.weight = np.asarray(weight, dtype=float)
         self.ridge = float(ridge)
         self.mask = mask_from_fields(rf)
-        self._fit = fit_projected_closed_form if solver == "projected" else fit_exact_rowwise
+        self._fit = _solver(solver)
         self._problem = GnnProblem
         self.solver = solver
 

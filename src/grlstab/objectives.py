@@ -2,14 +2,15 @@
 
 An objective evaluates f(S_i, w) = L(h_w(T_i), Y_i) where T_i is the feature
 set of vertex i's receptive field and h_w is linear in the (rescaled) field
-mean. Two families ship:
+mean. Every family is the data term 0.5 (h_w - y)^2 plus a weight penalty
+P(w), and the families differ only in P:
 
-- quadratic: f = 0.5 (h_w - y)^2 + 0.5 gamma ||w||^2, gamma-strongly convex
-  and lambda-smooth by construction (data curvature rescaled into
-  [0, lambda - gamma]).
-- ripple:    f = 0.5 (h_w - y)^2 + a (1 - cos(<k, w>)), smooth but
-  non-convex for a > 0; the analytic curvature bound equals the declared
-  smoothness.
+- quadratic: P = 0.5 gamma ||w||^2, gamma-strongly convex and lambda-smooth
+  by construction (data curvature rescaled into [0, lambda - gamma]).
+- ripple:    P = a (1 - cos(<k, w>)), smooth but non-convex for a > 0; the
+  analytic curvature bound equals the declared smoothness.
+
+The SGD bounds follow from the regime: strongly convex iff gamma > 0.
 
 Weights live in a ball of radius ``weight_radius`` (SGD projects onto it),
 which makes the Lipschitz constant, the loss bound, and the gradient-vs-data
@@ -26,6 +27,9 @@ import numpy as np
 from .graphs import ReceptiveFieldMap
 from .sampling import SampleSet, sample_space_diameter
 from .seeding import child_rng
+
+STRONGLY_CONVEX = "strongly-convex"
+NON_CONVEX = "non-convex"
 
 
 class CertificationError(ValueError):
@@ -81,9 +85,6 @@ class BoundObjective:
     def losses(self, w: np.ndarray) -> np.ndarray:
         return self.objective.losses_uy(self.u, self.y, w)
 
-    def empirical_risk(self, w: np.ndarray) -> float:
-        return float(self.losses(w).mean())
-
     def risk_gradient(self, w: np.ndarray) -> np.ndarray:
         g = np.zeros_like(w)
         for i in range(self.u.shape[0]):
@@ -92,22 +93,60 @@ class BoundObjective:
 
 
 class FieldObjective:
-    """Common machinery for field-mean linear hypotheses.
+    """f(u, y, w) = 0.5 (<w, u> - y)^2 + P(w) on field-mean linear hypotheses.
 
     h_w(T_i) = <w, u_i> with u_i = feature_scale * mean of features over
-    Xi(i); subclasses add their loss-specific terms.
+    Xi(i). The data term, the feature scale and the certificate live here; a
+    family supplies only its weight penalty P, through the private hooks
+    ``_penalty``, ``_penalty_grad`` and ``_penalty_hessian``, and three
+    constants of P: its curvature bound (a constructor argument), and its
+    Lipschitz constant and sup on the weight ball (``_penalty_lipschitz``,
+    ``_penalty_sup``). The data term gets the curvature budget the penalty
+    leaves: ||u|| <= u_max = sqrt(lambda - curvature) keeps the whole
+    Hessian below lambda. A family also sets ``kind`` and ``convex``.
     """
 
-    def __init__(self, dim, b_x, b_y, weight_radius, feature_scale):
-        self.dim = int(dim)
-        self.b_x = float(b_x)
-        self.b_y = float(b_y)
-        self.weight_radius = float(weight_radius)
-        self.feature_scale = float(feature_scale)
+    def __init__(self, dim, smoothness, strong_convexity, penalty_curvature,
+                 b_x, b_y, weight_radius):
+        if penalty_curvature > smoothness:
+            raise ValueError(
+                f"penalty curvature {penalty_curvature} exceeds smoothness {smoothness}"
+            )
         if dim < 1:
             raise ValueError("dim must be >= 1")
         if b_x <= 0 or b_y <= 0 or weight_radius <= 0:
             raise ValueError("bounds must be positive")
+        self.dim = int(dim)
+        self.b_x = float(b_x)
+        self.b_y = float(b_y)
+        self.weight_radius = float(weight_radius)
+        self.smoothness = float(smoothness)
+        self.gamma = float(strong_convexity)
+        self._u_max = np.sqrt(self.smoothness - penalty_curvature)
+        self.feature_scale = float(self._u_max / self.b_x)
+
+    @property
+    def regime(self) -> str:
+        """The SGD bound regime: STRONGLY_CONVEX iff gamma > 0."""
+        return STRONGLY_CONVEX if self.gamma > 0 else NON_CONVEX
+
+    @property
+    def certificate(self) -> ConstantsCertificate:
+        u_max = self._u_max
+        w_r = self.weight_radius
+        margin = u_max * w_r + self.b_y  # sup |<u,w> - y|
+        zeta = np.sqrt(
+            (self.feature_scale * (2 * u_max * w_r + self.b_y)) ** 2 + u_max**2
+        )
+        return ConstantsCertificate(
+            smoothness=self.smoothness,
+            strong_convexity=self.gamma,
+            lipschitz=u_max * margin + self._penalty_lipschitz,
+            gradient_data_lipschitz=zeta,
+            loss_bound=0.5 * margin**2 + self._penalty_sup,
+            sample_diameter=sample_space_diameter(self.b_x, self.b_y),
+            weight_radius=w_r,
+        )
 
     # -- field aggregation ---------------------------------------------------
     def field_feature(self, member_features: np.ndarray) -> np.ndarray:
@@ -122,27 +161,21 @@ class FieldObjective:
             u[i] = self.field_feature(z.features[list(rf.xi[i])])
         return BoundObjective(u=u, y=z.labels.astype(float).copy(), objective=self)
 
-    # -- interface implemented by subclasses ---------------------------------
+    # -- data term plus penalty ----------------------------------------------
     def loss_uy(self, u, y, w) -> float:
-        raise NotImplementedError
+        r = float(np.dot(u, w)) - y
+        return 0.5 * r * r + self._penalty(w)
 
     def grad_uy(self, u, y, w) -> np.ndarray:
-        raise NotImplementedError
+        r = float(np.dot(u, w)) - y
+        return u * r + self._penalty_grad(w)
 
     def losses_uy(self, u, y, w) -> np.ndarray:
-        raise NotImplementedError
+        r = u @ w - y
+        return 0.5 * r * r + self._penalty(w)
 
-    def hessian_uy(self, u, w) -> np.ndarray:
-        raise NotImplementedError
-
-    # convenience wrappers over (z, rf, i)
-    def evaluate(self, z: SampleSet, rf: ReceptiveFieldMap, i: int, w) -> float:
-        u = self.field_feature(z.features[list(rf.xi[i])])
-        return self.loss_uy(u, float(z.labels[i]), w)
-
-    def gradient(self, z: SampleSet, rf: ReceptiveFieldMap, i: int, w) -> np.ndarray:
-        u = self.field_feature(z.features[list(rf.xi[i])])
-        return self.grad_uy(u, float(z.labels[i]), w)
+    def hessian_uy(self, u, w=None) -> np.ndarray:
+        return np.outer(u, u) + self._penalty_hessian(w)
 
     # -- random admissible draws used by the empirical certifiers ------------
     def _random_w(self, rng, count):
@@ -163,59 +196,31 @@ class FieldObjective:
 class QuadraticFieldObjective(FieldObjective):
     """0.5 (<w, u> - y)^2 + 0.5 gamma ||w||^2 with curvature in [gamma, lambda]."""
 
+    kind = "quadratic"
+    convex = True
+
     def __init__(self, dim, smoothness, strong_convexity, b_x, b_y, weight_radius=1.0):
         if not strong_convexity > 0:
             raise ValueError("strong_convexity must be > 0")
-        if smoothness < strong_convexity:
-            raise ValueError("need smoothness >= strong_convexity")
-        # ||u|| <= sqrt(lambda - gamma) puts the data Hessian u u' below
-        # lambda - gamma, so the total spectrum sits in [gamma, lambda].
-        scale = np.sqrt(smoothness - strong_convexity) / b_x
-        super().__init__(dim, b_x, b_y, weight_radius, scale)
-        self.smoothness = float(smoothness)
-        self.gamma = float(strong_convexity)
-        self.convex = True
-        self.strongly_convex = True
-        self.kind = "quadratic"
+        super().__init__(dim, smoothness, strong_convexity, strong_convexity,
+                         b_x, b_y, weight_radius)
+        self._penalty_lipschitz = self.gamma * self.weight_radius
+        self._penalty_sup = 0.5 * self.gamma * self.weight_radius**2
 
-    @property
-    def certificate(self) -> ConstantsCertificate:
-        u_max = np.sqrt(self.smoothness - self.gamma)
-        w_r = self.weight_radius
-        margin = u_max * w_r + self.b_y  # sup |<u,w> - y|
-        lip = u_max * margin + self.gamma * w_r
-        zeta = np.sqrt(
-            (self.feature_scale * (2 * u_max * w_r + self.b_y)) ** 2 + u_max**2
-        )
-        loss_bound = 0.5 * margin**2 + 0.5 * self.gamma * w_r**2
-        return ConstantsCertificate(
-            smoothness=self.smoothness,
-            strong_convexity=self.gamma,
-            lipschitz=lip,
-            gradient_data_lipschitz=zeta,
-            loss_bound=loss_bound,
-            sample_diameter=sample_space_diameter(self.b_x, self.b_y),
-            weight_radius=w_r,
-        )
+    def _penalty(self, w):
+        return 0.5 * self.gamma * float(np.dot(w, w))
 
-    def loss_uy(self, u, y, w):
-        r = float(np.dot(u, w)) - y
-        return 0.5 * r * r + 0.5 * self.gamma * float(np.dot(w, w))
+    def _penalty_grad(self, w):
+        return self.gamma * w
 
-    def grad_uy(self, u, y, w):
-        r = float(np.dot(u, w)) - y
-        return u * r + self.gamma * w
-
-    def losses_uy(self, u, y, w):
-        r = u @ w - y
-        return 0.5 * r * r + 0.5 * self.gamma * float(np.dot(w, w))
-
-    def hessian_uy(self, u, w=None):
-        return np.outer(u, u) + self.gamma * np.eye(self.dim)
+    def _penalty_hessian(self, w):
+        return self.gamma * np.eye(self.dim)
 
 
 class RippleFieldObjective(FieldObjective):
     """0.5 (<w, u> - y)^2 + a (1 - cos(<k, w>)): smooth, non-convex for a > 0."""
+
+    kind = "ripple"
 
     def __init__(self, dim, smoothness, b_x, b_y, ripple_amplitude,
                  weight_radius=1.0, ripple_frequency=4.0):
@@ -223,74 +228,26 @@ class RippleFieldObjective(FieldObjective):
         freq = float(ripple_frequency)
         if a < 0:
             raise ValueError("ripple amplitude must be >= 0")
-        ripple_curvature = a * freq * freq
-        if ripple_curvature > smoothness:
-            raise ValueError(
-                f"ripple curvature {ripple_curvature} exceeds smoothness {smoothness}"
-            )
-        # remaining curvature budget goes to the data term
-        scale = np.sqrt(smoothness - ripple_curvature) / b_x
-        super().__init__(dim, b_x, b_y, weight_radius, scale)
-        self.smoothness = float(smoothness)
-        self.gamma = 0.0
+        super().__init__(dim, smoothness, 0.0, a * freq * freq, b_x, b_y, weight_radius)
         self.amplitude = a
         self.frequency = freq
         self.direction = np.zeros(self.dim)
         self.direction[0] = freq  # ripple wavevector k = freq * e_0
         self.convex = a == 0.0
-        self.strongly_convex = False
-        self.kind = "ripple"
+        # |a sin(<k, w>)| ||k|| <= a freq and 0 <= a (1 - cos(<k, w>)) <= 2a
+        self._penalty_lipschitz = a * freq
+        self._penalty_sup = 2.0 * a
 
-    @property
-    def certificate(self) -> ConstantsCertificate:
-        u_max = np.sqrt(self.smoothness - self.amplitude * self.frequency**2)
-        w_r = self.weight_radius
-        margin = u_max * w_r + self.b_y
-        lip = u_max * margin + self.amplitude * self.frequency
-        zeta = np.sqrt(
-            (self.feature_scale * (2 * u_max * w_r + self.b_y)) ** 2 + u_max**2
-        )
-        loss_bound = 0.5 * margin**2 + 2.0 * self.amplitude
-        return ConstantsCertificate(
-            smoothness=self.smoothness,
-            strong_convexity=0.0,
-            lipschitz=lip,
-            gradient_data_lipschitz=zeta,
-            loss_bound=loss_bound,
-            sample_diameter=sample_space_diameter(self.b_x, self.b_y),
-            weight_radius=w_r,
-        )
+    def _penalty(self, w):
+        return self.amplitude * (1.0 - np.cos(float(np.dot(self.direction, w))))
 
-    def loss_uy(self, u, y, w):
-        r = float(np.dot(u, w)) - y
-        return 0.5 * r * r + self.amplitude * (1.0 - np.cos(float(np.dot(self.direction, w))))
+    def _penalty_grad(self, w):
+        return self.amplitude * np.sin(float(np.dot(self.direction, w))) * self.direction
 
-    def grad_uy(self, u, y, w):
-        r = float(np.dot(u, w)) - y
-        return u * r + self.amplitude * np.sin(float(np.dot(self.direction, w))) * self.direction
-
-    def losses_uy(self, u, y, w):
-        r = u @ w - y
-        ripple = self.amplitude * (1.0 - np.cos(float(np.dot(self.direction, w))))
-        return 0.5 * r * r + ripple
-
-    def hessian_uy(self, u, w):
-        h = np.outer(u, u)
-        h += self.amplitude * np.cos(float(np.dot(self.direction, w))) * np.outer(
+    def _penalty_hessian(self, w):
+        return self.amplitude * np.cos(float(np.dot(self.direction, w))) * np.outer(
             self.direction, self.direction
         )
-        return h
-
-
-def make_strongly_convex_objective(dim, smoothness, strong_convexity, b_x, b_y,
-                                   weight_radius=1.0) -> QuadraticFieldObjective:
-    return QuadraticFieldObjective(dim, smoothness, strong_convexity, b_x, b_y, weight_radius)
-
-
-def make_nonconvex_objective(dim, smoothness, b_x, b_y, ripple_amplitude,
-                             weight_radius=1.0, ripple_frequency=4.0) -> RippleFieldObjective:
-    return RippleFieldObjective(dim, smoothness, b_x, b_y, ripple_amplitude,
-                                weight_radius, ripple_frequency)
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +384,10 @@ class CocoercivityReport:
 def cocoercivity_check(obj: FieldObjective, trials: int, seed: int) -> CocoercivityReport:
     """Max of (1/lambda) ||g(v) - g(w)||^2 - <g(v) - g(w), v - w> over pairs.
 
-    Non-positive (up to roundoff) for convex smooth objectives. For the
-    non-convex family a deterministic 1-D sweep along the ripple direction
-    with a zero-feature instance is included, which finds a strictly
-    positive violation whenever the amplitude is non-zero.
+    Non-positive (up to roundoff) for convex smooth objectives. For a
+    non-convex objective a deterministic 1-D sweep along e_0 (the ripple
+    direction) with a zero-feature instance is included, which finds a
+    strictly positive violation whenever the ripple amplitude is non-zero.
     """
     lam = obj.certificate.smoothness
     rng = child_rng(seed, "cocoercive")
@@ -449,7 +406,7 @@ def cocoercivity_check(obj: FieldObjective, trials: int, seed: int) -> Cocoerciv
         if v > worst:
             worst, witness = v, (u, y, w1, w2)
 
-    if isinstance(obj, RippleFieldObjective) and obj.amplitude > 0:
+    if not obj.convex:
         u0 = np.zeros(obj.dim)
         grid = np.linspace(-obj.weight_radius, obj.weight_radius, 41)
         e0 = np.zeros(obj.dim)

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import step_condition
 from .graphs import ReceptiveFieldMap
-from .objectives import FieldObjective
+from .objectives import STRONGLY_CONVEX, FieldObjective
 from .sampling import SampleSet
 from .seeding import child_rng
 
@@ -85,7 +86,7 @@ def sgd_step(w, alpha, i, z: SampleSet, rf: ReceptiveFieldMap, obj: FieldObjecti
     """One projected update G(w, alpha, i) on vertex i's objective."""
     if not 0 <= i < z.n:
         raise ValueError(f"vertex index {i} out of range")
-    g = obj.gradient(z, rf, i, w)
+    g = obj.bind(z, rf).gradient(i, w)
     if not np.all(np.isfinite(g)):
         raise SgdDivergenceError(f"non-finite gradient at vertex {i}, w={w}")
     w_next = w - alpha * g
@@ -196,11 +197,6 @@ class EnvelopeReport:
     ok: bool
 
 
-def strongly_convex_hit_regime(alpha: float, lam: float, gamma: float) -> bool:
-    """True when alpha^4 lam^2 + 2 alpha lam gamma / (lam + gamma) <= 1."""
-    return alpha**4 * lam**2 + 2.0 * alpha * lam * gamma / (lam + gamma) <= 1.0
-
-
 def envelope_check(trace: CoupledTrace, obj: FieldObjective, tol: float = 1e-9) -> EnvelopeReport:
     """Recheck every recorded step against its case bound.
 
@@ -214,15 +210,16 @@ def envelope_check(trace: CoupledTrace, obj: FieldObjective, tol: float = 1e-9) 
         self : d_prev + 2 alpha L
         miss : (1 + alpha lam) d_prev
 
-    The hit-case branch is chosen globally from the fixed step size. Both
-    branch conditions overlap at equality; the active one is recorded.
+    The hit-case branch is chosen globally from the fixed step size: the
+    first when ``bounds.step_condition`` is at most 1. Both branch
+    conditions overlap at equality; the active one is recorded.
     """
     cert = obj.certificate
     alpha = trace.base.config.step_size
     lam = cert.smoothness
     gamma = cert.strong_convexity
-    strongly = getattr(obj, "strongly_convex", False) and gamma > 0
-    regime_a = strongly_convex_hit_regime(alpha, lam, gamma) if strongly else False
+    strongly = obj.regime == STRONGLY_CONVEX
+    regime_a = strongly and step_condition(alpha, lam, gamma) <= 1.0
     kick = alpha * cert.sample_diameter * cert.gradient_data_lipschitz
     self_kick = 2.0 * alpha * cert.lipschitz
 
@@ -251,7 +248,7 @@ def envelope_check(trace: CoupledTrace, obj: FieldObjective, tol: float = 1e-9) 
         margins[t] = rhs - cur
 
     return EnvelopeReport(
-        regime="strongly-convex" if strongly else "non-convex",
+        regime=obj.regime,
         margins=margins,
         labels=trace.case_labels,
         regime_a_active=regime_a,
@@ -285,8 +282,8 @@ def contraction_check(obj: FieldObjective, alpha: float, trials: int, seed: int)
     lam = cert.smoothness
     gamma = cert.strong_convexity
     rng = child_rng(seed, "contraction")
-    convex = getattr(obj, "convex", False)
-    strongly = getattr(obj, "strongly_convex", False) and gamma > 0
+    convex = obj.convex
+    strongly = obj.regime == STRONGLY_CONVEX
 
     worst = 0.0
     for _ in range(trials):

@@ -12,9 +12,8 @@ import numpy as np
 from grlstab import bounds, gnn, graphs, sampling, srm
 from grlstab.harness import (SgdAlgorithm, estimate_stability,
                              exact_risk, exhaustive_binary_stability)
-from grlstab.objectives import (cocoercivity_check,
-                                make_nonconvex_objective,
-                                make_strongly_convex_objective)
+from grlstab.objectives import (QuadraticFieldObjective, RippleFieldObjective,
+                                cocoercivity_check)
 from grlstab.sgd import (SgdConfig, contraction_check, coupled_train,
                          envelope_check)
 from grlstab.seeding import child_rng, seed_int
@@ -26,8 +25,8 @@ def report(number, name, ok, detail):
     assert ok, line
 
 
-QUAD = make_strongly_convex_objective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
-RIPPLE = make_nonconvex_objective(3, 1.0, 1.0, 1.0, 1 / 32, 1.0)
+QUAD = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
+RIPPLE = RippleFieldObjective(3, 1.0, 1.0, 1.0, 1 / 32, 1.0)
 
 
 # 1 ------------------------------------------------------------------------
@@ -81,7 +80,7 @@ def test_criterion_03_per_step_envelopes():
 
     # strongly convex: radius chosen so 2W <= alpha * B_Z * zeta and the
     # step-size condition holds
-    obj_sc = make_strongly_convex_objective(3, 1.0, 0.5, 1.0, 1.0, 0.15)
+    obj_sc = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 0.15)
     alpha = 0.1
     cert = obj_sc.certificate
     assert bounds.step_condition_ok(bounds.SgdBoundParams(

@@ -314,6 +314,47 @@ srm.beta_test_draws = 1
     assert summary["satisfied"] is True
 
 
+@pytest.mark.parametrize("kind, extra", [
+    ("stability", "harness.pert_draws = 1\nharness.test_draws = 1\nsgd.steps = 10\n"),
+    ("srm", "srm.d_max = 2\nsrm.lambdas = 0.0 1.0\nsrm.holdout = 1\n"
+            "srm.beta_pert_draws = 1\nsrm.beta_test_draws = 1\n"),
+], ids=["stability", "srm"])
+def test_ising_sampler_reads_sampler_dim(tmp_path, kind, extra):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "ising4.ini", f"""
+experiment = {kind}
+seed = 6
+out = {out}
+graph.kind = cycle
+graph.n = 6
+sampler.kind = ising
+sampler.dim = 4
+sampler.sweeps = 20
+""" + extra)
+    assert run_cli(["run", path]) == 0
+
+
+@pytest.mark.parametrize("keys", [
+    "objective = ripple\nobjective.strong_convexity = 0.5\n",
+    "objective = quadratic\nobjective.ripple_amplitude = 0.01\n",
+    "objective = quadratic\nobjective.frequency = 2.0\n",
+    "sampler.feature_dim = 4\n",
+    "objective.dim = 4\n",
+], ids=["ripple-strong_convexity", "quadratic-ripple_amplitude", "quadratic-frequency",
+        "sampler.feature_dim", "objective.dim"])
+def test_objective_keys_the_run_does_not_use_rejected(tmp_path, keys, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "keys.ini", f"""
+experiment = bounds
+seed = 2
+out = {out}
+graph.kind = cycle
+graph.n = 6
+""" + keys)
+    assert run_cli(["run", path]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
 def test_capacity_error_is_user_error(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, "cap.ini", f"""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from grlstab import gnn, graphs
+from grlstab.harness import ClosedFormGnnAlgorithm
 from grlstab.seeding import child_rng
 
 
@@ -223,6 +224,18 @@ def test_experiment_rejects_large_feature_bump():
     with pytest.raises(ValueError):
         gnn.gnn_stability_experiment(rf, "feature-first-order", trials=1,
                                      eps_feature=0.5, seed=0)
+
+
+def test_solver_names_looked_up_in_registry():
+    rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(5))
+    assert ClosedFormGnnAlgorithm(rf, np.ones(3), 1.0, solver="rowwise")._fit is (
+        gnn.fit_exact_rowwise)
+    assert ClosedFormGnnAlgorithm(rf, np.ones(3), 1.0)._fit is gnn.fit_projected_closed_form
+    with pytest.raises(ValueError, match="known solvers: \\['projected', 'rowwise'\\]"):
+        ClosedFormGnnAlgorithm(rf, np.ones(3), 1.0, solver="row-wise")
+    with pytest.raises(ValueError, match="known solvers"):
+        gnn.gnn_stability_experiment(rf, "label", trials=1, eps_feature=0.0, seed=0,
+                                     solver="projectd")
 
 
 def test_label_mode_beta1_exactly_zero():

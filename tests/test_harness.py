@@ -8,14 +8,14 @@ from grlstab.harness import (ClosedFormGnnAlgorithm, ConstantAlgorithm,
                              estimate_stability, estimate_vertex_stability,
                              exact_risk, exhaustive_binary_stability,
                              multi_replacement_shift)
-from grlstab.objectives import make_strongly_convex_objective
+from grlstab.objectives import QuadraticFieldObjective
 from grlstab.sgd import SgdConfig
 
 
 def make_setup(n=6, steps=40, alpha=0.1, seed=100, w_radius=1.0):
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(n))
     sampler = sampling.IidSampler(rf=rf, dim=3)
-    obj = make_strongly_convex_objective(3, 1.0, 0.5, 1.0, 1.0, w_radius)
+    obj = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, w_radius)
     alg = SgdAlgorithm(obj, rf, SgdConfig(step_size=alpha, steps=steps, seed=seed))
     return rf, sampler, obj, alg
 
@@ -132,7 +132,7 @@ def test_exhaustive_requires_self_rule():
 def test_exhaustive_constant_algorithm_zero():
     sampler = ring_ising_sampler(n=4, rule="self")
     rf = sampler.spec.rf
-    obj = make_strongly_convex_objective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
+    obj = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
     alg = ConstantAlgorithm(obj, rf, np.zeros(3))
     ex = exhaustive_binary_stability(alg, sampler.spec)
     assert ex.beta1 == 0.0 and ex.beta2 == 0.0
@@ -141,7 +141,7 @@ def test_exhaustive_constant_algorithm_zero():
 def test_exhaustive_dominates_monte_carlo():
     sampler = ring_ising_sampler(n=4, rule="self")
     rf = sampler.spec.rf
-    obj = make_strongly_convex_objective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
+    obj = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
     alg = SgdAlgorithm(obj, rf, SgdConfig(step_size=0.1, steps=20, seed=10))
     ex = exhaustive_binary_stability(alg, sampler.spec)
     est = estimate_stability(alg, sampler, 3, 3, seed=11)
@@ -152,7 +152,7 @@ def test_exhaustive_dominates_monte_carlo():
 
 def test_exhaustive_beta_ordering_per_vertex():
     sampler = ring_ising_sampler(n=5, rule="self")
-    obj = make_strongly_convex_objective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
+    obj = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
     alg = SgdAlgorithm(obj, sampler.spec.rf, SgdConfig(step_size=0.1, steps=15, seed=12))
     ex = exhaustive_binary_stability(alg, sampler.spec)
     assert np.all(ex.beta1_i <= ex.beta2_i + 1e-15)
@@ -162,7 +162,7 @@ def test_multi_replacement_shift_bounded_by_cardinality_times_beta2():
     # |loss shift| for a Lambda-replacement is at most card(Lambda) * beta2
     sampler = ring_ising_sampler(n=5, rule="self")
     spec = sampler.spec
-    obj = make_strongly_convex_objective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
+    obj = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
     alg = SgdAlgorithm(obj, spec.rf, SgdConfig(step_size=0.1, steps=20, seed=13))
     ex = exhaustive_binary_stability(alg, spec)
     configs = sampling.enumerate_spin_configs(spec.n)
@@ -179,7 +179,7 @@ def test_multi_replacement_shift_bounded_by_cardinality_times_beta2():
 def test_exact_risk_matches_weighted_average():
     sampler = ring_ising_sampler(n=4, rule="self")
     spec = sampler.spec
-    obj = make_strongly_convex_objective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
+    obj = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
     alg = ConstantAlgorithm(obj, spec.rf, np.array([0.2, 0.0, -0.1]))
     h = alg.train(spec.sample_set_from_spins(np.ones(4, dtype=int), seed=0))
     risk = exact_risk(alg, h, spec)

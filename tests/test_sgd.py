@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from grlstab import graphs, sampling
-from grlstab.objectives import (make_nonconvex_objective,
-                                make_strongly_convex_objective)
+from grlstab import bounds, graphs, sampling
+from grlstab.objectives import QuadraticFieldObjective, RippleFieldObjective
 from grlstab.sgd import (SgdConfig, SgdDivergenceError, contraction_check,
                          coupled_train, envelope_check, first_hit_time,
                          project, sgd_step, train, train_pooled)
@@ -13,7 +12,7 @@ from grlstab.seeding import child_rng
 def setup_problem(n=8, seed=0, w_radius=1.0):
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(n))
     sampler = sampling.IidSampler(rf=rf, dim=3)
-    obj = make_strongly_convex_objective(3, 1.0, 0.5, 1.0, 1.0, w_radius)
+    obj = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, w_radius)
     return rf, sampler, obj, sampler.sample(seed)
 
 
@@ -26,7 +25,7 @@ def test_zero_step_identity():
 def test_pure_quadratic_closed_form_step():
     # zero data term: w' = (1 - alpha * gamma) w
     rf = graphs.one_hop_receptive_fields(graphs.empty_graph(3))
-    obj = make_strongly_convex_objective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
+    obj = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
     z = sampling.SampleSet(features=np.zeros((3, 3)), labels=np.zeros(3),
                            sampler_id="zero", seed=0)
     w = np.array([0.4, 0.0, -0.4])
@@ -40,7 +39,7 @@ def test_step_matches_gradient_composition():
     for _ in range(100):
         w = obj._random_w(rng, 1)[0]
         i = int(rng.integers(0, z.n))
-        expected = w - 0.05 * obj.gradient(z, rf, i, w)
+        expected = w - 0.05 * obj.bind(z, rf).gradient(i, w)
         assert np.allclose(sgd_step(w, 0.05, i, z, rf, obj), expected)  # inside ball
 
 
@@ -180,7 +179,7 @@ def test_envelope_strongly_convex_holds():
     n = 8
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(n))
     sampler = sampling.IidSampler(rf=rf, dim=3)
-    obj = make_strongly_convex_objective(3, 1.0, 0.5, 1.0, 1.0, 0.15)
+    obj = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 0.15)
     cert = obj.certificate
     alpha = 0.1
     assert 2 * cert.weight_radius <= alpha * cert.sample_diameter * cert.gradient_data_lipschitz
@@ -199,7 +198,7 @@ def test_envelope_nonconvex_holds():
     n = 8
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(n))
     sampler = sampling.IidSampler(rf=rf, dim=3)
-    obj = make_nonconvex_objective(3, 1.0, 1.0, 1.0, 1 / 32, 1.0)
+    obj = RippleFieldObjective(3, 1.0, 1.0, 1.0, 1 / 32, 1.0)
     for trial in range(20):
         z = sampler.sample(trial)
         z_i = sampler.replace(z, [trial % n], seed=trial + 2000)
@@ -208,6 +207,22 @@ def test_envelope_nonconvex_holds():
         report = envelope_check(trace, obj)
         assert report.regime == "non-convex"
         assert report.ok, f"margin {report.margins.min()} at trial {trial}"
+
+
+def test_envelope_branch_follows_bound_step_condition():
+    # lam = 1, gamma = 0.5: a^4 + 2a/3 <= 1 up to a ~ 0.79
+    rf, sampler, obj, z = setup_problem()
+    z_i = sampler.replace(z, [0], seed=1)
+    seen = set()
+    for alpha in (0.1, 0.7, 0.9, 1.2):
+        cfg = SgdConfig(step_size=alpha, steps=5, seed=2)
+        trace = coupled_train(z, z_i, rf, obj, cfg)
+        params = bounds.params_from_sgd_config(obj.certificate, cfg, rf.n, rf.sizes,
+                                               obj.regime)
+        active = envelope_check(trace, obj).regime_a_active
+        assert active == bounds.step_condition_ok(params)
+        seen.add(active)
+    assert seen == {True, False}
 
 
 def test_visit_time_tail_matches_geometric():
@@ -236,13 +251,13 @@ def test_first_hit_time_helper():
 
 
 def test_contraction_zero_step_identity():
-    obj = make_strongly_convex_objective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
+    obj = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
     report = contraction_check(obj, alpha=0.0, trials=200, seed=21)
     assert report.max_ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_contraction_clauses_quadratic():
-    obj = make_strongly_convex_objective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
+    obj = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
     alpha = 2.0 / (1.0 + 0.5)  # threshold for the strong-convexity clause
     report = contraction_check(obj, alpha=alpha, trials=2000, seed=22)
     assert report.max_ratio <= report.bound_general + 1e-9
@@ -252,7 +267,7 @@ def test_contraction_clauses_quadratic():
 
 def test_contraction_scalar_identity_at_equal_curvatures():
     # pure quadratic with lam = gamma: ratio is exactly |1 - alpha*gamma|
-    obj = make_strongly_convex_objective(3, 1.0, 1.0, 1.0, 1.0, 1.0)
+    obj = QuadraticFieldObjective(3, 1.0, 1.0, 1.0, 1.0, 1.0)
     alpha = 0.8
     report = contraction_check(obj, alpha=alpha, trials=500, seed=23)
     assert report.max_ratio == pytest.approx(abs(1 - alpha * 1.0), abs=1e-9)
@@ -261,7 +276,7 @@ def test_contraction_scalar_identity_at_equal_curvatures():
 
 
 def test_contraction_nonconvex_general_clause():
-    obj = make_nonconvex_objective(3, 1.0, 1.0, 1.0, 1 / 32, 1.0)
+    obj = RippleFieldObjective(3, 1.0, 1.0, 1.0, 1 / 32, 1.0)
     report = contraction_check(obj, alpha=0.3, trials=2000, seed=24)
     assert report.max_ratio <= report.bound_general + 1e-6
     assert report.max_ratio_strongly is None
