@@ -136,11 +136,6 @@ def full_objective_gradient(p: GnnProblem, sol: GnnSolution) -> np.ndarray:
     return -np.outer(p.labels, v) + (a @ v)[:, None] * v[None, :] + p.ridge * a
 
 
-def masked_objective_gradient(p: GnnProblem, sol: GnnSolution) -> np.ndarray:
-    """Pi o [ -y v' + A~ (v v' + gamma I) ], the masked first-order condition."""
-    return np.where(p.mask, full_objective_gradient(p, sol), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Stability experiments
 

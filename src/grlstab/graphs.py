@@ -112,11 +112,6 @@ def receptive_fields_from_map(n: int, xi) -> ReceptiveFieldMap:
     )
 
 
-def sparsity_stats(rf: ReceptiveFieldMap):
-    """Return (d_i list, d_bar, sup_d) for a receptive-field map."""
-    return rf.d.copy(), rf.d_bar, rf.sup_d
-
-
 def mask_from_fields(rf: ReceptiveFieldMap) -> np.ndarray:
     """Boolean support mask with (i, j) allowed iff j in Xi(i)."""
     mask = np.zeros((rf.n, rf.n), dtype=bool)

@@ -18,6 +18,14 @@ replaced vertex in one set; m = 1 reduces to the beta2 pipeline on the
 same seed streams by construction. For binary-spin instances at small N an
 exhaustive mode enumerates the full discrete cube and returns exact
 oracle values for beta1/beta2.
+
+Learner protocol: ``prepare(z)`` turns a sample set into the learner's
+input (the bound objective for SGD, the design matrix and labels for an SRM
+class, the GnnProblem for the GNN), and ``train(prepared)``,
+``train_pooled([prepared, ...])`` and ``losses(h, prepared)`` take only what
+it returns. Every estimator prepares each sample set once per use, so a test
+set scored against many hypotheses is aggregated once; the exhaustive oracle
+prepares each cube configuration once.
 """
 
 from __future__ import annotations
@@ -26,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ReceptiveFieldMap
-from .objectives import FieldObjective
+from .gnn import GnnProblem, _solver
+from .graphs import ReceptiveFieldMap, mask_from_fields
+from .objectives import BoundObjective, FieldObjective
 from .sampling import IsingSpec, SampleSet, enumerate_spin_configs, gibbs_probabilities
 from .sgd import SgdConfig, train, train_pooled
 from .seeding import seed_int
@@ -63,7 +72,10 @@ class GapSample:
 
 
 class SgdAlgorithm:
-    """T-step projected SGD with a frozen internal index-stream seed."""
+    """T-step projected SGD with a frozen internal index-stream seed.
+
+    Its prepared set is the objective bound to the sample set.
+    """
 
     def __init__(self, objective: FieldObjective, rf: ReceptiveFieldMap, config: SgdConfig):
         self.objective = objective
@@ -79,60 +91,34 @@ class SgdAlgorithm:
     def loss_bound(self) -> float:
         return self.objective.certificate.loss_bound
 
-    def train(self, z: SampleSet) -> np.ndarray:
-        return train(z, self.rf, self.objective, self.config).final
+    def prepare(self, z: SampleSet) -> BoundObjective:
+        return self.objective.bind(z, self.rf)
 
-    def train_pooled(self, sets) -> np.ndarray:
-        return train_pooled(sets, self.rf, self.objective, self.config)
+    def train(self, bound: BoundObjective) -> np.ndarray:
+        return train(bound, self.config).final
 
-    def losses(self, h: np.ndarray, z: SampleSet) -> np.ndarray:
-        return self.objective.bind(z, self.rf).losses(h)
+    def train_pooled(self, bounds) -> np.ndarray:
+        return train_pooled(bounds, self.config)
 
-
-class ConstantAlgorithm:
-    """Training-set independent learner; every stability notion is zero."""
-
-    def __init__(self, objective: FieldObjective, rf: ReceptiveFieldMap, weights: np.ndarray):
-        self.objective = objective
-        self.rf = rf
-        self.weights = np.asarray(weights, dtype=float)
-
-    @property
-    def id(self) -> str:
-        return "constant"
-
-    @property
-    def loss_bound(self) -> float:
-        return self.objective.certificate.loss_bound
-
-    def train(self, z: SampleSet) -> np.ndarray:
-        return self.weights.copy()
-
-    def train_pooled(self, sets) -> np.ndarray:
-        return self.weights.copy()
-
-    def losses(self, h: np.ndarray, z: SampleSet) -> np.ndarray:
-        return self.objective.bind(z, self.rf).losses(h)
+    def losses(self, h: np.ndarray, bound: BoundObjective) -> np.ndarray:
+        return bound.losses(h)
 
 
 class ClosedFormGnnAlgorithm:
     """Masked-ridge GNN solver wrapped for the generic harness.
 
-    Loss is the squared error (yhat_j - y_j)^2 used by the GNN stability
-    experiments; no certified loss bound is available.
+    Its prepared set is the GnnProblem of the sample set. Loss is the squared
+    error (yhat_j - y_j)^2 used by the GNN stability experiments; no
+    certified loss bound is available.
     """
 
     def __init__(self, rf: ReceptiveFieldMap, weight: np.ndarray, ridge: float,
                  solver: str = "projected"):
-        from .gnn import GnnProblem, _solver
-        from .graphs import mask_from_fields
-
         self.rf = rf
         self.weight = np.asarray(weight, dtype=float)
         self.ridge = float(ridge)
         self.mask = mask_from_fields(rf)
         self._fit = _solver(solver)
-        self._problem = GnnProblem
         self.solver = solver
 
     @property
@@ -143,8 +129,8 @@ class ClosedFormGnnAlgorithm:
     def loss_bound(self):
         return None
 
-    def _prob(self, z: SampleSet):
-        return self._problem(
+    def prepare(self, z: SampleSet) -> GnnProblem:
+        return GnnProblem(
             features=z.features, labels=z.labels, weight=self.weight,
             mask=self.mask, ridge=self.ridge,
             b_x=float(np.linalg.norm(z.features, axis=1).max() + 1.0),
@@ -152,21 +138,20 @@ class ClosedFormGnnAlgorithm:
             b_w=float(np.linalg.norm(self.weight) + 1.0),
         )
 
-    def train(self, z: SampleSet) -> np.ndarray:
-        return self._fit(self._prob(z)).a_tilde
+    def train(self, problem: GnnProblem) -> np.ndarray:
+        return self._fit(problem).a_tilde
 
-    def losses(self, h: np.ndarray, z: SampleSet) -> np.ndarray:
-        pred = h @ (z.features @ self.weight)
-        return (pred - z.labels) ** 2
+    def losses(self, h: np.ndarray, problem: GnnProblem) -> np.ndarray:
+        return (h @ problem.v - problem.labels) ** 2
 
 
 # ---------------------------------------------------------------------------
 # Core estimation
 
 
-def _check_deterministic(alg, z: SampleSet):
-    h1 = alg.train(z)
-    h2 = alg.train(z)
+def _check_deterministic(alg, prepared):
+    h1 = alg.train(prepared)
+    h2 = alg.train(prepared)
     if not np.array_equal(np.asarray(h1), np.asarray(h2)):
         raise NonDeterministicAlgorithmError(
             f"algorithm {alg.id} returned different hypotheses on identical input"
@@ -176,9 +161,13 @@ def _check_deterministic(alg, z: SampleSet):
 def _loss_gaps(alg, h_base, h_pert, test_sets):
     """(max over all j, max over j outside Xi(i)) needs the caller's split."""
     gaps = []
-    for z_test in test_sets:
-        gaps.append(np.abs(alg.losses(h_base, z_test) - alg.losses(h_pert, z_test)))
+    for test in test_sets:
+        gaps.append(np.abs(alg.losses(h_base, test) - alg.losses(h_pert, test)))
     return gaps
+
+
+def _prepared_test_sets(alg, sampler, test_draws: int, seed: int):
+    return [alg.prepare(sampler.sample(seed_int(seed, "test", k))) for k in range(test_draws)]
 
 
 def estimate_vertex_stability(alg, sampler, i: int, pert_draws: int, test_draws: int,
@@ -186,20 +175,18 @@ def estimate_vertex_stability(alg, sampler, i: int, pert_draws: int, test_draws:
     """(beta1_i, beta2_i) lower estimates for one perturbed vertex."""
     if pert_draws < 1 or test_draws < 1:
         raise ValueError("need at least one perturbation draw and one test draw")
-    rf = sampler.rf
-    outside = rf.outside(i)
-    test_sets = [
-        sampler.sample(seed_int(seed, "test", k)) for k in range(test_draws)
-    ]
+    outside = sampler.rf.outside(i)
+    test_sets = _prepared_test_sets(alg, sampler, test_draws, seed)
     b1 = 0.0
     b2 = 0.0
     for k in range(pert_draws):
         z = sampler.sample(seed_int(seed, "train", i, k))
+        prepared = alg.prepare(z)
         if check_determinism and k == 0:
-            _check_deterministic(alg, z)
-        z_i = sampler.replace(z, [i], seed_int(seed, "replace", i, k))
-        h = alg.train(z)
-        h_i = alg.train(z_i)
+            _check_deterministic(alg, prepared)
+        prepared_i = alg.prepare(sampler.replace(z, [i], seed_int(seed, "replace", i, k)))
+        h = alg.train(prepared)
+        h_i = alg.train(prepared_i)
         for gap in _loss_gaps(alg, h, h_i, test_sets):
             b2 = max(b2, float(gap.max()))
             if outside.size:
@@ -236,24 +223,24 @@ def estimate_mu(alg, sampler, m: int, pert_draws: int, test_draws: int, seed: in
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    rf = sampler.rf
-    test_sets = [
-        sampler.sample(seed_int(seed, "test", k)) for k in range(test_draws)
-    ]
+    test_sets = _prepared_test_sets(alg, sampler, test_draws, seed)
     mu = 0.0
-    for i0 in range(rf.n):
+    for i0 in range(sampler.rf.n):
         for k in range(pert_draws):
             draw_rng_path = ("train", i0, k)
             sets = [sampler.sample(seed_int(seed, *draw_rng_path))]
             for extra in range(1, m):
                 sets.append(sampler.sample(seed_int(seed, *draw_rng_path, "extra", extra)))
+            pool = [alg.prepare(z) for z in sets]
             for j0 in range(m):
-                perturbed = list(sets)
-                perturbed[j0] = sampler.replace(
+                perturbed = list(pool)
+                perturbed[j0] = alg.prepare(sampler.replace(
                     sets[j0], [i0], seed_int(seed, "replace", i0, k, j0)
                     if j0 else seed_int(seed, "replace", i0, k)
-                )
-                h = alg.train_pooled(sets)
+                ))
+                # the base pool is retrained per target on purpose: perfbench
+                # derives 2 m pooled trainings per draw from the config
+                h = alg.train_pooled(pool)
                 h_p = alg.train_pooled(perturbed)
                 for gap in _loss_gaps(alg, h, h_p, test_sets):
                     mu = max(mu, float(gap.max()))
@@ -266,12 +253,12 @@ def estimate_generalization_gap(alg, sampler, test_graphs: int, trials: int, see
         raise ValueError("need at least one test graph")
     out = []
     for t in range(trials):
-        z = sampler.sample(seed_int(seed, "gap-train", t))
+        z = alg.prepare(sampler.sample(seed_int(seed, "gap-train", t)))
         h = alg.train(z)
         train_risk = float(alg.losses(h, z).mean())
         test_risk = 0.0
         for k in range(test_graphs):
-            z_test = sampler.sample(seed_int(seed, "gap-test", t, k))
+            z_test = alg.prepare(sampler.sample(seed_int(seed, "gap-test", t, k)))
             test_risk += float(alg.losses(h, z_test).mean())
         test_risk /= test_graphs
         out.append(GapSample(phi=test_risk - train_risk, test_graphs=test_graphs,
@@ -291,9 +278,11 @@ class ExhaustiveStability:
     beta2: float
 
 
-def _cube_sample_sets(spec: IsingSpec):
-    configs = enumerate_spin_configs(spec.n)
-    return configs, [spec.sample_set_from_spins(configs[c], seed=0) for c in range(len(configs))]
+def _prepared_cube(alg, spec: IsingSpec) -> list:
+    """The learner's prepared set of every spin configuration, in
+    enumerate_spin_configs order (index c is configuration c)."""
+    return [alg.prepare(spec.sample_set_from_spins(spins, seed=0))
+            for spins in enumerate_spin_configs(spec.n)]
 
 
 def exhaustive_binary_stability(alg, spec: IsingSpec) -> ExhaustiveStability:
@@ -303,20 +292,20 @@ def exhaustive_binary_stability(alg, spec: IsingSpec) -> ExhaustiveStability:
     one sample coordinate. Every configuration is a training set, every
     configuration is a test set, and every single-spin flip is a
     perturbation, so the computed maxima are the definitional suprema for
-    this sample space.
+    this sample space. Each configuration is prepared once.
     """
     if spec.label_rule != "self":
         raise ValueError("exhaustive mode needs the 'self' label rule "
                          "(single-flip closure of the cube)")
-    configs, sets = _cube_sample_sets(spec)
+    cube = _prepared_cube(alg, spec)
     n = spec.n
-    hypotheses = [alg.train(z) for z in sets]
+    hypotheses = [alg.train(prepared) for prepared in cube]
     loss_table = np.stack([
-        np.stack([alg.losses(h, z_test) for z_test in sets]) for h in hypotheses
+        np.stack([alg.losses(h, test) for test in cube]) for h in hypotheses
     ])  # (config_trained_on, test_config, test_vertex)
 
     # flipping spin i of config c lands on config c ^ bit(i)
-    flip = np.arange(len(configs))[:, None] ^ (1 << (n - 1 - np.arange(n)))[None, :]
+    flip = np.arange(len(cube))[:, None] ^ (1 << (n - 1 - np.arange(n)))[None, :]
 
     beta1_i = np.zeros(n)
     beta2_i = np.zeros(n)
@@ -334,23 +323,6 @@ def exhaustive_binary_stability(alg, spec: IsingSpec) -> ExhaustiveStability:
 
 def exact_risk(alg, h, spec: IsingSpec) -> float:
     """Exact generalization risk of a hypothesis under the Gibbs measure."""
-    _, sets = _cube_sample_sets(spec)
     probs = gibbs_probabilities(spec)
-    risks = np.array([float(alg.losses(h, z).mean()) for z in sets])
+    risks = np.array([float(alg.losses(h, test).mean()) for test in _prepared_cube(alg, spec)])
     return float(probs @ risks)
-
-
-def multi_replacement_shift(alg, spec: IsingSpec, base_config: int, flip_vertices,
-                            test_sets) -> float:
-    """Max test loss shift when the vertices in Lambda are all flipped."""
-    configs, sets = _cube_sample_sets(spec)
-    idx = base_config
-    n = spec.n
-    for i in flip_vertices:
-        idx = idx ^ (1 << (n - 1 - i))
-    h = alg.train(sets[base_config])
-    h_l = alg.train(sets[idx])
-    worst = 0.0
-    for z in test_sets:
-        worst = max(worst, float(np.abs(alg.losses(h, z) - alg.losses(h_l, z)).max()))
-    return worst

@@ -76,6 +76,10 @@ class BoundObjective:
     y: np.ndarray  # (n,)
     objective: "FieldObjective"
 
+    @property
+    def n(self) -> int:
+        return self.y.shape[0]
+
     def loss(self, i: int, w: np.ndarray) -> float:
         return self.objective.loss_uy(self.u[i], float(self.y[i]), w)
 
@@ -84,12 +88,6 @@ class BoundObjective:
 
     def losses(self, w: np.ndarray) -> np.ndarray:
         return self.objective.losses_uy(self.u, self.y, w)
-
-    def risk_gradient(self, w: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(w)
-        for i in range(self.u.shape[0]):
-            g += self.gradient(i, w)
-        return g / self.u.shape[0]
 
 
 class FieldObjective:

@@ -14,6 +14,9 @@ step:
 One private loop, ``_descend``, serves the single, pooled and coupled runs:
 a coupled run is two descents on the same index stream, and the pooled
 m-graph run is one descent over an index stream on the m*N pooled vertices.
+``train`` and ``train_pooled`` take sample sets already bound to the
+objective (``FieldObjective.bind``), so a caller that trains on one set many
+times aggregates its receptive fields once; ``coupled_train`` binds its pair.
 
 Per-step deviation envelopes for the strongly convex and the smooth
 non-convex regimes can be rechecked against a recorded trace, and the
@@ -29,7 +32,7 @@ import numpy as np
 
 from .bounds import step_condition
 from .graphs import ReceptiveFieldMap
-from .objectives import STRONGLY_CONVEX, FieldObjective
+from .objectives import STRONGLY_CONVEX, BoundObjective, FieldObjective
 from .sampling import SampleSet
 from .seeding import child_rng
 
@@ -106,7 +109,7 @@ def _descend(bounds, indices: np.ndarray, cfg: SgdConfig) -> np.ndarray:
 
     Pooled index k visits vertex k % N of bounds[k // N].
     """
-    n = bounds[0].y.shape[0]
+    n = bounds[0].n
     alpha = cfg.step_size
     radius = bounds[0].objective.certificate.weight_radius
     weights = np.empty((len(indices) + 1, bounds[0].objective.dim))
@@ -122,22 +125,21 @@ def _descend(bounds, indices: np.ndarray, cfg: SgdConfig) -> np.ndarray:
     return weights
 
 
-def train(z: SampleSet, rf: ReceptiveFieldMap, obj: FieldObjective, cfg: SgdConfig) -> Trajectory:
-    """Run SGD from w_0 = 0 and record the full trajectory."""
-    indices = draw_indices(cfg, z.n)
-    weights = _descend([obj.bind(z, rf)], indices, cfg)
+def train(bound: BoundObjective, cfg: SgdConfig) -> Trajectory:
+    """Run SGD from w_0 = 0 on one bound sample set and record the full trajectory."""
+    indices = draw_indices(cfg, bound.n)
+    weights = _descend([bound], indices, cfg)
     return Trajectory(weights=weights, indices=indices, config=cfg)
 
 
-def train_pooled(sets, rf: ReceptiveFieldMap, obj: FieldObjective, cfg: SgdConfig) -> np.ndarray:
-    """SGD over the pooled vertices of m sample sets; returns final weights.
+def train_pooled(bounds, cfg: SgdConfig) -> np.ndarray:
+    """SGD over the pooled vertices of m bound sample sets; returns final weights.
 
     The index stream is uniform over the m*N pooled vertices; each visit
     takes a gradient step on that vertex's objective within its own graph
     copy. With m = 1 this is exactly the single-graph run.
     """
-    bounds = [obj.bind(z, rf) for z in sets]
-    indices = draw_indices(cfg, len(sets) * sets[0].n)
+    indices = draw_indices(cfg, len(bounds) * bounds[0].n)
     return _descend(bounds, indices, cfg)[-1]
 
 
@@ -170,18 +172,6 @@ def coupled_train(z: SampleSet, z_pert: SampleSet, rf: ReceptiveFieldMap,
     pert = Trajectory(weights=weights_p, indices=indices.copy(), config=cfg)
     return CoupledTrace(base=base, perturbed=pert, vertex=vertex,
                         delta_norms=deltas, case_labels=labels)
-
-
-def first_hit_time(trace_indices: np.ndarray, rf: ReceptiveFieldMap, vertex: int) -> int:
-    """First step t >= 1 whose sampled receptive field contains the vertex.
-
-    Returns steps + 1 if the vertex's field is never encountered; the tail
-    P(Gamma > t) equals (1 - d_i)^t under uniform sampling.
-    """
-    for t, sampled in enumerate(trace_indices, start=1):
-        if vertex in rf.xi[int(sampled)]:
-            return t
-    return len(trace_indices) + 1
 
 
 # ---------------------------------------------------------------------------

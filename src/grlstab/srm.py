@@ -23,6 +23,7 @@ for a fixed degree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,32 +72,30 @@ class DegreeClassFamily:
     def n_slots(self, degree: int) -> int:
         return 2 * degree - 1
 
-    def slot_members(self, i: int, degree: int):
-        """Member vertex per slot for vertex i at the given degree (None = absent)."""
-        members = truncated_fields(self.rf, degree)[i]
+    @functools.cached_property
+    def _slot_tables(self) -> tuple:
+        """Per degree 1..d_max, the (N, n_slots) member vertex of every slot
+        (-1 where the slot is absent), built once from truncated_fields."""
         n = self.rf.n
-        slots = [None] * self.n_slots(degree)
-        slots[0] = i
-        for j in members:
-            if j == i:
-                continue
-            dist = _circular_distance(i, j, n)
-            forward = (i + dist) % n == j
-            slot = 2 * dist - 1 if forward else 2 * dist
-            if slot < len(slots):
-                slots[slot] = j
-        return slots
+        tables = []
+        for degree in range(1, self.d_max + 1):
+            table = np.full((n, self.n_slots(degree)), -1)
+            for i, members in enumerate(truncated_fields(self.rf, degree)):
+                table[i, 0] = i
+                for j in members:
+                    if j != i:
+                        dist = _circular_distance(i, j, n)
+                        table[i, 2 * dist - 1 if (i + dist) % n == j else 2 * dist] = j
+            tables.append(table)
+        return tuple(tables)
 
     def design_matrix(self, z: SampleSet, degree: int) -> np.ndarray:
         """(N, n_slots * dim) stacked features; absent slots contribute zeros."""
-        n = self.rf.n
-        k = self.n_slots(degree)
-        phi = np.zeros((n, k * self.dim))
-        for i in range(n):
-            for slot, j in enumerate(self.slot_members(i, degree)):
-                if j is not None:
-                    phi[i, slot * self.dim:(slot + 1) * self.dim] = z.features[j]
-        return phi
+        if not 1 <= degree <= self.d_max:
+            raise ValueError(f"degree must be in 1..{self.d_max}, got {degree}")
+        # slot -1 reads the appended zero row
+        padded = np.vstack([z.features, np.zeros((1, self.dim))])
+        return padded[self._slot_tables[degree - 1]].reshape(self.rf.n, -1)
 
     def loss_bound(self) -> float:
         """B_L for the squared loss over the constrained class."""
@@ -256,7 +255,10 @@ def srm_report(selection: SrmSelection, family: DegreeClassFamily, holdout_sets,
 
 
 class SrmClassAlgorithm:
-    """Class-d exact ERM wrapped for the stability harness."""
+    """Class-d exact ERM wrapped for the stability harness.
+
+    Its prepared set is the (design matrix, labels) pair of the sample set.
+    """
 
     def __init__(self, family: DegreeClassFamily, degree: int):
         self.family = family
@@ -270,13 +272,18 @@ class SrmClassAlgorithm:
     def loss_bound(self) -> float:
         return self.family.loss_bound()
 
-    def train(self, z: SampleSet) -> np.ndarray:
-        return train_class_erm(self.family, z, self.degree).weights
+    def prepare(self, z: SampleSet) -> tuple:
+        return self.family.design_matrix(z, self.degree), z.labels
 
-    def train_pooled(self, sets) -> np.ndarray:
-        phi = np.vstack([self.family.design_matrix(z, self.degree) for z in sets])
-        y = np.concatenate([z.labels for z in sets])
+    def train(self, prepared) -> np.ndarray:
+        phi, y = prepared
         return ball_constrained_least_squares(phi, y, self.family.weight_radius)
 
-    def losses(self, h: np.ndarray, z: SampleSet) -> np.ndarray:
-        return class_losses(self.family, self.degree, h, z)
+    def train_pooled(self, prepared_sets) -> np.ndarray:
+        phi = np.vstack([phi for phi, _ in prepared_sets])
+        y = np.concatenate([y for _, y in prepared_sets])
+        return ball_constrained_least_squares(phi, y, self.family.weight_radius)
+
+    def losses(self, h: np.ndarray, prepared) -> np.ndarray:
+        phi, y = prepared
+        return 0.5 * (phi @ h - y) ** 2

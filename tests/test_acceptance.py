@@ -395,7 +395,7 @@ def test_criterion_12_generalization_frequency():
     spins = sampler.sample_spins_batch(trials, seed=1202)
     violations = 0
     for t in range(trials):
-        z = spec.sample_set_from_spins(spins[t], seed=t)
+        z = alg.prepare(spec.sample_set_from_spins(spins[t], seed=t))
         h = alg.train(z)
         train_risk = float(alg.losses(h, z).mean())
         gap = exact_risk(alg, h, spec) - train_risk

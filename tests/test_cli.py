@@ -290,7 +290,28 @@ conc.t_grid = 0.5 1.5 2.5
     assert all(r[-1] == "true" for r in rows)
     summary = json.loads((out / "summary.json").read_text())
     assert 0 <= summary["alpha_exact"] <= summary["alpha_upper_bound"] < 1
+    assert 0 <= summary["alpha_pairwise"] <= summary["alpha_exact"]
     assert run_cli(["plots", out, "tail"]) == 0
+
+
+def test_concentration_outside_dobrushin_domain_is_user_error(tmp_path, capsys):
+    # K12 at J = 0.2: the largest pairwise influence is 0.197 but the row
+    # sum is 2.17, so no Dobrushin tail bound applies
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "k12.ini", f"""
+experiment = concentration
+seed = 4
+out = {out}
+graph.kind = complete
+graph.n = 12
+sampler.kind = ising
+sampler.coupling = 0.2
+sampler.sweeps = 5
+conc.draws = 50
+conc.t_grid = 5
+""")
+    assert run_cli(["run", path]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "BoundDomainError"
 
 
 def test_srm_experiment(tmp_path):

@@ -53,7 +53,7 @@ def test_sparsity_stats_arithmetic():
     rf = graphs.receptive_fields_from_map(
         3, [(0, 1), (0, 1, 2), (1, 2)]
     )
-    d, d_bar, sup_d = graphs.sparsity_stats(rf)
+    d, d_bar, sup_d = rf.d, rf.d_bar, rf.sup_d
     assert np.allclose(d, [2 / 3, 1.0, 2 / 3])
     assert d_bar == pytest.approx(7 / 3)
     assert sup_d == 1.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grlstab import graphs, sampling
+from grlstab import bounds, graphs, sampling
 
 
 def ring_spec(n, coupling, field=0.0, rule="field-mean", b_x=1.0, b_y=1.0):
@@ -41,6 +41,26 @@ def test_iid_bounds_hold():
     assert np.all(np.abs(z.labels) <= s.b_y + 1e-12)
 
 
+def pairwise_influence_proxy(signs: np.ndarray, i: int, j: int):
+    """TV between P(sign_i = +1 | sign_j = +1) and (... | sign_j = -1).
+
+    ``signs`` is a (draws, n) matrix of +-1 statistics (spins, or feature
+    signs for continuous samplers). Returns (tv_estimate, standard_error);
+    the SE is the binomial SE of the difference of the two conditional
+    frequencies. A product measure has influence zero for every pair.
+    """
+    signs = np.asarray(signs)
+    up = signs[:, j] > 0
+    down = ~up
+    n_up, n_down = int(up.sum()), int(down.sum())
+    if n_up == 0 or n_down == 0:
+        raise ValueError("conditioning value never observed; need more draws")
+    p = float(np.mean(signs[up, i] > 0))
+    q = float(np.mean(signs[down, i] > 0))
+    se = float(np.sqrt(p * (1 - p) / n_up + q * (1 - q) / n_down))
+    return abs(p - q), se
+
+
 def test_iid_empirical_influence_zero():
     # pairwise influence of the product measure vanishes within 3 SE
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(4))
@@ -55,7 +75,7 @@ def test_iid_empirical_influence_zero():
         for j in range(4):
             if i == j:
                 continue
-            tv, se = sampling.pairwise_influence_proxy(signs, i, j)
+            tv, se = pairwise_influence_proxy(signs, i, j)
             assert tv <= 3 * se
 
 
@@ -266,6 +286,68 @@ def test_dobrushin_capacity_error():
     spec = sampling.IsingSpec(coupling=np.zeros((n, n)), external_field=np.zeros(n), rf=rf)
     with pytest.raises(sampling.CapacityError, match="dobrushin_upper_bound"):
         sampling.dobrushin_exact(spec)
+
+
+def complete_spec(n, coupling, field=0.0):
+    g = graphs.complete_graph(n)
+    return sampling.IsingSpec(coupling=coupling * g.adjacency.astype(float),
+                              external_field=np.full(n, field),
+                              rf=graphs.one_hop_receptive_fields(g))
+
+
+def exact_upper_tail(spec, t):
+    """P(#up - E #up >= t) under the exact Gibbs measure."""
+    ups = (sampling.enumerate_spin_configs(spec.n) > 0).sum(axis=1)
+    probs = sampling.gibbs_probabilities(spec)
+    return float(probs[ups - probs @ ups >= t].sum())
+
+
+def test_dobrushin_exact_is_max_row_sum_of_influence_matrix():
+    rng = np.random.default_rng(5)
+    g = graphs.erdos_renyi_graph(6, 0.6, 23)
+    j = g.adjacency * rng.uniform(-0.4, 0.4, size=(6, 6))
+    spec = sampling.IsingSpec(coupling=np.triu(j) + np.triu(j, 1).T,
+                              external_field=rng.normal(size=6) * 0.2,
+                              rf=graphs.one_hop_receptive_fields(g))
+    c = spec.influence
+    assert c.shape == (6, 6) and not c.flags.writeable
+    assert np.all(np.diag(c) == 0.0)
+    assert np.all(c[g.adjacency == 0] == 0.0)
+    assert sampling.dobrushin_exact(spec) == float(c.sum(axis=1).max())
+    assert c.max() <= sampling.dobrushin_exact(spec)
+
+
+def test_dobrushin_row_sum_closes_complete_graph_counterexample():
+    # K12, J = 0.2: the largest pairwise influence (0.197) understates the
+    # row sum (2.17); a tail bound built on it is violated, so the row-sum
+    # coefficient puts the spec outside the Dobrushin domain.
+    spec = complete_spec(12, 0.2)
+    alpha = sampling.dobrushin_exact(spec)
+    pairwise = float(spec.influence.max())
+    assert pairwise == pytest.approx(0.197, abs=5e-4)
+    assert alpha == pytest.approx(2.171, abs=5e-4)
+    assert exact_upper_tail(spec, 5.0) > bounds.concentration_tail(np.ones(12), pairwise, 5.0)
+    with pytest.raises(bounds.BoundDomainError):
+        bounds.concentration_tail(np.ones(12), alpha, 5.0)
+
+
+def test_concentration_tail_holds_exactly_on_random_dobrushin_specs():
+    rng = np.random.default_rng(41)
+    checked = 0
+    for trial in range(120):
+        n = int(rng.integers(2, 11))
+        g = graphs.erdos_renyi_graph(n, float(rng.uniform(0.2, 1.0)), int(rng.integers(1 << 30)))
+        j = g.adjacency * rng.uniform(-0.6, 0.6, size=(n, n))
+        spec = sampling.IsingSpec(coupling=np.triu(j) + np.triu(j, 1).T,
+                                  external_field=rng.normal(size=n) * 0.3,
+                                  rf=graphs.one_hop_receptive_fields(g))
+        alpha = sampling.dobrushin_exact(spec)
+        if alpha >= 1.0:
+            continue
+        checked += 1
+        for t in np.arange(0.25, n / 2 + 0.25, 0.25):
+            assert exact_upper_tail(spec, t) <= bounds.concentration_tail(np.ones(n), alpha, t)
+    assert checked >= 40
 
 
 def test_upper_bound_matches_exact_for_two_spins():

@@ -4,8 +4,8 @@ import pytest
 from grlstab import bounds, graphs, sampling
 from grlstab.objectives import QuadraticFieldObjective, RippleFieldObjective
 from grlstab.sgd import (SgdConfig, SgdDivergenceError, contraction_check,
-                         coupled_train, envelope_check, first_hit_time,
-                         project, sgd_step, train, train_pooled)
+                         coupled_train, envelope_check, project, sgd_step,
+                         train, train_pooled)
 from grlstab.seeding import child_rng
 
 
@@ -45,7 +45,7 @@ def test_step_matches_gradient_composition():
 
 def test_train_zero_steps():
     rf, sampler, obj, z = setup_problem()
-    traj = train(z, rf, obj, SgdConfig(step_size=0.1, steps=0, seed=3))
+    traj = train(obj.bind(z, rf), SgdConfig(step_size=0.1, steps=0, seed=3))
     assert traj.weights.shape == (1, 3)
     assert np.allclose(traj.weights[0], 0.0)
 
@@ -53,25 +53,34 @@ def test_train_zero_steps():
 def test_train_deterministic():
     rf, sampler, obj, z = setup_problem()
     cfg = SgdConfig(step_size=0.1, steps=50, seed=4)
-    t1, t2 = train(z, rf, obj, cfg), train(z, rf, obj, cfg)
+    t1, t2 = train(obj.bind(z, rf), cfg), train(obj.bind(z, rf), cfg)
     assert np.array_equal(t1.indices, t2.indices)
     assert np.array_equal(t1.weights, t2.weights)
+
+
+def risk_gradient(bound, w):
+    """Gradient of the empirical risk (1/N) sum_i f(S_i, w) of a bound set."""
+    g = np.zeros_like(w)
+    for i in range(bound.n):
+        g += bound.gradient(i, w)
+    return g / bound.n
 
 
 def test_train_reduces_empirical_risk_gradient():
     rf, sampler, obj, z = setup_problem(n=8, seed=5)
     cfg = SgdConfig(step_size=0.1, steps=1000, seed=6)
-    traj = train(z, rf, obj, cfg)
     bound = obj.bind(z, rf)
-    g0 = np.linalg.norm(bound.risk_gradient(traj.weights[0]))
-    gT = np.linalg.norm(bound.risk_gradient(traj.weights[-1]))
+    traj = train(bound, cfg)
+    g0 = np.linalg.norm(risk_gradient(bound, traj.weights[0]))
+    gT = np.linalg.norm(risk_gradient(bound, traj.weights[-1]))
     assert gT < g0
 
 
 def test_train_pooled_single_set_matches_train():
     rf, sampler, obj, z = setup_problem()
     cfg = SgdConfig(step_size=0.1, steps=40, seed=7)
-    assert np.array_equal(train_pooled([z], rf, obj, cfg), train(z, rf, obj, cfg).final)
+    bound = obj.bind(z, rf)
+    assert np.array_equal(train_pooled([bound], cfg), train(bound, cfg).final)
 
 
 def reference_train_pooled(sets, rf, obj, cfg):
@@ -92,7 +101,7 @@ def test_train_pooled_matches_reference_loop():
     sets = [z, sampler.sample(1)]
     for seed in range(5):
         cfg = SgdConfig(step_size=0.1, steps=60, seed=seed)
-        assert np.array_equal(train_pooled(sets, rf, obj, cfg),
+        assert np.array_equal(train_pooled([obj.bind(s, rf) for s in sets], cfg),
                               reference_train_pooled(sets, rf, obj, cfg))
 
 
@@ -101,8 +110,8 @@ def test_coupled_sides_equal_separate_trainings():
     z_i = sampler.replace(z, [5], seed=30)
     cfg = SgdConfig(step_size=0.1, steps=50, seed=31)
     trace = coupled_train(z, z_i, rf, obj, cfg)
-    assert np.array_equal(trace.base.weights, train(z, rf, obj, cfg).weights)
-    assert np.array_equal(trace.perturbed.weights, train(z_i, rf, obj, cfg).weights)
+    assert np.array_equal(trace.base.weights, train(obj.bind(z, rf), cfg).weights)
+    assert np.array_equal(trace.perturbed.weights, train(obj.bind(z_i, rf), cfg).weights)
     # one norm per row: norm(..., axis=1) differs in the last bits and would
     # change the recorded deviation files
     rows = [float(np.linalg.norm(w - wp)) for w, wp in zip(trace.base.weights,
@@ -119,9 +128,9 @@ def test_non_finite_gradient_raises_divergence_error():
     assert z_bad.differing_vertices(z_bad_i).tolist() == [4]
     cfg = SgdConfig(step_size=0.1, steps=50, seed=33)
     with pytest.raises(SgdDivergenceError):
-        train(z_bad, rf, obj, cfg)
+        train(obj.bind(z_bad, rf), cfg)
     with pytest.raises(SgdDivergenceError):
-        train_pooled([z, z_bad], rf, obj, cfg)
+        train_pooled([obj.bind(z, rf), obj.bind(z_bad, rf)], cfg)
     with pytest.raises(SgdDivergenceError):
         coupled_train(z_bad, z_bad_i, rf, obj, cfg)
 
@@ -243,6 +252,18 @@ def test_visit_time_tail_matches_geometric():
     assert abs(survive / runs - expected) <= 3 * se
 
 
+def first_hit_time(trace_indices: np.ndarray, rf, vertex: int) -> int:
+    """First step t >= 1 whose sampled receptive field contains the vertex.
+
+    Returns steps + 1 if the vertex's field is never encountered; the tail
+    P(Gamma > t) equals (1 - d_i)^t under uniform sampling.
+    """
+    for t, sampled in enumerate(trace_indices, start=1):
+        if vertex in rf.xi[int(sampled)]:
+            return t
+    return len(trace_indices) + 1
+
+
 def test_first_hit_time_helper():
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(5))
     # vertex 0's field is {4, 0, 1}
@@ -285,5 +306,5 @@ def test_contraction_nonconvex_general_clause():
 def test_projection_keeps_iterates_in_ball():
     rf, sampler, obj, z = setup_problem(w_radius=0.3)
     cfg = SgdConfig(step_size=0.5, steps=200, seed=25)
-    traj = train(z, rf, obj, cfg)
+    traj = train(obj.bind(z, rf), cfg)
     assert np.all(np.linalg.norm(traj.weights, axis=1) <= 0.3 + 1e-12)

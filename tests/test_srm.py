@@ -45,6 +45,48 @@ def test_design_matrix_zero_padding_nests_predictions():
     assert np.allclose(phi2 @ w2, phi3 @ w3)
 
 
+def reference_design_matrix(family, z, degree):
+    """The per-vertex slot loop that `design_matrix` must match byte for byte."""
+    n, dim = family.rf.n, family.dim
+    k = family.n_slots(degree)
+    phi = np.zeros((n, k * dim))
+    fields = srm.truncated_fields(family.rf, degree)
+    for i in range(n):
+        slots = [None] * k
+        slots[0] = i
+        for j in fields[i]:
+            if j == i:
+                continue
+            dist = min(abs(i - j), n - abs(i - j))
+            slot = 2 * dist - 1 if (i + dist) % n == j else 2 * dist
+            if slot < k:
+                slots[slot] = j
+        for slot, j in enumerate(slots):
+            if j is not None:
+                phi[i, slot * dim:(slot + 1) * dim] = z.features[j]
+    return phi
+
+
+@pytest.mark.parametrize("fields", ["one-hop", "all"])
+def test_design_matrix_equals_reference_slot_loop(fields):
+    # "all": every vertex is in every field, so the top degree reaches the
+    # n-even antipode, whose forward and backward slots coincide
+    for n in range(3, 17):
+        graph = graphs.cycle_graph(n) if fields == "one-hop" else graphs.complete_graph(n)
+        rf = graphs.one_hop_receptive_fields(graph)
+        d_max = n // 2 + 1
+        family = srm.DegreeClassFamily(rf=rf, d_max=d_max, dim=2, weight_radius=1.0,
+                                       b_x=1.0, b_y=1.0)
+        z = sampling.IidSampler(rf=rf, dim=2).sample(n)
+        for d in range(1, d_max + 1):
+            phi = family.design_matrix(z, d)
+            ref = reference_design_matrix(family, z, d)
+            assert phi.dtype == ref.dtype and phi.shape == ref.shape
+            assert phi.tobytes() == ref.tobytes()
+    with pytest.raises(ValueError, match="degree"):
+        family.design_matrix(z, d_max + 1)
+
+
 def test_ball_constrained_least_squares_exact_inside():
     rng = child_rng(2, "ls")
     phi = rng.normal(size=(20, 4))
