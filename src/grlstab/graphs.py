@@ -8,6 +8,7 @@ its aggregates drive every bound computed elsewhere.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,18 @@ class ReceptiveFieldMap:
     d: np.ndarray  # (n,) float, sizes / n
     d_bar: float
     sup_d: float
+
+    @functools.cached_property
+    def size_groups(self) -> tuple:
+        """(vertices, members) int arrays per field size, members[r] = xi[vertices[r]]."""
+        groups = []
+        # not np.unique: it imports numpy.ma, about 1 MB of resident memory
+        for size in sorted(set(self.sizes.tolist())):
+            vertices = np.flatnonzero(self.sizes == size)
+            members = np.array([self.xi[i] for i in vertices.tolist()], dtype=np.intp)
+            vertices.flags.writeable = members.flags.writeable = False  # shared by callers
+            groups.append((vertices, members))
+        return tuple(groups)
 
     def outside(self, i: int) -> np.ndarray:
         """Vertices j with j not in Xi(i)."""

@@ -80,12 +80,6 @@ class BoundObjective:
     def n(self) -> int:
         return self.y.shape[0]
 
-    def loss(self, i: int, w: np.ndarray) -> float:
-        return self.objective.loss_uy(self.u[i], float(self.y[i]), w)
-
-    def gradient(self, i: int, w: np.ndarray) -> np.ndarray:
-        return self.objective.grad_uy(self.u[i], float(self.y[i]), w)
-
     def losses(self, w: np.ndarray) -> np.ndarray:
         return self.objective.losses_uy(self.u, self.y, w)
 
@@ -154,18 +148,19 @@ class FieldObjective:
     def bind(self, z: SampleSet, rf: ReceptiveFieldMap) -> BoundObjective:
         if z.n != rf.n:
             raise ValueError("sample set and receptive fields disagree on N")
+        # field_feature on all fields of one size at once, bit for bit
         u = np.empty((rf.n, self.dim))
-        for i in range(rf.n):
-            u[i] = self.field_feature(z.features[list(rf.xi[i])])
+        for vertices, members in rf.size_groups:
+            u[vertices] = self.feature_scale * z.features[members].mean(axis=1)
         return BoundObjective(u=u, y=z.labels.astype(float).copy(), objective=self)
 
     # -- data term plus penalty ----------------------------------------------
     def loss_uy(self, u, y, w) -> float:
-        r = float(np.dot(u, w)) - y
+        r = float(u.dot(w)) - y
         return 0.5 * r * r + self._penalty(w)
 
     def grad_uy(self, u, y, w) -> np.ndarray:
-        r = float(np.dot(u, w)) - y
+        r = float(u.dot(w)) - y
         return u * r + self._penalty_grad(w)
 
     def losses_uy(self, u, y, w) -> np.ndarray:

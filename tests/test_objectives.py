@@ -173,7 +173,36 @@ def test_bind_aggregates_field_means():
     manual = obj.feature_scale * z.features[list(rf.xi[i])].mean(axis=0)
     assert np.allclose(bound.u[i], manual)
     w = np.array([0.1, 0.2, -0.1])
-    assert bound.loss(i, w) == pytest.approx(obj.loss_uy(manual, float(z.labels[i]), w))
+    assert bound_loss(bound, i, w) == pytest.approx(obj.loss_uy(manual, float(z.labels[i]), w))
+
+
+def bound_loss(bound, i, w):
+    """Loss of vertex i's objective on a bound sample set."""
+    return bound.objective.loss_uy(bound.u[i], float(bound.y[i]), w)
+
+
+def reference_bind_u(obj, z, rf):
+    """The per-vertex aggregation `bind` replaced: one field_feature per vertex."""
+    u = np.empty((rf.n, obj.dim))
+    for i in range(rf.n):
+        u[i] = obj.field_feature(z.features[list(rf.xi[i])])
+    return u
+
+
+@pytest.mark.parametrize("graph, min_groups", [
+    (graphs.cycle_graph(16), 1),
+    (graphs.erdos_renyi_graph(64, 0.3, seed=0), 15),
+    (graphs.erdos_renyi_graph(40, 0.05, seed=0), 7),
+], ids=["cycle-16", "er-64-dense", "er-40-sparse"])
+def test_grouped_bind_equals_per_vertex_reference(graph, min_groups):
+    rf = graphs.one_hop_receptive_fields(graph)
+    assert len(rf.size_groups) >= min_groups
+    assert sum(len(v) for v, _ in rf.size_groups) == rf.n
+    sampler = sampling.IidSampler(rf=rf, dim=3)
+    for obj in (quad(), ripple()):
+        for seed in range(100):
+            z = sampler.sample(seed)
+            assert np.array_equal(obj.bind(z, rf).u, reference_bind_u(obj, z, rf))
 
 
 def test_finite_difference_helper():

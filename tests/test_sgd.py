@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from grlstab import bounds, graphs, sampling
 from grlstab.objectives import QuadraticFieldObjective, RippleFieldObjective
-from grlstab.sgd import (SgdConfig, SgdDivergenceError, contraction_check,
-                         coupled_train, envelope_check, project, sgd_step,
-                         train, train_pooled)
+from grlstab.sgd import (SgdConfig, SgdDivergenceError, case_label, contraction_check,
+                         coupled_train, draw_indices, envelope_check, train,
+                         train_pooled)
 from grlstab.seeding import child_rng
 
 
@@ -14,6 +16,64 @@ def setup_problem(n=8, seed=0, w_radius=1.0):
     sampler = sampling.IidSampler(rf=rf, dim=3)
     obj = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, w_radius)
     return rf, sampler, obj, sampler.sample(seed)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-step update map G and the SGD loop as they stood before
+# the loop gathered its rows and checked its gradients after the last step.
+# `train`, `train_pooled` and `coupled_train` must match them bit for bit.
+
+
+def project(w, radius):
+    norm = float(np.linalg.norm(w))
+    if norm > radius:
+        return w * (radius / norm)
+    return w
+
+
+def bound_gradient(bound, i, w):
+    """Gradient of vertex i's objective on a bound sample set."""
+    return bound.objective.grad_uy(bound.u[i], float(bound.y[i]), w)
+
+
+def sgd_step(w, alpha, i, z, rf, obj):
+    """One projected update G(w, alpha, i) on vertex i's objective."""
+    g = bound_gradient(obj.bind(z, rf), i, w)
+    return project(w - alpha * g, obj.certificate.weight_radius)
+
+
+def reference_descend(bounds, indices, cfg):
+    n = bounds[0].n
+    alpha = cfg.step_size
+    radius = bounds[0].objective.certificate.weight_radius
+    weights = np.empty((len(indices) + 1, bounds[0].objective.dim))
+    w = np.zeros(weights.shape[1])
+    weights[0] = w
+    copies, vertices = np.divmod(indices, n)
+    for t, (c, i) in enumerate(zip(copies.tolist(), vertices.tolist())):
+        g = bound_gradient(bounds[c], i, w)
+        if not np.all(np.isfinite(g)):
+            raise SgdDivergenceError(f"non-finite gradient at step {t}, vertex {i}")
+        w = project(w - alpha * g, radius)
+        weights[t + 1] = w
+    return weights
+
+
+def reference_coupled(z, z_pert, rf, obj, cfg):
+    """(base weights, perturbed weights, delta norms, case labels)."""
+    vertex = int(z.differing_vertices(z_pert)[0])
+    indices = draw_indices(cfg, z.n)
+    weights = reference_descend([obj.bind(z, rf)], indices, cfg)
+    weights_p = reference_descend([obj.bind(z_pert, rf)], indices, cfg)
+    deltas = np.array([float(np.linalg.norm(w - wp)) for w, wp in zip(weights, weights_p)])
+    labels = tuple(case_label(rf, vertex, i) for i in indices.tolist())
+    return weights, weights_p, deltas, labels
+
+
+def divergence_message(fn, *args):
+    with pytest.raises(SgdDivergenceError) as info:
+        fn(*args)
+    return str(info.value)
 
 
 def test_zero_step_identity():
@@ -39,7 +99,7 @@ def test_step_matches_gradient_composition():
     for _ in range(100):
         w = obj._random_w(rng, 1)[0]
         i = int(rng.integers(0, z.n))
-        expected = w - 0.05 * obj.bind(z, rf).gradient(i, w)
+        expected = w - 0.05 * bound_gradient(obj.bind(z, rf), i, w)
         assert np.allclose(sgd_step(w, 0.05, i, z, rf, obj), expected)  # inside ball
 
 
@@ -62,7 +122,7 @@ def risk_gradient(bound, w):
     """Gradient of the empirical risk (1/N) sum_i f(S_i, w) of a bound set."""
     g = np.zeros_like(w)
     for i in range(bound.n):
-        g += bound.gradient(i, w)
+        g += bound_gradient(bound, i, w)
     return g / bound.n
 
 
@@ -91,7 +151,7 @@ def reference_train_pooled(sets, rf, obj, cfg):
     pooled = child_rng(cfg.seed, "indices").integers(0, len(sets) * n, size=cfg.steps)
     w = np.zeros(obj.dim)
     for k in pooled:
-        g = bounds[int(k) // n].gradient(int(k) % n, w)
+        g = bound_gradient(bounds[int(k) // n], int(k) % n, w)
         w = project(w - cfg.step_size * g, radius)
     return w
 
@@ -119,6 +179,43 @@ def test_coupled_sides_equal_separate_trainings():
     assert np.array_equal(trace.delta_norms, rows)
 
 
+BIT_EQUALITY_OBJECTIVES = {
+    "quadratic": lambda: QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 1.0),
+    "quadratic-projected": lambda: QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 0.15),
+    "ripple": lambda: RippleFieldObjective(3, 1.0, 1.0, 1.0, 1 / 32, 1.0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BIT_EQUALITY_OBJECTIVES))
+def test_descent_equals_reference_loop_bit_for_bit(family):
+    obj = BIT_EQUALITY_OBJECTIVES[family]()
+    rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(16))
+    sampler = sampling.IidSampler(rf=rf, dim=3)
+    projected = 0
+    for seed in range(6):
+        z, z2 = sampler.sample(100 + seed), sampler.sample(200 + seed)
+        z_i = sampler.replace(z, [seed % rf.n], seed=300 + seed)
+        cfg = SgdConfig(step_size=0.3, steps=200, seed=seed)
+        bound, bound2 = obj.bind(z, rf), obj.bind(z2, rf)
+
+        traj = train(bound, cfg)
+        assert np.array_equal(traj.weights, reference_descend([bound], traj.indices, cfg))
+        pooled = draw_indices(cfg, 2 * rf.n)
+        assert np.array_equal(train_pooled([bound, bound2], cfg),
+                              reference_descend([bound, bound2], pooled, cfg)[-1])
+
+        trace = coupled_train(z, z_i, rf, obj, cfg)
+        weights, weights_p, deltas, labels = reference_coupled(z, z_i, rf, obj, cfg)
+        assert np.array_equal(trace.base.weights, weights)
+        assert np.array_equal(trace.perturbed.weights, weights_p)
+        assert np.array_equal(trace.delta_norms, deltas)
+        assert trace.case_labels == labels
+        radius = obj.certificate.weight_radius
+        projected += int(np.sum(np.linalg.norm(traj.weights, axis=1) >= radius * (1 - 1e-12)))
+    if family == "quadratic-projected":
+        assert projected > 0  # the iterates reach the ball's surface
+
+
 def test_non_finite_gradient_raises_divergence_error():
     rf, sampler, obj, z = setup_problem()
     features = z.features.copy()
@@ -127,12 +224,18 @@ def test_non_finite_gradient_raises_divergence_error():
     z_bad_i = sampler.replace(z_bad, [4], seed=32)
     assert z_bad.differing_vertices(z_bad_i).tolist() == [4]
     cfg = SgdConfig(step_size=0.1, steps=50, seed=33)
-    with pytest.raises(SgdDivergenceError):
-        train(obj.bind(z_bad, rf), cfg)
-    with pytest.raises(SgdDivergenceError):
-        train_pooled([obj.bind(z, rf), obj.bind(z_bad, rf)], cfg)
-    with pytest.raises(SgdDivergenceError):
-        coupled_train(z_bad, z_bad_i, rf, obj, cfg)
+    good, bad = obj.bind(z, rf), obj.bind(z_bad, rf)
+    # the message of the per-step check in the reference loop: first bad
+    # step and its vertex
+    expected_single = divergence_message(reference_descend, [bad], draw_indices(cfg, rf.n), cfg)
+    expected_pooled = divergence_message(reference_descend, [good, bad],
+                                         draw_indices(cfg, 2 * rf.n), cfg)
+    assert expected_single != "non-finite gradient at step 0, vertex 0"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from the NaN tail
+        assert divergence_message(train, bad, cfg) == expected_single
+        assert divergence_message(train_pooled, [good, bad], cfg) == expected_pooled
+        assert divergence_message(coupled_train, z_bad, z_bad_i, rf, obj, cfg) == expected_single
 
 
 def test_coupled_rejects_multi_vertex_difference():
