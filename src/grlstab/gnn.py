@@ -24,12 +24,17 @@ first-order feature bump), refit, and measure worst-case test loss
 differences |(yhat_j - y'_j)^2 - (yhat^i_j - y'_j)^2|. The difference is
 affine in the test label, so the sup over y'_j in [-B_y, B_y] is attained
 at an endpoint and computed exactly; the sup over test features is lower
-estimated by Monte Carlo draws plus sign-corner candidates.
+estimated by Monte Carlo draws plus sign-corner candidates. One vertex's
+candidates are evaluated as one batch: a (C, n, dim) array of test
+features, batched matrix-vector products for the base and perturbed fits,
+and one exact max over the (C, fits, n) block of loss differences, so the
+estimate equals the max a candidate-by-candidate loop would take.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,9 +87,13 @@ class GnnProblem:
     def n(self) -> int:
         return self.features.shape[0]
 
-    @property
+    @cached_property
     def v(self) -> np.ndarray:
-        """v = X w, the per-vertex projected features."""
+        """v = X w, the per-vertex projected features, computed once per problem.
+
+        A problem's arrays are not modified after construction, so the cached
+        product stays valid.
+        """
         return self.features @ self.weight
 
 
@@ -185,33 +194,43 @@ def _loss_diff_sup_label(pred_base: np.ndarray, pred_pert: np.ndarray, b_y: floa
     return np.abs(pred_base - pred_pert) * (np.abs(pred_base + pred_pert) + 2.0 * b_y)
 
 
-def _test_feature_candidates(rng, n, dim, b_x, weight, pairs, n_draws):
-    """Monte Carlo test feature sets plus sign-corner candidates.
+def _test_feature_candidates(rng, n, dim, b_x, weight, pairs, n_draws) -> np.ndarray:
+    """Monte Carlo test feature sets plus sign-corner candidates, as one (C, n, dim) array.
 
-    Corners set every row to +-b_x along the weight direction; sign
-    patterns come from the dominant rows of each fitted difference (which
-    drive the first factor of the loss-difference product) and from the
-    matching rows of the base+perturbed sum (the second factor). Rows where
-    the difference is negligible contribute nothing to the product, so only
-    the leading rows spawn corners.
+    The n_draws Monte Carlo sets come first, drawn as _rows_in_ball draws
+    them (one normal and one uniform call per set, in that order) and then
+    normalised and scaled together. Corners follow: they set every row to
+    +-b_x along the weight direction; sign patterns come from the dominant
+    rows of each fitted difference (which drive the first factor of the
+    loss-difference product) and from the matching rows of the
+    base+perturbed sum (the second factor). Rows where the difference is
+    negligible contribute nothing to the product, so only the leading rows
+    spawn corners. Corners use no randomness.
     """
-    cands = [_rows_in_ball(rng, n, dim, b_x) for _ in range(n_draws)]
+    signs = []
     wn = float(np.linalg.norm(weight))
-    if wn == 0.0:
-        return cands
-    unit = weight / wn
-    for delta, summed in pairs:
-        norms = np.linalg.norm(delta, axis=1)
-        top = float(norms.max())
-        if top == 0.0:
-            continue
-        rows = np.nonzero(norms >= 0.25 * top)[0]
-        rows = rows[np.argsort(norms[rows])[::-1][:8]]
-        for j in rows:
-            for source in (delta[j], summed[j]):
-                if np.any(source != 0.0):
-                    signs = np.where(source >= 0.0, 1.0, -1.0)
-                    cands.append(np.outer(signs, b_x * unit))
+    if wn > 0.0:
+        for delta, summed in pairs:
+            norms = np.linalg.norm(delta, axis=1)
+            top = float(norms.max())
+            if top == 0.0:
+                continue
+            rows = np.nonzero(norms >= 0.25 * top)[0]
+            rows = rows[np.argsort(norms[rows])[::-1][:8]]
+            for j in rows:
+                for source in (delta[j], summed[j]):
+                    if np.any(source != 0.0):
+                        signs.append(np.where(source >= 0.0, 1.0, -1.0))
+    cands = np.empty((n_draws + len(signs), n, dim))
+    draws = cands[:n_draws]
+    radii = np.empty((n_draws, n, 1))
+    for k in range(n_draws):
+        draws[k] = rng.normal(size=(n, dim))
+        radii[k] = rng.random((n, 1))
+    draws /= np.linalg.norm(draws, axis=2, keepdims=True)
+    draws *= b_x * radii ** (1.0 / dim)
+    if signs:
+        np.multiply(np.array(signs)[:, :, None], b_x * (weight / wn), out=cands[n_draws:])
     return cands
 
 
@@ -247,6 +266,8 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
         base = GnnProblem(features=x, labels=y, weight=w, mask=mask, ridge=ridge,
                           b_x=b_x, b_y=b_y, b_w=b_w)
         a_base = fit(base).a_tilde
+        wn = float(np.linalg.norm(w))
+        bump = (w / wn if wn > 0 else np.eye(dim)[0]) * eps_feature
 
         for i in range(n):
             perturbed = []
@@ -258,25 +279,27 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
                                                 mask=mask, ridge=ridge,
                                                 b_x=b_x, b_y=b_y, b_w=b_w))
             else:
-                wn = float(np.linalg.norm(w))
-                bump = (w / wn if wn > 0 else np.eye(dim)[0]) * eps_feature
                 x_p = x.copy()
                 x_p[i] = x_p[i] + bump
                 perturbed.append(GnnProblem(features=x_p, labels=y, weight=w,
                                             mask=mask, ridge=ridge,
                                             b_x=b_x, b_y=b_y, b_w=b_w))
 
-            fits = [fit(q).a_tilde for q in perturbed]
-            pairs = [(a_p - a_base, a_p + a_base) for a_p in fits]
-            cands = _test_feature_candidates(rng, n, dim, b_x, w, pairs, n_test_draws)
-            for x_test in cands:
-                vt = x_test @ w
-                p_base = a_base @ vt
-                for a_p in fits:
-                    sup_y = _loss_diff_sup_label(p_base, a_p @ vt, b_y)
-                    beta2_i[i] = max(beta2_i[i], float(sup_y.max()))
-                    if outside[i].size:
-                        beta1_i[i] = max(beta1_i[i], float(sup_y[outside[i]].max()))
+            fits = np.stack([fit(q).a_tilde for q in perturbed])  # (F, n, n)
+            # The candidates and the (difference, sum) pairs die with this
+            # call, before the (C, F, n) block below is built.
+            vt = _test_feature_candidates(
+                rng, n, dim, b_x, w, [(a_p - a_base, a_p + a_base) for a_p in fits],
+                n_test_draws) @ w
+            if not len(vt):
+                continue
+            # (C, 1, n, 1) test projections; each product below is one
+            # matrix-vector call per candidate, as in a per-candidate loop.
+            vt = vt[:, None, :, None]
+            sup_y = _loss_diff_sup_label((a_base @ vt)[..., 0], (fits @ vt)[..., 0], b_y)
+            beta2_i[i] = max(beta2_i[i], float(sup_y.max()))
+            if outside[i].size:
+                beta1_i[i] = max(beta1_i[i], float(sup_y[:, :, outside[i]].max()))
 
     gaps = beta2_i - beta1_i
     return GnnStabilityResult(

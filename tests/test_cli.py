@@ -3,9 +3,10 @@ import os
 
 import pytest
 
-from grlstab import cli, gnn
+from grlstab import cli, gnn, graphs
 from grlstab.config import ConfigError, ExperimentConfig, parse_config
 from grlstab.reporting import read_csv
+from grlstab.seeding import seed_int
 
 
 def write_config(tmp_path, name, text):
@@ -268,6 +269,36 @@ gnn.replicates = 2
     sup_i, b2_i = header.index("sup_d"), header.index("beta2")
     assert [(float(r[sup_i]), float(r[b2_i])) for r in rows] \
         == [(rec["sup_d"], rec["beta2"]) for rec in records]
+
+
+def test_gnn_single_graph_files_equal_library_experiment(tmp_path):
+    out = tmp_path / "g1"
+    path = write_config(tmp_path, "g1.ini", f"""
+experiment = gnn
+seed = 7
+out = {out}
+graph.kind = cycle
+graph.n = 8
+gnn.kind = feature-first-order
+gnn.trials = 2
+gnn.eps = 0.04
+gnn.test_draws = 5
+""")
+    assert run_cli(["run", path]) == 0
+    rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(8))
+    res = gnn.gnn_stability_experiment(rf, "feature-first-order", 2, 0.04,
+                                       seed_int(7, "gnn"), n_test_draws=5)
+    header, rows = read_csv(out / "results.csv")
+    assert header == ["n", "sup_d", "inf_d", "kind", "beta1", "beta2",
+                      "discrepancy", "trials", "seed"]
+    assert rows == [["8", repr(res.sup_d), repr(res.inf_d), "feature-first-order",
+                     repr(res.beta1), repr(res.beta2), repr(res.discrepancy), "2",
+                     str(res.seed)]]
+    header, rows = read_csv(out / "per_vertex.csv")
+    assert header == ["i", "beta1_i", "beta2_i"]
+    assert rows == [[str(i), repr(float(res.beta1_i[i])), repr(float(res.beta2_i[i]))]
+                    for i in range(8)]
+    assert res.beta2 > res.beta1 > 0.0
 
 
 def test_concentration_experiment(tmp_path):

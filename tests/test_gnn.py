@@ -158,8 +158,194 @@ def test_mask_projection_idempotent():
     assert np.array_equal(once, twice)
 
 
+def test_projected_features_cached_once_with_unchanged_bits():
+    # v = X w is computed once per problem; every consumer gets the bits it
+    # got when each one recomputed features @ weight itself
+    rng = child_rng(17, "vcache")
+    rf = graphs.one_hop_receptive_fields(graphs.erdos_renyi_graph(9, 0.4, 3))
+    p = random_problem(rng, rf)
+    assert "v" not in vars(p)
+    assert p.v is p.v
+    v = p.features @ p.weight
+    assert np.array_equal(p.v, v)
+
+    a = np.where(p.mask, np.outer(p.labels, v) / (p.ridge + float(v @ v)), 0.0)
+    sol = gnn.fit_projected_closed_form(p)
+    assert np.array_equal(sol.a_tilde, a)
+    a_row = np.zeros((p.n, p.n))
+    for i in range(p.n):
+        row = p.mask[i]
+        a_row[i, row] = p.labels[i] * v[row] / (p.ridge + float(np.sum(v[row] ** 2)))
+    row_sol = gnn.fit_exact_rowwise(p)
+    assert np.array_equal(row_sol.a_tilde, a_row)
+    for s in (sol, row_sol):
+        resid = p.labels - s.a_tilde @ v
+        value = float(0.5 * resid @ resid + 0.5 * p.ridge * np.sum(s.a_tilde * s.a_tilde))
+        assert s.objective_value == value
+        assert gnn.gnn_objective(p, s) == value
+        grad = (-np.outer(p.labels, v) + (s.a_tilde @ v)[:, None] * v[None, :]
+                + p.ridge * s.a_tilde)
+        assert np.array_equal(gnn.full_objective_gradient(p, s), grad)
+    alg = ClosedFormGnnAlgorithm(rf, p.weight, p.ridge)
+    assert np.array_equal(alg.losses(a, p), (a @ v - p.labels) ** 2)
+
+
 # ---------------------------------------------------------------------------
 # Stability experiments
+
+
+def reference_test_feature_candidates(rng, n, dim, b_x, weight, pairs, n_draws):
+    """The candidate list the batched experiment must reproduce, one set at a time."""
+    cands = [gnn._rows_in_ball(rng, n, dim, b_x) for _ in range(n_draws)]
+    wn = float(np.linalg.norm(weight))
+    if wn == 0.0:
+        return cands
+    unit = weight / wn
+    for delta, summed in pairs:
+        norms = np.linalg.norm(delta, axis=1)
+        top = float(norms.max())
+        if top == 0.0:
+            continue
+        rows = np.nonzero(norms >= 0.25 * top)[0]
+        rows = rows[np.argsort(norms[rows])[::-1][:8]]
+        for j in rows:
+            for source in (delta[j], summed[j]):
+                if np.any(source != 0.0):
+                    signs = np.where(source >= 0.0, 1.0, -1.0)
+                    cands.append(np.outer(signs, b_x * unit))
+    return cands
+
+
+def reference_gnn_stability_experiment(rf, kind, trials, eps_feature, seed,
+                                       solver="projected", n_test_draws=32, ridge=1.0,
+                                       b_x=1.0, b_y=1.0, b_w=1.0, dim=3):
+    """Per-candidate loop kept as the bit pin of gnn_stability_experiment.
+
+    Returns (beta1_i, beta2_i).
+    """
+    fit = gnn._solver(solver)
+    mask = graphs.mask_from_fields(rf)
+    n = rf.n
+    beta1_i = np.zeros(n)
+    beta2_i = np.zeros(n)
+    outside = [rf.outside(i) for i in range(n)]
+
+    for trial in range(trials):
+        rng = child_rng(seed, "gnn-trial", trial)
+        base_radius = b_x - eps_feature if kind == gnn.FEATURE_MODE else b_x
+        x = gnn._rows_in_ball(rng, n, dim, base_radius)
+        y = rng.uniform(-b_y, b_y, size=n)
+        w = gnn._rows_in_ball(rng, 1, dim, b_w)[0]
+        base = gnn.GnnProblem(features=x, labels=y, weight=w, mask=mask, ridge=ridge,
+                              b_x=b_x, b_y=b_y, b_w=b_w)
+        a_base = fit(base).a_tilde
+
+        for i in range(n):
+            perturbed = []
+            if kind == gnn.LABEL_MODE:
+                for endpoint in (-b_y, b_y):
+                    y_p = y.copy()
+                    y_p[i] = endpoint
+                    perturbed.append(gnn.GnnProblem(features=x, labels=y_p, weight=w,
+                                                    mask=mask, ridge=ridge,
+                                                    b_x=b_x, b_y=b_y, b_w=b_w))
+            else:
+                wn = float(np.linalg.norm(w))
+                bump = (w / wn if wn > 0 else np.eye(dim)[0]) * eps_feature
+                x_p = x.copy()
+                x_p[i] = x_p[i] + bump
+                perturbed.append(gnn.GnnProblem(features=x_p, labels=y, weight=w,
+                                                mask=mask, ridge=ridge,
+                                                b_x=b_x, b_y=b_y, b_w=b_w))
+
+            fits = [fit(q).a_tilde for q in perturbed]
+            pairs = [(a_p - a_base, a_p + a_base) for a_p in fits]
+            cands = reference_test_feature_candidates(rng, n, dim, b_x, w, pairs,
+                                                      n_test_draws)
+            for x_test in cands:
+                vt = x_test @ w
+                p_base = a_base @ vt
+                for a_p in fits:
+                    sup_y = gnn._loss_diff_sup_label(p_base, a_p @ vt, b_y)
+                    beta2_i[i] = max(beta2_i[i], float(sup_y.max()))
+                    if outside[i].size:
+                        beta1_i[i] = max(beta1_i[i], float(sup_y[outside[i]].max()))
+    return beta1_i, beta2_i
+
+
+def assert_matches_reference(rf, kind, seed, trials=1, **kwargs):
+    eps = 0.05 if kind == gnn.FEATURE_MODE else 0.0
+    res = gnn.gnn_stability_experiment(rf, kind, trials, eps, seed, **kwargs)
+    beta1_i, beta2_i = reference_gnn_stability_experiment(rf, kind, trials, eps, seed,
+                                                          **kwargs)
+    assert np.array_equal(res.beta1_i, beta1_i)
+    assert np.array_equal(res.beta2_i, beta2_i)
+    return res
+
+
+@pytest.mark.parametrize("n_draws", [0, 1, 7])
+@pytest.mark.parametrize("weight_scale", [0.0, 0.9])
+def test_candidate_batch_bit_equal_reference_list(n_draws, weight_scale):
+    # the corners usually attain the experiment's max, so the Monte Carlo
+    # sets and the stream they leave behind are pinned here directly
+    rf = gnn.density_mask_fields(24, 0.3, seed=8)
+    p = random_problem(child_rng(18, "cands"), rf)
+    w = p.weight / np.linalg.norm(p.weight) * weight_scale
+    a = gnn.fit_projected_closed_form(p).a_tilde
+    y2 = p.labels.copy()
+    y2[3] = 1.0
+    a2 = gnn.fit_projected_closed_form(gnn.GnnProblem(
+        features=p.features, labels=y2, weight=p.weight, mask=p.mask, ridge=p.ridge)).a_tilde
+    pairs = [(a2 - a, a2 + a), (np.zeros_like(a), a)]
+    rng, ref_rng = child_rng(19, "cands"), child_rng(19, "cands")
+    cands = gnn._test_feature_candidates(rng, 24, 3, 0.7, w, pairs, n_draws)
+    expected = reference_test_feature_candidates(ref_rng, 24, 3, 0.7, w, pairs, n_draws)
+    assert cands.shape == (len(expected), 24, 3)
+    assert len(expected) > n_draws or weight_scale == 0.0
+    assert all(np.array_equal(c, e) for c, e in zip(cands, expected))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", [gnn.LABEL_MODE, gnn.FEATURE_MODE])
+@pytest.mark.parametrize("solver", ["projected", "rowwise"])
+@pytest.mark.parametrize("n, density", [(32, 0.05), (48, 0.2), (64, 0.5), (40, 0.8)])
+def test_batched_candidates_bit_equal_reference_loop(kind, solver, n, density):
+    rf = gnn.density_mask_fields(n, density, seed=n)
+    res = assert_matches_reference(rf, kind, seed=100 + n, trials=2, solver=solver,
+                                   n_test_draws=6)
+    assert res.beta2 > 0.0
+
+
+@pytest.mark.parametrize("kind", [gnn.LABEL_MODE, gnn.FEATURE_MODE])
+def test_batched_candidates_full_density_bit_equal(kind):
+    # density 1.0: every outside(i) is empty, so beta1_i stays 0
+    rf = gnn.density_mask_fields(32, 1.0, seed=4)
+    assert all(rf.outside(i).size == 0 for i in range(rf.n))
+    res = assert_matches_reference(rf, kind, seed=21, n_test_draws=4)
+    assert not res.beta1_i.any()
+
+
+@pytest.mark.parametrize("kind", [gnn.LABEL_MODE, gnn.FEATURE_MODE])
+@pytest.mark.parametrize("n_test_draws", [0, 3])
+def test_batched_candidates_zero_weight_bit_equal(kind, n_test_draws):
+    # b_w = 0: the weight is zero and no corners are made; with no draws
+    # either, the candidate batch is empty and the betas stay untouched
+    rf = gnn.density_mask_fields(32, 0.2, seed=5)
+    res = assert_matches_reference(rf, kind, seed=22, n_test_draws=n_test_draws, b_w=0.0)
+    assert not res.beta2_i.any()
+    cands = gnn._test_feature_candidates(child_rng(0, "c"), 32, 3, 1.0, np.zeros(3),
+                                         [(np.ones((32, 32)), np.ones((32, 32)))],
+                                         n_test_draws)
+    assert cands.shape == (n_test_draws, 32, 3)
+
+
+@pytest.mark.parametrize("kind", [gnn.LABEL_MODE, gnn.FEATURE_MODE])
+def test_batched_candidates_corners_only_bit_equal(kind):
+    # n_test_draws = 0 with a nonzero weight: the batch holds the corners only
+    rf = gnn.density_mask_fields(32, 0.2, seed=6)
+    res = assert_matches_reference(rf, kind, seed=23, n_test_draws=0)
+    assert res.beta2 > 0.0
+
 
 
 def test_null_label_perturbation_zero_difference():
