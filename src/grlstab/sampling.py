@@ -324,27 +324,41 @@ def _site_table(spec: IsingSpec, site: int, neighbours: np.ndarray) -> np.ndarra
 
 
 def _glauber_direct(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> np.ndarray:
-    """All chains at once from the local field, one rng.random(n_chains) per site."""
-    n_chains = spins.shape[0]
+    """All chains at once from the local field, one rng.random(n * n_chains) per sweep."""
+    n, n_chains = spec.n, spins.shape[0]
     for _ in range(sweeps):
-        for site in range(spec.n):
+        u = rng.random(n * n_chains).reshape(n, n_chains)
+        for site in range(n):
             p_up = _p_up(spec, spins, site)
-            spins[:, site] = np.where(rng.random(n_chains) < p_up, 1, -1).astype(np.int8)
+            spins[:, site] = np.where(u[site] < p_up, 1, -1).astype(np.int8)
     return spins.astype(int)
 
 
+# Most uniforms one rng.random call of the one-chain kernel draws; a block
+# always holds at least one sweep. The cap keeps memory flat in the sweep count.
+ONE_CHAIN_BLOCK = 4096
+
+
 def _glauber_one_chain(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> np.ndarray:
-    """One chain in pure Python: booleans and table lookups, no numpy call per site."""
+    """One chain in pure Python: booleans and table lookups, no numpy call per site.
+
+    The uniforms of a block of sweeps come from one rng.random call, read
+    sweep after sweep in site order.
+    """
+    n = spec.n
     neighbours, tables = spec._conditionals
-    sites = [(s, tuple(neighbours[s].tolist()), tables[s].tolist()) for s in range(spec.n)]
+    sites = [(s, tuple(neighbours[s].tolist()), tables[s].tolist()) for s in range(n)]
     up = (spins > 0).tolist()
-    for _ in range(sweeps):
-        u = rng.random(spec.n).tolist()
-        for s, nbrs, table in sites:
-            index = 0
-            for k in nbrs:
-                index += index + up[k]
-            up[s] = u[s] < table[index]
+    per_block = max(1, ONE_CHAIN_BLOCK // n)
+    for done in range(0, sweeps, per_block):
+        block = min(per_block, sweeps - done)
+        u = rng.random(n * block).tolist()
+        for base in range(0, n * block, n):
+            for s, nbrs, table in sites:
+                index = 0
+                for k in nbrs:
+                    index += index + up[k]
+                up[s] = u[base + s] < table[index]
     return np.array([[1 if b else -1 for b in up]], dtype=int)
 
 
@@ -374,15 +388,18 @@ def glauber_spins(
     spin from its exact conditional P(s_i = +1 | rest) = sigmoid(2(J_i.s + h_i)),
     read from the spec's per-site table. If some site has degree above
     TABLE_DEGREE_LIMIT the spec has no tables, and every conditional is
-    computed from the local field, one rng.random(n_chains) draw per site.
+    computed from the local field.
 
-    With tables, the random stream is: one rng.choice for the initial spins,
-    then per sweep one rng.random(n * n_chains) read as (site, chain). A
-    Generator fills an array from the same sequence of doubles however it is
-    split into calls, so this equals n per-site rng.random(n_chains) calls,
-    and the draws are bit-identical to the local-field loop. One chain runs
-    as a pure-Python loop over booleans; more chains advance together with
-    numpy, one site at a time.
+    The random stream is one rng.choice for the initial spins, then the
+    sweeps * n * n_chains uniforms, read as (sweep, site, chain). One chain
+    on a tabulated spec draws them a block of sweeps at a time (at most
+    ONE_CHAIN_BLOCK doubles per rng.random call, at least one sweep); every
+    other case draws one rng.random(n * n_chains) per sweep. A Generator
+    fills an array from the same sequence of doubles however it is split
+    into calls, so all of these equal n per-site rng.random(n_chains) calls:
+    the spins, and the Generator state left behind, are bit-identical to the
+    per-site local-field loop. One chain runs as a pure-Python loop over
+    booleans; more chains advance together with numpy, one site at a time.
     """
     spins = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_chains, spec.n))
     if spec._conditionals is None:
@@ -401,6 +418,8 @@ class IsingSampler:
     min_sweeps: int = 1000
 
     def __post_init__(self):
+        if self.sweeps < 1:
+            raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
         if self.sweeps < self.min_sweeps:
             raise ValueError(
                 f"sweeps={self.sweeps} below burn-in threshold {self.min_sweeps}"

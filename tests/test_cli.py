@@ -423,6 +423,24 @@ conc.draws = 100
     assert run_cli(["run", path]) == 1
 
 
+@pytest.mark.parametrize("sweeps", [0, -3])
+def test_non_positive_sweeps_is_user_error(tmp_path, capsys, sweeps):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "sweeps.ini", f"""
+experiment = sample
+seed = 3
+out = {out}
+graph.kind = cycle
+graph.n = 6
+sampler.kind = ising
+sampler.sweeps = {sweeps}
+""")
+    assert run_cli(["run", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "sweeps must be >= 1" in err["message"]
+    assert not (out / "samples.csv").exists()
+
+
 def test_unknown_plot_kind_rejected_by_argparse(tmp_path):
     with pytest.raises(SystemExit):
         run_cli(["plots", tmp_path, "nope"])

@@ -164,17 +164,62 @@ KERNEL_SPECS = {
     "star": lambda: general_spec(graphs.star_graph(6), 1),
     "complete-11": lambda: general_spec(graphs.complete_graph(11), 2),
     "erdos-renyi": lambda: general_spec(graphs.erdos_renyi_graph(10, 0.4, 5), 3),
+    # vertex 4 has no neighbour: a one-entry table read at pattern 0
+    "isolated-vertex": lambda: general_spec(graphs.build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 5)]), 4),
 }
+
+
+def assert_matches_reference(spec, sweeps, n_chains):
+    """Same spins as the per-site reference kernel, and the Generator left in the same state."""
+    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    expected = reference_glauber_spins(spec, sweeps, ref_rng, n_chains)
+    got = sampling.glauber_spins(spec, sweeps, rng, n_chains)
+    assert got.dtype == expected.dtype and got.flags.c_contiguous
+    assert np.array_equal(got, expected)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def sweeps_per_block(spec):
+    """Sweeps whose uniforms the one-chain kernel draws in one rng.random call."""
+    return max(1, sampling.ONE_CHAIN_BLOCK // spec.n)
 
 
 @pytest.mark.parametrize("n_chains", [1, 64])
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
 def test_glauber_matches_reference_kernel(name, n_chains):
+    assert_matches_reference(KERNEL_SPECS[name](), 40, n_chains)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_one_chain_matches_reference_across_block_boundaries(name):
     spec = KERNEL_SPECS[name]()
-    expected = reference_glauber_spins(spec, 40, np.random.default_rng(17), n_chains)
-    got = sampling.glauber_spins(spec, 40, np.random.default_rng(17), n_chains)
-    assert got.dtype == expected.dtype and got.flags.c_contiguous
-    assert np.array_equal(got, expected)
+    k = sweeps_per_block(spec)
+    for sweeps in (0, 1, k - 1, k, k + 1, 2 * k + 3):
+        assert_matches_reference(spec, sweeps, 1)
+
+
+def test_sampler_draws_match_reference_across_a_block_boundary():
+    from grlstab.seeding import child_rng
+
+    spec = KERNEL_SPECS["erdos-renyi"]()
+    sweeps = sweeps_per_block(spec) + 1
+    s = sampling.IsingSampler(spec=spec, sweeps=sweeps, min_sweeps=sweeps)
+    z = s.sample(6)
+    expected = spec.sample_set_from_spins(
+        reference_glauber_spins(spec, sweeps, child_rng(6, "glauber"))[0], 6)
+    for name in ("spins", "features", "labels"):
+        assert np.array_equal(getattr(z, name), getattr(expected, name))
+    lam = [1, 5, 8]
+    fresh = reference_glauber_spins(spec, sweeps, child_rng(9, "ising-replace", "fresh-marginal"))[0]
+    spins = z.spins.copy()
+    spins[lam] = fresh[lam]
+    replaced = spec.sample_set_from_spins(spins, 6)
+    features, labels = z.features.copy(), z.labels.copy()
+    features[lam], labels[lam] = replaced.features[lam], replaced.labels[lam]
+    got = s.replace(z, lam, seed=9, mode="fresh-marginal")
+    assert np.array_equal(got.spins, spins)
+    assert np.array_equal(got.features, features)
+    assert np.array_equal(got.labels, labels)
 
 
 def test_complete_graph_exceeds_table_limit():
