@@ -136,6 +136,14 @@ def build_sgd_config(cfg: ExperimentConfig) -> SgdConfig:
     )
 
 
+def _get_count(cfg: ExperimentConfig, key: str, default: int) -> int:
+    """A config count: an integer of at least 1."""
+    value = cfg.get_int(key, default)
+    if value < 1:
+        raise ConfigError(f"key {key!r}: expected a count >= 1, got {value}")
+    return value
+
+
 def build_bound_params(cfg: ExperimentConfig, obj, rf) -> bnd.SgdBoundParams:
     return bnd.params_from_sgd_config(obj.certificate, build_sgd_config(cfg),
                                       rf.n, rf.sizes, obj.regime)
@@ -175,7 +183,7 @@ def run_train(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
 
     if cfg.has("train.perturb_vertex"):
         vertex = cfg.get_int("train.perturb_vertex")
-        runs = cfg.get_int("train.runs", 1)
+        runs = _get_count(cfg, "train.runs", 1)
         sum_delta = np.zeros(sgd_cfg.steps + 1)
         first = None
         for r in range(runs):
@@ -259,7 +267,7 @@ GNN_KEYS = ("gnn.kind", "gnn.trials", "gnn.eps", "gnn.ridge", "gnn.test_draws",
 def run_gnn(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     cfg.validate_keys(GRAPH_KEYS + GNN_KEYS + ("out",))
     kind = cfg.get_str("gnn.kind", "label")
-    trials = cfg.get_int("gnn.trials", 4)
+    trials = _get_count(cfg, "gnn.trials", 4)
     eps = cfg.get_float("gnn.eps", 0.05)
     extra = {
         "ridge": cfg.get_float("gnn.ridge", 1.0),
@@ -351,6 +359,7 @@ def run_srm(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     rf = graphs.one_hop_receptive_fields(build_graph(cfg))
     sampler = build_sampler(cfg, rf)
     d_max = cfg.get_int("srm.d_max", 3)
+    holdout_sets = _get_count(cfg, "srm.holdout", 4)
     family = srm.DegreeClassFamily(
         rf=rf, d_max=d_max, dim=cfg.get_int("sampler.dim", 3),
         weight_radius=cfg.get_float("srm.weight_radius", 1.0),
@@ -377,7 +386,7 @@ def run_srm(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
               ["lambda", "d", "class_risk", "penalty", "penalized_risk", "selected"],
               rows, chash)
     holdout = [sampler.sample(seed_int(cfg.seed, "srm-holdout", k))
-               for k in range(cfg.get_int("srm.holdout", 4))]
+               for k in range(holdout_sets)]
     last = selections[cfg.get_floats("srm.lambdas", "0.0 0.1 1.0")[-1]]
     beta2 = max(beta2_by_degree.values())
     floor = max(0.0, bnd.srm_epsilon_floor(beta2, last.lambda_slack, d_max))
@@ -412,12 +421,12 @@ def run_concentration(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     sampler = build_sampler(cfg, rf)
     if not isinstance(sampler, sampling.IsingSampler):
         raise ConfigError("concentration experiment needs sampler.kind = ising")
+    draws = _get_count(cfg, "conc.draws", 20000)
     spec = sampler.spec
     alpha = sampling.dobrushin_exact(spec)
     configs = sampling.enumerate_spin_configs(spec.n)
     probs = sampling.gibbs_probabilities(spec)
     phi_exact = float(probs @ (configs > 0).sum(axis=1))
-    draws = cfg.get_int("conc.draws", 20000)
     spins = sampler.sample_spins_batch(draws, seed_int(cfg.seed, "conc"))
     phi = (spins > 0).sum(axis=1)
     t_grid = cfg.get_floats("conc.t_grid", "0.5 1 1.5 2 2.5 3")

@@ -14,18 +14,21 @@ sup), so bound-validation compares bound >= estimate, the sound direction.
 Perturbation draws and test draws use independent derived seed streams.
 
 The m-graph uniform-stability estimate trains on pooled sets with one
-replaced vertex in one set; m = 1 reduces to the beta2 pipeline on the
-same seed streams by construction. For binary-spin instances at small N an
+replaced vertex in one set. Both estimates run one perturbed-training loop,
+and at m = 1 that loop calls ``train`` on the single set, so mu at m = 1
+reduces to beta2 by construction (same seed streams, same trainings) and
+needs no ``train_pooled``. For binary-spin instances at small N an
 exhaustive mode enumerates the full discrete cube and returns exact
-oracle values for beta1/beta2.
+oracle values for beta1/beta2, through the same beta1/beta2 reduction.
 
 Learner protocol: ``prepare(z)`` turns a sample set into the learner's
 input (the bound objective for SGD, the design matrix and labels for an SRM
 class, the GnnProblem for the GNN), and ``train(prepared)``,
-``train_pooled([prepared, ...])`` and ``losses(h, prepared)`` take only what
-it returns. Every estimator prepares each sample set once per use, so a test
-set scored against many hypotheses is aggregated once; the exhaustive oracle
-prepares each cube configuration once.
+``train_pooled([prepared, ...])`` (needed only for mu at m >= 2) and
+``losses(h, prepared)`` take only what it returns. Every estimator prepares
+each sample set once per use, so a test set scored against many hypotheses
+is aggregated once; the exhaustive oracle prepares each cube configuration
+once.
 """
 
 from __future__ import annotations
@@ -158,40 +161,59 @@ def _check_deterministic(alg, prepared):
         )
 
 
-def _loss_gaps(alg, h_base, h_pert, test_sets):
-    """(max over all j, max over j outside Xi(i)) needs the caller's split."""
-    gaps = []
-    for test in test_sets:
-        gaps.append(np.abs(alg.losses(h_base, test) - alg.losses(h_pert, test)))
-    return gaps
-
-
-def _prepared_test_sets(alg, sampler, test_draws: int, seed: int):
+def _prepared_test_sets(alg, sampler, pert_draws: int, test_draws: int, seed: int):
+    """The prepared test sets of an estimate, after checking its draw counts."""
+    if pert_draws < 1 or test_draws < 1:
+        raise ValueError("need at least one perturbation draw and one test draw")
     return [alg.prepare(sampler.sample(seed_int(seed, "test", k))) for k in range(test_draws)]
+
+
+def _stability_pair(gaps: np.ndarray, outside: np.ndarray) -> tuple:
+    """(beta1_i, beta2_i) of a (..., n) array of loss gaps at the test vertices:
+    the max over test vertices outside Xi(i) (0 if there are none), and the max."""
+    beta1 = float(gaps[..., outside].max()) if outside.size else 0.0
+    return beta1, float(gaps.max())
+
+
+def _perturbation_gaps(alg, sampler, i: int, m: int, pert_draws: int, test_sets: list,
+                       seed: int, check_determinism: bool = False) -> np.ndarray:
+    """Loss gaps at every test vertex for perturbed vertex i, one row per
+    (draw, target set, test set): shape (pert_draws * m * len(test_sets), n).
+
+    Draw k trains on m sets and, for each target set j0, on the same sets
+    with Z_i of set j0 replaced, and scores both on every test set. At m = 1
+    it calls ``train`` on the single set, so it needs no ``train_pooled``
+    and is the beta2 pipeline.
+    """
+    fit = alg.train_pooled if m > 1 else lambda sets: alg.train(sets[0])
+    gaps = []
+    for k in range(pert_draws):
+        sets = [sampler.sample(seed_int(seed, "train", i, k))]
+        sets += [sampler.sample(seed_int(seed, "train", i, k, "extra", extra))
+                 for extra in range(1, m)]
+        pool = [alg.prepare(z) for z in sets]
+        if check_determinism and k == 0:
+            _check_deterministic(alg, pool[0])
+        for j0 in range(m):
+            replaced = list(pool)
+            replaced[j0] = alg.prepare(sampler.replace(
+                sets[j0], [i], seed_int(seed, "replace", i, k, j0)
+                if j0 else seed_int(seed, "replace", i, k)))
+            # the base pool is retrained per target on purpose: perfbench
+            # derives 2 m trainings per draw from the config
+            h = fit(pool)
+            h_p = fit(replaced)
+            gaps += [np.abs(alg.losses(h, test) - alg.losses(h_p, test)) for test in test_sets]
+    return np.array(gaps)
 
 
 def estimate_vertex_stability(alg, sampler, i: int, pert_draws: int, test_draws: int,
                               seed: int, check_determinism: bool = False):
     """(beta1_i, beta2_i) lower estimates for one perturbed vertex."""
-    if pert_draws < 1 or test_draws < 1:
-        raise ValueError("need at least one perturbation draw and one test draw")
-    outside = sampler.rf.outside(i)
-    test_sets = _prepared_test_sets(alg, sampler, test_draws, seed)
-    b1 = 0.0
-    b2 = 0.0
-    for k in range(pert_draws):
-        z = sampler.sample(seed_int(seed, "train", i, k))
-        prepared = alg.prepare(z)
-        if check_determinism and k == 0:
-            _check_deterministic(alg, prepared)
-        prepared_i = alg.prepare(sampler.replace(z, [i], seed_int(seed, "replace", i, k)))
-        h = alg.train(prepared)
-        h_i = alg.train(prepared_i)
-        for gap in _loss_gaps(alg, h, h_i, test_sets):
-            b2 = max(b2, float(gap.max()))
-            if outside.size:
-                b1 = max(b1, float(gap[outside].max()))
-    return b1, b2
+    test_sets = _prepared_test_sets(alg, sampler, pert_draws, test_draws, seed)
+    gaps = _perturbation_gaps(alg, sampler, i, 1, pert_draws, test_sets, seed,
+                              check_determinism)
+    return _stability_pair(gaps, sampler.rf.outside(i))
 
 
 def estimate_stability(alg, sampler, pert_draws: int, test_draws: int, seed: int) -> StabilityEstimate:
@@ -218,33 +240,14 @@ def estimate_mu(alg, sampler, m: int, pert_draws: int, test_draws: int, seed: in
 
     For every perturbation target (set index j0, vertex i0) and every draw,
     trains on the pooled m sets and on the pool with Z_{i0}^{(j0)} replaced,
-    then maxes the loss difference over fresh test sets. The m = 1 case runs
-    the exact seed streams of the beta2 pipeline.
+    then maxes the loss difference over fresh test sets. The m = 1 case is
+    the beta2 pipeline on the same seed streams.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    test_sets = _prepared_test_sets(alg, sampler, test_draws, seed)
-    mu = 0.0
-    for i0 in range(sampler.rf.n):
-        for k in range(pert_draws):
-            draw_rng_path = ("train", i0, k)
-            sets = [sampler.sample(seed_int(seed, *draw_rng_path))]
-            for extra in range(1, m):
-                sets.append(sampler.sample(seed_int(seed, *draw_rng_path, "extra", extra)))
-            pool = [alg.prepare(z) for z in sets]
-            for j0 in range(m):
-                perturbed = list(pool)
-                perturbed[j0] = alg.prepare(sampler.replace(
-                    sets[j0], [i0], seed_int(seed, "replace", i0, k, j0)
-                    if j0 else seed_int(seed, "replace", i0, k)
-                ))
-                # the base pool is retrained per target on purpose: perfbench
-                # derives 2 m pooled trainings per draw from the config
-                h = alg.train_pooled(pool)
-                h_p = alg.train_pooled(perturbed)
-                for gap in _loss_gaps(alg, h, h_p, test_sets):
-                    mu = max(mu, float(gap.max()))
-    return mu
+    test_sets = _prepared_test_sets(alg, sampler, pert_draws, test_draws, seed)
+    return max(float(_perturbation_gaps(alg, sampler, i0, m, pert_draws, test_sets, seed).max())
+               for i0 in range(sampler.rf.n))
 
 
 def estimate_generalization_gap(alg, sampler, test_graphs: int, trials: int, seed: int):
@@ -309,12 +312,9 @@ def exhaustive_binary_stability(alg, spec: IsingSpec) -> ExhaustiveStability:
 
     beta1_i = np.zeros(n)
     beta2_i = np.zeros(n)
-    outside = [spec.rf.outside(i) for i in range(n)]
     for i in range(n):
         gaps = np.abs(loss_table - loss_table[flip[:, i]])  # (train cfg, test cfg, j)
-        beta2_i[i] = float(gaps.max())
-        if outside[i].size:
-            beta1_i[i] = float(gaps[:, :, outside[i]].max())
+        beta1_i[i], beta2_i[i] = _stability_pair(gaps, spec.rf.outside(i))
     return ExhaustiveStability(
         beta1_i=beta1_i, beta2_i=beta2_i,
         beta1=float(beta1_i.max()), beta2=float(beta2_i.max()),

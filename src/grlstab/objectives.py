@@ -291,10 +291,9 @@ def certify_constants(obj: FieldObjective, trials: int, seed: int,
     """Empirical maxima of the certified ratios over sampled pairs.
 
     Raises CertificationError (with the witness pair attached) if any ratio
-    exceeds its declared constant by more than ``slack``. Deterministic
-    adversarial candidates (full-norm single-member fields, antipodal
-    weights) are checked alongside the random draws so understatements are
-    caught reliably.
+    exceeds its declared constant by more than ``slack``. One deterministic
+    adversarial pair (a full-norm single-member field, antipodal weights) is
+    checked after the random draws so understatements are caught reliably.
     """
     cert = obj.certificate
     rng = child_rng(seed, "certify")
@@ -306,17 +305,16 @@ def certify_constants(obj: FieldObjective, trials: int, seed: int,
                 f"{name} ratio {value} exceeds declared {declared}", witness=witness
             )
 
-    # adversarial candidates: top-curvature field, extreme weights
+    # the adversarial pair: top-curvature field, antipodal extreme weights
     x_top = np.zeros((1, obj.dim))
     x_top[0, 0] = obj.b_x
     w_edge = np.zeros(obj.dim)
     w_edge[0] = obj.weight_radius
-    candidates = [(x_top, obj.b_y, w_edge, -w_edge)]
+    adversarial = (x_top, obj.b_y, w_edge, -w_edge)
 
     for t in range(trials):
         x, y = obj._random_field(rng)
         w1, w2 = obj._random_w(rng, 2)
-        candidates.append((x, y, w1, w2))
         u = obj.field_feature(x)
         dw = np.linalg.norm(w1 - w2)
         if dw > 1e-12:
@@ -351,8 +349,8 @@ def certify_constants(obj: FieldObjective, trials: int, seed: int,
             check("gradient-vs-sample", zeta, cert.gradient_data_lipschitz,
                   (x, y, x2, y2, w1))
 
-    # the deterministic candidate pair, checked last so random maxima are kept
-    x, y, w1, w2 = candidates[0]
+    # the adversarial pair, checked last so random maxima are kept
+    x, y, w1, w2 = adversarial
     u = obj.field_feature(x)
     dw = np.linalg.norm(w1 - w2)
     smooth = float(np.linalg.norm(obj.grad_uy(u, y, w1) - obj.grad_uy(u, y, w2)) / dw)

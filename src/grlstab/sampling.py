@@ -28,7 +28,9 @@ same logistic expression the tables are built from.
 
 Perturbed sets Z^Lambda replace the samples indexed by Lambda and keep every
 other coordinate bit-identical, which realizes the single-vertex sets Z^i
-used by the stability definitions.
+used by the stability definitions. Both samplers' ``replace`` methods check
+the mode and Lambda and build Z^Lambda through the same two helpers; they
+differ only in how the replacement rows are drawn.
 """
 
 from __future__ import annotations
@@ -48,17 +50,18 @@ class CapacityError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Per-vertex feature/label pairs with perturbation lineage.
+    """Per-vertex feature/label pairs, the seed of the draw they came from,
+    and the replaced vertices.
 
     ``perturbed`` records the index set Lambda of replaced vertices relative
-    to the parent draw; a freshly sampled set has an empty Lambda.
-    ``spins`` keeps the underlying binary configuration for Gibbs-born sets
-    (needed for conditional resampling and exhaustive enumeration).
+    to the parent draw, whose seed a replaced set keeps; a freshly sampled
+    set has an empty Lambda. ``spins`` keeps the underlying binary
+    configuration for Gibbs-born sets (needed for conditional resampling and
+    exhaustive enumeration).
     """
 
     features: np.ndarray  # (n, dim)
     labels: np.ndarray  # (n,)
-    sampler_id: str
     seed: int
     perturbed: frozenset = frozenset()
     spins: np.ndarray | None = None
@@ -85,6 +88,26 @@ def sample_space_diameter(b_x: float, b_y: float) -> float:
     return float(np.hypot(2.0 * b_x, 2.0 * b_y))
 
 
+def _checked_lambda(z: SampleSet, indices, mode: str) -> list:
+    """Lambda as sorted distinct ints, after checking the replacement mode and range."""
+    if mode not in ("fresh-marginal", "fresh-conditional"):
+        raise ValueError(f"unknown replacement mode {mode!r}")
+    indices = sorted({int(i) for i in indices})
+    if any(i < 0 or i >= z.n for i in indices):
+        raise ValueError("replacement index out of range")
+    return indices
+
+
+def _replaced(z: SampleSet, indices: list, features, labels, spins=None) -> SampleSet:
+    """Z^Lambda: z with rows Lambda set to (features, labels), all others bit-identical."""
+    new_features = z.features.copy()
+    new_labels = z.labels.copy()
+    new_features[indices] = features
+    new_labels[indices] = labels
+    return SampleSet(features=new_features, labels=new_labels, seed=z.seed,
+                     perturbed=frozenset(indices), spins=spins)
+
+
 # ---------------------------------------------------------------------------
 # i.i.d. baseline sampler
 
@@ -106,10 +129,6 @@ class IidSampler:
     label_noise: float = 0.0
 
     @property
-    def id(self) -> str:
-        return f"iid(dim={self.dim},bx={self.b_x},by={self.b_y})"
-
-    @property
     def n(self) -> int:
         return self.rf.n
 
@@ -128,30 +147,13 @@ class IidSampler:
     def sample(self, seed: int) -> SampleSet:
         rng = child_rng(seed, "iid-draw")
         x, y = self._draw_rows(rng, self.n)
-        return SampleSet(features=x, labels=y, sampler_id=self.id, seed=int(seed))
+        return SampleSet(features=x, labels=y, seed=int(seed))
 
     def replace(self, z: SampleSet, indices, seed: int, mode: str = "fresh-marginal") -> SampleSet:
         """Redraw the vertices in Lambda; marginal and conditional coincide here."""
-        if mode not in ("fresh-marginal", "fresh-conditional"):
-            raise ValueError(f"unknown replacement mode {mode!r}")
-        indices = sorted(int(i) for i in set(indices))
-        if any(i < 0 or i >= z.n for i in indices):
-            raise ValueError("replacement index out of range")
-        features = z.features.copy()
-        labels = z.labels.copy()
-        if indices:
-            rng = child_rng(seed, "iid-replace")
-            x, y = self._draw_rows(rng, len(indices))
-            features[indices] = x
-            labels[indices] = y
-        return SampleSet(
-            features=features,
-            labels=labels,
-            sampler_id=z.sampler_id,
-            seed=z.seed,
-            perturbed=frozenset(indices),
-            spins=None,
-        )
+        indices = _checked_lambda(z, indices, mode)
+        x, y = self._draw_rows(child_rng(seed, "iid-replace"), len(indices))
+        return _replaced(z, indices, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -275,18 +277,13 @@ class IsingSpec:
             out[..., i] = np.clip(spins[..., members].mean(axis=-1), -self.b_y, self.b_y)
         return out
 
-    def sample_set_from_spins(self, spins: np.ndarray, seed: int, perturbed=frozenset()) -> SampleSet:
+    def sample_set_from_spins(self, spins: np.ndarray, seed: int) -> SampleSet:
         spins = np.asarray(spins, dtype=int)
         if spins.shape != (self.n,):
             raise ValueError("expected a single spin configuration")
-        return SampleSet(
-            features=self.features_from_spins(spins),
-            labels=self.labels_from_spins(spins),
-            sampler_id=f"ising(rule={self.label_rule})",
-            seed=int(seed),
-            perturbed=frozenset(perturbed),
-            spins=spins.copy(),
-        )
+        return SampleSet(features=self.features_from_spins(spins),
+                         labels=self.labels_from_spins(spins),
+                         seed=int(seed), spins=spins.copy())
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -426,10 +423,6 @@ class IsingSampler:
             )
 
     @property
-    def id(self) -> str:
-        return f"glauber(sweeps={self.sweeps},rule={self.spec.label_rule})"
-
-    @property
     def n(self) -> int:
         return self.spec.n
 
@@ -457,13 +450,9 @@ class IsingSampler:
         coordinates of an independent fresh chain, i.e. a draw from the
         joint marginal over Lambda.
         """
-        if mode not in ("fresh-marginal", "fresh-conditional"):
-            raise ValueError(f"unknown replacement mode {mode!r}")
+        indices = _checked_lambda(z, indices, mode)
         if z.spins is None:
             raise ValueError("sample set does not carry spins; not Gibbs-born")
-        indices = sorted(int(i) for i in set(indices))
-        if any(i < 0 or i >= z.n for i in indices):
-            raise ValueError("replacement index out of range")
         spins = z.spins.copy()
         if indices:
             rng = child_rng(seed, "ising-replace", mode)
@@ -474,22 +463,10 @@ class IsingSampler:
             else:
                 fresh = glauber_spins(self.spec, self.sweeps, rng, 1)[0]
                 spins[indices] = fresh[indices]
-        new = self.spec.sample_set_from_spins(spins, z.seed, perturbed=indices)
-        # Keep unreplaced coordinates bit-identical to the parent: labels of
-        # vertices outside Lambda were computed from the parent configuration.
-        features = z.features.copy()
-        labels = z.labels.copy()
-        if indices:
-            features[indices] = new.features[indices]
-            labels[indices] = new.labels[indices]
-        return SampleSet(
-            features=features,
-            labels=labels,
-            sampler_id=z.sampler_id,
-            seed=z.seed,
-            perturbed=frozenset(indices),
-            spins=spins,
-        )
+        # Only Lambda's rows come from the new configuration: labels of vertices
+        # outside Lambda stay those computed from the parent configuration.
+        return _replaced(z, indices, self.spec.features_from_spins(spins)[indices],
+                         self.spec.labels_from_spins(spins)[indices], spins)
 
 
 # ---------------------------------------------------------------------------

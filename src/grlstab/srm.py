@@ -17,8 +17,8 @@ exactly (ridge path + bisection on the multiplier), which makes the
 per-class empirical risk provably non-increasing in d.
 
 The penalized estimator picks argmin_d Rhat(h_d) + 2 lambda d beta2(d)
-(ties toward smaller d); the truncated mode returns the plain class-d ERM
-for a fixed degree.
+(ties toward smaller d); the plain ERM of a fixed degree class is
+``train_class_erm``.
 """
 
 from __future__ import annotations
@@ -155,7 +155,6 @@ class SrmSelection:
     fits: tuple  # ClassFit per degree 1..d_max
     lambda_slack: float
     beta2_by_degree: dict
-    mode: str
 
 
 def class_losses(family: DegreeClassFamily, fit_degree: int, weights: np.ndarray,
@@ -173,38 +172,29 @@ def train_class_erm(family: DegreeClassFamily, z: SampleSet, degree: int) -> Cla
 
 
 def select_sparse(family: DegreeClassFamily, z: SampleSet, lambda_slack: float,
-                  beta2_by_degree: dict, mode: str = "penalized",
-                  fixed_degree: int | None = None) -> SrmSelection:
+                  beta2_by_degree: dict) -> SrmSelection:
     """Penalized selection argmin_d Rhat(h_d) + 2 lambda d beta2(d).
 
-    Ties break toward the smaller degree. ``mode="truncated"`` skips the
-    penalty and returns the ERM of the fixed degree class.
+    Ties break toward the smaller degree. The unpenalized ERM of one fixed
+    degree class is ``train_class_erm``.
     """
-    if mode not in ("penalized", "truncated"):
-        raise ValueError(f"unknown selection mode {mode!r}")
     if lambda_slack < 0:
         raise ValueError("lambda_slack must be >= 0")
     degrees = range(1, family.d_max + 1)
     missing = [d for d in degrees if d not in beta2_by_degree]
-    if mode == "penalized" and missing:
+    if missing:
         raise ValueError(f"missing beta2 estimates for degrees {missing}")
 
     fits = []
     for d in degrees:
         base = train_class_erm(family, z, d)
-        penalty = 0.0 if mode == "truncated" else 2.0 * lambda_slack * d * beta2_by_degree[d]
+        penalty = 2.0 * lambda_slack * d * beta2_by_degree[d]
         fits.append(ClassFit(degree=d, weights=base.weights,
                              empirical_risk=base.empirical_risk, penalty=penalty,
                              penalized_risk=base.empirical_risk + penalty))
-
-    if mode == "truncated":
-        if fixed_degree is None or not 1 <= fixed_degree <= family.d_max:
-            raise ValueError("truncated mode needs a fixed_degree in 1..d_max")
-        chosen = fits[fixed_degree - 1]
-    else:
-        chosen = min(fits, key=lambda f: (f.penalized_risk, f.degree))
+    chosen = min(fits, key=lambda f: (f.penalized_risk, f.degree))
     return SrmSelection(selected=chosen, fits=tuple(fits), lambda_slack=lambda_slack,
-                        beta2_by_degree=dict(beta2_by_degree), mode=mode)
+                        beta2_by_degree=dict(beta2_by_degree))
 
 
 @dataclass(frozen=True)

@@ -441,6 +441,31 @@ sampler.sweeps = {sweeps}
     assert not (out / "samples.csv").exists()
 
 
+COUNT_CONFIGS = {
+    "train.runs": "experiment = train\nsgd.steps = 5\ntrain.perturb_vertex = 1\n",
+    "conc.draws": "experiment = concentration\nsampler.kind = ising\nsampler.sweeps = 10\n",
+    "srm.holdout": "experiment = srm\nsrm.d_max = 2\n",
+    "gnn.trials": "experiment = gnn\n",
+}
+
+
+@pytest.mark.parametrize("value", [0, -2])
+@pytest.mark.parametrize("key", sorted(COUNT_CONFIGS))
+def test_count_below_one_is_user_error(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "count.ini", f"""
+seed = 5
+out = {out}
+graph.kind = cycle
+graph.n = 6
+{key} = {value}
+""" + COUNT_CONFIGS[key])
+    assert run_cli(["run", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and key in err["message"]
+    assert list(out.iterdir()) == []
+
+
 def test_unknown_plot_kind_rejected_by_argparse(tmp_path):
     with pytest.raises(SystemExit):
         run_cli(["plots", tmp_path, "nope"])

@@ -437,3 +437,13 @@ def test_prepared_harness_equals_reference_bit_for_bit():
         if hasattr(alg, "train_pooled"):  # the GNN learner has no pooled fit
             assert estimate_mu(alg, iid, 2, 1, 2, seed=21) == reference_mu(ref, iid, 2, 1, 2,
                                                                          seed=21), alg.id
+
+
+def test_mu_at_m1_is_beta2_for_every_learner():
+    # m = 1 trains each single set with `train`, so learners without a pooled
+    # fit (the GNN) are covered too
+    rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(5))
+    iid = sampling.IidSampler(rf=rf, dim=3)
+    for alg, _ in protocol_learners(rf):
+        beta2 = estimate_stability(alg, iid, 2, 2, seed=22).beta2
+        assert estimate_mu(alg, iid, 1, 2, 2, seed=22) == beta2, alg.id

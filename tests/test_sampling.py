@@ -444,6 +444,38 @@ def test_replace_changes_exactly_lambda():
     assert z2.perturbed == frozenset(lam)
 
 
+REPLACE_SAMPLERS = {
+    "iid": lambda: iid_sampler(n=5),
+    "ising": lambda: sampling.IsingSampler(spec=ring_spec(5, 0.2), sweeps=20, min_sweeps=20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLACE_SAMPLERS))
+def test_replace_validates_mode_and_lambda(name):
+    s = REPLACE_SAMPLERS[name]()
+    z = s.sample(3)
+    with pytest.raises(ValueError, match="unknown replacement mode"):
+        s.replace(z, [1], seed=4, mode="fresh")
+    for bad in (-1, z.n):
+        with pytest.raises(ValueError, match="out of range"):
+            s.replace(z, [bad], seed=4)
+    z2 = s.replace(z, [3, 1, 3, 1], seed=4)
+    assert z2.perturbed == frozenset({1, 3})
+    assert z2.seed == z.seed
+    keep = [0, 2, 4]
+    assert np.array_equal(z.features[keep], z2.features[keep])
+    assert np.array_equal(z.labels[keep], z2.labels[keep])
+    assert np.array_equal(z2.features, s.replace(z, [1, 3], seed=4).features)
+
+
+def test_ising_replace_needs_spins():
+    s = REPLACE_SAMPLERS["ising"]()
+    z = s.sample(3)
+    bare = sampling.SampleSet(features=z.features, labels=z.labels, seed=z.seed)
+    with pytest.raises(ValueError, match="spins"):
+        s.replace(bare, [1], seed=4)
+
+
 def test_replace_conditional_matches_exact_two_spin_law():
     # conditional of spin 0 given spin 1: P(+1 | s1) = sigmoid(2 J s1)
     spec = ring_spec(2, 0.5, rule="self")

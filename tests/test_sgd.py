@@ -86,8 +86,7 @@ def test_pure_quadratic_closed_form_step():
     # zero data term: w' = (1 - alpha * gamma) w
     rf = graphs.one_hop_receptive_fields(graphs.empty_graph(3))
     obj = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
-    z = sampling.SampleSet(features=np.zeros((3, 3)), labels=np.zeros(3),
-                           sampler_id="zero", seed=0)
+    z = sampling.SampleSet(features=np.zeros((3, 3)), labels=np.zeros(3), seed=0)
     w = np.array([0.4, 0.0, -0.4])
     out = sgd_step(w, 0.1, 1, z, rf, obj)
     assert np.allclose(out, (1 - 0.1 * 0.5) * w)
@@ -220,7 +219,7 @@ def test_non_finite_gradient_raises_divergence_error():
     rf, sampler, obj, z = setup_problem()
     features = z.features.copy()
     features[0, 0] = np.inf
-    z_bad = sampling.SampleSet(features=features, labels=z.labels, sampler_id="bad", seed=0)
+    z_bad = sampling.SampleSet(features=features, labels=z.labels, seed=0)
     z_bad_i = sampler.replace(z_bad, [4], seed=32)
     assert z_bad.differing_vertices(z_bad_i).tolist() == [4]
     cfg = SgdConfig(step_size=0.1, steps=50, seed=33)

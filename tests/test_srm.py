@@ -169,14 +169,6 @@ def test_tie_break_toward_smaller_degree():
     assert chosen.degree == 1
 
 
-def test_truncated_mode_returns_fixed_degree():
-    family = make_family()
-    _, z = make_instance(family, seed=6)
-    sel = srm.select_sparse(family, z, 0.0, {}, mode="truncated", fixed_degree=2)
-    assert sel.selected.degree == 2
-    assert sel.selected.penalty == 0.0
-
-
 def test_missing_beta_rejected():
     family = make_family()
     _, z = make_instance(family, seed=7)
