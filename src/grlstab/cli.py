@@ -136,11 +136,11 @@ def build_sgd_config(cfg: ExperimentConfig) -> SgdConfig:
     )
 
 
-def _get_count(cfg: ExperimentConfig, key: str, default: int) -> int:
-    """A config count: an integer of at least 1."""
+def _get_count(cfg: ExperimentConfig, key: str, default: int, minimum: int = 1) -> int:
+    """A config count: an integer of at least ``minimum``."""
     value = cfg.get_int(key, default)
-    if value < 1:
-        raise ConfigError(f"key {key!r}: expected a count >= 1, got {value}")
+    if value < minimum:
+        raise ConfigError(f"key {key!r}: expected a count >= {minimum}, got {value}")
     return value
 
 
@@ -271,7 +271,7 @@ def run_gnn(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     eps = cfg.get_float("gnn.eps", 0.05)
     extra = {
         "ridge": cfg.get_float("gnn.ridge", 1.0),
-        "n_test_draws": cfg.get_int("gnn.test_draws", 32),
+        "n_test_draws": _get_count(cfg, "gnn.test_draws", 32, minimum=0),
         "dim": cfg.get_int("gnn.dim", 3),
         "b_w": cfg.get_float("gnn.bw", 1.0),
     }
@@ -283,11 +283,14 @@ def run_gnn(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
                 res.discrepancy, trials, res.seed]
 
     if cfg.has("gnn.densities"):
+        densities = cfg.get_floats("gnn.densities")
+        if not densities:
+            raise ConfigError("key 'gnn.densities': expected at least one density")
+        replicates = _get_count(cfg, "gnn.replicates", 4)
         point = functools.partial(gnn_mod.sweep_point, n=cfg.get_int("graph.n"),
                                   trials=trials, seed=cfg.seed, kind=kind,
                                   eps_feature=eps, **extra)
-        jobs = [(p, di, rep) for di, p in enumerate(cfg.get_floats("gnn.densities"))
-                for rep in range(cfg.get_int("gnn.replicates", 4))]
+        jobs = [(p, di, rep) for di, p in enumerate(densities) for rep in range(replicates)]
         if workers() > 1:
             from multiprocessing import Pool
 

@@ -23,12 +23,30 @@ Stability experiments replace one training vertex (label endpoint or a
 first-order feature bump), refit, and measure worst-case test loss
 differences |(yhat_j - y'_j)^2 - (yhat^i_j - y'_j)^2|. The difference is
 affine in the test label, so the sup over y'_j in [-B_y, B_y] is attained
-at an endpoint and computed exactly; the sup over test features is lower
-estimated by Monte Carlo draws plus sign-corner candidates. One vertex's
-candidates are evaluated as one batch: a (C, n, dim) array of test
-features, batched matrix-vector products for the base and perturbed fits,
-and one exact max over the (C, fits, n) block of loss differences, so the
-estimate equals the max a candidate-by-candidate loop would take.
+at an endpoint and computed exactly. Test features enter only through
+v' = X' w, each v'_k in [-b_x ||w||, b_x ||w||].
+
+In label mode the sup over test features is exact at the sign corner:
+
+- replacing y_i changes only row i of A~, which both solvers set to
+  y_i c m with m = mask_i o v and c the solver's denominator, so the
+  predictions differ only at test vertex i (label-mode beta1 is 0);
+- there the rows of a_p - a and a_p + a are both multiples of m, so the
+  loss-difference sup |d.v'| (|s.v'| + 2 B_y) increases with |m.v'|;
+- |m.v'| is largest at v'_k = b_x ||w|| sign(m_k), the corner built from
+  the sign pattern of the fitted difference.
+
+So label mode evaluates the sign corners only, and the test-draw count
+affects feature mode alone. In feature mode the sup is lower estimated by
+Monte Carlo draws plus sign-corner candidates. One vertex's candidates are
+evaluated as one batch: a (C, n, dim) array of test features, batched
+matrix-vector products for the base and perturbed fits, and one exact max
+over the (C, fits, n) block of loss differences, so the estimate equals
+the max a candidate-by-candidate loop would take.
+
+Perturbed problems derive from the trial's validated base problem
+(GnnProblem.with_label, GnnProblem.with_feature_row): the shared mask is
+not re-checked and only the replaced entries are bound-checked.
 """
 
 from __future__ import annotations
@@ -44,6 +62,9 @@ from .seeding import child_rng, seed_int
 
 class SupportError(ValueError):
     """A matrix has mass outside the admissible mask."""
+
+
+_BOUND_TOL = 1e-9  # slack on the b_x / b_y / b_w bound checks
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,12 +92,11 @@ class GnnProblem:
             raise ValueError("ridge parameter must be > 0")
         if not np.array_equal(mask, mask.T):
             raise ValueError("mask must be symmetric")
-        tol = 1e-9
-        if np.any(np.linalg.norm(x, axis=1) > self.b_x + tol):
+        if np.any(np.linalg.norm(x, axis=1) > self.b_x + _BOUND_TOL):
             raise ValueError("feature row norm exceeds b_x")
-        if np.any(np.abs(y) > self.b_y + tol):
+        if np.any(np.abs(y) > self.b_y + _BOUND_TOL):
             raise ValueError("label magnitude exceeds b_y")
-        if np.linalg.norm(w) > self.b_w + tol:
+        if np.linalg.norm(w) > self.b_w + _BOUND_TOL:
             raise ValueError("weight norm exceeds b_w")
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "labels", y)
@@ -95,6 +115,39 @@ class GnnProblem:
         product stays valid.
         """
         return self.features @ self.weight
+
+    def with_label(self, i: int, value: float) -> GnnProblem:
+        """This problem with label i set to ``value``; only the new label is checked.
+
+        The features, weight and mask are this validated problem's own
+        arrays, so the mask is not re-checked and the cached v is shared.
+        """
+        if abs(value) > self.b_y + _BOUND_TOL:
+            raise ValueError("label magnitude exceeds b_y")
+        labels = self.labels.copy()
+        labels[i] = value
+        return self._derived(labels=labels, v=self.v)
+
+    def with_feature_row(self, i: int, row) -> GnnProblem:
+        """This problem with feature row i replaced; only the new row is checked.
+
+        The labels, weight and mask are shared with this validated problem;
+        v is recomputed from the new features on first use.
+        """
+        row = np.asarray(row, dtype=float)
+        if row.shape != self.weight.shape:
+            raise ValueError("feature row length must match the feature columns")
+        if np.linalg.norm(row) > self.b_x + _BOUND_TOL:
+            raise ValueError("feature row norm exceeds b_x")
+        features = self.features.copy()
+        features[i] = row
+        return self._derived(features=features)
+
+    def _derived(self, **fields) -> GnnProblem:
+        """A problem sharing every field but ``fields`` with this one, unvalidated."""
+        q = object.__new__(GnnProblem)
+        vars(q).update({k: val for k, val in vars(self).items() if k != "v"}, **fields)
+        return q
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,6 +250,10 @@ def _loss_diff_sup_label(pred_base: np.ndarray, pred_pert: np.ndarray, b_y: floa
 def _test_feature_candidates(rng, n, dim, b_x, weight, pairs, n_draws) -> np.ndarray:
     """Monte Carlo test feature sets plus sign-corner candidates, as one (C, n, dim) array.
 
+    In label mode the sign corner of the fitted difference attains the exact
+    sup over test features (see the module docstring), so the experiment
+    passes n_draws = 0 there; the draws serve feature mode only.
+
     The n_draws Monte Carlo sets come first, drawn as _rows_in_ball draws
     them (one normal and one uniform call per set, in that order) and then
     normalised and scaled together. Corners follow: they set every row to
@@ -244,10 +301,14 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
     label mode: y_i replaced by each endpoint of [-B_y, B_y].
     feature mode: row i bumped by eps_feature along the weight direction
     (first-order regime; eps, >= 0.1 b_x is rejected). Estimates are lower
-    bounds of the definitional suprema.
+    bounds of the definitional suprema. In label mode the sup over test
+    samples is exact (the sign corners attain it), so n_test_draws is not
+    read there.
     """
     if kind not in (LABEL_MODE, FEATURE_MODE):
         raise ValueError(f"unknown perturbation kind {kind!r}")
+    if n_test_draws < 0:
+        raise ValueError("n_test_draws must be >= 0")
     if kind == FEATURE_MODE and eps_feature >= 0.1 * b_x:
         raise ValueError("feature bump must stay below 0.1 b_x (first-order regime)")
     fit = _solver(solver)
@@ -256,6 +317,8 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
     beta1_i = np.zeros(n)
     beta2_i = np.zeros(n)
     outside = [rf.outside(i) for i in range(n)]
+    # label mode: the sign corners attain the sup (module docstring)
+    draws = n_test_draws if kind == FEATURE_MODE else 0
 
     for trial in range(trials):
         rng = child_rng(seed, "gnn-trial", trial)
@@ -270,27 +333,17 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
         bump = (w / wn if wn > 0 else np.eye(dim)[0]) * eps_feature
 
         for i in range(n):
-            perturbed = []
             if kind == LABEL_MODE:
-                for endpoint in (-b_y, b_y):
-                    y_p = y.copy()
-                    y_p[i] = endpoint
-                    perturbed.append(GnnProblem(features=x, labels=y_p, weight=w,
-                                                mask=mask, ridge=ridge,
-                                                b_x=b_x, b_y=b_y, b_w=b_w))
+                perturbed = [base.with_label(i, endpoint) for endpoint in (-b_y, b_y)]
             else:
-                x_p = x.copy()
-                x_p[i] = x_p[i] + bump
-                perturbed.append(GnnProblem(features=x_p, labels=y, weight=w,
-                                            mask=mask, ridge=ridge,
-                                            b_x=b_x, b_y=b_y, b_w=b_w))
+                perturbed = [base.with_feature_row(i, x[i] + bump)]
 
             fits = np.stack([fit(q).a_tilde for q in perturbed])  # (F, n, n)
             # The candidates and the (difference, sum) pairs die with this
             # call, before the (C, F, n) block below is built.
             vt = _test_feature_candidates(
                 rng, n, dim, b_x, w, [(a_p - a_base, a_p + a_base) for a_p in fits],
-                n_test_draws) @ w
+                draws) @ w
             if not len(vt):
                 continue
             # (C, 1, n, 1) test projections; each product below is one

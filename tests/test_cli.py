@@ -446,6 +446,7 @@ COUNT_CONFIGS = {
     "conc.draws": "experiment = concentration\nsampler.kind = ising\nsampler.sweeps = 10\n",
     "srm.holdout": "experiment = srm\nsrm.d_max = 2\n",
     "gnn.trials": "experiment = gnn\n",
+    "gnn.replicates": "experiment = gnn\ngnn.densities = 0.2\n",
 }
 
 
@@ -463,6 +464,46 @@ graph.n = 6
     assert run_cli(["run", path]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and key in err["message"]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", [gnn.LABEL_MODE, gnn.FEATURE_MODE])
+@pytest.mark.parametrize("draws", [-3, -1, 0])
+def test_negative_gnn_test_draws_is_user_error(tmp_path, capsys, kind, draws):
+    # label mode never reads the draws, so the check cannot be left to numpy;
+    # 0 is legal in both modes (sign corners only)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "draws.ini", f"""
+experiment = gnn
+seed = 5
+out = {out}
+graph.kind = cycle
+graph.n = 6
+gnn.kind = {kind}
+gnn.trials = 1
+gnn.test_draws = {draws}
+""")
+    if draws == 0:
+        assert run_cli(["run", path]) == 0
+        return
+    assert run_cli(["run", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "gnn.test_draws" in err["message"]
+    assert list(out.iterdir()) == []
+
+
+def test_empty_gnn_densities_is_user_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "densities.ini", f"""
+experiment = gnn
+seed = 5
+out = {out}
+graph.n = 6
+gnn.densities =
+""")
+    assert run_cli(["run", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "gnn.densities" in err["message"]
     assert list(out.iterdir()) == []
 
 

@@ -348,6 +348,88 @@ def test_batched_candidates_corners_only_bit_equal(kind):
 
 
 
+@pytest.mark.parametrize("solver", ["projected", "rowwise"])
+def test_label_mode_draws_change_nothing(solver):
+    # label mode evaluates the sign corners only; the reference loop, which
+    # still draws 32 Monte Carlo sets per vertex, reaches the same bits
+    rf = gnn.density_mask_fields(40, 0.3, seed=9)
+    corners = gnn.gnn_stability_experiment(rf, gnn.LABEL_MODE, 2, 0.0, seed=24,
+                                           solver=solver, n_test_draws=0)
+    drawn = assert_matches_reference(rf, gnn.LABEL_MODE, seed=24, trials=2,
+                                     solver=solver, n_test_draws=32)
+    assert np.array_equal(corners.beta1_i, drawn.beta1_i)
+    assert np.array_equal(corners.beta2_i, drawn.beta2_i)
+
+
+@pytest.mark.parametrize("solver", ["projected", "rowwise"])
+@pytest.mark.parametrize("case", range(4))
+def test_label_mode_beta2_is_sign_corner_closed_form(solver, case):
+    # beta2_i = max_e |e - y_i| c T (|e + y_i| c T + 2 b_y), T = b_x ||w|| sum_k |m_k|,
+    # m = mask_i o v, c the solver's row-i denominator
+    draw = child_rng(30, "closed-form", case)
+    n = int(draw.integers(8, 41))
+    density = float(draw.uniform(0.05, 1.0))
+    ridge, b_x, b_y, b_w = (float(t) for t in draw.uniform(0.2, 2.0, size=4))
+    rf = gnn.density_mask_fields(n, density, seed=case)
+    seed, trials, dim = 40 + case, 2, 3
+    res = gnn.gnn_stability_experiment(rf, gnn.LABEL_MODE, trials, 0.0, seed,
+                                       solver=solver, ridge=ridge, b_x=b_x, b_y=b_y,
+                                       b_w=b_w, dim=dim)
+    mask = graphs.mask_from_fields(rf)
+    expected = np.zeros(n)
+    for trial in range(trials):
+        rng = child_rng(seed, "gnn-trial", trial)
+        x = gnn._rows_in_ball(rng, n, dim, b_x)
+        y = rng.uniform(-b_y, b_y, size=n)
+        w = gnn._rows_in_ball(rng, 1, dim, b_w)[0]
+        v = x @ w
+        m = np.where(mask, v, 0.0)
+        if solver == "projected":
+            c = np.full(n, 1.0 / (ridge + v @ v))
+        else:
+            c = 1.0 / (ridge + np.sum(m * m, axis=1))
+        t = b_x * np.linalg.norm(w) * np.abs(m).sum(axis=1)
+        for e in (-b_y, b_y):
+            value = np.abs(e - y) * c * t * (np.abs(e + y) * c * t + 2.0 * b_y)
+            expected = np.maximum(expected, value)
+    np.testing.assert_allclose(res.beta2_i, expected, rtol=1e-12, atol=0.0)
+    assert not res.beta1_i.any()
+
+
+def test_derived_problems_check_only_replaced_entries():
+    rng = child_rng(25, "derived")
+    rf = gnn.density_mask_fields(12, 0.4, seed=3)
+    p = random_problem(rng, rf)
+    labels = p.labels.copy()
+    with pytest.raises(ValueError, match="b_y"):
+        p.with_label(2, 1.5)
+    with pytest.raises(ValueError, match="b_x"):
+        p.with_feature_row(2, [1.2, 0.0, 0.0])
+    with pytest.raises(ValueError, match="feature columns"):
+        p.with_feature_row(2, [0.1, 0.1])
+
+    q = p.with_label(2, -1.0)
+    assert q.v is p.v and q.features is p.features and q.mask is p.mask
+    assert np.array_equal(p.labels, labels) and q.labels[2] == -1.0
+    row = p.features[5] + 0.05 * p.weight / np.linalg.norm(p.weight)
+    r = p.with_feature_row(5, row)
+    assert r.labels is p.labels and r.mask is p.mask and "v" not in vars(r)
+    for derived in (q, r):
+        fresh = gnn.GnnProblem(features=derived.features, labels=derived.labels,
+                               weight=p.weight, mask=p.mask, ridge=p.ridge)
+        assert np.array_equal(derived.v, fresh.v)
+        for fit in (gnn.fit_projected_closed_form, gnn.fit_exact_rowwise):
+            assert np.array_equal(fit(derived).a_tilde, fit(fresh).a_tilde)
+
+
+@pytest.mark.parametrize("kind", [gnn.LABEL_MODE, gnn.FEATURE_MODE])
+def test_experiment_rejects_negative_test_draws(kind):
+    rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(5))
+    with pytest.raises(ValueError, match="n_test_draws"):
+        gnn.gnn_stability_experiment(rf, kind, trials=1, eps_feature=0.05, seed=0,
+                                     n_test_draws=-3)
+
+
 def test_null_label_perturbation_zero_difference():
     # replacing y_i with its own value changes nothing
     rng = child_rng(10, "null")
