@@ -134,29 +134,15 @@ class SgdBoundParams:
         return self.field_sizes / float(self.n_vertices)
 
 
-def params_from_sgd_config(certificate: ConstantsCertificate, config, n_vertices: int,
-                           field_sizes, regime: str) -> SgdBoundParams:
-    """Bound parameters from a (fixed-step) SGD config."""
-    return SgdBoundParams(
-        certificate=certificate, step_size=config.step_size, steps=config.steps,
-        n_vertices=n_vertices, field_sizes=field_sizes, regime=regime,
-    )
-
-
 def step_condition(a: float, lam: float, gamma: float) -> float:
     """a^4 lam^2 + 2 a lam gamma / (lam + gamma), at most 1 in the strongly
     convex domain; the per-step envelopes pick their hit-case branch by it."""
     return a**4 * lam**2 + 2.0 * a * lam * gamma / (lam + gamma)
 
 
-def step_condition_value(p: SgdBoundParams) -> float:
-    """``step_condition`` at p's step size and certificate."""
-    return step_condition(p.step_size, p.certificate.smoothness,
-                          p.certificate.strong_convexity)
-
-
 def step_condition_ok(p: SgdBoundParams) -> bool:
-    return step_condition_value(p) <= 1.0
+    cert = p.certificate
+    return step_condition(p.step_size, cert.smoothness, cert.strong_convexity) <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +434,7 @@ def bound_report(p: SgdBoundParams, delta: float) -> dict:
     growth, kick = recursion_constants(p)
     conditions = {}
     if p.regime == STRONGLY_CONVEX:
-        value = step_condition_value(p)
+        value = step_condition(p.step_size, cert.smoothness, cert.strong_convexity)
         conditions["step-size: a^4 lam^2 + 2 a lam gamma/(lam+gamma) <= 1"] = {
             "value": value,
             "ok": bool(value <= 1.0),

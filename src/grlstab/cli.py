@@ -54,9 +54,12 @@ SAMPLER_KEYS = ("sampler.kind", "sampler.dim", "sampler.bx", "sampler.by",
 OBJECTIVE_KEYS = ("objective", "objective.smoothness", "objective.strong_convexity",
                   "objective.ripple_amplitude", "objective.frequency",
                   "objective.weight_radius")
-# keys read by one objective family only; the other family rejects them
-FAMILY_KEYS = {"quadratic": ("objective.strong_convexity",),
-               "ripple": ("objective.ripple_amplitude", "objective.frequency")}
+# keys read by one sampler or objective family only; the others reject them
+SAMPLER_FAMILY_KEYS = {"iid": ("sampler.label_noise",),
+                       "ising": ("sampler.coupling", "sampler.field", "sampler.rule",
+                                 "sampler.sweeps")}
+OBJECTIVE_FAMILY_KEYS = {"quadratic": ("objective.strong_convexity",),
+                         "ripple": ("objective.ripple_amplitude", "objective.frequency")}
 SGD_KEYS = ("sgd.step_size", "sgd.steps")
 
 
@@ -74,8 +77,19 @@ def build_graph(cfg: ExperimentConfig) -> graphs.Graph:
     raise ConfigError(f"unknown graph.kind {kind!r}")
 
 
+def _check_family(cfg: ExperimentConfig, family_keys: dict, key: str, kind: str) -> None:
+    """Reject an unknown family ``kind`` and any key that only another family reads."""
+    if kind not in family_keys:
+        raise ConfigError(f"unknown {key} {kind!r}")
+    ignored = [k for family, keys in family_keys.items() if family != kind
+               for k in keys if cfg.has(k)]
+    if ignored:
+        raise ConfigError(f"{key} {kind!r} does not use {ignored}")
+
+
 def build_sampler(cfg: ExperimentConfig, rf: graphs.ReceptiveFieldMap):
     kind = cfg.get_str("sampler.kind", "iid")
+    _check_family(cfg, SAMPLER_FAMILY_KEYS, "sampler.kind", kind)
     b_x = cfg.get_float("sampler.bx", 1.0)
     b_y = cfg.get_float("sampler.by", 1.0)
     if kind == "iid":
@@ -83,20 +97,17 @@ def build_sampler(cfg: ExperimentConfig, rf: graphs.ReceptiveFieldMap):
             rf=rf, dim=cfg.get_int("sampler.dim", 3), b_x=b_x, b_y=b_y,
             label_noise=cfg.get_float("sampler.label_noise", 0.0),
         )
-    if kind == "ising":
-        coupling = cfg.get_float("sampler.coupling", 0.2)
-        field = cfg.get_float("sampler.field", 0.0)
-        spec = sampling.IsingSpec(
-            coupling=coupling * mask_offdiag(rf),
-            external_field=np.full(rf.n, field),
-            rf=rf,
-            feature_dim=cfg.get_int("sampler.dim", 3),
-            b_x=b_x, b_y=b_y,
-            label_rule=cfg.get_str("sampler.rule", "field-mean"),
-        )
-        sweeps = cfg.get_int("sampler.sweeps", 1000)
-        return sampling.IsingSampler(spec=spec, sweeps=sweeps, min_sweeps=min(sweeps, 1000))
-    raise ConfigError(f"unknown sampler.kind {kind!r}")
+    coupling = cfg.get_float("sampler.coupling", 0.2)
+    field = cfg.get_float("sampler.field", 0.0)
+    spec = sampling.IsingSpec(
+        coupling=coupling * mask_offdiag(rf),
+        external_field=np.full(rf.n, field),
+        rf=rf,
+        feature_dim=cfg.get_int("sampler.dim", 3),
+        b_x=b_x, b_y=b_y,
+        label_rule=cfg.get_str("sampler.rule", "field-mean"),
+    )
+    return sampling.IsingSampler(spec=spec, sweeps=cfg.get_int("sampler.sweeps", 1000))
 
 
 def mask_offdiag(rf: graphs.ReceptiveFieldMap) -> np.ndarray:
@@ -107,12 +118,7 @@ def mask_offdiag(rf: graphs.ReceptiveFieldMap) -> np.ndarray:
 
 def build_objective(cfg: ExperimentConfig):
     kind = cfg.get_str("objective", "quadratic")
-    if kind not in FAMILY_KEYS:
-        raise ConfigError(f"unknown objective {kind!r}")
-    ignored = [key for family, keys in FAMILY_KEYS.items() if family != kind
-               for key in keys if cfg.has(key)]
-    if ignored:
-        raise ConfigError(f"objective {kind!r} does not use {ignored}")
+    _check_family(cfg, OBJECTIVE_FAMILY_KEYS, "objective", kind)
     dim = cfg.get_int("sampler.dim", 3)
     b_x = cfg.get_float("sampler.bx", 1.0)
     b_y = cfg.get_float("sampler.by", 1.0)
@@ -145,8 +151,11 @@ def _get_count(cfg: ExperimentConfig, key: str, default: int, minimum: int = 1) 
 
 
 def build_bound_params(cfg: ExperimentConfig, obj, rf) -> bnd.SgdBoundParams:
-    return bnd.params_from_sgd_config(obj.certificate, build_sgd_config(cfg),
-                                      rf.n, rf.sizes, obj.regime)
+    sgd_cfg = build_sgd_config(cfg)
+    return bnd.SgdBoundParams(
+        certificate=obj.certificate, step_size=sgd_cfg.step_size, steps=sgd_cfg.steps,
+        n_vertices=rf.n, field_sizes=rf.sizes, regime=obj.regime,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +241,7 @@ def run_train(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
                   ["t", "sampled_vertex", "w_norm", "delta_norm", "case"], rows, chash)
 
 
-HARNESS_KEYS = ("harness.pert_draws", "harness.test_draws", "harness.m", "harness.trials")
+HARNESS_KEYS = ("harness.pert_draws", "harness.test_draws", "harness.m")
 
 
 def run_stability(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
@@ -272,7 +281,7 @@ def run_gnn(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     extra = {
         "ridge": cfg.get_float("gnn.ridge", 1.0),
         "n_test_draws": _get_count(cfg, "gnn.test_draws", 32, minimum=0),
-        "dim": cfg.get_int("gnn.dim", 3),
+        "dim": _get_count(cfg, "gnn.dim", 3),
         "b_w": cfg.get_float("gnn.bw", 1.0),
     }
     header = ["n", "sup_d", "inf_d", "kind", "beta1", "beta2",
@@ -407,7 +416,7 @@ def run_srm(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     }, chash)
 
 
-CONC_KEYS = ("conc.draws", "conc.sweeps", "conc.t_grid")
+CONC_KEYS = ("conc.draws", "conc.t_grid")
 
 
 def run_concentration(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:

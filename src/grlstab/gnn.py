@@ -7,17 +7,13 @@ training objective is
 
     f(A~) = 0.5 ||y - A~ X w||^2 + 0.5 gamma ||A~||_F^2 .
 
-Two solvers ship:
-
-- fit_projected_closed_form: the masked projection of the unconstrained
-  stationary point, A~ = Pi o ( y v' (v v' + gamma I)^{-1} ) with v = X w,
-  evaluated through the rank-one identity y v' / (gamma + ||v||^2) (no
-  matrix inversion). This formula is canonical for the stability-scaling
-  and discrepancy experiments.
-- fit_exact_rowwise: the support-constrained minimizer; rows decouple into
-  scalar ridge problems, A~_{ij} = y_i v_j 1[j in Xi(i)] /
-  (gamma + sum_{k in Xi(i)} v_k^2). Its objective value never exceeds the
-  projected formula's.
+The experiments fit with fit_projected_closed_form, the masked projection
+of the unconstrained stationary point, A~ = Pi o ( y v' (v v' + gamma I)^{-1} )
+with v = X w, evaluated through the rank-one identity y v' / (gamma + ||v||^2)
+(no matrix inversion). fit_exact_rowwise, the support-constrained minimizer,
+is the reference it is checked against: rows decouple into scalar ridge
+problems, A~_{ij} = y_i v_j 1[j in Xi(i)] / (gamma + sum_{k in Xi(i)} v_k^2),
+and its objective value never exceeds the projected formula's.
 
 Stability experiments replace one training vertex (label endpoint or a
 first-order feature bump), refit, and measure worst-case test loss
@@ -28,8 +24,8 @@ v' = X' w, each v'_k in [-b_x ||w||, b_x ||w||].
 
 In label mode the sup over test features is exact at the sign corner:
 
-- replacing y_i changes only row i of A~, which both solvers set to
-  y_i c m with m = mask_i o v and c the solver's denominator, so the
+- replacing y_i changes only row i of A~, which either fit sets to
+  y_i c m with m = mask_i o v and c the fit's denominator, so the
   predictions differ only at test vertex i (label-mode beta1 is 0);
 - there the rows of a_p - a and a_p + a are both multiples of m, so the
   loss-difference sup |d.v'| (|s.v'| + 2 B_y) increases with |m.v'|;
@@ -153,7 +149,6 @@ class GnnProblem:
 @dataclass(frozen=True, eq=False)
 class GnnSolution:
     a_tilde: np.ndarray
-    method: str
     objective_value: float
 
 
@@ -167,8 +162,7 @@ def fit_projected_closed_form(p: GnnProblem) -> GnnSolution:
     v = p.v
     a = np.outer(p.labels, v) / (p.ridge + float(v @ v))
     a = np.where(p.mask, a, 0.0)
-    return GnnSolution(a_tilde=a, method="projected-closed-form",
-                       objective_value=_objective_value(p, a))
+    return GnnSolution(a_tilde=a, objective_value=_objective_value(p, a))
 
 
 def fit_exact_rowwise(p: GnnProblem) -> GnnSolution:
@@ -179,8 +173,7 @@ def fit_exact_rowwise(p: GnnProblem) -> GnnSolution:
         row_mask = p.mask[i]
         denom = p.ridge + float(np.sum(v[row_mask] ** 2))
         a[i, row_mask] = p.labels[i] * v[row_mask] / denom
-    return GnnSolution(a_tilde=a, method="exact-rowwise",
-                       objective_value=_objective_value(p, a))
+    return GnnSolution(a_tilde=a, objective_value=_objective_value(p, a))
 
 
 def gnn_objective(p: GnnProblem, sol: GnnSolution) -> float:
@@ -204,30 +197,17 @@ def full_objective_gradient(p: GnnProblem, sol: GnnSolution) -> np.ndarray:
 LABEL_MODE = "label"
 FEATURE_MODE = "feature-first-order"
 
-_SOLVERS = {"projected": fit_projected_closed_form, "rowwise": fit_exact_rowwise}
-
-
-def _solver(name: str):
-    """The fit function registered under ``name`` in ``_SOLVERS``."""
-    if name not in _SOLVERS:
-        raise ValueError(f"unknown GNN solver {name!r}; known solvers: {sorted(_SOLVERS)}")
-    return _SOLVERS[name]
-
 
 @dataclass(frozen=True, eq=False)
 class GnnStabilityResult:
     n: int
-    kind: str
     beta1_i: np.ndarray
     beta2_i: np.ndarray
     beta1: float
     beta2: float
     discrepancy: float
-    gap_inf: float  # inf_i (beta2_i - beta1_i)
-    gap_sup: float  # sup_i (beta2_i - beta1_i)
     sup_d: float
     inf_d: float
-    trials: int
     seed: int
 
 
@@ -292,7 +272,7 @@ def _test_feature_candidates(rng, n, dim, b_x, weight, pairs, n_draws) -> np.nda
 
 
 def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
-                             eps_feature: float, seed: int, solver: str = "projected",
+                             eps_feature: float, seed: int,
                              n_test_draws: int = 32, ridge: float = 1.0,
                              b_x: float = 1.0, b_y: float = 1.0, b_w: float = 1.0,
                              dim: int = 3) -> GnnStabilityResult:
@@ -311,7 +291,6 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
         raise ValueError("n_test_draws must be >= 0")
     if kind == FEATURE_MODE and eps_feature >= 0.1 * b_x:
         raise ValueError("feature bump must stay below 0.1 b_x (first-order regime)")
-    fit = _solver(solver)
     mask = mask_from_fields(rf)
     n = rf.n
     beta1_i = np.zeros(n)
@@ -328,7 +307,7 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
         w = _rows_in_ball(rng, 1, dim, b_w)[0]
         base = GnnProblem(features=x, labels=y, weight=w, mask=mask, ridge=ridge,
                           b_x=b_x, b_y=b_y, b_w=b_w)
-        a_base = fit(base).a_tilde
+        a_base = fit_projected_closed_form(base).a_tilde
         wn = float(np.linalg.norm(w))
         bump = (w / wn if wn > 0 else np.eye(dim)[0]) * eps_feature
 
@@ -338,7 +317,7 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
             else:
                 perturbed = [base.with_feature_row(i, x[i] + bump)]
 
-            fits = np.stack([fit(q).a_tilde for q in perturbed])  # (F, n, n)
+            fits = np.stack([fit_projected_closed_form(q).a_tilde for q in perturbed])
             # The candidates and the (difference, sum) pairs die with this
             # call, before the (C, F, n) block below is built.
             vt = _test_feature_candidates(
@@ -354,14 +333,11 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
             if outside[i].size:
                 beta1_i[i] = max(beta1_i[i], float(sup_y[:, :, outside[i]].max()))
 
-    gaps = beta2_i - beta1_i
     return GnnStabilityResult(
-        n=n, kind=kind, beta1_i=beta1_i, beta2_i=beta2_i,
+        n=n, beta1_i=beta1_i, beta2_i=beta2_i,
         beta1=float(beta1_i.max()), beta2=float(beta2_i.max()),
         discrepancy=float(beta2_i.max() - beta1_i.max()),
-        gap_inf=float(gaps.min()), gap_sup=float(gaps.max()),
-        sup_d=rf.sup_d, inf_d=float(rf.d.min()),
-        trials=trials, seed=seed,
+        sup_d=rf.sup_d, inf_d=float(rf.d.min()), seed=seed,
     )
 
 
@@ -387,27 +363,3 @@ def sweep_point(density: float, index: int, replicate: int, n: int, trials: int,
     rf = density_mask_fields(n, density, seed_int(seed, "mask", index, replicate))
     return gnn_stability_experiment(rf, kind, trials, eps_feature,
                                     seed_int(seed, "exp", index, replicate), **kwargs)
-
-
-def scaling_sweep(n: int, densities, replicates: int, trials: int, seed: int,
-                  kind: str = LABEL_MODE, eps_feature: float = 0.05, **kwargs):
-    """beta2 vs sup_d over a density sweep; one record per (density, replicate)."""
-    records = []
-    for di, p in enumerate(densities):
-        for rep in range(replicates):
-            res = sweep_point(p, di, rep, n, trials, seed, kind, eps_feature, **kwargs)
-            records.append({
-                "n": n, "density": p, "replicate": rep,
-                "sup_d": res.sup_d, "inf_d": res.inf_d,
-                "beta1": res.beta1, "beta2": res.beta2,
-                "discrepancy": res.discrepancy,
-            })
-    return records
-
-
-def loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x)."""
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    lx = lx - lx.mean()
-    return float((lx @ (ly - ly.mean())) / (lx @ lx))

@@ -23,12 +23,11 @@ oracle values for beta1/beta2, through the same beta1/beta2 reduction.
 
 Learner protocol: ``prepare(z)`` turns a sample set into the learner's
 input (the bound objective for SGD, the design matrix and labels for an SRM
-class, the GnnProblem for the GNN), and ``train(prepared)``,
-``train_pooled([prepared, ...])`` (needed only for mu at m >= 2) and
-``losses(h, prepared)`` take only what it returns. Every estimator prepares
-each sample set once per use, so a test set scored against many hypotheses
-is aggregated once; the exhaustive oracle prepares each cube configuration
-once.
+class), and ``train(prepared)``, ``train_pooled([prepared, ...])`` (needed
+only for mu at m >= 2) and ``losses(h, prepared)`` take only what it
+returns. Every estimator prepares each sample set once per use, so a test
+set scored against many hypotheses is aggregated once; the exhaustive
+oracle prepares each cube configuration once.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gnn import GnnProblem, _solver
-from .graphs import ReceptiveFieldMap, mask_from_fields
+from .graphs import ReceptiveFieldMap
 from .objectives import BoundObjective, FieldObjective
 from .sampling import IsingSpec, SampleSet, enumerate_spin_configs, gibbs_probabilities
 from .sgd import SgdConfig, train, train_pooled
@@ -56,9 +54,6 @@ class StabilityEstimate:
     beta1: float
     beta2: float
     discrepancy: float
-    mu: float | None
-    pert_draws: int  # K
-    test_draws: int  # K'
     seed: int
     algorithm: str
 
@@ -105,47 +100,6 @@ class SgdAlgorithm:
 
     def losses(self, h: np.ndarray, bound: BoundObjective) -> np.ndarray:
         return bound.losses(h)
-
-
-class ClosedFormGnnAlgorithm:
-    """Masked-ridge GNN solver wrapped for the generic harness.
-
-    Its prepared set is the GnnProblem of the sample set. Loss is the squared
-    error (yhat_j - y_j)^2 used by the GNN stability experiments; no
-    certified loss bound is available.
-    """
-
-    def __init__(self, rf: ReceptiveFieldMap, weight: np.ndarray, ridge: float,
-                 solver: str = "projected"):
-        self.rf = rf
-        self.weight = np.asarray(weight, dtype=float)
-        self.ridge = float(ridge)
-        self.mask = mask_from_fields(rf)
-        self._fit = _solver(solver)
-        self.solver = solver
-
-    @property
-    def id(self) -> str:
-        return f"gnn({self.solver},ridge={self.ridge})"
-
-    @property
-    def loss_bound(self):
-        return None
-
-    def prepare(self, z: SampleSet) -> GnnProblem:
-        return GnnProblem(
-            features=z.features, labels=z.labels, weight=self.weight,
-            mask=self.mask, ridge=self.ridge,
-            b_x=float(np.linalg.norm(z.features, axis=1).max() + 1.0),
-            b_y=float(np.abs(z.labels).max() + 1.0),
-            b_w=float(np.linalg.norm(self.weight) + 1.0),
-        )
-
-    def train(self, problem: GnnProblem) -> np.ndarray:
-        return self._fit(problem).a_tilde
-
-    def losses(self, h: np.ndarray, problem: GnnProblem) -> np.ndarray:
-        return (h @ problem.v - problem.labels) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +184,6 @@ def estimate_stability(alg, sampler, pert_draws: int, test_draws: int, seed: int
         beta1_i=beta1_i, beta2_i=beta2_i,
         beta1=float(beta1_i.max()), beta2=float(beta2_i.max()),
         discrepancy=float(beta2_i.max() - beta1_i.max()),
-        mu=None, pert_draws=pert_draws, test_draws=test_draws,
         seed=seed, algorithm=alg.id,
     )
 

@@ -412,15 +412,10 @@ class IsingSampler:
 
     spec: IsingSpec
     sweeps: int = 1000
-    min_sweeps: int = 1000
 
     def __post_init__(self):
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
-        if self.sweeps < self.min_sweeps:
-            raise ValueError(
-                f"sweeps={self.sweeps} below burn-in threshold {self.min_sweeps}"
-            )
 
     @property
     def n(self) -> int:

@@ -18,7 +18,7 @@ per-class empirical risk provably non-increasing in d.
 
 The penalized estimator picks argmin_d Rhat(h_d) + 2 lambda d beta2(d)
 (ties toward smaller d); the plain ERM of a fixed degree class is
-``train_class_erm``.
+``SrmClassAlgorithm``, the learner the stability harness trains.
 """
 
 from __future__ import annotations
@@ -157,93 +157,6 @@ class SrmSelection:
     beta2_by_degree: dict
 
 
-def class_losses(family: DegreeClassFamily, fit_degree: int, weights: np.ndarray,
-                 z: SampleSet) -> np.ndarray:
-    pred = family.design_matrix(z, fit_degree) @ weights
-    return 0.5 * (pred - z.labels) ** 2
-
-
-def train_class_erm(family: DegreeClassFamily, z: SampleSet, degree: int) -> ClassFit:
-    phi = family.design_matrix(z, degree)
-    w = ball_constrained_least_squares(phi, z.labels, family.weight_radius)
-    risk = float(np.mean(0.5 * (phi @ w - z.labels) ** 2))
-    return ClassFit(degree=degree, weights=w, empirical_risk=risk,
-                    penalty=0.0, penalized_risk=risk)
-
-
-def select_sparse(family: DegreeClassFamily, z: SampleSet, lambda_slack: float,
-                  beta2_by_degree: dict) -> SrmSelection:
-    """Penalized selection argmin_d Rhat(h_d) + 2 lambda d beta2(d).
-
-    Ties break toward the smaller degree. The unpenalized ERM of one fixed
-    degree class is ``train_class_erm``.
-    """
-    if lambda_slack < 0:
-        raise ValueError("lambda_slack must be >= 0")
-    degrees = range(1, family.d_max + 1)
-    missing = [d for d in degrees if d not in beta2_by_degree]
-    if missing:
-        raise ValueError(f"missing beta2 estimates for degrees {missing}")
-
-    fits = []
-    for d in degrees:
-        base = train_class_erm(family, z, d)
-        penalty = 2.0 * lambda_slack * d * beta2_by_degree[d]
-        fits.append(ClassFit(degree=d, weights=base.weights,
-                             empirical_risk=base.empirical_risk, penalty=penalty,
-                             penalized_risk=base.empirical_risk + penalty))
-    chosen = min(fits, key=lambda f: (f.penalized_risk, f.degree))
-    return SrmSelection(selected=chosen, fits=tuple(fits), lambda_slack=lambda_slack,
-                        beta2_by_degree=dict(beta2_by_degree))
-
-
-@dataclass(frozen=True)
-class SrmGuaranteeRecord:
-    selected_degree: int
-    holdout_risk_selected: float
-    oracle_rhs: float  # min_d holdout risk + (lambda + 2) d beta2(d), plus epsilon
-    epsilon: float
-    failure_probability: float
-    satisfied: bool
-
-
-def srm_report(selection: SrmSelection, family: DegreeClassFamily, holdout_sets,
-               epsilon: float, beta1: float, n_vertices: int) -> SrmGuaranteeRecord:
-    """Pair a selection with its confidence and both sides of the guarantee.
-
-    The oracle side inf_h ( R(h) + (lambda + 2) d(h) beta2 ) is estimated by
-    the per-class ERMs evaluated on held-out sets.
-    """
-    from .bounds import srm_confidence
-
-    beta2 = max(selection.beta2_by_degree.values())
-
-    def holdout_risk(fit: ClassFit) -> float:
-        risks = [float(np.mean(class_losses(family, fit.degree, fit.weights, z)))
-                 for z in holdout_sets]
-        return float(np.mean(risks))
-
-    lhs = holdout_risk(selection.selected)
-    rhs = min(
-        holdout_risk(fit)
-        + (selection.lambda_slack + 2.0) * fit.degree * selection.beta2_by_degree[fit.degree]
-        for fit in selection.fits
-    ) + epsilon
-    prob = srm_confidence(
-        beta1=beta1, beta2=beta2, loss_bound=family.loss_bound(),
-        lambda_slack=selection.lambda_slack, d_max=family.d_max,
-        n_vertices=n_vertices, epsilon=epsilon,
-    )
-    return SrmGuaranteeRecord(
-        selected_degree=selection.selected.degree,
-        holdout_risk_selected=lhs,
-        oracle_rhs=rhs,
-        epsilon=epsilon,
-        failure_probability=prob,
-        satisfied=bool(lhs <= rhs),
-    )
-
-
 class SrmClassAlgorithm:
     """Class-d exact ERM wrapped for the stability harness.
 
@@ -277,3 +190,79 @@ class SrmClassAlgorithm:
     def losses(self, h: np.ndarray, prepared) -> np.ndarray:
         phi, y = prepared
         return 0.5 * (phi @ h - y) ** 2
+
+
+def select_sparse(family: DegreeClassFamily, z: SampleSet, lambda_slack: float,
+                  beta2_by_degree: dict) -> SrmSelection:
+    """Penalized selection argmin_d Rhat(h_d) + 2 lambda d beta2(d).
+
+    Ties break toward the smaller degree; each class is fitted by its
+    ``SrmClassAlgorithm``.
+    """
+    if lambda_slack < 0:
+        raise ValueError("lambda_slack must be >= 0")
+    degrees = range(1, family.d_max + 1)
+    missing = [d for d in degrees if d not in beta2_by_degree]
+    if missing:
+        raise ValueError(f"missing beta2 estimates for degrees {missing}")
+
+    fits = []
+    for d in degrees:
+        alg = SrmClassAlgorithm(family, d)
+        prepared = alg.prepare(z)
+        weights = alg.train(prepared)
+        risk = float(np.mean(alg.losses(weights, prepared)))
+        penalty = 2.0 * lambda_slack * d * beta2_by_degree[d]
+        fits.append(ClassFit(degree=d, weights=weights, empirical_risk=risk,
+                             penalty=penalty, penalized_risk=risk + penalty))
+    chosen = min(fits, key=lambda f: (f.penalized_risk, f.degree))
+    return SrmSelection(selected=chosen, fits=tuple(fits), lambda_slack=lambda_slack,
+                        beta2_by_degree=dict(beta2_by_degree))
+
+
+@dataclass(frozen=True)
+class SrmGuaranteeRecord:
+    selected_degree: int
+    holdout_risk_selected: float
+    oracle_rhs: float  # min_d holdout risk + (lambda + 2) d beta2(d), plus epsilon
+    epsilon: float
+    failure_probability: float
+    satisfied: bool
+
+
+def srm_report(selection: SrmSelection, family: DegreeClassFamily, holdout_sets,
+               epsilon: float, beta1: float, n_vertices: int) -> SrmGuaranteeRecord:
+    """Pair a selection with its confidence and both sides of the guarantee.
+
+    The oracle side inf_h ( R(h) + (lambda + 2) d(h) beta2 ) is estimated by
+    the per-class ERMs evaluated on held-out sets.
+    """
+    from .bounds import srm_confidence
+
+    beta2 = max(selection.beta2_by_degree.values())
+
+    def holdout_risk(fit: ClassFit) -> float:
+        alg = SrmClassAlgorithm(family, fit.degree)
+        risks = [float(np.mean(alg.losses(fit.weights, alg.prepare(z))))
+                 for z in holdout_sets]
+        return float(np.mean(risks))
+
+    lhs = holdout_risk(selection.selected)
+    rhs = min(
+        holdout_risk(fit)
+        + (selection.lambda_slack + 2.0) * fit.degree * selection.beta2_by_degree[fit.degree]
+        for fit in selection.fits
+    ) + epsilon
+    prob = srm_confidence(
+        beta1=beta1, beta2=beta2, loss_bound=family.loss_bound(),
+        lambda_slack=selection.lambda_slack, d_max=family.d_max,
+        n_vertices=n_vertices, epsilon=epsilon,
+    )
+    return SrmGuaranteeRecord(
+        selected_degree=selection.selected.degree,
+        holdout_risk_selected=lhs,
+        oracle_rhs=rhs,
+        epsilon=epsilon,
+        failure_probability=prob,
+        satisfied=bool(lhs <= rhs),
+    )

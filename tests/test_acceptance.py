@@ -333,14 +333,22 @@ def test_criterion_09_gnn_solver():
 # 10 -----------------------------------------------------------------------
 
 
+def loglog_slope(xs, ys) -> float:
+    """Least-squares slope of log(y) against log(x)."""
+    lx = np.log(np.asarray(xs, dtype=float))
+    ly = np.log(np.asarray(ys, dtype=float))
+    lx = lx - lx.mean()
+    return float((lx @ (ly - ly.mean())) / (lx @ lx))
+
+
 def test_criterion_10_scaling_slope():
     started = time.time()
-    records = gnn.scaling_sweep(n=64, densities=[0.03, 0.06, 0.12, 0.25, 0.5],
-                                replicates=16, trials=2, seed=1001, n_test_draws=8)
-    slope = gnn.loglog_slope([r["sup_d"] for r in records],
-                             [r["beta2"] for r in records])
+    densities = [0.03, 0.06, 0.12, 0.25, 0.5]
+    results = [gnn.sweep_point(p, di, rep, n=64, trials=2, seed=1001, n_test_draws=8)
+               for di, p in enumerate(densities) for rep in range(16)]
+    slope = loglog_slope([r.sup_d for r in results], [r.beta2 for r in results])
     report(10, "type-2 scaling slope", 0.6 <= slope <= 1.4,
-           f"slope {slope:.3f} over {len(records)} points, {time.time() - started:.1f}s")
+           f"slope {slope:.3f} over {len(results)} points, {time.time() - started:.1f}s")
 
 
 # 11 -----------------------------------------------------------------------

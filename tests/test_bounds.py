@@ -150,7 +150,9 @@ def test_hand_substitution_constants():
     pz, py = convex_recursion_constants(p, 0)
     assert pz == pytest.approx(0.959)
     assert py == pytest.approx(0.03)
-    assert bounds.step_condition_value(p) == pytest.approx(0.1001)
+    cert = p.certificate
+    assert bounds.step_condition(p.step_size, cert.smoothness,
+                                 cert.strong_convexity) == pytest.approx(0.1001)
     assert bounds.step_condition_ok(p)
 
 
@@ -487,15 +489,6 @@ def test_bound_report_nonconvex_divergent_flagged_but_numeric():
     cond = report["conditions"]["convergence: PM <= 1"]
     assert not cond["ok"]
     assert report["expected_beta2"] is not None and np.isfinite(report["expected_beta2"])
-
-
-def test_params_from_sgd_config_fixed_step():
-    from grlstab.sgd import SgdConfig
-
-    fixed = SgdConfig(step_size=0.1, steps=5, seed=0)
-    p = bounds.params_from_sgd_config(unit_cert(), fixed, 10, np.full(10, 2),
-                                      bounds.STRONGLY_CONVEX)
-    assert p.steps == 5
 
 
 # ---------------------------------------------------------------------------

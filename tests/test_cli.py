@@ -264,11 +264,12 @@ gnn.replicates = 2
 """)
     assert run_cli(["run", path]) == 0
     header, rows = read_csv(out / "results.csv")
-    records = gnn.scaling_sweep(n=12, densities=[0.2, 0.5], replicates=2, trials=1,
-                                seed=9, kind="label", n_test_draws=4)
+    results = [gnn.sweep_point(p, di, rep, n=12, trials=1, seed=9, kind="label",
+                               n_test_draws=4)
+               for di, p in enumerate([0.2, 0.5]) for rep in range(2)]
     sup_i, b2_i = header.index("sup_d"), header.index("beta2")
     assert [(float(r[sup_i]), float(r[b2_i])) for r in rows] \
-        == [(rec["sup_d"], rec["beta2"]) for rec in records]
+        == [(res.sup_d, res.beta2) for res in results]
 
 
 def test_gnn_single_graph_files_equal_library_experiment(tmp_path):
@@ -386,25 +387,35 @@ sampler.sweeps = 20
     assert run_cli(["run", path]) == 0
 
 
-@pytest.mark.parametrize("keys", [
-    "objective = ripple\nobjective.strong_convexity = 0.5\n",
-    "objective = quadratic\nobjective.ripple_amplitude = 0.01\n",
-    "objective = quadratic\nobjective.frequency = 2.0\n",
-    "sampler.feature_dim = 4\n",
-    "objective.dim = 4\n",
+@pytest.mark.parametrize("experiment, keys", [
+    ("bounds", "objective = ripple\nobjective.strong_convexity = 0.5\n"),
+    ("bounds", "objective = quadratic\nobjective.ripple_amplitude = 0.01\n"),
+    ("bounds", "objective = quadratic\nobjective.frequency = 2.0\n"),
+    ("bounds", "sampler.feature_dim = 4\n"),
+    ("bounds", "objective.dim = 4\n"),
+    ("sample", "sampler.kind = iid\nsampler.sweeps = 0\nsampler.coupling = 5\n"),
+    ("sample", "sampler.kind = ising\nsampler.label_noise = 0.1\n"),
+    ("stability", "sgd.steps = 5\nharness.trials = 3\n"),
+    ("concentration", "sampler.kind = ising\nconc.sweeps = 0\n"),
 ], ids=["ripple-strong_convexity", "quadratic-ripple_amplitude", "quadratic-frequency",
-        "sampler.feature_dim", "objective.dim"])
-def test_objective_keys_the_run_does_not_use_rejected(tmp_path, keys, capsys):
+        "sampler.feature_dim", "objective.dim", "iid-sweeps-coupling", "ising-label_noise",
+        "harness.trials", "conc.sweeps"])
+def test_objective_keys_the_run_does_not_use_rejected(tmp_path, experiment, keys, capsys):
+    # keys of another objective or sampler family, and keys no run reads,
+    # exit 1 naming the key (the last one set) before anything is written
     out = tmp_path / "out"
     path = write_config(tmp_path, "keys.ini", f"""
-experiment = bounds
+experiment = {experiment}
 seed = 2
 out = {out}
 graph.kind = cycle
 graph.n = 6
 """ + keys)
     assert run_cli(["run", path]) == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert keys.splitlines()[-1].split(" = ")[0] in err["message"]
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_capacity_error_is_user_error(tmp_path):
@@ -446,6 +457,7 @@ COUNT_CONFIGS = {
     "conc.draws": "experiment = concentration\nsampler.kind = ising\nsampler.sweeps = 10\n",
     "srm.holdout": "experiment = srm\nsrm.d_max = 2\n",
     "gnn.trials": "experiment = gnn\n",
+    "gnn.dim": "experiment = gnn\n",
     "gnn.replicates": "experiment = gnn\ngnn.densities = 0.2\n",
 }
 

@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from grlstab import gnn, graphs
-from grlstab.harness import ClosedFormGnnAlgorithm
 from grlstab.seeding import child_rng
+
+
+def use_fit(monkeypatch, solver):
+    """Make gnn_stability_experiment and its reference loop fit with the
+    rowwise oracle when solver is "rowwise"; both look up
+    gnn.fit_projected_closed_form at call time."""
+    if solver == "rowwise":
+        monkeypatch.setattr(gnn, "fit_projected_closed_form", gnn.fit_exact_rowwise)
 
 
 def full_mask_problem(y, v_target, ridge=1.0, n=2):
@@ -78,7 +85,7 @@ def test_objective_zero_solution_value():
     rng = child_rng(3, "objzero")
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(5))
     p = random_problem(rng, rf)
-    zero = gnn.GnnSolution(a_tilde=np.zeros((5, 5)), method="zero", objective_value=0.0)
+    zero = gnn.GnnSolution(a_tilde=np.zeros((5, 5)), objective_value=0.0)
     assert gnn.gnn_objective(p, zero) == pytest.approx(0.5 * p.labels @ p.labels)
 
 
@@ -89,7 +96,7 @@ def test_objective_rejects_support_violation():
     bad = np.zeros((5, 5))
     bad[0, 2] = 1.0  # vertex 2 outside Xi(0) on a 5-cycle
     with pytest.raises(gnn.SupportError):
-        gnn.gnn_objective(p, gnn.GnnSolution(a_tilde=bad, method="bad", objective_value=0.0))
+        gnn.gnn_objective(p, gnn.GnnSolution(a_tilde=bad, objective_value=0.0))
 
 
 def masked_objective_gradient(p, sol):
@@ -113,8 +120,8 @@ def test_rowwise_first_order_condition_and_fd():
         up[i, j] += step
         down = sol.a_tilde.copy()
         down[i, j] -= step
-        fd = (gnn.gnn_objective(p, gnn.GnnSolution(up, "fd", 0.0))
-              - gnn.gnn_objective(p, gnn.GnnSolution(down, "fd", 0.0))) / (2 * step)
+        fd = (gnn.gnn_objective(p, gnn.GnnSolution(up, 0.0))
+              - gnn.gnn_objective(p, gnn.GnnSolution(down, 0.0))) / (2 * step)
         assert abs(fd) <= 1e-8
 
 
@@ -186,8 +193,6 @@ def test_projected_features_cached_once_with_unchanged_bits():
         grad = (-np.outer(p.labels, v) + (s.a_tilde @ v)[:, None] * v[None, :]
                 + p.ridge * s.a_tilde)
         assert np.array_equal(gnn.full_objective_gradient(p, s), grad)
-    alg = ClosedFormGnnAlgorithm(rf, p.weight, p.ridge)
-    assert np.array_equal(alg.losses(a, p), (a @ v - p.labels) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +222,13 @@ def reference_test_feature_candidates(rng, n, dim, b_x, weight, pairs, n_draws):
 
 
 def reference_gnn_stability_experiment(rf, kind, trials, eps_feature, seed,
-                                       solver="projected", n_test_draws=32, ridge=1.0,
+                                       n_test_draws=32, ridge=1.0,
                                        b_x=1.0, b_y=1.0, b_w=1.0, dim=3):
     """Per-candidate loop kept as the bit pin of gnn_stability_experiment.
 
     Returns (beta1_i, beta2_i).
     """
-    fit = gnn._solver(solver)
+    fit = gnn.fit_projected_closed_form
     mask = graphs.mask_from_fields(rf)
     n = rf.n
     beta1_i = np.zeros(n)
@@ -309,10 +314,10 @@ def test_candidate_batch_bit_equal_reference_list(n_draws, weight_scale):
 @pytest.mark.parametrize("kind", [gnn.LABEL_MODE, gnn.FEATURE_MODE])
 @pytest.mark.parametrize("solver", ["projected", "rowwise"])
 @pytest.mark.parametrize("n, density", [(32, 0.05), (48, 0.2), (64, 0.5), (40, 0.8)])
-def test_batched_candidates_bit_equal_reference_loop(kind, solver, n, density):
+def test_batched_candidates_bit_equal_reference_loop(kind, solver, n, density, monkeypatch):
+    use_fit(monkeypatch, solver)
     rf = gnn.density_mask_fields(n, density, seed=n)
-    res = assert_matches_reference(rf, kind, seed=100 + n, trials=2, solver=solver,
-                                   n_test_draws=6)
+    res = assert_matches_reference(rf, kind, seed=100 + n, trials=2, n_test_draws=6)
     assert res.beta2 > 0.0
 
 
@@ -349,23 +354,25 @@ def test_batched_candidates_corners_only_bit_equal(kind):
 
 
 @pytest.mark.parametrize("solver", ["projected", "rowwise"])
-def test_label_mode_draws_change_nothing(solver):
+def test_label_mode_draws_change_nothing(solver, monkeypatch):
     # label mode evaluates the sign corners only; the reference loop, which
     # still draws 32 Monte Carlo sets per vertex, reaches the same bits
+    use_fit(monkeypatch, solver)
     rf = gnn.density_mask_fields(40, 0.3, seed=9)
     corners = gnn.gnn_stability_experiment(rf, gnn.LABEL_MODE, 2, 0.0, seed=24,
-                                           solver=solver, n_test_draws=0)
+                                           n_test_draws=0)
     drawn = assert_matches_reference(rf, gnn.LABEL_MODE, seed=24, trials=2,
-                                     solver=solver, n_test_draws=32)
+                                     n_test_draws=32)
     assert np.array_equal(corners.beta1_i, drawn.beta1_i)
     assert np.array_equal(corners.beta2_i, drawn.beta2_i)
 
 
 @pytest.mark.parametrize("solver", ["projected", "rowwise"])
 @pytest.mark.parametrize("case", range(4))
-def test_label_mode_beta2_is_sign_corner_closed_form(solver, case):
+def test_label_mode_beta2_is_sign_corner_closed_form(solver, case, monkeypatch):
     # beta2_i = max_e |e - y_i| c T (|e + y_i| c T + 2 b_y), T = b_x ||w|| sum_k |m_k|,
-    # m = mask_i o v, c the solver's row-i denominator
+    # m = mask_i o v, c the fit's row-i denominator
+    use_fit(monkeypatch, solver)
     draw = child_rng(30, "closed-form", case)
     n = int(draw.integers(8, 41))
     density = float(draw.uniform(0.05, 1.0))
@@ -373,8 +380,7 @@ def test_label_mode_beta2_is_sign_corner_closed_form(solver, case):
     rf = gnn.density_mask_fields(n, density, seed=case)
     seed, trials, dim = 40 + case, 2, 3
     res = gnn.gnn_stability_experiment(rf, gnn.LABEL_MODE, trials, 0.0, seed,
-                                       solver=solver, ridge=ridge, b_x=b_x, b_y=b_y,
-                                       b_w=b_w, dim=dim)
+                                       ridge=ridge, b_x=b_x, b_y=b_y, b_w=b_w, dim=dim)
     mask = graphs.mask_from_fields(rf)
     expected = np.zeros(n)
     for trial in range(trials):
@@ -499,18 +505,6 @@ def test_experiment_rejects_large_feature_bump():
                                      eps_feature=0.5, seed=0)
 
 
-def test_solver_names_looked_up_in_registry():
-    rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(5))
-    assert ClosedFormGnnAlgorithm(rf, np.ones(3), 1.0, solver="rowwise")._fit is (
-        gnn.fit_exact_rowwise)
-    assert ClosedFormGnnAlgorithm(rf, np.ones(3), 1.0)._fit is gnn.fit_projected_closed_form
-    with pytest.raises(ValueError, match="known solvers: \\['projected', 'rowwise'\\]"):
-        ClosedFormGnnAlgorithm(rf, np.ones(3), 1.0, solver="row-wise")
-    with pytest.raises(ValueError, match="known solvers"):
-        gnn.gnn_stability_experiment(rf, "label", trials=1, eps_feature=0.0, seed=0,
-                                     solver="projectd")
-
-
 def test_label_mode_beta1_exactly_zero():
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(8))
     res = gnn.gnn_stability_experiment(rf, "label", trials=2, eps_feature=0.0,
@@ -528,10 +522,10 @@ def test_feature_mode_positive_discrepancy():
 
 
 def test_scaling_sweep_slope_near_linear():
-    records = gnn.scaling_sweep(n=32, densities=[0.08, 0.2, 0.5], replicates=3,
-                                trials=2, seed=15, n_test_draws=8)
-    slope = gnn.loglog_slope([r["sup_d"] for r in records],
-                             [r["beta2"] for r in records])
+    results = [gnn.sweep_point(p, di, rep, n=32, trials=2, seed=15, n_test_draws=8)
+               for di, p in enumerate([0.08, 0.2, 0.5]) for rep in range(3)]
+    slope = np.polyfit(np.log([r.sup_d for r in results]),
+                       np.log([r.beta2 for r in results]), 1)[0]
     assert 0.5 <= slope <= 1.5
 
 

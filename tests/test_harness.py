@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grlstab import bounds, gnn, graphs, sampling, sgd, srm
-from grlstab.harness import (ClosedFormGnnAlgorithm, NonDeterministicAlgorithmError,
+from grlstab.harness import (NonDeterministicAlgorithmError,
                              SgdAlgorithm, _prepared_cube, estimate_generalization_gap,
                              estimate_mu, estimate_stability, estimate_vertex_stability,
                              exact_risk, exhaustive_binary_stability)
@@ -69,7 +69,7 @@ def ring_ising_sampler(n=5, coupling=0.2, rule="self", sweeps=40):
     rf = graphs.one_hop_receptive_fields(g)
     spec = sampling.IsingSpec(coupling=coupling * g.adjacency.astype(float),
                               external_field=np.zeros(n), rf=rf, label_rule=rule)
-    return sampling.IsingSampler(spec=spec, sweeps=sweeps, min_sweeps=sweeps)
+    return sampling.IsingSampler(spec=spec, sweeps=sweeps)
 
 
 def test_constant_algorithm_zero_stability():
@@ -235,15 +235,6 @@ def test_exact_risk_matches_weighted_average():
     assert risk == pytest.approx(manual, rel=1e-12)
 
 
-def test_gnn_algorithm_in_harness():
-    rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(6))
-    sampler = sampling.IidSampler(rf=rf, dim=3)
-    alg = ClosedFormGnnAlgorithm(rf, weight=np.array([0.5, 0.3, -0.2]), ridge=1.0)
-    b1, b2 = estimate_vertex_stability(alg, sampler, 1, 2, 2, seed=15)
-    assert 0.0 <= b1 <= b2
-    assert b2 > 0.0
-
-
 def test_empirical_beta2_below_expected_bound():
     # harness estimate vs the closed-form expected bound on matching constants
     rf, sampler, obj, alg = make_setup(n=8, steps=50)
@@ -319,7 +310,8 @@ class ReferenceSrm:
         self.family, self.degree, self.id = alg.family, alg.degree, alg.id
 
     def train(self, z):
-        return srm.train_class_erm(self.family, z, self.degree).weights
+        phi = self.family.design_matrix(z, self.degree)
+        return srm.ball_constrained_least_squares(phi, z.labels, self.family.weight_radius)
 
     def train_pooled(self, sets):
         phi = np.vstack([self.family.design_matrix(z, self.degree) for z in sets])
@@ -327,7 +319,36 @@ class ReferenceSrm:
         return srm.ball_constrained_least_squares(phi, y, self.family.weight_radius)
 
     def losses(self, h, z):
-        return srm.class_losses(self.family, self.degree, h, z)
+        return 0.5 * (self.family.design_matrix(z, self.degree) @ h - z.labels) ** 2
+
+
+class GnnLearner:
+    """The closed-form masked-ridge GNN as a harness learner with no pooled fit.
+
+    Its prepared set is the GnnProblem of the sample set; the loss is the
+    squared error (yhat_j - y_j)^2 of the GNN stability experiments.
+    """
+
+    def __init__(self, rf, weight, ridge):
+        self.weight = np.asarray(weight, dtype=float)
+        self.ridge = float(ridge)
+        self.mask = graphs.mask_from_fields(rf)
+        self.id = f"gnn(ridge={self.ridge})"
+
+    def prepare(self, z):
+        return gnn.GnnProblem(
+            features=z.features, labels=z.labels, weight=self.weight,
+            mask=self.mask, ridge=self.ridge,
+            b_x=float(np.linalg.norm(z.features, axis=1).max() + 1.0),
+            b_y=float(np.abs(z.labels).max() + 1.0),
+            b_w=float(np.linalg.norm(self.weight) + 1.0),
+        )
+
+    def train(self, problem):
+        return gnn.fit_projected_closed_form(problem).a_tilde
+
+    def losses(self, h, problem):
+        return (h @ problem.v - problem.labels) ** 2
 
 
 class ReferenceGnn:
@@ -344,7 +365,7 @@ class ReferenceGnn:
             ridge=alg.ridge, b_x=float(np.linalg.norm(z.features, axis=1).max() + 1.0),
             b_y=float(np.abs(z.labels).max() + 1.0),
             b_w=float(np.linalg.norm(alg.weight) + 1.0))
-        return alg._fit(problem).a_tilde
+        return gnn.fit_projected_closed_form(problem).a_tilde
 
     def losses(self, h, z):
         return (h @ (z.features @ self.alg.weight) - z.labels) ** 2
@@ -415,8 +436,7 @@ def protocol_learners(rf):
     learners = [(SgdAlgorithm(obj, rf, SgdConfig(step_size=0.1, steps=20, seed=19)),
                  ReferenceSgd) for obj in (quad, ripple)]
     learners += [(srm.SrmClassAlgorithm(family, d), ReferenceSrm) for d in (1, 2, 3)]
-    learners.append((ClosedFormGnnAlgorithm(rf, np.array([0.5, 0.3, -0.2]), ridge=1.0),
-                     ReferenceGnn))
+    learners.append((GnnLearner(rf, np.array([0.5, 0.3, -0.2]), ridge=1.0), ReferenceGnn))
     return learners
 
 

@@ -95,16 +95,10 @@ def test_sample_diameter_invariant():
 
 def test_glauber_determinism():
     spec = ring_spec(5, 0.3)
-    s = sampling.IsingSampler(spec=spec, sweeps=50, min_sweeps=50)
+    s = sampling.IsingSampler(spec=spec, sweeps=50)
     z1, z2 = s.sample(5), s.sample(5)
     assert np.array_equal(z1.spins, z2.spins)
     assert np.array_equal(z1.features, z2.features)
-
-
-def test_glauber_rejects_short_burn_in():
-    spec = ring_spec(5, 0.3)
-    with pytest.raises(ValueError):
-        sampling.IsingSampler(spec=spec, sweeps=10, min_sweeps=100)
 
 
 def test_glauber_zero_coupling_magnetization():
@@ -113,7 +107,7 @@ def test_glauber_zero_coupling_magnetization():
     rf = graphs.one_hop_receptive_fields(graphs.empty_graph(n))
     h = np.array([0.0, 0.3, -0.5, 1.0, 0.2])
     spec = sampling.IsingSpec(coupling=np.zeros((n, n)), external_field=h, rf=rf)
-    sampler = sampling.IsingSampler(spec=spec, sweeps=30, min_sweeps=30)
+    sampler = sampling.IsingSampler(spec=spec, sweeps=30)
     spins = sampler.sample_spins_batch(40_000, seed=1)
     emp = spins.mean(axis=0)
     se = spins.std(axis=0) / np.sqrt(spins.shape[0])
@@ -123,7 +117,7 @@ def test_glauber_zero_coupling_magnetization():
 def test_glauber_two_spin_agreement_probability():
     # N=2, J=0.5, h=0: P(s1 = s2) = e^J / (e^J + e^-J)
     spec = ring_spec(2, 0.5)
-    sampler = sampling.IsingSampler(spec=spec, sweeps=40, min_sweeps=40)
+    sampler = sampling.IsingSampler(spec=spec, sweeps=40)
     spins = sampler.sample_spins_batch(60_000, seed=2)
     emp = float(np.mean(spins[:, 0] == spins[:, 1]))
     expected = np.exp(0.5) / (np.exp(0.5) + np.exp(-0.5))
@@ -203,7 +197,7 @@ def test_sampler_draws_match_reference_across_a_block_boundary():
 
     spec = KERNEL_SPECS["erdos-renyi"]()
     sweeps = sweeps_per_block(spec) + 1
-    s = sampling.IsingSampler(spec=spec, sweeps=sweeps, min_sweeps=sweeps)
+    s = sampling.IsingSampler(spec=spec, sweeps=sweeps)
     z = s.sample(6)
     expected = spec.sample_set_from_spins(
         reference_glauber_spins(spec, sweeps, child_rng(6, "glauber"))[0], 6)
@@ -249,7 +243,7 @@ def test_replace_conditional_matches_reference_draws():
     from grlstab.seeding import child_rng
 
     spec = KERNEL_SPECS["erdos-renyi"]()
-    s = sampling.IsingSampler(spec=spec, sweeps=20, min_sweeps=20)
+    s = sampling.IsingSampler(spec=spec, sweeps=20)
     z = s.sample(3)
     lam = [0, 4, 7]
     for seed in range(20):
@@ -434,7 +428,7 @@ def test_replace_single_vertex_iid():
 
 def test_replace_changes_exactly_lambda():
     spec = ring_spec(6, 0.2)
-    s = sampling.IsingSampler(spec=spec, sweeps=30, min_sweeps=30)
+    s = sampling.IsingSampler(spec=spec, sweeps=30)
     z = s.sample(4)
     lam = [1, 4]
     z2 = s.replace(z, lam, seed=9, mode="fresh-marginal")
@@ -446,7 +440,7 @@ def test_replace_changes_exactly_lambda():
 
 REPLACE_SAMPLERS = {
     "iid": lambda: iid_sampler(n=5),
-    "ising": lambda: sampling.IsingSampler(spec=ring_spec(5, 0.2), sweeps=20, min_sweeps=20),
+    "ising": lambda: sampling.IsingSampler(spec=ring_spec(5, 0.2), sweeps=20),
 }
 
 
@@ -479,7 +473,7 @@ def test_ising_replace_needs_spins():
 def test_replace_conditional_matches_exact_two_spin_law():
     # conditional of spin 0 given spin 1: P(+1 | s1) = sigmoid(2 J s1)
     spec = ring_spec(2, 0.5, rule="self")
-    s = sampling.IsingSampler(spec=spec, sweeps=30, min_sweeps=30)
+    s = sampling.IsingSampler(spec=spec, sweeps=30)
     base = spec.sample_set_from_spins(np.array([1, 1]), seed=0)
     hits = 0
     trials = 4000

@@ -328,8 +328,9 @@ def test_envelope_branch_follows_bound_step_condition():
     for alpha in (0.1, 0.7, 0.9, 1.2):
         cfg = SgdConfig(step_size=alpha, steps=5, seed=2)
         trace = coupled_train(z, z_i, rf, obj, cfg)
-        params = bounds.params_from_sgd_config(obj.certificate, cfg, rf.n, rf.sizes,
-                                               obj.regime)
+        params = bounds.SgdBoundParams(certificate=obj.certificate, step_size=alpha,
+                                       steps=5, n_vertices=rf.n, field_sizes=rf.sizes,
+                                       regime=obj.regime)
         active = envelope_check(trace, obj).regime_a_active
         assert active == bounds.step_condition_ok(params)
         seen.add(active)

@@ -115,9 +115,25 @@ def test_class_ris0_non_increasing_in_degree():
     family = make_family(d_max=4)
     for seed in range(5):
         _, z = make_instance(family, seed)
-        risks = [srm.train_class_erm(family, z, d).empirical_risk
-                 for d in range(1, family.d_max + 1)]
+        zero_beta = dict.fromkeys(range(1, family.d_max + 1), 0.0)
+        risks = [f.empirical_risk for f in srm.select_sparse(family, z, 0.0, zero_beta).fits]
         assert all(b <= a + 1e-10 for a, b in zip(risks, risks[1:]))
+
+
+def test_select_sparse_fits_are_class_erms_bit_for_bit():
+    # each fit is the ball-constrained least squares of its class and its
+    # risk the mean half squared residual, as the harness learner computes them
+    family = make_family()
+    _, z = make_instance(family, seed=2)
+    beta2 = {1: 0.01, 2: 0.02, 3: 0.03}
+    sel = srm.select_sparse(family, z, 0.4, beta2)
+    for fit in sel.fits:
+        phi = family.design_matrix(z, fit.degree)
+        w = srm.ball_constrained_least_squares(phi, z.labels, family.weight_radius)
+        risk = float(np.mean(0.5 * (phi @ w - z.labels) ** 2))
+        assert np.array_equal(fit.weights, w)
+        assert fit.empirical_risk == risk
+        assert fit.penalized_risk == risk + 2.0 * 0.4 * fit.degree * beta2[fit.degree]
 
 
 def test_select_sparse_lambda_zero_is_plain_erm_largest_class():
