@@ -47,21 +47,6 @@ def workers() -> int:
 # ---------------------------------------------------------------------------
 # Config-driven builders
 
-GRAPH_KEYS = ("graph.kind", "graph.n", "graph.p", "graph.path")
-SAMPLER_KEYS = ("sampler.kind", "sampler.dim", "sampler.bx", "sampler.by",
-                "sampler.coupling", "sampler.field", "sampler.rule",
-                "sampler.sweeps", "sampler.label_noise")
-OBJECTIVE_KEYS = ("objective", "objective.smoothness", "objective.strong_convexity",
-                  "objective.ripple_amplitude", "objective.frequency",
-                  "objective.weight_radius")
-# keys read by one sampler or objective family only; the others reject them
-SAMPLER_FAMILY_KEYS = {"iid": ("sampler.label_noise",),
-                       "ising": ("sampler.coupling", "sampler.field", "sampler.rule",
-                                 "sampler.sweeps")}
-OBJECTIVE_FAMILY_KEYS = {"quadratic": ("objective.strong_convexity",),
-                         "ripple": ("objective.ripple_amplitude", "objective.frequency")}
-SGD_KEYS = ("sgd.step_size", "sgd.steps")
-
 
 def build_graph(cfg: ExperimentConfig) -> graphs.Graph:
     kind = cfg.get_str("graph.kind")
@@ -77,34 +62,26 @@ def build_graph(cfg: ExperimentConfig) -> graphs.Graph:
     raise ConfigError(f"unknown graph.kind {kind!r}")
 
 
-def _check_family(cfg: ExperimentConfig, family_keys: dict, key: str, kind: str) -> None:
-    """Reject an unknown family ``kind`` and any key that only another family reads."""
-    if kind not in family_keys:
-        raise ConfigError(f"unknown {key} {kind!r}")
-    ignored = [k for family, keys in family_keys.items() if family != kind
-               for k in keys if cfg.has(k)]
-    if ignored:
-        raise ConfigError(f"{key} {kind!r} does not use {ignored}")
+def _sample_space(cfg: ExperimentConfig) -> tuple:
+    """(feature dim, B_X, B_Y), shared by the sampler, the objective and the SRM family."""
+    return (cfg.get_int("sampler.dim", 3), cfg.get_float("sampler.bx", 1.0),
+            cfg.get_float("sampler.by", 1.0))
 
 
 def build_sampler(cfg: ExperimentConfig, rf: graphs.ReceptiveFieldMap):
     kind = cfg.get_str("sampler.kind", "iid")
-    _check_family(cfg, SAMPLER_FAMILY_KEYS, "sampler.kind", kind)
-    b_x = cfg.get_float("sampler.bx", 1.0)
-    b_y = cfg.get_float("sampler.by", 1.0)
+    dim, b_x, b_y = _sample_space(cfg)
     if kind == "iid":
         return sampling.IidSampler(
-            rf=rf, dim=cfg.get_int("sampler.dim", 3), b_x=b_x, b_y=b_y,
+            rf=rf, dim=dim, b_x=b_x, b_y=b_y,
             label_noise=cfg.get_float("sampler.label_noise", 0.0),
         )
-    coupling = cfg.get_float("sampler.coupling", 0.2)
-    field = cfg.get_float("sampler.field", 0.0)
+    if kind != "ising":
+        raise ConfigError(f"unknown sampler.kind {kind!r}")
     spec = sampling.IsingSpec(
-        coupling=coupling * mask_offdiag(rf),
-        external_field=np.full(rf.n, field),
-        rf=rf,
-        feature_dim=cfg.get_int("sampler.dim", 3),
-        b_x=b_x, b_y=b_y,
+        coupling=cfg.get_float("sampler.coupling", 0.2) * mask_offdiag(rf),
+        external_field=np.full(rf.n, cfg.get_float("sampler.field", 0.0)),
+        rf=rf, feature_dim=dim, b_x=b_x, b_y=b_y,
         label_rule=cfg.get_str("sampler.rule", "field-mean"),
     )
     return sampling.IsingSampler(spec=spec, sweeps=cfg.get_int("sampler.sweeps", 1000))
@@ -118,10 +95,7 @@ def mask_offdiag(rf: graphs.ReceptiveFieldMap) -> np.ndarray:
 
 def build_objective(cfg: ExperimentConfig):
     kind = cfg.get_str("objective", "quadratic")
-    _check_family(cfg, OBJECTIVE_FAMILY_KEYS, "objective", kind)
-    dim = cfg.get_int("sampler.dim", 3)
-    b_x = cfg.get_float("sampler.bx", 1.0)
-    b_y = cfg.get_float("sampler.by", 1.0)
+    dim, b_x, b_y = _sample_space(cfg)
     radius = cfg.get_float("objective.weight_radius", 1.0)
     lam = cfg.get_float("objective.smoothness", 1.0)
     if kind == "quadratic":
@@ -129,6 +103,8 @@ def build_objective(cfg: ExperimentConfig):
             dim, lam, cfg.get_float("objective.strong_convexity", 0.5),
             b_x, b_y, radius,
         )
+    if kind != "ripple":
+        raise ConfigError(f"unknown objective {kind!r}")
     freq = cfg.get_float("objective.frequency", 4.0)
     amp = cfg.get_float("objective.ripple_amplitude", lam / (2 * freq * freq))
     return RippleFieldObjective(dim, lam, b_x, b_y, amp, radius, freq)
@@ -150,8 +126,7 @@ def _get_count(cfg: ExperimentConfig, key: str, default: int, minimum: int = 1) 
     return value
 
 
-def build_bound_params(cfg: ExperimentConfig, obj, rf) -> bnd.SgdBoundParams:
-    sgd_cfg = build_sgd_config(cfg)
+def build_bound_params(sgd_cfg: SgdConfig, obj, rf) -> bnd.SgdBoundParams:
     return bnd.SgdBoundParams(
         certificate=obj.certificate, step_size=sgd_cfg.step_size, steps=sgd_cfg.steps,
         n_vertices=rf.n, field_sizes=rf.sizes, regime=obj.regime,
@@ -159,19 +134,22 @@ def build_bound_params(cfg: ExperimentConfig, obj, rf) -> bnd.SgdBoundParams:
 
 
 # ---------------------------------------------------------------------------
-# Experiments
+# Experiments: each reads all of its keys, then calls cfg.reject_unread(),
+# and only then samples, trains or writes
 
 
 def run_sample(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
-    cfg.validate_keys(GRAPH_KEYS + SAMPLER_KEYS + ("out", "sample.replace", "sample.replace_mode"))
     rf = graphs.one_hop_receptive_fields(build_graph(cfg))
     sampler = build_sampler(cfg, rf)
-    z = sampler.sample(seed_int(cfg.seed, "sampler"))
+    indices = None
     if cfg.has("sample.replace"):
         indices = cfg.get_ints("sample.replace")
         mode = cfg.get_str("sample.replace_mode",
                            "fresh-marginal" if isinstance(sampler, sampling.IidSampler)
                            else "fresh-conditional")
+    cfg.reject_unread()
+    z = sampler.sample(seed_int(cfg.seed, "sampler"))
+    if indices is not None:
         z = sampler.replace(z, indices, seed_int(cfg.seed, "replace"), mode)
     header = ["vertex"] + [f"x{k}" for k in range(z.dim)] + ["label", "perturbed"]
     rows = [
@@ -181,55 +159,17 @@ def run_sample(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     write_csv(outdir / "samples.csv", header, rows, chash)
 
 
+TRAJECTORY_HEADER = ["t", "sampled_vertex", "w_norm", "delta_norm", "case"]
+
+
 def run_train(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
-    cfg.validate_keys(GRAPH_KEYS + SAMPLER_KEYS + OBJECTIVE_KEYS + SGD_KEYS
-                      + ("out", "train.perturb_vertex", "train.runs"))
     rf = graphs.one_hop_receptive_fields(build_graph(cfg))
     sampler = build_sampler(cfg, rf)
     obj = build_objective(cfg)
     sgd_cfg = build_sgd_config(cfg)
-    params = build_bound_params(cfg, obj, rf)
 
-    if cfg.has("train.perturb_vertex"):
-        vertex = cfg.get_int("train.perturb_vertex")
-        runs = _get_count(cfg, "train.runs", 1)
-        sum_delta = np.zeros(sgd_cfg.steps + 1)
-        first = None
-        for r in range(runs):
-            run_cfg = SgdConfig(step_size=sgd_cfg.step_size, steps=sgd_cfg.steps,
-                                seed=seed_int(cfg.seed, "sgd", r))
-            z = sampler.sample(seed_int(cfg.seed, "sampler", r))
-            z_i = sampler.replace(z, [vertex], seed_int(cfg.seed, "replace", r))
-            trace = coupled_train(z, z_i, rf, obj, run_cfg)
-            sum_delta += trace.delta_norms
-            if first is None:
-                first = trace
-        rows = []
-        for t in range(sgd_cfg.steps + 1):
-            rows.append([
-                t,
-                first.base.indices[t - 1] if t else "",
-                float(np.linalg.norm(first.base.weights[t])),
-                float(first.delta_norms[t]),
-                first.case_labels[t - 1] if t else "",
-            ])
-        write_csv(outdir / "trajectory.csv",
-                  ["t", "sampled_vertex", "w_norm", "delta_norm", "case"], rows, chash)
-        growths, kicks = bnd.recursion_constants(params)
-        growth, kick = float(growths[vertex]), float(kicks[vertex])
-        stats = [[t, float(sum_delta[t] / runs),
-                  kick * bnd.geometric_series(growth, t)]
-                 for t in range(sgd_cfg.steps + 1)]
-        write_csv(outdir / "delta_stats.csv",
-                  ["t", "mean_delta", "expected_envelope"], stats, chash)
-        report = envelope_check(first, obj)
-        write_json(outdir / "envelope.json", {
-            "regime": report.regime,
-            "regime_a_active": report.regime_a_active,
-            "min_margin": float(report.margins.min()) if report.margins.size else 0.0,
-            "ok": report.ok,
-        }, chash)
-    else:
+    if not cfg.has("train.perturb_vertex"):
+        cfg.reject_unread()
         z = sampler.sample(seed_int(cfg.seed, "sampler"))
         traj = train(obj.bind(z, rf), sgd_cfg)
         rows = [[t,
@@ -237,27 +177,60 @@ def run_train(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
                  float(np.linalg.norm(traj.weights[t])),
                  "", ""]
                 for t in range(sgd_cfg.steps + 1)]
-        write_csv(outdir / "trajectory.csv",
-                  ["t", "sampled_vertex", "w_norm", "delta_norm", "case"], rows, chash)
+        write_csv(outdir / "trajectory.csv", TRAJECTORY_HEADER, rows, chash)
+        return
 
-
-HARNESS_KEYS = ("harness.pert_draws", "harness.test_draws", "harness.m")
+    vertex = cfg.get_int("train.perturb_vertex")
+    runs = _get_count(cfg, "train.runs", 1)
+    params = build_bound_params(sgd_cfg, obj, rf)
+    cfg.reject_unread()
+    sum_delta = np.zeros(sgd_cfg.steps + 1)
+    first = None
+    for r in range(runs):
+        run_cfg = SgdConfig(step_size=sgd_cfg.step_size, steps=sgd_cfg.steps,
+                            seed=seed_int(cfg.seed, "sgd", r))
+        z = sampler.sample(seed_int(cfg.seed, "sampler", r))
+        z_i = sampler.replace(z, [vertex], seed_int(cfg.seed, "replace", r))
+        trace = coupled_train(z, z_i, rf, obj, run_cfg)
+        sum_delta += trace.delta_norms
+        if first is None:
+            first = trace
+    rows = [[t,
+             first.base.indices[t - 1] if t else "",
+             float(np.linalg.norm(first.base.weights[t])),
+             float(first.delta_norms[t]),
+             first.case_labels[t - 1] if t else ""]
+            for t in range(sgd_cfg.steps + 1)]
+    write_csv(outdir / "trajectory.csv", TRAJECTORY_HEADER, rows, chash)
+    growths, kicks = bnd.recursion_constants(params)
+    growth, kick = float(growths[vertex]), float(kicks[vertex])
+    stats = [[t, float(sum_delta[t] / runs),
+              kick * bnd.geometric_series(growth, t)]
+             for t in range(sgd_cfg.steps + 1)]
+    write_csv(outdir / "delta_stats.csv",
+              ["t", "mean_delta", "expected_envelope"], stats, chash)
+    report = envelope_check(first, obj)
+    write_json(outdir / "envelope.json", {
+        "regime": report.regime,
+        "regime_a_active": report.regime_a_active,
+        "min_margin": float(report.margins.min()) if report.margins.size else 0.0,
+        "ok": report.ok,
+    }, chash)
 
 
 def run_stability(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
-    cfg.validate_keys(GRAPH_KEYS + SAMPLER_KEYS + OBJECTIVE_KEYS + SGD_KEYS
-                      + HARNESS_KEYS + ("out",))
     rf = graphs.one_hop_receptive_fields(build_graph(cfg))
     sampler = build_sampler(cfg, rf)
     obj = build_objective(cfg)
     alg = SgdAlgorithm(obj, rf, build_sgd_config(cfg))
     k = cfg.get_int("harness.pert_draws", 4)
     kp = cfg.get_int("harness.test_draws", 4)
+    m = cfg.get_int("harness.m") if cfg.has("harness.m") else None
+    cfg.reject_unread()
     est = estimate_stability(alg, sampler, k, kp, seed_int(cfg.seed, "harness"))
     mu = None
-    if cfg.has("harness.m"):
-        mu = estimate_mu(alg, sampler, cfg.get_int("harness.m"), k, kp,
-                         seed_int(cfg.seed, "harness"))
+    if m is not None:
+        mu = estimate_mu(alg, sampler, m, k, kp, seed_int(cfg.seed, "harness"))
     rows = [[i, est.beta1_i[i], est.beta2_i[i], k, kp, est.seed] for i in range(rf.n)]
     write_csv(outdir / "stability.csv",
               ["i", "beta1_i", "beta2_i", "pert_draws", "test_draws", "seed"], rows, chash)
@@ -269,12 +242,7 @@ def run_stability(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     }, chash)
 
 
-GNN_KEYS = ("gnn.kind", "gnn.trials", "gnn.eps", "gnn.ridge", "gnn.test_draws",
-            "gnn.densities", "gnn.replicates", "gnn.dim", "gnn.bw")
-
-
 def run_gnn(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
-    cfg.validate_keys(GRAPH_KEYS + GNN_KEYS + ("out",))
     kind = cfg.get_str("gnn.kind", "label")
     trials = _get_count(cfg, "gnn.trials", 4)
     eps = cfg.get_float("gnn.eps", 0.05)
@@ -296,9 +264,14 @@ def run_gnn(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
         if not densities:
             raise ConfigError("key 'gnn.densities': expected at least one density")
         replicates = _get_count(cfg, "gnn.replicates", 4)
-        point = functools.partial(gnn_mod.sweep_point, n=cfg.get_int("graph.n"),
-                                  trials=trials, seed=cfg.seed, kind=kind,
-                                  eps_feature=eps, **extra)
+        n = cfg.get_int("graph.n")
+        # each point draws its own Erdos-Renyi mask at the swept density
+        if cfg.get_str("graph.kind", "erdos-renyi") != "erdos-renyi":
+            raise ConfigError("a gnn.densities sweep draws Erdos-Renyi masks; "
+                              "graph.kind must be erdos-renyi")
+        cfg.reject_unread()
+        point = functools.partial(gnn_mod.sweep_point, n=n, trials=trials, seed=cfg.seed,
+                                  kind=kind, eps_feature=eps, **extra)
         jobs = [(p, di, rep) for di, p in enumerate(densities) for rep in range(replicates)]
         if workers() > 1:
             from multiprocessing import Pool
@@ -310,6 +283,7 @@ def run_gnn(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
         write_csv(outdir / "results.csv", header, [row(res) for res in results], chash)
     else:
         rf = graphs.one_hop_receptive_fields(build_graph(cfg))
+        cfg.reject_unread()
         res = gnn_mod.gnn_stability_experiment(
             rf, kind, trials, eps, seed_int(cfg.seed, "gnn"), **extra)
         write_csv(outdir / "results.csv", header, [row(res)], chash)
@@ -318,27 +292,26 @@ def run_gnn(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
 
 
 def run_bounds(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
-    cfg.validate_keys(GRAPH_KEYS + SAMPLER_KEYS + OBJECTIVE_KEYS + SGD_KEYS
-                      + ("out", "delta"))
     rf = graphs.one_hop_receptive_fields(build_graph(cfg))
     obj = build_objective(cfg)
-    params = build_bound_params(cfg, obj, rf)
-    report = bnd.bound_report(params, cfg.get_float("delta", 0.1))
-    write_json(outdir / "report.json", report, chash)
+    params = build_bound_params(build_sgd_config(cfg), obj, rf)
+    delta = cfg.get_float("delta", 0.1)
+    cfg.reject_unread()
+    write_json(outdir / "report.json", bnd.bound_report(params, delta), chash)
 
 
 def run_compare(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     """Empirical beta2 vs the expected and high-probability bounds."""
-    cfg.validate_keys(GRAPH_KEYS + SAMPLER_KEYS + OBJECTIVE_KEYS + SGD_KEYS
-                      + HARNESS_KEYS + ("out", "delta"))
     rf = graphs.one_hop_receptive_fields(build_graph(cfg))
     sampler = build_sampler(cfg, rf)
     obj = build_objective(cfg)
-    alg = SgdAlgorithm(obj, rf, build_sgd_config(cfg))
-    params = build_bound_params(cfg, obj, rf)
+    sgd_cfg = build_sgd_config(cfg)
+    alg = SgdAlgorithm(obj, rf, sgd_cfg)
+    params = build_bound_params(sgd_cfg, obj, rf)
     delta = cfg.get_float("delta", 0.1)
     k = cfg.get_int("harness.pert_draws", 2)
     kp = cfg.get_int("harness.test_draws", 2)
+    cfg.reject_unread()
     est = estimate_stability(alg, sampler, k, kp, seed_int(cfg.seed, "harness"))
     expected_all = bnd.expected_stability_bound(params)
     highprob = bnd.highprob_stability_bound(params, delta)
@@ -362,49 +335,44 @@ def run_compare(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     }, chash)
 
 
-SRM_KEYS = ("srm.d_max", "srm.lambdas", "srm.weight_radius", "srm.epsilon",
-            "srm.holdout", "srm.beta_pert_draws", "srm.beta_test_draws")
-
-
 def run_srm(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
-    cfg.validate_keys(GRAPH_KEYS + SAMPLER_KEYS + SRM_KEYS + ("out",))
     rf = graphs.one_hop_receptive_fields(build_graph(cfg))
     sampler = build_sampler(cfg, rf)
+    dim, b_x, b_y = _sample_space(cfg)
     d_max = cfg.get_int("srm.d_max", 3)
     holdout_sets = _get_count(cfg, "srm.holdout", 4)
     family = srm.DegreeClassFamily(
-        rf=rf, d_max=d_max, dim=cfg.get_int("sampler.dim", 3),
+        rf=rf, d_max=d_max, dim=dim, b_x=b_x, b_y=b_y,
         weight_radius=cfg.get_float("srm.weight_radius", 1.0),
-        b_x=cfg.get_float("sampler.bx", 1.0), b_y=cfg.get_float("sampler.by", 1.0),
     )
+    k = cfg.get_int("srm.beta_pert_draws", 2)
+    kp = cfg.get_int("srm.beta_test_draws", 2)
+    lambdas = cfg.get_floats("srm.lambdas", "0.0 0.1 1.0")
+    if not lambdas:
+        raise ConfigError("key 'srm.lambdas': expected at least one slack")
+    eps = cfg.get_float("srm.epsilon") if cfg.has("srm.epsilon") else None
+    cfg.reject_unread()
     beta2_by_degree = {}
     for d in range(1, d_max + 1):
-        est = estimate_stability(
-            srm.SrmClassAlgorithm(family, d), sampler,
-            cfg.get_int("srm.beta_pert_draws", 2), cfg.get_int("srm.beta_test_draws", 2),
-            seed_int(cfg.seed, "srm-beta", d),
-        )
+        est = estimate_stability(srm.SrmClassAlgorithm(family, d), sampler, k, kp,
+                                 seed_int(cfg.seed, "srm-beta", d))
         beta2_by_degree[d] = est.beta2
     z = sampler.sample(seed_int(cfg.seed, "srm-train"))
     rows = []
-    selections = {}
-    for lam in cfg.get_floats("srm.lambdas", "0.0 0.1 1.0"):
+    for lam in lambdas:
         sel = srm.select_sparse(family, z, lam, beta2_by_degree)
-        selections[lam] = sel
         for fit in sel.fits:
             rows.append([lam, fit.degree, fit.empirical_risk, fit.penalty,
                          fit.penalized_risk, fit.degree == sel.selected.degree])
     write_csv(outdir / "srm.csv",
               ["lambda", "d", "class_risk", "penalty", "penalized_risk", "selected"],
               rows, chash)
-    holdout = [sampler.sample(seed_int(cfg.seed, "srm-holdout", k))
-               for k in range(holdout_sets)]
-    last = selections[cfg.get_floats("srm.lambdas", "0.0 0.1 1.0")[-1]]
-    beta2 = max(beta2_by_degree.values())
-    floor = max(0.0, bnd.srm_epsilon_floor(beta2, last.lambda_slack, d_max))
-    eps = cfg.get_float("srm.epsilon", floor + 1.0)
-    record = srm.srm_report(last, family, holdout, eps, beta1=0.0,
-                            n_vertices=rf.n)
+    holdout = [sampler.sample(seed_int(cfg.seed, "srm-holdout", h))
+               for h in range(holdout_sets)]
+    if eps is None:
+        beta2 = max(beta2_by_degree.values())
+        eps = max(0.0, bnd.srm_epsilon_floor(beta2, sel.lambda_slack, d_max)) + 1.0
+    record = srm.srm_report(sel, family, holdout, eps, beta1=0.0, n_vertices=rf.n)
     write_json(outdir / "summary.json", {
         "beta2_by_degree": beta2_by_degree,
         "selected_degree": record.selected_degree,
@@ -416,9 +384,6 @@ def run_srm(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     }, chash)
 
 
-CONC_KEYS = ("conc.draws", "conc.t_grid")
-
-
 def run_concentration(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     """Empirical tail of a per-coordinate-Lipschitz statistic vs the theory curve.
 
@@ -428,12 +393,13 @@ def run_concentration(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     max row sum of the influence matrix. Its largest single entry is
     recorded beside it as a diagnostic.
     """
-    cfg.validate_keys(GRAPH_KEYS + SAMPLER_KEYS + CONC_KEYS + ("out",))
     rf = graphs.one_hop_receptive_fields(build_graph(cfg))
     sampler = build_sampler(cfg, rf)
     if not isinstance(sampler, sampling.IsingSampler):
         raise ConfigError("concentration experiment needs sampler.kind = ising")
     draws = _get_count(cfg, "conc.draws", 20000)
+    t_grid = cfg.get_floats("conc.t_grid", "0.5 1 1.5 2 2.5 3")
+    cfg.reject_unread()
     spec = sampler.spec
     alpha = sampling.dobrushin_exact(spec)
     configs = sampling.enumerate_spin_configs(spec.n)
@@ -441,7 +407,6 @@ def run_concentration(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     phi_exact = float(probs @ (configs > 0).sum(axis=1))
     spins = sampler.sample_spins_batch(draws, seed_int(cfg.seed, "conc"))
     phi = (spins > 0).sum(axis=1)
-    t_grid = cfg.get_floats("conc.t_grid", "0.5 1 1.5 2 2.5 3")
     c = np.ones(spec.n)
     rows = []
     for t in t_grid:

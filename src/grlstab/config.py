@@ -2,8 +2,11 @@
 
 Format: one ``key = value`` pair per line, ``#`` comments, blank lines
 ignored. Keys use dotted prefixes for grouping (``sampler.coupling = 0.5``).
-Every config must name an ``experiment`` kind and a ``seed``; unknown keys
-for the chosen kind are rejected so typos fail loudly.
+Every config must name an ``experiment`` kind and a ``seed``. The typed
+getters record each key they are asked for, and an experiment reads all of
+its keys before it starts work and then calls ``reject_unread``: a key the
+run does not read (a typo, another family's key, a key of an unused branch)
+fails loudly instead of being ignored.
 """
 
 from __future__ import annotations
@@ -37,27 +40,30 @@ def load_config(path) -> dict:
 
 
 class ExperimentConfig:
-    """Typed access over a parsed config with schema validation."""
+    """Typed access over a parsed config that records which keys were read."""
 
     def __init__(self, raw: dict):
         self.raw = dict(raw)
+        self._read = set()
         if "experiment" not in raw:
             raise ConfigError("config must set 'experiment'")
         if "seed" not in raw:
             raise ConfigError("config must set 'seed' (reproducibility is mandatory)")
-        self.kind = raw["experiment"]
+        self.kind = self.get_str("experiment")
         self.seed = self.get_int("seed")
 
-    def validate_keys(self, allowed) -> None:
-        allowed = set(allowed) | {"experiment", "seed"}
-        unknown = sorted(set(self.raw) - allowed)
-        if unknown:
-            raise ConfigError(f"unknown config keys for '{self.kind}': {unknown}")
+    def reject_unread(self) -> None:
+        """Raise if the config sets a key that no getter has been asked for."""
+        unread = sorted(set(self.raw) - self._read)
+        if unread:
+            raise ConfigError(f"config keys the '{self.kind}' experiment does not read: {unread}")
 
     def has(self, key: str) -> bool:
+        """Whether the config sets ``key``; does not count as reading it."""
         return key in self.raw
 
     def get_str(self, key: str, default=None) -> str:
+        self._read.add(key)
         if key not in self.raw:
             if default is None:
                 raise ConfigError(f"missing required key {key!r}")

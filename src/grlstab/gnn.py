@@ -146,48 +146,35 @@ class GnnProblem:
         return q
 
 
-@dataclass(frozen=True, eq=False)
-class GnnSolution:
-    a_tilde: np.ndarray
-    objective_value: float
-
-
-def _objective_value(p: GnnProblem, a: np.ndarray) -> float:
-    resid = p.labels - a @ p.v
-    return float(0.5 * resid @ resid + 0.5 * p.ridge * np.sum(a * a))
-
-
-def fit_projected_closed_form(p: GnnProblem) -> GnnSolution:
-    """Masked projection of the unconstrained ridge stationary point."""
+def fit_projected_closed_form(p: GnnProblem) -> np.ndarray:
+    """Masked projection of the unconstrained ridge stationary point; returns A~."""
     v = p.v
     a = np.outer(p.labels, v) / (p.ridge + float(v @ v))
-    a = np.where(p.mask, a, 0.0)
-    return GnnSolution(a_tilde=a, objective_value=_objective_value(p, a))
+    return np.where(p.mask, a, 0.0)
 
 
-def fit_exact_rowwise(p: GnnProblem) -> GnnSolution:
-    """Support-constrained minimizer; rows decouple into scalar ridges."""
+def fit_exact_rowwise(p: GnnProblem) -> np.ndarray:
+    """Support-constrained minimizer; rows decouple into scalar ridges. Returns A~."""
     v = p.v
     a = np.zeros((p.n, p.n))
     for i in range(p.n):
         row_mask = p.mask[i]
         denom = p.ridge + float(np.sum(v[row_mask] ** 2))
         a[i, row_mask] = p.labels[i] * v[row_mask] / denom
-    return GnnSolution(a_tilde=a, objective_value=_objective_value(p, a))
+    return a
 
 
-def gnn_objective(p: GnnProblem, sol: GnnSolution) -> float:
+def gnn_objective(p: GnnProblem, a: np.ndarray) -> float:
     """0.5 ||y - A~ X w||^2 + 0.5 gamma ||A~||_F^2; rejects support violations."""
-    a = sol.a_tilde
     if np.any((a != 0.0) & ~p.mask):
         raise SupportError("solution has mass outside the admissible mask")
-    return _objective_value(p, a)
+    resid = p.labels - a @ p.v
+    return float(0.5 * resid @ resid + 0.5 * p.ridge * np.sum(a * a))
 
 
-def full_objective_gradient(p: GnnProblem, sol: GnnSolution) -> np.ndarray:
+def full_objective_gradient(p: GnnProblem, a: np.ndarray) -> np.ndarray:
     """-y v' + A~ (v v' + gamma I), the unmasked objective gradient."""
     v = p.v
-    a = sol.a_tilde
     return -np.outer(p.labels, v) + (a @ v)[:, None] * v[None, :] + p.ridge * a
 
 
@@ -307,7 +294,7 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
         w = _rows_in_ball(rng, 1, dim, b_w)[0]
         base = GnnProblem(features=x, labels=y, weight=w, mask=mask, ridge=ridge,
                           b_x=b_x, b_y=b_y, b_w=b_w)
-        a_base = fit_projected_closed_form(base).a_tilde
+        a_base = fit_projected_closed_form(base)
         wn = float(np.linalg.norm(w))
         bump = (w / wn if wn > 0 else np.eye(dim)[0]) * eps_feature
 
@@ -317,7 +304,7 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
             else:
                 perturbed = [base.with_feature_row(i, x[i] + bump)]
 
-            fits = np.stack([fit_projected_closed_form(q).a_tilde for q in perturbed])
+            fits = np.stack([fit_projected_closed_form(q) for q in perturbed])
             # The candidates and the (difference, sum) pairs die with this
             # call, before the (C, F, n) block below is built.
             vt = _test_feature_candidates(

@@ -2,8 +2,8 @@
 
 The update is w_{t+1} = G(w_t, alpha, n_t) = project(w_t - alpha * grad
 f(S_{n_t}, w_t)) with n_t drawn uniformly from [N] with replacement. A
-coupled run executes the same index stream and initialization on two sample
-sets differing at exactly one vertex i and records the weight deviations
+coupled run executes the same index stream and initialization on a sample
+set and its replacement at one vertex i and records the weight deviations
 delta^i w_t = w_t - w_t^i per step, together with the case label of each
 step:
 
@@ -157,13 +157,20 @@ def case_label(rf: ReceptiveFieldMap, vertex: int, sampled: int) -> str:
 
 def coupled_train(z: SampleSet, z_pert: SampleSet, rf: ReceptiveFieldMap,
                   obj: FieldObjective, cfg: SgdConfig) -> CoupledTrace:
-    """Run the shared-stream coupling on a pair differing at one vertex."""
+    """Run the shared-stream coupling on z and its replacement Z^i at one vertex.
+
+    The vertex i is the one ``z_pert`` records as replaced. The pair may
+    differ only there, and may not differ at all: a replacement that redraws
+    the same value is a valid draw of Z^i, and its deviations are all 0.
+    """
+    if len(z_pert.perturbed) != 1:
+        raise ValueError("coupled runs need a set replaced at exactly one vertex, "
+                         f"got {sorted(z_pert.perturbed)}")
+    (vertex,) = z_pert.perturbed
     differing = z.differing_vertices(z_pert)
-    if differing.size != 1:
-        raise ValueError(
-            f"coupled runs need sets differing at exactly one vertex, got {differing.tolist()}"
-        )
-    vertex = int(differing[0])
+    if np.any(differing != vertex):
+        raise ValueError(f"coupled runs need sets differing only at the replaced vertex "
+                         f"{vertex}, got {differing.tolist()}")
     bound = obj.bind(z, rf)
     bound_p = obj.bind(z_pert, rf)
     indices = draw_indices(cfg, z.n)

@@ -132,6 +132,45 @@ train.runs = 3
     assert (out / "plot_envelope.csv").exists()
 
 
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_coupled_train_on_ising_data(tmp_path, seed):
+    # the fresh-conditional replacement often redraws the same spin: an
+    # unchanged set is a valid draw of Z^i with zero deviations
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "ti.ini", f"""
+experiment = train
+seed = {seed}
+out = {out}
+graph.kind = cycle
+graph.n = 6
+sampler.kind = ising
+sampler.sweeps = 50
+sgd.steps = 20
+train.perturb_vertex = 1
+train.runs = 3
+""")
+    assert run_cli(["run", path]) == 0
+    assert json.loads((out / "envelope.json").read_text())["ok"] is True
+    assert (out / "delta_stats.csv").exists()
+
+
+def test_plain_train_accepts_zero_step_size(tmp_path):
+    # only the coupled branch evaluates the bounds, which need a step > 0
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "t0.ini", f"""
+experiment = train
+seed = 5
+out = {out}
+graph.kind = cycle
+graph.n = 6
+sgd.step_size = 0
+sgd.steps = 10
+""")
+    assert run_cli(["run", path]) == 0
+    header, rows = read_csv(out / "trajectory.csv")
+    assert len(rows) == 11 and all(float(r[2]) == 0.0 for r in rows)
+
+
 def test_bounds_experiment_report(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, "b.ini", f"""
@@ -397,12 +436,20 @@ sampler.sweeps = 20
     ("sample", "sampler.kind = ising\nsampler.label_noise = 0.1\n"),
     ("stability", "sgd.steps = 5\nharness.trials = 3\n"),
     ("concentration", "sampler.kind = ising\nconc.sweeps = 0\n"),
+    ("bounds", "sampler.kind = nosuch\nsampler.sweeps = 0\nsampler.label_noise = 3\n"),
+    ("train", "train.runs = 7\n"),
+    ("stability", "graph.p = 0.9\n"),
+    ("gnn", "gnn.replicates = 3\n"),
+    ("gnn", "gnn.densities = 0.2\n"),
 ], ids=["ripple-strong_convexity", "quadratic-ripple_amplitude", "quadratic-frequency",
         "sampler.feature_dim", "objective.dim", "iid-sweeps-coupling", "ising-label_noise",
-        "harness.trials", "conc.sweeps"])
-def test_objective_keys_the_run_does_not_use_rejected(tmp_path, experiment, keys, capsys):
-    # keys of another objective or sampler family, and keys no run reads,
-    # exit 1 naming the key (the last one set) before anything is written
+        "harness.trials", "conc.sweeps", "bounds-sampler", "uncoupled-train.runs",
+        "cycle-graph.p", "single-gnn-replicates", "sweep-on-cycle"])
+def test_keys_the_run_does_not_read_rejected(tmp_path, experiment, keys, capsys):
+    # keys of another objective or sampler family, keys of a branch the run
+    # does not take, and keys no run reads exit 1 naming the key (the last
+    # one set) before anything is written; a density sweep on a graph.kind
+    # other than erdos-renyi is rejected the same way
     out = tmp_path / "out"
     path = write_config(tmp_path, "keys.ini", f"""
 experiment = {experiment}
@@ -516,6 +563,22 @@ gnn.densities =
     assert run_cli(["run", path]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and "gnn.densities" in err["message"]
+    assert list(out.iterdir()) == []
+
+
+def test_empty_srm_lambdas_is_user_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "lambdas.ini", f"""
+experiment = srm
+seed = 5
+out = {out}
+graph.kind = cycle
+graph.n = 6
+srm.lambdas =
+""")
+    assert run_cli(["run", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "srm.lambdas" in err["message"]
     assert list(out.iterdir()) == []
 
 

@@ -35,19 +35,19 @@ def random_problem(rng, rf, dim=3, ridge=0.8):
 
 def test_zero_labels_zero_solution():
     p = full_mask_problem([0.0, 0.0], [1.0, 1.0])
-    assert not gnn.fit_projected_closed_form(p).a_tilde.any()
+    assert not gnn.fit_projected_closed_form(p).any()
 
 
 def test_hand_computed_closed_form():
     # v = (1, 1), y = (1, 0), ridge 1: A~ = y v' / 3
     p = full_mask_problem([1.0, 0.0], [1.0, 1.0])
-    sol = gnn.fit_projected_closed_form(p)
-    assert np.allclose(sol.a_tilde, [[1 / 3, 1 / 3], [0, 0]])
+    a = gnn.fit_projected_closed_form(p)
+    assert np.allclose(a, [[1 / 3, 1 / 3], [0, 0]])
     # the rank-one identity reproduces the explicit 2x2 inverse
     v = np.array([1.0, 1.0])
     m = np.outer(v, v) + np.eye(2)
     direct = np.outer(p.labels, v) @ np.linalg.inv(m)
-    assert np.allclose(sol.a_tilde, direct)
+    assert np.allclose(a, direct)
 
 
 def test_masked_entries_exactly_zero():
@@ -55,7 +55,7 @@ def test_masked_entries_exactly_zero():
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(6))
     p = random_problem(rng, rf)
     for fit in (gnn.fit_projected_closed_form, gnn.fit_exact_rowwise):
-        a = fit(p).a_tilde
+        a = fit(p)
         assert np.all(a[~p.mask] == 0.0)
 
 
@@ -64,8 +64,8 @@ def test_full_mask_solvers_coincide():
     n = 5
     rf = graphs.one_hop_receptive_fields(graphs.complete_graph(n))
     p = random_problem(rng, rf)
-    a1 = gnn.fit_projected_closed_form(p).a_tilde
-    a2 = gnn.fit_exact_rowwise(p).a_tilde
+    a1 = gnn.fit_projected_closed_form(p)
+    a2 = gnn.fit_exact_rowwise(p)
     assert np.allclose(a1, a2, atol=1e-12)
 
 
@@ -74,7 +74,7 @@ def test_singleton_row_mask_scalar_ridge():
     rf = graphs.one_hop_receptive_fields(graphs.empty_graph(3))
     rng = child_rng(2, "singleton")
     p = random_problem(rng, rf, ridge=0.5)
-    a = gnn.fit_exact_rowwise(p).a_tilde
+    a = gnn.fit_exact_rowwise(p)
     v = p.v
     for i in range(3):
         assert a[i, i] == pytest.approx(p.labels[i] * v[i] / (0.5 + v[i] ** 2))
@@ -85,8 +85,7 @@ def test_objective_zero_solution_value():
     rng = child_rng(3, "objzero")
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(5))
     p = random_problem(rng, rf)
-    zero = gnn.GnnSolution(a_tilde=np.zeros((5, 5)), objective_value=0.0)
-    assert gnn.gnn_objective(p, zero) == pytest.approx(0.5 * p.labels @ p.labels)
+    assert gnn.gnn_objective(p, np.zeros((5, 5))) == pytest.approx(0.5 * p.labels @ p.labels)
 
 
 def test_objective_rejects_support_violation():
@@ -96,32 +95,31 @@ def test_objective_rejects_support_violation():
     bad = np.zeros((5, 5))
     bad[0, 2] = 1.0  # vertex 2 outside Xi(0) on a 5-cycle
     with pytest.raises(gnn.SupportError):
-        gnn.gnn_objective(p, gnn.GnnSolution(a_tilde=bad, objective_value=0.0))
+        gnn.gnn_objective(p, bad)
 
 
-def masked_objective_gradient(p, sol):
+def masked_objective_gradient(p, a):
     """Pi o [ -y v' + A~ (v v' + gamma I) ], the masked first-order condition."""
-    return np.where(p.mask, gnn.full_objective_gradient(p, sol), 0.0)
+    return np.where(p.mask, gnn.full_objective_gradient(p, a), 0.0)
 
 
 def test_rowwise_first_order_condition_and_fd():
     rng = child_rng(5, "stationary")
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(6))
     p = random_problem(rng, rf)
-    sol = gnn.fit_exact_rowwise(p)
-    masked = masked_objective_gradient(p, sol)
+    a = gnn.fit_exact_rowwise(p)
+    masked = masked_objective_gradient(p, a)
     assert np.abs(masked).max() <= 1e-10
     # finite-difference check of a few masked coordinates
     for i, j in [(0, 0), (0, 1), (3, 2)]:
         if not p.mask[i, j]:
             continue
         step = 1e-6
-        up = sol.a_tilde.copy()
+        up = a.copy()
         up[i, j] += step
-        down = sol.a_tilde.copy()
+        down = a.copy()
         down[i, j] -= step
-        fd = (gnn.gnn_objective(p, gnn.GnnSolution(up, 0.0))
-              - gnn.gnn_objective(p, gnn.GnnSolution(down, 0.0))) / (2 * step)
+        fd = (gnn.gnn_objective(p, up) - gnn.gnn_objective(p, down)) / (2 * step)
         assert abs(fd) <= 1e-8
 
 
@@ -129,8 +127,8 @@ def test_full_mask_projected_solution_stationary():
     rng = child_rng(6, "fullgrad")
     rf = graphs.one_hop_receptive_fields(graphs.complete_graph(5))
     p = random_problem(rng, rf)
-    sol = gnn.fit_projected_closed_form(p)
-    assert np.linalg.norm(gnn.full_objective_gradient(p, sol)) <= 1e-10
+    a = gnn.fit_projected_closed_form(p)
+    assert np.linalg.norm(gnn.full_objective_gradient(p, a)) <= 1e-10
 
 
 def test_oracle_dominance_on_masked_instances():
@@ -139,8 +137,8 @@ def test_oracle_dominance_on_masked_instances():
         g = graphs.erdos_renyi_graph(7, 0.4, trial)
         rf = graphs.one_hop_receptive_fields(g)
         p = random_problem(rng, rf)
-        obj_row = gnn.fit_exact_rowwise(p).objective_value
-        obj_proj = gnn.fit_projected_closed_form(p).objective_value
+        obj_row = gnn.gnn_objective(p, gnn.fit_exact_rowwise(p))
+        obj_proj = gnn.gnn_objective(p, gnn.fit_projected_closed_form(p))
         assert obj_row <= obj_proj + 1e-12
 
 
@@ -152,7 +150,7 @@ def test_homogeneity_in_labels():
     scaled = gnn.GnnProblem(features=p.features, labels=c * p.labels, weight=p.weight,
                             mask=p.mask, ridge=p.ridge)
     for fit in (gnn.fit_projected_closed_form, gnn.fit_exact_rowwise):
-        assert np.allclose(fit(scaled).a_tilde, c * fit(p).a_tilde)
+        assert np.allclose(fit(scaled), c * fit(p))
 
 
 def test_mask_projection_idempotent():
@@ -177,21 +175,19 @@ def test_projected_features_cached_once_with_unchanged_bits():
     assert np.array_equal(p.v, v)
 
     a = np.where(p.mask, np.outer(p.labels, v) / (p.ridge + float(v @ v)), 0.0)
-    sol = gnn.fit_projected_closed_form(p)
-    assert np.array_equal(sol.a_tilde, a)
+    fit = gnn.fit_projected_closed_form(p)
+    assert np.array_equal(fit, a)
     a_row = np.zeros((p.n, p.n))
     for i in range(p.n):
         row = p.mask[i]
         a_row[i, row] = p.labels[i] * v[row] / (p.ridge + float(np.sum(v[row] ** 2)))
-    row_sol = gnn.fit_exact_rowwise(p)
-    assert np.array_equal(row_sol.a_tilde, a_row)
-    for s in (sol, row_sol):
-        resid = p.labels - s.a_tilde @ v
-        value = float(0.5 * resid @ resid + 0.5 * p.ridge * np.sum(s.a_tilde * s.a_tilde))
-        assert s.objective_value == value
+    row_fit = gnn.fit_exact_rowwise(p)
+    assert np.array_equal(row_fit, a_row)
+    for s in (fit, row_fit):
+        resid = p.labels - s @ v
+        value = float(0.5 * resid @ resid + 0.5 * p.ridge * np.sum(s * s))
         assert gnn.gnn_objective(p, s) == value
-        grad = (-np.outer(p.labels, v) + (s.a_tilde @ v)[:, None] * v[None, :]
-                + p.ridge * s.a_tilde)
+        grad = -np.outer(p.labels, v) + (s @ v)[:, None] * v[None, :] + p.ridge * s
         assert np.array_equal(gnn.full_objective_gradient(p, s), grad)
 
 
@@ -243,7 +239,7 @@ def reference_gnn_stability_experiment(rf, kind, trials, eps_feature, seed,
         w = gnn._rows_in_ball(rng, 1, dim, b_w)[0]
         base = gnn.GnnProblem(features=x, labels=y, weight=w, mask=mask, ridge=ridge,
                               b_x=b_x, b_y=b_y, b_w=b_w)
-        a_base = fit(base).a_tilde
+        a_base = fit(base)
 
         for i in range(n):
             perturbed = []
@@ -263,7 +259,7 @@ def reference_gnn_stability_experiment(rf, kind, trials, eps_feature, seed,
                                                 mask=mask, ridge=ridge,
                                                 b_x=b_x, b_y=b_y, b_w=b_w))
 
-            fits = [fit(q).a_tilde for q in perturbed]
+            fits = [fit(q) for q in perturbed]
             pairs = [(a_p - a_base, a_p + a_base) for a_p in fits]
             cands = reference_test_feature_candidates(rng, n, dim, b_x, w, pairs,
                                                       n_test_draws)
@@ -296,11 +292,11 @@ def test_candidate_batch_bit_equal_reference_list(n_draws, weight_scale):
     rf = gnn.density_mask_fields(24, 0.3, seed=8)
     p = random_problem(child_rng(18, "cands"), rf)
     w = p.weight / np.linalg.norm(p.weight) * weight_scale
-    a = gnn.fit_projected_closed_form(p).a_tilde
+    a = gnn.fit_projected_closed_form(p)
     y2 = p.labels.copy()
     y2[3] = 1.0
     a2 = gnn.fit_projected_closed_form(gnn.GnnProblem(
-        features=p.features, labels=y2, weight=p.weight, mask=p.mask, ridge=p.ridge)).a_tilde
+        features=p.features, labels=y2, weight=p.weight, mask=p.mask, ridge=p.ridge))
     pairs = [(a2 - a, a2 + a), (np.zeros_like(a), a)]
     rng, ref_rng = child_rng(19, "cands"), child_rng(19, "cands")
     cands = gnn._test_feature_candidates(rng, 24, 3, 0.7, w, pairs, n_draws)
@@ -425,7 +421,7 @@ def test_derived_problems_check_only_replaced_entries():
                                weight=p.weight, mask=p.mask, ridge=p.ridge)
         assert np.array_equal(derived.v, fresh.v)
         for fit in (gnn.fit_projected_closed_form, gnn.fit_exact_rowwise):
-            assert np.array_equal(fit(derived).a_tilde, fit(fresh).a_tilde)
+            assert np.array_equal(fit(derived), fit(fresh))
 
 
 @pytest.mark.parametrize("kind", [gnn.LABEL_MODE, gnn.FEATURE_MODE])
@@ -441,10 +437,10 @@ def test_null_label_perturbation_zero_difference():
     rng = child_rng(10, "null")
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(5))
     p = random_problem(rng, rf)
-    a = gnn.fit_projected_closed_form(p).a_tilde
+    a = gnn.fit_projected_closed_form(p)
     same = gnn.GnnProblem(features=p.features, labels=p.labels.copy(), weight=p.weight,
                           mask=p.mask, ridge=p.ridge)
-    a2 = gnn.fit_projected_closed_form(same).a_tilde
+    a2 = gnn.fit_projected_closed_form(same)
     assert np.array_equal(a, a2)
 
 
@@ -452,13 +448,13 @@ def test_label_perturbation_difference_row_support():
     rng = child_rng(11, "rowsupp")
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(6))
     p = random_problem(rng, rf)
-    a = gnn.fit_projected_closed_form(p).a_tilde
+    a = gnn.fit_projected_closed_form(p)
     i = 2
     y2 = p.labels.copy()
     y2[i] = 1.0
     p2 = gnn.GnnProblem(features=p.features, labels=y2, weight=p.weight,
                         mask=p.mask, ridge=p.ridge)
-    delta = gnn.fit_projected_closed_form(p2).a_tilde - a
+    delta = gnn.fit_projected_closed_form(p2) - a
     rows = np.unique(np.nonzero(delta)[0])
     assert np.array_equal(rows, [i])
 
@@ -487,8 +483,8 @@ def test_feature_mode_first_order_support():
         xp = x.copy()
         xp[i] += eps * w
         pert = gnn.GnnProblem(features=xp, labels=y, weight=w, mask=mask, ridge=1.0)
-        pa = gnn.fit_projected_closed_form(base).a_tilde @ vt
-        pb = gnn.fit_projected_closed_form(pert).a_tilde @ vt
+        pa = gnn.fit_projected_closed_form(base) @ vt
+        pb = gnn.fit_projected_closed_form(pert) @ vt
         gap = np.abs(pa - pb) * (np.abs(pa + pb) + 2.0)
         beta2_vals.append(gap.max())
         beta1_vals.append(gap[outside].max())

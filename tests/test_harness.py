@@ -345,7 +345,7 @@ class GnnLearner:
         )
 
     def train(self, problem):
-        return gnn.fit_projected_closed_form(problem).a_tilde
+        return gnn.fit_projected_closed_form(problem)
 
     def losses(self, h, problem):
         return (h @ problem.v - problem.labels) ** 2
@@ -365,7 +365,7 @@ class ReferenceGnn:
             ridge=alg.ridge, b_x=float(np.linalg.norm(z.features, axis=1).max() + 1.0),
             b_y=float(np.abs(z.labels).max() + 1.0),
             b_w=float(np.linalg.norm(alg.weight) + 1.0))
-        return gnn.fit_projected_closed_form(problem).a_tilde
+        return gnn.fit_projected_closed_form(problem)
 
     def losses(self, h, z):
         return (h @ (z.features @ self.alg.weight) - z.labels) ** 2

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -242,6 +243,26 @@ def test_coupled_rejects_multi_vertex_difference():
     z2 = sampler.replace(z, [1, 3], seed=8)
     with pytest.raises(ValueError):
         coupled_train(z, z2, rf, obj, SgdConfig(step_size=0.1, steps=5, seed=9))
+
+
+def test_coupled_accepts_unchanged_replacement():
+    # a replacement that redraws the same value at vertex 2 (as a Gibbs
+    # conditional redraw often does) is a valid Z^i with zero deviations
+    rf, sampler, obj, z = setup_problem()
+    z_same = dataclasses.replace(z, perturbed=frozenset({2}))
+    assert z.differing_vertices(z_same).size == 0
+    trace = coupled_train(z, z_same, rf, obj, SgdConfig(step_size=0.1, steps=40, seed=17))
+    assert trace.vertex == 2
+    assert np.array_equal(trace.delta_norms, np.zeros(41))
+    assert "self" in trace.case_labels
+    assert envelope_check(trace, obj).ok
+
+
+def test_coupled_rejects_difference_away_from_replaced_vertex():
+    rf, sampler, obj, z = setup_problem()
+    other = dataclasses.replace(sampler.sample(99), perturbed=frozenset({2}))
+    with pytest.raises(ValueError, match="differing only at the replaced vertex"):
+        coupled_train(z, other, rf, obj, SgdConfig(step_size=0.1, steps=5, seed=9))
 
 
 def test_coupled_shares_index_stream_and_starts_at_zero():
