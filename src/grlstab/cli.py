@@ -7,19 +7,16 @@ Experiment kinds: sample, train, stability, gnn, bounds, compare, srm,
 concentration. All randomness flows from the mandatory master seed through
 named child streams, so reruns produce byte-identical result CSVs (wall
 time lives only in the manifest). Exit codes: 0 success, 1 user error,
-2 internal error; errors are reported as JSON on stderr.
-
-The worker count for trial-parallel sweeps comes from GRLSTAB_WORKERS
-(default 1; results are aggregated in deterministic order either way).
+2 internal error; errors are reported as JSON on stderr. A rejected
+config leaves no output directory: the result writers create it with the
+first file.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -35,13 +32,6 @@ from .objectives import QuadraticFieldObjective, RippleFieldObjective
 from .reporting import config_hash, read_csv, write_csv, write_json, write_manifest
 from .sgd import SgdConfig, coupled_train, envelope_check, train
 from .seeding import seed_int
-
-
-def workers() -> int:
-    try:
-        return max(1, int(os.environ.get("GRLSTAB_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +134,13 @@ def run_sample(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     indices = None
     if cfg.has("sample.replace"):
         indices = cfg.get_ints("sample.replace")
-        mode = cfg.get_str("sample.replace_mode",
-                           "fresh-marginal" if isinstance(sampler, sampling.IidSampler)
-                           else "fresh-conditional")
+        # each sampler's replace has its own default mode
+        mode = ({"mode": cfg.get_str("sample.replace_mode")}
+                if cfg.has("sample.replace_mode") else {})
     cfg.reject_unread()
     z = sampler.sample(seed_int(cfg.seed, "sampler"))
     if indices is not None:
-        z = sampler.replace(z, indices, seed_int(cfg.seed, "replace"), mode)
+        z = sampler.replace(z, indices, seed_int(cfg.seed, "replace"), **mode)
     header = ["vertex"] + [f"x{k}" for k in range(z.dim)] + ["label", "perturbed"]
     rows = [
         [i, *z.features[i].tolist(), z.labels[i], i in z.perturbed]
@@ -171,7 +161,7 @@ def run_train(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     if not cfg.has("train.perturb_vertex"):
         cfg.reject_unread()
         z = sampler.sample(seed_int(cfg.seed, "sampler"))
-        traj = train(obj.bind(z, rf), sgd_cfg)
+        traj = train([obj.bind(z, rf)], sgd_cfg)
         rows = [[t,
                  traj.indices[t - 1] if t else "",
                  float(np.linalg.norm(traj.weights[t])),
@@ -243,12 +233,15 @@ def run_stability(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
 
 
 def run_gnn(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
-    kind = cfg.get_str("gnn.kind", "label")
+    kind = cfg.get_str("gnn.kind", gnn_mod.LABEL_MODE)
     trials = _get_count(cfg, "gnn.trials", 4)
-    eps = cfg.get_float("gnn.eps", 0.05)
+    # the feature bump and the Monte Carlo test draws serve feature mode only;
+    # label mode leaves their keys unread, so a config that sets them is rejected
+    feature = kind == gnn_mod.FEATURE_MODE
+    eps = cfg.get_float("gnn.eps", 0.05) if feature else 0.0
     extra = {
         "ridge": cfg.get_float("gnn.ridge", 1.0),
-        "n_test_draws": _get_count(cfg, "gnn.test_draws", 32, minimum=0),
+        "n_test_draws": _get_count(cfg, "gnn.test_draws", 32, minimum=0) if feature else 0,
         "dim": _get_count(cfg, "gnn.dim", 3),
         "b_w": cfg.get_float("gnn.bw", 1.0),
     }
@@ -270,16 +263,9 @@ def run_gnn(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
             raise ConfigError("a gnn.densities sweep draws Erdos-Renyi masks; "
                               "graph.kind must be erdos-renyi")
         cfg.reject_unread()
-        point = functools.partial(gnn_mod.sweep_point, n=n, trials=trials, seed=cfg.seed,
-                                  kind=kind, eps_feature=eps, **extra)
-        jobs = [(p, di, rep) for di, p in enumerate(densities) for rep in range(replicates)]
-        if workers() > 1:
-            from multiprocessing import Pool
-
-            with Pool(workers()) as pool:
-                results = pool.starmap(point, jobs)
-        else:
-            results = [point(*job) for job in jobs]
+        results = [gnn_mod.sweep_point(p, di, rep, n=n, trials=trials, seed=cfg.seed,
+                                       kind=kind, eps_feature=eps, **extra)
+                   for di, p in enumerate(densities) for rep in range(replicates)]
         write_csv(outdir / "results.csv", header, [row(res) for res in results], chash)
     else:
         rf = graphs.one_hop_receptive_fields(build_graph(cfg))
@@ -502,7 +488,6 @@ def main(argv=None) -> int:
             if cfg.kind not in RUNNERS:
                 raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
             outdir = Path(cfg.get_str("out"))
-            outdir.mkdir(parents=True, exist_ok=True)
             RUNNERS[cfg.kind](cfg, outdir, config_hash(raw))
             write_manifest(outdir, raw, started)
         else:

@@ -344,8 +344,8 @@ def sweep_point(density: float, index: int, replicate: int, n: int, trials: int,
                 **kwargs) -> GnnStabilityResult:
     """One (density, replicate) experiment of a density sweep.
 
-    Its seeds derive from the density's index in the sweep, so a sweep
-    gives the same numbers whichever caller or worker process runs it.
+    Its seeds derive from the density's index in the sweep, so a point
+    gives the same numbers whichever caller runs it, alone or in a sweep.
     """
     rf = density_mask_fields(n, density, seed_int(seed, "mask", index, replicate))
     return gnn_stability_experiment(rf, kind, trials, eps_feature,

@@ -14,20 +14,20 @@ sup), so bound-validation compares bound >= estimate, the sound direction.
 Perturbation draws and test draws use independent derived seed streams.
 
 The m-graph uniform-stability estimate trains on pooled sets with one
-replaced vertex in one set. Both estimates run one perturbed-training loop,
-and at m = 1 that loop calls ``train`` on the single set, so mu at m = 1
-reduces to beta2 by construction (same seed streams, same trainings) and
-needs no ``train_pooled``. For binary-spin instances at small N an
-exhaustive mode enumerates the full discrete cube and returns exact
-oracle values for beta1/beta2, through the same beta1/beta2 reduction.
+replaced vertex in one set. Both estimates run one perturbed-training loop
+that passes its m sets to the learner's one ``train``, so mu at m = 1 is
+beta2 by construction (same seed streams, same trainings). For binary-spin
+instances at small N an exhaustive mode enumerates the full discrete cube
+and returns exact oracle values for beta1/beta2, through the same
+beta1/beta2 reduction.
 
 Learner protocol: ``prepare(z)`` turns a sample set into the learner's
 input (the bound objective for SGD, the design matrix and labels for an SRM
-class), and ``train(prepared)``, ``train_pooled([prepared, ...])`` (needed
-only for mu at m >= 2) and ``losses(h, prepared)`` take only what it
-returns. Every estimator prepares each sample set once per use, so a test
-set scored against many hypotheses is aggregated once; the exhaustive
-oracle prepares each cube configuration once.
+class); ``train(prepared_sets)`` fits the pool of a list of one or more
+prepared sets, and ``losses(h, prepared)`` scores a hypothesis on one.
+Every estimator prepares each sample set once per use, so a test set scored
+against many hypotheses is aggregated once; the exhaustive oracle prepares
+each cube configuration once.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from .graphs import ReceptiveFieldMap
 from .objectives import BoundObjective, FieldObjective
 from .sampling import IsingSpec, SampleSet, enumerate_spin_configs, gibbs_probabilities
-from .sgd import SgdConfig, train, train_pooled
+from .sgd import SgdConfig, train
 from .seeding import seed_int
 
 
@@ -85,18 +85,11 @@ class SgdAlgorithm:
         return (f"sgd({self.objective.kind},T={self.config.steps},"
                 f"a={self.config.step_size},seed={self.config.seed})")
 
-    @property
-    def loss_bound(self) -> float:
-        return self.objective.certificate.loss_bound
-
     def prepare(self, z: SampleSet) -> BoundObjective:
         return self.objective.bind(z, self.rf)
 
-    def train(self, bound: BoundObjective) -> np.ndarray:
-        return train(bound, self.config).final
-
-    def train_pooled(self, bounds) -> np.ndarray:
-        return train_pooled(bounds, self.config)
+    def train(self, bounds) -> np.ndarray:
+        return train(bounds, self.config).final
 
     def losses(self, h: np.ndarray, bound: BoundObjective) -> np.ndarray:
         return bound.losses(h)
@@ -106,9 +99,9 @@ class SgdAlgorithm:
 # Core estimation
 
 
-def _check_deterministic(alg, prepared):
-    h1 = alg.train(prepared)
-    h2 = alg.train(prepared)
+def _check_deterministic(alg, prepared_sets):
+    h1 = alg.train(prepared_sets)
+    h2 = alg.train(prepared_sets)
     if not np.array_equal(np.asarray(h1), np.asarray(h2)):
         raise NonDeterministicAlgorithmError(
             f"algorithm {alg.id} returned different hypotheses on identical input"
@@ -136,10 +129,8 @@ def _perturbation_gaps(alg, sampler, i: int, m: int, pert_draws: int, test_sets:
 
     Draw k trains on m sets and, for each target set j0, on the same sets
     with Z_i of set j0 replaced, and scores both on every test set. At m = 1
-    it calls ``train`` on the single set, so it needs no ``train_pooled``
-    and is the beta2 pipeline.
+    it is the beta2 pipeline.
     """
-    fit = alg.train_pooled if m > 1 else lambda sets: alg.train(sets[0])
     gaps = []
     for k in range(pert_draws):
         sets = [sampler.sample(seed_int(seed, "train", i, k))]
@@ -147,7 +138,7 @@ def _perturbation_gaps(alg, sampler, i: int, m: int, pert_draws: int, test_sets:
                  for extra in range(1, m)]
         pool = [alg.prepare(z) for z in sets]
         if check_determinism and k == 0:
-            _check_deterministic(alg, pool[0])
+            _check_deterministic(alg, pool)
         for j0 in range(m):
             replaced = list(pool)
             replaced[j0] = alg.prepare(sampler.replace(
@@ -155,8 +146,8 @@ def _perturbation_gaps(alg, sampler, i: int, m: int, pert_draws: int, test_sets:
                 if j0 else seed_int(seed, "replace", i, k)))
             # the base pool is retrained per target on purpose: perfbench
             # derives 2 m trainings per draw from the config
-            h = fit(pool)
-            h_p = fit(replaced)
+            h = alg.train(pool)
+            h_p = alg.train(replaced)
             gaps += [np.abs(alg.losses(h, test) - alg.losses(h_p, test)) for test in test_sets]
     return np.array(gaps)
 
@@ -210,7 +201,7 @@ def estimate_generalization_gap(alg, sampler, test_graphs: int, trials: int, see
     out = []
     for t in range(trials):
         z = alg.prepare(sampler.sample(seed_int(seed, "gap-train", t)))
-        h = alg.train(z)
+        h = alg.train([z])
         train_risk = float(alg.losses(h, z).mean())
         test_risk = 0.0
         for k in range(test_graphs):
@@ -255,7 +246,7 @@ def exhaustive_binary_stability(alg, spec: IsingSpec) -> ExhaustiveStability:
                          "(single-flip closure of the cube)")
     cube = _prepared_cube(alg, spec)
     n = spec.n
-    hypotheses = [alg.train(prepared) for prepared in cube]
+    hypotheses = [alg.train([prepared]) for prepared in cube]
     loss_table = np.stack([
         np.stack([alg.losses(h, test) for test in cube]) for h in hypotheses
     ])  # (config_trained_on, test_config, test_vertex)

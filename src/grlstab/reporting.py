@@ -36,6 +36,13 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
+def _write(path, text: str) -> None:
+    """Write a result file, creating its directory with the first file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
 def write_csv(path, header, rows, cfg_hash: str | None = None) -> None:
     lines = []
     if cfg_hash is not None:
@@ -43,7 +50,7 @@ def write_csv(path, header, rows, cfg_hash: str | None = None) -> None:
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def read_csv(path):
@@ -74,9 +81,7 @@ def write_json(path, payload: dict, cfg_hash: str | None = None) -> None:
     data = dict(payload)
     if cfg_hash is not None:
         data["config_hash"] = cfg_hash
-    Path(path).write_text(
-        json.dumps(_jsonify(data), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write(path, json.dumps(_jsonify(data), indent=2, sort_keys=True) + "\n")
 
 
 def write_manifest(outdir, config: dict, started: float) -> None:

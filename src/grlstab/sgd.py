@@ -11,12 +11,13 @@ step:
 - "self": n_t = i
 - "miss": i is outside the sampled receptive field
 
-One private loop, ``_descend``, serves the single, pooled and coupled runs:
-a coupled run is two descents on the same index stream, and the pooled
-m-graph run is one descent over an index stream on the m*N pooled vertices.
-``train`` and ``train_pooled`` take sample sets already bound to the
-objective (``FieldObjective.bind``), so a caller that trains on one set many
-times aggregates its receptive fields once; ``coupled_train`` binds its pair.
+One private loop, ``_descend``, serves the training and coupled runs:
+``train`` is one descent over an index stream on the m*N pooled vertices of
+m sample sets (m = 1 is the single-graph run), and a coupled run is two
+descents on the same index stream. ``train`` takes sample sets already bound
+to the objective (``FieldObjective.bind``), so a caller that trains on one
+set many times aggregates its receptive fields once; ``coupled_train`` binds
+its pair.
 
 A T = 200 step training in 3 dimensions costs Python and numpy call
 overhead, not arithmetic, so the loop does as few numpy calls per step as
@@ -46,7 +47,7 @@ import numpy as np
 
 from .bounds import step_condition
 from .graphs import ReceptiveFieldMap
-from .objectives import STRONGLY_CONVEX, BoundObjective, FieldObjective
+from .objectives import STRONGLY_CONVEX, FieldObjective
 from .sampling import SampleSet
 from .seeding import child_rng
 
@@ -74,7 +75,7 @@ class SgdConfig:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     weights: np.ndarray  # (T+1, dim)
-    indices: np.ndarray  # (T,)
+    indices: np.ndarray  # (T,), pooled: index k is vertex k % N of set k // N
     config: SgdConfig
 
     @property
@@ -129,22 +130,16 @@ def _descend(bounds, indices: np.ndarray, cfg: SgdConfig) -> np.ndarray:
     return weights
 
 
-def train(bound: BoundObjective, cfg: SgdConfig) -> Trajectory:
-    """Run SGD from w_0 = 0 on one bound sample set and record the full trajectory."""
-    indices = draw_indices(cfg, bound.n)
-    weights = _descend([bound], indices, cfg)
-    return Trajectory(weights=weights, indices=indices, config=cfg)
-
-
-def train_pooled(bounds, cfg: SgdConfig) -> np.ndarray:
-    """SGD over the pooled vertices of m bound sample sets; returns final weights.
+def train(bounds, cfg: SgdConfig) -> Trajectory:
+    """Run SGD from w_0 = 0 over the pooled vertices of m bound sample sets
+    and record the full trajectory.
 
     The index stream is uniform over the m*N pooled vertices; each visit
     takes a gradient step on that vertex's objective within its own graph
-    copy. With m = 1 this is exactly the single-graph run.
+    copy. With m = 1 this is the single-graph run.
     """
     indices = draw_indices(cfg, len(bounds) * bounds[0].n)
-    return _descend(bounds, indices, cfg)[-1]
+    return Trajectory(weights=_descend(bounds, indices, cfg), indices=indices, config=cfg)
 
 
 def case_label(rf: ReceptiveFieldMap, vertex: int, sampled: int) -> str:

@@ -171,18 +171,10 @@ class SrmClassAlgorithm:
     def id(self) -> str:
         return f"srm-erm(d={self.degree})"
 
-    @property
-    def loss_bound(self) -> float:
-        return self.family.loss_bound()
-
     def prepare(self, z: SampleSet) -> tuple:
         return self.family.design_matrix(z, self.degree), z.labels
 
-    def train(self, prepared) -> np.ndarray:
-        phi, y = prepared
-        return ball_constrained_least_squares(phi, y, self.family.weight_radius)
-
-    def train_pooled(self, prepared_sets) -> np.ndarray:
+    def train(self, prepared_sets) -> np.ndarray:
         phi = np.vstack([phi for phi, _ in prepared_sets])
         y = np.concatenate([y for _, y in prepared_sets])
         return ball_constrained_least_squares(phi, y, self.family.weight_radius)
@@ -210,7 +202,7 @@ def select_sparse(family: DegreeClassFamily, z: SampleSet, lambda_slack: float,
     for d in degrees:
         alg = SrmClassAlgorithm(family, d)
         prepared = alg.prepare(z)
-        weights = alg.train(prepared)
+        weights = alg.train([prepared])
         risk = float(np.mean(alg.losses(weights, prepared)))
         penalty = 2.0 * lambda_slack * d * beta2_by_degree[d]
         fits.append(ClassFit(degree=d, weights=weights, empirical_risk=risk,

@@ -403,7 +403,7 @@ def test_criterion_12_generalization_frequency():
     violations = 0
     for t in range(trials):
         z = alg.prepare(spec.sample_set_from_spins(spins[t], seed=t))
-        h = alg.train(z)
+        h = alg.train([z])
         train_risk = float(alg.losses(h, z).mean())
         gap = exact_risk(alg, h, spec) - train_risk
         if gap > surplus:

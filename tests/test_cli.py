@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -249,7 +248,6 @@ graph.kind = erdos-renyi
 graph.n = 16
 gnn.kind = label
 gnn.trials = 2
-gnn.test_draws = 8
 gnn.densities = 0.1 0.3 0.6
 gnn.replicates = 2
 """)
@@ -262,31 +260,6 @@ gnn.replicates = 2
     assert run_cli(["plots", out, "discrepancy"]) == 0
 
 
-def test_gnn_sweep_worker_determinism(tmp_path):
-    out = tmp_path / "w"
-    path = write_config(tmp_path, "gw.ini", f"""
-experiment = gnn
-seed = 9
-out = {out}
-graph.kind = erdos-renyi
-graph.n = 12
-gnn.kind = label
-gnn.trials = 1
-gnn.test_draws = 4
-gnn.densities = 0.2 0.5
-gnn.replicates = 2
-""")
-    outs = []
-    for nworkers in ("1", "2"):
-        os.environ["GRLSTAB_WORKERS"] = nworkers
-        try:
-            assert run_cli(["run", path]) == 0
-        finally:
-            os.environ.pop("GRLSTAB_WORKERS", None)
-        outs.append((out / "results.csv").read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_gnn_sweep_rows_equal_library_scaling_sweep(tmp_path):
     out = tmp_path / "s"
     path = write_config(tmp_path, "gs.ini", f"""
@@ -297,7 +270,6 @@ graph.kind = erdos-renyi
 graph.n = 12
 gnn.kind = label
 gnn.trials = 1
-gnn.test_draws = 4
 gnn.densities = 0.2 0.5
 gnn.replicates = 2
 """)
@@ -441,15 +413,17 @@ sampler.sweeps = 20
     ("stability", "graph.p = 0.9\n"),
     ("gnn", "gnn.replicates = 3\n"),
     ("gnn", "gnn.densities = 0.2\n"),
+    ("gnn", "gnn.kind = label\ngnn.eps = 0.04\n"),
 ], ids=["ripple-strong_convexity", "quadratic-ripple_amplitude", "quadratic-frequency",
         "sampler.feature_dim", "objective.dim", "iid-sweeps-coupling", "ising-label_noise",
         "harness.trials", "conc.sweeps", "bounds-sampler", "uncoupled-train.runs",
-        "cycle-graph.p", "single-gnn-replicates", "sweep-on-cycle"])
+        "cycle-graph.p", "single-gnn-replicates", "sweep-on-cycle", "label-gnn.eps"])
 def test_keys_the_run_does_not_read_rejected(tmp_path, experiment, keys, capsys):
     # keys of another objective or sampler family, keys of a branch the run
     # does not take, and keys no run reads exit 1 naming the key (the last
     # one set) before anything is written; a density sweep on a graph.kind
-    # other than erdos-renyi is rejected the same way
+    # other than erdos-renyi is rejected the same way, and so are the feature
+    # bump and test draws of a label-mode run
     out = tmp_path / "out"
     path = write_config(tmp_path, "keys.ini", f"""
 experiment = {experiment}
@@ -462,7 +436,7 @@ graph.n = 6
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert keys.splitlines()[-1].split(" = ")[0] in err["message"]
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_capacity_error_is_user_error(tmp_path):
@@ -523,14 +497,15 @@ graph.n = 6
     assert run_cli(["run", path]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and key in err["message"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", [gnn.LABEL_MODE, gnn.FEATURE_MODE])
 @pytest.mark.parametrize("draws", [-3, -1, 0])
 def test_negative_gnn_test_draws_is_user_error(tmp_path, capsys, kind, draws):
-    # label mode never reads the draws, so the check cannot be left to numpy;
-    # 0 is legal in both modes (sign corners only)
+    # feature mode rejects a negative count and accepts 0 (sign corners
+    # only); label mode never reads the draws, so any value is rejected as
+    # unread
     out = tmp_path / "out"
     path = write_config(tmp_path, "draws.ini", f"""
 experiment = gnn
@@ -542,13 +517,13 @@ gnn.kind = {kind}
 gnn.trials = 1
 gnn.test_draws = {draws}
 """)
-    if draws == 0:
+    if draws == 0 and kind == gnn.FEATURE_MODE:
         assert run_cli(["run", path]) == 0
         return
     assert run_cli(["run", path]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and "gnn.test_draws" in err["message"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_empty_gnn_densities_is_user_error(tmp_path, capsys):
@@ -563,7 +538,7 @@ gnn.densities =
     assert run_cli(["run", path]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and "gnn.densities" in err["message"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_empty_srm_lambdas_is_user_error(tmp_path, capsys):
@@ -579,7 +554,7 @@ srm.lambdas =
     assert run_cli(["run", path]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and "srm.lambdas" in err["message"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_unknown_plot_kind_rejected_by_argparse(tmp_path):

@@ -21,17 +21,10 @@ class ConstantAlgorithm:
         self.rf = rf
         self.weights = np.asarray(weights, dtype=float)
 
-    @property
-    def loss_bound(self) -> float:
-        return self.objective.certificate.loss_bound
-
     def prepare(self, z):
         return self.objective.bind(z, self.rf)
 
-    def train(self, bound):
-        return self.weights.copy()
-
-    def train_pooled(self, bounds):
+    def train(self, bounds):
         return self.weights.copy()
 
     def losses(self, h, bound):
@@ -48,8 +41,8 @@ def multi_replacement_shift(alg, spec, base_config: int, flip_vertices, test_con
     idx = base_config
     for i in flip_vertices:
         idx ^= 1 << (spec.n - 1 - i)
-    h = alg.train(cube[base_config])
-    h_l = alg.train(cube[idx])
+    h = alg.train([cube[base_config]])
+    h_l = alg.train([cube[idx]])
     worst = 0.0
     for c in test_configs:
         worst = max(worst, float(np.abs(alg.losses(h, cube[c]) - alg.losses(h_l, cube[c])).max()))
@@ -103,7 +96,7 @@ def test_nondeterministic_algorithm_rejected():
             super().__init__(objective, rf, np.zeros(3))
             self._count = 0
 
-        def train(self, bound):
+        def train(self, bounds):
             self._count += 1
             return np.full(3, float(self._count))
 
@@ -223,7 +216,7 @@ def test_exact_risk_matches_weighted_average():
     spec = sampler.spec
     obj = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
     alg = ConstantAlgorithm(obj, spec.rf, np.array([0.2, 0.0, -0.1]))
-    h = alg.train(alg.prepare(spec.sample_set_from_spins(np.ones(4, dtype=int), seed=0)))
+    h = alg.train([alg.prepare(spec.sample_set_from_spins(np.ones(4, dtype=int), seed=0))])
     risk = exact_risk(alg, h, spec)
     probs = sampling.gibbs_probabilities(spec)
     configs = sampling.enumerate_spin_configs(4)
@@ -293,11 +286,8 @@ class ReferenceSgd:
     def _bind(self, z):
         return self.alg.objective.bind(z, self.alg.rf)
 
-    def train(self, z):
-        return sgd.train(self._bind(z), self.alg.config).final
-
-    def train_pooled(self, sets):
-        return sgd.train_pooled([self._bind(z) for z in sets], self.alg.config)
+    def train(self, sets):
+        return sgd.train([self._bind(z) for z in sets], self.alg.config).final
 
     def losses(self, h, z):
         return self._bind(z).losses(h)
@@ -309,11 +299,7 @@ class ReferenceSrm:
     def __init__(self, alg):
         self.family, self.degree, self.id = alg.family, alg.degree, alg.id
 
-    def train(self, z):
-        phi = self.family.design_matrix(z, self.degree)
-        return srm.ball_constrained_least_squares(phi, z.labels, self.family.weight_radius)
-
-    def train_pooled(self, sets):
+    def train(self, sets):
         phi = np.vstack([self.family.design_matrix(z, self.degree) for z in sets])
         y = np.concatenate([z.labels for z in sets])
         return srm.ball_constrained_least_squares(phi, y, self.family.weight_radius)
@@ -323,7 +309,8 @@ class ReferenceSrm:
 
 
 class GnnLearner:
-    """The closed-form masked-ridge GNN as a harness learner with no pooled fit.
+    """The closed-form masked-ridge GNN as a harness learner with no pooled fit:
+    it trains on one set only.
 
     Its prepared set is the GnnProblem of the sample set; the loss is the
     squared error (yhat_j - y_j)^2 of the GNN stability experiments.
@@ -344,7 +331,8 @@ class GnnLearner:
             b_w=float(np.linalg.norm(self.weight) + 1.0),
         )
 
-    def train(self, problem):
+    def train(self, problems):
+        (problem,) = problems
         return gnn.fit_projected_closed_form(problem)
 
     def losses(self, h, problem):
@@ -358,7 +346,8 @@ class ReferenceGnn:
         self.alg = alg
         self.id = alg.id
 
-    def train(self, z):
+    def train(self, sets):
+        (z,) = sets
         alg = self.alg
         problem = gnn.GnnProblem(
             features=z.features, labels=z.labels, weight=alg.weight, mask=alg.mask,
@@ -381,7 +370,7 @@ def reference_stability(ref, sampler, pert_draws, test_draws, seed):
         for k in range(pert_draws):
             z = sampler.sample(seed_int(seed, "train", i, k))
             z_i = sampler.replace(z, [i], seed_int(seed, "replace", i, k))
-            h, h_i = ref.train(z), ref.train(z_i)
+            h, h_i = ref.train([z]), ref.train([z_i])
             for z_test in test_sets:
                 gap = np.abs(ref.losses(h, z_test) - ref.losses(h_i, z_test))
                 beta2_i[i] = max(beta2_i[i], float(gap.max()))
@@ -404,7 +393,7 @@ def reference_mu(ref, sampler, m, pert_draws, test_draws, seed):
                 perturbed[j0] = sampler.replace(
                     sets[j0], [i0], seed_int(seed, "replace", i0, k, j0)
                     if j0 else seed_int(seed, "replace", i0, k))
-                h, h_p = ref.train_pooled(sets), ref.train_pooled(perturbed)
+                h, h_p = ref.train(sets), ref.train(perturbed)
                 for z_test in test_sets:
                     mu = max(mu, float(np.abs(ref.losses(h, z_test)
                                               - ref.losses(h_p, z_test)).max()))
@@ -415,7 +404,7 @@ def reference_exhaustive(ref, spec):
     """exhaustive_binary_stability on raw cube sets, 4^N input builds."""
     sets = [spec.sample_set_from_spins(c, seed=0)
             for c in sampling.enumerate_spin_configs(spec.n)]
-    hypotheses = [ref.train(z) for z in sets]
+    hypotheses = [ref.train([z]) for z in sets]
     table = np.stack([np.stack([ref.losses(h, z) for z in sets]) for h in hypotheses])
     flip = np.arange(len(sets))[:, None] ^ (1 << (spec.n - 1 - np.arange(spec.n)))[None, :]
     beta1_i, beta2_i = np.zeros(spec.n), np.zeros(spec.n)
@@ -454,14 +443,14 @@ def test_prepared_harness_equals_reference_bit_for_bit():
         beta1_i, beta2_i = reference_exhaustive(ref, spec)
         assert np.array_equal(ex.beta1_i, beta1_i), alg.id
         assert np.array_equal(ex.beta2_i, beta2_i), alg.id
-        if hasattr(alg, "train_pooled"):  # the GNN learner has no pooled fit
+        if not isinstance(alg, GnnLearner):  # the GNN learner has no pooled fit
             assert estimate_mu(alg, iid, 2, 1, 2, seed=21) == reference_mu(ref, iid, 2, 1, 2,
                                                                          seed=21), alg.id
 
 
 def test_mu_at_m1_is_beta2_for_every_learner():
-    # m = 1 trains each single set with `train`, so learners without a pooled
-    # fit (the GNN) are covered too
+    # m = 1 trains on one set at a time, so learners without a pooled fit
+    # (the GNN) are covered too
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(5))
     iid = sampling.IidSampler(rf=rf, dim=3)
     for alg, _ in protocol_learners(rf):

@@ -7,8 +7,7 @@ import pytest
 from grlstab import bounds, graphs, sampling
 from grlstab.objectives import QuadraticFieldObjective, RippleFieldObjective
 from grlstab.sgd import (SgdConfig, SgdDivergenceError, case_label, contraction_check,
-                         coupled_train, draw_indices, envelope_check, train,
-                         train_pooled)
+                         coupled_train, draw_indices, envelope_check, train)
 from grlstab.seeding import child_rng
 
 
@@ -22,7 +21,7 @@ def setup_problem(n=8, seed=0, w_radius=1.0):
 # ---------------------------------------------------------------------------
 # Reference: the per-step update map G and the SGD loop as they stood before
 # the loop gathered its rows and checked its gradients after the last step.
-# `train`, `train_pooled` and `coupled_train` must match them bit for bit.
+# `train` and `coupled_train` must match them bit for bit.
 
 
 def project(w, radius):
@@ -105,7 +104,7 @@ def test_step_matches_gradient_composition():
 
 def test_train_zero_steps():
     rf, sampler, obj, z = setup_problem()
-    traj = train(obj.bind(z, rf), SgdConfig(step_size=0.1, steps=0, seed=3))
+    traj = train([obj.bind(z, rf)], SgdConfig(step_size=0.1, steps=0, seed=3))
     assert traj.weights.shape == (1, 3)
     assert np.allclose(traj.weights[0], 0.0)
 
@@ -113,7 +112,7 @@ def test_train_zero_steps():
 def test_train_deterministic():
     rf, sampler, obj, z = setup_problem()
     cfg = SgdConfig(step_size=0.1, steps=50, seed=4)
-    t1, t2 = train(obj.bind(z, rf), cfg), train(obj.bind(z, rf), cfg)
+    t1, t2 = train([obj.bind(z, rf)], cfg), train([obj.bind(z, rf)], cfg)
     assert np.array_equal(t1.indices, t2.indices)
     assert np.array_equal(t1.weights, t2.weights)
 
@@ -130,21 +129,14 @@ def test_train_reduces_empirical_risk_gradient():
     rf, sampler, obj, z = setup_problem(n=8, seed=5)
     cfg = SgdConfig(step_size=0.1, steps=1000, seed=6)
     bound = obj.bind(z, rf)
-    traj = train(bound, cfg)
+    traj = train([bound], cfg)
     g0 = np.linalg.norm(risk_gradient(bound, traj.weights[0]))
     gT = np.linalg.norm(risk_gradient(bound, traj.weights[-1]))
     assert gT < g0
 
 
-def test_train_pooled_single_set_matches_train():
-    rf, sampler, obj, z = setup_problem()
-    cfg = SgdConfig(step_size=0.1, steps=40, seed=7)
-    bound = obj.bind(z, rf)
-    assert np.array_equal(train_pooled([bound], cfg), train(bound, cfg).final)
-
-
 def reference_train_pooled(sets, rf, obj, cfg):
-    """Straight-line pooled SGD loop that `train_pooled` must match bit for bit."""
+    """Straight-line pooled SGD loop that `train` must match bit for bit."""
     bounds = [obj.bind(z, rf) for z in sets]
     radius = obj.certificate.weight_radius
     n = sets[0].n
@@ -161,7 +153,7 @@ def test_train_pooled_matches_reference_loop():
     sets = [z, sampler.sample(1)]
     for seed in range(5):
         cfg = SgdConfig(step_size=0.1, steps=60, seed=seed)
-        assert np.array_equal(train_pooled([obj.bind(s, rf) for s in sets], cfg),
+        assert np.array_equal(train([obj.bind(s, rf) for s in sets], cfg).final,
                               reference_train_pooled(sets, rf, obj, cfg))
 
 
@@ -170,8 +162,8 @@ def test_coupled_sides_equal_separate_trainings():
     z_i = sampler.replace(z, [5], seed=30)
     cfg = SgdConfig(step_size=0.1, steps=50, seed=31)
     trace = coupled_train(z, z_i, rf, obj, cfg)
-    assert np.array_equal(trace.base.weights, train(obj.bind(z, rf), cfg).weights)
-    assert np.array_equal(trace.perturbed.weights, train(obj.bind(z_i, rf), cfg).weights)
+    assert np.array_equal(trace.base.weights, train([obj.bind(z, rf)], cfg).weights)
+    assert np.array_equal(trace.perturbed.weights, train([obj.bind(z_i, rf)], cfg).weights)
     # one norm per row: norm(..., axis=1) differs in the last bits and would
     # change the recorded deviation files
     rows = [float(np.linalg.norm(w - wp)) for w, wp in zip(trace.base.weights,
@@ -198,11 +190,11 @@ def test_descent_equals_reference_loop_bit_for_bit(family):
         cfg = SgdConfig(step_size=0.3, steps=200, seed=seed)
         bound, bound2 = obj.bind(z, rf), obj.bind(z2, rf)
 
-        traj = train(bound, cfg)
+        traj = train([bound], cfg)
         assert np.array_equal(traj.weights, reference_descend([bound], traj.indices, cfg))
         pooled = draw_indices(cfg, 2 * rf.n)
-        assert np.array_equal(train_pooled([bound, bound2], cfg),
-                              reference_descend([bound, bound2], pooled, cfg)[-1])
+        assert np.array_equal(train([bound, bound2], cfg).weights,
+                              reference_descend([bound, bound2], pooled, cfg))
 
         trace = coupled_train(z, z_i, rf, obj, cfg)
         weights, weights_p, deltas, labels = reference_coupled(z, z_i, rf, obj, cfg)
@@ -233,8 +225,8 @@ def test_non_finite_gradient_raises_divergence_error():
     assert expected_single != "non-finite gradient at step 0, vertex 0"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning from the NaN tail
-        assert divergence_message(train, bad, cfg) == expected_single
-        assert divergence_message(train_pooled, [good, bad], cfg) == expected_pooled
+        assert divergence_message(train, [bad], cfg) == expected_single
+        assert divergence_message(train, [good, bad], cfg) == expected_pooled
         assert divergence_message(coupled_train, z_bad, z_bad_i, rf, obj, cfg) == expected_single
 
 
@@ -430,5 +422,5 @@ def test_contraction_nonconvex_general_clause():
 def test_projection_keeps_iterates_in_ball():
     rf, sampler, obj, z = setup_problem(w_radius=0.3)
     cfg = SgdConfig(step_size=0.5, steps=200, seed=25)
-    traj = train(obj.bind(z, rf), cfg)
+    traj = train([obj.bind(z, rf)], cfg)
     assert np.all(np.linalg.norm(traj.weights, axis=1) <= 0.3 + 1e-12)
