@@ -4,7 +4,6 @@ All recursion solutions go through singularity-safe kernels:
 
     geometric_series(x, T)  = (x^T - 1)/(x - 1) = sum_{t<T} x^t
     double_geometric(x, T)  = (x^{2T} - x^T)/(x^2 - x) = x^{T-1} geom(x, T)
-    power_ratio(a, b, T)    = (a^T - b^T)/(a - b)
 
 with first-order-corrected branches near the removable points so the closed
 forms match direct loop iteration to 1e-9 relative even at |x - 1| ~ 1e-12.
@@ -30,9 +29,7 @@ Expected stability:  E[beta_{2,i}] <= L * geom(PZ_i or PM, T) * PY_i.
 
 Second-moment recursion v_t = PZ^2 v_{t-1} + 2 PY PZ m_{t-1} + PY^2 with
 m_t the first-moment solution. Its exact solution is the squared first
-moment, (PY geom(PZ, T))^2, equivalently the A/B/C/D difference-equation
-solution with A = PZ^2, B = PZ, C = 2 PZ PY^2/(PZ-1), D = PY^2(PZ+1)/(1-PZ).
-The looser sum form
+moment, (PY geom(PZ, T))^2. The looser sum form
 
     2 PY^2 (PZ^{2T} - PZ^T)/(PZ^2 - PZ) + PY^2 (1 - PZ^T)/(1 - PZ)^2
 
@@ -82,22 +79,6 @@ def double_geometric(x: float, steps: int) -> float:
     if steps == 0:
         return 0.0
     return x ** (steps - 1) * geometric_series(x, steps)
-
-
-def power_ratio(a: float, b: float, steps: int) -> float:
-    """(a^T - b^T)/(a - b) = sum_{s<T} a^{T-1-s} b^s, continuous at a = b."""
-    if steps == 0:
-        return 0.0
-    scale = max(1.0, abs(a), abs(b))
-    if abs(a - b) < BRANCH_WIDTH * scale:
-        mid = 0.5 * (a + b)
-        return steps * mid ** (steps - 1)
-    return (a**steps - b**steps) / (a - b)
-
-
-def difference_equation_solution(a: float, b: float, c: float, d: float, steps: int) -> float:
-    """Solution at T of v_t = a v_{t-1} + c b^{t-1} + d with v_0 = 0."""
-    return c * power_ratio(b, a, steps) + d * geometric_series(a, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +212,6 @@ def variance_term_loose(growth: float, kick: float, steps: int) -> float:
 
 def variance_term_exact(growth: float, kick: float, steps: int) -> float:
     return (kick * geometric_series(growth, steps)) ** 2
-
-
-def variance_abcd_coefficients(growth: float, kick: float):
-    """A/B/C/D of the second-moment difference equation (growth != 1)."""
-    a = growth**2
-    b = growth
-    c = 2.0 * growth * kick**2 / (growth - 1.0)
-    d = kick**2 * (growth + 1.0) / (1.0 - growth)
-    return a, b, c, d
 
 
 def variance_bound(p: SgdBoundParams) -> VarianceBound:

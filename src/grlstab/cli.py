@@ -27,10 +27,10 @@ from . import bounds as bnd
 from . import gnn as gnn_mod
 from . import graphs, sampling, srm
 from .config import ConfigError, ExperimentConfig, load_config
-from .harness import (SgdAlgorithm, estimate_mu, estimate_stability)
+from .harness import estimate_mu, estimate_stability
 from .objectives import QuadraticFieldObjective, RippleFieldObjective
 from .reporting import config_hash, read_csv, write_csv, write_json, write_manifest
-from .sgd import SgdConfig, coupled_train, envelope_check, train
+from .sgd import SgdAlgorithm, SgdConfig, coupled_train, envelope_check, train
 from .seeding import seed_int
 
 
@@ -497,7 +497,7 @@ def main(argv=None) -> int:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
-    except Exception as exc:  # pragma: no cover - internal failures
+    except Exception as exc:
         json.dump({"error": "internal", "type": type(exc).__name__,
                    "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

@@ -52,12 +52,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import ReceptiveFieldMap, mask_from_fields
+from .graphs import (ReceptiveFieldMap, erdos_renyi_graph, mask_from_fields,
+                     one_hop_receptive_fields)
 from .seeding import child_rng, seed_int
-
-
-class SupportError(ValueError):
-    """A matrix has mass outside the admissible mask."""
 
 
 _BOUND_TOL = 1e-9  # slack on the b_x / b_y / b_w bound checks
@@ -162,20 +159,6 @@ def fit_exact_rowwise(p: GnnProblem) -> np.ndarray:
         denom = p.ridge + float(np.sum(v[row_mask] ** 2))
         a[i, row_mask] = p.labels[i] * v[row_mask] / denom
     return a
-
-
-def gnn_objective(p: GnnProblem, a: np.ndarray) -> float:
-    """0.5 ||y - A~ X w||^2 + 0.5 gamma ||A~||_F^2; rejects support violations."""
-    if np.any((a != 0.0) & ~p.mask):
-        raise SupportError("solution has mass outside the admissible mask")
-    resid = p.labels - a @ p.v
-    return float(0.5 * resid @ resid + 0.5 * p.ridge * np.sum(a * a))
-
-
-def full_objective_gradient(p: GnnProblem, a: np.ndarray) -> np.ndarray:
-    """-y v' + A~ (v v' + gamma I), the unmasked objective gradient."""
-    v = p.v
-    return -np.outer(p.labels, v) + (a @ v)[:, None] * v[None, :] + p.ridge * a
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +317,6 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
 
 def density_mask_fields(n: int, p: float, seed: int) -> ReceptiveFieldMap:
     """Receptive fields of an Erdos-Renyi style symmetric mask with density p."""
-    from .graphs import erdos_renyi_graph, one_hop_receptive_fields
-
     return one_hop_receptive_fields(erdos_renyi_graph(n, p, seed))
 
 

@@ -25,7 +25,7 @@ class Graph:
     """Undirected simple graph with a dense boolean adjacency matrix.
 
     Intended for desk scale (N up to a few thousand); no sparse storage.
-    Immutable after construction and safe to share across parallel trials.
+    Immutable after construction.
     """
 
     n: int
@@ -105,7 +105,7 @@ def receptive_fields_from_map(n: int, xi) -> ReceptiveFieldMap:
     """Validated constructor for an explicit receptive-field map.
 
     Checks self-inclusion (i in Xi(i)) and symmetry (j in Xi(i) iff
-    i in Xi(j)); used for truncated-field scaling experiments.
+    i in Xi(j)); ``one_hop_receptive_fields`` builds its maps through it.
     """
     if len(xi) != n:
         raise GraphError(f"expected {n} fields, got {len(xi)}")
@@ -198,7 +198,3 @@ def parse_edge_list(text: str):
 def read_edge_list(path, n: int) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return build_graph(n, parse_edge_list(fh.read()))
-
-
-def format_edge_list(g: Graph) -> str:
-    return "\n".join(f"{i} {j}" for i, j in sorted(g.edges)) + "\n"

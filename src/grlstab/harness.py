@@ -22,10 +22,11 @@ and returns exact oracle values for beta1/beta2, through the same
 beta1/beta2 reduction.
 
 Learner protocol: ``prepare(z)`` turns a sample set into the learner's
-input (the bound objective for SGD, the design matrix and labels for an SRM
-class); ``train(prepared_sets)`` fits the pool of a list of one or more
-prepared sets, and ``losses(h, prepared)`` scores a hypothesis on one.
-Every estimator prepares each sample set once per use, so a test set scored
+input (the bound objective for ``sgd.SgdAlgorithm``, the design matrix and
+labels for ``srm.SrmClassAlgorithm``); ``train(prepared_sets)`` fits the
+pool of a list of one or more prepared sets, and ``losses(h, prepared)``
+scores a hypothesis on one. The harness imports no learner. Every
+estimator prepares each sample set once per use, so a test set scored
 against many hypotheses is aggregated once; the exhaustive oracle prepares
 each cube configuration once.
 """
@@ -36,10 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ReceptiveFieldMap
-from .objectives import BoundObjective, FieldObjective
-from .sampling import IsingSpec, SampleSet, enumerate_spin_configs, gibbs_probabilities
-from .sgd import SgdConfig, train
+from .sampling import IsingSpec, enumerate_spin_configs, gibbs_probabilities
 from .seeding import seed_int
 
 
@@ -63,36 +61,6 @@ class GapSample:
     phi: float  # estimated generalization gap R(h) - Rhat(h)
     test_graphs: int
     seed: int
-
-
-# ---------------------------------------------------------------------------
-# Algorithms
-
-
-class SgdAlgorithm:
-    """T-step projected SGD with a frozen internal index-stream seed.
-
-    Its prepared set is the objective bound to the sample set.
-    """
-
-    def __init__(self, objective: FieldObjective, rf: ReceptiveFieldMap, config: SgdConfig):
-        self.objective = objective
-        self.rf = rf
-        self.config = config
-
-    @property
-    def id(self) -> str:
-        return (f"sgd({self.objective.kind},T={self.config.steps},"
-                f"a={self.config.step_size},seed={self.config.seed})")
-
-    def prepare(self, z: SampleSet) -> BoundObjective:
-        return self.objective.bind(z, self.rf)
-
-    def train(self, bounds) -> np.ndarray:
-        return train(bounds, self.config).final
-
-    def losses(self, h: np.ndarray, bound: BoundObjective) -> np.ndarray:
-        return bound.losses(h)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ The SGD bounds follow from the regime: strongly convex iff gamma > 0.
 Weights live in a ball of radius ``weight_radius`` (SGD projects onto it),
 which makes the Lipschitz constant, the loss bound, and the gradient-vs-data
 constant finite and analytically certifiable. All constants are recorded in
-a ConstantsCertificate and can be stress-tested empirically.
+a ConstantsCertificate and can be stress-tested empirically, together
+with the contraction properties of the SGD update map they imply.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class FieldObjective:
     h_w(T_i) = <w, u_i> with u_i = feature_scale * mean of features over
     Xi(i). The data term, the feature scale and the certificate live here; a
     family supplies only its weight penalty P, through the private hooks
-    ``_penalty``, ``_penalty_grad`` and ``_penalty_hessian``, and three
+    ``_penalty`` and ``_penalty_grad``, and three
     constants of P: its curvature bound (a constructor argument), and its
     Lipschitz constant and sup on the weight ball (``_penalty_lipschitz``,
     ``_penalty_sup``). The data term gets the curvature budget the penalty
@@ -167,9 +168,6 @@ class FieldObjective:
         r = u @ w - y
         return 0.5 * r * r + self._penalty(w)
 
-    def hessian_uy(self, u, w=None) -> np.ndarray:
-        return np.outer(u, u) + self._penalty_hessian(w)
-
     # -- random admissible draws used by the empirical certifiers ------------
     def _random_w(self, rng, count):
         v = rng.normal(size=(count, self.dim))
@@ -206,9 +204,6 @@ class QuadraticFieldObjective(FieldObjective):
     def _penalty_grad(self, w):
         return self.gamma * w
 
-    def _penalty_hessian(self, w):
-        return self.gamma * np.eye(self.dim)
-
 
 class RippleFieldObjective(FieldObjective):
     """0.5 (<w, u> - y)^2 + a (1 - cos(<k, w>)): smooth, non-convex for a > 0."""
@@ -236,11 +231,6 @@ class RippleFieldObjective(FieldObjective):
 
     def _penalty_grad(self, w):
         return self.amplitude * np.sin(float(np.dot(self.direction, w))) * self.direction
-
-    def _penalty_hessian(self, w):
-        return self.amplitude * np.cos(float(np.dot(self.direction, w))) * np.outer(
-            self.direction, self.direction
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -411,3 +401,55 @@ def cocoercivity_check(obj: FieldObjective, trials: int, seed: int) -> Cocoerciv
                     worst, witness = v, (u0, 0.0, s1 * e0, s2 * e0)
 
     return CocoercivityReport(max_violation=worst, witness=witness)
+
+
+# ---------------------------------------------------------------------------
+# Contraction stress test for the raw update map
+
+
+@dataclass(frozen=True)
+class ContractionReport:
+    max_ratio: float  # over all sampled pairs
+    max_ratio_convex: float | None  # checked when alpha <= 2/lam and convex
+    max_ratio_strongly: float | None  # checked when alpha <= 2/(lam+gamma)
+    bound_general: float  # 1 + alpha lam
+    bound_strongly: float | None  # 1 - alpha lam gamma / (lam + gamma)
+    trials: int
+
+
+def contraction_check(obj: FieldObjective, alpha: float, trials: int, seed: int) -> ContractionReport:
+    """Empirical Lipschitz ratios of the unprojected SGD update map
+    G(w) = w - alpha grad f(w).
+
+    Verifies three clauses on random (w, w', instance) triples: the general
+    (1 + alpha lam) bound, the 1-bound for convex objectives with
+    alpha <= 2/lam, and the strong-convexity contraction for
+    alpha <= 2/(lam + gamma).
+    """
+    cert = obj.certificate
+    lam = cert.smoothness
+    gamma = cert.strong_convexity
+    rng = child_rng(seed, "contraction")
+    convex = obj.convex
+    strongly = obj.regime == STRONGLY_CONVEX
+
+    worst = 0.0
+    for _ in range(trials):
+        x, y = obj._random_field(rng)
+        u = obj.field_feature(x)
+        w1, w2 = obj._random_w(rng, 2)
+        dw = np.linalg.norm(w1 - w2)
+        if dw < 1e-12:
+            continue
+        g1 = w1 - alpha * obj.grad_uy(u, y, w1)
+        g2 = w2 - alpha * obj.grad_uy(u, y, w2)
+        worst = max(worst, float(np.linalg.norm(g1 - g2) / dw))
+
+    return ContractionReport(
+        max_ratio=worst,
+        max_ratio_convex=worst if (convex and alpha <= 2.0 / lam) else None,
+        max_ratio_strongly=worst if (strongly and alpha <= 2.0 / (lam + gamma)) else None,
+        bound_general=1.0 + alpha * lam,
+        bound_strongly=(1.0 - alpha * lam * gamma / (lam + gamma)) if strongly else None,
+        trials=trials,
+    )

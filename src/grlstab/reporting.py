@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
+
 
 def fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
@@ -85,8 +87,6 @@ def write_json(path, payload: dict, cfg_hash: str | None = None) -> None:
 
 
 def write_manifest(outdir, config: dict, started: float) -> None:
-    from . import __version__
-
     manifest = {
         "config": {k: config[k] for k in sorted(config)},
         "config_hash": config_hash(config),

@@ -132,9 +132,6 @@ class IidSampler:
     def n(self) -> int:
         return self.rf.n
 
-    def diameter(self) -> float:
-        return sample_space_diameter(self.b_x, self.b_y)
-
     def _draw_rows(self, rng: np.random.Generator, count: int):
         half = self.b_x / np.sqrt(self.dim)
         x = rng.uniform(-half, half, size=(count, self.dim))
@@ -252,9 +249,6 @@ class IsingSpec:
                 c[i, jdx] = np.max(np.abs(p_plus - p_minus))
         c.setflags(write=False)
         return c
-
-    def diameter(self) -> float:
-        return sample_space_diameter(self.b_x, self.b_y)
 
     def feature_directions(self) -> np.ndarray:
         """(n, feature_dim) unit directions q_i (identity columns, cycled)."""
@@ -424,9 +418,6 @@ class IsingSampler:
     @property
     def rf(self) -> ReceptiveFieldMap:
         return self.spec.rf
-
-    def diameter(self) -> float:
-        return self.spec.diameter()
 
     def sample(self, seed: int) -> SampleSet:
         spins = glauber_spins(self.spec, self.sweeps, child_rng(seed, "glauber"), 1)[0]

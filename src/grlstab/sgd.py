@@ -33,9 +33,11 @@ as at B = 1, and that is as much as two steps of this loop, so batching
 pays only across many trainings.
 
 Per-step deviation envelopes for the strongly convex and the smooth
-non-convex regimes can be rechecked against a recorded trace, and the
-contraction properties of G itself can be stress-tested over random pairs.
-Projection is 1-Lipschitz, so every envelope survives it.
+non-convex regimes can be rechecked against a recorded trace; projection is
+1-Lipschitz, so every envelope survives it. The contraction properties of G
+itself are stress-tested in ``objectives.contraction_check``.
+
+``SgdAlgorithm`` wraps ``train`` as a learner of the stability harness.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 
 from .bounds import step_condition
 from .graphs import ReceptiveFieldMap
-from .objectives import STRONGLY_CONVEX, FieldObjective
+from .objectives import STRONGLY_CONVEX, BoundObjective, FieldObjective
 from .sampling import SampleSet
 from .seeding import child_rng
 
@@ -142,6 +144,33 @@ def train(bounds, cfg: SgdConfig) -> Trajectory:
     return Trajectory(weights=_descend(bounds, indices, cfg), indices=indices, config=cfg)
 
 
+class SgdAlgorithm:
+    """T-step projected SGD with a frozen internal index-stream seed, as a
+    learner of the stability harness.
+
+    Its prepared set is the objective bound to the sample set.
+    """
+
+    def __init__(self, objective: FieldObjective, rf: ReceptiveFieldMap, config: SgdConfig):
+        self.objective = objective
+        self.rf = rf
+        self.config = config
+
+    @property
+    def id(self) -> str:
+        return (f"sgd({self.objective.kind},T={self.config.steps},"
+                f"a={self.config.step_size},seed={self.config.seed})")
+
+    def prepare(self, z: SampleSet) -> BoundObjective:
+        return self.objective.bind(z, self.rf)
+
+    def train(self, bounds) -> np.ndarray:
+        return train(bounds, self.config).final
+
+    def losses(self, h: np.ndarray, bound: BoundObjective) -> np.ndarray:
+        return bound.losses(h)
+
+
 def case_label(rf: ReceptiveFieldMap, vertex: int, sampled: int) -> str:
     if sampled == vertex:
         return "self"
@@ -192,7 +221,6 @@ def coupled_train(z: SampleSet, z_pert: SampleSet, rf: ReceptiveFieldMap,
 class EnvelopeReport:
     regime: str
     margins: np.ndarray  # rhs - lhs per step; negative entries are violations
-    labels: tuple
     regime_a_active: bool  # strongly convex: which hit-case branch applies
     ok: bool
 
@@ -250,58 +278,7 @@ def envelope_check(trace: CoupledTrace, obj: FieldObjective, tol: float = 1e-9) 
     return EnvelopeReport(
         regime=obj.regime,
         margins=margins,
-        labels=trace.case_labels,
         regime_a_active=regime_a,
         ok=bool(np.all(margins >= -tol)),
     )
 
-
-# ---------------------------------------------------------------------------
-# Contraction stress test for the raw update map
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    max_ratio: float  # over all sampled pairs
-    max_ratio_convex: float | None  # checked when alpha <= 2/lam and convex
-    max_ratio_strongly: float | None  # checked when alpha <= 2/(lam+gamma)
-    bound_general: float  # 1 + alpha lam
-    bound_strongly: float | None  # 1 - alpha lam gamma / (lam + gamma)
-    trials: int
-
-
-def contraction_check(obj: FieldObjective, alpha: float, trials: int, seed: int) -> ContractionReport:
-    """Empirical Lipschitz ratios of the unprojected update map G.
-
-    Verifies three clauses on random (w, w', instance) triples: the general
-    (1 + alpha lam) bound, the 1-bound for convex objectives with
-    alpha <= 2/lam, and the strong-convexity contraction for
-    alpha <= 2/(lam + gamma).
-    """
-    cert = obj.certificate
-    lam = cert.smoothness
-    gamma = cert.strong_convexity
-    rng = child_rng(seed, "contraction")
-    convex = obj.convex
-    strongly = obj.regime == STRONGLY_CONVEX
-
-    worst = 0.0
-    for _ in range(trials):
-        x, y = obj._random_field(rng)
-        u = obj.field_feature(x)
-        w1, w2 = obj._random_w(rng, 2)
-        dw = np.linalg.norm(w1 - w2)
-        if dw < 1e-12:
-            continue
-        g1 = w1 - alpha * obj.grad_uy(u, y, w1)
-        g2 = w2 - alpha * obj.grad_uy(u, y, w2)
-        worst = max(worst, float(np.linalg.norm(g1 - g2) / dw))
-
-    return ContractionReport(
-        max_ratio=worst,
-        max_ratio_convex=worst if (convex and alpha <= 2.0 / lam) else None,
-        max_ratio_strongly=worst if (strongly and alpha <= 2.0 / (lam + gamma)) else None,
-        bound_general=1.0 + alpha * lam,
-        bound_strongly=(1.0 - alpha * lam * gamma / (lam + gamma)) if strongly else None,
-        trials=trials,
-    )

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import srm_confidence
 from .graphs import ReceptiveFieldMap
 from .sampling import SampleSet
 
@@ -229,8 +230,6 @@ def srm_report(selection: SrmSelection, family: DegreeClassFamily, holdout_sets,
     The oracle side inf_h ( R(h) + (lambda + 2) d(h) beta2 ) is estimated by
     the per-class ERMs evaluated on held-out sets.
     """
-    from .bounds import srm_confidence
-
     beta2 = max(selection.beta2_by_degree.values())
 
     def holdout_risk(fit: ClassFit) -> float:

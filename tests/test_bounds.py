@@ -65,9 +65,40 @@ def test_double_geometric_loop_equivalence():
     assert bounds.double_geometric(1.0, 9) == pytest.approx(9.0)
 
 
+# ---------------------------------------------------------------------------
+# Difference-equation oracle: the A/B/C/D solution of the second-moment
+# recursion, which bounds.variance_bound's exact form must equal
+
+
+def power_ratio(a, b, steps):
+    """(a^T - b^T)/(a - b) = sum_{s<T} a^{T-1-s} b^s, continuous at a = b."""
+    if steps == 0:
+        return 0.0
+    scale = max(1.0, abs(a), abs(b))
+    if abs(a - b) < bounds.BRANCH_WIDTH * scale:
+        mid = 0.5 * (a + b)
+        return steps * mid ** (steps - 1)
+    return (a**steps - b**steps) / (a - b)
+
+
+def difference_equation_solution(a, b, c, d, steps):
+    """Solution at T of v_t = a v_{t-1} + c b^{t-1} + d with v_0 = 0."""
+    return c * power_ratio(b, a, steps) + d * bounds.geometric_series(a, steps)
+
+
+def variance_abcd_coefficients(growth, kick):
+    """A/B/C/D of the second-moment difference equation (growth != 1):
+    A = PZ^2, B = PZ, C = 2 PZ PY^2/(PZ-1), D = PY^2(PZ+1)/(1-PZ)."""
+    a = growth**2
+    b = growth
+    c = 2.0 * growth * kick**2 / (growth - 1.0)
+    d = kick**2 * (growth + 1.0) / (1.0 - growth)
+    return a, b, c, d
+
+
 def test_power_ratio_equal_arguments_limit():
-    assert bounds.power_ratio(0.7, 0.7, 5) == pytest.approx(5 * 0.7**4)
-    assert bounds.power_ratio(2.0, 1.0, 3) == pytest.approx((8 - 1) / (2 - 1))
+    assert power_ratio(0.7, 0.7, 5) == pytest.approx(5 * 0.7**4)
+    assert power_ratio(2.0, 1.0, 3) == pytest.approx((8 - 1) / (2 - 1))
 
 
 def test_difference_equation_solution_matches_iteration():
@@ -79,7 +110,7 @@ def test_difference_equation_solution_matches_iteration():
         b = a + float(rng.uniform(-1e-8, 1e-8)) if trial % 4 == 0 else float(rng.uniform(0.2, 1.3))
         c = float(rng.uniform(-2.0, 2.0))
         d = float(rng.uniform(-2.0, 2.0))
-        got = bounds.difference_equation_solution(a, b, c, d, steps)
+        got = difference_equation_solution(a, b, c, d, steps)
         v = 0.0
         for t in range(1, steps + 1):
             v = a * v + c * b ** (t - 1) + d
@@ -97,8 +128,8 @@ def test_variance_abcd_substitution_matches_iteration():
         if abs(z - 1.0) < 1e-3:
             z += 2e-3 if z >= 1.0 else -2e-3
         kick = float(rng.uniform(0.01, 1.0))
-        a, b, c, d = bounds.variance_abcd_coefficients(z, kick)
-        got = bounds.difference_equation_solution(a, b, c, d, steps)
+        a, b, c, d = variance_abcd_coefficients(z, kick)
+        got = difference_equation_solution(a, b, c, d, steps)
         v = 0.0
         for t in range(1, steps + 1):
             v = a * v + c * b ** (t - 1) + d
@@ -261,8 +292,8 @@ def test_variance_exact_matches_recursion_loop():
     vb = bounds.variance_bound(p)
     assert vb.per_vertex_exact[0] == pytest.approx(v, rel=1e-9)
     # exact solution equals the A/B/C/D difference-equation solution
-    a, b, c, d = bounds.variance_abcd_coefficients(pz, py)
-    assert bounds.difference_equation_solution(a, b, c, d, 10) == pytest.approx(v, rel=1e-9)
+    a, b, c, d = variance_abcd_coefficients(pz, py)
+    assert difference_equation_solution(a, b, c, d, 10) == pytest.approx(v, rel=1e-9)
 
 
 def test_variance_loose_form_dominates_exact_below_one():

@@ -557,6 +557,55 @@ srm.lambdas =
     assert not out.exists()
 
 
+SAMPLE_ISING = """
+experiment = sample
+seed = 8
+out = {out}
+graph.n = 6
+sampler.kind = ising
+sampler.coupling = 0.3
+sampler.sweeps = 20
+"""
+
+
+def test_edge_list_graph_samples_like_its_generator(tmp_path):
+    # the Ising coupling follows the graph, so equal rows need equal graphs
+    edges = tmp_path / "cycle6.txt"
+    edges.write_text("# cycle-6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
+    rows = {}
+    for kind, extra in [("edge-list", f"graph.path = {edges}\n"), ("cycle", "")]:
+        out = tmp_path / kind
+        path = write_config(tmp_path, f"{kind}.ini", SAMPLE_ISING.format(out=out)
+                            + f"graph.kind = {kind}\n" + extra)
+        assert run_cli(["run", path]) == 0
+        rows[kind] = read_csv(out / "samples.csv")
+    assert rows["edge-list"] == rows["cycle"]
+
+
+def test_edge_list_without_path_is_user_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "nopath.ini",
+                        SAMPLE_ISING.format(out=out) + "graph.kind = edge-list\n")
+    assert run_cli(["run", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "graph.path" in err["message"]
+    assert not out.exists()
+
+
+def test_internal_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def broken(cfg, outdir, chash):
+        raise RuntimeError("runner bug")
+
+    monkeypatch.setitem(cli.RUNNERS, "sample", broken)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "bug.ini", SAMPLE_ISING.format(out=out)
+                        + "graph.kind = cycle\n")
+    assert run_cli(["run", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "internal", "type": "RuntimeError", "message": "runner bug"}
+    assert not out.exists()
+
+
 def test_unknown_plot_kind_rejected_by_argparse(tmp_path):
     with pytest.raises(SystemExit):
         run_cli(["plots", tmp_path, "nope"])

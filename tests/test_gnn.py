@@ -4,6 +4,8 @@ import pytest
 from grlstab import gnn, graphs
 from grlstab.seeding import child_rng
 
+from gnn_oracles import SupportError, full_objective_gradient, gnn_objective
+
 
 def use_fit(monkeypatch, solver):
     """Make gnn_stability_experiment and its reference loop fit with the
@@ -85,7 +87,7 @@ def test_objective_zero_solution_value():
     rng = child_rng(3, "objzero")
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(5))
     p = random_problem(rng, rf)
-    assert gnn.gnn_objective(p, np.zeros((5, 5))) == pytest.approx(0.5 * p.labels @ p.labels)
+    assert gnn_objective(p, np.zeros((5, 5))) == pytest.approx(0.5 * p.labels @ p.labels)
 
 
 def test_objective_rejects_support_violation():
@@ -94,13 +96,13 @@ def test_objective_rejects_support_violation():
     p = random_problem(rng, rf)
     bad = np.zeros((5, 5))
     bad[0, 2] = 1.0  # vertex 2 outside Xi(0) on a 5-cycle
-    with pytest.raises(gnn.SupportError):
-        gnn.gnn_objective(p, bad)
+    with pytest.raises(SupportError):
+        gnn_objective(p, bad)
 
 
 def masked_objective_gradient(p, a):
     """Pi o [ -y v' + A~ (v v' + gamma I) ], the masked first-order condition."""
-    return np.where(p.mask, gnn.full_objective_gradient(p, a), 0.0)
+    return np.where(p.mask, full_objective_gradient(p, a), 0.0)
 
 
 def test_rowwise_first_order_condition_and_fd():
@@ -119,7 +121,7 @@ def test_rowwise_first_order_condition_and_fd():
         up[i, j] += step
         down = a.copy()
         down[i, j] -= step
-        fd = (gnn.gnn_objective(p, up) - gnn.gnn_objective(p, down)) / (2 * step)
+        fd = (gnn_objective(p, up) - gnn_objective(p, down)) / (2 * step)
         assert abs(fd) <= 1e-8
 
 
@@ -128,7 +130,7 @@ def test_full_mask_projected_solution_stationary():
     rf = graphs.one_hop_receptive_fields(graphs.complete_graph(5))
     p = random_problem(rng, rf)
     a = gnn.fit_projected_closed_form(p)
-    assert np.linalg.norm(gnn.full_objective_gradient(p, a)) <= 1e-10
+    assert np.linalg.norm(full_objective_gradient(p, a)) <= 1e-10
 
 
 def test_oracle_dominance_on_masked_instances():
@@ -137,8 +139,8 @@ def test_oracle_dominance_on_masked_instances():
         g = graphs.erdos_renyi_graph(7, 0.4, trial)
         rf = graphs.one_hop_receptive_fields(g)
         p = random_problem(rng, rf)
-        obj_row = gnn.gnn_objective(p, gnn.fit_exact_rowwise(p))
-        obj_proj = gnn.gnn_objective(p, gnn.fit_projected_closed_form(p))
+        obj_row = gnn_objective(p, gnn.fit_exact_rowwise(p))
+        obj_proj = gnn_objective(p, gnn.fit_projected_closed_form(p))
         assert obj_row <= obj_proj + 1e-12
 
 
@@ -186,9 +188,9 @@ def test_projected_features_cached_once_with_unchanged_bits():
     for s in (fit, row_fit):
         resid = p.labels - s @ v
         value = float(0.5 * resid @ resid + 0.5 * p.ridge * np.sum(s * s))
-        assert gnn.gnn_objective(p, s) == value
+        assert gnn_objective(p, s) == value
         grad = -np.outer(p.labels, v) + (s @ v)[:, None] * v[None, :] + p.ridge * s
-        assert np.array_equal(gnn.full_objective_gradient(p, s), grad)
+        assert np.array_equal(full_objective_gradient(p, s), grad)
 
 
 # ---------------------------------------------------------------------------

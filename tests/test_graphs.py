@@ -100,7 +100,7 @@ def test_sup_d_monotone_under_edge_addition():
 def test_edge_list_round_trip(tmp_path):
     g = graphs.cycle_graph(5)
     path = tmp_path / "edges.txt"
-    path.write_text(graphs.format_edge_list(g))
+    path.write_text("# cycle-5\n0 1\n1 2\n\n2 3\n3 4\n0 4\n")
     g2 = graphs.read_edge_list(path, 5)
     assert g2.edges == g.edges
 

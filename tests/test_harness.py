@@ -3,12 +3,12 @@ import pytest
 
 from grlstab import bounds, gnn, graphs, sampling, sgd, srm
 from grlstab.harness import (NonDeterministicAlgorithmError,
-                             SgdAlgorithm, _prepared_cube, estimate_generalization_gap,
+                             _prepared_cube, estimate_generalization_gap,
                              estimate_mu, estimate_stability, estimate_vertex_stability,
                              exact_risk, exhaustive_binary_stability)
 from grlstab.objectives import FieldObjective, QuadraticFieldObjective, RippleFieldObjective
 from grlstab.seeding import seed_int
-from grlstab.sgd import SgdConfig
+from grlstab.sgd import SgdAlgorithm, SgdConfig
 
 
 class ConstantAlgorithm:

@@ -82,7 +82,7 @@ def test_iid_empirical_influence_zero():
 def test_sample_diameter_invariant():
     s = iid_sampler(dim=3)
     z = s.sample(11)
-    b_z = s.diameter()
+    b_z = sampling.sample_space_diameter(s.b_x, s.b_y)
     stacked = np.concatenate([z.features, z.labels[:, None]], axis=1)
     for i in range(z.n):
         for j in range(z.n):

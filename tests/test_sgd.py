@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from grlstab import bounds, graphs, sampling
-from grlstab.objectives import QuadraticFieldObjective, RippleFieldObjective
-from grlstab.sgd import (SgdConfig, SgdDivergenceError, case_label, contraction_check,
-                         coupled_train, draw_indices, envelope_check, train)
+from grlstab.objectives import (QuadraticFieldObjective, RippleFieldObjective,
+                                contraction_check)
+from grlstab.sgd import (SgdConfig, SgdDivergenceError, case_label, coupled_train,
+                         draw_indices, envelope_check, train)
 from grlstab.seeding import child_rng
 
 
