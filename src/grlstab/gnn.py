@@ -10,10 +10,10 @@ training objective is
 The experiments fit with fit_projected_closed_form, the masked projection
 of the unconstrained stationary point, A~ = Pi o ( y v' (v v' + gamma I)^{-1} )
 with v = X w, evaluated through the rank-one identity y v' / (gamma + ||v||^2)
-(no matrix inversion). fit_exact_rowwise, the support-constrained minimizer,
-is the reference it is checked against: rows decouple into scalar ridge
-problems, A~_{ij} = y_i v_j 1[j in Xi(i)] / (gamma + sum_{k in Xi(i)} v_k^2),
-and its objective value never exceeds the projected formula's.
+(no matrix inversion). The tests check it against the support-constrained
+minimizer, whose rows decouple into scalar ridge problems,
+A~_{ij} = y_i v_j 1[j in Xi(i)] / (gamma + sum_{k in Xi(i)} v_k^2), and
+whose objective value never exceeds the projected formula's.
 
 Stability experiments replace one training vertex (label endpoint or a
 first-order feature bump), refit, and measure worst-case test loss
@@ -22,23 +22,33 @@ affine in the test label, so the sup over y'_j in [-B_y, B_y] is attained
 at an endpoint and computed exactly. Test features enter only through
 v' = X' w, each v'_k in [-b_x ||w||, b_x ||w||].
 
-In label mode the sup over test features is exact at the sign corner:
+In label mode the sup over test features is exact at the sign corner, and
+the experiment reads only row i of each perturbed fit:
 
 - replacing y_i changes only row i of A~, which either fit sets to
-  y_i c m with m = mask_i o v and c the fit's denominator, so the
-  predictions differ only at test vertex i (label-mode beta1 is 0);
+  y_i c m with m = mask_i o v and c the fit's denominator. Every other
+  row comes from the same operands through the same elementwise
+  operations, so it equals the base's row bit for bit, and so does its
+  entry of each matrix-vector product: the predictions differ only at
+  test vertex i, and label-mode beta1 is exactly 0;
 - there the rows of a_p - a and a_p + a are both multiples of m, so the
   loss-difference sup |d.v'| (|s.v'| + 2 B_y) increases with |m.v'|;
 - |m.v'| is largest at v'_k = b_x ||w|| sign(m_k), the corner built from
   the sign pattern of the fitted difference.
 
-So label mode evaluates the sign corners only, and the test-draw count
-affects feature mode alone. In feature mode the sup is lower estimated by
-Monte Carlo draws plus sign-corner candidates. One vertex's candidates are
-evaluated as one batch: a (C, n, dim) array of test features, batched
-matrix-vector products for the base and perturbed fits, and one exact max
-over the (C, fits, n) block of loss differences, so the estimate equals
-the max a candidate-by-candidate loop would take.
+So the sign patterns come from row i of a_p - a and a_p + a alone, and no
+n x n candidate data is formed. The predictions still come from the full
+products A~ v' (one per corner and fit), of which only entry i is read: a
+lone row's dot product can differ from the full product's entry in the
+last bits, so it would change the result bytes. Label mode evaluates the
+sign corners only, and the test-draw count affects feature mode alone.
+
+In feature mode the sup is lower estimated by Monte Carlo draws plus
+sign-corner candidates. One vertex's candidates are evaluated as one batch:
+a (C, n, dim) array of test features, batched matrix-vector products for
+the base and perturbed fits, and one exact max over the (C, fits, n) block
+of loss differences, so the estimate equals the max a
+candidate-by-candidate loop would take.
 
 Perturbed problems derive from the trial's validated base problem
 (GnnProblem.with_label, GnnProblem.with_feature_row): the shared mask is
@@ -150,17 +160,6 @@ def fit_projected_closed_form(p: GnnProblem) -> np.ndarray:
     return np.where(p.mask, a, 0.0)
 
 
-def fit_exact_rowwise(p: GnnProblem) -> np.ndarray:
-    """Support-constrained minimizer; rows decouple into scalar ridges. Returns A~."""
-    v = p.v
-    a = np.zeros((p.n, p.n))
-    for i in range(p.n):
-        row_mask = p.mask[i]
-        denom = p.ridge + float(np.sum(v[row_mask] ** 2))
-        a[i, row_mask] = p.labels[i] * v[row_mask] / denom
-    return a
-
-
 # ---------------------------------------------------------------------------
 # Stability experiments
 
@@ -197,12 +196,28 @@ def _loss_diff_sup_label(pred_base: np.ndarray, pred_pert: np.ndarray, b_y: floa
     return np.abs(pred_base - pred_pert) * (np.abs(pred_base + pred_pert) + 2.0 * b_y)
 
 
-def _test_feature_candidates(rng, n, dim, b_x, weight, pairs, n_draws) -> np.ndarray:
-    """Monte Carlo test feature sets plus sign-corner candidates, as one (C, n, dim) array.
+def _label_sign_patterns(fit_rows: np.ndarray, base_row: np.ndarray) -> np.ndarray:
+    """Sign patterns of one label-mode vertex i's corners, read from row i; (C, n).
 
-    In label mode the sign corner of the fitted difference attains the exact
-    sup over test features (see the module docstring), so the experiment
-    passes n_draws = 0 there; the draws serve feature mode only.
+    fit_rows holds row i of each perturbed fit. Each fit that moved row i
+    gives, in this order, the signs of its difference from the base row and
+    of their sum (np.where(x >= 0, 1, -1)); a source that is all zero gives
+    none. A difference counts as moved when some square of it is nonzero,
+    i.e. when its Euclidean norm is nonzero.
+    """
+    delta = fit_rows - base_row
+    moved = (delta * delta).any(axis=1)
+    sources = np.stack([delta, fit_rows + base_row], axis=1)[moved].reshape(-1, base_row.size)
+    sources = sources[sources.any(axis=1)]
+    return np.where(sources >= 0.0, 1.0, -1.0)
+
+
+def _test_feature_candidates(rng, n, dim, b_x, weight, pairs, n_draws) -> np.ndarray:
+    """Feature-mode test feature sets, Monte Carlo draws then sign corners; (C, n, dim).
+
+    A feature bump at vertex i changes v_i and, through the fit's
+    denominator, rows of A~ beyond row i, so the sign corners need not
+    attain the sup over test features; these candidates lower-estimate it.
 
     The n_draws Monte Carlo sets come first, drawn as _rows_in_ball draws
     them (one normal and one uniform call per set, in that order) and then
@@ -212,7 +227,8 @@ def _test_feature_candidates(rng, n, dim, b_x, weight, pairs, n_draws) -> np.nda
     loss-difference product) and from the matching rows of the
     base+perturbed sum (the second factor). Rows where the difference is
     negligible contribute nothing to the product, so only the leading rows
-    spawn corners. Corners use no randomness.
+    (at least a quarter of the largest row norm, at most eight) spawn
+    corners. Corners use no randomness.
     """
     signs = []
     wn = float(np.linalg.norm(weight))
@@ -253,21 +269,29 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
     (first-order regime; eps, >= 0.1 b_x is rejected). Estimates are lower
     bounds of the definitional suprema. In label mode the sup over test
     samples is exact (the sign corners attain it), so n_test_draws is not
-    read there.
+    read there. A ridge that is not finite and > 0, a b_w that is not
+    finite and >= 0, and in feature mode an eps_feature that is not finite
+    and >= 0 raise ValueError.
     """
     if kind not in (LABEL_MODE, FEATURE_MODE):
         raise ValueError(f"unknown perturbation kind {kind!r}")
     if n_test_draws < 0:
         raise ValueError("n_test_draws must be >= 0")
+    # NaN fails every comparison, so each check is written to fail on it
+    if not (np.isfinite(ridge) and ridge > 0):
+        raise ValueError(f"ridge must be finite and > 0, got {ridge!r}")
+    if not (np.isfinite(b_w) and b_w >= 0):
+        raise ValueError(f"b_w must be finite and >= 0, got {b_w!r}")
+    if kind == FEATURE_MODE and not (np.isfinite(eps_feature) and eps_feature >= 0):
+        raise ValueError(f"eps_feature must be finite and >= 0, got {eps_feature!r}")
     if kind == FEATURE_MODE and eps_feature >= 0.1 * b_x:
         raise ValueError("feature bump must stay below 0.1 b_x (first-order regime)")
     mask = mask_from_fields(rf)
     n = rf.n
     beta1_i = np.zeros(n)
     beta2_i = np.zeros(n)
-    outside = [rf.outside(i) for i in range(n)]
-    # label mode: the sign corners attain the sup (module docstring)
-    draws = n_test_draws if kind == FEATURE_MODE else 0
+    if kind == FEATURE_MODE:
+        outside = [rf.outside(i) for i in range(n)]
 
     for trial in range(trials):
         rng = child_rng(seed, "gnn-trial", trial)
@@ -279,28 +303,42 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
                           b_x=b_x, b_y=b_y, b_w=b_w)
         a_base = fit_projected_closed_form(base)
         wn = float(np.linalg.norm(w))
-        bump = (w / wn if wn > 0 else np.eye(dim)[0]) * eps_feature
+        unit = w / wn if wn > 0 else np.eye(dim)[0]
+        bump = unit * eps_feature
+        corner = b_x * unit if wn > 0 else None  # label mode's +-b_x test row
 
         for i in range(n):
             if kind == LABEL_MODE:
-                perturbed = [base.with_label(i, endpoint) for endpoint in (-b_y, b_y)]
+                # every perturbed problem is fitted, also when no corner is read
+                fits = np.stack([fit_projected_closed_form(base.with_label(i, endpoint))
+                                 for endpoint in (-b_y, b_y)])
+                if corner is None:
+                    continue
+                signs = _label_sign_patterns(fits[:, i], a_base[i])
+                if not len(signs):
+                    continue
+                vt = (signs[:, :, None] * corner) @ w
             else:
-                perturbed = [base.with_feature_row(i, x[i] + bump)]
-
-            fits = np.stack([fit_projected_closed_form(q) for q in perturbed])
-            # The candidates and the (difference, sum) pairs die with this
-            # call, before the (C, F, n) block below is built.
-            vt = _test_feature_candidates(
-                rng, n, dim, b_x, w, [(a_p - a_base, a_p + a_base) for a_p in fits],
-                draws) @ w
-            if not len(vt):
-                continue
+                fits = np.stack([fit_projected_closed_form(
+                    base.with_feature_row(i, x[i] + bump))])
+                # The candidates and the (difference, sum) pairs die with this
+                # call, before the (C, F, n) block below is built.
+                vt = _test_feature_candidates(
+                    rng, n, dim, b_x, w, [(a_p - a_base, a_p + a_base) for a_p in fits],
+                    n_test_draws) @ w
+                if not len(vt):
+                    continue
             # (C, 1, n, 1) test projections; each product below is one
             # matrix-vector call per candidate, as in a per-candidate loop.
             vt = vt[:, None, :, None]
-            sup_y = _loss_diff_sup_label((a_base @ vt)[..., 0], (fits @ vt)[..., 0], b_y)
+            pred_base, pred_pert = (a_base @ vt)[..., 0], (fits @ vt)[..., 0]
+            if kind == LABEL_MODE:
+                # rows j != i of every fit are the base's bits, so the gaps at
+                # other test vertices are exactly 0 and beta1_i stays 0
+                pred_base, pred_pert = pred_base[..., i], pred_pert[..., i]
+            sup_y = _loss_diff_sup_label(pred_base, pred_pert, b_y)
             beta2_i[i] = max(beta2_i[i], float(sup_y.max()))
-            if outside[i].size:
+            if kind == FEATURE_MODE and outside[i].size:
                 beta1_i[i] = max(beta1_i[i], float(sup_y[:, :, outside[i]].max()))
 
     return GnnStabilityResult(

@@ -16,7 +16,7 @@ from grlstab.objectives import (QuadraticFieldObjective, RippleFieldObjective,
 from grlstab.sgd import SgdAlgorithm, SgdConfig, coupled_train, envelope_check
 from grlstab.seeding import child_rng, seed_int
 
-from gnn_oracles import full_objective_gradient, gnn_objective
+from gnn_oracles import fit_exact_rowwise, full_objective_gradient, gnn_objective
 
 
 def report(number, name, ok, detail):
@@ -320,10 +320,10 @@ def test_criterion_09_gnn_solver():
         worst_grad = max(worst_grad, grad)
         ok = ok and grad <= 1e-10
         gap = (gnn_objective(masked, gnn.fit_projected_closed_form(masked))
-               - gnn_objective(masked, gnn.fit_exact_rowwise(masked)))
+               - gnn_objective(masked, fit_exact_rowwise(masked)))
         worst_gap = min(worst_gap, gap)
         ok = ok and gap >= -1e-12
-        ok = ok and np.allclose(gnn.fit_exact_rowwise(full), a_full, atol=1e-12)
+        ok = ok and np.allclose(fit_exact_rowwise(full), a_full, atol=1e-12)
     report(9, "gnn solver", ok,
            f"max full-mask grad {worst_grad:.1e}, min dominance gap {worst_gap:.1e}, "
            f"{time.time() - started:.1f}s")

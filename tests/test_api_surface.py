@@ -28,8 +28,6 @@ RESERVED = {
     "harness.estimate_generalization_gap": "ROADMAP item 4",
     "harness.exhaustive_binary_stability": "ROADMAP item 4",
     "harness.exact_risk": "ROADMAP item 4",
-    # item 12: the support-constrained fit criterion 09 checks the closed form against
-    "gnn.fit_exact_rowwise": "ROADMAP item 12",
 }
 
 

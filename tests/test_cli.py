@@ -526,6 +526,32 @@ gnn.test_draws = {draws}
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, line, name", [
+    (gnn.LABEL_MODE, "gnn.ridge = nan", "ridge"),
+    (gnn.LABEL_MODE, "gnn.bw = nan", "b_w"),
+    (gnn.LABEL_MODE, "gnn.bw = -0.5", "b_w"),
+    (gnn.FEATURE_MODE, "gnn.eps = nan", "eps_feature"),
+])
+def test_out_of_range_gnn_parameter_is_user_error(tmp_path, capsys, kind, line, name):
+    # a NaN ridge, weight bound or feature bump used to exit 0 with zero betas
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "gnn.ini", f"""
+experiment = gnn
+seed = 5
+out = {out}
+graph.kind = cycle
+graph.n = 6
+gnn.kind = {kind}
+gnn.trials = 1
+{line}
+""")
+    assert run_cli(["run", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert f"{name} must be finite" in err["message"]
+    assert not out.exists()
+
+
 def test_empty_gnn_densities_is_user_error(tmp_path, capsys):
     out = tmp_path / "out"
     path = write_config(tmp_path, "densities.ini", f"""

@@ -4,7 +4,8 @@ import pytest
 from grlstab import gnn, graphs
 from grlstab.seeding import child_rng
 
-from gnn_oracles import SupportError, full_objective_gradient, gnn_objective
+from gnn_oracles import (SupportError, fit_exact_rowwise, full_objective_gradient,
+                         gnn_objective)
 
 
 def use_fit(monkeypatch, solver):
@@ -12,7 +13,7 @@ def use_fit(monkeypatch, solver):
     rowwise oracle when solver is "rowwise"; both look up
     gnn.fit_projected_closed_form at call time."""
     if solver == "rowwise":
-        monkeypatch.setattr(gnn, "fit_projected_closed_form", gnn.fit_exact_rowwise)
+        monkeypatch.setattr(gnn, "fit_projected_closed_form", fit_exact_rowwise)
 
 
 def full_mask_problem(y, v_target, ridge=1.0, n=2):
@@ -56,7 +57,7 @@ def test_masked_entries_exactly_zero():
     rng = child_rng(0, "mask")
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(6))
     p = random_problem(rng, rf)
-    for fit in (gnn.fit_projected_closed_form, gnn.fit_exact_rowwise):
+    for fit in (gnn.fit_projected_closed_form, fit_exact_rowwise):
         a = fit(p)
         assert np.all(a[~p.mask] == 0.0)
 
@@ -67,7 +68,7 @@ def test_full_mask_solvers_coincide():
     rf = graphs.one_hop_receptive_fields(graphs.complete_graph(n))
     p = random_problem(rng, rf)
     a1 = gnn.fit_projected_closed_form(p)
-    a2 = gnn.fit_exact_rowwise(p)
+    a2 = fit_exact_rowwise(p)
     assert np.allclose(a1, a2, atol=1e-12)
 
 
@@ -76,7 +77,7 @@ def test_singleton_row_mask_scalar_ridge():
     rf = graphs.one_hop_receptive_fields(graphs.empty_graph(3))
     rng = child_rng(2, "singleton")
     p = random_problem(rng, rf, ridge=0.5)
-    a = gnn.fit_exact_rowwise(p)
+    a = fit_exact_rowwise(p)
     v = p.v
     for i in range(3):
         assert a[i, i] == pytest.approx(p.labels[i] * v[i] / (0.5 + v[i] ** 2))
@@ -109,7 +110,7 @@ def test_rowwise_first_order_condition_and_fd():
     rng = child_rng(5, "stationary")
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(6))
     p = random_problem(rng, rf)
-    a = gnn.fit_exact_rowwise(p)
+    a = fit_exact_rowwise(p)
     masked = masked_objective_gradient(p, a)
     assert np.abs(masked).max() <= 1e-10
     # finite-difference check of a few masked coordinates
@@ -139,7 +140,7 @@ def test_oracle_dominance_on_masked_instances():
         g = graphs.erdos_renyi_graph(7, 0.4, trial)
         rf = graphs.one_hop_receptive_fields(g)
         p = random_problem(rng, rf)
-        obj_row = gnn_objective(p, gnn.fit_exact_rowwise(p))
+        obj_row = gnn_objective(p, fit_exact_rowwise(p))
         obj_proj = gnn_objective(p, gnn.fit_projected_closed_form(p))
         assert obj_row <= obj_proj + 1e-12
 
@@ -151,7 +152,7 @@ def test_homogeneity_in_labels():
     c = 0.37
     scaled = gnn.GnnProblem(features=p.features, labels=c * p.labels, weight=p.weight,
                             mask=p.mask, ridge=p.ridge)
-    for fit in (gnn.fit_projected_closed_form, gnn.fit_exact_rowwise):
+    for fit in (gnn.fit_projected_closed_form, fit_exact_rowwise):
         assert np.allclose(fit(scaled), c * fit(p))
 
 
@@ -183,7 +184,7 @@ def test_projected_features_cached_once_with_unchanged_bits():
     for i in range(p.n):
         row = p.mask[i]
         a_row[i, row] = p.labels[i] * v[row] / (p.ridge + float(np.sum(v[row] ** 2)))
-    row_fit = gnn.fit_exact_rowwise(p)
+    row_fit = fit_exact_rowwise(p)
     assert np.array_equal(row_fit, a_row)
     for s in (fit, row_fit):
         resid = p.labels - s @ v
@@ -311,8 +312,11 @@ def test_candidate_batch_bit_equal_reference_list(n_draws, weight_scale):
 
 @pytest.mark.parametrize("kind", [gnn.LABEL_MODE, gnn.FEATURE_MODE])
 @pytest.mark.parametrize("solver", ["projected", "rowwise"])
-@pytest.mark.parametrize("n, density", [(32, 0.05), (48, 0.2), (64, 0.5), (40, 0.8)])
+@pytest.mark.parametrize("n, density", [(32, 0.05), (48, 0.2), (64, 0.5), (40, 0.8),
+                                        (7, 0.4), (13, 0.3)])
 def test_batched_candidates_bit_equal_reference_loop(kind, solver, n, density, monkeypatch):
+    # n = 7 and 13 are not multiples of a BLAS row block, so the matrix-vector
+    # kernels take their remainder paths; label mode still reads only row i
     use_fit(monkeypatch, solver)
     rf = gnn.density_mask_fields(n, density, seed=n)
     res = assert_matches_reference(rf, kind, seed=100 + n, trials=2, n_test_draws=6)
@@ -349,6 +353,19 @@ def test_batched_candidates_corners_only_bit_equal(kind):
     res = assert_matches_reference(rf, kind, seed=23, n_test_draws=0)
     assert res.beta2 > 0.0
 
+
+
+@pytest.mark.parametrize("solver", ["projected", "rowwise"])
+def test_label_mode_underflowing_difference_is_skipped(solver, monkeypatch):
+    # ridge 1e300 makes every fitted difference so small that its squares,
+    # and so its row norm, underflow to 0: the reference loop makes no
+    # corner for it, and neither does the row-i rule (no Monte Carlo sets
+    # either, so nothing else reaches the tiny gaps)
+    use_fit(monkeypatch, solver)
+    rf = gnn.density_mask_fields(12, 0.4, seed=7)
+    res = assert_matches_reference(rf, gnn.LABEL_MODE, seed=27, trials=2, n_test_draws=0,
+                                   ridge=1e300)
+    assert not res.beta2_i.any()
 
 
 @pytest.mark.parametrize("solver", ["projected", "rowwise"])
@@ -400,6 +417,59 @@ def test_label_mode_beta2_is_sign_corner_closed_form(solver, case, monkeypatch):
     assert not res.beta1_i.any()
 
 
+@pytest.mark.parametrize("kind, fits_per_vertex", [(gnn.LABEL_MODE, 2), (gnn.FEATURE_MODE, 1)])
+@pytest.mark.parametrize("case", ["erdos-renyi", "isolated", "zero-weight"])
+def test_every_perturbed_problem_is_fitted(kind, fits_per_vertex, case, monkeypatch):
+    # trials * (fits_per_vertex * n + 1) fits per experiment: one base fit per
+    # trial and one per perturbed problem, even when the fit moves nothing
+    # (zero weight) or the vertex has no neighbours
+    fitted = []
+    fit = gnn.fit_projected_closed_form
+
+    def counting_fit(p):
+        fitted.append(p)
+        return fit(p)
+
+    monkeypatch.setattr(gnn, "fit_projected_closed_form", counting_fit)
+    if case == "isolated":
+        # vertices 4, 7 and 8 have no neighbours: their mask rows hold only themselves
+        rf = graphs.one_hop_receptive_fields(
+            graphs.build_graph(9, [(0, 1), (1, 2), (2, 3), (5, 6)]))
+        assert [len(field) for field in rf.xi].count(1) == 3
+    else:
+        rf = gnn.density_mask_fields(11, 0.3, seed=2)
+    eps = 0.05 if kind == gnn.FEATURE_MODE else 0.0
+    trials = 3
+    res = gnn.gnn_stability_experiment(rf, kind, trials, eps, seed=26, n_test_draws=2,
+                                       b_w=0.0 if case == "zero-weight" else 1.0)
+    assert len(fitted) == trials * (fits_per_vertex * rf.n + 1)
+    assert (res.beta2 == 0.0) == (case == "zero-weight")
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("kind, bad, name", [
+    (gnn.LABEL_MODE, {"ridge": NAN}, "ridge"),
+    (gnn.LABEL_MODE, {"ridge": float("inf")}, "ridge"),
+    (gnn.LABEL_MODE, {"ridge": 0.0}, "ridge"),
+    (gnn.FEATURE_MODE, {"ridge": NAN}, "ridge"),
+    (gnn.LABEL_MODE, {"b_w": NAN}, "b_w"),
+    (gnn.LABEL_MODE, {"b_w": float("inf")}, "b_w"),
+    (gnn.LABEL_MODE, {"b_w": -0.5}, "b_w"),
+    (gnn.FEATURE_MODE, {"b_w": NAN}, "b_w"),
+    (gnn.FEATURE_MODE, {"eps_feature": NAN}, "eps_feature"),
+    (gnn.FEATURE_MODE, {"eps_feature": -0.01}, "eps_feature"),
+    (gnn.FEATURE_MODE, {"eps_feature": -float("inf")}, "eps_feature"),
+], ids=lambda v: repr(v) if isinstance(v, dict) else str(v))
+def test_experiment_rejects_non_finite_or_out_of_range_parameters(kind, bad, name):
+    # NaN passes a plain `<= 0` check; unchecked it ran to beta1 = beta2 = 0
+    rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(5))
+    args = {"eps_feature": 0.05, **bad}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        gnn.gnn_stability_experiment(rf, kind, trials=1, seed=0, **args)
+
+
 def test_derived_problems_check_only_replaced_entries():
     rng = child_rng(25, "derived")
     rf = gnn.density_mask_fields(12, 0.4, seed=3)
@@ -422,7 +492,7 @@ def test_derived_problems_check_only_replaced_entries():
         fresh = gnn.GnnProblem(features=derived.features, labels=derived.labels,
                                weight=p.weight, mask=p.mask, ridge=p.ridge)
         assert np.array_equal(derived.v, fresh.v)
-        for fit in (gnn.fit_projected_closed_form, gnn.fit_exact_rowwise):
+        for fit in (gnn.fit_projected_closed_form, fit_exact_rowwise):
             assert np.array_equal(fit(derived), fit(fresh))
 
 
