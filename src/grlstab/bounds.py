@@ -18,14 +18,19 @@ B_Z, B_L):
     PY_i = a B_Z zeta (NN_i - 1)/N + 2 a L / N
     valid when a^4 lam^2 + 2 a lam gamma/(lam+gamma) <= 1
   non-convex:
-    PM   = (N-1)/N * a lam               (flagged divergent when PM > 1)
+    growth = 1 + (N-1)/N * a lam         (> 1 for every a > 0)
     PY_i as above
 
-Each depends on vertex i only through NN_i: ``recursion_constants``
-returns them as (N,) arrays over the field sizes, every bound reads them
-there, and the scalar kernels are mapped over them one vertex at a time.
+Both come from one per-step case table, ``step_cases``: a step that samples
+a vertex whose field holds i ("hit", probability (NN_i - 1)/N), i itself
+("self", 1/N) or neither ("miss", (N - NN_i)/N) maps the deviation d to
+growth * d + kick. PY_i and the non-convex growth are the table's average
+over the three cases; the strongly convex growth stays PZ_i above. Each
+depends on vertex i only through NN_i: ``recursion_constants`` returns them
+as (N,) arrays over the field sizes, every bound reads them there, and the
+scalar kernels are mapped over them one vertex at a time.
 
-Expected stability:  E[beta_{2,i}] <= L * geom(PZ_i or PM, T) * PY_i.
+Expected stability:  E[beta_{2,i}] <= L * geom(growth_i, T) * PY_i.
 
 Second-moment recursion v_t = PZ^2 v_{t-1} + 2 PY PZ m_{t-1} + PY^2 with
 m_t the first-moment solution. Its exact solution is the squared first
@@ -37,8 +42,9 @@ is what the high-probability expressions consume; both are reported. The
 second ratio of the loose form has no finite limit at PZ = 1, so within
 the branch width it falls back to the exact-solution limit (geom^2 = T^2);
 this is recorded, not hidden. For growth > 1 at small T the loose form is
-negative; the high-probability expressions that take its square root are
-then not-applicable (None).
+negative, so at small T every non-convex spec has it negative; the
+high-probability expressions that take its square root are then
+not-applicable (None).
 """
 
 from __future__ import annotations
@@ -130,26 +136,47 @@ def step_condition_ok(p: SgdBoundParams) -> bool:
 # Recursion constants
 
 
+def step_cases(cert: ConstantsCertificate, a: float, regime: str) -> dict:
+    """(growth, kick) of the "hit", "self" and "miss" cases: one step of size
+    a maps a deviation d to at most growth * d + kick. The strongly convex
+    hit growth is a^2 lam while ``step_condition`` is at most 1, else rho."""
+    lam = cert.smoothness
+    hit_kick = a * cert.sample_diameter * cert.gradient_data_lipschitz
+    self_case = (1.0, 2.0 * a * cert.lipschitz)
+    if regime == STRONGLY_CONVEX:
+        gamma = cert.strong_convexity
+        rho = 1.0 - a * lam * gamma / (lam + gamma)
+        hit = a**2 * lam if step_condition(a, lam, gamma) <= 1.0 else rho
+        return {"hit": (hit, hit_kick), "self": self_case, "miss": (rho, 0.0)}
+    grow = 1.0 + a * lam
+    return {"hit": (grow, hit_kick), "self": self_case, "miss": (grow, 0.0)}
+
+
 def recursion_constants(p: SgdBoundParams):
     """(growth, kick): the active regime's per-vertex constants as (N,) arrays.
 
-    growth is PZ_i (strongly convex) or PM at every vertex (non-convex);
-    kick is PY_i. Both depend on vertex i only through NN_i.
+    Both are ``step_cases`` averaged over the case probabilities
+    (NN_i - 1)/N, 1/N and (N - NN_i)/N, except the strongly convex growth
+    PZ_i: that is the average with hit growth 1 - a^2 lam, not a^2 lam.
     """
     cert = p.certificate
     a = p.step_size
     n = p.n_vertices
     sizes = p.field_sizes
-    kick = a * cert.sample_diameter * cert.gradient_data_lipschitz * (sizes - 1) / n \
-        + 2.0 * a * cert.lipschitz / n
+    cases = step_cases(cert, a, p.regime)
+
+    def average(k):
+        return (cases["hit"][k] * (sizes - 1) / n + cases["self"][k] / n
+                + cases["miss"][k] * (n - sizes) / n)
+
     if p.regime == STRONGLY_CONVEX:
         lam, gamma = cert.smoothness, cert.strong_convexity
         growth = sizes / n * a * lam * (gamma / (lam + gamma) - a) + a**2 * lam / n + (
             1.0 - a * lam * gamma / (lam + gamma)
         )
     else:
-        growth = np.full(n, (n - 1) / n * a * cert.smoothness)
-    return growth, kick
+        growth = average(0)
+    return growth, average(1)
 
 
 def _geometric(growth: np.ndarray, steps: int) -> np.ndarray:
@@ -399,8 +426,8 @@ def bound_report(p: SgdBoundParams, delta: float) -> dict:
     """JSON-serializable report of every bound with validity conditions.
 
     Failed conditions mark dependent bounds as null (not-applicable) rather
-    than numeric; a divergent non-convex growth constant (PM > 1) stays
-    numeric but is flagged.
+    than numeric. The non-convex regime has no condition: its growth
+    exceeds 1 at every step size.
     """
     cert = p.certificate
     growth, kick = recursion_constants(p)
@@ -416,9 +443,6 @@ def bound_report(p: SgdBoundParams, delta: float) -> dict:
             "value": p.step_size,
             "ok": bool(rho_ok),
         }
-    else:
-        pm = float(growth[0])  # the same PM at every vertex
-        conditions["convergence: PM <= 1"] = {"value": pm, "ok": bool(pm <= 1.0)}
 
     env = _expected_envelope(p)
     var = variance_bound(p)

@@ -91,8 +91,12 @@ class GnnProblem:
             raise ValueError("labels/mask sizes must match the feature rows")
         if w.shape != (x.shape[1],):
             raise ValueError("weight length must match the feature columns")
-        if self.ridge <= 0:
-            raise ValueError("ridge parameter must be > 0")
+        # NaN fails every comparison, so each check is written to fail on it
+        if not (np.isfinite(self.ridge) and self.ridge > 0):
+            raise ValueError(f"ridge must be finite and > 0, got {self.ridge!r}")
+        for name, bound in (("b_x", self.b_x), ("b_y", self.b_y), ("b_w", self.b_w)):
+            if not (np.isfinite(bound) and bound >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {bound!r}")
         if not np.array_equal(mask, mask.T):
             raise ValueError("mask must be symmetric")
         if np.any(np.linalg.norm(x, axis=1) > self.b_x + _BOUND_TOL):

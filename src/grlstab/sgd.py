@@ -32,10 +32,11 @@ row batch of two: a bit-identical batched step costs about as much at B = 2
 as at B = 1, and that is as much as two steps of this loop, so batching
 pays only across many trainings.
 
-Per-step deviation envelopes for the strongly convex and the smooth
-non-convex regimes can be rechecked against a recorded trace; projection is
-1-Lipschitz, so every envelope survives it. The contraction properties of G
-itself are stress-tested in ``objectives.contraction_check``.
+Per-step deviation envelopes (the ``bounds.step_cases`` table) for the
+strongly convex and the smooth non-convex regimes can be rechecked against a
+recorded trace; projection is 1-Lipschitz, so every envelope survives it.
+The contraction properties of G itself are stress-tested in
+``objectives.contraction_check``.
 
 ``SgdAlgorithm`` wraps ``train`` as a learner of the stability harness.
 """
@@ -47,11 +48,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import step_condition
+from .bounds import step_cases, step_condition
 from .graphs import ReceptiveFieldMap
 from .objectives import STRONGLY_CONVEX, BoundObjective, FieldObjective
 from .sampling import SampleSet
 from .seeding import child_rng
+
+
+ENVELOPE_TOL = 1e-9  # slack on each per-step envelope margin
 
 
 class SgdDivergenceError(RuntimeError):
@@ -225,60 +229,21 @@ class EnvelopeReport:
     ok: bool
 
 
-def envelope_check(trace: CoupledTrace, obj: FieldObjective, tol: float = 1e-9) -> EnvelopeReport:
-    """Recheck every recorded step against its case bound.
+def envelope_check(trace: CoupledTrace, obj: FieldObjective) -> EnvelopeReport:
+    """Recheck every recorded step against its case bound from
+    ``bounds.step_cases``: d_next <= growth * d_prev + kick.
 
-    Strongly convex regime (contraction rho = 1 - alpha*lam*gamma/(lam+gamma)):
-        hit  : alpha^2 lam d_prev + alpha B_Z zeta     (first branch)
-               rho d_prev + alpha B_Z zeta             (second branch)
-        self : d_prev + 2 alpha L
-        miss : rho d_prev
-    Smooth non-convex regime:
-        hit  : (1 + alpha lam) d_prev + alpha B_Z zeta
-        self : d_prev + 2 alpha L
-        miss : (1 + alpha lam) d_prev
-
-    The hit-case branch is chosen globally from the fixed step size: the
-    first when ``bounds.step_condition`` is at most 1. Both branch
-    conditions overlap at equality; the active one is recorded.
+    The strongly convex hit-case branch is chosen globally from the fixed
+    step size (the first when ``bounds.step_condition`` is at most 1); the
+    active one is recorded.
     """
     cert = obj.certificate
     alpha = trace.base.config.step_size
-    lam = cert.smoothness
-    gamma = cert.strong_convexity
-    strongly = obj.regime == STRONGLY_CONVEX
-    regime_a = strongly and step_condition(alpha, lam, gamma) <= 1.0
-    kick = alpha * cert.sample_diameter * cert.gradient_data_lipschitz
-    self_kick = 2.0 * alpha * cert.lipschitz
-
-    n_steps = len(trace.case_labels)
-    margins = np.empty(n_steps)
-    for t in range(n_steps):
-        prev = trace.delta_norms[t]
-        cur = trace.delta_norms[t + 1]
-        label = trace.case_labels[t]
-        if strongly:
-            rho = 1.0 - alpha * lam * gamma / (lam + gamma)
-            if label == "self":
-                rhs = prev + self_kick
-            elif label == "miss":
-                rhs = rho * prev
-            else:
-                rhs = (alpha**2 * lam * prev + kick) if regime_a else (rho * prev + kick)
-        else:
-            grow = 1.0 + alpha * lam
-            if label == "self":
-                rhs = prev + self_kick
-            elif label == "miss":
-                rhs = grow * prev
-            else:
-                rhs = grow * prev + kick
-        margins[t] = rhs - cur
-
-    return EnvelopeReport(
-        regime=obj.regime,
-        margins=margins,
-        regime_a_active=regime_a,
-        ok=bool(np.all(margins >= -tol)),
-    )
-
+    cases = step_cases(cert, alpha, obj.regime)
+    growth, kick = np.array([cases[c] for c in trace.case_labels]).reshape(-1, 2).T
+    d = trace.delta_norms
+    margins = growth * d[:-1] + kick - d[1:]
+    regime_a = obj.regime == STRONGLY_CONVEX and step_condition(
+        alpha, cert.smoothness, cert.strong_convexity) <= 1.0
+    return EnvelopeReport(regime=obj.regime, margins=margins, regime_a_active=regime_a,
+                          ok=bool(np.all(margins >= -ENVELOPE_TOL)))

@@ -155,9 +155,13 @@ def convex_recursion_constants(p, i):
     return float(pz), float(py)
 
 
-def nonconvex_growth_constant(p):
-    """PM = (N - 1)/N * a * lam."""
-    return (p.n_vertices - 1) / p.n_vertices * p.step_size * p.certificate.smoothness
+def nonconvex_growth_constant(p, i):
+    """1 + (N - 1)/N * a * lam, as the hit/self/miss average of the per-step
+    growths (1 + a lam, 1, 1 + a lam) weighted (NN_i - 1, 1, N - NN_i)/N."""
+    n = p.n_vertices
+    grow = 1.0 + p.step_size * p.certificate.smoothness
+    return float(grow * (p.field_sizes[i] - 1) / n + 1.0 / n
+                 + grow * (n - p.field_sizes[i]) / n)
 
 
 def nonconvex_kick_constant(p, i):
@@ -173,7 +177,7 @@ def nonconvex_kick_constant(p, i):
 def reference_constants(p, i):
     if p.regime == bounds.STRONGLY_CONVEX:
         return convex_recursion_constants(p, i)
-    return nonconvex_growth_constant(p), nonconvex_kick_constant(p, i)
+    return nonconvex_growth_constant(p, i), nonconvex_kick_constant(p, i)
 
 
 def test_hand_substitution_constants():
@@ -212,7 +216,7 @@ def test_nonconvex_growth_constant():
     p = bounds.SgdBoundParams(certificate=cert, step_size=0.1, steps=5,
                               n_vertices=10, field_sizes=np.full(10, 2),
                               regime=bounds.NON_CONVEX)
-    assert nonconvex_growth_constant(p) == pytest.approx(0.9 * 0.1)
+    assert nonconvex_growth_constant(p, 0) == pytest.approx(1.0 + 0.9 * 0.1, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -231,28 +235,29 @@ def test_expected_bound_hand_value():
 
 
 def test_expected_bound_nonconvex_growth_limits():
-    # growth constant at 1 collapses to the arithmetic sum L * T * PY_i
-    # (the limit kernel); at 0 only the t = 0 term of the series survives
-    cert = ConstantsCertificate(smoothness=1.0, strong_convexity=0.0, lipschitz=1.0,
-                                gradient_data_lipschitz=1.0, loss_bound=1.0,
-                                sample_diameter=1.0, weight_radius=1.0)
+    # growth at 1 (a lam -> 0) collapses to the arithmetic sum L * T * PY_i
+    # (the limit kernel); at growth 2 the series is 2^T - 1
     n = 10
-    alpha_unit = n / (n - 1)  # makes PM = (N-1)/N * alpha * lam = 1 exactly
-    p = bounds.SgdBoundParams(certificate=cert, step_size=alpha_unit, steps=7,
-                              n_vertices=n, field_sizes=np.full(n, 2),
-                              regime=bounds.NON_CONVEX)
-    assert nonconvex_growth_constant(p) == pytest.approx(1.0, abs=1e-12)
-    kick = nonconvex_kick_constant(p, 0)
-    assert bounds.expected_stability_bound(p, 0) == pytest.approx(7 * kick, rel=1e-9)
-
     cert0 = ConstantsCertificate(smoothness=1e-12, strong_convexity=0.0, lipschitz=1.0,
                                  gradient_data_lipschitz=1.0, loss_bound=1.0,
                                  sample_diameter=1.0, weight_radius=1.0)
     p0 = bounds.SgdBoundParams(certificate=cert0, step_size=0.1, steps=7,
                                n_vertices=n, field_sizes=np.full(n, 2),
                                regime=bounds.NON_CONVEX)
+    assert nonconvex_growth_constant(p0, 0) == pytest.approx(1.0, abs=1e-12)
     kick0 = nonconvex_kick_constant(p0, 0)
-    assert bounds.expected_stability_bound(p0, 0) == pytest.approx(kick0, rel=1e-6)
+    assert bounds.expected_stability_bound(p0, 0) == pytest.approx(7 * kick0, rel=1e-9)
+
+    cert = ConstantsCertificate(smoothness=1.0, strong_convexity=0.0, lipschitz=1.0,
+                                gradient_data_lipschitz=1.0, loss_bound=1.0,
+                                sample_diameter=1.0, weight_radius=1.0)
+    alpha_unit = n / (n - 1)  # makes (N-1)/N * alpha * lam = 1, so growth 2
+    p = bounds.SgdBoundParams(certificate=cert, step_size=alpha_unit, steps=7,
+                              n_vertices=n, field_sizes=np.full(n, 2),
+                              regime=bounds.NON_CONVEX)
+    assert nonconvex_growth_constant(p, 0) == pytest.approx(2.0, abs=1e-12)
+    kick = nonconvex_kick_constant(p, 0)
+    assert bounds.expected_stability_bound(p, 0) == pytest.approx(127 * kick, rel=1e-9)
 
 
 def test_expected_bound_not_applicable_when_condition_fails():
@@ -345,16 +350,19 @@ def test_highprob_convex_dual_implementation():
 
 
 def test_highprob_nonconvex_dual_implementation():
+    # T = 30 is long enough for the loose second moment of growth 1.09 to be
+    # positive (it is negative up to T = 20)
     cert = unit_cert(gamma=0.0)
-    p = bounds.SgdBoundParams(certificate=cert, step_size=0.1, steps=10,
+    p = bounds.SgdBoundParams(certificate=cert, step_size=0.1, steps=30,
                               n_vertices=10, field_sizes=np.full(10, 2),
                               regime=bounds.NON_CONVEX)
     delta = 0.1
-    pm = 0.9 * 0.1
+    g = 1.0 + 0.9 * 0.1
     py = 0.03
-    expected_term = 1.0 * (pm**10 - 1) / (pm - 1) * py
-    var_sum = 10 * (2 * py**2 * (pm**20 - pm**10) / (pm**2 - pm)
-                    + py**2 * (1 - pm**10) / (1 - pm) ** 2)
+    expected_term = 1.0 * (g**30 - 1) / (g - 1) * py
+    var_sum = 10 * (2 * py**2 * (g**60 - g**30) / (g**2 - g)
+                    + py**2 * (1 - g**30) / (1 - g) ** 2)
+    assert var_sum > 0
     expected = (expected_term * (1 + math.sqrt(math.log(2 / delta) / 2))
                 + 1.0 * math.sqrt(math.log(2 / delta) / delta * var_sum))
     assert bounds.highprob_stability_bound(p, delta) == pytest.approx(expected, rel=1e-9)
@@ -511,14 +519,16 @@ def test_bound_report_structure_and_gating():
     assert bad["highprob_beta2"] is None
 
 
-def test_bound_report_nonconvex_divergent_flagged_but_numeric():
+def test_bound_report_nonconvex_has_no_conditions_and_stays_numeric():
+    # growth 1 + 0.9 * 20 = 19: the non-convex regime has no condition to fail,
+    # and a large growth still gives a finite bound
     cert = unit_cert(gamma=0.0)
     p = bounds.SgdBoundParams(certificate=cert, step_size=20.0, steps=30,
                               n_vertices=10, field_sizes=np.full(10, 2),
                               regime=bounds.NON_CONVEX)
     report = bounds.bound_report(p, 0.1)
-    cond = report["conditions"]["convergence: PM <= 1"]
-    assert not cond["ok"]
+    assert report["conditions"] == {}
+    assert report["per_vertex"][0]["growth"] == pytest.approx(19.0, rel=1e-15)
     assert report["expected_beta2"] is not None and np.isfinite(report["expected_beta2"])
 
 
@@ -568,9 +578,7 @@ def reference_highprob(p, delta):
         gap = (lam - gamma) * math.sqrt(log_term / 8.0)
         chebyshev = math.sqrt(var / delta)
         return (lip + gap) * sup_env + gap * (sup_env + chebyshev) ** 2
-    growth = nonconvex_growth_constant(p)
-    sup_kick = max(nonconvex_kick_constant(p, i) for i in range(p.n_vertices))
-    expected = lip * bounds.geometric_series(growth, p.steps) * sup_kick
+    expected = reference_expected(p)
     return expected * (1.0 + math.sqrt(log_term / 2.0)) + lip * math.sqrt(log_term / delta * var)
 
 
@@ -612,7 +620,8 @@ def random_params(rng):
         weight_radius=1.0,
     )
     if rng.random() < 0.2 and not convex:
-        step = n / (n - 1) / lam  # PM = 1 up to rounding, checked by the caller
+        # growth within BRANCH_WIDTH of 1: the limit kernel, checked by the caller
+        step = float(10.0 ** rng.uniform(-10.0, -8.0)) / lam
     else:
         step = float(10.0 ** rng.uniform(-3.0, 0.2))
     return bounds.SgdBoundParams(
@@ -623,7 +632,7 @@ def random_params(rng):
 
 def test_vectorised_bounds_equal_scalar_reference_loops_exactly():
     rng = np.random.default_rng(40)
-    seen = {"pm_one": 0, "pm_above_one": 0, "not_applicable": 0, "convex": 0}
+    seen = {"growth_at_one": 0, "loose_negative": 0, "not_applicable": 0, "convex": 0}
     for _ in range(600):
         p = random_params(rng)
         delta = float(rng.uniform(0.01, 0.9))
@@ -660,24 +669,54 @@ def test_vectorised_bounds_equal_scalar_reference_loops_exactly():
         if p.regime == bounds.STRONGLY_CONVEX:
             seen["convex"] += 1
         else:
-            pm = nonconvex_growth_constant(p)
-            seen["pm_one"] += pm == 1.0
-            seen["pm_above_one"] += pm > 1.0
+            seen["growth_at_one"] += abs(growth[0] - 1.0) < bounds.BRANCH_WIDTH
+            seen["loose_negative"] += min(loose, default=0.0) < 0.0
         seen["not_applicable"] += highprob is None
     assert all(count > 0 for count in seen.values()), seen
 
 
-def test_pm_just_above_one_makes_highprob_bounds_not_applicable():
-    # ripple on cycle-10 at a = 1.12: PM = 0.9 * 1.12 = 1.008, and at T = 10
-    # the loose second-moment sum is negative, so its square root is undefined
-    p = bounds.SgdBoundParams(certificate=unit_cert(gamma=0.0), step_size=1.12, steps=10,
+def case_average(p, k):
+    """Entry k of ``step_cases`` (0 growth, 1 kick) averaged over the case
+    probabilities (NN_i - 1)/N, 1/N and (N - NN_i)/N, as an (N,) array."""
+    cases = bounds.step_cases(p.certificate, p.step_size, p.regime)
+    n, sizes = p.n_vertices, p.field_sizes
+    return (cases["hit"][k] * (sizes - 1) / n + cases["self"][k] / n
+            + cases["miss"][k] * (n - sizes) / n)
+
+
+def test_recursion_constants_are_the_case_table_average():
+    # the kick in both regimes and the non-convex growth are the average bit
+    # for bit; the strongly convex PZ_i (hit growth a^2 lam) sits below it by
+    # (NN_i - 1)/N * (2 a^2 lam - 1)
+    rng = np.random.default_rng(41)
+    seen = {"non-convex": 0, "regime a": 0}
+    for _ in range(2000):
+        p = random_params(rng)
+        growth, kick = bounds.recursion_constants(p)
+        assert kick.tolist() == case_average(p, 1).tolist()
+        if p.regime == bounds.NON_CONVEX:
+            assert growth.tolist() == case_average(p, 0).tolist()
+            seen["non-convex"] += 1
+        elif bounds.step_condition_ok(p):
+            a, lam = p.step_size, p.certificate.smoothness
+            gap = (p.field_sizes - 1) / p.n_vertices * (2.0 * a**2 * lam - 1.0)
+            assert np.allclose(case_average(p, 0) - growth, gap, rtol=1e-12, atol=1e-12)
+            seen["regime a"] += 1
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_growth_above_one_at_small_t_makes_highprob_bounds_not_applicable():
+    # ripple on cycle-10 at a = 0.05: growth 1 + 0.9 * 0.05 = 1.045, and at
+    # T = 10 the loose second-moment sum is negative, so its square root is
+    # undefined
+    p = bounds.SgdBoundParams(certificate=unit_cert(gamma=0.0), step_size=0.05, steps=10,
                               n_vertices=10, field_sizes=np.full(10, 3),
                               regime=bounds.NON_CONVEX)
-    assert nonconvex_growth_constant(p) == pytest.approx(1.008)
+    assert nonconvex_growth_constant(p, 0) == pytest.approx(1.045, rel=1e-15)
     assert bounds.variance_bound(p).total_loose < 0.0
     assert bounds.highprob_stability_bound(p, 0.1) is None
     assert bounds.sgd_generalization_bound(p, 0.1) is None
     assert bounds.expected_stability_bound(p) > 0.0
     report = bounds.bound_report(p, 0.1)
-    assert not report["conditions"]["convergence: PM <= 1"]["ok"]
+    assert report["conditions"] == {}
     assert report["highprob_beta2"] is None and report["generalization_surplus"] is None

@@ -192,27 +192,52 @@ delta = 0.1
     assert all(c["ok"] for c in report["conditions"].values())
 
 
-def test_bounds_experiment_pm_just_above_one_not_applicable(tmp_path):
-    # PM = 0.9 * 1.12 = 1.008: the loose second moment is negative at T = 10
+def test_bounds_experiment_small_t_not_applicable(tmp_path):
+    # growth 1 + 0.9 * 0.05 = 1.045: the loose second moment is negative at T = 10
     out = tmp_path / "out"
-    path = write_config(tmp_path, "pm.ini", f"""
+    path = write_config(tmp_path, "small_t.ini", f"""
 experiment = bounds
 seed = 2
 out = {out}
 graph.kind = cycle
 graph.n = 10
 objective = ripple
-sgd.step_size = 1.12
+sgd.step_size = 0.05
 sgd.steps = 10
 """)
     assert run_cli(["run", path]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["regime"] == "non-convex"
-    assert not report["conditions"]["convergence: PM <= 1"]["ok"]
+    assert report["conditions"] == {}
+    assert report["per_vertex"][0]["growth"] == pytest.approx(1.045, rel=1e-12)
     assert report["variance_sum_loose"] < 0
     assert report["expected_beta2"] > 0
     assert report["highprob_beta2"] is None
     assert report["generalization_surplus"] is None
+
+
+def test_coupled_ripple_train_mean_delta_within_expected_envelope(tmp_path):
+    # the expected envelope kick * geom(growth, t) bounds the mean deviation
+    # over coupled runs at every step
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "ripple_train.ini", f"""
+experiment = train
+seed = 3
+out = {out}
+graph.kind = cycle
+graph.n = 16
+sampler.kind = iid
+objective = ripple
+sgd.step_size = 0.05
+sgd.steps = 200
+train.perturb_vertex = 3
+train.runs = 100
+""")
+    assert run_cli(["run", path]) == 0
+    header, rows = read_csv(out / "delta_stats.csv")
+    assert len(rows) == 201
+    assert all(float(mean) <= float(envelope) for _, mean, envelope in rows)
+    assert json.loads((out / "envelope.json").read_text())["ok"] is True
 
 
 def test_compare_experiment_domination(tmp_path):

@@ -470,6 +470,28 @@ def test_experiment_rejects_non_finite_or_out_of_range_parameters(kind, bad, nam
         gnn.gnn_stability_experiment(rf, kind, trials=1, seed=0, **args)
 
 
+@pytest.mark.parametrize("bad, name", [
+    ({"ridge": NAN}, "ridge"),
+    ({"ridge": float("inf")}, "ridge"),
+    ({"ridge": 0.0}, "ridge"),
+    ({"b_x": NAN}, "b_x"),
+    ({"b_x": float("inf")}, "b_x"),
+    ({"b_y": NAN}, "b_y"),
+    ({"b_y": -float("inf")}, "b_y"),
+    ({"b_w": NAN}, "b_w"),
+    ({"b_w": float("inf")}, "b_w"),
+    ({"b_w": -0.5}, "b_w"),
+], ids=lambda v: repr(v) if isinstance(v, dict) else str(v))
+def test_problem_rejects_non_finite_or_out_of_range_parameters(bad, name):
+    # unchecked, ridge = nan fitted an all-NaN A~ and ridge = inf fitted A~ = 0
+    p = random_problem(child_rng(26, "params"), graphs.one_hop_receptive_fields(
+        graphs.cycle_graph(5)))
+    args = {"features": p.features, "labels": p.labels, "weight": p.weight,
+            "mask": p.mask, "ridge": p.ridge, **bad}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        gnn.GnnProblem(**args)
+
+
 def test_derived_problems_check_only_replaced_entries():
     rng = child_rng(25, "derived")
     rf = gnn.density_mask_fields(12, 0.4, seed=3)

@@ -351,6 +351,48 @@ def test_envelope_branch_follows_bound_step_condition():
     assert seen == {True, False}
 
 
+def test_nonconvex_expected_bound_dominates_fixed_data_loss_gap():
+    # The expected bound at vertex i bounds the sup over data of the mean loss
+    # gap over index streams, so fixed data in the closure of the iid support
+    # gives a lower estimate: vertex i replaced by the box corner (+, +, +)
+    # with its rule label, and a test field of (-, -, -) corners with theirs,
+    # scored at vertex i over 200 pinned index streams.
+    n, alpha, steps, i = 16, 0.05, 200, 0
+    rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(n))
+    sampler = sampling.IidSampler(rf=rf, dim=3)
+    obj = RippleFieldObjective(3, 1.0, 1.0, 1.0, 1 / 32, 1.0)
+    half = 1.0 / np.sqrt(3)
+
+    def rule_label(x):
+        return float(np.clip(x.sum() / np.sqrt(3), -1.0, 1.0))
+
+    z = sampler.sample(3)
+    x, y = z.features.copy(), z.labels.copy()
+    x[i] = half
+    y[i] = rule_label(x[i])
+    z_i = sampling.SampleSet(features=x, labels=y, seed=z.seed, perturbed=frozenset({i}))
+    corners = np.full((n, 3), -half)
+    test = obj.bind(sampling.SampleSet(features=corners, seed=0, labels=np.array(
+        [rule_label(c) for c in corners])), rf)
+    bound, bound_i = obj.bind(z, rf), obj.bind(z_i, rf)
+    gaps = []
+    for seed in range(200):
+        cfg = SgdConfig(step_size=alpha, steps=steps, seed=seed)
+        gaps.append(abs(test.losses(train([bound], cfg).final)[i]
+                        - test.losses(train([bound_i], cfg).final)[i]))
+    lower = np.mean(gaps) - 3.0 * np.std(gaps, ddof=1) / np.sqrt(len(gaps))
+
+    params = bounds.SgdBoundParams(certificate=obj.certificate, step_size=alpha, steps=steps,
+                                   n_vertices=n, field_sizes=rf.sizes, regime=obj.regime)
+    growth, kick = bounds.recursion_constants(params)
+    assert lower <= bounds.expected_stability_bound(params, i)
+    # a growth without the 1 +, (N - 1)/N * alpha * lam < 1, would claim that
+    # deviations contract; the measured gap exceeds that bound
+    contracting = obj.certificate.lipschitz * kick[i] * bounds.geometric_series(
+        growth[i] - 1.0, steps)
+    assert lower > contracting
+
+
 def test_visit_time_tail_matches_geometric():
     # P(Gamma > t) = (1 - d_i)^t under uniform sampling
     n = 10
