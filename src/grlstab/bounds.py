@@ -27,8 +27,10 @@ a vertex whose field holds i ("hit", probability (NN_i - 1)/N), i itself
 growth * d + kick. PY_i and the non-convex growth are the table's average
 over the three cases; the strongly convex growth stays PZ_i above. Each
 depends on vertex i only through NN_i: ``recursion_constants`` returns them
-as (N,) arrays over the field sizes, every bound reads them there, and the
-scalar kernels are mapped over them one vertex at a time.
+as (N,) arrays over the field sizes. ``bound_terms`` maps the scalar kernels
+over them one vertex at a time into one ``BoundTerms`` record (growth, kick,
+geom(growth_i, T), both second-moment forms below, the step condition);
+every bound and every number of ``bound_report`` is a max or sum over it.
 
 Expected stability:  E[beta_{2,i}] <= L * geom(growth_i, T) * PY_i.
 
@@ -105,8 +107,9 @@ class SgdBoundParams:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.regime == STRONGLY_CONVEX and self.certificate.strong_convexity <= 0:
             raise ValueError("strongly-convex regime needs strong_convexity > 0")
-        if self.step_size <= 0:
-            raise ValueError("step size must be > 0")
+        # NaN fails every comparison, so the check is written to fail on it
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"step size must be finite and > 0, got {self.step_size!r}")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         sizes = np.asarray(self.field_sizes, dtype=int)
@@ -115,10 +118,6 @@ class SgdBoundParams:
         if np.any(sizes < 1) or np.any(sizes > self.n_vertices):
             raise ValueError("field sizes must lie in [1, N]")
         object.__setattr__(self, "field_sizes", sizes)
-
-    @property
-    def d(self) -> np.ndarray:
-        return self.field_sizes / float(self.n_vertices)
 
 
 def step_condition(a: float, lam: float, gamma: float) -> float:
@@ -179,50 +178,13 @@ def recursion_constants(p: SgdBoundParams):
     return growth, average(1)
 
 
-def _geometric(growth: np.ndarray, steps: int) -> np.ndarray:
-    """geometric_series at each growth constant, one scalar call per vertex."""
-    return np.array([geometric_series(g, steps) for g in growth.tolist()])
-
-
 def _sup(values: np.ndarray) -> float:
     """max(0, v_0, v_1, ...) taken left to right, as a scalar loop from 0."""
     return max([0.0, *values.tolist()])
 
 
 # ---------------------------------------------------------------------------
-# Expected stability
-
-
-def _expected_envelope(p: SgdBoundParams) -> np.ndarray | None:
-    """(N,) L * geom(growth_i, T) * kick_i; None when the step condition fails."""
-    if p.regime == STRONGLY_CONVEX and not step_condition_ok(p):
-        return None
-    growth, kick = recursion_constants(p)
-    return p.certificate.lipschitz * _geometric(growth, p.steps) * kick
-
-
-def expected_stability_bound(p: SgdBoundParams, i: int | None = None) -> float | None:
-    """L * geom(growth_i, T) * kick_i; sup over i when i is None.
-
-    Returns None (not-applicable) when the strongly convex step-size
-    condition fails.
-    """
-    env = _expected_envelope(p)
-    if env is None:
-        return None
-    return _sup(env) if i is None else float(env[i])
-
-
-# ---------------------------------------------------------------------------
-# Second-moment bounds
-
-
-@dataclass(frozen=True)
-class VarianceBound:
-    per_vertex_loose: np.ndarray  # loose sum form per vertex
-    per_vertex_exact: np.ndarray  # exact recursion solution (squared first moment)
-    total_loose: float
-    total_exact: float
+# Second-moment kernels
 
 
 def _loose_second_ratio(z: float, steps: int) -> float:
@@ -241,17 +203,50 @@ def variance_term_exact(growth: float, kick: float, steps: int) -> float:
     return (kick * geometric_series(growth, steps)) ** 2
 
 
-def variance_bound(p: SgdBoundParams) -> VarianceBound:
+# ---------------------------------------------------------------------------
+# Per-vertex bound terms
+
+
+@dataclass(frozen=True, eq=False)
+class BoundTerms:
+    """Every per-vertex term the SGD bounds read, as (N,) arrays."""
+
+    growth: np.ndarray  # recursion growth, PZ_i in the strongly convex regime
+    kick: np.ndarray  # recursion kick PY_i
+    geom: np.ndarray  # geometric_series(growth_i, T)
+    loose: np.ndarray  # loose second-moment sum form
+    exact: np.ndarray  # exact second-moment solution (squared first moment)
+    applicable: bool  # false exactly when the strongly convex step condition fails
+
+
+def bound_terms(p: SgdBoundParams) -> BoundTerms:
+    """The per-vertex terms of p, each scalar kernel mapped one vertex at a time."""
     growth, kick = recursion_constants(p)
     pairs = list(zip(growth.tolist(), kick.tolist()))
-    loose = np.array([variance_term_loose(g, k, p.steps) for g, k in pairs])
-    exact = np.array([variance_term_exact(g, k, p.steps) for g, k in pairs])
-    return VarianceBound(
-        per_vertex_loose=loose,
-        per_vertex_exact=exact,
-        total_loose=float(loose.sum()),
-        total_exact=float(exact.sum()),
+    return BoundTerms(
+        growth=growth, kick=kick,
+        geom=np.array([geometric_series(g, p.steps) for g, _ in pairs]),
+        loose=np.array([variance_term_loose(g, k, p.steps) for g, k in pairs]),
+        exact=np.array([variance_term_exact(g, k, p.steps) for g, k in pairs]),
+        applicable=p.regime != STRONGLY_CONVEX or step_condition_ok(p),
     )
+
+
+# ---------------------------------------------------------------------------
+# Expected stability
+
+
+def expected_stability_bound(p: SgdBoundParams, i: int | None = None) -> float | None:
+    """L * geom(growth_i, T) * kick_i; sup over i when i is None.
+
+    Returns None (not-applicable) when the strongly convex step-size
+    condition fails.
+    """
+    t = bound_terms(p)
+    if not t.applicable:
+        return None
+    env = p.certificate.lipschitz * t.geom * t.kick
+    return _sup(env) if i is None else float(env[i])
 
 
 # ---------------------------------------------------------------------------
@@ -268,23 +263,21 @@ def highprob_stability_bound(p: SgdBoundParams, delta: float) -> float | None:
     """
     if not 0.0 < delta < 1.0:
         raise BoundDomainError(f"delta must be in (0, 1), got {delta}")
-    if p.regime == STRONGLY_CONVEX and not step_condition_ok(p):
-        return None
-    var = variance_bound(p)
-    if np.any(var.per_vertex_loose < 0.0):
+    t = bound_terms(p)
+    if not t.applicable or np.any(t.loose < 0.0):
         return None
     cert = p.certificate
     lip = cert.lipschitz
     log_term = math.log(2.0 / delta)
+    total_loose = float(t.loose.sum())
     if p.regime == STRONGLY_CONVEX:
         lam, gamma = cert.smoothness, cert.strong_convexity
-        growth, kick = recursion_constants(p)
-        sup_env = _sup(_geometric(growth, p.steps) * kick)
+        sup_env = _sup(t.geom * t.kick)
         gap = (lam - gamma) * math.sqrt(log_term / 8.0)
-        chebyshev = math.sqrt(var.total_loose / delta)
+        chebyshev = math.sqrt(total_loose / delta)
         return (lip + gap) * sup_env + gap * (sup_env + chebyshev) ** 2
     return expected_stability_bound(p) * (1.0 + math.sqrt(log_term / 2.0)) \
-        + lip * math.sqrt(log_term / delta * var.total_loose)
+        + lip * math.sqrt(log_term / delta * total_loose)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +294,8 @@ def concentration_tail(c_list, alpha_dob: float, t: float) -> float:
     c = np.asarray(c_list, dtype=float)
     if np.any(c < 0):
         raise BoundDomainError("sensitivities must be >= 0")
-    if t < 0:
-        raise BoundDomainError("threshold t must be >= 0")
+    if not t >= 0:  # NaN fails every comparison, so this fails on it
+        raise BoundDomainError(f"threshold t must be >= 0, got {t!r}")
     if alpha_dob >= 1.0:
         raise BoundDomainError("Dobrushin coefficient must be < 1")
     denom = 2.0 * float(np.sum(c * c))
@@ -363,19 +356,19 @@ def sgd_generalization_bound(p: SgdBoundParams, delta: float) -> float | None:
     """
     if not 0.0 < delta < 1.0:
         raise BoundDomainError(f"delta must be in (0, 1), got {delta}")
-    expected = _expected_envelope(p)
-    var = variance_bound(p).per_vertex_loose
-    if expected is None or np.any(var < 0.0):
+    t = bound_terms(p)
+    if not t.applicable or np.any(t.loose < 0.0):
         return None
     cert = p.certificate
+    expected = cert.lipschitz * t.geom * t.kick
     n = p.n_vertices
     prefactor = (2.0 - 1.0 / n) * math.sqrt(2.0 * n * math.log(2.0 / delta)) + 2.0
     tail = cert.loss_bound / n * math.sqrt(2.0 * n * math.log(2.0 / delta))
     if p.regime == STRONGLY_CONVEX:
         lam, gamma = cert.smoothness, cert.strong_convexity
-        env = expected + math.sqrt(1.0 / (4.0 * delta)) * (lam - gamma) * (4.0 / delta * var)
+        env = expected + math.sqrt(1.0 / (4.0 * delta)) * (lam - gamma) * (4.0 / delta * t.loose)
     else:
-        env = expected * (1.0 + math.sqrt(1.0 / delta)) + np.sqrt(4.0 / delta * var)
+        env = expected * (1.0 + math.sqrt(1.0 / delta)) + np.sqrt(4.0 / delta * t.loose)
     return prefactor * _sup(env) + tail
 
 
@@ -430,7 +423,7 @@ def bound_report(p: SgdBoundParams, delta: float) -> dict:
     exceeds 1 at every step size.
     """
     cert = p.certificate
-    growth, kick = recursion_constants(p)
+    t = bound_terms(p)
     conditions = {}
     if p.regime == STRONGLY_CONVEX:
         value = step_condition(p.step_size, cert.smoothness, cert.strong_convexity)
@@ -444,16 +437,15 @@ def bound_report(p: SgdBoundParams, delta: float) -> dict:
             "ok": bool(rho_ok),
         }
 
-    env = _expected_envelope(p)
-    var = variance_bound(p)
+    env = cert.lipschitz * t.geom * t.kick if t.applicable else None
     per_vertex = [{
         "vertex": i,
         "growth": g,
         "kick": k,
         "expected_beta2": None if env is None else float(env[i]),
-        "variance_loose": float(var.per_vertex_loose[i]),
-        "variance_exact": float(var.per_vertex_exact[i]),
-    } for i, (g, k) in enumerate(zip(growth.tolist(), kick.tolist()))]
+        "variance_loose": float(t.loose[i]),
+        "variance_exact": float(t.exact[i]),
+    } for i, (g, k) in enumerate(zip(t.growth.tolist(), t.kick.tolist()))]
 
     return {
         "regime": p.regime,
@@ -464,9 +456,9 @@ def bound_report(p: SgdBoundParams, delta: float) -> dict:
         "certificate": asdict(cert),
         "conditions": conditions,
         "per_vertex": per_vertex,
-        "expected_beta2": expected_stability_bound(p),
-        "variance_sum_loose": var.total_loose,
-        "variance_sum_exact": var.total_exact,
+        "expected_beta2": None if env is None else _sup(env),
+        "variance_sum_loose": float(t.loose.sum()),
+        "variance_sum_exact": float(t.exact.sum()),
         "highprob_beta2": highprob_stability_bound(p, delta),
         "generalization_surplus": sgd_generalization_bound(p, delta),
     }

@@ -175,7 +175,7 @@ def run_train(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     params = build_bound_params(sgd_cfg, obj, rf)
     cfg.reject_unread()
     sum_delta = np.zeros(sgd_cfg.steps + 1)
-    first = None
+    verdicts = []  # (ok, smallest margin) of every run's envelope check
     for r in range(runs):
         run_cfg = SgdConfig(step_size=sgd_cfg.step_size, steps=sgd_cfg.steps,
                             seed=seed_int(cfg.seed, "sgd", r))
@@ -183,7 +183,9 @@ def run_train(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
         z_i = sampler.replace(z, [vertex], seed_int(cfg.seed, "replace", r))
         trace = coupled_train(z, z_i, rf, obj, run_cfg)
         sum_delta += trace.delta_norms
-        if first is None:
+        report = envelope_check(trace, obj)
+        verdicts.append((report.ok, report.margins.min(initial=np.inf)))
+        if r == 0:  # train.runs is at least 1
             first = trace
     rows = [[t,
              first.base.indices[t - 1] if t else "",
@@ -199,12 +201,12 @@ def run_train(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
              for t in range(sgd_cfg.steps + 1)]
     write_csv(outdir / "delta_stats.csv",
               ["t", "mean_delta", "expected_envelope"], stats, chash)
-    report = envelope_check(first, obj)
+    oks, margins = zip(*verdicts)
     write_json(outdir / "envelope.json", {
         "regime": report.regime,
         "regime_a_active": report.regime_a_active,
-        "min_margin": float(report.margins.min()) if report.margins.size else 0.0,
-        "ok": report.ok,
+        "min_margin": float(min(margins)) if sgd_cfg.steps else 0.0,
+        "ok": all(oks),
     }, chash)
 
 
@@ -217,15 +219,14 @@ def run_stability(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     kp = cfg.get_int("harness.test_draws", 4)
     m = cfg.get_int("harness.m") if cfg.has("harness.m") else None
     cfg.reject_unread()
-    est = estimate_stability(alg, sampler, k, kp, seed_int(cfg.seed, "harness"))
-    mu = None
-    if m is not None:
-        mu = estimate_mu(alg, sampler, m, k, kp, seed_int(cfg.seed, "harness"))
-    rows = [[i, est.beta1_i[i], est.beta2_i[i], k, kp, est.seed] for i in range(rf.n)]
+    seed = seed_int(cfg.seed, "harness")
+    est = estimate_stability(alg, sampler, k, kp, seed)
+    mu = None if m is None else estimate_mu(alg, sampler, m, k, kp, seed)
+    rows = [[i, est.beta1_i[i], est.beta2_i[i], k, kp, seed] for i in range(rf.n)]
     write_csv(outdir / "stability.csv",
               ["i", "beta1_i", "beta2_i", "pert_draws", "test_draws", "seed"], rows, chash)
     write_json(outdir / "summary.json", {
-        "algorithm": est.algorithm,
+        "algorithm": alg.id,
         "beta1": est.beta1, "beta2": est.beta2,
         "discrepancy": est.discrepancy, "mu": mu,
         "constants": {"objective": obj.kind, **dataclasses.asdict(obj.certificate)},
@@ -249,7 +250,7 @@ def run_gnn(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
               "discrepancy", "trials", "seed"]
 
     def row(res):
-        return [res.n, res.sup_d, res.inf_d, kind, res.beta1, res.beta2,
+        return [len(res.beta2_i), res.sup_d, res.inf_d, kind, res.beta1, res.beta2,
                 res.discrepancy, trials, res.seed]
 
     if cfg.has("gnn.densities"):
@@ -274,7 +275,7 @@ def run_gnn(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
             rf, kind, trials, eps, seed_int(cfg.seed, "gnn"), **extra)
         write_csv(outdir / "results.csv", header, [row(res)], chash)
         write_csv(outdir / "per_vertex.csv", ["i", "beta1_i", "beta2_i"],
-                  [[i, res.beta1_i[i], res.beta2_i[i]] for i in range(res.n)], chash)
+                  [[i, res.beta1_i[i], res.beta2_i[i]] for i in range(rf.n)], chash)
 
 
 def run_bounds(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
@@ -299,15 +300,11 @@ def run_compare(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     kp = cfg.get_int("harness.test_draws", 2)
     cfg.reject_unread()
     est = estimate_stability(alg, sampler, k, kp, seed_int(cfg.seed, "harness"))
-    expected_all = bnd.expected_stability_bound(params)
-    highprob = bnd.highprob_stability_bound(params, delta)
-    rows = []
-    for i in range(rf.n):
-        expected = bnd.expected_stability_bound(params, i)
-        rows.append([
-            i, est.beta2_i[i], expected, highprob,
-            expected is not None and est.beta2_i[i] <= expected,
-        ])
+    report = bnd.bound_report(params, delta)
+    expected_all, highprob = report["expected_beta2"], report["highprob_beta2"]
+    rows = [[i, est.beta2_i[i], v["expected_beta2"], highprob,
+             v["expected_beta2"] is not None and est.beta2_i[i] <= v["expected_beta2"]]
+            for i, v in enumerate(report["per_vertex"])]
     write_csv(outdir / "compare.csv",
               ["i", "beta2_empirical", "expected_bound", "highprob_bound",
                "dominated"], rows, chash)
@@ -385,6 +382,8 @@ def run_concentration(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
         raise ConfigError("concentration experiment needs sampler.kind = ising")
     draws = _get_count(cfg, "conc.draws", 20000)
     t_grid = cfg.get_floats("conc.t_grid", "0.5 1 1.5 2 2.5 3")
+    if not t_grid:
+        raise ConfigError("key 'conc.t_grid': expected at least one threshold")
     cfg.reject_unread()
     spec = sampler.spec
     alpha = sampling.dobrushin_exact(spec)

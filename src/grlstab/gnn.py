@@ -64,6 +64,7 @@ import numpy as np
 
 from .graphs import (ReceptiveFieldMap, erdos_renyi_graph, mask_from_fields,
                      one_hop_receptive_fields)
+from .harness import StabilityEstimate
 from .seeding import child_rng, seed_int
 
 
@@ -172,13 +173,7 @@ FEATURE_MODE = "feature-first-order"
 
 
 @dataclass(frozen=True, eq=False)
-class GnnStabilityResult:
-    n: int
-    beta1_i: np.ndarray
-    beta2_i: np.ndarray
-    beta1: float
-    beta2: float
-    discrepancy: float
+class GnnStabilityResult(StabilityEstimate):
     sup_d: float
     inf_d: float
     seed: int
@@ -273,27 +268,22 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
     (first-order regime; eps, >= 0.1 b_x is rejected). Estimates are lower
     bounds of the definitional suprema. In label mode the sup over test
     samples is exact (the sign corners attain it), so n_test_draws is not
-    read there. A ridge that is not finite and > 0, a b_w that is not
-    finite and >= 0, and in feature mode an eps_feature that is not finite
-    and >= 0 raise ValueError.
+    read there. ValueError is raised up front for a feature-mode eps_feature
+    that is not finite and >= 0, and by the first trial's GnnProblem for a
+    ridge that is not finite and > 0 or a b_w that is not finite and >= 0.
     """
     if kind not in (LABEL_MODE, FEATURE_MODE):
         raise ValueError(f"unknown perturbation kind {kind!r}")
     if n_test_draws < 0:
         raise ValueError("n_test_draws must be >= 0")
-    # NaN fails every comparison, so each check is written to fail on it
-    if not (np.isfinite(ridge) and ridge > 0):
-        raise ValueError(f"ridge must be finite and > 0, got {ridge!r}")
-    if not (np.isfinite(b_w) and b_w >= 0):
-        raise ValueError(f"b_w must be finite and >= 0, got {b_w!r}")
+    # NaN fails every comparison, so the check is written to fail on it
     if kind == FEATURE_MODE and not (np.isfinite(eps_feature) and eps_feature >= 0):
         raise ValueError(f"eps_feature must be finite and >= 0, got {eps_feature!r}")
     if kind == FEATURE_MODE and eps_feature >= 0.1 * b_x:
         raise ValueError("feature bump must stay below 0.1 b_x (first-order regime)")
     mask = mask_from_fields(rf)
     n = rf.n
-    beta1_i = np.zeros(n)
-    beta2_i = np.zeros(n)
+    beta1_i, beta2_i = np.zeros((2, n))
     if kind == FEATURE_MODE:
         outside = [rf.outside(i) for i in range(n)]
 
@@ -345,12 +335,8 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
             if kind == FEATURE_MODE and outside[i].size:
                 beta1_i[i] = max(beta1_i[i], float(sup_y[:, :, outside[i]].max()))
 
-    return GnnStabilityResult(
-        n=n, beta1_i=beta1_i, beta2_i=beta2_i,
-        beta1=float(beta1_i.max()), beta2=float(beta2_i.max()),
-        discrepancy=float(beta2_i.max() - beta1_i.max()),
-        sup_d=rf.sup_d, inf_d=float(rf.d.min()), seed=seed,
-    )
+    return GnnStabilityResult(beta1_i=beta1_i, beta2_i=beta2_i, sup_d=rf.sup_d,
+                              inf_d=float(rf.d.min()), seed=seed)
 
 
 # ---------------------------------------------------------------------------

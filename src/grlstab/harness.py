@@ -19,7 +19,8 @@ that passes its m sets to the learner's one ``train``, so mu at m = 1 is
 beta2 by construction (same seed streams, same trainings). For binary-spin
 instances at small N an exhaustive mode enumerates the full discrete cube
 and returns exact oracle values for beta1/beta2, through the same
-beta1/beta2 reduction.
+beta1/beta2 reduction and the same ``StabilityEstimate`` record, which the
+GNN experiment's result extends.
 
 Learner protocol: ``prepare(z)`` turns a sample set into the learner's
 input (the bound objective for ``sgd.SgdAlgorithm``, the design matrix and
@@ -45,15 +46,24 @@ class NonDeterministicAlgorithmError(RuntimeError):
     """Two identical invocations of the learner disagreed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityEstimate:
+    """Per-vertex beta1_i and beta2_i; the aggregates are their maxima."""
+
     beta1_i: np.ndarray
     beta2_i: np.ndarray
-    beta1: float
-    beta2: float
-    discrepancy: float
-    seed: int
-    algorithm: str
+
+    @property
+    def beta1(self) -> float:
+        return float(self.beta1_i.max())
+
+    @property
+    def beta2(self) -> float:
+        return float(self.beta2_i.max())
+
+    @property
+    def discrepancy(self) -> float:
+        return float(self.beta2_i.max() - self.beta1_i.max())
 
 
 @dataclass(frozen=True)
@@ -88,6 +98,12 @@ def _stability_pair(gaps: np.ndarray, outside: np.ndarray) -> tuple:
     the max over test vertices outside Xi(i) (0 if there are none), and the max."""
     beta1 = float(gaps[..., outside].max()) if outside.size else 0.0
     return beta1, float(gaps.max())
+
+
+def _estimate(pairs: list) -> StabilityEstimate:
+    """The record of the (beta1_i, beta2_i) pairs of vertices 0..n-1."""
+    beta1_i, beta2_i = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return StabilityEstimate(beta1_i=beta1_i, beta2_i=beta2_i)
 
 
 def _perturbation_gaps(alg, sampler, i: int, m: int, pert_draws: int, test_sets: list,
@@ -131,20 +147,9 @@ def estimate_vertex_stability(alg, sampler, i: int, pert_draws: int, test_draws:
 
 def estimate_stability(alg, sampler, pert_draws: int, test_draws: int, seed: int) -> StabilityEstimate:
     """Per-vertex estimates for every i, aggregated to beta1/beta2."""
-    n = sampler.rf.n
-    beta1_i = np.zeros(n)
-    beta2_i = np.zeros(n)
-    for i in range(n):
-        beta1_i[i], beta2_i[i] = estimate_vertex_stability(
-            alg, sampler, i, pert_draws, test_draws, seed,
-            check_determinism=(i == 0),
-        )
-    return StabilityEstimate(
-        beta1_i=beta1_i, beta2_i=beta2_i,
-        beta1=float(beta1_i.max()), beta2=float(beta2_i.max()),
-        discrepancy=float(beta2_i.max() - beta1_i.max()),
-        seed=seed, algorithm=alg.id,
-    )
+    return _estimate([estimate_vertex_stability(alg, sampler, i, pert_draws, test_draws, seed,
+                                                check_determinism=(i == 0))
+                      for i in range(sampler.rf.n)])
 
 
 def estimate_mu(alg, sampler, m: int, pert_draws: int, test_draws: int, seed: int) -> float:
@@ -185,14 +190,6 @@ def estimate_generalization_gap(alg, sampler, test_graphs: int, trials: int, see
 # Exhaustive oracle over the binary cube (desk scale)
 
 
-@dataclass(frozen=True)
-class ExhaustiveStability:
-    beta1_i: np.ndarray
-    beta2_i: np.ndarray
-    beta1: float
-    beta2: float
-
-
 def _prepared_cube(alg, spec: IsingSpec) -> list:
     """The learner's prepared set of every spin configuration, in
     enumerate_spin_configs order (index c is configuration c)."""
@@ -200,7 +197,7 @@ def _prepared_cube(alg, spec: IsingSpec) -> list:
             for spins in enumerate_spin_configs(spec.n)]
 
 
-def exhaustive_binary_stability(alg, spec: IsingSpec) -> ExhaustiveStability:
+def exhaustive_binary_stability(alg, spec: IsingSpec) -> StabilityEstimate:
     """Exact beta1/beta2 of a deterministic learner over the full spin cube.
 
     Requires the "self" label rule so that flipping one spin changes exactly
@@ -222,15 +219,8 @@ def exhaustive_binary_stability(alg, spec: IsingSpec) -> ExhaustiveStability:
     # flipping spin i of config c lands on config c ^ bit(i)
     flip = np.arange(len(cube))[:, None] ^ (1 << (n - 1 - np.arange(n)))[None, :]
 
-    beta1_i = np.zeros(n)
-    beta2_i = np.zeros(n)
-    for i in range(n):
-        gaps = np.abs(loss_table - loss_table[flip[:, i]])  # (train cfg, test cfg, j)
-        beta1_i[i], beta2_i[i] = _stability_pair(gaps, spec.rf.outside(i))
-    return ExhaustiveStability(
-        beta1_i=beta1_i, beta2_i=beta2_i,
-        beta1=float(beta1_i.max()), beta2=float(beta2_i.max()),
-    )
+    return _estimate([_stability_pair(np.abs(loss_table - loss_table[flip[:, i]]),
+                                      spec.rf.outside(i)) for i in range(n)])
 
 
 def exact_risk(alg, h, spec: IsingSpec) -> float:

@@ -128,9 +128,15 @@ class IidSampler:
     b_y: float = 1.0
     label_noise: float = 0.0
 
-    @property
-    def n(self) -> int:
-        return self.rf.n
+    def __post_init__(self):
+        # NaN fails every comparison, so each check is written to fail on it
+        if not self.dim >= 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim!r}")
+        for name, bound in (("b_x", self.b_x), ("b_y", self.b_y)):
+            if not (np.isfinite(bound) and bound > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {bound!r}")
+        if not (np.isfinite(self.label_noise) and self.label_noise >= 0):
+            raise ValueError(f"label_noise must be finite and >= 0, got {self.label_noise!r}")
 
     def _draw_rows(self, rng: np.random.Generator, count: int):
         half = self.b_x / np.sqrt(self.dim)
@@ -143,7 +149,7 @@ class IidSampler:
 
     def sample(self, seed: int) -> SampleSet:
         rng = child_rng(seed, "iid-draw")
-        x, y = self._draw_rows(rng, self.n)
+        x, y = self._draw_rows(rng, self.rf.n)
         return SampleSet(features=x, labels=y, seed=int(seed))
 
     def replace(self, z: SampleSet, indices, seed: int, mode: str = "fresh-marginal") -> SampleSet:
@@ -410,10 +416,6 @@ class IsingSampler:
     def __post_init__(self):
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
 
     @property
     def rf(self) -> ReceptiveFieldMap:

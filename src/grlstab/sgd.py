@@ -72,8 +72,9 @@ class SgdConfig:
     seed: int
 
     def __post_init__(self):
-        if self.step_size < 0:
-            raise ValueError("step size must be >= 0")
+        # NaN fails every comparison, so the check is written to fail on it
+        if not (math.isfinite(self.step_size) and self.step_size >= 0):
+            raise ValueError(f"step size must be finite and >= 0, got {self.step_size!r}")
         if self.steps < 0:
             raise ValueError("step count must be >= 0")
 

@@ -8,6 +8,12 @@ live code: module level, or the body of a definition that is itself live.
 A chain of forwarders that nothing calls is therefore dead as a whole.
 Dunder methods and the ``RESERVED`` names, kept for experiments the
 roadmap plans, are the live roots besides module-level code.
+
+Matching by bare name cannot tell two attributes of one name apart: a
+method or property shares the uses of every other attribute called the
+same. A ``d`` property on a parameter record, or an ``n`` property on a
+sampler, would pass as used through ``rf.d`` and ``rf.n`` even if nothing
+called it. Such a name is checked by making it raise and running the suite.
 """
 
 import ast

@@ -67,7 +67,7 @@ def test_double_geometric_loop_equivalence():
 
 # ---------------------------------------------------------------------------
 # Difference-equation oracle: the A/B/C/D solution of the second-moment
-# recursion, which bounds.variance_bound's exact form must equal
+# recursion, which the exact form of bounds.bound_terms must equal
 
 
 def power_ratio(a, b, steps):
@@ -276,15 +276,15 @@ def test_expected_bound_not_applicable_when_condition_fails():
 
 def test_variance_zero_cases():
     p = hand_params(steps=0)
-    vb = bounds.variance_bound(p)
-    assert vb.total_loose == 0.0 and vb.total_exact == 0.0
+    terms = bounds.bound_terms(p)
+    assert terms.loose.sum() == 0.0 and terms.exact.sum() == 0.0
     # zero kick
     cert = unit_cert(zeta=0.0, lip=0.0)
     p2 = bounds.SgdBoundParams(certificate=cert, step_size=0.1, steps=10,
                                n_vertices=10, field_sizes=np.full(10, 2),
                                regime=bounds.STRONGLY_CONVEX)
-    vb2 = bounds.variance_bound(p2)
-    assert vb2.total_loose == 0.0 and vb2.total_exact == 0.0
+    terms2 = bounds.bound_terms(p2)
+    assert terms2.loose.sum() == 0.0 and terms2.exact.sum() == 0.0
 
 
 def test_variance_exact_matches_recursion_loop():
@@ -294,8 +294,7 @@ def test_variance_exact_matches_recursion_loop():
     for _ in range(10):
         v = pz * pz * v + 2 * py * pz * m + py * py
         m = pz * m + py
-    vb = bounds.variance_bound(p)
-    assert vb.per_vertex_exact[0] == pytest.approx(v, rel=1e-9)
+    assert bounds.bound_terms(p).exact[0] == pytest.approx(v, rel=1e-9)
     # exact solution equals the A/B/C/D difference-equation solution
     a, b, c, d = variance_abcd_coefficients(pz, py)
     assert difference_equation_solution(a, b, c, d, 10) == pytest.approx(v, rel=1e-9)
@@ -421,6 +420,20 @@ def test_mgraph_monotone_in_mu_and_n():
     d16 = np.full(16, 0.25)
     v3 = bounds.generalization_bound_mgraph(0.01, 1.0, d16, 2, 0.1, 0.1)
     assert v3 > v1
+
+
+@pytest.mark.parametrize("step_size", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_step_size_not_finite_and_positive_rejected(step_size):
+    with pytest.raises(ValueError, match="step size must be finite and > 0"):
+        bounds.SgdBoundParams(certificate=unit_cert(), step_size=step_size, steps=10,
+                              n_vertices=10, field_sizes=np.full(10, 2),
+                              regime=bounds.STRONGLY_CONVEX)
+
+
+@pytest.mark.parametrize("t", [math.nan, -1.0])
+def test_concentration_tail_rejects_threshold_not_at_least_zero(t):
+    with pytest.raises(bounds.BoundDomainError, match="threshold t must be >= 0"):
+        bounds.concentration_tail(np.ones(4), 0.0, t)
 
 
 def test_concentration_tail_values():
@@ -647,11 +660,11 @@ def test_vectorised_bounds_equal_scalar_reference_loops_exactly():
         assert [bounds.expected_stability_bound(p, i) for i in range(n)] \
             == [reference_expected(p, i) for i in range(n)]
         loose, exact = reference_variances(p)
-        var = bounds.variance_bound(p)
-        assert var.per_vertex_loose.tolist() == loose
-        assert var.per_vertex_exact.tolist() == exact
-        assert var.total_loose == float(np.array(loose).sum())
-        assert var.total_exact == float(np.array(exact).sum())
+        terms = bounds.bound_terms(p)
+        assert terms.loose.tolist() == loose
+        assert terms.exact.tolist() == exact
+        assert float(terms.loose.sum()) == float(np.array(loose).sum())
+        assert float(terms.exact.sum()) == float(np.array(exact).sum())
         highprob = bounds.highprob_stability_bound(p, delta)
         surplus = bounds.sgd_generalization_bound(p, delta)
         assert highprob == reference_highprob(p, delta)
@@ -713,7 +726,7 @@ def test_growth_above_one_at_small_t_makes_highprob_bounds_not_applicable():
                               n_vertices=10, field_sizes=np.full(10, 3),
                               regime=bounds.NON_CONVEX)
     assert nonconvex_growth_constant(p, 0) == pytest.approx(1.045, rel=1e-15)
-    assert bounds.variance_bound(p).total_loose < 0.0
+    assert bounds.bound_terms(p).loose.sum() < 0.0
     assert bounds.highprob_stability_bound(p, 0.1) is None
     assert bounds.sgd_generalization_bound(p, 0.1) is None
     assert bounds.expected_stability_bound(p) > 0.0

@@ -6,6 +6,7 @@ from grlstab import cli, gnn, graphs
 from grlstab.config import ConfigError, ExperimentConfig, parse_config
 from grlstab.reporting import read_csv
 from grlstab.seeding import seed_int
+from grlstab.sgd import SgdConfig, coupled_train, envelope_check
 
 
 def write_config(tmp_path, name, text):
@@ -129,6 +130,38 @@ train.runs = 3
     assert header == ["t", "mean_delta", "expected_envelope"]
     assert run_cli(["plots", out, "envelope"]) == 0
     assert (out / "plot_envelope.csv").exists()
+
+
+def test_train_envelope_verdict_covers_every_run(tmp_path):
+    # at seed 5 the first run's smallest margin is positive and a later
+    # run's is 0, so a verdict read from the first run alone shows
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "t.ini", f"""
+experiment = train
+seed = 5
+out = {out}
+graph.kind = cycle
+graph.n = 8
+sampler.kind = iid
+sgd.steps = 30
+train.perturb_vertex = 2
+train.runs = 3
+""")
+    assert run_cli(["run", path]) == 0
+    cfg = ExperimentConfig(parse_config(path.read_text()))
+    rf = graphs.one_hop_receptive_fields(cli.build_graph(cfg))
+    sampler, obj = cli.build_sampler(cfg, rf), cli.build_objective(cfg)
+    reports = []
+    for r in range(3):
+        z = sampler.sample(seed_int(5, "sampler", r))
+        z_i = sampler.replace(z, [2], seed_int(5, "replace", r))
+        run_cfg = SgdConfig(step_size=0.1, steps=30, seed=seed_int(5, "sgd", r))
+        reports.append(envelope_check(coupled_train(z, z_i, rf, obj, run_cfg), obj))
+    mins = [float(report.margins.min()) for report in reports]
+    assert min(mins) < mins[0]
+    env = json.loads((out / "envelope.json").read_text())
+    assert env["min_margin"] == min(mins)
+    assert env["ok"] is all(report.ok for report in reports)
 
 
 @pytest.mark.parametrize("seed", range(1, 7))
@@ -605,6 +638,45 @@ srm.lambdas =
     assert run_cli(["run", path]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and "srm.lambdas" in err["message"]
+    assert not out.exists()
+
+
+REJECTED_VALUES = {
+    "bounds-step-nan": ("experiment = bounds\nsgd.step_size = nan\n",
+                        "ValueError", "step size must be finite"),
+    "bounds-step-inf": ("experiment = bounds\nsgd.step_size = inf\n",
+                        "ValueError", "step size must be finite"),
+    "stability-step-nan": ("experiment = stability\nsgd.step_size = nan\n",
+                           "ValueError", "step size must be finite"),
+    "conc-t-nan": ("experiment = concentration\nsampler.kind = ising\nsampler.sweeps = 5\n"
+                   "conc.draws = 10\nconc.t_grid = nan\n",
+                   "BoundDomainError", "threshold t must be >= 0"),
+    "conc-t-empty": ("experiment = concentration\nsampler.kind = ising\n"
+                     "sampler.sweeps = 5\nconc.t_grid =\n",
+                     "ConfigError", "conc.t_grid"),
+    "sample-dim-0": ("experiment = sample\nsampler.dim = 0\n", "ValueError", "dim must be"),
+    "sample-bx-nan": ("experiment = sample\nsampler.bx = nan\n", "ValueError", "b_x must be"),
+    "sample-bx-negative": ("experiment = sample\nsampler.bx = -1\n",
+                           "ValueError", "b_x must be"),
+    "sample-noise-nan": ("experiment = sample\nsampler.label_noise = nan\n",
+                         "ValueError", "label_noise must be"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_VALUES))
+def test_out_of_range_value_is_user_error(tmp_path, capsys, case):
+    # each used to exit 0 with NaN results, exit 2, or exit 1 only through numpy
+    body, error, message = REJECTED_VALUES[case]
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "value.ini", f"""
+seed = 5
+out = {out}
+graph.kind = cycle
+graph.n = 6
+""" + body)
+    assert run_cli(["run", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error and message in err["message"]
     assert not out.exists()
 
 

@@ -21,6 +21,20 @@ def iid_sampler(n=4, dim=3, **kw):
 # i.i.d. sampler
 
 
+@pytest.mark.parametrize("kw, name", [
+    ({"dim": 0}, "dim"),
+    ({"b_x": float("nan")}, "b_x"),
+    ({"b_x": -1.0}, "b_x"),
+    ({"b_x": 0.0}, "b_x"),
+    ({"b_y": float("inf")}, "b_y"),
+    ({"label_noise": float("nan")}, "label_noise"),
+    ({"label_noise": -0.1}, "label_noise"),
+])
+def test_iid_sampler_rejects_out_of_range_parameters(kw, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        iid_sampler(**kw)
+
+
 def test_iid_same_seed_identical():
     s = iid_sampler()
     z1, z2 = s.sample(42), s.sample(42)

@@ -103,6 +103,12 @@ def test_step_matches_gradient_composition():
         assert np.allclose(sgd_step(w, 0.05, i, z, rf, obj), expected)  # inside ball
 
 
+@pytest.mark.parametrize("step_size", [float("nan"), float("inf"), -float("inf"), -0.1])
+def test_step_size_not_finite_and_non_negative_rejected(step_size):
+    with pytest.raises(ValueError, match="step size must be finite and >= 0"):
+        SgdConfig(step_size=step_size, steps=5, seed=0)
+
+
 def test_train_zero_steps():
     rf, sampler, obj, z = setup_problem()
     traj = train([obj.bind(z, rf)], SgdConfig(step_size=0.1, steps=0, seed=3))
