@@ -187,11 +187,12 @@ def run_train(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
         verdicts.append((report.ok, report.margins.min(initial=np.inf)))
         if r == 0:  # train.runs is at least 1
             first = trace
+    labels = first.case_labels
     rows = [[t,
              first.base.indices[t - 1] if t else "",
              float(np.linalg.norm(first.base.weights[t])),
              float(first.delta_norms[t]),
-             first.case_labels[t - 1] if t else ""]
+             labels[t - 1] if t else ""]
             for t in range(sgd_cfg.steps + 1)]
     write_csv(outdir / "trajectory.csv", TRAJECTORY_HEADER, rows, chash)
     growths, kicks = bnd.recursion_constants(params)
@@ -384,6 +385,9 @@ def run_concentration(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     t_grid = cfg.get_floats("conc.t_grid", "0.5 1 1.5 2 2.5 3")
     if not t_grid:
         raise ConfigError("key 'conc.t_grid': expected at least one threshold")
+    bad = [t for t in t_grid if not (np.isfinite(t) and t >= 0)]
+    if bad:
+        raise ConfigError(f"key 'conc.t_grid': expected finite thresholds >= 0, got {bad}")
     cfg.reject_unread()
     spec = sampler.spec
     alpha = sampling.dobrushin_exact(spec)

@@ -90,13 +90,13 @@ class FieldObjective:
 
     h_w(T_i) = <w, u_i> with u_i = feature_scale * mean of features over
     Xi(i). The data term, the feature scale and the certificate live here; a
-    family supplies only its weight penalty P, through the private hooks
-    ``_penalty`` and ``_penalty_grad``, and three
-    constants of P: its curvature bound (a constructor argument), and its
-    Lipschitz constant and sup on the weight ball (``_penalty_lipschitz``,
-    ``_penalty_sup``). The data term gets the curvature budget the penalty
-    leaves: ||u|| <= u_max = sqrt(lambda - curvature) keeps the whole
-    Hessian below lambda. A family also sets ``kind`` and ``convex``.
+    family supplies only its weight penalty P, through ``_penalty`` and
+    ``penalty_gradient``, and three constants of P: its curvature bound (a
+    constructor argument), and its Lipschitz constant and sup on the weight
+    ball (``_penalty_lipschitz``, ``_penalty_sup``). The data term gets the
+    curvature budget the penalty leaves: ||u|| <= u_max = sqrt(lambda -
+    curvature) keeps the whole Hessian below lambda. A family also sets
+    ``kind`` and ``convex``.
     """
 
     def __init__(self, dim, smoothness, strong_convexity, penalty_curvature,
@@ -160,9 +160,19 @@ class FieldObjective:
         r = float(u.dot(w)) - y
         return 0.5 * r * r + self._penalty(w)
 
+    def penalty_gradient(self):
+        """grad P as a plain function p(w, ws) -> list of floats.
+
+        w is the iterate as an array and ws its entries as floats. Dot
+        products read w, and elementwise arithmetic runs on ws in numpy's
+        order, so ``grad_uy`` and the SGD loop, which builds p once per
+        descent, agree bit for bit.
+        """
+        raise NotImplementedError
+
     def grad_uy(self, u, y, w) -> np.ndarray:
         r = float(u.dot(w)) - y
-        return u * r + self._penalty_grad(w)
+        return u * r + np.array(self.penalty_gradient()(w, w.tolist()))
 
     def losses_uy(self, u, y, w) -> np.ndarray:
         r = u @ w - y
@@ -201,8 +211,9 @@ class QuadraticFieldObjective(FieldObjective):
     def _penalty(self, w):
         return 0.5 * self.gamma * float(np.dot(w, w))
 
-    def _penalty_grad(self, w):
-        return self.gamma * w
+    def penalty_gradient(self):
+        gamma = self.gamma
+        return lambda w, ws: [gamma * x for x in ws]
 
 
 class RippleFieldObjective(FieldObjective):
@@ -229,8 +240,14 @@ class RippleFieldObjective(FieldObjective):
     def _penalty(self, w):
         return self.amplitude * (1.0 - np.cos(float(np.dot(self.direction, w))))
 
-    def _penalty_grad(self, w):
-        return self.amplitude * np.sin(float(np.dot(self.direction, w))) * self.direction
+    def penalty_gradient(self):
+        a, k, ks = self.amplitude, self.direction, self.direction.tolist()
+
+        def grad(w, ws):
+            c = float(a * np.sin(k.dot(w)))
+            return [c * x for x in ks]
+
+        return grad
 
 
 # ---------------------------------------------------------------------------

@@ -20,17 +20,23 @@ set many times aggregates its receptive fields once; ``coupled_train`` binds
 its pair.
 
 A T = 200 step training in 3 dimensions costs Python and numpy call
-overhead, not arithmetic, so the loop does as few numpy calls per step as
-it can while keeping every bit of the trajectory. It gathers the (u, y) rows
-of the whole index stream before the first step, calls the objective's one
-gradient definition ``FieldObjective.grad_uy`` directly, takes the
-projection norm as ``math.sqrt(w.dot(w))`` (what ``np.linalg.norm`` computes
-for a vector), and stores the gradient rows: they are checked for
-non-finite entries once, after the loop, and a ``SgdDivergenceError`` names
-the first bad step and its vertex. A coupled run stays two descents, not a
-row batch of two: a bit-identical batched step costs about as much at B = 2
-as at B = 1, and that is as much as two steps of this loop, so batching
-pays only across many trainings.
+overhead, not arithmetic, so the loop makes two or three numpy calls per
+step and keeps every bit of the trajectory that the array expressions of
+``FieldObjective.grad_uy`` and the projection would give. It gathers the
+(u, y) rows of the whole index stream before the first step and builds the
+penalty gradient once (``FieldObjective.penalty_gradient``). The dot
+products (u.w of the residual, k.w of the ripple, w.w of the projection
+norm) stay BLAS ``ddot`` calls, since a Python sum of products rounds
+differently; they all read one buffer holding w, allocated once per descent,
+because OpenBLAS's SSE2 kernel rounds differently when its second vector is
+not 16-byte aligned. Everything elementwise runs on Python floats, in numpy's
+order: u_i r + p_i, then w_i - alpha g_i, then w_i (radius / norm). The
+exact norm is computed only when ``math.hypot`` cannot rule out a projection.
+After the loop, a trajectory with a non-finite iterate is replayed through
+``grad_uy`` (a non-finite gradient makes the next iterate non-finite), and a
+``SgdDivergenceError`` names the first bad step and its vertex. A coupled
+run stays two descents, not a row batch of two: batching pays only across
+many trainings, where the per-step call overhead is shared.
 
 Per-step deviation envelopes (the ``bounds.step_cases`` table) for the
 strongly convex and the smooth non-convex regimes can be rechecked against a
@@ -44,6 +50,7 @@ The contraction properties of G itself are stress-tested in
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +63,7 @@ from .seeding import child_rng
 
 
 ENVELOPE_TOL = 1e-9  # slack on each per-step envelope margin
+CASES = ("hit", "self", "miss")  # a step's case code is its index here
 
 
 class SgdDivergenceError(RuntimeError):
@@ -96,7 +104,11 @@ class CoupledTrace:
     perturbed: Trajectory
     vertex: int  # the replaced vertex i
     delta_norms: np.ndarray  # (T+1,), ||delta^i w_t||
-    case_labels: tuple  # length T, entries in {"hit", "self", "miss"}
+    case_codes: np.ndarray  # (T,), each step's case as an index into CASES
+
+    @property
+    def case_labels(self) -> tuple:
+        return tuple(CASES[c] for c in self.case_codes.tolist())
 
 
 def draw_indices(cfg: SgdConfig, n: int) -> np.ndarray:
@@ -111,29 +123,37 @@ def _descend(bounds, indices: np.ndarray, cfg: SgdConfig) -> np.ndarray:
     Pooled index k visits vertex k % N of bounds[k // N].
     """
     obj = bounds[0].objective
-    grad = obj.grad_uy
+    penalty = obj.penalty_gradient()
     alpha = cfg.step_size
     radius = obj.certificate.weight_radius
+    inside = radius * (1 - 1e-9)  # hypot(*w) <= inside rules out projecting
     us = np.concatenate([b.u for b in bounds])[indices]
     ys = np.concatenate([b.y for b in bounds])[indices].tolist()
-    grads = np.empty_like(us)
-    weights = np.empty((len(indices) + 1, obj.dim))
-    w = np.zeros(obj.dim)
-    weights[0] = w
+    w = [0.0] * obj.dim
+    buf = np.zeros(obj.dim)  # the iterate w, as every dot product reads it
+    store = struct.Struct(f"{obj.dim}d").pack_into  # buf[:] = w, without numpy
+    rows = [w]
     with np.errstate(all="ignore"):  # a non-finite gradient is reported below
-        for t, (u, y) in enumerate(zip(us, ys)):
-            g = grad(u, y, w)
-            grads[t] = g
-            w = w - alpha * g
-            norm = math.sqrt(w.dot(w))
-            if norm > radius:
-                w = w * (radius / norm)
-            weights[t + 1] = w
-        finite = np.isfinite(grads).all(axis=1)
-    if not finite.all():
-        t = int(np.argmin(finite))
-        raise SgdDivergenceError(
-            f"non-finite gradient at step {t}, vertex {int(indices[t]) % bounds[0].n}")
+        for u_row, u, y in zip(us, us.tolist(), ys):
+            r = float(u_row.dot(buf)) - y
+            w = [wi - alpha * (ui * r + pi) for wi, ui, pi in zip(w, u, penalty(buf, w))]
+            store(buf, 0, *w)
+            if not math.hypot(*w) <= inside:
+                norm = math.sqrt(buf.dot(buf))
+                if norm > radius:
+                    scale = radius / norm
+                    w = [wi * scale for wi in w]
+                    store(buf, 0, *w)
+            rows.append(w)
+    weights = np.array(rows)
+    if not np.isfinite(weights).all():
+        # a non-finite gradient makes the next iterate non-finite: replay
+        # grad_uy along the trajectory to name the first one
+        with np.errstate(all="ignore"):
+            for t, (u, y) in enumerate(zip(us, ys)):
+                if not np.isfinite(obj.grad_uy(u, y, weights[t].copy())).all():
+                    raise SgdDivergenceError(f"non-finite gradient at step {t}, "
+                                             f"vertex {int(indices[t]) % bounds[0].n}")
     return weights
 
 
@@ -206,16 +226,19 @@ def coupled_train(z: SampleSet, z_pert: SampleSet, rf: ReceptiveFieldMap,
     weights = _descend([bound], indices, cfg)
     weights_p = _descend([bound_p], indices, cfg)
     # one row dot per step, bit-equal to np.linalg.norm of each row; the
-    # norm(axis=1) reduction differs in the last bits
-    d = weights - weights_p
+    # norm(axis=1) reduction differs in the last bits. Rows padded to an even
+    # length start 16-byte aligned, where the SSE2 dot kernel reads them as
+    # it reads a fresh vector.
+    dim = weights.shape[1]
+    d = np.empty((len(weights), dim + dim % 2))[:, :dim]
+    np.subtract(weights, weights_p, out=d)
     deltas = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
-    label_of = [case_label(rf, vertex, j) for j in range(rf.n)]
-    labels = tuple(label_of[i] for i in indices.tolist())
+    code_of = np.array([CASES.index(case_label(rf, vertex, j)) for j in range(rf.n)])
 
     base = Trajectory(weights=weights, indices=indices, config=cfg)
     pert = Trajectory(weights=weights_p, indices=indices.copy(), config=cfg)
     return CoupledTrace(base=base, perturbed=pert, vertex=vertex,
-                        delta_norms=deltas, case_labels=labels)
+                        delta_norms=deltas, case_codes=code_of[indices])
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +264,7 @@ def envelope_check(trace: CoupledTrace, obj: FieldObjective) -> EnvelopeReport:
     cert = obj.certificate
     alpha = trace.base.config.step_size
     cases = step_cases(cert, alpha, obj.regime)
-    growth, kick = np.array([cases[c] for c in trace.case_labels]).reshape(-1, 2).T
+    growth, kick = np.array([cases[c] for c in CASES])[trace.case_codes].T
     d = trace.delta_norms
     margins = growth * d[:-1] + kick - d[1:]
     regime_a = obj.regime == STRONGLY_CONVEX and step_condition(

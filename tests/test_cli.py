@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from grlstab import cli, gnn, graphs
+from grlstab import cli, gnn, graphs, sampling
 from grlstab.config import ConfigError, ExperimentConfig, parse_config
 from grlstab.reporting import read_csv
 from grlstab.seeding import seed_int
@@ -650,7 +650,7 @@ REJECTED_VALUES = {
                            "ValueError", "step size must be finite"),
     "conc-t-nan": ("experiment = concentration\nsampler.kind = ising\nsampler.sweeps = 5\n"
                    "conc.draws = 10\nconc.t_grid = nan\n",
-                   "BoundDomainError", "threshold t must be >= 0"),
+                   "ConfigError", "conc.t_grid"),
     "conc-t-empty": ("experiment = concentration\nsampler.kind = ising\n"
                      "sampler.sweeps = 5\nconc.t_grid =\n",
                      "ConfigError", "conc.t_grid"),
@@ -677,6 +677,32 @@ graph.n = 6
     assert run_cli(["run", path]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error and message in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_grid", ["nan", "-1", "0.5 inf"])
+def test_concentration_threshold_rejected_before_any_sampling(tmp_path, capsys, monkeypatch,
+                                                              t_grid):
+    # with the default 20000 draws, a threshold checked only in the tail loop
+    # used to run the enumeration and every Glauber chain first
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before the thresholds were checked")
+
+    monkeypatch.setattr(sampling.IsingSampler, "sample_spins_batch", never)
+    monkeypatch.setattr(sampling, "enumerate_spin_configs", never)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "conc.ini", f"""
+experiment = concentration
+seed = 5
+out = {out}
+graph.kind = cycle
+graph.n = 6
+sampler.kind = ising
+conc.t_grid = {t_grid}
+""")
+    assert run_cli(["run", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "conc.t_grid" in err["message"]
     assert not out.exists()
 
 

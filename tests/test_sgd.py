@@ -179,40 +179,80 @@ def test_coupled_sides_equal_separate_trainings():
 
 
 BIT_EQUALITY_OBJECTIVES = {
-    "quadratic": lambda: QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 1.0),
-    "quadratic-projected": lambda: QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 0.15),
-    "ripple": lambda: RippleFieldObjective(3, 1.0, 1.0, 1.0, 1 / 32, 1.0),
+    "quadratic": lambda dim: QuadraticFieldObjective(dim, 1.0, 0.5, 1.0, 1.0, 1.0),
+    "quadratic-projected": lambda dim: QuadraticFieldObjective(dim, 1.0, 0.5, 1.0, 1.0, 0.15),
+    "ripple": lambda dim: RippleFieldObjective(dim, 1.0, 1.0, 1.0, 1 / 32, 1.0),
 }
+
+
+def assert_descents_equal_reference(obj, rf, sampler, seed, step_size, pool):
+    """train on one set and on a pool of sets, and one coupled run, against
+    the reference loops; returns the single-set trajectory."""
+    sets = [sampler.sample(100 * c + seed) for c in range(1, pool + 1)]
+    z_i = sampler.replace(sets[0], [seed % rf.n], seed=300 + seed)
+    cfg = SgdConfig(step_size=step_size, steps=200, seed=seed)
+    bounds = [obj.bind(z, rf) for z in sets]
+
+    traj = train(bounds[:1], cfg)
+    assert np.array_equal(traj.weights, reference_descend(bounds[:1], traj.indices, cfg))
+    pooled = draw_indices(cfg, pool * rf.n)
+    assert np.array_equal(train(bounds, cfg).weights, reference_descend(bounds, pooled, cfg))
+
+    trace = coupled_train(sets[0], z_i, rf, obj, cfg)
+    weights, weights_p, deltas, labels = reference_coupled(sets[0], z_i, rf, obj, cfg)
+    assert np.array_equal(trace.base.weights, weights)
+    assert np.array_equal(trace.perturbed.weights, weights_p)
+    assert np.array_equal(trace.delta_norms, deltas)
+    assert trace.case_labels == labels
+    return traj
 
 
 @pytest.mark.parametrize("family", sorted(BIT_EQUALITY_OBJECTIVES))
 def test_descent_equals_reference_loop_bit_for_bit(family):
-    obj = BIT_EQUALITY_OBJECTIVES[family]()
+    obj = BIT_EQUALITY_OBJECTIVES[family](3)
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(16))
     sampler = sampling.IidSampler(rf=rf, dim=3)
     projected = 0
     for seed in range(6):
-        z, z2 = sampler.sample(100 + seed), sampler.sample(200 + seed)
-        z_i = sampler.replace(z, [seed % rf.n], seed=300 + seed)
-        cfg = SgdConfig(step_size=0.3, steps=200, seed=seed)
-        bound, bound2 = obj.bind(z, rf), obj.bind(z2, rf)
-
-        traj = train([bound], cfg)
-        assert np.array_equal(traj.weights, reference_descend([bound], traj.indices, cfg))
-        pooled = draw_indices(cfg, 2 * rf.n)
-        assert np.array_equal(train([bound, bound2], cfg).weights,
-                              reference_descend([bound, bound2], pooled, cfg))
-
-        trace = coupled_train(z, z_i, rf, obj, cfg)
-        weights, weights_p, deltas, labels = reference_coupled(z, z_i, rf, obj, cfg)
-        assert np.array_equal(trace.base.weights, weights)
-        assert np.array_equal(trace.perturbed.weights, weights_p)
-        assert np.array_equal(trace.delta_norms, deltas)
-        assert trace.case_labels == labels
+        traj = assert_descents_equal_reference(obj, rf, sampler, seed, 0.3, 2)
         radius = obj.certificate.weight_radius
         projected += int(np.sum(np.linalg.norm(traj.weights, axis=1) >= radius * (1 - 1e-12)))
     if family == "quadratic-projected":
         assert projected > 0  # the iterates reach the ball's surface
+
+
+@pytest.mark.parametrize("dim", [1, 5])
+@pytest.mark.parametrize("family", sorted(BIT_EQUALITY_OBJECTIVES))
+def test_descent_equals_reference_loop_across_dims_pools_and_step_sizes(family, dim):
+    # a step size of 3.0 is past every stability condition: the iterates
+    # keep hitting the sphere and are projected back
+    obj = BIT_EQUALITY_OBJECTIVES[family](dim)
+    rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(8))
+    sampler = sampling.IidSampler(rf=rf, dim=dim)
+    for seed, step_size in [(0, 0.3), (1, 3.0), (2, 3.0)]:
+        assert_descents_equal_reference(obj, rf, sampler, seed, step_size, 3)
+
+
+@pytest.mark.parametrize("side", [1 + 5e-10, 1 - 5e-10])
+def test_descent_equals_reference_loop_at_the_sphere(side):
+    # every vertex has the same objective, whose minimiser w* lies within
+    # 5e-10 radius of the sphere, inside or outside: the iterates converge
+    # into the band where the cheap norm cannot rule out a projection, so
+    # the exact norm decides it
+    rf = graphs.one_hop_receptive_fields(graphs.empty_graph(4))
+    x = np.array([0.6, -0.3, 0.2])
+    z = sampling.SampleSet(features=np.tile(x, (4, 1)), labels=np.full(4, 0.9), seed=0)
+    u = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0).feature_scale * x
+    w_star = u * 0.9 / (u.dot(u) + 0.5)
+    radius = float(np.linalg.norm(w_star)) * side
+    obj = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, radius)
+    cfg = SgdConfig(step_size=0.5, steps=400, seed=0)
+    bound = obj.bind(z, rf)
+    traj = train([bound], cfg)
+    weights = reference_descend([bound], traj.indices, cfg)
+    assert np.array_equal(traj.weights, weights)
+    norms = np.linalg.norm(weights, axis=1)
+    assert np.sum((norms > radius * (1 - 1e-9)) & (norms <= radius)) > 100
 
 
 def test_non_finite_gradient_raises_divergence_error():
@@ -235,6 +275,29 @@ def test_non_finite_gradient_raises_divergence_error():
         assert divergence_message(train, [bad], cfg) == expected_single
         assert divergence_message(train, [good, bad], cfg) == expected_pooled
         assert divergence_message(coupled_train, z_bad, z_bad_i, rf, obj, cfg) == expected_single
+
+
+def test_overflowing_iterate_raises_the_reference_divergence_error():
+    # every gradient of the data is finite; at this step size a large one
+    # overflows the iterate, the projection turns the infinity into NaN,
+    # and the next gradient is the first non-finite one
+    rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(8))
+    sampler = sampling.IidSampler(rf=rf, dim=3)
+    obj = QuadraticFieldObjective(3, 50.0, 0.5, 1.0, 1.0, 1.0)
+    z = sampler.sample(3)
+    z_i = sampler.replace(z, [2], seed=34)
+    cfg = SgdConfig(step_size=1e308, steps=50, seed=33)
+    bound, bound_i = obj.bind(z, rf), obj.bind(z_i, rf)
+    with np.errstate(all="ignore"):
+        expected = divergence_message(reference_descend, [bound], draw_indices(cfg, rf.n), cfg)
+        expected_pooled = divergence_message(reference_descend, [bound_i, bound],
+                                             draw_indices(cfg, 2 * rf.n), cfg)
+    assert expected != "non-finite gradient at step 0, vertex 0"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert divergence_message(train, [bound], cfg) == expected
+        assert divergence_message(train, [bound_i, bound], cfg) == expected_pooled
+        assert divergence_message(coupled_train, z, z_i, rf, obj, cfg) == expected
 
 
 def test_coupled_rejects_multi_vertex_difference():
@@ -304,6 +367,14 @@ def test_case_labels_match_fields():
         assert trace.case_labels[t] == expected
 
 
+def label_margins(trace, obj):
+    """Envelope margins with each step's case looked up by its label."""
+    cases = bounds.step_cases(obj.certificate, trace.base.config.step_size, obj.regime)
+    growth, kick = np.array([cases[c] for c in trace.case_labels]).T
+    d = trace.delta_norms
+    return growth * d[:-1] + kick - d[1:]
+
+
 def test_envelope_strongly_convex_holds():
     # weight ball small enough that 2 W <= alpha B_Z zeta (kicked cases are
     # covered) and the contraction cases hold by the update-map properties
@@ -320,6 +391,7 @@ def test_envelope_strongly_convex_holds():
         trace = coupled_train(z, z_i, rf, obj,
                               SgdConfig(step_size=alpha, steps=60, seed=trial))
         report = envelope_check(trace, obj)
+        assert np.array_equal(report.margins, label_margins(trace, obj))
         assert report.regime == "strongly-convex"
         assert report.regime_a_active
         assert report.ok, f"margin {report.margins.min()} at trial {trial}"
@@ -336,6 +408,7 @@ def test_envelope_nonconvex_holds():
         trace = coupled_train(z, z_i, rf, obj,
                               SgdConfig(step_size=0.05, steps=60, seed=trial))
         report = envelope_check(trace, obj)
+        assert np.array_equal(report.margins, label_margins(trace, obj))
         assert report.regime == "non-convex"
         assert report.ok, f"margin {report.margins.min()} at trial {trial}"
 
