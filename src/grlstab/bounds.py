@@ -29,8 +29,9 @@ over the three cases; the strongly convex growth stays PZ_i above. Each
 depends on vertex i only through NN_i: ``recursion_constants`` returns them
 as (N,) arrays over the field sizes. ``bound_terms`` maps the scalar kernels
 over them one vertex at a time into one ``BoundTerms`` record (growth, kick,
-geom(growth_i, T), both second-moment forms below, the step condition);
-every bound and every number of ``bound_report`` is a max or sum over it.
+geom(growth_i, T), the expected envelope, both second-moment forms below,
+the step condition); every bound and every number of ``bound_report`` is a
+max or sum over it.
 
 Expected stability:  E[beta_{2,i}] <= L * geom(growth_i, T) * PY_i.
 
@@ -178,6 +179,12 @@ def recursion_constants(p: SgdBoundParams):
     return growth, average(1)
 
 
+def _check_delta(delta: float) -> None:
+    """Reject a failure probability outside (0, 1), NaN included."""
+    if not 0.0 < delta < 1.0:
+        raise BoundDomainError(f"delta must be in (0, 1), got {delta}")
+
+
 def _sup(values: np.ndarray) -> float:
     """max(0, v_0, v_1, ...) taken left to right, as a scalar loop from 0."""
     return max([0.0, *values.tolist()])
@@ -216,6 +223,7 @@ class BoundTerms:
     geom: np.ndarray  # geometric_series(growth_i, T)
     loose: np.ndarray  # loose second-moment sum form
     exact: np.ndarray  # exact second-moment solution (squared first moment)
+    expected: np.ndarray  # expected stability envelope L * geom_i * kick_i
     applicable: bool  # false exactly when the strongly convex step condition fails
 
 
@@ -223,11 +231,12 @@ def bound_terms(p: SgdBoundParams) -> BoundTerms:
     """The per-vertex terms of p, each scalar kernel mapped one vertex at a time."""
     growth, kick = recursion_constants(p)
     pairs = list(zip(growth.tolist(), kick.tolist()))
+    geom = np.array([geometric_series(g, p.steps) for g, _ in pairs])
     return BoundTerms(
-        growth=growth, kick=kick,
-        geom=np.array([geometric_series(g, p.steps) for g, _ in pairs]),
+        growth=growth, kick=kick, geom=geom,
         loose=np.array([variance_term_loose(g, k, p.steps) for g, k in pairs]),
         exact=np.array([variance_term_exact(g, k, p.steps) for g, k in pairs]),
+        expected=p.certificate.lipschitz * geom * kick,
         applicable=p.regime != STRONGLY_CONVEX or step_condition_ok(p),
     )
 
@@ -245,8 +254,7 @@ def expected_stability_bound(p: SgdBoundParams, i: int | None = None) -> float |
     t = bound_terms(p)
     if not t.applicable:
         return None
-    env = p.certificate.lipschitz * t.geom * t.kick
-    return _sup(env) if i is None else float(env[i])
+    return _sup(t.expected) if i is None else float(t.expected[i])
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +269,7 @@ def highprob_stability_bound(p: SgdBoundParams, delta: float) -> float | None:
     strongly-convex step-size condition fails or the loose second moment
     is negative (growth > 1 at small T).
     """
-    if not 0.0 < delta < 1.0:
-        raise BoundDomainError(f"delta must be in (0, 1), got {delta}")
+    _check_delta(delta)
     t = bound_terms(p)
     if not t.applicable or np.any(t.loose < 0.0):
         return None
@@ -314,8 +321,7 @@ def generalization_bound_single(beta1: float, beta2: float, loss_bound: float,
     """
     if not 0.0 <= alpha_dob < 1.0:
         raise BoundDomainError(f"Dobrushin coefficient must be in [0, 1), got {alpha_dob}")
-    if not 0.0 < delta < 1.0:
-        raise BoundDomainError(f"delta must be in (0, 1), got {delta}")
+    _check_delta(delta)
     if beta1 > beta2:
         raise BoundDomainError("need beta1 <= beta2")
     d = np.asarray(d_list, dtype=float)
@@ -334,8 +340,7 @@ def generalization_bound_mgraph(mu: float, loss_bound: float, d_list, m: int,
         raise BoundDomainError("m must be >= 1")
     if not 0.0 <= alpha_dob < 1.0:
         raise BoundDomainError(f"Dobrushin coefficient must be in [0, 1), got {alpha_dob}")
-    if not 0.0 < delta < 1.0:
-        raise BoundDomainError(f"delta must be in (0, 1), got {delta}")
+    _check_delta(delta)
     d = np.asarray(d_list, dtype=float)
     n = d.size
     sens = (2.0 - d / m) * mu + d * loss_bound / m
@@ -354,21 +359,19 @@ def sgd_generalization_bound(p: SgdBoundParams, delta: float) -> float | None:
     None when the strongly-convex step-size condition fails or the loose
     second moment is negative.
     """
-    if not 0.0 < delta < 1.0:
-        raise BoundDomainError(f"delta must be in (0, 1), got {delta}")
+    _check_delta(delta)
     t = bound_terms(p)
     if not t.applicable or np.any(t.loose < 0.0):
         return None
     cert = p.certificate
-    expected = cert.lipschitz * t.geom * t.kick
     n = p.n_vertices
     prefactor = (2.0 - 1.0 / n) * math.sqrt(2.0 * n * math.log(2.0 / delta)) + 2.0
     tail = cert.loss_bound / n * math.sqrt(2.0 * n * math.log(2.0 / delta))
     if p.regime == STRONGLY_CONVEX:
         lam, gamma = cert.smoothness, cert.strong_convexity
-        env = expected + math.sqrt(1.0 / (4.0 * delta)) * (lam - gamma) * (4.0 / delta * t.loose)
+        env = t.expected + math.sqrt(1.0 / (4.0 * delta)) * (lam - gamma) * (4.0 / delta * t.loose)
     else:
-        env = expected * (1.0 + math.sqrt(1.0 / delta)) + np.sqrt(4.0 / delta * t.loose)
+        env = t.expected * (1.0 + math.sqrt(1.0 / delta)) + np.sqrt(4.0 / delta * t.loose)
     return prefactor * _sup(env) + tail
 
 
@@ -437,7 +440,7 @@ def bound_report(p: SgdBoundParams, delta: float) -> dict:
             "ok": bool(rho_ok),
         }
 
-    env = cert.lipschitz * t.geom * t.kick if t.applicable else None
+    env = t.expected if t.applicable else None
     per_vertex = [{
         "vertex": i,
         "growth": g,

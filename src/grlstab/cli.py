@@ -152,6 +152,17 @@ def run_sample(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
 TRAJECTORY_HEADER = ["t", "sampled_vertex", "w_norm", "delta_norm", "case"]
 
 
+def _write_trajectory(outdir: Path, chash: str, traj, trace=None) -> None:
+    """trajectory.csv: per iterate t the sampled vertex and ||w_t||; the
+    coupled trace of a perturbed run adds ||delta w_t|| and the case of step t."""
+    blank = [""] * len(traj.weights)
+    deltas = blank if trace is None else trace.delta_norms.tolist()
+    cases = blank if trace is None else ["", *trace.case_labels]
+    rows = [[t, traj.indices[t - 1] if t else "", float(np.linalg.norm(w)), d, c]
+            for t, (w, d, c) in enumerate(zip(traj.weights, deltas, cases))]
+    write_csv(outdir / "trajectory.csv", TRAJECTORY_HEADER, rows, chash)
+
+
 def run_train(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     rf = graphs.one_hop_receptive_fields(build_graph(cfg))
     sampler = build_sampler(cfg, rf)
@@ -161,13 +172,7 @@ def run_train(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     if not cfg.has("train.perturb_vertex"):
         cfg.reject_unread()
         z = sampler.sample(seed_int(cfg.seed, "sampler"))
-        traj = train([obj.bind(z, rf)], sgd_cfg)
-        rows = [[t,
-                 traj.indices[t - 1] if t else "",
-                 float(np.linalg.norm(traj.weights[t])),
-                 "", ""]
-                for t in range(sgd_cfg.steps + 1)]
-        write_csv(outdir / "trajectory.csv", TRAJECTORY_HEADER, rows, chash)
+        _write_trajectory(outdir, chash, train([obj.bind(z, rf)], sgd_cfg))
         return
 
     vertex = cfg.get_int("train.perturb_vertex")
@@ -187,14 +192,7 @@ def run_train(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
         verdicts.append((report.ok, report.margins.min(initial=np.inf)))
         if r == 0:  # train.runs is at least 1
             first = trace
-    labels = first.case_labels
-    rows = [[t,
-             first.base.indices[t - 1] if t else "",
-             float(np.linalg.norm(first.base.weights[t])),
-             float(first.delta_norms[t]),
-             labels[t - 1] if t else ""]
-            for t in range(sgd_cfg.steps + 1)]
-    write_csv(outdir / "trajectory.csv", TRAJECTORY_HEADER, rows, chash)
+    _write_trajectory(outdir, chash, first.base, first)
     growths, kicks = bnd.recursion_constants(params)
     growth, kick = float(growths[vertex]), float(kicks[vertex])
     stats = [[t, float(sum_delta[t] / runs),
@@ -218,7 +216,7 @@ def run_stability(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     alg = SgdAlgorithm(obj, rf, build_sgd_config(cfg))
     k = cfg.get_int("harness.pert_draws", 4)
     kp = cfg.get_int("harness.test_draws", 4)
-    m = cfg.get_int("harness.m") if cfg.has("harness.m") else None
+    m = _get_count(cfg, "harness.m", 1) if cfg.has("harness.m") else None
     cfg.reject_unread()
     seed = seed_int(cfg.seed, "harness")
     est = estimate_stability(alg, sampler, k, kp, seed)
@@ -300,8 +298,8 @@ def run_compare(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     k = cfg.get_int("harness.pert_draws", 2)
     kp = cfg.get_int("harness.test_draws", 2)
     cfg.reject_unread()
+    report = bnd.bound_report(params, delta)  # rejects a bad delta before the estimate
     est = estimate_stability(alg, sampler, k, kp, seed_int(cfg.seed, "harness"))
-    report = bnd.bound_report(params, delta)
     expected_all, highprob = report["expected_beta2"], report["highprob_beta2"]
     rows = [[i, est.beta2_i[i], v["expected_beta2"], highprob,
              v["expected_beta2"] is not None and est.beta2_i[i] <= v["expected_beta2"]]
@@ -334,7 +332,12 @@ def run_srm(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     lambdas = cfg.get_floats("srm.lambdas", "0.0 0.1 1.0")
     if not lambdas:
         raise ConfigError("key 'srm.lambdas': expected at least one slack")
+    bad = [lam for lam in lambdas if not (np.isfinite(lam) and lam >= 0)]
+    if bad:
+        raise ConfigError(f"key 'srm.lambdas': expected finite slacks >= 0, got {bad}")
     eps = cfg.get_float("srm.epsilon") if cfg.has("srm.epsilon") else None
+    if eps is not None and not np.isfinite(eps):
+        raise ConfigError(f"key 'srm.epsilon': expected a finite value, got {eps}")
     cfg.reject_unread()
     beta2_by_degree = {}
     for d in range(1, d_max + 1):
@@ -342,21 +345,18 @@ def run_srm(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
                                  seed_int(cfg.seed, "srm-beta", d))
         beta2_by_degree[d] = est.beta2
     z = sampler.sample(seed_int(cfg.seed, "srm-train"))
-    rows = []
-    for lam in lambdas:
-        sel = srm.select_sparse(family, z, lam, beta2_by_degree)
-        for fit in sel.fits:
-            rows.append([lam, fit.degree, fit.empirical_risk, fit.penalty,
-                         fit.penalized_risk, fit.degree == sel.selected.degree])
+    selections = [srm.select_sparse(family, z, lam, beta2_by_degree) for lam in lambdas]
+    rows = [[sel.lambda_slack, fit.degree, fit.empirical_risk, fit.penalty,
+             fit.penalized_risk, fit.degree == sel.selected.degree]
+            for sel in selections for fit in sel.fits]
+    holdout = [sampler.sample(seed_int(cfg.seed, "srm-holdout", h))
+               for h in range(holdout_sets)]
+    # summary.json checks the guarantee at the last slack of srm.lambdas; an
+    # epsilon below the guarantee floor raises here, before any file is written
+    record = srm.srm_report(selections[-1], family, holdout, eps, beta1=0.0, n_vertices=rf.n)
     write_csv(outdir / "srm.csv",
               ["lambda", "d", "class_risk", "penalty", "penalized_risk", "selected"],
               rows, chash)
-    holdout = [sampler.sample(seed_int(cfg.seed, "srm-holdout", h))
-               for h in range(holdout_sets)]
-    if eps is None:
-        beta2 = max(beta2_by_degree.values())
-        eps = max(0.0, bnd.srm_epsilon_floor(beta2, sel.lambda_slack, d_max)) + 1.0
-    record = srm.srm_report(sel, family, holdout, eps, beta1=0.0, n_vertices=rf.n)
     write_json(outdir / "summary.json", {
         "beta2_by_degree": beta2_by_degree,
         "selected_degree": record.selected_degree,

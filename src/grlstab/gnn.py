@@ -65,6 +65,7 @@ import numpy as np
 from .graphs import (ReceptiveFieldMap, erdos_renyi_graph, mask_from_fields,
                      one_hop_receptive_fields)
 from .harness import StabilityEstimate
+from .sampling import rows_in_ball
 from .seeding import child_rng, seed_int
 
 
@@ -179,13 +180,6 @@ class GnnStabilityResult(StabilityEstimate):
     seed: int
 
 
-def _rows_in_ball(rng: np.random.Generator, count: int, dim: int, radius: float) -> np.ndarray:
-    rows = rng.normal(size=(count, dim))
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    rows *= radius * rng.random((count, 1)) ** (1.0 / dim)
-    return rows
-
-
 def _loss_diff_sup_label(pred_base: np.ndarray, pred_pert: np.ndarray, b_y: float) -> np.ndarray:
     """sup over y' in [-B_y, B_y] of |(p - y')^2 - (q - y')^2| per vertex.
 
@@ -218,10 +212,9 @@ def _test_feature_candidates(rng, n, dim, b_x, weight, pairs, n_draws) -> np.nda
     denominator, rows of A~ beyond row i, so the sign corners need not
     attain the sup over test features; these candidates lower-estimate it.
 
-    The n_draws Monte Carlo sets come first, drawn as _rows_in_ball draws
-    them (one normal and one uniform call per set, in that order) and then
-    normalised and scaled together. Corners follow: they set every row to
-    +-b_x along the weight direction; sign patterns come from the dominant
+    The n_draws Monte Carlo sets come first, one ``sampling.rows_in_ball``
+    call each. Corners follow: they set every row to +-b_x along the weight
+    direction; sign patterns come from the dominant
     rows of each fitted difference (which drive the first factor of the
     loss-difference product) and from the matching rows of the
     base+perturbed sum (the second factor). Rows where the difference is
@@ -244,13 +237,8 @@ def _test_feature_candidates(rng, n, dim, b_x, weight, pairs, n_draws) -> np.nda
                     if np.any(source != 0.0):
                         signs.append(np.where(source >= 0.0, 1.0, -1.0))
     cands = np.empty((n_draws + len(signs), n, dim))
-    draws = cands[:n_draws]
-    radii = np.empty((n_draws, n, 1))
     for k in range(n_draws):
-        draws[k] = rng.normal(size=(n, dim))
-        radii[k] = rng.random((n, 1))
-    draws /= np.linalg.norm(draws, axis=2, keepdims=True)
-    draws *= b_x * radii ** (1.0 / dim)
+        cands[k] = rows_in_ball(rng, n, dim, b_x)
     if signs:
         np.multiply(np.array(signs)[:, :, None], b_x * (weight / wn), out=cands[n_draws:])
     return cands
@@ -290,9 +278,9 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
     for trial in range(trials):
         rng = child_rng(seed, "gnn-trial", trial)
         base_radius = b_x - eps_feature if kind == FEATURE_MODE else b_x
-        x = _rows_in_ball(rng, n, dim, base_radius)
+        x = rows_in_ball(rng, n, dim, base_radius)
         y = rng.uniform(-b_y, b_y, size=n)
-        w = _rows_in_ball(rng, 1, dim, b_w)[0]
+        w = rows_in_ball(rng, 1, dim, b_w)[0]
         base = GnnProblem(features=x, labels=y, weight=w, mask=mask, ridge=ridge,
                           b_x=b_x, b_y=b_y, b_w=b_w)
         a_base = fit_projected_closed_form(base)

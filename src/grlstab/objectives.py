@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import ReceptiveFieldMap
-from .sampling import SampleSet, sample_space_diameter
+from .sampling import SampleSet, rows_in_ball, sample_space_diameter
 from .seeding import child_rng
 
 STRONGLY_CONVEX = "strongly-convex"
@@ -179,12 +179,6 @@ class FieldObjective:
         return 0.5 * r * r + self._penalty(w)
 
     # -- random admissible draws used by the empirical certifiers ------------
-    def _random_w(self, rng, count):
-        v = rng.normal(size=(count, self.dim))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        r = self.weight_radius * rng.random(count) ** (1.0 / self.dim)
-        return v * r[:, None]
-
     def _random_field(self, rng, max_members=4):
         k = int(rng.integers(1, max_members + 1))
         x = rng.normal(size=(k, self.dim))
@@ -274,7 +268,7 @@ def gradient_check(obj: FieldObjective, trials: int, seed: int, tol: float = 1e-
     for _ in range(trials):
         x, y = obj._random_field(rng)
         u = obj.field_feature(x)
-        w = obj._random_w(rng, 1)[0]
+        w = rows_in_ball(rng, 1, obj.dim, obj.weight_radius)[0]
         g = obj.grad_uy(u, y, w)
         fd = finite_difference_gradient(lambda v: obj.loss_uy(u, y, v), w)
         err = np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g))
@@ -321,7 +315,7 @@ def certify_constants(obj: FieldObjective, trials: int, seed: int,
 
     for t in range(trials):
         x, y = obj._random_field(rng)
-        w1, w2 = obj._random_w(rng, 2)
+        w1, w2 = rows_in_ball(rng, 2, obj.dim, obj.weight_radius)
         u = obj.field_feature(x)
         dw = np.linalg.norm(w1 - w2)
         if dw > 1e-12:
@@ -399,7 +393,7 @@ def cocoercivity_check(obj: FieldObjective, trials: int, seed: int) -> Cocoerciv
     for _ in range(trials):
         x, y = obj._random_field(rng)
         u = obj.field_feature(x)
-        w1, w2 = obj._random_w(rng, 2)
+        w1, w2 = rows_in_ball(rng, 2, obj.dim, obj.weight_radius)
         v = violation(u, y, w1, w2)
         if v > worst:
             worst, witness = v, (u, y, w1, w2)
@@ -454,7 +448,7 @@ def contraction_check(obj: FieldObjective, alpha: float, trials: int, seed: int)
     for _ in range(trials):
         x, y = obj._random_field(rng)
         u = obj.field_feature(x)
-        w1, w2 = obj._random_w(rng, 2)
+        w1, w2 = rows_in_ball(rng, 2, obj.dim, obj.weight_radius)
         dw = np.linalg.norm(w1 - w2)
         if dw < 1e-12:
             continue

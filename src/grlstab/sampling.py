@@ -88,6 +88,18 @@ def sample_space_diameter(b_x: float, b_y: float) -> float:
     return float(np.hypot(2.0 * b_x, 2.0 * b_y))
 
 
+def rows_in_ball(rng: np.random.Generator, count: int, dim: int, radius: float) -> np.ndarray:
+    """(count, dim) rows uniform in the centred ball of the given radius.
+
+    One rng.normal call for the directions, then one rng.random call for the
+    radii; each normal row is normalised and scaled by radius * u**(1/dim).
+    """
+    rows = rng.normal(size=(count, dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows *= radius * rng.random((count, 1)) ** (1.0 / dim)
+    return rows
+
+
 def _checked_lambda(z: SampleSet, indices, mode: str) -> list:
     """Lambda as sorted distinct ints, after checking the replacement mode and range."""
     if mode not in ("fresh-marginal", "fresh-conditional"):
@@ -271,10 +283,10 @@ class IsingSpec:
         spins = np.asarray(spins, dtype=float)
         if self.label_rule == "self":
             return np.clip(spins, -self.b_y, self.b_y)
+        # one mean per field-size group; spins are +-1, so every sum is exact
         out = np.empty_like(spins)
-        for i in range(self.n):
-            members = list(self.rf.xi[i])
-            out[..., i] = np.clip(spins[..., members].mean(axis=-1), -self.b_y, self.b_y)
+        for vertices, members in self.rf.size_groups:
+            out[..., vertices] = np.clip(spins[..., members].mean(axis=-1), -self.b_y, self.b_y)
         return out
 
     def sample_set_from_spins(self, spins: np.ndarray, seed: int) -> SampleSet:

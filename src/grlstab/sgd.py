@@ -11,6 +11,9 @@ step:
 - "self": n_t = i
 - "miss": i is outside the sampled receptive field
 
+Fields are symmetric, so the code of every vertex is read off Xi(i) alone:
+"hit" on Xi(i) minus i, "self" at i, "miss" elsewhere.
+
 One private loop, ``_descend``, serves the training and coupled runs:
 ``train`` is one descent over an index stream on the m*N pooled vertices of
 m sample sets (m = 1 is the single-graph run), and a coupled run is two
@@ -196,14 +199,6 @@ class SgdAlgorithm:
         return bound.losses(h)
 
 
-def case_label(rf: ReceptiveFieldMap, vertex: int, sampled: int) -> str:
-    if sampled == vertex:
-        return "self"
-    if vertex in rf.xi[sampled]:
-        return "hit"
-    return "miss"
-
-
 def coupled_train(z: SampleSet, z_pert: SampleSet, rf: ReceptiveFieldMap,
                   obj: FieldObjective, cfg: SgdConfig) -> CoupledTrace:
     """Run the shared-stream coupling on z and its replacement Z^i at one vertex.
@@ -233,7 +228,9 @@ def coupled_train(z: SampleSet, z_pert: SampleSet, rf: ReceptiveFieldMap,
     d = np.empty((len(weights), dim + dim % 2))[:, :dim]
     np.subtract(weights, weights_p, out=d)
     deltas = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
-    code_of = np.array([CASES.index(case_label(rf, vertex, j)) for j in range(rf.n)])
+    code_of = np.full(rf.n, CASES.index("miss"))
+    code_of[list(rf.xi[vertex])] = CASES.index("hit")
+    code_of[vertex] = CASES.index("self")
 
     base = Trajectory(weights=weights, indices=indices, config=cfg)
     pert = Trajectory(weights=weights_p, indices=indices.copy(), config=cfg)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import srm_confidence
+from .bounds import srm_confidence, srm_epsilon_floor
 from .graphs import ReceptiveFieldMap
 from .sampling import SampleSet
 
@@ -67,28 +67,27 @@ class DegreeClassFamily:
     def __post_init__(self):
         if self.d_max < 1:
             raise ValueError("d_max must be >= 1")
-        if self.weight_radius <= 0:
-            raise ValueError("weight_radius must be > 0")
+        # NaN fails every comparison, so the check is written to fail on it
+        if not (np.isfinite(self.weight_radius) and self.weight_radius > 0):
+            raise ValueError(f"weight_radius must be finite and > 0, got {self.weight_radius!r}")
 
     def n_slots(self, degree: int) -> int:
         return 2 * degree - 1
 
     @functools.cached_property
-    def _slot_tables(self) -> tuple:
-        """Per degree 1..d_max, the (N, n_slots) member vertex of every slot
-        (-1 where the slot is absent), built once from truncated_fields."""
+    def _slot_table(self) -> np.ndarray:
+        """(N, n_slots(d_max)) member vertex of every slot (-1 where the slot
+        is absent), built once from truncated_fields. Degree d's slots are
+        its first n_slots(d) columns: they hold the members within distance d-1."""
         n = self.rf.n
-        tables = []
-        for degree in range(1, self.d_max + 1):
-            table = np.full((n, self.n_slots(degree)), -1)
-            for i, members in enumerate(truncated_fields(self.rf, degree)):
-                table[i, 0] = i
-                for j in members:
-                    if j != i:
-                        dist = _circular_distance(i, j, n)
-                        table[i, 2 * dist - 1 if (i + dist) % n == j else 2 * dist] = j
-            tables.append(table)
-        return tuple(tables)
+        table = np.full((n, self.n_slots(self.d_max)), -1)
+        for i, members in enumerate(truncated_fields(self.rf, self.d_max)):
+            table[i, 0] = i
+            for j in members:
+                if j != i:
+                    dist = _circular_distance(i, j, n)
+                    table[i, 2 * dist - 1 if (i + dist) % n == j else 2 * dist] = j
+        return table
 
     def design_matrix(self, z: SampleSet, degree: int) -> np.ndarray:
         """(N, n_slots * dim) stacked features; absent slots contribute zeros."""
@@ -96,7 +95,7 @@ class DegreeClassFamily:
             raise ValueError(f"degree must be in 1..{self.d_max}, got {degree}")
         # slot -1 reads the appended zero row
         padded = np.vstack([z.features, np.zeros((1, self.dim))])
-        return padded[self._slot_tables[degree - 1]].reshape(self.rf.n, -1)
+        return padded[self._slot_table[:, :self.n_slots(degree)]].reshape(self.rf.n, -1)
 
     def loss_bound(self) -> float:
         """B_L for the squared loss over the constrained class."""
@@ -192,8 +191,8 @@ def select_sparse(family: DegreeClassFamily, z: SampleSet, lambda_slack: float,
     Ties break toward the smaller degree; each class is fitted by its
     ``SrmClassAlgorithm``.
     """
-    if lambda_slack < 0:
-        raise ValueError("lambda_slack must be >= 0")
+    if not (np.isfinite(lambda_slack) and lambda_slack >= 0):
+        raise ValueError(f"lambda_slack must be finite and >= 0, got {lambda_slack!r}")
     degrees = range(1, family.d_max + 1)
     missing = [d for d in degrees if d not in beta2_by_degree]
     if missing:
@@ -224,13 +223,17 @@ class SrmGuaranteeRecord:
 
 
 def srm_report(selection: SrmSelection, family: DegreeClassFamily, holdout_sets,
-               epsilon: float, beta1: float, n_vertices: int) -> SrmGuaranteeRecord:
+               epsilon: float | None, beta1: float, n_vertices: int) -> SrmGuaranteeRecord:
     """Pair a selection with its confidence and both sides of the guarantee.
 
     The oracle side inf_h ( R(h) + (lambda + 2) d(h) beta2 ) is estimated by
-    the per-class ERMs evaluated on held-out sets.
+    the per-class ERMs evaluated on held-out sets, each scored once. beta2
+    is the max over the degrees; epsilon None takes the guarantee floor
+    (``bounds.srm_epsilon_floor``, at least 0) plus 1.
     """
     beta2 = max(selection.beta2_by_degree.values())
+    if epsilon is None:
+        epsilon = max(0.0, srm_epsilon_floor(beta2, selection.lambda_slack, family.d_max)) + 1.0
 
     def holdout_risk(fit: ClassFit) -> float:
         alg = SrmClassAlgorithm(family, fit.degree)
@@ -238,9 +241,10 @@ def srm_report(selection: SrmSelection, family: DegreeClassFamily, holdout_sets,
                  for z in holdout_sets]
         return float(np.mean(risks))
 
-    lhs = holdout_risk(selection.selected)
+    risks = {fit.degree: holdout_risk(fit) for fit in selection.fits}
+    lhs = risks[selection.selected.degree]
     rhs = min(
-        holdout_risk(fit)
+        risks[fit.degree]
         + (selection.lambda_slack + 2.0) * fit.degree * selection.beta2_by_degree[fit.degree]
         for fit in selection.fits
     ) + epsilon

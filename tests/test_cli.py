@@ -641,6 +641,71 @@ srm.lambdas =
     assert not out.exists()
 
 
+SRM_CYCLE8 = """
+experiment = srm
+seed = 8
+out = {out}
+graph.kind = cycle
+graph.n = 8
+sampler.kind = iid
+srm.d_max = 2
+srm.beta_pert_draws = 1
+srm.beta_test_draws = 1
+"""
+
+
+def test_srm_summary_checks_the_last_slack(tmp_path):
+    records = {}
+    for name, lambdas in [("both", "0.0 1.0"), ("last", "1.0")]:
+        out = tmp_path / name
+        path = write_config(tmp_path, f"{name}.ini", SRM_CYCLE8.format(out=out)
+                            + f"srm.lambdas = {lambdas}\n")
+        assert run_cli(["run", path]) == 0
+        records[name] = json.loads((out / "summary.json").read_text())
+        del records[name]["config_hash"]
+    assert records["both"] == records["last"]
+
+
+@pytest.mark.parametrize("body, error, message", [
+    ("experiment = srm\nsrm.lambdas = nan\n", "ConfigError", "srm.lambdas"),
+    ("experiment = srm\nsrm.lambdas = 0.1 inf\n", "ConfigError", "srm.lambdas"),
+    ("experiment = srm\nsrm.lambdas = -1\n", "ConfigError", "srm.lambdas"),
+    ("experiment = srm\nsrm.epsilon = nan\n", "ConfigError", "srm.epsilon"),
+    ("experiment = srm\nsrm.epsilon = inf\n", "ConfigError", "srm.epsilon"),
+    ("experiment = srm\nsrm.weight_radius = nan\n", "ValueError",
+     "weight_radius must be finite"),
+    ("experiment = compare\nsgd.steps = 10\ndelta = 2\n", "BoundDomainError",
+     "delta must be in"),
+    ("experiment = compare\nsgd.steps = 10\ndelta = 0\n", "BoundDomainError",
+     "delta must be in"),
+    ("experiment = compare\nsgd.steps = 10\ndelta = nan\n", "BoundDomainError",
+     "delta must be in"),
+    ("experiment = stability\nsgd.steps = 10\nharness.m = 0\n", "ConfigError", "harness.m"),
+])
+def test_bad_value_rejected_before_any_estimate(tmp_path, capsys, monkeypatch,
+                                                body, error, message):
+    # the srm NaN and infinite values used to exit 0, writing NaN or Infinity
+    # into summary.json (invalid JSON); the others exited 1 only after the
+    # stability estimates
+    def never(*args, **kwargs):
+        raise AssertionError("estimated before the config values were checked")
+
+    monkeypatch.setattr(cli, "estimate_stability", never)
+    monkeypatch.setattr(cli, "estimate_mu", never)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "value.ini", f"""
+seed = 5
+out = {out}
+graph.kind = cycle
+graph.n = 8
+sampler.kind = iid
+""" + body)
+    assert run_cli(["run", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error and message in err["message"]
+    assert not out.exists()
+
+
 REJECTED_VALUES = {
     "bounds-step-nan": ("experiment = bounds\nsgd.step_size = nan\n",
                         "ValueError", "step size must be finite"),
@@ -658,6 +723,8 @@ REJECTED_VALUES = {
     "sample-bx-nan": ("experiment = sample\nsampler.bx = nan\n", "ValueError", "b_x must be"),
     "sample-bx-negative": ("experiment = sample\nsampler.bx = -1\n",
                            "ValueError", "b_x must be"),
+    "srm-eps-below-floor": ("experiment = srm\nsrm.epsilon = -5\n",
+                            "SrmFloorError", "guarantee floor"),
     "sample-noise-nan": ("experiment = sample\nsampler.label_noise = nan\n",
                          "ValueError", "label_noise must be"),
 }
@@ -729,6 +796,22 @@ def test_edge_list_graph_samples_like_its_generator(tmp_path):
         assert run_cli(["run", path]) == 0
         rows[kind] = read_csv(out / "samples.csv")
     assert rows["edge-list"] == rows["cycle"]
+
+
+def test_erdos_renyi_graph_outside_a_sweep_is_drawn_from_the_graph_stream(tmp_path):
+    g = graphs.erdos_renyi_graph(6, 0.5, seed_int(8, "graph"))
+    assert 0 < len(g.edges) < 15
+    edges = tmp_path / "er6.txt"
+    edges.write_text("".join(f"{i} {j}\n" for i, j in sorted(g.edges)))
+    rows = {}
+    for kind, extra in [("edge-list", f"graph.path = {edges}\n"),
+                        ("erdos-renyi", "graph.p = 0.5\n")]:
+        out = tmp_path / kind
+        path = write_config(tmp_path, f"{kind}.ini", SAMPLE_ISING.format(out=out)
+                            + f"graph.kind = {kind}\n" + extra)
+        assert run_cli(["run", path]) == 0
+        rows[kind] = read_csv(out / "samples.csv")
+    assert rows["erdos-renyi"] == rows["edge-list"]
 
 
 def test_edge_list_without_path_is_user_error(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from grlstab import gnn, graphs
+from grlstab.sampling import rows_in_ball
 from grlstab.seeding import child_rng
 
 from gnn_oracles import (SupportError, fit_exact_rowwise, full_objective_gradient,
@@ -200,7 +201,7 @@ def test_projected_features_cached_once_with_unchanged_bits():
 
 def reference_test_feature_candidates(rng, n, dim, b_x, weight, pairs, n_draws):
     """The candidate list the batched experiment must reproduce, one set at a time."""
-    cands = [gnn._rows_in_ball(rng, n, dim, b_x) for _ in range(n_draws)]
+    cands = [rows_in_ball(rng, n, dim, b_x) for _ in range(n_draws)]
     wn = float(np.linalg.norm(weight))
     if wn == 0.0:
         return cands
@@ -237,9 +238,9 @@ def reference_gnn_stability_experiment(rf, kind, trials, eps_feature, seed,
     for trial in range(trials):
         rng = child_rng(seed, "gnn-trial", trial)
         base_radius = b_x - eps_feature if kind == gnn.FEATURE_MODE else b_x
-        x = gnn._rows_in_ball(rng, n, dim, base_radius)
+        x = rows_in_ball(rng, n, dim, base_radius)
         y = rng.uniform(-b_y, b_y, size=n)
-        w = gnn._rows_in_ball(rng, 1, dim, b_w)[0]
+        w = rows_in_ball(rng, 1, dim, b_w)[0]
         base = gnn.GnnProblem(features=x, labels=y, weight=w, mask=mask, ridge=ridge,
                               b_x=b_x, b_y=b_y, b_w=b_w)
         a_base = fit(base)
@@ -400,9 +401,9 @@ def test_label_mode_beta2_is_sign_corner_closed_form(solver, case, monkeypatch):
     expected = np.zeros(n)
     for trial in range(trials):
         rng = child_rng(seed, "gnn-trial", trial)
-        x = gnn._rows_in_ball(rng, n, dim, b_x)
+        x = rows_in_ball(rng, n, dim, b_x)
         y = rng.uniform(-b_y, b_y, size=n)
-        w = gnn._rows_in_ball(rng, 1, dim, b_w)[0]
+        w = rows_in_ball(rng, 1, dim, b_w)[0]
         v = x @ w
         m = np.where(mask, v, 0.0)
         if solver == "projected":

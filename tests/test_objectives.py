@@ -8,6 +8,7 @@ from grlstab.objectives import (CertificationError, QuadraticFieldObjective,
                                 RippleFieldObjective, certify_constants,
                                 cocoercivity_check, finite_difference_gradient,
                                 gradient_check)
+from grlstab.sampling import rows_in_ball
 from grlstab.seeding import child_rng
 
 
@@ -68,7 +69,7 @@ def test_loss_bounded_on_admissible_inputs():
         for _ in range(10_000):
             x, y = obj._random_field(rng)
             u = obj.field_feature(x)
-            w = obj._random_w(rng, 1)[0]
+            w = rows_in_ball(rng, 1, obj.dim, obj.weight_radius)[0]
             val = obj.loss_uy(u, y, w)
             assert 0.0 <= val <= cert.loss_bound + 1e-12
 
@@ -139,7 +140,7 @@ def test_strong_convexity_inequality_on_samples():
     for _ in range(500):
         x, y = obj._random_field(rng)
         u = obj.field_feature(x)
-        w1, w2 = obj._random_w(rng, 2)
+        w1, w2 = rows_in_ball(rng, 2, obj.dim, obj.weight_radius)
         lhs = obj.loss_uy(u, y, w1) - obj.loss_uy(u, y, w2)
         rhs = float(obj.grad_uy(u, y, w2) @ (w1 - w2)) + 0.5 * obj.gamma * np.sum((w1 - w2) ** 2)
         assert lhs >= rhs - 1e-9

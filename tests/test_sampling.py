@@ -55,6 +55,49 @@ def test_iid_bounds_hold():
     assert np.all(np.abs(z.labels) <= s.b_y + 1e-12)
 
 
+def noiseless_labels(s, features):
+    return np.clip(features.sum(axis=1) / np.sqrt(s.dim), -s.b_y, s.b_y)
+
+
+def test_iid_label_noise_stays_bounded_and_reproducible():
+    s = iid_sampler(n=12, b_y=0.6, label_noise=0.3)
+    z = s.sample(5)
+    assert np.all(np.abs(z.labels) <= s.b_y)
+    assert np.array_equal(z.labels, s.sample(5).labels)
+    rule = noiseless_labels(s, z.features)
+    assert np.all(np.abs(z.labels - rule) <= s.label_noise)
+    assert np.count_nonzero(z.labels != rule) >= z.n // 2
+    assert not np.array_equal(z.labels, s.sample(6).labels)
+
+
+def test_iid_replace_redraws_label_noise_only_at_lambda():
+    s = iid_sampler(n=12, label_noise=0.3)
+    z = s.sample(5)
+    lam = [2, 7]
+    z2 = s.replace(z, lam, seed=9)
+    keep = [i for i in range(z.n) if i not in lam]
+    assert np.array_equal(z2.labels[keep], z.labels[keep])
+    assert np.array_equal(z2.features[keep], z.features[keep])
+    rule = noiseless_labels(s, z2.features[lam])
+    assert np.all(z2.labels[lam] != rule)
+    assert np.all(np.abs(z2.labels[lam] - rule) <= s.label_noise)
+    assert np.array_equal(z2.labels, s.replace(z, lam, seed=9).labels)
+
+
+@pytest.mark.parametrize("count, dim, radius", [(1, 3, 1.0), (7, 2, 0.4), (50, 5, 2.5)])
+def test_rows_in_ball_draws_one_normal_then_one_uniform_call(count, dim, radius):
+    from grlstab.seeding import child_rng
+
+    rng, ref = child_rng(3, "ball", count), child_rng(3, "ball", count)
+    rows = sampling.rows_in_ball(rng, count, dim, radius)
+    v = ref.normal(size=(count, dim))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    expected = v * (radius * ref.random(count) ** (1.0 / dim))[:, None]
+    assert np.array_equal(rows, expected)
+    assert rng.random() == ref.random()  # both generators end in the same state
+    assert np.all(np.linalg.norm(rows, axis=1) <= radius * (1 + 1e-12))
+
+
 def pairwise_influence_proxy(signs: np.ndarray, i: int, j: int):
     """TV between P(sign_i = +1 | sign_j = +1) and (... | sign_j = -1).
 
@@ -417,6 +460,21 @@ def test_upper_bound_dominates_exact_on_random_specs():
         j = g.adjacency.astype(float) * rng.uniform(-0.4, 0.4)
         spec = sampling.IsingSpec(coupling=j, external_field=rng.normal(size=n) * 0.3, rf=rf)
         assert sampling.dobrushin_upper_bound(spec) >= sampling.dobrushin_exact(spec) - 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_field_mean_labels_match_a_per_vertex_loop(seed):
+    # Erdos-Renyi fields have mixed sizes; b_y = 0.5 makes the clip bite
+    rf = graphs.one_hop_receptive_fields(graphs.erdos_renyi_graph(8, 0.35, seed))
+    spec = sampling.IsingSpec(coupling=np.zeros((8, 8)), external_field=np.zeros(8),
+                              rf=rf, b_y=0.5)
+    configs = sampling.enumerate_spin_configs(8)
+    expected = np.empty(configs.shape)
+    for i in range(8):
+        members = list(rf.xi[i])
+        expected[:, i] = np.clip(configs[:, members].mean(axis=-1), -0.5, 0.5)
+    assert np.array_equal(spec.labels_from_spins(configs), expected)
+    assert np.array_equal(spec.labels_from_spins(configs[5]), expected[5])
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ import pytest
 from grlstab import bounds, graphs, sampling
 from grlstab.objectives import (QuadraticFieldObjective, RippleFieldObjective,
                                 contraction_check)
-from grlstab.sgd import (SgdConfig, SgdDivergenceError, case_label, coupled_train,
-                         draw_indices, envelope_check, train)
+from grlstab.sgd import (SgdConfig, SgdDivergenceError, coupled_train, draw_indices,
+                         envelope_check, train)
+from grlstab.sampling import rows_in_ball
 from grlstab.seeding import child_rng
 
 
@@ -60,6 +61,15 @@ def reference_descend(bounds, indices, cfg):
     return weights
 
 
+def case_label(rf, vertex, sampled):
+    """The case of a step that samples ``sampled``, from that vertex's own field."""
+    if sampled == vertex:
+        return "self"
+    if vertex in rf.xi[sampled]:
+        return "hit"
+    return "miss"
+
+
 def reference_coupled(z, z_pert, rf, obj, cfg):
     """(base weights, perturbed weights, delta norms, case labels)."""
     vertex = int(z.differing_vertices(z_pert)[0])
@@ -97,7 +107,7 @@ def test_step_matches_gradient_composition():
     rf, sampler, obj, z = setup_problem()
     rng = child_rng(1, "recompose")
     for _ in range(100):
-        w = obj._random_w(rng, 1)[0]
+        w = rows_in_ball(rng, 1, obj.dim, obj.weight_radius)[0]
         i = int(rng.integers(0, z.n))
         expected = w - 0.05 * bound_gradient(obj.bind(z, rf), i, w)
         assert np.allclose(sgd_step(w, 0.05, i, z, rf, obj), expected)  # inside ball
@@ -365,6 +375,20 @@ def test_case_labels_match_fields():
         expected = ("self" if sampled == 3
                     else "hit" if 3 in rf.xi[int(sampled)] else "miss")
         assert trace.case_labels[t] == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_case_labels_match_oracle_on_irregular_graphs(seed):
+    # Erdos-Renyi fields have mixed sizes; every vertex of every graph is replaced
+    rf = graphs.one_hop_receptive_fields(graphs.erdos_renyi_graph(10, 0.3, seed))
+    sampler = sampling.IidSampler(rf=rf, dim=3)
+    obj = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
+    z = sampler.sample(seed)
+    for vertex in range(rf.n):
+        z_i = sampler.replace(z, [vertex], seed=100 + vertex)
+        trace = coupled_train(z, z_i, rf, obj, SgdConfig(step_size=0.1, steps=60, seed=vertex))
+        assert trace.case_labels == tuple(case_label(rf, vertex, j)
+                                          for j in trace.base.indices.tolist())
 
 
 def label_margins(trace, obj):

@@ -192,6 +192,20 @@ def test_missing_beta_rejected():
         srm.select_sparse(family, z, 1.0, {1: 0.0})
 
 
+@pytest.mark.parametrize("slack", [float("nan"), float("inf"), -1.0])
+def test_non_finite_or_negative_slack_rejected(slack):
+    family = make_family()
+    _, z = make_instance(family, seed=7)
+    with pytest.raises(ValueError, match="lambda_slack must be finite"):
+        srm.select_sparse(family, z, slack, {1: 0.0, 2: 0.0, 3: 0.0})
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1.0])
+def test_non_finite_or_non_positive_weight_radius_rejected(radius):
+    with pytest.raises(ValueError, match="weight_radius must be finite"):
+        make_family(radius=radius)
+
+
 def test_srm_class_algorithm_stability_in_harness():
     family = make_family(n=6, d_max=2)
     sampler = sampling.IidSampler(rf=family.rf, dim=3)
