@@ -9,40 +9,48 @@ with first-order-corrected branches near the removable points so the closed
 forms match direct loop iteration to 1e-9 relative even at |x - 1| ~ 1e-12.
 
 Recursion constants for T-step fixed-step SGD over N vertices with field
-sizes NN_i (d_i = NN_i / N), certificate constants (lam, gamma, L, zeta,
-B_Z, B_L):
+sizes NN_i and certificate constants (lam, gamma, L, zeta, B_Z, B_L) come
+from one per-step case table, ``step_cases``. A step that samples a vertex
+whose field holds i ("hit", probability (NN_i - 1)/N), i itself ("self",
+1/N) or neither ("miss", (N - NN_i)/N) maps the deviation d to at most
+growth * d + kick:
 
-  strongly convex:
-    PZ_i = d_i a lam (gamma/(lam+gamma) - a) + a^2 lam / N
-           + (1 - a lam gamma/(lam+gamma))
-    PY_i = a B_Z zeta (NN_i - 1)/N + 2 a L / N
-    valid when a^4 lam^2 + 2 a lam gamma/(lam+gamma) <= 1
-  non-convex:
-    growth = 1 + (N-1)/N * a lam         (> 1 for every a > 0)
-    PY_i as above
+    hit = (c, a B_Z zeta),  self = (1, 2 a L),  miss = (c, 0)
 
-Both come from one per-step case table, ``step_cases``: a step that samples
-a vertex whose field holds i ("hit", probability (NN_i - 1)/N), i itself
-("self", 1/N) or neither ("miss", (N - NN_i)/N) maps the deviation d to
-growth * d + kick. PY_i and the non-convex growth are the table's average
-over the three cases; the strongly convex growth stays PZ_i above. Each
-depends on vertex i only through NN_i: ``recursion_constants`` returns them
-as (N,) arrays over the field sizes. ``bound_terms`` maps the scalar kernels
-over them one vertex at a time into one ``BoundTerms`` record (growth, kick,
-geom(growth_i, T), the expected envelope, both second-moment forms below,
-the step condition); every bound and every number of ``bound_report`` is a
-max or sum over it.
+with c = rho = 1 - a lam gamma/(lam+gamma) (strongly convex) or 1 + a lam
+(non-convex). The strongly convex hit case in two lines: the same-data step
+is rho-expansive for a <= 2/(lam+gamma) (Hardt, Recht & Singer 2016, Lemma
+3.7), and changing the data at one field member moves the gradient by at
+most zeta B_Z; projection is 1-Lipschitz, so both survive it.
+``recursion_constants`` is the table's average over the three cases, in
+both regimes, as (N,) arrays over the field sizes:
 
-Expected stability:  E[beta_{2,i}] <= L * geom(growth_i, T) * PY_i.
+    growth_i = c + (1 - c)/N
+    kick_i   = a B_Z zeta (NN_i - 1)/N + 2 a L / N
 
-Second-moment recursion v_t = PZ^2 v_{t-1} + 2 PY PZ m_{t-1} + PY^2 with
-m_t the first-moment solution. Its exact solution is the squared first
-moment, (PY geom(PZ, T))^2. The looser sum form
+``bound_terms`` maps the scalar kernels over them one vertex at a time into
+one ``BoundTerms`` record (growth, kick, geom(growth_i, T), the expected
+envelope, both second-moment forms below, the validity conditions); every
+bound and every number of ``bound_report`` is a max or sum over it.
 
-    2 PY^2 (PZ^{2T} - PZ^T)/(PZ^2 - PZ) + PY^2 (1 - PZ^T)/(1 - PZ)^2
+The strongly convex bounds have two validity conditions, which
+``bound_report`` prints and ``BoundTerms.applicable`` gates on: a <=
+2/(lam+gamma), which the lemma needs, and the paper's step-size domain
+a^4 lam^2 + 2 a lam gamma/(lam+gamma) <= 1. Neither implies the other: at
+lam = 100, gamma = 1, a = 0.03 the second holds and the first fails. The
+non-convex regime has no condition.
+
+Expected stability:  E[beta_{2,i}] <= L * geom(growth_i, T) * kick_i.
+
+Second-moment recursion, with g = growth_i and k = kick_i:
+v_t = g^2 v_{t-1} + 2 k g m_{t-1} + k^2 with m_t the first-moment solution.
+Its exact solution is the squared first moment, (k geom(g, T))^2. The looser
+sum form
+
+    2 k^2 (g^{2T} - g^T)/(g^2 - g) + k^2 (1 - g^T)/(1 - g)^2
 
 is what the high-probability expressions consume; both are reported. The
-second ratio of the loose form has no finite limit at PZ = 1, so within
+second ratio of the loose form has no finite limit at g = 1, so within
 the branch width it falls back to the exact-solution limit (geom^2 = T^2);
 this is recorded, not hidden. For growth > 1 at small T the loose form is
 negative, so at small T every non-convex spec has it negative; the
@@ -121,62 +129,53 @@ class SgdBoundParams:
         object.__setattr__(self, "field_sizes", sizes)
 
 
-def step_condition(a: float, lam: float, gamma: float) -> float:
-    """a^4 lam^2 + 2 a lam gamma / (lam + gamma), at most 1 in the strongly
-    convex domain; the per-step envelopes pick their hit-case branch by it."""
-    return a**4 * lam**2 + 2.0 * a * lam * gamma / (lam + gamma)
-
-
-def step_condition_ok(p: SgdBoundParams) -> bool:
-    cert = p.certificate
-    return step_condition(p.step_size, cert.smoothness, cert.strong_convexity) <= 1.0
-
-
 # ---------------------------------------------------------------------------
-# Recursion constants
+# Recursion constants and validity conditions
 
 
 def step_cases(cert: ConstantsCertificate, a: float, regime: str) -> dict:
     """(growth, kick) of the "hit", "self" and "miss" cases: one step of size
-    a maps a deviation d to at most growth * d + kick. The strongly convex
-    hit growth is a^2 lam while ``step_condition`` is at most 1, else rho."""
+    a maps a deviation d to at most growth * d + kick. The hit and miss
+    growth is rho = 1 - a lam gamma/(lam+gamma) (strongly convex, for
+    a <= 2/(lam+gamma)) or 1 + a lam (non-convex)."""
     lam = cert.smoothness
-    hit_kick = a * cert.sample_diameter * cert.gradient_data_lipschitz
-    self_case = (1.0, 2.0 * a * cert.lipschitz)
     if regime == STRONGLY_CONVEX:
         gamma = cert.strong_convexity
-        rho = 1.0 - a * lam * gamma / (lam + gamma)
-        hit = a**2 * lam if step_condition(a, lam, gamma) <= 1.0 else rho
-        return {"hit": (hit, hit_kick), "self": self_case, "miss": (rho, 0.0)}
-    grow = 1.0 + a * lam
-    return {"hit": (grow, hit_kick), "self": self_case, "miss": (grow, 0.0)}
+        grow = 1.0 - a * lam * gamma / (lam + gamma)
+    else:
+        grow = 1.0 + a * lam
+    return {"hit": (grow, a * cert.sample_diameter * cert.gradient_data_lipschitz),
+            "self": (1.0, 2.0 * a * cert.lipschitz), "miss": (grow, 0.0)}
 
 
 def recursion_constants(p: SgdBoundParams):
-    """(growth, kick): the active regime's per-vertex constants as (N,) arrays.
-
-    Both are ``step_cases`` averaged over the case probabilities
-    (NN_i - 1)/N, 1/N and (N - NN_i)/N, except the strongly convex growth
-    PZ_i: that is the average with hit growth 1 - a^2 lam, not a^2 lam.
-    """
-    cert = p.certificate
-    a = p.step_size
+    """(growth, kick): ``step_cases`` averaged over the case probabilities
+    (NN_i - 1)/N, 1/N and (N - NN_i)/N, as (N,) arrays."""
     n = p.n_vertices
     sizes = p.field_sizes
-    cases = step_cases(cert, a, p.regime)
+    cases = step_cases(p.certificate, p.step_size, p.regime)
 
     def average(k):
         return (cases["hit"][k] * (sizes - 1) / n + cases["self"][k] / n
                 + cases["miss"][k] * (n - sizes) / n)
 
-    if p.regime == STRONGLY_CONVEX:
-        lam, gamma = cert.smoothness, cert.strong_convexity
-        growth = sizes / n * a * lam * (gamma / (lam + gamma) - a) + a**2 * lam / n + (
-            1.0 - a * lam * gamma / (lam + gamma)
-        )
-    else:
-        growth = average(0)
-    return growth, average(1)
+    return average(0), average(1)
+
+
+def _conditions(p: SgdBoundParams) -> dict:
+    """The validity conditions of the SGD bounds, each {"value", "ok"}; the
+    non-convex regime has none."""
+    if p.regime != STRONGLY_CONVEX:
+        return {}
+    a = p.step_size
+    lam, gamma = p.certificate.smoothness, p.certificate.strong_convexity
+    step = a**4 * lam**2 + 2.0 * a * lam * gamma / (lam + gamma)
+    return {
+        "step-size: a^4 lam^2 + 2 a lam gamma/(lam+gamma) <= 1": {
+            "value": step, "ok": bool(step <= 1.0)},
+        "contraction: a <= 2/(lam+gamma)": {
+            "value": a, "ok": bool(a <= 2.0 / (lam + gamma))},
+    }
 
 
 def _check_delta(delta: float) -> None:
@@ -218,13 +217,17 @@ def variance_term_exact(growth: float, kick: float, steps: int) -> float:
 class BoundTerms:
     """Every per-vertex term the SGD bounds read, as (N,) arrays."""
 
-    growth: np.ndarray  # recursion growth, PZ_i in the strongly convex regime
-    kick: np.ndarray  # recursion kick PY_i
+    growth: np.ndarray  # recursion growth
+    kick: np.ndarray  # recursion kick
     geom: np.ndarray  # geometric_series(growth_i, T)
     loose: np.ndarray  # loose second-moment sum form
     exact: np.ndarray  # exact second-moment solution (squared first moment)
     expected: np.ndarray  # expected stability envelope L * geom_i * kick_i
-    applicable: bool  # false exactly when the strongly convex step condition fails
+    conditions: dict  # validity conditions, as ``bound_report`` prints them
+
+    @property
+    def applicable(self) -> bool:
+        return all(c["ok"] for c in self.conditions.values())
 
 
 def bound_terms(p: SgdBoundParams) -> BoundTerms:
@@ -237,7 +240,7 @@ def bound_terms(p: SgdBoundParams) -> BoundTerms:
         loose=np.array([variance_term_loose(g, k, p.steps) for g, k in pairs]),
         exact=np.array([variance_term_exact(g, k, p.steps) for g, k in pairs]),
         expected=p.certificate.lipschitz * geom * kick,
-        applicable=p.regime != STRONGLY_CONVEX or step_condition_ok(p),
+        conditions=_conditions(p),
     )
 
 
@@ -248,8 +251,7 @@ def bound_terms(p: SgdBoundParams) -> BoundTerms:
 def expected_stability_bound(p: SgdBoundParams, i: int | None = None) -> float | None:
     """L * geom(growth_i, T) * kick_i; sup over i when i is None.
 
-    Returns None (not-applicable) when the strongly convex step-size
-    condition fails.
+    Returns None (not-applicable) when a validity condition fails.
     """
     t = bound_terms(p)
     if not t.applicable:
@@ -265,9 +267,9 @@ def highprob_stability_bound(p: SgdBoundParams, delta: float) -> float | None:
     """Non-asymptotic high-probability stability bound for the active regime.
 
     Chebyshev mass enters under 1/delta and the sub-Gaussian tail under
-    log(2/delta) (the union-bound split). Returns None when the
-    strongly-convex step-size condition fails or the loose second moment
-    is negative (growth > 1 at small T).
+    log(2/delta) (the union-bound split). Returns None when a validity
+    condition fails or the loose second moment is negative (growth > 1 at
+    small T).
     """
     _check_delta(delta)
     t = bound_terms(p)
@@ -356,8 +358,8 @@ def sgd_generalization_bound(p: SgdBoundParams, delta: float) -> float | None:
     surplus = [(2 - 1/N) sqrt(2N log(2/delta)) + 2] * sup_i envelope_i
             + (B_L / N) sqrt(2N log(2/delta))
     with the regime's per-vertex stability envelope inside the sup. Returns
-    None when the strongly-convex step-size condition fails or the loose
-    second moment is negative.
+    None when a validity condition fails or the loose second moment is
+    negative.
     """
     _check_delta(delta)
     t = bound_terms(p)
@@ -425,21 +427,7 @@ def bound_report(p: SgdBoundParams, delta: float) -> dict:
     than numeric. The non-convex regime has no condition: its growth
     exceeds 1 at every step size.
     """
-    cert = p.certificate
     t = bound_terms(p)
-    conditions = {}
-    if p.regime == STRONGLY_CONVEX:
-        value = step_condition(p.step_size, cert.smoothness, cert.strong_convexity)
-        conditions["step-size: a^4 lam^2 + 2 a lam gamma/(lam+gamma) <= 1"] = {
-            "value": value,
-            "ok": bool(value <= 1.0),
-        }
-        rho_ok = p.step_size <= 2.0 / (cert.smoothness + cert.strong_convexity)
-        conditions["contraction: a <= 2/(lam+gamma)"] = {
-            "value": p.step_size,
-            "ok": bool(rho_ok),
-        }
-
     env = t.expected if t.applicable else None
     per_vertex = [{
         "vertex": i,
@@ -456,8 +444,8 @@ def bound_report(p: SgdBoundParams, delta: float) -> dict:
         "steps": p.steps,
         "step_size": p.step_size,
         "delta": delta,
-        "certificate": asdict(cert),
-        "conditions": conditions,
+        "certificate": asdict(p.certificate),
+        "conditions": t.conditions,
         "per_vertex": per_vertex,
         "expected_beta2": None if env is None else _sup(env),
         "variance_sum_loose": float(t.loose.sum()),

@@ -193,8 +193,8 @@ def run_train(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
         if r == 0:  # train.runs is at least 1
             first = trace
     _write_trajectory(outdir, chash, first.base, first)
-    growths, kicks = bnd.recursion_constants(params)
-    growth, kick = float(growths[vertex]), float(kicks[vertex])
+    terms = bnd.bound_terms(params)
+    growth, kick = float(terms.growth[vertex]), float(terms.kick[vertex])
     stats = [[t, float(sum_delta[t] / runs),
               kick * bnd.geometric_series(growth, t)]
              for t in range(sgd_cfg.steps + 1)]
@@ -203,7 +203,7 @@ def run_train(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     oks, margins = zip(*verdicts)
     write_json(outdir / "envelope.json", {
         "regime": report.regime,
-        "regime_a_active": report.regime_a_active,
+        "applicable": terms.applicable,
         "min_margin": float(min(margins)) if sgd_cfg.steps else 0.0,
         "ok": all(oks),
     }, chash)

@@ -58,9 +58,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import step_cases, step_condition
+from .bounds import step_cases
 from .graphs import ReceptiveFieldMap
-from .objectives import STRONGLY_CONVEX, BoundObjective, FieldObjective
+from .objectives import BoundObjective, FieldObjective
 from .sampling import SampleSet
 from .seeding import child_rng
 
@@ -246,7 +246,6 @@ def coupled_train(z: SampleSet, z_pert: SampleSet, rf: ReceptiveFieldMap,
 class EnvelopeReport:
     regime: str
     margins: np.ndarray  # rhs - lhs per step; negative entries are violations
-    regime_a_active: bool  # strongly convex: which hit-case branch applies
     ok: bool
 
 
@@ -254,17 +253,14 @@ def envelope_check(trace: CoupledTrace, obj: FieldObjective) -> EnvelopeReport:
     """Recheck every recorded step against its case bound from
     ``bounds.step_cases``: d_next <= growth * d_prev + kick.
 
-    The strongly convex hit-case branch is chosen globally from the fixed
-    step size (the first when ``bounds.step_condition`` is at most 1); the
-    active one is recorded.
+    One table serves both regimes. The strongly convex one holds for
+    a <= 2/(lam+gamma), the contraction condition ``bounds.bound_report``
+    prints, with no condition on the weight radius; outside it the check
+    reports what it measured.
     """
-    cert = obj.certificate
-    alpha = trace.base.config.step_size
-    cases = step_cases(cert, alpha, obj.regime)
+    cases = step_cases(obj.certificate, trace.base.config.step_size, obj.regime)
     growth, kick = np.array([cases[c] for c in CASES])[trace.case_codes].T
     d = trace.delta_norms
     margins = growth * d[:-1] + kick - d[1:]
-    regime_a = obj.regime == STRONGLY_CONVEX and step_condition(
-        alpha, cert.smoothness, cert.strong_convexity) <= 1.0
-    return EnvelopeReport(regime=obj.regime, margins=margins, regime_a_active=regime_a,
+    return EnvelopeReport(regime=obj.regime, margins=margins,
                           ok=bool(np.all(margins >= -ENVELOPE_TOL)))

@@ -78,14 +78,14 @@ def test_criterion_03_per_step_envelopes():
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(n))
     sampler = sampling.IidSampler(rf=rf, dim=3)
 
-    # strongly convex: radius chosen so 2W <= alpha * B_Z * zeta and the
-    # step-size condition holds
+    # strongly convex: the bounds' validity conditions hold (the envelopes
+    # need only alpha <= 2/(lam + gamma), at any radius)
     obj_sc = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 0.15)
     alpha = 0.1
     cert = obj_sc.certificate
-    assert bounds.step_condition_ok(bounds.SgdBoundParams(
+    assert bounds.bound_terms(bounds.SgdBoundParams(
         certificate=cert, step_size=alpha, steps=steps, n_vertices=n,
-        field_sizes=rf.sizes, regime=bounds.STRONGLY_CONVEX))
+        field_sizes=rf.sizes, regime=bounds.STRONGLY_CONVEX)).applicable
     worst_margin = np.inf
     for run in range(runs):
         z = sampler.sample(seed_int(301, "draw", run))

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from grlstab import bounds
-from grlstab.objectives import ConstantsCertificate
+from grlstab import bounds, graphs
+from grlstab.objectives import ConstantsCertificate, QuadraticFieldObjective, contraction_check
 
 
 def unit_cert(lam=1.0, gamma=1.0, lip=1.0, zeta=1.0, b_l=1.0, b_z=1.0):
@@ -88,7 +88,7 @@ def difference_equation_solution(a, b, c, d, steps):
 
 def variance_abcd_coefficients(growth, kick):
     """A/B/C/D of the second-moment difference equation (growth != 1):
-    A = PZ^2, B = PZ, C = 2 PZ PY^2/(PZ-1), D = PY^2(PZ+1)/(1-PZ)."""
+    A = g^2, B = g, C = 2 g k^2/(g-1), D = k^2(g+1)/(1-g) for growth g, kick k."""
     a = growth**2
     b = growth
     c = 2.0 * growth * kick**2 / (growth - 1.0)
@@ -140,55 +140,48 @@ def test_variance_abcd_substitution_matches_iteration():
 # Recursion constants
 
 
-def convex_recursion_constants(p, i):
-    """Scalar (PZ_i, PY_i) at vertex i, written out as the theorem states them."""
+def reference_constants(p, i):
+    """Scalar (growth_i, kick_i) at vertex i, written out: the hit/self/miss
+    average of the per-step growths (c, 1, c) and kicks (a B_Z zeta, 2 a L, 0)
+    weighted (NN_i - 1, 1, N - NN_i)/N, with c = rho = 1 - a lam gamma/(lam +
+    gamma) (strongly convex) or 1 + a lam (non-convex)."""
     cert = p.certificate
     lam, gamma = cert.smoothness, cert.strong_convexity
     a = p.step_size
     n = p.n_vertices
-    d_i = p.field_sizes[i] / n
-    pz = d_i * a * lam * (gamma / (lam + gamma) - a) + a**2 * lam / n + (
-        1.0 - a * lam * gamma / (lam + gamma)
-    )
-    py = a * cert.sample_diameter * cert.gradient_data_lipschitz * (p.field_sizes[i] - 1) / n \
-        + 2.0 * a * cert.lipschitz / n
-    return float(pz), float(py)
-
-
-def nonconvex_growth_constant(p, i):
-    """1 + (N - 1)/N * a * lam, as the hit/self/miss average of the per-step
-    growths (1 + a lam, 1, 1 + a lam) weighted (NN_i - 1, 1, N - NN_i)/N."""
-    n = p.n_vertices
-    grow = 1.0 + p.step_size * p.certificate.smoothness
-    return float(grow * (p.field_sizes[i] - 1) / n + 1.0 / n
-                 + grow * (n - p.field_sizes[i]) / n)
-
-
-def nonconvex_kick_constant(p, i):
-    cert = p.certificate
-    n = p.n_vertices
-    return float(
-        p.step_size * cert.sample_diameter * cert.gradient_data_lipschitz
-        * (p.field_sizes[i] - 1) / n
-        + 2.0 * p.step_size * cert.lipschitz / n
-    )
-
-
-def reference_constants(p, i):
+    nn = p.field_sizes[i]
     if p.regime == bounds.STRONGLY_CONVEX:
-        return convex_recursion_constants(p, i)
-    return nonconvex_growth_constant(p, i), nonconvex_kick_constant(p, i)
+        c = 1.0 - a * lam * gamma / (lam + gamma)
+    else:
+        c = 1.0 + a * lam
+    growth = c * (nn - 1) / n + 1.0 / n + c * (n - nn) / n
+    kick = a * cert.sample_diameter * cert.gradient_data_lipschitz * (nn - 1) / n \
+        + 2.0 * a * cert.lipschitz / n
+    return float(growth), float(kick)
+
+
+def reference_applicable(p):
+    """Both strongly convex validity conditions, written out: the paper's
+    step-size domain and the contraction lemma's a <= 2/(lam + gamma)."""
+    if p.regime != bounds.STRONGLY_CONVEX:
+        return True
+    a = p.step_size
+    lam, gamma = p.certificate.smoothness, p.certificate.strong_convexity
+    return a**4 * lam**2 + 2.0 * a * lam * gamma / (lam + gamma) <= 1.0 \
+        and a <= 2.0 / (lam + gamma)
 
 
 def test_hand_substitution_constants():
+    # rho = 1 - 0.1 / 2 = 0.95, growth = rho + (1 - rho)/10
     p = hand_params()
-    pz, py = convex_recursion_constants(p, 0)
-    assert pz == pytest.approx(0.959)
-    assert py == pytest.approx(0.03)
-    cert = p.certificate
-    assert bounds.step_condition(p.step_size, cert.smoothness,
-                                 cert.strong_convexity) == pytest.approx(0.1001)
-    assert bounds.step_condition_ok(p)
+    growth, kick = reference_constants(p, 0)
+    assert growth == pytest.approx(0.955)
+    assert kick == pytest.approx(0.03)
+    terms = bounds.bound_terms(p)
+    step, contraction = terms.conditions.values()
+    assert step["value"] == pytest.approx(0.1001) and step["ok"]
+    assert contraction["value"] == 0.1 and contraction["ok"]
+    assert terms.applicable
 
 
 def test_zero_step_limits():
@@ -197,9 +190,9 @@ def test_zero_step_limits():
         p = bounds.SgdBoundParams(certificate=cert, step_size=alpha, steps=5,
                                   n_vertices=10, field_sizes=np.full(10, 2),
                                   regime=bounds.STRONGLY_CONVEX)
-        pz, py = convex_recursion_constants(p, 0)
-        assert pz == pytest.approx(1.0, abs=1e-5)
-        assert py == pytest.approx(0.0, abs=1e-5)
+        growth, kick = reference_constants(p, 0)
+        assert growth == pytest.approx(1.0, abs=1e-5)
+        assert kick == pytest.approx(0.0, abs=1e-5)
 
 
 def test_isolated_vertex_kick_only_self_term():
@@ -207,8 +200,8 @@ def test_isolated_vertex_kick_only_self_term():
     p = bounds.SgdBoundParams(certificate=cert, step_size=0.1, steps=5,
                               n_vertices=10, field_sizes=np.full(10, 1),
                               regime=bounds.STRONGLY_CONVEX)
-    _, py = convex_recursion_constants(p, 0)
-    assert py == pytest.approx(2 * 0.1 * 1.0 / 10)
+    _, kick = reference_constants(p, 0)
+    assert kick == pytest.approx(2 * 0.1 * 1.0 / 10)
 
 
 def test_nonconvex_growth_constant():
@@ -216,7 +209,7 @@ def test_nonconvex_growth_constant():
     p = bounds.SgdBoundParams(certificate=cert, step_size=0.1, steps=5,
                               n_vertices=10, field_sizes=np.full(10, 2),
                               regime=bounds.NON_CONVEX)
-    assert nonconvex_growth_constant(p, 0) == pytest.approx(1.0 + 0.9 * 0.1, rel=1e-15)
+    assert reference_constants(p, 0)[0] == pytest.approx(1.0 + 0.9 * 0.1, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +221,10 @@ def test_expected_bound_zero_steps():
 
 
 def test_expected_bound_hand_value():
-    # L * geom(0.959, 10) * 0.03, with the geometric sum from a loop oracle
-    expect = 1.0 * geom_loop(0.959, 10) * 0.03
+    # L * geom(0.955, 10) * 0.03, with the geometric sum from a loop oracle
+    expect = 1.0 * geom_loop(0.955, 10) * 0.03
     assert bounds.expected_stability_bound(hand_params(), 0) == pytest.approx(expect, rel=1e-12)
-    assert expect == pytest.approx(0.2502, abs=2e-4)
+    assert expect == pytest.approx(0.2460, abs=2e-4)
 
 
 def test_expected_bound_nonconvex_growth_limits():
@@ -244,8 +237,8 @@ def test_expected_bound_nonconvex_growth_limits():
     p0 = bounds.SgdBoundParams(certificate=cert0, step_size=0.1, steps=7,
                                n_vertices=n, field_sizes=np.full(n, 2),
                                regime=bounds.NON_CONVEX)
-    assert nonconvex_growth_constant(p0, 0) == pytest.approx(1.0, abs=1e-12)
-    kick0 = nonconvex_kick_constant(p0, 0)
+    growth0, kick0 = reference_constants(p0, 0)
+    assert growth0 == pytest.approx(1.0, abs=1e-12)
     assert bounds.expected_stability_bound(p0, 0) == pytest.approx(7 * kick0, rel=1e-9)
 
     cert = ConstantsCertificate(smoothness=1.0, strong_convexity=0.0, lipschitz=1.0,
@@ -255,8 +248,8 @@ def test_expected_bound_nonconvex_growth_limits():
     p = bounds.SgdBoundParams(certificate=cert, step_size=alpha_unit, steps=7,
                               n_vertices=n, field_sizes=np.full(n, 2),
                               regime=bounds.NON_CONVEX)
-    assert nonconvex_growth_constant(p, 0) == pytest.approx(2.0, abs=1e-12)
-    kick = nonconvex_kick_constant(p, 0)
+    growth, kick = reference_constants(p, 0)
+    assert growth == pytest.approx(2.0, abs=1e-12)
     assert bounds.expected_stability_bound(p, 0) == pytest.approx(127 * kick, rel=1e-9)
 
 
@@ -265,7 +258,7 @@ def test_expected_bound_not_applicable_when_condition_fails():
     p = bounds.SgdBoundParams(certificate=cert, step_size=1.9, steps=5,
                               n_vertices=10, field_sizes=np.full(10, 2),
                               regime=bounds.STRONGLY_CONVEX)
-    assert not bounds.step_condition_ok(p)
+    assert not bounds.bound_terms(p).applicable
     assert bounds.expected_stability_bound(p) is None
     assert bounds.highprob_stability_bound(p, 0.1) is None
 
@@ -289,14 +282,14 @@ def test_variance_zero_cases():
 
 def test_variance_exact_matches_recursion_loop():
     p = hand_params(steps=10)
-    pz, py = convex_recursion_constants(p, 0)
+    g, k = reference_constants(p, 0)
     v = m = 0.0
     for _ in range(10):
-        v = pz * pz * v + 2 * py * pz * m + py * py
-        m = pz * m + py
+        v = g * g * v + 2 * k * g * m + k * k
+        m = g * m + k
     assert bounds.bound_terms(p).exact[0] == pytest.approx(v, rel=1e-9)
     # exact solution equals the A/B/C/D difference-equation solution
-    a, b, c, d = variance_abcd_coefficients(pz, py)
+    a, b, c, d = variance_abcd_coefficients(g, k)
     assert difference_equation_solution(a, b, c, d, 10) == pytest.approx(v, rel=1e-9)
 
 
@@ -338,10 +331,10 @@ def test_highprob_convex_dual_implementation():
     envs = []
     var_sum = 0.0
     for i in range(10):
-        pz, py = convex_recursion_constants(p, i)
-        envs.append((pz**10 - 1) / (pz - 1) * py)
-        var_sum += (2 * py**2 * (pz**20 - pz**10) / (pz**2 - pz)
-                    + py**2 * (1 - pz**10) / (1 - pz) ** 2)
+        g, k = reference_constants(p, i)
+        envs.append((g**10 - 1) / (g - 1) * k)
+        var_sum += (2 * k**2 * (g**20 - g**10) / (g**2 - g)
+                    + k**2 * (1 - g**10) / (1 - g) ** 2)
     sup_env = max(envs)
     gap = (lam - gamma) * math.sqrt(math.log(2 / delta) / 8)
     expected = (lip + gap) * sup_env + gap * (sup_env + math.sqrt(var_sum / delta)) ** 2
@@ -464,10 +457,10 @@ def test_sgd_generalization_bound_dual_implementation_convex():
     n = 10
     envs = []
     for i in range(n):
-        pz, py = convex_recursion_constants(p, i)
-        var_i = (2 * py**2 * (pz**20 - pz**10) / (pz**2 - pz)
-                 + py**2 * (1 - pz**10) / (1 - pz) ** 2)
-        envs.append(1.0 * (pz**10 - 1) / (pz - 1) * py
+        g, k = reference_constants(p, i)
+        var_i = (2 * k**2 * (g**20 - g**10) / (g**2 - g)
+                 + k**2 * (1 - g**10) / (1 - g) ** 2)
+        envs.append(1.0 * (g**10 - 1) / (g - 1) * k
                     + math.sqrt(1 / (4 * delta)) * 0.0 * var_i)  # lam - gamma = 0
     prefactor = (2 - 1 / n) * math.sqrt(2 * n * math.log(2 / delta)) + 2
     expect = prefactor * max(envs) + 1.0 / n * math.sqrt(2 * n * math.log(2 / delta))
@@ -550,7 +543,7 @@ def test_bound_report_nonconvex_has_no_conditions_and_stays_numeric():
 
 
 def reference_expected(p, i=None):
-    if p.regime == bounds.STRONGLY_CONVEX and not bounds.step_condition_ok(p):
+    if not reference_applicable(p):
         return None
     lip = p.certificate.lipschitz
 
@@ -573,7 +566,7 @@ def reference_variances(p):
 
 
 def reference_highprob(p, delta):
-    if p.regime == bounds.STRONGLY_CONVEX and not bounds.step_condition_ok(p):
+    if not reference_applicable(p):
         return None
     loose, _ = reference_variances(p)
     if any(v < 0.0 for v in loose):
@@ -586,7 +579,7 @@ def reference_highprob(p, delta):
         lam, gamma = cert.smoothness, cert.strong_convexity
         sup_env = 0.0
         for i in range(p.n_vertices):
-            growth, kick = convex_recursion_constants(p, i)
+            growth, kick = reference_constants(p, i)
             sup_env = max(sup_env, bounds.geometric_series(growth, p.steps) * kick)
         gap = (lam - gamma) * math.sqrt(log_term / 8.0)
         chebyshev = math.sqrt(var / delta)
@@ -596,7 +589,7 @@ def reference_highprob(p, delta):
 
 
 def reference_generalization(p, delta):
-    if p.regime == bounds.STRONGLY_CONVEX and not bounds.step_condition_ok(p):
+    if not reference_applicable(p):
         return None
     loose, _ = reference_variances(p)
     if any(v < 0.0 for v in loose):
@@ -698,24 +691,48 @@ def case_average(p, k):
 
 
 def test_recursion_constants_are_the_case_table_average():
-    # the kick in both regimes and the non-convex growth are the average bit
-    # for bit; the strongly convex PZ_i (hit growth a^2 lam) sits below it by
-    # (NN_i - 1)/N * (2 a^2 lam - 1)
+    # growth and kick are the table average bit for bit in both regimes
     rng = np.random.default_rng(41)
-    seen = {"non-convex": 0, "regime a": 0}
+    seen = {bounds.NON_CONVEX: 0, bounds.STRONGLY_CONVEX: 0}
     for _ in range(2000):
         p = random_params(rng)
         growth, kick = bounds.recursion_constants(p)
+        assert growth.tolist() == case_average(p, 0).tolist()
         assert kick.tolist() == case_average(p, 1).tolist()
-        if p.regime == bounds.NON_CONVEX:
-            assert growth.tolist() == case_average(p, 0).tolist()
-            seen["non-convex"] += 1
-        elif bounds.step_condition_ok(p):
-            a, lam = p.step_size, p.certificate.smoothness
-            gap = (p.field_sizes - 1) / p.n_vertices * (2.0 * a**2 * lam - 1.0)
-            assert np.allclose(case_average(p, 0) - growth, gap, rtol=1e-12, atol=1e-12)
-            seen["regime a"] += 1
+        seen[p.regime] += 1
     assert all(count > 0 for count in seen.values()), seen
+
+
+def hole_params():
+    """Quadratic on cycle-16 at lam = 100, gamma = 1, a = 0.03: inside the
+    step-size domain, outside a <= 2/(lam + gamma)."""
+    obj = QuadraticFieldObjective(3, 100.0, 1.0, 1.0, 1.0, 1.0)
+    rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(16))
+    return obj, bounds.SgdBoundParams(certificate=obj.certificate, step_size=0.03, steps=200,
+                                      n_vertices=16, field_sizes=rf.sizes, regime=obj.regime)
+
+
+def test_bounds_not_applicable_outside_the_contraction_condition():
+    obj, p = hole_params()
+    step, contraction = bounds.bound_report(p, 0.1)["conditions"].values()
+    assert step["value"] == pytest.approx(0.0675, abs=1e-4) and step["ok"]
+    assert not contraction["ok"]
+    assert bounds.expected_stability_bound(p) is None
+    assert bounds.highprob_stability_bound(p, 0.1) is None
+    assert bounds.sgd_generalization_bound(p, 0.1) is None
+    # the same-data step is measurably expansive there, not rho-contractive
+    rho = 1.0 - 0.03 * 100.0 / 101.0
+    assert contraction_check(obj, 0.03, 2000, 5).max_ratio > rho
+
+
+def test_applicable_is_the_conjunction_of_the_reported_conditions():
+    rng = np.random.default_rng(42)
+    specs = [random_params(rng) for _ in range(500)] + [hole_params()[1]]
+    for p in specs:
+        conditions = bounds.bound_report(p, 0.1)["conditions"]
+        applicable = bounds.bound_terms(p).applicable
+        assert applicable == all(c["ok"] for c in conditions.values())
+        assert applicable == reference_applicable(p)
 
 
 def test_growth_above_one_at_small_t_makes_highprob_bounds_not_applicable():
@@ -725,7 +742,7 @@ def test_growth_above_one_at_small_t_makes_highprob_bounds_not_applicable():
     p = bounds.SgdBoundParams(certificate=unit_cert(gamma=0.0), step_size=0.05, steps=10,
                               n_vertices=10, field_sizes=np.full(10, 3),
                               regime=bounds.NON_CONVEX)
-    assert nonconvex_growth_constant(p, 0) == pytest.approx(1.045, rel=1e-15)
+    assert reference_constants(p, 0)[0] == pytest.approx(1.045, rel=1e-15)
     assert bounds.bound_terms(p).loose.sum() < 0.0
     assert bounds.highprob_stability_bound(p, 0.1) is None
     assert bounds.sgd_generalization_bound(p, 0.1) is None
