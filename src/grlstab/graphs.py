@@ -9,6 +9,7 @@ its aggregates drive every bound computed elsewhere.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,39 +86,45 @@ def build_graph(n: int, edges) -> Graph:
             raise GraphError(f"self loop at vertex {i} not allowed")
         canonical.add((min(i, j), max(i, j)))
     adjacency = np.zeros((n, n), dtype=bool)
-    for i, j in canonical:
-        adjacency[i, j] = True
-        adjacency[j, i] = True
+    pairs = np.fromiter(itertools.chain.from_iterable(canonical), dtype=np.intp,
+                        count=2 * len(canonical)).reshape(-1, 2)
+    adjacency[pairs[:, 0], pairs[:, 1]] = adjacency[pairs[:, 1], pairs[:, 0]] = True
     return Graph(n=n, edges=frozenset(canonical), adjacency=adjacency)
 
 
 def one_hop_receptive_fields(g: Graph) -> ReceptiveFieldMap:
     """Xi(i) = {i} union neighbors(i), the 1-hop construction."""
-    xi = []
-    for i in range(g.n):
-        members = set(np.nonzero(g.adjacency[i])[0].tolist())
-        members.add(i)
-        xi.append(tuple(sorted(members)))
-    return receptive_fields_from_map(g.n, xi)
+    closed = g.adjacency | np.eye(g.n, dtype=bool)
+    return receptive_fields_from_map(g.n, [np.flatnonzero(row).tolist() for row in closed])
 
 
 def receptive_fields_from_map(n: int, xi) -> ReceptiveFieldMap:
     """Validated constructor for an explicit receptive-field map.
 
-    Checks self-inclusion (i in Xi(i)) and symmetry (j in Xi(i) iff
-    i in Xi(j)); ``one_hop_receptive_fields`` builds its maps through it.
+    Checks that members are in range, self-inclusion (i in Xi(i)) and
+    symmetry (j in Xi(i) iff i in Xi(j)) on one boolean membership matrix,
+    and reports the first vertex that fails; ``one_hop_receptive_fields``
+    builds its maps through it.
     """
     if len(xi) != n:
         raise GraphError(f"expected {n} fields, got {len(xi)}")
     xi = tuple(tuple(sorted(set(int(j) for j in members))) for members in xi)
-    for i, members in enumerate(xi):
-        if any(j < 0 or j >= n for j in members):
+    # members are sorted, so a field is in range iff its two ends are
+    out_of_range = np.array([bool(m) and (m[0] < 0 or m[-1] >= n) for m in xi], dtype=bool)
+    in_range = [tuple(j for j in m if 0 <= j < n) if bad else m for m, bad in zip(xi, out_of_range)]
+    counts = [len(m) for m in in_range]
+    member = np.zeros((n, n), dtype=bool)  # member[i, j]: j in Xi(i)
+    member[np.repeat(np.arange(n), counts),
+           np.fromiter(itertools.chain.from_iterable(in_range), dtype=np.intp, count=sum(counts))] = True
+    asymmetric = member & ~member.T
+    failed = np.flatnonzero(out_of_range | ~member.diagonal() | asymmetric.any(axis=1))
+    if failed.size:  # the first failing vertex, its checks in the order listed above
+        i = int(failed[0])
+        if out_of_range[i]:
             raise GraphError(f"field of vertex {i} has out-of-range members")
-        if i not in members:
+        if not member[i, i]:
             raise GraphError(f"vertex {i} missing from its own receptive field")
-        for j in members:
-            if i not in xi[j]:
-                raise GraphError(f"field symmetry violated for pair ({i}, {j})")
+        raise GraphError(f"field symmetry violated for pair ({i}, {int(np.argmax(asymmetric[i]))})")
     sizes = np.array([len(members) for members in xi], dtype=int)
     d = sizes / float(n)
     return ReceptiveFieldMap(

@@ -308,7 +308,8 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 
 # Largest degree whose conditionals are tabulated (2^degree entries per site).
-# At most 8: the many-chain sweep builds pattern indices in uint8.
+# At most 8: the many-chain sweep builds pattern indices in uint8, then copies
+# them into an intp buffer to gather the table entries.
 TABLE_DEGREE_LIMIT = 8
 
 
@@ -372,19 +373,30 @@ def _glauber_one_chain(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> 
 
 
 def _glauber_chains(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> np.ndarray:
-    """All chains at once: site state is a (n, n_chains) array of 0/1 bytes."""
+    """All chains at once: site state is a (n, n_chains) array of 0/1 bytes.
+
+    A site's pattern index is built in uint8 from its neighbours' rows, then
+    copied into one intp buffer that gathers the table entries: a uint8
+    fancy index would be cast to intp on every gather.
+    """
     n, n_chains = spec.n, spins.shape[0]
     neighbours, tables = spec._conditionals
     up = np.ascontiguousarray((spins > 0).T, dtype=np.uint8)
+    plan = [(up[s], tables[s], [up[k] for k in neighbours[s].tolist()]) for s in range(n)]
     index = np.empty(n_chains, dtype=np.uint8)
+    gather = np.empty(n_chains, dtype=np.intp)
     for _ in range(sweeps):
         u = rng.random(n * n_chains).reshape(n, n_chains)
-        for s in range(n):
-            index.fill(0)
-            for k in neighbours[s]:
-                index += index
-                index += up[k]
-            np.less(u[s], tables[s][index], out=up[s])
+        for s, (row, table, nbr_rows) in enumerate(plan):
+            if nbr_rows:
+                np.copyto(index, nbr_rows[0])
+                for nbr in nbr_rows[1:]:
+                    index += index
+                    index += nbr
+                np.copyto(gather, index)
+            else:
+                gather.fill(0)
+            np.less(u[s], table[gather], out=row)
     return np.where(up.T, 1, -1).astype(int, order="C")
 
 
@@ -408,7 +420,10 @@ def glauber_spins(
     into calls, so all of these equal n per-site rng.random(n_chains) calls:
     the spins, and the Generator state left behind, are bit-identical to the
     per-site local-field loop. One chain runs as a pure-Python loop over
-    booleans; more chains advance together with numpy, one site at a time.
+    booleans; more chains advance together with numpy, one site at a time:
+    a site's neighbour-pattern index is built in uint8 from the neighbours'
+    rows and gathers the site's table through one reused intp buffer (reset
+    to pattern 0 for a site with no neighbour).
     """
     spins = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_chains, spec.n))
     if spec._conditionals is None:

@@ -116,3 +116,75 @@ def test_mask_from_fields_symmetric_with_diagonal():
     mask = graphs.mask_from_fields(rf)
     assert np.array_equal(mask, mask.T)
     assert mask.diagonal().all()
+
+
+def reference_field_error(n, xi):
+    """The tuple-scan validation: the message of the first failing check, or None."""
+    xi = [tuple(sorted({int(j) for j in members})) for members in xi]
+    for i, members in enumerate(xi):
+        if any(j < 0 or j >= n for j in members):
+            return f"field of vertex {i} has out-of-range members"
+        if i not in members:
+            return f"vertex {i} missing from its own receptive field"
+        for j in members:
+            if i not in xi[j]:
+                return f"field symmetry violated for pair ({i}, {j})"
+    return None
+
+
+def corrupted_fields(rng, n):
+    """One-hop fields of a random graph with a few members dropped or added,
+    some of them out of range, so every check and their order are exercised."""
+    g = graphs.erdos_renyi_graph(n, 0.4, int(rng.integers(1 << 30)))
+    xi = [set(m) for m in graphs.one_hop_receptive_fields(g).xi]
+    for _ in range(int(rng.integers(0, 4))):
+        i = int(rng.integers(n))
+        kind = int(rng.integers(3))
+        if kind == 0 and xi[i]:
+            xi[i].discard(int(rng.choice(sorted(xi[i]))))
+        elif kind == 1:
+            xi[i].add(int(rng.integers(n)))
+        else:
+            xi[i].add(int(rng.choice([-2, -1, n, n + 3])))
+    return [tuple(m) for m in xi]
+
+
+def test_field_validation_reports_the_first_failure_of_the_tuple_scan():
+    kinds = ("out-of-range", "missing", "symmetry")
+    rng = np.random.default_rng(8)
+    seen = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        xi = corrupted_fields(rng, n)
+        expected = reference_field_error(n, xi)
+        if expected is None:
+            rf = graphs.receptive_fields_from_map(n, xi)
+            assert rf.xi == tuple(tuple(sorted(m)) for m in xi)
+            seen.add("valid")
+        else:
+            with pytest.raises(graphs.GraphError) as err:
+                graphs.receptive_fields_from_map(n, xi)
+            assert str(err.value) == expected
+            seen.add(next(kind for kind in kinds if kind in expected))
+    assert seen == {"valid", *kinds}
+
+
+def test_field_validation_reads_in_range_members_of_a_field_with_out_of_range_ones():
+    # vertex 1 names 0 as well as the out-of-range 5, so vertex 0 is symmetric
+    # and the first failure is vertex 1's range
+    with pytest.raises(graphs.GraphError, match="^field of vertex 1 has out-of-range members$"):
+        graphs.receptive_fields_from_map(3, [(0, 1), (0, 1, 5), (2,)])
+    # vertex 1 does not name 0: vertex 0's symmetry fails first
+    with pytest.raises(graphs.GraphError, match="^field symmetry violated for pair \\(0, 1\\)$"):
+        graphs.receptive_fields_from_map(3, [(0, 1), (1, 5), (2,)])
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_adjacency_matches_the_edge_set(p):
+    g = graphs.erdos_renyi_graph(20, p, 4)
+    expected = np.zeros((20, 20), dtype=bool)
+    for i, j in g.edges:
+        expected[i, j] = expected[j, i] = True
+    assert np.array_equal(g.adjacency, expected)
+    rf = graphs.one_hop_receptive_fields(g)
+    assert rf.xi == tuple(tuple(sorted({i} | {j for j in range(20) if expected[i, j]})) for i in range(20))

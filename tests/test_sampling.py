@@ -215,8 +215,11 @@ KERNEL_SPECS = {
     "star": lambda: general_spec(graphs.star_graph(6), 1),
     "complete-11": lambda: general_spec(graphs.complete_graph(11), 2),
     "erdos-renyi": lambda: general_spec(graphs.erdos_renyi_graph(10, 0.4, 5), 3),
-    # vertex 4 has no neighbour: a one-entry table read at pattern 0
+    # vertex 4 has no neighbour: a one-entry table read at pattern 0, right
+    # after vertex 3's gather, so a gather buffer left unreset shows
     "isolated-vertex": lambda: general_spec(graphs.build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 5)]), 4),
+    # hub degree 8 = TABLE_DEGREE_LIMIT: pattern indices reach 255, the uint8 maximum
+    "star-9": lambda: general_spec(graphs.star_graph(9), 6),
 }
 
 
@@ -239,6 +242,19 @@ def sweeps_per_block(spec):
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
 def test_glauber_matches_reference_kernel(name, n_chains):
     assert_matches_reference(KERNEL_SPECS[name](), 40, n_chains)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_many_chains_match_reference_at_zero_and_one_sweep_and_two_chains(name):
+    spec = KERNEL_SPECS[name]()
+    for sweeps, n_chains in ((0, 64), (1, 64), (0, 2), (1, 2), (40, 2)):
+        assert_matches_reference(spec, sweeps, n_chains)
+
+
+def test_star_hub_has_the_largest_tabulated_degree():
+    neighbours, tables = KERNEL_SPECS["star-9"]()._conditionals
+    assert len(neighbours[0]) == sampling.TABLE_DEGREE_LIMIT
+    assert len(tables[0]) - 1 == np.iinfo(np.uint8).max
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
