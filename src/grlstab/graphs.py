@@ -30,7 +30,6 @@ class Graph:
     """
 
     n: int
-    edges: frozenset  # frozenset of (i, j) tuples with i < j
     adjacency: np.ndarray  # (n, n) bool, symmetric, zero diagonal
 
 
@@ -72,24 +71,22 @@ class ReceptiveFieldMap:
 def build_graph(n: int, edges) -> Graph:
     """Build a validated Graph from a vertex count and an edge pair list.
 
-    Pairs are deduplicated and symmetrized; self loops and out-of-range
-    indices are rejected.
+    Pairs are deduplicated and symmetrized; the first pair, in input order,
+    that is out of range or a self loop is rejected (range checked first).
     """
     if n < 1:
         raise GraphError(f"vertex count must be >= 1, got {n}")
-    canonical = set()
-    for pair in edges:
-        i, j = int(pair[0]), int(pair[1])
-        if not (0 <= i < n and 0 <= j < n):
+    pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    out_of_range = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    bad = np.flatnonzero(out_of_range | (pairs[:, 0] == pairs[:, 1]))
+    if bad.size:
+        i, j = pairs[bad[0]].tolist()
+        if out_of_range[bad[0]]:
             raise GraphError(f"edge ({i}, {j}) out of range for n={n}")
-        if i == j:
-            raise GraphError(f"self loop at vertex {i} not allowed")
-        canonical.add((min(i, j), max(i, j)))
+        raise GraphError(f"self loop at vertex {i} not allowed")
     adjacency = np.zeros((n, n), dtype=bool)
-    pairs = np.fromiter(itertools.chain.from_iterable(canonical), dtype=np.intp,
-                        count=2 * len(canonical)).reshape(-1, 2)
     adjacency[pairs[:, 0], pairs[:, 1]] = adjacency[pairs[:, 1], pairs[:, 0]] = True
-    return Graph(n=n, edges=frozenset(canonical), adjacency=adjacency)
+    return Graph(n=n, adjacency=adjacency)
 
 
 def one_hop_receptive_fields(g: Graph) -> ReceptiveFieldMap:
@@ -173,7 +170,7 @@ def erdos_renyi_graph(n: int, p: float, seed: int) -> Graph:
     rng = child_rng(seed, "erdos-renyi")
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.size) < p
-    return build_graph(n, list(zip(iu[keep].tolist(), ju[keep].tolist())))
+    return build_graph(n, np.column_stack((iu[keep], ju[keep])))
 
 
 GENERATORS = {

@@ -8,23 +8,23 @@ regime, and the Dobrushin coefficient
     alpha = max_i sum_{j != i} C_ij,
     C_ij  = sup_{s_-i-j, s_j, s_j'} TV( P(s_i | rest, s_j), P(s_i | rest, s_j') )
 
-(the max row sum of the influence matrix C) is exactly enumerable at desk
-scale. Spins are embedded into vertex samples
+(the max row sum of the influence matrix C) is exact at any N whose degrees
+are at most ENUMERATION_LIMIT. Spins are embedded into vertex samples
 Z_i = (X_i, Y_i) through a fixed per-vertex unit direction (X_i = s_i B_X q_i)
 so the embedded sample process inherits the spin coefficient: the features
 determine the spins, hence conditional laws are pushforwards under a fixed
 injective map and total variation is preserved.
 
-Glauber dynamics is table driven. A site's conditional depends only on its
-neighbours (the nonzero entries of its coupling row), so each IsingSpec
-builds, on first use, one table per site holding P(s_i = +1 | neighbour
-pattern) for all 2^degree patterns. Each entry is the logistic expression a
-single-chain update would evaluate, on a spin vector with that pattern, so
-the table holds the same floats. A spec with a site of degree above
-TABLE_DEGREE_LIMIT builds no tables and keeps the direct local-field
-computation for every site. The spec's coupling and field are read-only
-copies, so a table can never go stale. Vertex replacement evaluates the
-same logistic expression the tables are built from.
+A site's conditional depends only on its neighbours (the nonzero entries of
+its coupling row), so each IsingSpec builds, on first use, one table per
+site holding P(s_i = +1 | neighbour pattern) for all 2^degree patterns, with
+the floats a single-chain update evaluates. The Glauber sweep and the
+influence matrix read the same tables: C_ij is the largest change of i's
+entry as neighbour j flips. A spec with a site of degree above
+TABLE_DEGREE_LIMIT sweeps from the local field instead, and builds its
+tables only for the influence. The coupling and field are read-only copies,
+so a table can never go stale. Vertex replacement evaluates the same
+logistic expression the tables are built from.
 
 Perturbed sets Z^Lambda replace the samples indexed by Lambda and keep every
 other coordinate bit-identical, which realizes the single-vertex sets Z^i
@@ -100,6 +100,12 @@ def rows_in_ball(rng: np.random.Generator, count: int, dim: int, radius: float) 
     return rows
 
 
+def _check_bounds(b_x: float, b_y: float) -> None:
+    for name, bound in (("b_x", b_x), ("b_y", b_y)):
+        if not (np.isfinite(bound) and bound > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {bound!r}")
+
+
 def _checked_lambda(z: SampleSet, indices, mode: str) -> list:
     """Lambda as sorted distinct ints, after checking the replacement mode and range."""
     if mode not in ("fresh-marginal", "fresh-conditional"):
@@ -144,9 +150,7 @@ class IidSampler:
         # NaN fails every comparison, so each check is written to fail on it
         if not self.dim >= 1:
             raise ValueError(f"dim must be >= 1, got {self.dim!r}")
-        for name, bound in (("b_x", self.b_x), ("b_y", self.b_y)):
-            if not (np.isfinite(bound) and bound > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {bound!r}")
+        _check_bounds(self.b_x, self.b_y)
         if not (np.isfinite(self.label_noise) and self.label_noise >= 0):
             raise ValueError(f"label_noise must be finite and >= 0, got {self.label_noise!r}")
 
@@ -217,6 +221,7 @@ class IsingSpec:
             raise ValueError(f"unknown label rule {self.label_rule!r}")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
+        _check_bounds(self.b_x, self.b_y)
         object.__setattr__(self, "coupling", j)
         object.__setattr__(self, "external_field", h)
 
@@ -225,46 +230,37 @@ class IsingSpec:
         return self.rf.n
 
     @functools.cached_property
-    def _conditionals(self):
-        """(neighbours, tables): per site, the indices k with J_sk != 0 and the
-        P(s = +1 | neighbour pattern) table; None if a site's degree exceeds
-        TABLE_DEGREE_LIMIT."""
-        neighbours = [np.flatnonzero(self.coupling[s]) for s in range(self.n)]
-        if any(len(nb) > TABLE_DEGREE_LIMIT for nb in neighbours):
-            return None
-        return neighbours, [_site_table(self, s, nb) for s, nb in enumerate(neighbours)]
+    def _neighbours(self) -> list:
+        """Per site, the indices k with J_sk != 0: the spins its conditional reads."""
+        return [np.flatnonzero(row) for row in self.coupling]
+
+    @functools.cached_property
+    def _max_degree(self) -> int:
+        return max(len(nb) for nb in self._neighbours)
+
+    @functools.cached_property
+    def _tables(self) -> list:
+        """Per site, P(s = +1 | neighbour pattern) for all 2^degree patterns."""
+        for s, nb in enumerate(self._neighbours):
+            if len(nb) > ENUMERATION_LIMIT:
+                raise CapacityError(
+                    f"conditional tables support degree <= {ENUMERATION_LIMIT}, but site {s} "
+                    f"has degree {len(nb)}; use dobrushin_upper_bound")
+        return [_site_table(self, s, nb) for s, nb in enumerate(self._neighbours)]
 
     @functools.cached_property
     def influence(self) -> np.ndarray:
-        """Exact Dobrushin influence matrix C (n, n), by full enumeration.
+        """Exact Dobrushin influence matrix C (n, n), read off the conditional tables.
 
-        C_ij, i != j, is the max over all configurations of the remaining
-        n - 2 spins of the total variation between the two conditionals of
-        s_i as s_j flips: |sigmoid(2(b + J_ij)) - sigmoid(2(b - J_ij))| with b
-        the local field at i from the conditioning spins. C_ii = 0.
-        Read-only, and computed once per spec.
+        C_ij is the largest |P(s_i = +1 | s_j = +1) - P(s_i = +1 | s_j = -1)|
+        over the patterns of i's other neighbours, the largest step of i's
+        table along j's axis; 0 when J_ij = 0. Read-only, computed once.
         """
-        n = self.n
-        if n > ENUMERATION_LIMIT:
-            raise CapacityError(
-                f"dobrushin_exact supports n <= {ENUMERATION_LIMIT}; "
-                "use dobrushin_upper_bound for larger specs"
-            )
-        j = self.coupling
-        h = self.external_field
-        c = np.zeros((n, n))
-        for i in range(n):
-            others = [k for k in range(n) if k != i]
-            for jdx in others:
-                rest = [k for k in others if k != jdx]
-                if rest:
-                    rest_configs = enumerate_spin_configs(len(rest)).astype(float)
-                    b = rest_configs @ j[i, rest] + h[i]
-                else:
-                    b = np.array([h[i]])
-                p_plus = _sigmoid(2.0 * (b + j[i, jdx]))
-                p_minus = _sigmoid(2.0 * (b - j[i, jdx]))
-                c[i, jdx] = np.max(np.abs(p_plus - p_minus))
+        c = np.zeros((self.n, self.n))
+        for i, (nb, table) in enumerate(zip(self._neighbours, self._tables)):
+            grid = table.reshape((2,) * len(nb))
+            for m, j in enumerate(nb.tolist()):
+                c[i, j] = np.abs(np.diff(grid, axis=m)).max()
         c.setflags(write=False)
         return c
 
@@ -319,18 +315,20 @@ def _p_up(spec: IsingSpec, spins: np.ndarray, site: int) -> np.ndarray:
 
 
 def _site_table(spec: IsingSpec, site: int, neighbours: np.ndarray) -> np.ndarray:
-    """P(s_site = +1 | neighbour pattern) for every pattern, by _p_up on one row each.
+    """P(s_site = +1 | neighbour pattern) for every pattern.
 
     Pattern k sets neighbours[m] to bit (d - 1 - m) of k (first neighbour most
-    significant), so the rows follow enumerate_spin_configs(d). Each entry is
-    evaluated on a single spin vector, exactly as a one-chain update would.
+    significant), so the rows follow enumerate_spin_configs(d). Each local
+    field is the dot of one full-width spin row with the coupling row, as a
+    one-chain update evaluates it; the logistic then runs once over the table.
     """
     row = np.ones(spec.n, dtype=np.int8)  # other sites have zero coupling
-    out = np.empty(2 ** len(neighbours))
+    coupling = spec.coupling[site]
+    local = np.empty(2 ** len(neighbours))
     for k, pattern in enumerate(enumerate_spin_configs(len(neighbours))):
         row[neighbours] = pattern
-        out[k] = _p_up(spec, row[None, :], site)[0]
-    return out
+        local[k] = row @ coupling
+    return _sigmoid(2.0 * (local + spec.external_field[site]))
 
 
 def _glauber_direct(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> np.ndarray:
@@ -356,7 +354,7 @@ def _glauber_one_chain(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> 
     sweep after sweep in site order.
     """
     n = spec.n
-    neighbours, tables = spec._conditionals
+    neighbours, tables = spec._neighbours, spec._tables
     sites = [(s, tuple(neighbours[s].tolist()), tables[s].tolist()) for s in range(n)]
     up = (spins > 0).tolist()
     per_block = max(1, ONE_CHAIN_BLOCK // n)
@@ -380,7 +378,7 @@ def _glauber_chains(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> np.
     fancy index would be cast to intp on every gather.
     """
     n, n_chains = spec.n, spins.shape[0]
-    neighbours, tables = spec._conditionals
+    neighbours, tables = spec._neighbours, spec._tables
     up = np.ascontiguousarray((spins > 0).T, dtype=np.uint8)
     plan = [(up[s], tables[s], [up[k] for k in neighbours[s].tolist()]) for s in range(n)]
     index = np.empty(n_chains, dtype=np.uint8)
@@ -408,7 +406,7 @@ def glauber_spins(
     One sweep visits every site once in index order; each visit resamples the
     spin from its exact conditional P(s_i = +1 | rest) = sigmoid(2(J_i.s + h_i)),
     read from the spec's per-site table. If some site has degree above
-    TABLE_DEGREE_LIMIT the spec has no tables, and every conditional is
+    TABLE_DEGREE_LIMIT the sweep reads no tables, and every conditional is
     computed from the local field.
 
     The random stream is one rng.choice for the initial spins, then the
@@ -420,13 +418,10 @@ def glauber_spins(
     into calls, so all of these equal n per-site rng.random(n_chains) calls:
     the spins, and the Generator state left behind, are bit-identical to the
     per-site local-field loop. One chain runs as a pure-Python loop over
-    booleans; more chains advance together with numpy, one site at a time:
-    a site's neighbour-pattern index is built in uint8 from the neighbours'
-    rows and gathers the site's table through one reused intp buffer (reset
-    to pattern 0 for a site with no neighbour).
+    booleans; more chains advance together with numpy, one site at a time.
     """
     spins = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_chains, spec.n))
-    if spec._conditionals is None:
+    if spec._max_degree > TABLE_DEGREE_LIMIT:
         return _glauber_direct(spec, spins, sweeps, rng)
     if n_chains == 1:
         return _glauber_one_chain(spec, spins[0], sweeps, rng)
@@ -513,7 +508,9 @@ def gibbs_probabilities(spec: IsingSpec) -> np.ndarray:
 
 def dobrushin_exact(spec: IsingSpec) -> float:
     """Exact Dobrushin coefficient alpha = max_i sum_j C_ij of the spec's
-    influence matrix (``IsingSpec.influence``), by full enumeration.
+    influence matrix (``IsingSpec.influence``), read off the per-site
+    conditional tables: exact at any N, and a CapacityError for a site of
+    degree above ENUMERATION_LIMIT.
 
     The Dobrushin condition alpha < 1, under which the concentration and
     generalization bounds hold, is a condition on this row sum; the largest

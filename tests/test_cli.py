@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from grlstab import cli, gnn, graphs, sampling
@@ -497,7 +498,8 @@ graph.n = 6
     assert not out.exists()
 
 
-def test_capacity_error_is_user_error(tmp_path):
+def test_capacity_error_is_user_error(tmp_path, capsys):
+    # alpha is exact on cycle-14, but the exact mean of phi enumerates 2^14 configurations
     out = tmp_path / "out"
     path = write_config(tmp_path, "cap.ini", f"""
 experiment = concentration
@@ -511,6 +513,8 @@ sampler.sweeps = 50
 conc.draws = 100
 """)
     assert run_cli(["run", path]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "CapacityError"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sweeps", [0, -3])
@@ -727,6 +731,14 @@ REJECTED_VALUES = {
                             "SrmFloorError", "guarantee floor"),
     "sample-noise-nan": ("experiment = sample\nsampler.label_noise = nan\n",
                          "ValueError", "label_noise must be"),
+    "ising-bx-nan": ("experiment = sample\nsampler.kind = ising\nsampler.bx = nan\n",
+                     "ValueError", "b_x must be"),
+    "ising-bx-inf": ("experiment = sample\nsampler.kind = ising\nsampler.bx = inf\n",
+                     "ValueError", "b_x must be"),
+    "ising-by-nan": ("experiment = sample\nsampler.kind = ising\nsampler.by = nan\n",
+                     "ValueError", "b_y must be"),
+    "ising-by-negative": ("experiment = sample\nsampler.kind = ising\nsampler.by = -1\n",
+                          "ValueError", "b_y must be"),
 }
 
 
@@ -800,9 +812,10 @@ def test_edge_list_graph_samples_like_its_generator(tmp_path):
 
 def test_erdos_renyi_graph_outside_a_sweep_is_drawn_from_the_graph_stream(tmp_path):
     g = graphs.erdos_renyi_graph(6, 0.5, seed_int(8, "graph"))
-    assert 0 < len(g.edges) < 15
+    pairs = np.argwhere(np.triu(g.adjacency)).tolist()
+    assert 0 < len(pairs) < 15
     edges = tmp_path / "er6.txt"
-    edges.write_text("".join(f"{i} {j}\n" for i, j in sorted(g.edges)))
+    edges.write_text("".join(f"{i} {j}\n" for i, j in pairs))
     rows = {}
     for kind, extra in [("edge-list", f"graph.path = {edges}\n"),
                         ("erdos-renyi", "graph.p = 0.5\n")]:

@@ -1,7 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from grlstab import graphs
+from grlstab.seeding import child_rng
+
+
+def edge_set(g):
+    """The graph's edges as (i, j) pairs with i < j."""
+    return {(i, j) for i, j in np.argwhere(np.triu(g.adjacency)).tolist()}
 
 
 def test_single_edge_adjacency():
@@ -9,7 +17,7 @@ def test_single_edge_adjacency():
     expected = np.zeros((3, 3), dtype=bool)
     expected[0, 1] = expected[1, 0] = True
     assert np.array_equal(g.adjacency, expected)
-    assert g.edges == frozenset({(0, 1)})
+    assert edge_set(g) == {(0, 1)}
 
 
 def test_empty_graph():
@@ -18,8 +26,8 @@ def test_empty_graph():
 
 
 def test_duplicate_and_reversed_edges_dedup():
-    g = graphs.build_graph(4, [(0, 1), (1, 0), (2, 3)])
-    assert len(g.edges) == 2
+    g = graphs.build_graph(4, [(0, 1), (1, 0), (2, 3), (0, 1)])
+    assert edge_set(g) == {(0, 1), (2, 3)}
 
 
 def test_rejects_self_loop_and_out_of_range():
@@ -81,7 +89,7 @@ def test_one_hop_properties_on_random_graphs():
             assert i in rf.xi[i]
             for j in rf.xi[i]:
                 assert i in rf.xi[j]
-        assert (rf.d_bar == pytest.approx(1.0)) == (len(g.edges) == 0)
+        assert (rf.d_bar == pytest.approx(1.0)) == (not g.adjacency.any())
 
 
 def test_sup_d_monotone_under_edge_addition():
@@ -102,7 +110,7 @@ def test_edge_list_round_trip(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text("# cycle-5\n0 1\n1 2\n\n2 3\n3 4\n0 4\n")
     g2 = graphs.read_edge_list(path, 5)
-    assert g2.edges == g.edges
+    assert np.array_equal(g2.adjacency, g.adjacency)
 
 
 def test_edge_list_blank_lines_ignored():
@@ -182,9 +190,51 @@ def test_field_validation_reads_in_range_members_of_a_field_with_out_of_range_on
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 def test_adjacency_matches_the_edge_set(p):
     g = graphs.erdos_renyi_graph(20, p, 4)
+    iu, ju = np.triu_indices(20, k=1)
+    keep = child_rng(4, "erdos-renyi").random(iu.size) < p
     expected = np.zeros((20, 20), dtype=bool)
-    for i, j in g.edges:
+    for i, j in zip(iu[keep].tolist(), ju[keep].tolist()):
         expected[i, j] = expected[j, i] = True
     assert np.array_equal(g.adjacency, expected)
     rf = graphs.one_hop_receptive_fields(g)
     assert rf.xi == tuple(tuple(sorted({i} | {j for j in range(20) if expected[i, j]})) for i in range(20))
+
+
+def reference_build_graph(n, edges):
+    """Per-pair validation and canonicalisation: the adjacency, or the first error message."""
+    adjacency = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            return f"edge ({i}, {j}) out of range for n={n}"
+        if i == j:
+            return f"self loop at vertex {i} not allowed"
+        adjacency[i, j] = adjacency[j, i] = True
+    return adjacency
+
+
+def test_build_graph_matches_a_per_pair_loop():
+    rng = np.random.default_rng(12)
+    errors = 0
+    for trial in range(300):
+        n = int(rng.integers(2, 9))
+        edges = [tuple(int(v) for v in rng.integers(0, n, size=2))
+                 for _ in range(int(rng.integers(0, 12)))]
+        if rng.random() < 0.3:  # an out-of-range pair somewhere in the list
+            edges.insert(int(rng.integers(len(edges) + 1)), (int(rng.integers(n)), n))
+        expected = reference_build_graph(n, edges)
+        if isinstance(expected, str):
+            errors += 1
+            with pytest.raises(graphs.GraphError, match=f"^{re.escape(expected)}$"):
+                graphs.build_graph(n, edges)
+        else:
+            assert np.array_equal(graphs.build_graph(n, edges).adjacency, expected)
+    assert 30 <= errors <= 270
+
+
+def test_build_graph_reports_the_first_bad_pair_range_before_self_loop():
+    with pytest.raises(graphs.GraphError, match="^self loop at vertex 2 not allowed$"):
+        graphs.build_graph(4, [(0, 1), (2, 2), (0, 9)])
+    with pytest.raises(graphs.GraphError, match="^edge \\(0, 9\\) out of range for n=4$"):
+        graphs.build_graph(4, [(0, 1), (0, 9), (2, 2)])
+    with pytest.raises(graphs.GraphError, match="^edge \\(4, 4\\) out of range for n=4$"):
+        graphs.build_graph(4, [(4, 4)])

@@ -252,7 +252,8 @@ def test_many_chains_match_reference_at_zero_and_one_sweep_and_two_chains(name):
 
 
 def test_star_hub_has_the_largest_tabulated_degree():
-    neighbours, tables = KERNEL_SPECS["star-9"]()._conditionals
+    spec = KERNEL_SPECS["star-9"]()
+    neighbours, tables = spec._neighbours, spec._tables
     assert len(neighbours[0]) == sampling.TABLE_DEGREE_LIMIT
     assert len(tables[0]) - 1 == np.iinfo(np.uint8).max
 
@@ -290,9 +291,14 @@ def test_sampler_draws_match_reference_across_a_block_boundary():
 
 
 def test_complete_graph_exceeds_table_limit():
+    # the sweep computes every conditional from the local field and builds no
+    # tables; asking for the influence builds them
     spec = KERNEL_SPECS["complete-11"]()
-    assert spec.n - 1 > sampling.TABLE_DEGREE_LIMIT
-    assert spec._conditionals is None
+    assert spec._max_degree == spec.n - 1 > sampling.TABLE_DEGREE_LIMIT
+    sampling.glauber_spins(spec, 2, np.random.default_rng(0), 4)
+    assert "_tables" not in vars(spec)
+    assert spec.influence.shape == (11, 11)
+    assert [len(t) for t in spec._tables] == [2 ** 10] * 11
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
@@ -304,12 +310,10 @@ def test_conditional_table_matches_reference_expression(name):
         for site in range(spec.n):
             expected = reference_p_up(spec, spins, site)
             assert sampling._p_up(spec, spins[None, :], site)[0] == expected
-            if spec._conditionals is not None:
-                neighbours, tables = spec._conditionals
-                index = 0
-                for k in neighbours[site]:
-                    index = 2 * index + int(spins[k] > 0)
-                assert tables[site][index] == expected
+            index = 0
+            for k in spec._neighbours[site]:
+                index = 2 * index + int(spins[k] > 0)
+            assert spec._tables[site][index] == expected
 
 
 def test_replace_conditional_matches_reference_draws():
@@ -344,6 +348,19 @@ def test_spec_arrays_are_read_only_copies():
         got = sampling.glauber_spins(spec, 20, np.random.default_rng(8), n_chains)
         expected = sampling.glauber_spins(untouched, 20, np.random.default_rng(8), n_chains)
         assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("kw, name", [
+    ({"b_x": float("nan")}, "b_x"),
+    ({"b_x": float("inf")}, "b_x"),
+    ({"b_x": 0.0}, "b_x"),
+    ({"b_y": float("nan")}, "b_y"),
+    ({"b_y": -1.0}, "b_y"),
+])
+def test_ising_spec_rejects_out_of_range_bounds(kw, name):
+    # the same check, and message, as the i.i.d. sampler
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got"):
+        ring_spec(4, 0.2, **kw)
 
 
 def test_nonfinite_coupling_rejected():
@@ -392,12 +409,66 @@ def test_dobrushin_invariant_under_relabeling():
     )
 
 
-def test_dobrushin_capacity_error():
+def test_dobrushin_capacity_is_a_degree_limit():
+    # N is not limited: 13 isolated spins have alpha = 0
     n = 13
     rf = graphs.one_hop_receptive_fields(graphs.empty_graph(n))
     spec = sampling.IsingSpec(coupling=np.zeros((n, n)), external_field=np.zeros(n), rf=rf)
-    with pytest.raises(sampling.CapacityError, match="dobrushin_upper_bound"):
-        sampling.dobrushin_exact(spec)
+    assert sampling.dobrushin_exact(spec) == 0.0
+    # a hub of degree 13 > ENUMERATION_LIMIT is
+    g = graphs.star_graph(14)
+    hub = sampling.IsingSpec(coupling=0.1 * g.adjacency.astype(float), external_field=np.zeros(14),
+                             rf=graphs.one_hop_receptive_fields(g))
+    with pytest.raises(sampling.CapacityError, match="site 0 has degree 13; use dobrushin_upper_bound"):
+        sampling.dobrushin_exact(hub)
+
+
+def reference_influence(spec):
+    """C_ij by full enumeration: the max over all 2^(n-2) configurations of the
+    other spins of |sigmoid(2(b + J_ij)) - sigmoid(2(b - J_ij))|, with b the
+    local field at i from those spins."""
+    n, j, h = spec.n, spec.coupling, spec.external_field
+    c = np.zeros((n, n))
+    for i in range(n):
+        others = [k for k in range(n) if k != i]
+        for jdx in others:
+            rest = [k for k in others if k != jdx]
+            if rest:
+                b = sampling.enumerate_spin_configs(len(rest)).astype(float) @ j[i, rest] + h[i]
+            else:
+                b = np.array([h[i]])
+            p_plus = sampling._sigmoid(2.0 * (b + j[i, jdx]))
+            p_minus = sampling._sigmoid(2.0 * (b - j[i, jdx]))
+            c[i, jdx] = np.max(np.abs(p_plus - p_minus))
+    return c
+
+
+@pytest.mark.parametrize("n, coupling, field", [(6, 0.15, 0.05), (8, 0.2, 0.0)])
+def test_influence_is_bit_equal_to_full_enumeration_on_cycles(n, coupling, field):
+    # cycle-6 is the ising-concentration benchmark's spec and criterion 07's
+    spec = ring_spec(n, coupling, field)
+    assert np.array_equal(spec.influence, reference_influence(spec))
+
+
+def test_influence_matches_full_enumeration_on_random_specs():
+    rng = np.random.default_rng(29)
+    for trial in range(40):
+        n = int(rng.integers(2, 11))
+        g = graphs.erdos_renyi_graph(n, float(rng.uniform(0.2, 1.0)), int(rng.integers(1 << 30)))
+        spec = general_spec(g, int(rng.integers(1 << 30)))
+        assert np.abs(spec.influence - reference_influence(spec)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_dobrushin_exact_on_long_cycles(n):
+    # at h = 0 the other neighbour's field +-J is the worst case for each
+    # neighbour: C = sigmoid(4J) - 1/2 per neighbour, a row sum of tanh(2J)
+    spec = ring_spec(n, 0.2)
+    c = spec.influence
+    g = graphs.cycle_graph(n).adjacency
+    assert np.all(c[~g] == 0.0)
+    assert np.abs(c[g] - (1.0 / (1.0 + np.exp(-0.8)) - 0.5)).max() <= 1e-15
+    assert abs(sampling.dobrushin_exact(spec) - np.tanh(0.4)) <= 1e-15
 
 
 def complete_spec(n, coupling, field=0.0):
