@@ -96,7 +96,8 @@ def build_objective(cfg: ExperimentConfig):
     if kind != "ripple":
         raise ConfigError(f"unknown objective {kind!r}")
     freq = cfg.get_float("objective.frequency", 4.0)
-    amp = cfg.get_float("objective.ripple_amplitude", lam / (2 * freq * freq))
+    amp = (cfg.get_float("objective.ripple_amplitude")
+           if cfg.has("objective.ripple_amplitude") else None)
     return RippleFieldObjective(dim, lam, b_x, b_y, amp, radius, freq)
 
 

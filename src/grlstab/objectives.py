@@ -21,6 +21,7 @@ with the contraction properties of the SGD update map they imply.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,14 @@ from .seeding import child_rng
 
 STRONGLY_CONVEX = "strongly-convex"
 NON_CONVEX = "non-convex"
+
+
+def _check_range(name: str, value, strict: bool) -> None:
+    """Raise unless value is finite and > 0 (strict) or >= 0."""
+    # NaN fails every comparison, so the check is written to fail on it
+    if not (np.isfinite(value) and (value > 0 if strict else value >= 0)):
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, "
+                         f"got {value!r}")
 
 
 class CertificationError(ValueError):
@@ -69,6 +78,51 @@ class ConstantsCertificate:
                 raise ValueError(f"certificate constant {name} must be finite and >= 0")
 
 
+# What a PenaltyGradient's source may call besides builtins: numpy's sin, so
+# that the bits do not depend on the platform's libm
+PENALTY_NAMESPACE = {"sin": np.sin}
+
+
+@dataclass(frozen=True)
+class PenaltyGradient:
+    """A family's grad P, declared once as source that generated code inlines.
+
+    ``prelude`` is a statement run once per gradient, and ``term`` is the
+    expression of coordinate i, with ``{i}`` standing for i. Both read the
+    iterate as the array ``buf`` (for dot products) and as the floats
+    ``w0, w1, ...``; the attributes named in ``scalars`` and ``vectors``,
+    which ``setup`` reads off the objective ``obj`` (a vector ``k`` also as
+    the floats ``k0, k1, ...``); and the names in ``PENALTY_NAMESPACE``. The
+    source never holds a constant's value, so it depends only on the family
+    and the dimension.
+    """
+
+    scalars: tuple
+    term: str
+    vectors: tuple = ()
+    prelude: str = ""
+
+    def setup(self, dim: int) -> list:
+        """Statements that read the constants off ``obj``, once per call."""
+        lines = [f"{name} = obj.{name}" for name in self.scalars + self.vectors]
+        return lines + [f"{', '.join(f'{k}{i}' for i in range(dim))}, = {k}.tolist()"
+                        for k in self.vectors]
+
+    def terms(self, dim: int) -> list:
+        """The expression of each coordinate of grad P."""
+        return [self.term.format(i=i) for i in range(dim)]
+
+
+@functools.lru_cache(maxsize=None)
+def _penalty_function(penalty: PenaltyGradient, dim: int):
+    """grad P as a function (obj, buf, w0, w1, ...) -> list of floats."""
+    ws = ", ".join(f"w{i}" for i in range(dim))
+    body = [*penalty.setup(dim), penalty.prelude, f"return [{', '.join(penalty.terms(dim))}]"]
+    namespace = dict(PENALTY_NAMESPACE)
+    exec("\n    ".join([f"def gradient(obj, buf, {ws}):", *body]), namespace)
+    return namespace["gradient"]
+
+
 @dataclass(frozen=True, eq=False)
 class BoundObjective:
     """An objective bound to one sample set: per-vertex aggregated features."""
@@ -90,25 +144,30 @@ class FieldObjective:
 
     h_w(T_i) = <w, u_i> with u_i = feature_scale * mean of features over
     Xi(i). The data term, the feature scale and the certificate live here; a
-    family supplies only its weight penalty P, through ``_penalty`` and
-    ``penalty_gradient``, and three constants of P: its curvature bound (a
-    constructor argument), and its Lipschitz constant and sup on the weight
-    ball (``_penalty_lipschitz``, ``_penalty_sup``). The data term gets the
-    curvature budget the penalty leaves: ||u|| <= u_max = sqrt(lambda -
-    curvature) keeps the whole Hessian below lambda. A family also sets
-    ``kind`` and ``convex``.
+    family supplies only its weight penalty P, through ``_penalty`` and the
+    class attribute ``penalty``, and three constants of P: its curvature
+    bound (a constructor argument), and its Lipschitz constant and sup on
+    the weight ball (``_penalty_lipschitz``, ``_penalty_sup``). ``penalty``
+    is grad P as a ``PenaltyGradient`` declaration: ``grad_uy`` evaluates it
+    and the SGD step kernel inlines it, so the two agree bit for bit. The
+    data term gets the curvature budget the penalty leaves: ||u|| <= u_max =
+    sqrt(lambda - curvature) keeps the whole Hessian below lambda. A family
+    also sets ``kind`` and ``convex``.
     """
+
+    penalty: PenaltyGradient
 
     def __init__(self, dim, smoothness, strong_convexity, penalty_curvature,
                  b_x, b_y, weight_radius):
+        _check_range("smoothness", smoothness, strict=False)
+        for name, value in (("b_x", b_x), ("b_y", b_y), ("weight_radius", weight_radius)):
+            _check_range(name, value, strict=True)
         if penalty_curvature > smoothness:
             raise ValueError(
                 f"penalty curvature {penalty_curvature} exceeds smoothness {smoothness}"
             )
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if b_x <= 0 or b_y <= 0 or weight_radius <= 0:
-            raise ValueError("bounds must be positive")
         self.dim = int(dim)
         self.b_x = float(b_x)
         self.b_y = float(b_y)
@@ -160,19 +219,10 @@ class FieldObjective:
         r = float(u.dot(w)) - y
         return 0.5 * r * r + self._penalty(w)
 
-    def penalty_gradient(self):
-        """grad P as a plain function p(w, ws) -> list of floats.
-
-        w is the iterate as an array and ws its entries as floats. Dot
-        products read w, and elementwise arithmetic runs on ws in numpy's
-        order, so ``grad_uy`` and the SGD loop, which builds p once per
-        descent, agree bit for bit.
-        """
-        raise NotImplementedError
-
     def grad_uy(self, u, y, w) -> np.ndarray:
         r = float(u.dot(w)) - y
-        return u * r + np.array(self.penalty_gradient()(w, w.tolist()))
+        gradient = _penalty_function(self.penalty, self.dim)
+        return u * r + np.array(gradient(self, w, *w.tolist()))
 
     def losses_uy(self, u, y, w) -> np.ndarray:
         r = u @ w - y
@@ -193,6 +243,7 @@ class QuadraticFieldObjective(FieldObjective):
 
     kind = "quadratic"
     convex = True
+    penalty = PenaltyGradient(scalars=("gamma",), term="gamma * w{i}")
 
     def __init__(self, dim, smoothness, strong_convexity, b_x, b_y, weight_radius=1.0):
         if not strong_convexity > 0:
@@ -205,22 +256,30 @@ class QuadraticFieldObjective(FieldObjective):
     def _penalty(self, w):
         return 0.5 * self.gamma * float(np.dot(w, w))
 
-    def penalty_gradient(self):
-        gamma = self.gamma
-        return lambda w, ws: [gamma * x for x in ws]
-
 
 class RippleFieldObjective(FieldObjective):
-    """0.5 (<w, u> - y)^2 + a (1 - cos(<k, w>)): smooth, non-convex for a > 0."""
+    """0.5 (<w, u> - y)^2 + a (1 - cos(<k, w>)): smooth, non-convex for a > 0.
+
+    k = frequency * e_0. An amplitude of None spends half the smoothness
+    budget on the ripple: a frequency^2 = lambda / 2.
+    """
 
     kind = "ripple"
+    penalty = PenaltyGradient(scalars=("amplitude",), term="c * direction{i}",
+                              vectors=("direction",),
+                              prelude="c = float(amplitude * sin(direction.dot(buf)))")
 
     def __init__(self, dim, smoothness, b_x, b_y, ripple_amplitude,
                  weight_radius=1.0, ripple_frequency=4.0):
-        a = float(ripple_amplitude)
         freq = float(ripple_frequency)
-        if a < 0:
-            raise ValueError("ripple amplitude must be >= 0")
+        # 1 - cos(<k, w>) is the same function for k and -k, but the constants
+        # below read freq as ||k||
+        _check_range("ripple_frequency", freq, strict=True)
+        if ripple_amplitude is None:
+            _check_range("smoothness", smoothness, strict=False)
+            ripple_amplitude = smoothness / (2 * freq * freq)
+        a = float(ripple_amplitude)
+        _check_range("ripple_amplitude", a, strict=False)
         super().__init__(dim, smoothness, 0.0, a * freq * freq, b_x, b_y, weight_radius)
         self.amplitude = a
         self.frequency = freq
@@ -233,15 +292,6 @@ class RippleFieldObjective(FieldObjective):
 
     def _penalty(self, w):
         return self.amplitude * (1.0 - np.cos(float(np.dot(self.direction, w))))
-
-    def penalty_gradient(self):
-        a, k, ks = self.amplitude, self.direction, self.direction.tolist()
-
-        def grad(w, ws):
-            c = float(a * np.sin(k.dot(w)))
-            return [c * x for x in ks]
-
-        return grad
 
 
 # ---------------------------------------------------------------------------

@@ -26,20 +26,26 @@ A T = 200 step training in 3 dimensions costs Python and numpy call
 overhead, not arithmetic, so the loop makes two or three numpy calls per
 step and keeps every bit of the trajectory that the array expressions of
 ``FieldObjective.grad_uy`` and the projection would give. It gathers the
-(u, y) rows of the whole index stream before the first step and builds the
-penalty gradient once (``FieldObjective.penalty_gradient``). The dot
-products (u.w of the residual, k.w of the ripple, w.w of the projection
-norm) stay BLAS ``ddot`` calls, since a Python sum of products rounds
-differently; they all read one buffer holding w, allocated once per descent,
-because OpenBLAS's SSE2 kernel rounds differently when its second vector is
-not 16-byte aligned. Everything elementwise runs on Python floats, in numpy's
-order: u_i r + p_i, then w_i - alpha g_i, then w_i (radius / norm). The
-exact norm is computed only when ``math.hypot`` cannot rule out a projection.
-After the loop, a trajectory with a non-finite iterate is replayed through
-``grad_uy`` (a non-finite gradient makes the next iterate non-finite), and a
-``SgdDivergenceError`` names the first bad step and its vertex. A coupled
-run stays two descents, not a row batch of two: batching pays only across
-many trainings, where the per-step call overhead is shared.
+(u, y) rows of the whole index stream before the first step and runs them
+through a step kernel generated from one source template for each penalty
+family and dimension (``_kernel``, cached, built at the first descent of
+that pair). The kernel holds the coordinates in local floats w0, w1, ...,
+unpacks each u row into u0, u1, ..., and inlines the family's penalty
+gradient from its ``objectives.PenaltyGradient`` declaration; the constants
+are read off the objective, an argument, and never written into the source.
+The dot products (u.w of the residual, k.w of the ripple, w.w of the
+projection norm) stay BLAS ``ddot`` calls, since a Python sum of products
+rounds differently; they all read one buffer holding w, allocated once per
+descent, because OpenBLAS's SSE2 kernel rounds differently when its second
+vector is not 16-byte aligned. Everything elementwise runs on Python
+floats, in numpy's order: u_i r + p_i, then w_i - alpha g_i, then w_i
+(radius / norm). The exact norm is computed only when ``math.hypot`` cannot
+rule out a projection. After the loop, a trajectory with a non-finite
+iterate is replayed through ``grad_uy`` (a non-finite gradient makes the
+next iterate non-finite), and a ``SgdDivergenceError`` names the first bad
+step and its vertex. A coupled run stays two descents, not a row batch of
+two: batching pays only across many trainings, where the per-step call
+overhead is shared.
 
 Per-step deviation envelopes (the ``bounds.step_cases`` table) for the
 strongly convex and the smooth non-convex regimes can be rechecked against a
@@ -52,6 +58,7 @@ The contraction properties of G itself are stress-tested in
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -60,7 +67,8 @@ import numpy as np
 
 from .bounds import step_cases
 from .graphs import ReceptiveFieldMap
-from .objectives import BoundObjective, FieldObjective
+from .objectives import (PENALTY_NAMESPACE, BoundObjective, FieldObjective,
+                         PenaltyGradient)
 from .sampling import SampleSet
 from .seeding import child_rng
 
@@ -120,35 +128,72 @@ def draw_indices(cfg: SgdConfig, n: int) -> np.ndarray:
     return rng.integers(0, n, size=cfg.steps)
 
 
+# The step loop of ``_descend``, written out for one penalty family and
+# dimension: coordinates are local floats, and ``{w}`` is the tuple target
+# "w0, w1, ...," (a trailing comma, so that dim 1 unpacks too). The step
+# assigns all coordinates at once, so every penalty term reads w_t.
+_KERNEL = """\
+def descend(obj, us, u_rows, ys, buf, alpha, radius, inside):
+    {setup}
+    {w} = {zeros}
+    out = [({w})]
+    append = out.append
+    for u_row, ({u}), y in zip(us, u_rows, ys):
+        r = float(u_row.dot(buf)) - y
+        {prelude}
+        {w} = {steps}
+        pack_into(buf, 0, {w})
+        if not hypot({w}) <= inside:
+            norm = sqrt(buf.dot(buf))
+            if norm > radius:
+                scale = radius / norm
+                {w} = {scaled}
+                pack_into(buf, 0, {w})
+        append(({w}))
+    return out
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(penalty: PenaltyGradient, dim: int):
+    """``descend(obj, us, us.tolist(), ys, buf, alpha, radius, inside)`` ->
+    the list of iterates w_0..w_T as tuples, for one penalty and dim.
+
+    The penalty's constants are read off the objective ``obj`` at each call,
+    never written into the source.
+    """
+    def seq(fmt):
+        return ", ".join(fmt.format(i=i) for i in range(dim)) + ","
+
+    source = _KERNEL.format(
+        setup="\n    ".join(penalty.setup(dim)),
+        prelude=penalty.prelude,
+        w=seq("w{i}"), u=seq("u{i}"), zeros=seq("0.0"),
+        steps=", ".join(f"w{i} - alpha * (u{i} * r + {p})"
+                        for i, p in enumerate(penalty.terms(dim))) + ",",
+        scaled=seq("w{i} * scale"),
+    )
+    namespace = {**PENALTY_NAMESPACE, "hypot": math.hypot, "sqrt": math.sqrt,
+                 "pack_into": struct.Struct(f"{dim}d").pack_into}  # buf[:] = w
+    exec(source, namespace)
+    return namespace["descend"]
+
+
 def _descend(bounds, indices: np.ndarray, cfg: SgdConfig) -> np.ndarray:
     """Projected SGD from w_0 = 0 along a pooled index stream; weights (T+1, dim).
 
     Pooled index k visits vertex k % N of bounds[k // N].
     """
     obj = bounds[0].objective
-    penalty = obj.penalty_gradient()
-    alpha = cfg.step_size
     radius = obj.certificate.weight_radius
     inside = radius * (1 - 1e-9)  # hypot(*w) <= inside rules out projecting
     us = np.concatenate([b.u for b in bounds])[indices]
     ys = np.concatenate([b.y for b in bounds])[indices].tolist()
-    w = [0.0] * obj.dim
     buf = np.zeros(obj.dim)  # the iterate w, as every dot product reads it
-    store = struct.Struct(f"{obj.dim}d").pack_into  # buf[:] = w, without numpy
-    rows = [w]
+    descend = _kernel(obj.penalty, obj.dim)
     with np.errstate(all="ignore"):  # a non-finite gradient is reported below
-        for u_row, u, y in zip(us, us.tolist(), ys):
-            r = float(u_row.dot(buf)) - y
-            w = [wi - alpha * (ui * r + pi) for wi, ui, pi in zip(w, u, penalty(buf, w))]
-            store(buf, 0, *w)
-            if not math.hypot(*w) <= inside:
-                norm = math.sqrt(buf.dot(buf))
-                if norm > radius:
-                    scale = radius / norm
-                    w = [wi * scale for wi in w]
-                    store(buf, 0, *w)
-            rows.append(w)
-    weights = np.array(rows)
+        weights = np.array(descend(obj, us, us.tolist(), ys, buf, cfg.step_size, radius,
+                                   inside))
     if not np.isfinite(weights).all():
         # a non-finite gradient makes the next iterate non-finite: replay
         # grad_uy along the trajectory to name the first one

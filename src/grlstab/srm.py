@@ -119,10 +119,10 @@ def ball_constrained_least_squares(phi: np.ndarray, y: np.ndarray, radius: float
     if np.linalg.norm(w0) <= radius:
         return w0
 
+    eye = np.eye(gram.shape[0])
+
     def norm_at(nu):
-        return float(np.linalg.norm(
-            np.linalg.solve(gram + nu * np.eye(gram.shape[0]), rhs)
-        ))
+        return float(np.linalg.norm(np.linalg.solve(gram + nu * eye, rhs)))
 
     lo, hi = 0.0, 1.0
     while norm_at(hi) > radius:
@@ -137,7 +137,7 @@ def ball_constrained_least_squares(phi: np.ndarray, y: np.ndarray, radius: float
             hi = mid
         if hi - lo < tol * max(1.0, hi):
             break
-    return np.linalg.solve(gram + hi * np.eye(gram.shape[0]), rhs)
+    return np.linalg.solve(gram + hi * eye, rhs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -739,6 +739,15 @@ REJECTED_VALUES = {
                      "ValueError", "b_y must be"),
     "ising-by-negative": ("experiment = sample\nsampler.kind = ising\nsampler.by = -1\n",
                           "ValueError", "b_y must be"),
+    "ripple-frequency-zero": ("experiment = bounds\nobjective = ripple\nobjective.frequency = 0\n",
+                              "ValueError", "ripple_frequency must be finite and > 0"),
+    "ripple-frequency-negative": ("experiment = bounds\nobjective = ripple\n"
+                                  "objective.frequency = -4\n",
+                                  "ValueError", "ripple_frequency must be finite and > 0"),
+    "weight-radius-nan": ("experiment = bounds\nobjective.weight_radius = nan\n",
+                          "ValueError", "weight_radius must be finite and > 0"),
+    "train-weight-radius-inf": ("experiment = train\nobjective.weight_radius = inf\n",
+                                "ValueError", "weight_radius must be finite and > 0"),
 }
 
 

@@ -36,6 +36,45 @@ def test_constructor_rejections():
         RippleFieldObjective(3, 1.0, 1.0, 1.0, ripple_amplitude=1.0)  # curvature 16 > 1
 
 
+@pytest.mark.parametrize("name, value", [(n, v) for n in ("b_x", "b_y", "weight_radius")
+                                          for v in (float("nan"), float("inf"), 0.0)]
+                         + [("smoothness", float("nan")), ("smoothness", float("inf"))])
+@pytest.mark.parametrize("family", ["quadratic", "ripple"])
+def test_field_constants_must_be_finite(family, name, value):
+    # NaN passed a `<= 0` check and failed later at the certificate, naming
+    # another constant
+    args = {"b_x": 1.0, "b_y": 1.0, "weight_radius": 1.0, "smoothness": 1.0} | {name: value}
+    relation = ">=" if name == "smoothness" else ">"
+    with pytest.raises(ValueError, match=f"^{name} must be finite and {relation} 0"):
+        if family == "quadratic":
+            QuadraticFieldObjective(3, args["smoothness"], 0.5, args["b_x"], args["b_y"],
+                                    args["weight_radius"])
+        else:
+            RippleFieldObjective(3, args["smoothness"], args["b_x"], args["b_y"], 1 / 32,
+                                 args["weight_radius"])
+
+
+@pytest.mark.parametrize("frequency", [0.0, -4.0, float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("amplitude", [None, 1 / 32])
+def test_ripple_frequency_must_be_finite_and_positive(frequency, amplitude):
+    # a frequency of 0 divided by zero in the default amplitude, and a
+    # negative one gave a negative penalty Lipschitz constant a * freq
+    with pytest.raises(ValueError, match="^ripple_frequency must be finite and > 0"):
+        RippleFieldObjective(3, 1.0, 1.0, 1.0, amplitude, 1.0, frequency)
+
+
+@pytest.mark.parametrize("amplitude", [-0.1, float("nan"), float("inf")])
+def test_ripple_amplitude_must_be_finite_and_non_negative(amplitude):
+    with pytest.raises(ValueError, match="^ripple_amplitude must be finite and >= 0"):
+        RippleFieldObjective(3, 1.0, 1.0, 1.0, amplitude)
+
+
+def test_ripple_default_amplitude_spends_half_the_smoothness_budget():
+    obj = RippleFieldObjective(3, 1.0, 1.0, 1.0, None, 1.0, 4.0)
+    assert obj.amplitude == 1 / 32
+    assert obj.amplitude * obj.frequency * obj.frequency == 0.5
+
+
 def test_ripple_amplitude_zero_is_plain_quadratic():
     obj = ripple(amplitude=0.0)
     u = np.array([0.1, 0.2, 0.0])

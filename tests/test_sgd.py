@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from grlstab import bounds, graphs, sampling
+from grlstab import bounds, graphs, sampling, sgd
 from grlstab.objectives import (QuadraticFieldObjective, RippleFieldObjective,
                                 contraction_check)
 from grlstab.sgd import (SgdConfig, SgdDivergenceError, coupled_train, draw_indices,
@@ -231,7 +231,7 @@ def test_descent_equals_reference_loop_bit_for_bit(family):
         assert projected > 0  # the iterates reach the ball's surface
 
 
-@pytest.mark.parametrize("dim", [1, 5])
+@pytest.mark.parametrize("dim", [1, 2, 5, 12])
 @pytest.mark.parametrize("family", sorted(BIT_EQUALITY_OBJECTIVES))
 def test_descent_equals_reference_loop_across_dims_pools_and_step_sizes(family, dim):
     # a step size of 3.0 is past every stability condition: the iterates
@@ -241,6 +241,24 @@ def test_descent_equals_reference_loop_across_dims_pools_and_step_sizes(family, 
     sampler = sampling.IidSampler(rf=rf, dim=dim)
     for seed, step_size in [(0, 0.3), (1, 3.0), (2, 3.0)]:
         assert_descents_equal_reference(obj, rf, sampler, seed, step_size, 3)
+
+
+@pytest.mark.parametrize("first, second", [
+    (QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 1.0),
+     QuadraticFieldObjective(3, 1.0, 0.125, 1.0, 1.0, 1.0)),
+    (RippleFieldObjective(3, 1.0, 1.0, 1.0, 1 / 32, 1.0),
+     RippleFieldObjective(3, 1.0, 1.0, 1.0, 1 / 8, 1.0, 2.0)),
+], ids=["quadratic-gamma", "ripple-amplitude-and-frequency"])
+def test_one_kernel_serves_every_constant_of_a_family(first, second):
+    # the step kernel is built once per (family, dim): a constant written
+    # into its source would make the second objective replay the first
+    rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(8))
+    sampler = sampling.IidSampler(rf=rf, dim=3)
+    trajectories = [assert_descents_equal_reference(obj, rf, sampler, 4, 0.3, 2).weights
+                    for obj in (first, second, first)]
+    assert sgd._kernel(first.penalty, 3) is sgd._kernel(second.penalty, 3)
+    assert not np.array_equal(trajectories[0], trajectories[1])
+    assert np.array_equal(trajectories[0], trajectories[2])
 
 
 @pytest.mark.parametrize("side", [1 + 5e-10, 1 - 5e-10])
