@@ -66,6 +66,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .objectives import NON_CONVEX, STRONGLY_CONVEX, ConstantsCertificate
+from .sampling import check_range
 
 BRANCH_WIDTH = 1e-7
 
@@ -116,9 +117,7 @@ class SgdBoundParams:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.regime == STRONGLY_CONVEX and self.certificate.strong_convexity <= 0:
             raise ValueError("strongly-convex regime needs strong_convexity > 0")
-        # NaN fails every comparison, so the check is written to fail on it
-        if not (math.isfinite(self.step_size) and self.step_size > 0):
-            raise ValueError(f"step size must be finite and > 0, got {self.step_size!r}")
+        check_range("step size", self.step_size, strict=True)
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         sizes = np.asarray(self.field_sizes, dtype=int)

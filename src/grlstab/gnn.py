@@ -62,10 +62,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import (ReceptiveFieldMap, erdos_renyi_graph, mask_from_fields,
-                     one_hop_receptive_fields)
+from .graphs import ReceptiveFieldMap, erdos_renyi_graph, one_hop_receptive_fields
 from .harness import StabilityEstimate
-from .sampling import rows_in_ball
+from .sampling import check_range, rows_in_ball
 from .seeding import child_rng, seed_int
 
 
@@ -93,12 +92,9 @@ class GnnProblem:
             raise ValueError("labels/mask sizes must match the feature rows")
         if w.shape != (x.shape[1],):
             raise ValueError("weight length must match the feature columns")
-        # NaN fails every comparison, so each check is written to fail on it
-        if not (np.isfinite(self.ridge) and self.ridge > 0):
-            raise ValueError(f"ridge must be finite and > 0, got {self.ridge!r}")
-        for name, bound in (("b_x", self.b_x), ("b_y", self.b_y), ("b_w", self.b_w)):
-            if not (np.isfinite(bound) and bound >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {bound!r}")
+        check_range("ridge", self.ridge, strict=True)
+        for name in ("b_x", "b_y", "b_w"):
+            check_range(name, getattr(self, name), strict=False)
         if not np.array_equal(mask, mask.T):
             raise ValueError("mask must be symmetric")
         if np.any(np.linalg.norm(x, axis=1) > self.b_x + _BOUND_TOL):
@@ -264,12 +260,10 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
         raise ValueError(f"unknown perturbation kind {kind!r}")
     if n_test_draws < 0:
         raise ValueError("n_test_draws must be >= 0")
-    # NaN fails every comparison, so the check is written to fail on it
-    if kind == FEATURE_MODE and not (np.isfinite(eps_feature) and eps_feature >= 0):
-        raise ValueError(f"eps_feature must be finite and >= 0, got {eps_feature!r}")
-    if kind == FEATURE_MODE and eps_feature >= 0.1 * b_x:
-        raise ValueError("feature bump must stay below 0.1 b_x (first-order regime)")
-    mask = mask_from_fields(rf)
+    if kind == FEATURE_MODE:
+        check_range("eps_feature", eps_feature, strict=False)
+        if eps_feature >= 0.1 * b_x:
+            raise ValueError("feature bump must stay below 0.1 b_x (first-order regime)")
     n = rf.n
     beta1_i, beta2_i = np.zeros((2, n))
     if kind == FEATURE_MODE:
@@ -281,7 +275,7 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
         x = rows_in_ball(rng, n, dim, base_radius)
         y = rng.uniform(-b_y, b_y, size=n)
         w = rows_in_ball(rng, 1, dim, b_w)[0]
-        base = GnnProblem(features=x, labels=y, weight=w, mask=mask, ridge=ridge,
+        base = GnnProblem(features=x, labels=y, weight=w, mask=rf.mask, ridge=ridge,
                           b_x=b_x, b_y=b_y, b_w=b_w)
         a_base = fit_projected_closed_form(base)
         wn = float(np.linalg.norm(w))

@@ -2,8 +2,11 @@
 
 The receptive field of vertex i is the index set Xi(i) whose features feed
 the prediction at i. Fields must contain their own vertex and be symmetric
-(j in Xi(i) iff i in Xi(j)). The normalized sparsity d_i = |Xi(i)| / N and
-its aggregates drive every bound computed elsewhere.
+(j in Xi(i) iff i in Xi(j)). A map keeps the boolean membership matrix it
+was validated on as its read-only ``mask``, the one mask that the GNN
+support, the Ising coupling and the SGD case codes read. The normalized
+sparsity d_i = |Xi(i)| / N and its aggregates drive every bound computed
+elsewhere.
 """
 
 from __future__ import annotations
@@ -37,13 +40,16 @@ class Graph:
 class ReceptiveFieldMap:
     """Receptive fields Xi(i) with cardinalities and sparsity statistics.
 
-    ``d`` holds d_i = |Xi(i)| / N, ``d_bar`` the sum of the d_i, and
-    ``sup_d`` their maximum. ``d_bar == 1`` exactly when every field is
+    ``mask`` is the read-only boolean membership matrix, mask[i, j] iff j
+    in Xi(i), on which the map was validated; it is symmetric with a true
+    diagonal. ``d`` holds d_i = |Xi(i)| / N, ``d_bar`` the sum of the d_i,
+    and ``sup_d`` their maximum. ``d_bar == 1`` exactly when every field is
     the singleton {i} (the independent reduction).
     """
 
     n: int
     xi: tuple  # tuple of sorted index tuples, xi[i] = sorted members of Xi(i)
+    mask: np.ndarray  # (n, n) bool, read-only
     sizes: np.ndarray  # (n,) int, |Xi(i)|
     d: np.ndarray  # (n,) float, sizes / n
     d_bar: float
@@ -63,9 +69,7 @@ class ReceptiveFieldMap:
 
     def outside(self, i: int) -> np.ndarray:
         """Vertices j with j not in Xi(i)."""
-        inside = np.zeros(self.n, dtype=bool)
-        inside[list(self.xi[i])] = True
-        return np.nonzero(~inside)[0]
+        return np.flatnonzero(~self.mask[i])
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -100,8 +104,8 @@ def receptive_fields_from_map(n: int, xi) -> ReceptiveFieldMap:
 
     Checks that members are in range, self-inclusion (i in Xi(i)) and
     symmetry (j in Xi(i) iff i in Xi(j)) on one boolean membership matrix,
-    and reports the first vertex that fails; ``one_hop_receptive_fields``
-    builds its maps through it.
+    and reports the first vertex that fails; that matrix is kept as the
+    map's ``mask``. ``one_hop_receptive_fields`` builds its maps through it.
     """
     if len(xi) != n:
         raise GraphError(f"expected {n} fields, got {len(xi)}")
@@ -122,19 +126,12 @@ def receptive_fields_from_map(n: int, xi) -> ReceptiveFieldMap:
         if not member[i, i]:
             raise GraphError(f"vertex {i} missing from its own receptive field")
         raise GraphError(f"field symmetry violated for pair ({i}, {int(np.argmax(asymmetric[i]))})")
+    member.flags.writeable = False  # shared by every reader of the map
     sizes = np.array([len(members) for members in xi], dtype=int)
     d = sizes / float(n)
     return ReceptiveFieldMap(
-        n=n, xi=xi, sizes=sizes, d=d, d_bar=float(d.sum()), sup_d=float(d.max())
+        n=n, xi=xi, mask=member, sizes=sizes, d=d, d_bar=float(d.sum()), sup_d=float(d.max())
     )
-
-
-def mask_from_fields(rf: ReceptiveFieldMap) -> np.ndarray:
-    """Boolean support mask with (i, j) allowed iff j in Xi(i)."""
-    mask = np.zeros((rf.n, rf.n), dtype=bool)
-    for i in range(rf.n):
-        mask[i, list(rf.xi[i])] = True
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +190,11 @@ def parse_edge_list(text: str):
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 2:
-            raise GraphError(f"line {lineno}: expected 'i j', got {raw!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            i, j = map(int, parts)
+        except ValueError:  # wrong arity or a token that is not an integer
+            raise GraphError(f"line {lineno}: expected 'i j', got {raw!r}") from None
+        edges.append((i, j))
     return edges
 
 

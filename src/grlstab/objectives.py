@@ -15,31 +15,25 @@ The SGD bounds follow from the regime: strongly convex iff gamma > 0.
 Weights live in a ball of radius ``weight_radius`` (SGD projects onto it),
 which makes the Lipschitz constant, the loss bound, and the gradient-vs-data
 constant finite and analytically certifiable. All constants are recorded in
-a ConstantsCertificate and can be stress-tested empirically, together
-with the contraction properties of the SGD update map they imply.
+a ConstantsCertificate, built once per objective, and can be stress-tested
+empirically, together with the contraction properties of the SGD update map
+they imply. Parameters and constants are range-checked by
+``sampling.check_range``, and the message names the parameter.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .graphs import ReceptiveFieldMap
-from .sampling import SampleSet, rows_in_ball, sample_space_diameter
+from .sampling import SampleSet, check_range, rows_in_ball, sample_space_diameter
 from .seeding import child_rng
 
 STRONGLY_CONVEX = "strongly-convex"
 NON_CONVEX = "non-convex"
-
-
-def _check_range(name: str, value, strict: bool) -> None:
-    """Raise unless value is finite and > 0 (strict) or >= 0."""
-    # NaN fails every comparison, so the check is written to fail on it
-    if not (np.isfinite(value) and (value > 0 if strict else value >= 0)):
-        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, "
-                         f"got {value!r}")
 
 
 class CertificationError(ValueError):
@@ -71,11 +65,9 @@ class ConstantsCertificate:
     def __post_init__(self):
         if self.smoothness < self.strong_convexity or self.strong_convexity < 0:
             raise ValueError("need smoothness >= strong_convexity >= 0")
-        for name in ("smoothness", "lipschitz", "gradient_data_lipschitz",
-                     "loss_bound", "sample_diameter", "weight_radius"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"certificate constant {name} must be finite and >= 0")
+        for field in fields(self):
+            check_range(f"certificate constant {field.name}", getattr(self, field.name),
+                        strict=False)
 
 
 # What a PenaltyGradient's source may call besides builtins: numpy's sin, so
@@ -159,9 +151,9 @@ class FieldObjective:
 
     def __init__(self, dim, smoothness, strong_convexity, penalty_curvature,
                  b_x, b_y, weight_radius):
-        _check_range("smoothness", smoothness, strict=False)
+        check_range("smoothness", smoothness, strict=False)
         for name, value in (("b_x", b_x), ("b_y", b_y), ("weight_radius", weight_radius)):
-            _check_range(name, value, strict=True)
+            check_range(name, value, strict=True)
         if penalty_curvature > smoothness:
             raise ValueError(
                 f"penalty curvature {penalty_curvature} exceeds smoothness {smoothness}"
@@ -182,8 +174,9 @@ class FieldObjective:
         """The SGD bound regime: STRONGLY_CONVEX iff gamma > 0."""
         return STRONGLY_CONVEX if self.gamma > 0 else NON_CONVEX
 
-    @property
+    @functools.cached_property
     def certificate(self) -> ConstantsCertificate:
+        """The analytic constants, computed once: they are fixed by ``__init__``."""
         u_max = self._u_max
         w_r = self.weight_radius
         margin = u_max * w_r + self.b_y  # sup |<u,w> - y|
@@ -274,12 +267,12 @@ class RippleFieldObjective(FieldObjective):
         freq = float(ripple_frequency)
         # 1 - cos(<k, w>) is the same function for k and -k, but the constants
         # below read freq as ||k||
-        _check_range("ripple_frequency", freq, strict=True)
+        check_range("ripple_frequency", freq, strict=True)
         if ripple_amplitude is None:
-            _check_range("smoothness", smoothness, strict=False)
+            check_range("smoothness", smoothness, strict=False)
             ripple_amplitude = smoothness / (2 * freq * freq)
         a = float(ripple_amplitude)
-        _check_range("ripple_amplitude", a, strict=False)
+        check_range("ripple_amplitude", a, strict=False)
         super().__init__(dim, smoothness, 0.0, a * freq * freq, b_x, b_y, weight_radius)
         self.amplitude = a
         self.frequency = freq

@@ -31,6 +31,10 @@ other coordinate bit-identical, which realizes the single-vertex sets Z^i
 used by the stability definitions. Both samplers' ``replace`` methods check
 the mode and Lambda and build Z^Lambda through the same two helpers; they
 differ only in how the replacement rows are drawn.
+
+``check_range`` is the package's one scalar range rule (finite and > 0, or
+finite and >= 0), written so that NaN fails it; it lives here because every
+numeric layer already imports this module.
 """
 
 from __future__ import annotations
@@ -100,10 +104,13 @@ def rows_in_ball(rng: np.random.Generator, count: int, dim: int, radius: float) 
     return rows
 
 
-def _check_bounds(b_x: float, b_y: float) -> None:
-    for name, bound in (("b_x", b_x), ("b_y", b_y)):
-        if not (np.isfinite(bound) and bound > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {bound!r}")
+def check_range(name: str, value, strict: bool) -> None:
+    """Raise ValueError, naming the parameter, unless value is finite and
+    > 0 (strict) or >= 0."""
+    # NaN fails every comparison, so the check is written to fail on it
+    if not (np.isfinite(value) and (value > 0 if strict else value >= 0)):
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, "
+                         f"got {value!r}")
 
 
 def _checked_lambda(z: SampleSet, indices, mode: str) -> list:
@@ -147,12 +154,11 @@ class IidSampler:
     label_noise: float = 0.0
 
     def __post_init__(self):
-        # NaN fails every comparison, so each check is written to fail on it
-        if not self.dim >= 1:
+        if not self.dim >= 1:  # NaN fails it too
             raise ValueError(f"dim must be >= 1, got {self.dim!r}")
-        _check_bounds(self.b_x, self.b_y)
-        if not (np.isfinite(self.label_noise) and self.label_noise >= 0):
-            raise ValueError(f"label_noise must be finite and >= 0, got {self.label_noise!r}")
+        check_range("b_x", self.b_x, strict=True)
+        check_range("b_y", self.b_y, strict=True)
+        check_range("label_noise", self.label_noise, strict=False)
 
     def _draw_rows(self, rng: np.random.Generator, count: int):
         half = self.b_x / np.sqrt(self.dim)
@@ -221,7 +227,8 @@ class IsingSpec:
             raise ValueError(f"unknown label rule {self.label_rule!r}")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
-        _check_bounds(self.b_x, self.b_y)
+        check_range("b_x", self.b_x, strict=True)
+        check_range("b_y", self.b_y, strict=True)
         object.__setattr__(self, "coupling", j)
         object.__setattr__(self, "external_field", h)
 

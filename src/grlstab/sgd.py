@@ -69,7 +69,7 @@ from .bounds import step_cases
 from .graphs import ReceptiveFieldMap
 from .objectives import (PENALTY_NAMESPACE, BoundObjective, FieldObjective,
                          PenaltyGradient)
-from .sampling import SampleSet
+from .sampling import SampleSet, check_range
 from .seeding import child_rng
 
 
@@ -84,16 +84,14 @@ class SgdDivergenceError(RuntimeError):
 @dataclass(frozen=True)
 class SgdConfig:
     """T steps of the fixed step size alpha, the setting every bound and
-    envelope is stated for; iterates project onto the certificate radius."""
+    envelope is stated for; iterates project onto the objective's weight radius."""
 
     step_size: float
     steps: int
     seed: int
 
     def __post_init__(self):
-        # NaN fails every comparison, so the check is written to fail on it
-        if not (math.isfinite(self.step_size) and self.step_size >= 0):
-            raise ValueError(f"step size must be finite and >= 0, got {self.step_size!r}")
+        check_range("step size", self.step_size, strict=False)
         if self.steps < 0:
             raise ValueError("step count must be >= 0")
 
@@ -185,7 +183,7 @@ def _descend(bounds, indices: np.ndarray, cfg: SgdConfig) -> np.ndarray:
     Pooled index k visits vertex k % N of bounds[k // N].
     """
     obj = bounds[0].objective
-    radius = obj.certificate.weight_radius
+    radius = obj.weight_radius
     inside = radius * (1 - 1e-9)  # hypot(*w) <= inside rules out projecting
     us = np.concatenate([b.u for b in bounds])[indices]
     ys = np.concatenate([b.y for b in bounds])[indices].tolist()
@@ -273,8 +271,7 @@ def coupled_train(z: SampleSet, z_pert: SampleSet, rf: ReceptiveFieldMap,
     d = np.empty((len(weights), dim + dim % 2))[:, :dim]
     np.subtract(weights, weights_p, out=d)
     deltas = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
-    code_of = np.full(rf.n, CASES.index("miss"))
-    code_of[list(rf.xi[vertex])] = CASES.index("hit")
+    code_of = np.where(rf.mask[vertex], CASES.index("hit"), CASES.index("miss"))
     code_of[vertex] = CASES.index("self")
 
     base = Trajectory(weights=weights, indices=indices, config=cfg)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .bounds import srm_confidence, srm_epsilon_floor
 from .graphs import ReceptiveFieldMap
-from .sampling import SampleSet
+from .sampling import SampleSet, check_range
 
 
 def _circular_distance(i: int, j: int, n: int) -> int:
@@ -67,9 +67,7 @@ class DegreeClassFamily:
     def __post_init__(self):
         if self.d_max < 1:
             raise ValueError("d_max must be >= 1")
-        # NaN fails every comparison, so the check is written to fail on it
-        if not (np.isfinite(self.weight_radius) and self.weight_radius > 0):
-            raise ValueError(f"weight_radius must be finite and > 0, got {self.weight_radius!r}")
+        check_range("weight_radius", self.weight_radius, strict=True)
 
     def n_slots(self, degree: int) -> int:
         return 2 * degree - 1
@@ -191,8 +189,7 @@ def select_sparse(family: DegreeClassFamily, z: SampleSet, lambda_slack: float,
     Ties break toward the smaller degree; each class is fitted by its
     ``SrmClassAlgorithm``.
     """
-    if not (np.isfinite(lambda_slack) and lambda_slack >= 0):
-        raise ValueError(f"lambda_slack must be finite and >= 0, got {lambda_slack!r}")
+    check_range("lambda_slack", lambda_slack, strict=False)
     degrees = range(1, family.d_max + 1)
     missing = [d for d in degrees if d not in beta2_by_degree]
     if missing:

@@ -312,7 +312,7 @@ def test_criterion_09_gnn_solver():
         w = rng.normal(size=dim)
         w *= 0.8 / np.linalg.norm(w)
         masked = gnn.GnnProblem(features=x, labels=y, weight=w,
-                                mask=graphs.mask_from_fields(rf), ridge=0.9)
+                                mask=rf.mask, ridge=0.9)
         full = gnn.GnnProblem(features=x, labels=y, weight=w,
                               mask=np.ones((n, n), dtype=bool), ridge=0.9)
         a_full = gnn.fit_projected_closed_form(full)

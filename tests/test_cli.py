@@ -396,9 +396,14 @@ conc.t_grid = 0.5 1.5 2.5
     assert run_cli(["plots", out, "tail"]) == 0
 
 
-def test_concentration_outside_dobrushin_domain_is_user_error(tmp_path, capsys):
+def test_concentration_outside_dobrushin_domain_is_user_error(tmp_path, capsys, monkeypatch):
     # K12 at J = 0.2: the largest pairwise influence is 0.197 but the row
-    # sum is 2.17, so no Dobrushin tail bound applies
+    # sum is 2.17, so no Dobrushin tail bound applies; the theory column
+    # draws nothing, so this is known before any chain runs
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before alpha was checked")
+
+    monkeypatch.setattr(sampling.IsingSampler, "sample_spins_batch", never)
     out = tmp_path / "out"
     path = write_config(tmp_path, "k12.ini", f"""
 experiment = concentration
@@ -408,12 +413,11 @@ graph.kind = complete
 graph.n = 12
 sampler.kind = ising
 sampler.coupling = 0.2
-sampler.sweeps = 5
-conc.draws = 50
 conc.t_grid = 5
 """)
     assert run_cli(["run", path]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "BoundDomainError"
+    assert not out.exists()
 
 
 def test_srm_experiment(tmp_path):
@@ -622,6 +626,27 @@ seed = 5
 out = {out}
 graph.n = 6
 gnn.densities =
+""")
+    assert run_cli(["run", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "gnn.densities" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("densities", ["0.5 nan", "-0.1", "0.5 1.5"])
+def test_gnn_density_outside_unit_interval_rejected_before_any_point(tmp_path, capsys,
+                                                                    monkeypatch, densities):
+    def never(*args, **kwargs):
+        raise AssertionError("a sweep point ran before the densities were checked")
+
+    monkeypatch.setattr(gnn, "sweep_point", never)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "densities.ini", f"""
+experiment = gnn
+seed = 5
+out = {out}
+graph.n = 6
+gnn.densities = {densities}
 """)
     assert run_cli(["run", path]) == 1
     err = json.loads(capsys.readouterr().err)
@@ -843,6 +868,18 @@ def test_edge_list_without_path_is_user_error(tmp_path, capsys):
     assert run_cli(["run", path]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and "graph.path" in err["message"]
+    assert not out.exists()
+
+
+def test_edge_list_with_a_non_integer_token_names_its_line(tmp_path, capsys):
+    edges = tmp_path / "bad.txt"
+    edges.write_text("0 1\n1 x\n")
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "badedges.ini", SAMPLE_ISING.format(out=out)
+                        + f"graph.kind = edge-list\ngraph.path = {edges}\n")
+    assert run_cli(["run", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "GraphError" and err["message"].startswith("line 2:")
     assert not out.exists()
 
 

@@ -34,7 +34,7 @@ def random_problem(rng, rf, dim=3, ridge=0.8):
     w = rng.normal(size=dim)
     w *= 0.8 / np.linalg.norm(w)
     return gnn.GnnProblem(features=x, labels=y, weight=w,
-                          mask=graphs.mask_from_fields(rf), ridge=ridge)
+                          mask=rf.mask, ridge=ridge)
 
 
 def test_zero_labels_zero_solution():
@@ -159,7 +159,7 @@ def test_homogeneity_in_labels():
 
 def test_mask_projection_idempotent():
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(6))
-    mask = graphs.mask_from_fields(rf)
+    mask = rf.mask
     rng = child_rng(9, "idem")
     a = rng.normal(size=(6, 6))
     once = np.where(mask, a, 0.0)
@@ -229,7 +229,7 @@ def reference_gnn_stability_experiment(rf, kind, trials, eps_feature, seed,
     Returns (beta1_i, beta2_i).
     """
     fit = gnn.fit_projected_closed_form
-    mask = graphs.mask_from_fields(rf)
+    mask = rf.mask
     n = rf.n
     beta1_i = np.zeros(n)
     beta2_i = np.zeros(n)
@@ -397,7 +397,7 @@ def test_label_mode_beta2_is_sign_corner_closed_form(solver, case, monkeypatch):
     seed, trials, dim = 40 + case, 2, 3
     res = gnn.gnn_stability_experiment(rf, gnn.LABEL_MODE, trials, 0.0, seed,
                                        ridge=ridge, b_x=b_x, b_y=b_y, b_w=b_w, dim=dim)
-    mask = graphs.mask_from_fields(rf)
+    mask = rf.mask
     expected = np.zeros(n)
     for trial in range(trials):
         rng = child_rng(seed, "gnn-trial", trial)
@@ -559,7 +559,7 @@ def test_feature_mode_first_order_support():
     # in-field effect is O(eps): slope of beta1 in log-log near 2, beta2 near 1
     n = 8
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(n))
-    mask = graphs.mask_from_fields(rf)
+    mask = rf.mask
     rng = child_rng(12, "firstorder")
     w = np.array([1.0, 0.0, 0.0])
     x = np.zeros((n, 3))

@@ -119,11 +119,56 @@ def test_edge_list_blank_lines_ignored():
         graphs.parse_edge_list("0 1 2\n")
 
 
-def test_mask_from_fields_symmetric_with_diagonal():
+@pytest.mark.parametrize("text", ["0 1\n1 x\n", "0 1\n1 2.5\n", "0 1\n\n# c\n 1 0x2\n"],
+                         ids=["letter", "decimal", "hex-after-comment"])
+def test_edge_list_non_integer_token_names_its_line(text):
+    lineno = len(text.splitlines())
+    with pytest.raises(graphs.GraphError, match=f"^line {lineno}: expected 'i j'"):
+        graphs.parse_edge_list(text)
+
+
+def test_field_mask_symmetric_with_diagonal():
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(6))
-    mask = graphs.mask_from_fields(rf)
-    assert np.array_equal(mask, mask.T)
-    assert mask.diagonal().all()
+    assert np.array_equal(rf.mask, rf.mask.T)
+    assert rf.mask.diagonal().all()
+    assert not rf.mask.flags.writeable
+    with pytest.raises(ValueError):
+        rf.mask[0, 3] = True
+
+
+def membership_loop(rf):
+    """The field mask built row by row from the member tuples: [i, j] iff j in Xi(i)."""
+    mask = np.zeros((rf.n, rf.n), dtype=bool)
+    for i in range(rf.n):
+        mask[i, list(rf.xi[i])] = True
+    return mask
+
+
+def explicit_fields(rng, n):
+    """A symmetric map with self-inclusion, given unsorted and with repeats."""
+    pairs = np.triu(rng.random((n, n)) < 0.3, k=1)
+    member = pairs | pairs.T | np.eye(n, dtype=bool)
+    return [rng.permutation(np.concatenate([row, row[:1]])).tolist()
+            for row in (np.flatnonzero(r) for r in member)]
+
+
+def test_field_mask_and_outside_match_the_membership_loop():
+    rng = child_rng(3, "field-mask")
+    for trial in range(60):
+        n = int(rng.integers(1, 24))
+        if trial % 2:
+            rf = graphs.receptive_fields_from_map(n, explicit_fields(rng, n))
+        else:
+            g = graphs.erdos_renyi_graph(n, float(rng.random()), int(rng.integers(1 << 30)))
+            rf = graphs.one_hop_receptive_fields(g)
+        expected = membership_loop(rf)
+        assert rf.mask.dtype == bool and np.array_equal(rf.mask, expected)
+        for i in range(n):
+            inside = np.zeros(n, dtype=bool)
+            inside[list(rf.xi[i])] = True
+            outside = rf.outside(i)
+            assert np.array_equal(outside, np.nonzero(~inside)[0])
+            assert outside.dtype == np.nonzero(~inside)[0].dtype
 
 
 def reference_field_error(n, xi):

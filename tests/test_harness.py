@@ -319,7 +319,7 @@ class GnnLearner:
     def __init__(self, rf, weight, ridge):
         self.weight = np.asarray(weight, dtype=float)
         self.ridge = float(ridge)
-        self.mask = graphs.mask_from_fields(rf)
+        self.mask = rf.mask
         self.id = f"gnn(ridge={self.ridge})"
 
     def prepare(self, z):

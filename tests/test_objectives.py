@@ -122,6 +122,23 @@ def test_certify_constants_passes_declared():
     certify_constants(ripple(), trials=10_000, seed=4)
 
 
+def test_certificate_is_built_once_per_objective():
+    for obj in (quad(), ripple()):
+        assert obj.certificate is obj.certificate
+
+
+@pytest.mark.parametrize("name, value", [("lipschitz", float("nan")), ("lipschitz", float("inf")),
+                                         ("lipschitz", -1.0), ("strong_convexity", float("nan"))])
+def test_certificate_constants_must_be_finite(name, value):
+    # a NaN strong convexity passed the ordering check and was not range-checked
+    fields = dict(smoothness=1.0, strong_convexity=0.5, lipschitz=1.0,
+                  gradient_data_lipschitz=1.0, loss_bound=1.0, sample_diameter=1.0,
+                  weight_radius=1.0)
+    with pytest.raises(ValueError, match=rf"^certificate constant {name} must be finite "
+                                         rf"and >= 0, got {value!r}$"):
+        objectives.ConstantsCertificate(**(fields | {name: value}))
+
+
 def test_certify_catches_understated_smoothness():
     obj = quad()
     # understate by replacing the declared certificate via a wrapper object

@@ -652,3 +652,20 @@ def test_exhaustive_enumeration_shapes():
     p = sampling.gibbs_probabilities(spec)
     assert p.sum() == pytest.approx(1.0)
     assert np.all(p > 0)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-300])
+def test_check_range_rejects_non_finite_and_negative(value, strict):
+    op = ">" if strict else ">="
+    with pytest.raises(ValueError, match=rf"^x must be finite and {op} 0, got {value!r}$"):
+        sampling.check_range("x", value, strict)
+
+
+def test_check_range_zero_passes_only_when_not_strict():
+    sampling.check_range("x", 0.0, strict=False)
+    with pytest.raises(ValueError, match=r"^x must be finite and > 0, got 0\.0$"):
+        sampling.check_range("x", 0.0, strict=True)
+    for strict in (True, False):
+        sampling.check_range("x", 1e-300, strict)
+        sampling.check_range("x", 2.5, strict)
