@@ -20,11 +20,18 @@ its coupling row), so each IsingSpec builds, on first use, one table per
 site holding P(s_i = +1 | neighbour pattern) for all 2^degree patterns, with
 the floats a single-chain update evaluates. The Glauber sweep and the
 influence matrix read the same tables: C_ij is the largest change of i's
-entry as neighbour j flips. A spec with a site of degree above
-TABLE_DEGREE_LIMIT sweeps from the local field instead, and builds its
-tables only for the influence. The coupling and field are read-only copies,
-so a table can never go stale. Vertex replacement evaluates the same
-logistic expression the tables are built from.
+entry as neighbour j flips. The coupling and field are read-only copies, so
+a table can never go stale. Vertex replacement evaluates the same logistic
+expression the tables are built from.
+
+One chain runs a Python kernel generated per neighbour structure
+(``glauber_kernel``) that reads small-int ranks instead of floats: each
+table entry is replaced by its position p among the sorted distinct entries
+of all tables, one searchsorted turns a block of uniforms u into ranks
+r = #{entries <= u}, and u < entry exactly when r <= p. Many chains advance
+together in numpy, one site at a time; a spec with a site of degree above
+TABLE_DEGREE_LIMIT runs them from the local field instead, and one above
+ENUMERATION_LIMIT runs every chain that way.
 
 Perturbed sets Z^Lambda replace the samples indexed by Lambda and keep every
 other coordinate bit-identical, which realizes the single-vertex sets Z^i
@@ -256,6 +263,34 @@ class IsingSpec:
         return [_site_table(self, s, nb) for s, nb in enumerate(self._neighbours)]
 
     @functools.cached_property
+    def _ranks(self) -> tuple:
+        """(values, positions) read by the one-chain kernel.
+
+        values is the sorted array of the distinct entries of all conditional
+        tables; positions holds, per site, the position in values of each
+        table entry as nested tuples indexed by the neighbour bits, first
+        neighbour outermost (a bare int for a site with no neighbour).
+        """
+        tables = [t.tolist() for t in self._tables]
+        values = sorted(set().union(*tables))
+        where = {v: k for k, v in enumerate(values)}
+        positions = []
+        for table in tables:
+            nested = [where[v] for v in table]
+            while len(nested) > 1:
+                nested = [tuple(nested[k:k + 2]) for k in range(0, len(nested), 2)]
+            positions.append(nested[0])
+        return np.array(values), positions
+
+    @functools.cached_property
+    def _one_chain_kernel(self):
+        """The spec's generated one-chain kernel (see ``glauber_kernel``)."""
+        from .glauber_kernel import one_chain_kernel  # first use only; see its docstring
+
+        return one_chain_kernel([tuple(nb.tolist()) for nb in self._neighbours],
+                                self._ranks[1])
+
+    @functools.cached_property
     def influence(self) -> np.ndarray:
         """Exact Dobrushin influence matrix C (n, n), read off the conditional tables.
 
@@ -349,32 +384,31 @@ def _glauber_direct(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> np.
     return spins.astype(int)
 
 
-# Most uniforms one rng.random call of the one-chain kernel draws; a block
-# always holds at least one sweep. The cap keeps memory flat in the sweep count.
+# Most uniforms one rng.random call of the one-chain kernel draws, ranked by
+# one searchsorted call and unpacked sweep by sweep into the kernel's locals;
+# a block always holds at least one sweep. The cap keeps memory flat in the
+# sweep count.
 ONE_CHAIN_BLOCK = 4096
 
 
 def _glauber_one_chain(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> np.ndarray:
-    """One chain in pure Python: booleans and table lookups, no numpy call per site.
+    """One chain through the spec's generated kernel, on ranks of the uniforms.
 
     The uniforms of a block of sweeps come from one rng.random call, read
-    sweep after sweep in site order.
+    sweep after sweep in site order. One searchsorted gives each uniform u
+    its rank r = #{v <= u} among the distinct table values, and u < values[p]
+    exactly when r <= p, so the kernel makes the float comparisons.
     """
     n = spec.n
-    neighbours, tables = spec._neighbours, spec._tables
-    sites = [(s, tuple(neighbours[s].tolist()), tables[s].tolist()) for s in range(n)]
-    up = (spins > 0).tolist()
+    values = spec._ranks[0]
+    kernel = spec._one_chain_kernel
+    state = (spins > 0).astype(int).tolist()
     per_block = max(1, ONE_CHAIN_BLOCK // n)
     for done in range(0, sweeps, per_block):
         block = min(per_block, sweeps - done)
-        u = rng.random(n * block).tolist()
-        for base in range(0, n * block, n):
-            for s, nbrs, table in sites:
-                index = 0
-                for k in nbrs:
-                    index += index + up[k]
-                up[s] = u[base + s] < table[index]
-    return np.array([[1 if b else -1 for b in up]], dtype=int)
+        ranks = values.searchsorted(rng.random(n * block), side="right")
+        state = kernel(state, ranks.reshape(block, n).tolist())
+    return np.array([state], dtype=int) * 2 - 1
 
 
 def _glauber_chains(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> np.ndarray:
@@ -412,26 +446,29 @@ def glauber_spins(
 
     One sweep visits every site once in index order; each visit resamples the
     spin from its exact conditional P(s_i = +1 | rest) = sigmoid(2(J_i.s + h_i)),
-    read from the spec's per-site table. If some site has degree above
-    TABLE_DEGREE_LIMIT the sweep reads no tables, and every conditional is
-    computed from the local field.
+    read from the spec's per-site table or computed from the local field.
 
     The random stream is one rng.choice for the initial spins, then the
-    sweeps * n * n_chains uniforms, read as (sweep, site, chain). One chain
-    on a tabulated spec draws them a block of sweeps at a time (at most
+    sweeps * n * n_chains uniforms, read as (sweep, site, chain). The
+    one-chain kernel draws them a block of sweeps at a time (at most
     ONE_CHAIN_BLOCK doubles per rng.random call, at least one sweep); every
-    other case draws one rng.random(n * n_chains) per sweep. A Generator
-    fills an array from the same sequence of doubles however it is split
-    into calls, so all of these equal n per-site rng.random(n_chains) calls:
-    the spins, and the Generator state left behind, are bit-identical to the
-    per-site local-field loop. One chain runs as a pure-Python loop over
-    booleans; more chains advance together with numpy, one site at a time.
+    other path draws one rng.random(n * n_chains) per sweep. A Generator fills an array from the
+    same sequence of doubles however it is split into calls, so all of
+    these equal n per-site rng.random(n_chains) calls: the spins, and the
+    Generator state left behind, are bit-identical to the per-site
+    local-field loop.
+
+    One chain on a spec of degree at most ENUMERATION_LIMIT runs the spec's
+    generated kernel over ranks (see the module docstring). More chains
+    advance together with numpy, one site at a time, from the tables up to
+    TABLE_DEGREE_LIMIT and from the local field above it; so does one chain
+    above ENUMERATION_LIMIT.
     """
     spins = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_chains, spec.n))
+    if n_chains == 1 and spec._max_degree <= ENUMERATION_LIMIT:
+        return _glauber_one_chain(spec, spins[0], sweeps, rng)
     if spec._max_degree > TABLE_DEGREE_LIMIT:
         return _glauber_direct(spec, spins, sweeps, rng)
-    if n_chains == 1:
-        return _glauber_one_chain(spec, spins[0], sweeps, rng)
     return _glauber_chains(spec, spins, sweeps, rng)
 
 

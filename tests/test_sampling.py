@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grlstab import bounds, graphs, sampling
+from grlstab import bounds, glauber_kernel, graphs, sampling
 
 
 def ring_spec(n, coupling, field=0.0, rule="field-mean", b_x=1.0, b_y=1.0):
@@ -291,14 +291,81 @@ def test_sampler_draws_match_reference_across_a_block_boundary():
 
 
 def test_complete_graph_exceeds_table_limit():
-    # the sweep computes every conditional from the local field and builds no
-    # tables; asking for the influence builds them
+    # many chains compute every conditional from the local field and build no
+    # tables; one chain reads them, as does the influence
     spec = KERNEL_SPECS["complete-11"]()
     assert spec._max_degree == spec.n - 1 > sampling.TABLE_DEGREE_LIMIT
     sampling.glauber_spins(spec, 2, np.random.default_rng(0), 4)
     assert "_tables" not in vars(spec)
-    assert spec.influence.shape == (11, 11)
+    sampling.glauber_spins(spec, 2, np.random.default_rng(0), 1)
+    assert "_tables" in vars(spec)
     assert [len(t) for t in spec._tables] == [2 ** 10] * 11
+    assert spec.influence.shape == (11, 11)
+
+
+def test_one_chain_reads_tables_up_to_the_enumeration_limit():
+    # complete-13 has degree 12 = ENUMERATION_LIMIT: 4096-entry tables, and
+    # a block boundary after 315 sweeps
+    spec = general_spec(graphs.complete_graph(13), 8)
+    assert spec._max_degree == sampling.ENUMERATION_LIMIT
+    for sweeps in (1, sweeps_per_block(spec) + 1):
+        assert_matches_reference(spec, sweeps, 1)
+    assert "_ranks" in vars(spec)
+    assert [len(t) for t in spec._tables] == [2 ** 12] * 13
+
+
+class ReplayRng:
+    """Generator stand-in: spins from a seeded Generator, then a fixed list of uniforms."""
+
+    def __init__(self, seed, uniforms):
+        self._spins = np.random.default_rng(seed)
+        self._uniforms = np.array(uniforms)
+        self.used = 0
+
+    def choice(self, *args, **kwargs):
+        return self._spins.choice(*args, **kwargs)
+
+    def random(self, size):
+        out = self._uniforms[self.used:self.used + size]
+        assert len(out) == size
+        self.used += size
+        return out
+
+
+def tie_stream(spec, sweeps, seed):
+    """Uniforms equal to, or one float either side of, the very table entry
+    each one-chain update compares them with."""
+    rng = np.random.default_rng(seed)
+    spins = np.random.default_rng(seed).choice(np.array([-1, 1], dtype=np.int8), size=spec.n)
+    uniforms = []
+    for _ in range(sweeps):
+        for site in range(spec.n):
+            p = reference_p_up(spec, spins, site)
+            u = (np.nextafter(p, 0.0), p, np.nextafter(p, 1.0))[rng.integers(3)]
+            uniforms.append(u)
+            spins[site] = 1 if u < p else -1
+    return uniforms
+
+
+@pytest.mark.parametrize("name", ["cycle", "erdos-renyi", "star-9", "isolated-vertex"])
+def test_one_chain_matches_reference_on_ties(name):
+    spec = KERNEL_SPECS[name]()
+    sweeps = sweeps_per_block(spec) + 2
+    uniforms = tie_stream(spec, sweeps, 5)
+    rng, ref_rng = ReplayRng(5, uniforms), ReplayRng(5, uniforms)
+    expected = reference_glauber_spins(spec, sweeps, ref_rng)
+    assert np.array_equal(sampling.glauber_spins(spec, sweeps, rng), expected)
+    assert rng.used == ref_rng.used == len(uniforms)
+
+
+@pytest.mark.parametrize("n", [1, 257, 2049])
+def test_one_chain_matches_reference_across_window_edges(n):
+    # cycle-257: two windows, and sites 0 and 256 are neighbours across the
+    # edge; cycle-2049: one sweep per block, and a last window of one site
+    spec = ring_spec(n, 0.4, field=-0.1)
+    assert n <= glauber_kernel.WINDOW or n % glauber_kernel.WINDOW == 1
+    for sweeps in (2, 3):
+        assert_matches_reference(spec, sweeps, 1)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
