@@ -36,19 +36,19 @@ the experiment reads only row i of each perturbed fit:
 - |m.v'| is largest at v'_k = b_x ||w|| sign(m_k), the corner built from
   the sign pattern of the fitted difference.
 
-So the sign patterns come from row i of a_p - a and a_p + a alone, and no
-n x n candidate data is formed. The predictions still come from the full
-products A~ v' (one per corner and fit), of which only entry i is read: a
-lone row's dot product can differ from the full product's entry in the
-last bits, so it would change the result bytes. Label mode evaluates the
-sign corners only, and the test-draw count affects feature mode alone.
+So the sign patterns come from row i of a_p - a and a_p + a alone. Row i
+of each perturbed fit is kept as row i of a composite matrix per endpoint,
+and a block of vertices' corners goes through one batch of full
+matrix-vector products with A~ and the composites, read at entry i for
+vertex i: an entry depends only on its row, its position and the vector,
+so it has the perturbed fit's own bits (a lone row's dot product may not).
+Label mode evaluates the sign corners only; the test-draw count is unread.
 
 In feature mode the sup is lower estimated by Monte Carlo draws plus
 sign-corner candidates. One vertex's candidates are evaluated as one batch:
 a (C, n, dim) array of test features, batched matrix-vector products for
 the base and perturbed fits, and one exact max over the (C, fits, n) block
-of loss differences, so the estimate equals the max a
-candidate-by-candidate loop would take.
+of loss differences, so the estimate equals a candidate-by-candidate loop's.
 
 Perturbed problems derive from the trial's validated base problem
 (GnnProblem.with_label, GnnProblem.with_feature_row): the shared mask is
@@ -97,11 +97,11 @@ class GnnProblem:
             check_range(name, getattr(self, name), strict=False)
         if not np.array_equal(mask, mask.T):
             raise ValueError("mask must be symmetric")
-        if np.any(np.linalg.norm(x, axis=1) > self.b_x + _BOUND_TOL):
+        if not np.all(np.linalg.norm(x, axis=1) <= self.b_x + _BOUND_TOL):
             raise ValueError("feature row norm exceeds b_x")
-        if np.any(np.abs(y) > self.b_y + _BOUND_TOL):
+        if not np.all(np.abs(y) <= self.b_y + _BOUND_TOL):
             raise ValueError("label magnitude exceeds b_y")
-        if np.linalg.norm(w) > self.b_w + _BOUND_TOL:
+        if not (np.linalg.norm(w) <= self.b_w + _BOUND_TOL):
             raise ValueError("weight norm exceeds b_w")
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "labels", y)
@@ -127,7 +127,7 @@ class GnnProblem:
         The features, weight and mask are this validated problem's own
         arrays, so the mask is not re-checked and the cached v is shared.
         """
-        if abs(value) > self.b_y + _BOUND_TOL:
+        if not (abs(value) <= self.b_y + _BOUND_TOL):
             raise ValueError("label magnitude exceeds b_y")
         labels = self.labels.copy()
         labels[i] = value
@@ -142,7 +142,7 @@ class GnnProblem:
         row = np.asarray(row, dtype=float)
         if row.shape != self.weight.shape:
             raise ValueError("feature row length must match the feature columns")
-        if np.linalg.norm(row) > self.b_x + _BOUND_TOL:
+        if not (np.linalg.norm(row) <= self.b_x + _BOUND_TOL):
             raise ValueError("feature row norm exceeds b_x")
         features = self.features.copy()
         features[i] = row
@@ -185,20 +185,37 @@ def _loss_diff_sup_label(pred_base: np.ndarray, pred_pert: np.ndarray, b_y: floa
     return np.abs(pred_base - pred_pert) * (np.abs(pred_base + pred_pert) + 2.0 * b_y)
 
 
-def _label_sign_patterns(fit_rows: np.ndarray, base_row: np.ndarray) -> np.ndarray:
-    """Sign patterns of one label-mode vertex i's corners, read from row i; (C, n).
+# Cap on the candidate entries (corners x test vertices) of one label-mode
+# product; a vertex has at most 4 corners, so at n = 64 a trial is one block.
+LABEL_BLOCK = 1 << 14
 
-    fit_rows holds row i of each perturbed fit. Each fit that moved row i
-    gives, in this order, the signs of its difference from the base row and
-    of their sum (np.where(x >= 0, 1, -1)); a source that is all zero gives
-    none. A difference counts as moved when some square of it is nonzero,
-    i.e. when its Euclidean norm is nonzero.
+
+def _label_trial(base: GnnProblem, a_base: np.ndarray, corner, beta2_i: np.ndarray):
+    """Fit a label-mode trial's 2n perturbed problems; fold its sups into beta2_i.
+
+    Row i of rows[f] is row i of the fit with y_i = (-B_y, B_y)[f].
     """
-    delta = fit_rows - base_row
-    moved = (delta * delta).any(axis=1)
-    sources = np.stack([delta, fit_rows + base_row], axis=1)[moved].reshape(-1, base_row.size)
-    sources = sources[sources.any(axis=1)]
-    return np.where(sources >= 0.0, 1.0, -1.0)
+    n, w, b_y = base.n, base.weight, base.b_y
+    rows = np.empty((2, n, n))
+    for i, f in np.ndindex(n, 2):  # every perturbed problem is fitted, even with no corner
+        rows[f, i] = fit_projected_closed_form(base.with_label(i, (-b_y, b_y)[f]))[i]
+    if corner is None:
+        return
+    step = max(1, LABEL_BLOCK // (4 * n))
+    for lo in range(0, n, step):
+        block, base_rows = rows[:, lo:lo + step], a_base[lo:lo + step]
+        delta = block - base_rows
+        # (vertex, fit, difference or sum, n) in C order. A fit that moved row i (some
+        # square is nonzero) gives vertex i the signs of each source that is not all 0.
+        sources = np.stack([delta, block + base_rows], axis=2).swapaxes(0, 1)
+        keep = (delta * delta).any(axis=2).T[:, :, None] & sources.any(axis=3)
+        vert = lo + np.nonzero(keep)[0]
+        # (K, n, 1) test projections; each product is one matrix-vector call per corner
+        vt = ((np.where(sources[keep] >= 0.0, 1.0, -1.0)[:, :, None] * corner) @ w)[:, :, None]
+        k = np.arange(vert.size)
+        sup_y = _loss_diff_sup_label((a_base @ vt)[k, vert, 0],
+                                     (rows[:, None] @ vt)[:, k, vert, 0], b_y)
+        np.maximum.at(beta2_i, vert, sup_y.max(axis=0))
 
 
 def _test_feature_candidates(rng, n, dim, b_x, weight, pairs, n_draws) -> np.ndarray:
@@ -266,8 +283,7 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
             raise ValueError("feature bump must stay below 0.1 b_x (first-order regime)")
     n = rf.n
     beta1_i, beta2_i = np.zeros((2, n))
-    if kind == FEATURE_MODE:
-        outside = [rf.outside(i) for i in range(n)]
+    outside = [rf.outside(i) for i in range(n)] if kind == FEATURE_MODE else None
 
     for trial in range(trials):
         rng = child_rng(seed, "gnn-trial", trial)
@@ -280,41 +296,25 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
         a_base = fit_projected_closed_form(base)
         wn = float(np.linalg.norm(w))
         unit = w / wn if wn > 0 else np.eye(dim)[0]
+        if kind == LABEL_MODE:  # corners at +-b_x along w; a zero weight has none
+            _label_trial(base, a_base, b_x * unit if wn > 0 else None, beta2_i)
+            continue
         bump = unit * eps_feature
-        corner = b_x * unit if wn > 0 else None  # label mode's +-b_x test row
-
         for i in range(n):
-            if kind == LABEL_MODE:
-                # every perturbed problem is fitted, also when no corner is read
-                fits = np.stack([fit_projected_closed_form(base.with_label(i, endpoint))
-                                 for endpoint in (-b_y, b_y)])
-                if corner is None:
-                    continue
-                signs = _label_sign_patterns(fits[:, i], a_base[i])
-                if not len(signs):
-                    continue
-                vt = (signs[:, :, None] * corner) @ w
-            else:
-                fits = np.stack([fit_projected_closed_form(
-                    base.with_feature_row(i, x[i] + bump))])
-                # The candidates and the (difference, sum) pairs die with this
-                # call, before the (C, F, n) block below is built.
-                vt = _test_feature_candidates(
-                    rng, n, dim, b_x, w, [(a_p - a_base, a_p + a_base) for a_p in fits],
-                    n_test_draws) @ w
-                if not len(vt):
-                    continue
+            fits = np.stack([fit_projected_closed_form(base.with_feature_row(i, x[i] + bump))])
+            # The candidates and the (difference, sum) pairs die with this
+            # call, before the (C, F, n) block below is built.
+            vt = _test_feature_candidates(
+                rng, n, dim, b_x, w, [(a_p - a_base, a_p + a_base) for a_p in fits],
+                n_test_draws) @ w
+            if not len(vt):
+                continue
             # (C, 1, n, 1) test projections; each product below is one
             # matrix-vector call per candidate, as in a per-candidate loop.
             vt = vt[:, None, :, None]
-            pred_base, pred_pert = (a_base @ vt)[..., 0], (fits @ vt)[..., 0]
-            if kind == LABEL_MODE:
-                # rows j != i of every fit are the base's bits, so the gaps at
-                # other test vertices are exactly 0 and beta1_i stays 0
-                pred_base, pred_pert = pred_base[..., i], pred_pert[..., i]
-            sup_y = _loss_diff_sup_label(pred_base, pred_pert, b_y)
+            sup_y = _loss_diff_sup_label((a_base @ vt)[..., 0], (fits @ vt)[..., 0], b_y)
             beta2_i[i] = max(beta2_i[i], float(sup_y.max()))
-            if kind == FEATURE_MODE and outside[i].size:
+            if outside[i].size:
                 beta1_i[i] = max(beta1_i[i], float(sup_y[:, :, outside[i]].max()))
 
     return GnnStabilityResult(beta1_i=beta1_i, beta2_i=beta2_i, sup_d=rf.sup_d,

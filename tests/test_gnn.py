@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -314,10 +316,12 @@ def test_candidate_batch_bit_equal_reference_list(n_draws, weight_scale):
 @pytest.mark.parametrize("kind", [gnn.LABEL_MODE, gnn.FEATURE_MODE])
 @pytest.mark.parametrize("solver", ["projected", "rowwise"])
 @pytest.mark.parametrize("n, density", [(32, 0.05), (48, 0.2), (64, 0.5), (40, 0.8),
-                                        (7, 0.4), (13, 0.3)])
+                                        (7, 0.4), (13, 0.3), (1, 0.5), (2, 1.0), (3, 0.5),
+                                        (9, 0.0), (20, 0.0)])
 def test_batched_candidates_bit_equal_reference_loop(kind, solver, n, density, monkeypatch):
     # n = 7 and 13 are not multiples of a BLAS row block, so the matrix-vector
-    # kernels take their remainder paths; label mode still reads only row i
+    # kernels take their remainder paths; label mode still reads only row i.
+    # At density 0 every mask row holds only its own vertex.
     use_fit(monkeypatch, solver)
     rf = gnn.density_mask_fields(n, density, seed=n)
     res = assert_matches_reference(rf, kind, seed=100 + n, trials=2, n_test_draws=6)
@@ -418,6 +422,56 @@ def test_label_mode_beta2_is_sign_corner_closed_form(solver, case, monkeypatch):
     assert not res.beta1_i.any()
 
 
+@pytest.mark.parametrize("solver", ["projected", "rowwise"])
+def test_label_mode_vertices_without_corners_bit_equal(solver, monkeypatch):
+    # isolated vertex 4 gets feature row 0, so v_4 = 0 and its fits never move
+    # row 4: it has no corner, while every other vertex of the batch has some
+    use_fit(monkeypatch, solver)
+    draw = rows_in_ball
+
+    def zero_row_4(rng, n, dim, radius):
+        x = draw(rng, n, dim, radius)
+        if n == 9:
+            x[4] = 0.0
+        return x
+
+    monkeypatch.setattr(gnn, "rows_in_ball", zero_row_4)
+    monkeypatch.setitem(globals(), "rows_in_ball", zero_row_4)  # the reference loop's
+    rf = graphs.one_hop_receptive_fields(
+        graphs.build_graph(9, [(0, 1), (1, 2), (2, 3), (5, 6)]))
+    res = assert_matches_reference(rf, gnn.LABEL_MODE, seed=28, trials=2, n_test_draws=0)
+    assert res.beta2_i[4] == 0.0 and np.delete(res.beta2_i, 4).all()
+
+
+@pytest.mark.parametrize("solver", ["projected", "rowwise"])
+@pytest.mark.parametrize("n, block", [(70, None), (13, 4 * 13 * 3)])
+def test_label_mode_blocks_bit_equal(solver, n, block, monkeypatch):
+    # the vertices span several blocks, the last one shorter: at the default
+    # cap n = 70 runs 58 + 12 vertices, the small cap 3 + 3 + 3 + 3 + 1
+    use_fit(monkeypatch, solver)
+    if block is not None:
+        monkeypatch.setattr(gnn, "LABEL_BLOCK", block)
+    step = gnn.LABEL_BLOCK // (4 * n)
+    assert step < n and n % step
+    rf = gnn.density_mask_fields(n, 0.3, seed=n)
+    assert_matches_reference(rf, gnn.LABEL_MODE, seed=70 + n, trials=2, n_test_draws=0)
+
+
+def test_label_trial_memory_stays_below_eight_n_squared_doubles():
+    # one trial at n = 256 holds the base fit, the two composites of fitted
+    # rows and one block of corners; a whole-trial batch of corners would
+    # hold (4 n, n) arrays, about 14.5 MiB here
+    n = 256
+    rf = gnn.density_mask_fields(n, 0.2, seed=3)
+    tracemalloc.start()
+    try:
+        gnn.gnn_stability_experiment(rf, gnn.LABEL_MODE, 1, 0.0, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n * np.dtype(float).itemsize
+
+
 @pytest.mark.parametrize("kind, fits_per_vertex", [(gnn.LABEL_MODE, 2), (gnn.FEATURE_MODE, 1)])
 @pytest.mark.parametrize("case", ["erdos-renyi", "isolated", "zero-weight"])
 def test_every_perturbed_problem_is_fitted(kind, fits_per_vertex, case, monkeypatch):
@@ -491,6 +545,35 @@ def test_problem_rejects_non_finite_or_out_of_range_parameters(bad, name):
             "mask": p.mask, "ridge": p.ridge, **bad}
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         gnn.GnnProblem(**args)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("features", "feature row norm exceeds b_x"),
+    ("labels", "label magnitude exceeds b_y"),
+    ("weight", "weight norm exceeds b_w"),
+])
+def test_problem_rejects_nan_entries(field, message):
+    # NaN fails every `<=` bound check; a `>` check let it through, and a NaN
+    # feature row fitted to a NaN row of A~
+    p = random_problem(child_rng(29, "nan-entries"), graphs.one_hop_receptive_fields(
+        graphs.cycle_graph(5)))
+    args = {"features": p.features, "labels": p.labels, "weight": p.weight,
+            "mask": p.mask, "ridge": p.ridge}
+    args[field] = args[field].copy()
+    args[field].flat[1] = NAN
+    with pytest.raises(ValueError, match=message):
+        gnn.GnnProblem(**args)
+
+
+@pytest.mark.parametrize("derive, message", [
+    (lambda p: p.with_label(0, NAN), "label magnitude exceeds b_y"),
+    (lambda p: p.with_feature_row(0, [NAN, 0.0, 0.0]), "feature row norm exceeds b_x"),
+], ids=["with_label", "with_feature_row"])
+def test_derived_problems_reject_nan_entries(derive, message):
+    p = random_problem(child_rng(29, "nan-derived"), graphs.one_hop_receptive_fields(
+        graphs.cycle_graph(5)))
+    with pytest.raises(ValueError, match=message):
+        derive(p)
 
 
 def test_derived_problems_check_only_replaced_entries():
