@@ -23,7 +23,7 @@ at an endpoint and computed exactly. Test features enter only through
 v' = X' w, each v'_k in [-b_x ||w||, b_x ||w||].
 
 In label mode the sup over test features is exact at the sign corner, and
-the experiment reads only row i of each perturbed fit:
+the experiment needs only row i of each perturbed fit:
 
 - replacing y_i changes only row i of A~, which either fit sets to
   y_i c m with m = mask_i o v and c the fit's denominator. Every other
@@ -36,9 +36,12 @@ the experiment reads only row i of each perturbed fit:
 - |m.v'| is largest at v'_k = b_x ||w|| sign(m_k), the corner built from
   the sign pattern of the fitted difference.
 
-So the sign patterns come from row i of a_p - a and a_p + a alone. Row i
-of each perturbed fit is kept as row i of a composite matrix per endpoint,
-and a block of vertices' corners goes through one batch of full
+So each perturbed problem is fitted on its one changed row alone
+(GnnProblem.label_row): a (1, n) fit from the same operands through the
+same elementwise operations, so it has the bits of row i of the full
+perturbed fit. It is kept as row i of a composite matrix per endpoint,
+and the sign patterns come from row i of the composites minus and plus
+A~. A block of vertices' corners goes through one batch of full
 matrix-vector products with A~ and the composites, read at entry i for
 vertex i: an entry depends only on its row, its position and the vector,
 so it has the perturbed fit's own bits (a lone row's dot product may not).
@@ -51,8 +54,9 @@ the base and perturbed fits, and one exact max over the (C, fits, n) block
 of loss differences, so the estimate equals a candidate-by-candidate loop's.
 
 Perturbed problems derive from the trial's validated base problem
-(GnnProblem.with_label, GnnProblem.with_feature_row): the shared mask is
-not re-checked and only the replaced entries are bound-checked.
+(GnnProblem.label_row, GnnProblem.with_feature_row): the shared mask is
+not re-checked and only the replaced entries are bound-checked. A label
+row problem fits row i only; a feature-row problem fits all n rows.
 """
 
 from __future__ import annotations
@@ -73,10 +77,18 @@ _BOUND_TOL = 1e-9  # slack on the b_x / b_y / b_w bound checks
 
 @dataclass(frozen=True, eq=False)
 class GnnProblem:
+    """A masked-ridge training problem over n vertices.
+
+    Its fitted rows, the labels and the mask rows, may be a subset of the
+    vertices: a constructed problem fits all n rows, and label_row derives
+    one that fits a single row. features, v and n always cover all n
+    vertices, so a fit has one row per label and n columns.
+    """
+
     features: np.ndarray  # (n, m), row norms <= b_x
-    labels: np.ndarray  # (n,), sup norm <= b_y
+    labels: np.ndarray  # (r,), one per fitted row, sup norm <= b_y
     weight: np.ndarray  # (m,), norm <= b_w
-    mask: np.ndarray  # (n, n) bool, symmetric
+    mask: np.ndarray  # (r, n) bool; a constructed problem's is (n, n), symmetric
     ridge: float  # gamma > 0
     b_x: float = 1.0
     b_y: float = 1.0
@@ -121,17 +133,17 @@ class GnnProblem:
         """
         return self.features @ self.weight
 
-    def with_label(self, i: int, value: float) -> GnnProblem:
-        """This problem with label i set to ``value``; only the new label is checked.
+    def label_row(self, i: int, value: float) -> GnnProblem:
+        """Row i of this problem with y_i = ``value``; only the new label is checked.
 
-        The features, weight and mask are this validated problem's own
-        arrays, so the mask is not re-checked and the cached v is shared.
+        The result fits one row: its labels are (value,) and its mask is the
+        view mask[i:i + 1]. The features, weight and cached v are this
+        validated problem's own arrays, so the mask is not re-checked.
         """
         if not (abs(value) <= self.b_y + _BOUND_TOL):
             raise ValueError("label magnitude exceeds b_y")
-        labels = self.labels.copy()
-        labels[i] = value
-        return self._derived(labels=labels, v=self.v)
+        return self._derived(labels=np.array([value], dtype=float),
+                             mask=self.mask[i:i + 1], v=self.v)
 
     def with_feature_row(self, i: int, row) -> GnnProblem:
         """This problem with feature row i replaced; only the new row is checked.
@@ -193,12 +205,12 @@ LABEL_BLOCK = 1 << 14
 def _label_trial(base: GnnProblem, a_base: np.ndarray, corner, beta2_i: np.ndarray):
     """Fit a label-mode trial's 2n perturbed problems; fold its sups into beta2_i.
 
-    Row i of rows[f] is row i of the fit with y_i = (-B_y, B_y)[f].
+    Row i of rows[f] is the one row of the fit of base.label_row(i, (-B_y, B_y)[f]).
     """
     n, w, b_y = base.n, base.weight, base.b_y
     rows = np.empty((2, n, n))
     for i, f in np.ndindex(n, 2):  # every perturbed problem is fitted, even with no corner
-        rows[f, i] = fit_projected_closed_form(base.with_label(i, (-b_y, b_y)[f]))[i]
+        rows[f, i] = fit_projected_closed_form(base.label_row(i, (-b_y, b_y)[f]))[0]
     if corner is None:
         return
     step = max(1, LABEL_BLOCK // (4 * n))
@@ -301,7 +313,7 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
             continue
         bump = unit * eps_feature
         for i in range(n):
-            fits = np.stack([fit_projected_closed_form(base.with_feature_row(i, x[i] + bump))])
+            fits = fit_projected_closed_form(base.with_feature_row(i, x[i] + bump))[None]
             # The candidates and the (difference, sum) pairs die with this
             # call, before the (C, F, n) block below is built.
             vt = _test_feature_candidates(

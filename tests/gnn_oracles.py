@@ -27,11 +27,13 @@ def full_objective_gradient(p, a: np.ndarray) -> np.ndarray:
 
 
 def fit_exact_rowwise(p) -> np.ndarray:
-    """Support-constrained minimizer; rows decouple into scalar ridges. Returns A~."""
+    """Support-constrained minimizer; rows decouple into scalar ridges.
+
+    Returns A~ with one row per label of p (its fitted rows) and p.n columns.
+    """
     v = p.v
-    a = np.zeros((p.n, p.n))
-    for i in range(p.n):
-        row_mask = p.mask[i]
+    a = np.zeros((len(p.labels), p.n))
+    for i, row_mask in enumerate(p.mask):
         denom = p.ridge + float(np.sum(v[row_mask] ** 2))
         a[i, row_mask] = p.labels[i] * v[row_mask] / denom
     return a

@@ -566,9 +566,9 @@ def test_problem_rejects_nan_entries(field, message):
 
 
 @pytest.mark.parametrize("derive, message", [
-    (lambda p: p.with_label(0, NAN), "label magnitude exceeds b_y"),
+    (lambda p: p.label_row(0, NAN), "label magnitude exceeds b_y"),
     (lambda p: p.with_feature_row(0, [NAN, 0.0, 0.0]), "feature row norm exceeds b_x"),
-], ids=["with_label", "with_feature_row"])
+], ids=["label_row", "with_feature_row"])
 def test_derived_problems_reject_nan_entries(derive, message):
     p = random_problem(child_rng(29, "nan-derived"), graphs.one_hop_receptive_fields(
         graphs.cycle_graph(5)))
@@ -582,24 +582,48 @@ def test_derived_problems_check_only_replaced_entries():
     p = random_problem(rng, rf)
     labels = p.labels.copy()
     with pytest.raises(ValueError, match="b_y"):
-        p.with_label(2, 1.5)
+        p.label_row(2, 1.5)
     with pytest.raises(ValueError, match="b_x"):
         p.with_feature_row(2, [1.2, 0.0, 0.0])
     with pytest.raises(ValueError, match="feature columns"):
         p.with_feature_row(2, [0.1, 0.1])
 
-    q = p.with_label(2, -1.0)
-    assert q.v is p.v and q.features is p.features and q.mask is p.mask
-    assert np.array_equal(p.labels, labels) and q.labels[2] == -1.0
+    q = p.label_row(2, -1.0)
+    assert q.v is p.v and q.features is p.features
+    assert np.shares_memory(q.mask, p.mask) and np.array_equal(q.mask, p.mask[2:3])
+    assert np.array_equal(p.labels, labels) and np.array_equal(q.labels, [-1.0])
+    y_q = labels.copy()
+    y_q[2] = -1.0
     row = p.features[5] + 0.05 * p.weight / np.linalg.norm(p.weight)
     r = p.with_feature_row(5, row)
     assert r.labels is p.labels and r.mask is p.mask and "v" not in vars(r)
-    for derived in (q, r):
-        fresh = gnn.GnnProblem(features=derived.features, labels=derived.labels,
+    # q fits row 2 only; r fits every row
+    for derived, fresh_labels, rows in ((q, y_q, slice(2, 3)), (r, p.labels, slice(None))):
+        fresh = gnn.GnnProblem(features=derived.features, labels=fresh_labels,
                                weight=p.weight, mask=p.mask, ridge=p.ridge)
         assert np.array_equal(derived.v, fresh.v)
         for fit in (gnn.fit_projected_closed_form, fit_exact_rowwise):
-            assert np.array_equal(fit(derived), fit(fresh))
+            assert np.array_equal(fit(derived), fit(fresh)[rows])
+
+
+@pytest.mark.parametrize("solver", ["projected", "rowwise"])
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 9, 64])
+def test_label_row_fit_is_row_of_full_fit(solver, density, n):
+    # a label row problem fits one (1, n) row with the bits of row i of the
+    # freshly validated full problem's fit, for every vertex and endpoint
+    fit = gnn.fit_projected_closed_form if solver == "projected" else fit_exact_rowwise
+    rf = gnn.density_mask_fields(n, density, seed=n)
+    p = random_problem(child_rng(31, "label-row", n), rf)
+    for i in range(n):
+        for value in (-p.b_y, p.b_y):
+            row_fit = fit(p.label_row(i, value))
+            y = p.labels.copy()
+            y[i] = value
+            fresh = gnn.GnnProblem(features=p.features, labels=y, weight=p.weight,
+                                   mask=p.mask, ridge=p.ridge)
+            assert row_fit.shape == (1, n)
+            assert np.array_equal(row_fit, fit(fresh)[i:i + 1])
 
 
 @pytest.mark.parametrize("kind", [gnn.LABEL_MODE, gnn.FEATURE_MODE])
