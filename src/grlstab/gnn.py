@@ -33,24 +33,23 @@ the experiment needs only row i of each perturbed fit:
   test vertex i, and label-mode beta1 is exactly 0;
 - there the rows of a_p - a and a_p + a are both multiples of m, so the
   loss-difference sup |d.v'| (|s.v'| + 2 B_y) increases with |m.v'|;
-- |m.v'| is largest at v'_k = b_x ||w|| sign(m_k), the corner built from
-  the sign pattern of the fitted difference.
+- |m.v'| is largest at v'_k = b_x ||w|| sign(m_k), so vertex i has one
+  corner, read off the base problem's mask_i o v.
 
 So each perturbed problem is fitted on its one changed row alone
 (GnnProblem.label_row): a (1, n) fit from the same operands through the
 same elementwise operations, so it has the bits of row i of the full
-perturbed fit. It is kept as row i of a composite matrix per endpoint,
-and the sign patterns come from row i of the composites minus and plus
-A~. A block of vertices' corners goes through one batch of full
-matrix-vector products with A~ and the composites, read at entry i for
-vertex i: an entry depends only on its row, its position and the vector,
-so it has the perturbed fit's own bits (a lone row's dot product may not).
-Label mode evaluates the sign corners only; the test-draw count is unread.
+perturbed fit. It is kept as row i of a composite matrix per endpoint. A
+block of vertices' corners goes through one batch of full matrix-vector
+products with A~ and the composites, read at entry i for vertex i: an
+entry depends only on its row, its position and the vector, so it has
+the perturbed fit's own bits (a lone row's dot product may not). Label
+mode evaluates the sign corners only; the test-draw count is unread.
 
 In feature mode the sup is lower estimated by Monte Carlo draws plus
 sign-corner candidates. One vertex's candidates are evaluated as one batch:
 a (C, n, dim) array of test features, batched matrix-vector products for
-the base and perturbed fits, and one exact max over the (C, fits, n) block
+the base and perturbed fits, and one exact max over the (C, n) block
 of loss differences, so the estimate equals a candidate-by-candidate loop's.
 
 Perturbed problems derive from the trial's validated base problem
@@ -133,23 +132,29 @@ class GnnProblem:
         """
         return self.features @ self.weight
 
+    @cached_property
+    def denominator(self) -> float:
+        """gamma + ||v||^2, the projected fit's denominator, computed once per problem."""
+        return self.ridge + float(self.v @ self.v)
+
     def label_row(self, i: int, value: float) -> GnnProblem:
         """Row i of this problem with y_i = ``value``; only the new label is checked.
 
         The result fits one row: its labels are (value,) and its mask is the
-        view mask[i:i + 1]. The features, weight and cached v are this
-        validated problem's own arrays, so the mask is not re-checked.
+        view mask[i:i + 1]. The features, weight, cached v and denominator
+        are this validated problem's own, so the mask is not re-checked.
         """
         if not (abs(value) <= self.b_y + _BOUND_TOL):
             raise ValueError("label magnitude exceeds b_y")
         return self._derived(labels=np.array([value], dtype=float),
-                             mask=self.mask[i:i + 1], v=self.v)
+                             mask=self.mask[i:i + 1], v=self.v,
+                             denominator=self.denominator)
 
     def with_feature_row(self, i: int, row) -> GnnProblem:
         """This problem with feature row i replaced; only the new row is checked.
 
         The labels, weight and mask are shared with this validated problem;
-        v is recomputed from the new features on first use.
+        v and the denominator are recomputed from the new features on first use.
         """
         row = np.asarray(row, dtype=float)
         if row.shape != self.weight.shape:
@@ -163,15 +168,14 @@ class GnnProblem:
     def _derived(self, **fields) -> GnnProblem:
         """A problem sharing every field but ``fields`` with this one, unvalidated."""
         q = object.__new__(GnnProblem)
-        vars(q).update({k: val for k, val in vars(self).items() if k != "v"}, **fields)
+        vars(q).update({k: val for k, val in vars(self).items()
+                        if k not in ("v", "denominator")}, **fields)
         return q
 
 
 def fit_projected_closed_form(p: GnnProblem) -> np.ndarray:
     """Masked projection of the unconstrained ridge stationary point; returns A~."""
-    v = p.v
-    a = np.outer(p.labels, v) / (p.ridge + float(v @ v))
-    return np.where(p.mask, a, 0.0)
+    return np.where(p.mask, np.outer(p.labels, p.v) / p.denominator, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +202,7 @@ def _loss_diff_sup_label(pred_base: np.ndarray, pred_pert: np.ndarray, b_y: floa
 
 
 # Cap on the candidate entries (corners x test vertices) of one label-mode
-# product; a vertex has at most 4 corners, so at n = 64 a trial is one block.
+# product; a vertex has one corner, so at n = 64 a trial is one block.
 LABEL_BLOCK = 1 << 14
 
 
@@ -213,24 +217,21 @@ def _label_trial(base: GnnProblem, a_base: np.ndarray, corner, beta2_i: np.ndarr
         rows[f, i] = fit_projected_closed_form(base.label_row(i, (-b_y, b_y)[f]))[0]
     if corner is None:
         return
-    step = max(1, LABEL_BLOCK // (4 * n))
+    step = max(1, LABEL_BLOCK // n)
     for lo in range(0, n, step):
-        block, base_rows = rows[:, lo:lo + step], a_base[lo:lo + step]
-        delta = block - base_rows
-        # (vertex, fit, difference or sum, n) in C order. A fit that moved row i (some
-        # square is nonzero) gives vertex i the signs of each source that is not all 0.
-        sources = np.stack([delta, block + base_rows], axis=2).swapaxes(0, 1)
-        keep = (delta * delta).any(axis=2).T[:, :, None] & sources.any(axis=3)
-        vert = lo + np.nonzero(keep)[0]
+        delta = rows[:, lo:lo + step] - a_base[lo:lo + step]
+        # a vertex whose row some fit moved (some square is nonzero) gets its corner
+        vert = lo + np.nonzero((delta * delta).any(axis=2).any(axis=0))[0]
+        signs = np.where(base.mask[vert] * base.v >= 0.0, 1.0, -1.0)
         # (K, n, 1) test projections; each product is one matrix-vector call per corner
-        vt = ((np.where(sources[keep] >= 0.0, 1.0, -1.0)[:, :, None] * corner) @ w)[:, :, None]
+        vt = ((signs[:, :, None] * corner) @ w)[:, :, None]
         k = np.arange(vert.size)
         sup_y = _loss_diff_sup_label((a_base @ vt)[k, vert, 0],
                                      (rows[:, None] @ vt)[:, k, vert, 0], b_y)
-        np.maximum.at(beta2_i, vert, sup_y.max(axis=0))
+        beta2_i[vert] = np.maximum(beta2_i[vert], sup_y.max(axis=0))
 
 
-def _test_feature_candidates(rng, n, dim, b_x, weight, pairs, n_draws) -> np.ndarray:
+def _test_feature_candidates(rng, n, dim, b_x, weight, pair, n_draws) -> np.ndarray:
     """Feature-mode test feature sets, Monte Carlo draws then sign corners; (C, n, dim).
 
     A feature bump at vertex i changes v_i and, through the fit's
@@ -239,28 +240,26 @@ def _test_feature_candidates(rng, n, dim, b_x, weight, pairs, n_draws) -> np.nda
 
     The n_draws Monte Carlo sets come first, one ``sampling.rows_in_ball``
     call each. Corners follow: they set every row to +-b_x along the weight
-    direction; sign patterns come from the dominant
-    rows of each fitted difference (which drive the first factor of the
-    loss-difference product) and from the matching rows of the
-    base+perturbed sum (the second factor). Rows where the difference is
-    negligible contribute nothing to the product, so only the leading rows
-    (at least a quarter of the largest row norm, at most eight) spawn
-    corners. Corners use no randomness.
+    direction; sign patterns come from the dominant rows of the fitted
+    difference, the first of ``pair = (difference, sum)`` (these rows drive
+    the first factor of the loss-difference product), and from the matching
+    rows of the base+perturbed sum (the second factor). Rows where the
+    difference is negligible contribute nothing to the product, so only the
+    leading rows (at least a quarter of the largest row norm, at most eight)
+    spawn corners. Corners use no randomness.
     """
     signs = []
+    delta, summed = pair
     wn = float(np.linalg.norm(weight))
-    if wn > 0.0:
-        for delta, summed in pairs:
-            norms = np.linalg.norm(delta, axis=1)
-            top = float(norms.max())
-            if top == 0.0:
-                continue
-            rows = np.nonzero(norms >= 0.25 * top)[0]
-            rows = rows[np.argsort(norms[rows])[::-1][:8]]
-            for j in rows:
-                for source in (delta[j], summed[j]):
-                    if np.any(source != 0.0):
-                        signs.append(np.where(source >= 0.0, 1.0, -1.0))
+    norms = np.linalg.norm(delta, axis=1)
+    top = float(norms.max())
+    if wn > 0.0 and top > 0.0:
+        rows = np.nonzero(norms >= 0.25 * top)[0]
+        rows = rows[np.argsort(norms[rows])[::-1][:8]]
+        for j in rows:
+            for source in (delta[j], summed[j]):
+                if np.any(source != 0.0):
+                    signs.append(np.where(source >= 0.0, 1.0, -1.0))
     cands = np.empty((n_draws + len(signs), n, dim))
     for k in range(n_draws):
         cands[k] = rows_in_ball(rng, n, dim, b_x)
@@ -313,21 +312,20 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
             continue
         bump = unit * eps_feature
         for i in range(n):
-            fits = fit_projected_closed_form(base.with_feature_row(i, x[i] + bump))[None]
-            # The candidates and the (difference, sum) pairs die with this
-            # call, before the (C, F, n) block below is built.
-            vt = _test_feature_candidates(
-                rng, n, dim, b_x, w, [(a_p - a_base, a_p + a_base) for a_p in fits],
-                n_test_draws) @ w
+            a_p = fit_projected_closed_form(base.with_feature_row(i, x[i] + bump))
+            # The candidates and the (difference, sum) pair die with this
+            # call, before the (C, n) block below is built.
+            vt = _test_feature_candidates(rng, n, dim, b_x, w, (a_p - a_base, a_p + a_base),
+                                          n_test_draws) @ w
             if not len(vt):
                 continue
-            # (C, 1, n, 1) test projections; each product below is one
+            # (C, n, 1) test projections; each product below is one
             # matrix-vector call per candidate, as in a per-candidate loop.
-            vt = vt[:, None, :, None]
-            sup_y = _loss_diff_sup_label((a_base @ vt)[..., 0], (fits @ vt)[..., 0], b_y)
+            vt = vt[:, :, None]
+            sup_y = _loss_diff_sup_label((a_base @ vt)[..., 0], (a_p @ vt)[..., 0], b_y)
             beta2_i[i] = max(beta2_i[i], float(sup_y.max()))
             if outside[i].size:
-                beta1_i[i] = max(beta1_i[i], float(sup_y[:, :, outside[i]].max()))
+                beta1_i[i] = max(beta1_i[i], float(sup_y[:, outside[i]].max()))
 
     return GnnStabilityResult(beta1_i=beta1_i, beta2_i=beta2_i, sup_d=rf.sup_d,
                               inf_d=float(rf.d.min()), seed=seed)

@@ -294,7 +294,8 @@ def assert_matches_reference(rf, kind, seed, trials=1, **kwargs):
 @pytest.mark.parametrize("weight_scale", [0.0, 0.9])
 def test_candidate_batch_bit_equal_reference_list(n_draws, weight_scale):
     # the corners usually attain the experiment's max, so the Monte Carlo
-    # sets and the stream they leave behind are pinned here directly
+    # sets and the stream they leave behind are pinned here directly, for a
+    # moving pair and for an all-zero difference, which spawns no corner
     rf = gnn.density_mask_fields(24, 0.3, seed=8)
     p = random_problem(child_rng(18, "cands"), rf)
     w = p.weight / np.linalg.norm(p.weight) * weight_scale
@@ -303,14 +304,14 @@ def test_candidate_batch_bit_equal_reference_list(n_draws, weight_scale):
     y2[3] = 1.0
     a2 = gnn.fit_projected_closed_form(gnn.GnnProblem(
         features=p.features, labels=y2, weight=p.weight, mask=p.mask, ridge=p.ridge))
-    pairs = [(a2 - a, a2 + a), (np.zeros_like(a), a)]
-    rng, ref_rng = child_rng(19, "cands"), child_rng(19, "cands")
-    cands = gnn._test_feature_candidates(rng, 24, 3, 0.7, w, pairs, n_draws)
-    expected = reference_test_feature_candidates(ref_rng, 24, 3, 0.7, w, pairs, n_draws)
-    assert cands.shape == (len(expected), 24, 3)
-    assert len(expected) > n_draws or weight_scale == 0.0
-    assert all(np.array_equal(c, e) for c, e in zip(cands, expected))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for moving, pair in ((True, (a2 - a, a2 + a)), (False, (np.zeros_like(a), a))):
+        rng, ref_rng = child_rng(19, "cands"), child_rng(19, "cands")
+        cands = gnn._test_feature_candidates(rng, 24, 3, 0.7, w, pair, n_draws)
+        expected = reference_test_feature_candidates(ref_rng, 24, 3, 0.7, w, [pair], n_draws)
+        assert cands.shape == (len(expected), 24, 3)
+        assert (len(expected) > n_draws) == (moving and weight_scale > 0.0)
+        assert all(np.array_equal(c, e) for c, e in zip(cands, expected))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("kind", [gnn.LABEL_MODE, gnn.FEATURE_MODE])
@@ -346,7 +347,7 @@ def test_batched_candidates_zero_weight_bit_equal(kind, n_test_draws):
     res = assert_matches_reference(rf, kind, seed=22, n_test_draws=n_test_draws, b_w=0.0)
     assert not res.beta2_i.any()
     cands = gnn._test_feature_candidates(child_rng(0, "c"), 32, 3, 1.0, np.zeros(3),
-                                         [(np.ones((32, 32)), np.ones((32, 32)))],
+                                         (np.ones((32, 32)), np.ones((32, 32))),
                                          n_test_draws)
     assert cands.shape == (n_test_draws, 32, 3)
 
@@ -444,17 +445,57 @@ def test_label_mode_vertices_without_corners_bit_equal(solver, monkeypatch):
 
 
 @pytest.mark.parametrize("solver", ["projected", "rowwise"])
-@pytest.mark.parametrize("n, block", [(70, None), (13, 4 * 13 * 3)])
+@pytest.mark.parametrize("n, block", [(130, None), (13, 13 * 3)])
 def test_label_mode_blocks_bit_equal(solver, n, block, monkeypatch):
     # the vertices span several blocks, the last one shorter: at the default
-    # cap n = 70 runs 58 + 12 vertices, the small cap 3 + 3 + 3 + 3 + 1
+    # cap n = 130 runs 126 + 4 vertices, the small cap 3 + 3 + 3 + 3 + 1
     use_fit(monkeypatch, solver)
     if block is not None:
         monkeypatch.setattr(gnn, "LABEL_BLOCK", block)
-    step = gnn.LABEL_BLOCK // (4 * n)
+    step = gnn.LABEL_BLOCK // n
     assert step < n and n % step
     rf = gnn.density_mask_fields(n, 0.3, seed=n)
     assert_matches_reference(rf, gnn.LABEL_MODE, seed=70 + n, trials=2, n_test_draws=0)
+
+
+@pytest.mark.parametrize("solver", ["projected", "rowwise"])
+@pytest.mark.parametrize("n, density, ridge, b_x, b_y, b_w", [
+    (1, 0.5, 1.0, 1.0, 1.0, 1.0), (2, 1.0, 0.3, 0.8, 1.5, 1.2), (5, 0.0, 1.0, 1.0, 1.0, 1.0),
+    (7, 0.4, 0.05, 1.0, 0.7, 2.0), (9, 0.6, 4.0, 1.3, 1.0, 0.5), (10, 1.0, 1.0, 1.0, 1.0, 1.0),
+    (10, 0.3, 0.7, 0.9, 1.1, 1.0), (6, 0.5, 1.0, 1.0, 1.0, 0.0)])
+def test_label_mode_beta2_is_sup_over_every_test_corner(solver, n, density, ridge, b_x, b_y,
+                                                        b_w, monkeypatch):
+    # the loss difference is convex in v' = X' w over the box |v'_k| <= b_x ||w||,
+    # so its sup over test features sits at one of the 2^n corners; at every
+    # vertex and both endpoints, the max over all of them (and every test
+    # vertex) is the experiment's beta2_i
+    use_fit(monkeypatch, solver)
+    fit = gnn.fit_projected_closed_form
+    rf = gnn.density_mask_fields(n, density, seed=n)
+    seed, dim = 90 + n, 3
+    res = gnn.gnn_stability_experiment(rf, gnn.LABEL_MODE, 1, 0.0, seed, ridge=ridge,
+                                       b_x=b_x, b_y=b_y, b_w=b_w, dim=dim)
+    rng = child_rng(seed, "gnn-trial", 0)
+    x = rows_in_ball(rng, n, dim, b_x)
+    y = rng.uniform(-b_y, b_y, size=n)
+    w = rows_in_ball(rng, 1, dim, b_w)[0]
+
+    def problem(labels):
+        return gnn.GnnProblem(features=x, labels=labels, weight=w, mask=rf.mask,
+                              ridge=ridge, b_x=b_x, b_y=b_y, b_w=b_w)
+
+    corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * n, indexing="ij")).reshape(n, -1)
+    vt = b_x * np.linalg.norm(w) * corners  # (n, 2^n) test projections
+    p_base = fit(problem(y)) @ vt
+    expected = np.zeros(n)
+    for i in range(n):
+        for e in (-b_y, b_y):
+            y_p = y.copy()
+            y_p[i] = e
+            sup_y = gnn._loss_diff_sup_label(p_base, fit(problem(y_p)) @ vt, b_y)
+            expected[i] = max(expected[i], float(sup_y.max()))
+    assert (res.beta2_i > 0.0).all() == (b_w > 0.0)
+    np.testing.assert_allclose(res.beta2_i, expected, rtol=1e-12, atol=0.0)
 
 
 def test_label_trial_memory_stays_below_eight_n_squared_doubles():
@@ -589,14 +630,15 @@ def test_derived_problems_check_only_replaced_entries():
         p.with_feature_row(2, [0.1, 0.1])
 
     q = p.label_row(2, -1.0)
-    assert q.v is p.v and q.features is p.features
+    assert q.v is p.v and q.features is p.features and q.denominator == p.denominator
     assert np.shares_memory(q.mask, p.mask) and np.array_equal(q.mask, p.mask[2:3])
     assert np.array_equal(p.labels, labels) and np.array_equal(q.labels, [-1.0])
     y_q = labels.copy()
     y_q[2] = -1.0
     row = p.features[5] + 0.05 * p.weight / np.linalg.norm(p.weight)
     r = p.with_feature_row(5, row)
-    assert r.labels is p.labels and r.mask is p.mask and "v" not in vars(r)
+    assert r.labels is p.labels and r.mask is p.mask
+    assert "v" not in vars(r) and "denominator" not in vars(r)
     # q fits row 2 only; r fits every row
     for derived, fresh_labels, rows in ((q, y_q, slice(2, 3)), (r, p.labels, slice(None))):
         fresh = gnn.GnnProblem(features=derived.features, labels=fresh_labels,
