@@ -71,7 +71,9 @@ class ConstantsCertificate:
 
 
 # What a PenaltyGradient's source may call besides builtins: numpy's sin, so
-# that the bits do not depend on the platform's libm
+# that the bits do not depend on the platform's libm. A Python float argument
+# runs the same float64 loop as an array scalar, so converting around sin
+# changes no bit
 PENALTY_NAMESPACE = {"sin": np.sin}
 
 
@@ -260,7 +262,7 @@ class RippleFieldObjective(FieldObjective):
     kind = "ripple"
     penalty = PenaltyGradient(scalars=("amplitude",), term="c * direction{i}",
                               vectors=("direction",),
-                              prelude="c = float(amplitude * sin(direction.dot(buf)))")
+                              prelude="c = amplitude * float(sin(float(direction.dot(buf))))")
 
     def __init__(self, dim, smoothness, b_x, b_y, ripple_amplitude,
                  weight_radius=1.0, ripple_frequency=4.0):

@@ -25,27 +25,30 @@ its pair.
 A T = 200 step training in 3 dimensions costs Python and numpy call
 overhead, not arithmetic, so the loop makes two or three numpy calls per
 step and keeps every bit of the trajectory that the array expressions of
-``FieldObjective.grad_uy`` and the projection would give. It gathers the
-(u, y) rows of the whole index stream before the first step and runs them
-through a step kernel generated from one source template for each penalty
-family and dimension (``_kernel``, cached, built at the first descent of
-that pair). The kernel holds the coordinates in local floats w0, w1, ...,
-unpacks each u row into u0, u1, ..., and inlines the family's penalty
-gradient from its ``objectives.PenaltyGradient`` declaration; the constants
-are read off the objective, an argument, and never written into the source.
-The dot products (u.w of the residual, k.w of the ripple, w.w of the
-projection norm) stay BLAS ``ddot`` calls, since a Python sum of products
-rounds differently; they all read one buffer holding w, allocated once per
-descent, because OpenBLAS's SSE2 kernel rounds differently when its second
-vector is not 16-byte aligned. Everything elementwise runs on Python
-floats, in numpy's order: u_i r + p_i, then w_i - alpha g_i, then w_i
-(radius / norm). The exact norm is computed only when ``math.hypot`` cannot
-rule out a projection. After the loop, a trajectory with a non-finite
-iterate is replayed through ``grad_uy`` (a non-finite gradient makes the
-next iterate non-finite), and a ``SgdDivergenceError`` names the first bad
-step and its vertex. A coupled run stays two descents, not a row batch of
-two: batching pays only across many trainings, where the per-step call
-overhead is shared.
+``FieldObjective.grad_uy`` and the projection would give. Before the first
+step it lists each pooled vertex once, as a (u row view, u row as floats, y)
+triple, and maps the index stream through that list; a stream shorter than
+the pool gathers its T rows instead, so that a large graph costs O(T), not
+O(N). It runs the steps through a step kernel generated from one source
+template for each penalty family and dimension (``_kernel``, cached, built
+at the first descent of that pair). The kernel holds the coordinates in
+local floats w0, w1, ..., unpacks each u row into u0, u1, ..., and inlines
+the family's penalty gradient from its ``objectives.PenaltyGradient``
+declaration; the constants are read off the objective, an argument, and
+never written into the source. The dot products (u.w of the residual, k.w of
+the ripple, w.w of the projection norm) stay BLAS ``ddot`` calls, since a
+Python sum of products rounds differently. Their second operand is always
+one buffer holding w, allocated once per descent, because OpenBLAS's SSE2
+kernel rounds differently when its second vector is not 16-byte aligned; the
+first may sit anywhere, so the u rows stay views, whose alignment alternates
+row by row in 3 dimensions. Everything elementwise runs on Python floats, in
+numpy's order: u_i r + p_i, then w_i - alpha g_i, then w_i (radius / norm).
+The exact norm is computed only when ``math.hypot`` cannot rule out a
+projection. After the loop, a trajectory with a non-finite iterate is
+replayed through ``grad_uy`` (a non-finite gradient makes the next iterate
+non-finite), and a ``SgdDivergenceError`` names the first bad step and its
+vertex. A coupled run stays two descents, not a row batch of two: batching
+pays only across many trainings, where the per-step call overhead is shared.
 
 Per-step deviation envelopes (the ``bounds.step_cases`` table) for the
 strongly convex and the smooth non-convex regimes can be rechecked against a
@@ -59,6 +62,7 @@ The contraction properties of G itself are stress-tested in
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -128,15 +132,17 @@ def draw_indices(cfg: SgdConfig, n: int) -> np.ndarray:
 
 # The step loop of ``_descend``, written out for one penalty family and
 # dimension: coordinates are local floats, and ``{w}`` is the tuple target
-# "w0, w1, ...," (a trailing comma, so that dim 1 unpacks too). The step
+# "w0, w1, ...," (a trailing comma, so that dim 1 unpacks too). ``seq`` has
+# one row triple per step, each shared by every visit of its pooled vertex;
+# only ``buf``, the second ddot operand, needs 16-byte alignment. The step
 # assigns all coordinates at once, so every penalty term reads w_t.
 _KERNEL = """\
-def descend(obj, us, u_rows, ys, buf, alpha, radius, inside):
+def descend(obj, seq, buf, alpha, radius, inside):
     {setup}
     {w} = {zeros}
     out = [({w})]
     append = out.append
-    for u_row, ({u}), y in zip(us, u_rows, ys):
+    for u_row, ({u}), y in seq:
         r = float(u_row.dot(buf)) - y
         {prelude}
         {w} = {steps}
@@ -154,8 +160,9 @@ def descend(obj, us, u_rows, ys, buf, alpha, radius, inside):
 
 @functools.lru_cache(maxsize=None)
 def _kernel(penalty: PenaltyGradient, dim: int):
-    """``descend(obj, us, us.tolist(), ys, buf, alpha, radius, inside)`` ->
-    the list of iterates w_0..w_T as tuples, for one penalty and dim.
+    """``descend(obj, seq, buf, alpha, radius, inside)`` -> the list of
+    iterates w_0..w_T as tuples, for one penalty and dim; ``seq`` holds one
+    (u row view, u row as floats, y) triple per step.
 
     The penalty's constants are read off the objective ``obj`` at each call,
     never written into the source.
@@ -183,20 +190,29 @@ def _descend(bounds, indices: np.ndarray, cfg: SgdConfig) -> np.ndarray:
     Pooled index k visits vertex k % N of bounds[k // N].
     """
     obj = bounds[0].objective
+    dim = obj.dim
     radius = obj.weight_radius
     inside = radius * (1 - 1e-9)  # hypot(*w) <= inside rules out projecting
-    us = np.concatenate([b.u for b in bounds])[indices]
-    ys = np.concatenate([b.y for b in bounds])[indices].tolist()
-    buf = np.zeros(obj.dim)  # the iterate w, as every dot product reads it
-    descend = _kernel(obj.penalty, obj.dim)
+    # one (u row view, u row as floats, y) triple per step
+    if len(bounds) * bounds[0].n <= len(indices):
+        # listed once per pooled vertex, the views into the bound sets
+        rows = [row for b in bounds for row in zip(b.u, b.u.tolist(), b.y.tolist())]
+        seq = list(map(rows.__getitem__, indices.tolist()))
+    else:  # fewer steps than pooled vertices: gather the visited rows, O(T) not O(N)
+        us = np.concatenate([b.u for b in bounds])[indices]
+        ys = np.concatenate([b.y for b in bounds])[indices]
+        seq = list(zip(us, us.tolist(), ys.tolist()))
+    buf = np.zeros(dim)  # the iterate w, as every dot product reads it
+    descend = _kernel(obj.penalty, dim)
     with np.errstate(all="ignore"):  # a non-finite gradient is reported below
-        weights = np.array(descend(obj, us, us.tolist(), ys, buf, cfg.step_size, radius,
-                                   inside))
+        out = descend(obj, seq, buf, cfg.step_size, radius, inside)
+    weights = np.fromiter(itertools.chain.from_iterable(out), float,
+                          len(out) * dim).reshape(len(out), dim)
     if not np.isfinite(weights).all():
         # a non-finite gradient makes the next iterate non-finite: replay
         # grad_uy along the trajectory to name the first one
         with np.errstate(all="ignore"):
-            for t, (u, y) in enumerate(zip(us, ys)):
+            for t, (u, _, y) in enumerate(seq):
                 if not np.isfinite(obj.grad_uy(u, y, weights[t].copy())).all():
                     raise SgdDivergenceError(f"non-finite gradient at step {t}, "
                                              f"vertex {int(indices[t]) % bounds[0].n}")
@@ -209,9 +225,15 @@ def train(bounds, cfg: SgdConfig) -> Trajectory:
 
     The index stream is uniform over the m*N pooled vertices; each visit
     takes a gradient step on that vertex's objective within its own graph
-    copy. With m = 1 this is the single-graph run.
+    copy. With m = 1 this is the single-graph run. The sets must agree on N
+    and on the objective they are bound to.
     """
-    indices = draw_indices(cfg, len(bounds) * bounds[0].n)
+    n, obj = bounds[0].n, bounds[0].objective
+    if any(b.n != n for b in bounds):
+        raise ValueError(f"pooled sets disagree on N: {[b.n for b in bounds]}")
+    if any(b.objective is not obj for b in bounds):
+        raise ValueError("pooled sets are bound to different objectives")
+    indices = draw_indices(cfg, len(bounds) * n)
     return Trajectory(weights=_descend(bounds, indices, cfg), indices=indices, config=cfg)
 
 

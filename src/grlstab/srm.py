@@ -24,6 +24,7 @@ The penalized estimator picks argmin_d Rhat(h_d) + 2 lambda d beta2(d)
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,8 +120,9 @@ def ball_constrained_least_squares(phi: np.ndarray, y: np.ndarray, radius: float
 
     eye = np.eye(gram.shape[0])
 
-    def norm_at(nu):
-        return float(np.linalg.norm(np.linalg.solve(gram + nu * eye, rhs)))
+    def norm_at(nu):  # np.linalg.norm's own formula for a 1-D vector
+        x = np.linalg.solve(gram + nu * eye, rhs)
+        return math.sqrt(x.dot(x))
 
     lo, hi = 0.0, 1.0
     while norm_at(hi) > radius:

@@ -195,12 +195,12 @@ BIT_EQUALITY_OBJECTIVES = {
 }
 
 
-def assert_descents_equal_reference(obj, rf, sampler, seed, step_size, pool):
+def assert_descents_equal_reference(obj, rf, sampler, seed, step_size, pool, steps=200):
     """train on one set and on a pool of sets, and one coupled run, against
     the reference loops; returns the single-set trajectory."""
     sets = [sampler.sample(100 * c + seed) for c in range(1, pool + 1)]
     z_i = sampler.replace(sets[0], [seed % rf.n], seed=300 + seed)
-    cfg = SgdConfig(step_size=step_size, steps=200, seed=seed)
+    cfg = SgdConfig(step_size=step_size, steps=steps, seed=seed)
     bounds = [obj.bind(z, rf) for z in sets]
 
     traj = train(bounds[:1], cfg)
@@ -243,6 +243,19 @@ def test_descent_equals_reference_loop_across_dims_pools_and_step_sizes(family, 
         assert_descents_equal_reference(obj, rf, sampler, seed, step_size, 3)
 
 
+@pytest.mark.parametrize("steps", [40, 64, 65])
+@pytest.mark.parametrize("family", sorted(BIT_EQUALITY_OBJECTIVES))
+def test_descent_equals_reference_loop_around_the_pool_size(family, steps):
+    # a stream shorter than the pool (40 and 64 steps on 2 x 64 pooled
+    # vertices, 40 on one set) gathers its rows, a longer one lists each
+    # pooled vertex once
+    obj = BIT_EQUALITY_OBJECTIVES[family](3)
+    rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(64))
+    sampler = sampling.IidSampler(rf=rf, dim=3)
+    for seed in range(3):
+        assert_descents_equal_reference(obj, rf, sampler, seed, 0.3, 2, steps)
+
+
 @pytest.mark.parametrize("first, second", [
     (QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 1.0),
      QuadraticFieldObjective(3, 1.0, 0.125, 1.0, 1.0, 1.0)),
@@ -259,6 +272,56 @@ def test_one_kernel_serves_every_constant_of_a_family(first, second):
     assert sgd._kernel(first.penalty, 3) is sgd._kernel(second.penalty, 3)
     assert not np.array_equal(trajectories[0], trajectories[1])
     assert np.array_equal(trajectories[0], trajectories[2])
+
+
+def shifted_rows(bound):
+    """``bound`` with u copied into a C-contiguous view that starts 8 bytes
+    past a 16-byte boundary: in 3 dimensions every row flips alignment."""
+    raw = np.empty(bound.u.size + 2)
+    start = (8 - raw.ctypes.data % 16) % 16 // 8
+    u = raw[start:start + bound.u.size].reshape(bound.u.shape)
+    u[...] = bound.u
+    assert u.flags.c_contiguous and u.ctypes.data % 16 == 8
+    return dataclasses.replace(bound, u=u)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "ripple"])
+def test_descent_ignores_the_alignment_of_the_u_rows(family, monkeypatch):
+    # only buf, the second operand of every ddot, has to be 16-byte aligned:
+    # the u rows are read where the bound sets keep them. Under OpenBLAS's
+    # SSE2 kernel a misaligned second operand changes the rounding
+    obj = BIT_EQUALITY_OBJECTIVES[family](3)
+    rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(16))
+    sampler = sampling.IidSampler(rf=rf, dim=3)
+    for seed in range(4):
+        sets = [sampler.sample(100 * c + seed) for c in (1, 2)]
+        z_i = sampler.replace(sets[0], [seed], seed=300 + seed)
+        cfg = SgdConfig(step_size=0.3, steps=200, seed=seed)
+        bounds = [obj.bind(z, rf) for z in sets]
+        shifted = [shifted_rows(b) for b in bounds]
+        for m in (1, 2):
+            expected = reference_descend(bounds[:m], draw_indices(cfg, m * rf.n), cfg)
+            assert np.array_equal(train(shifted[:m], cfg).weights, expected)
+        weights, weights_p, _, _ = reference_coupled(sets[0], z_i, rf, obj, cfg)
+        bind = obj.bind
+        monkeypatch.setattr(obj, "bind", lambda z, rf: shifted_rows(bind(z, rf)))
+        trace = coupled_train(sets[0], z_i, rf, obj, cfg)
+        monkeypatch.undo()
+        assert np.array_equal(trace.base.weights, weights)
+        assert np.array_equal(trace.perturbed.weights, weights_p)
+
+
+def test_train_rejects_pools_that_disagree_on_n_or_objective():
+    rf, sampler, obj, z = setup_problem()
+    rf_long, sampler_long, _, _ = setup_problem(n=12)
+    cfg = SgdConfig(step_size=0.1, steps=20, seed=0)
+    bound = obj.bind(z, rf)
+    with pytest.raises(ValueError, match="disagree on N"):
+        train([bound, obj.bind(sampler_long.sample(1), rf_long)], cfg)
+    other = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="different objectives"):
+        train([bound, other.bind(sampler.sample(1), rf)], cfg)
+    train([bound, obj.bind(sampler.sample(1), rf)], cfg)
 
 
 @pytest.mark.parametrize("side", [1 + 5e-10, 1 - 5e-10])

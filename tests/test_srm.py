@@ -111,6 +111,51 @@ def test_ball_constrained_least_squares_boundary_case():
     assert cos == pytest.approx(-1.0, abs=1e-6)
 
 
+def reference_ball_constrained_least_squares(phi, y, radius, tol=1e-12):
+    """The routine as it stood with np.linalg.norm; the shipped one must
+    match it bit for bit."""
+    gram = phi.T @ phi
+    rhs = phi.T @ y
+    w0, *_ = np.linalg.lstsq(phi, y, rcond=None)
+    if np.linalg.norm(w0) <= radius:
+        return w0
+    eye = np.eye(gram.shape[0])
+
+    def norm_at(nu):
+        return float(np.linalg.norm(np.linalg.solve(gram + nu * eye, rhs)))
+
+    lo, hi = 0.0, 1.0
+    while norm_at(hi) > radius:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if norm_at(mid) > radius:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < tol * max(1.0, hi):
+            break
+    return np.linalg.solve(gram + hi * eye, rhs)
+
+
+@pytest.mark.parametrize("columns", [3, 9, 15])  # the srm job's degree classes 1..3
+def test_ball_constrained_least_squares_matches_reference_bit_for_bit(columns):
+    rng = child_rng(5, "ls-bits", columns)
+    for _ in range(20):
+        phi = rng.uniform(-1.0, 1.0, size=(16, columns))
+        y = rng.uniform(-1.0, 1.0, size=16)
+        w_norm = float(np.linalg.norm(np.linalg.lstsq(phi, y, rcond=None)[0]))
+        # the ridge norms at nu = 1 and 1/2 tie the bracket's and the first
+        # bisection's comparison, where a norm off by one ulp takes the other branch
+        gram, rhs = phi.T @ phi, phi.T @ y
+        ties = [float(np.linalg.norm(np.linalg.solve(gram + nu * np.eye(columns), rhs)))
+                for nu in (1.0, 0.5)]
+        for radius in (0.5 * w_norm, *ties, 2.0 * w_norm):  # constrained, unconstrained
+            w = srm.ball_constrained_least_squares(phi, y, radius)
+            expected = reference_ball_constrained_least_squares(phi, y, radius)
+            assert w.tobytes() == expected.tobytes()
+
+
 def test_class_ris0_non_increasing_in_degree():
     family = make_family(d_max=4)
     for seed in range(5):
