@@ -83,12 +83,11 @@ class PenaltyGradient:
 
     ``prelude`` is a statement run once per gradient, and ``term`` is the
     expression of coordinate i, with ``{i}`` standing for i. Both read the
-    iterate as the array ``buf`` (for dot products) and as the floats
-    ``w0, w1, ...``; the attributes named in ``scalars`` and ``vectors``,
-    which ``setup`` reads off the objective ``obj`` (a vector ``k`` also as
-    the floats ``k0, k1, ...``); and the names in ``PENALTY_NAMESPACE``. The
-    source never holds a constant's value, so it depends only on the family
-    and the dimension.
+    iterate as the floats ``w0, w1, ...``; the attributes named in
+    ``scalars`` and ``vectors``, which ``setup`` reads off the objective
+    ``obj`` (a vector ``k`` also as the floats ``k0, k1, ...``); and the
+    names in ``PENALTY_NAMESPACE``. The source never holds a constant's
+    value, so it depends only on the family and the dimension.
     """
 
     scalars: tuple
@@ -109,11 +108,11 @@ class PenaltyGradient:
 
 @functools.lru_cache(maxsize=None)
 def _penalty_function(penalty: PenaltyGradient, dim: int):
-    """grad P as a function (obj, buf, w0, w1, ...) -> list of floats."""
+    """grad P as a function (obj, w0, w1, ...) -> list of floats."""
     ws = ", ".join(f"w{i}" for i in range(dim))
     body = [*penalty.setup(dim), penalty.prelude, f"return [{', '.join(penalty.terms(dim))}]"]
     namespace = dict(PENALTY_NAMESPACE)
-    exec("\n    ".join([f"def gradient(obj, buf, {ws}):", *body]), namespace)
+    exec("\n    ".join([f"def gradient(obj, {ws}):", *body]), namespace)
     return namespace["gradient"]
 
 
@@ -217,7 +216,7 @@ class FieldObjective:
     def grad_uy(self, u, y, w) -> np.ndarray:
         r = float(u.dot(w)) - y
         gradient = _penalty_function(self.penalty, self.dim)
-        return u * r + np.array(gradient(self, w, *w.tolist()))
+        return u * r + np.array(gradient(self, *w.tolist()))
 
     def losses_uy(self, u, y, w) -> np.ndarray:
         r = u @ w - y
@@ -260,9 +259,9 @@ class RippleFieldObjective(FieldObjective):
     """
 
     kind = "ripple"
-    penalty = PenaltyGradient(scalars=("amplitude",), term="c * direction{i}",
-                              vectors=("direction",),
-                              prelude="c = amplitude * float(sin(float(direction.dot(buf))))")
+    penalty = PenaltyGradient(scalars=("amplitude", "frequency", "kw_zero"),
+                              term="c * direction{i}", vectors=("direction",),
+                              prelude="c = amplitude * float(sin(frequency * w0 + kw_zero))")
 
     def __init__(self, dim, smoothness, b_x, b_y, ripple_amplitude,
                  weight_radius=1.0, ripple_frequency=4.0):
@@ -280,6 +279,10 @@ class RippleFieldObjective(FieldObjective):
         self.frequency = freq
         self.direction = np.zeros(self.dim)
         self.direction[0] = freq  # ripple wavevector k = freq * e_0
+        # k.w bit for bit as numpy's dot gives it: the one product freq * w0,
+        # plus the +0.0 that a BLAS ddot sums from at dim >= 2 (it turns a
+        # -0.0 product into +0.0); at dim 1 numpy multiplies, keeping -0.0
+        self.kw_zero = -0.0 if self.dim == 1 else 0.0
         self.convex = a == 0.0
         # |a sin(<k, w>)| ||k|| <= a freq and 0 <= a (1 - cos(<k, w>)) <= 2a
         self._penalty_lipschitz = a * freq

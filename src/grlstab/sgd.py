@@ -35,20 +35,24 @@ at the first descent of that pair). The kernel holds the coordinates in
 local floats w0, w1, ..., unpacks each u row into u0, u1, ..., and inlines
 the family's penalty gradient from its ``objectives.PenaltyGradient``
 declaration; the constants are read off the objective, an argument, and
-never written into the source. The dot products (u.w of the residual, k.w of
-the ripple, w.w of the projection norm) stay BLAS ``ddot`` calls, since a
-Python sum of products rounds differently. Their second operand is always
-one buffer holding w, allocated once per descent, because OpenBLAS's SSE2
-kernel rounds differently when its second vector is not 16-byte aligned; the
-first may sit anywhere, so the u rows stay views, whose alignment alternates
-row by row in 3 dimensions. Everything elementwise runs on Python floats, in
-numpy's order: u_i r + p_i, then w_i - alpha g_i, then w_i (radius / norm).
-The exact norm is computed only when ``math.hypot`` cannot rule out a
-projection. After the loop, a trajectory with a non-finite iterate is
-replayed through ``grad_uy`` (a non-finite gradient makes the next iterate
-non-finite), and a ``SgdDivergenceError`` names the first bad step and its
-vertex. A coupled run stays two descents, not a row batch of two: batching
-pays only across many trainings, where the per-step call overhead is shared.
+never written into the source. The dot products u.w of the residual and w.w
+of the projection norm stay BLAS ``ddot`` calls, since a Python sum of
+products rounds differently. The ripple's k.w is one float product: with
+k = frequency * e_0, the ddot's other products are zeros, which leave a
+non-zero sum as it is, so frequency * w0 plus the +0.0 that ddot sums from
+(nothing at dim 1, where numpy multiplies without BLAS) has its bits at
+every finite w. The ddot operand w is always one buffer, allocated once per
+descent, because OpenBLAS's SSE2 kernel rounds differently when its second
+vector is not 16-byte aligned; the first may sit anywhere, so the u rows
+stay views, whose alignment alternates row by row in 3 dimensions.
+Everything elementwise runs on Python floats, in numpy's order: u_i r + p_i,
+then w_i - alpha g_i, then w_i (radius / norm). The exact norm is computed
+only when ``math.hypot`` cannot rule out a projection. After the loop, a
+trajectory with a non-finite iterate is replayed through ``grad_uy`` (a
+non-finite gradient makes the next iterate non-finite), and a
+``SgdDivergenceError`` names the first bad step and its vertex. A coupled
+run stays two descents, not a row batch of two: batching pays only across
+many trainings, where the per-step call overhead is shared.
 
 Per-step deviation envelopes (the ``bounds.step_cases`` table) for the
 strongly convex and the smooth non-convex regimes can be rechecked against a

@@ -13,8 +13,9 @@ the norm-ball-constrained least squares
 
     min over ||W|| <= R of (1/2N) ||Phi_d W - y||^2
 
-exactly (ridge path + bisection on the multiplier), which makes the
-per-class empirical risk provably non-increasing in d.
+exactly (ridge path + bisection on the multiplier, whose comparisons one
+eigendecomposition decides away from ties), which makes the per-class
+empirical risk provably non-increasing in d.
 
 The penalized estimator picks argmin_d Rhat(h_d) + 2 lambda d beta2(d)
 (ties toward smaller d); the plain ERM of a fixed degree class is
@@ -102,6 +103,13 @@ class DegreeClassFamily:
         return 0.5 * (pred_max + self.b_y) ** 2
 
 
+# The closed-form ridge norm f decides ``f > radius`` alone only when
+# |f - radius| > EIGEN_MARGIN n eps kappa(nu) max(f, radius), a multiple of
+# the rounding error of both f and the LAPACK solve's norm, where kappa(nu)
+# is the condition number of phi'phi + nu I
+EIGEN_MARGIN = 1e3
+
+
 def ball_constrained_least_squares(phi: np.ndarray, y: np.ndarray, radius: float,
                                    tol: float = 1e-12) -> np.ndarray:
     """argmin ||phi W - y||^2 over ||W|| <= radius, solved exactly.
@@ -110,28 +118,51 @@ def ball_constrained_least_squares(phi: np.ndarray, y: np.ndarray, radius: float
     returned; otherwise the solution lies on the boundary and equals the
     ridge path W(nu) = (phi'phi + nu I)^{-1} phi'y at the unique nu > 0
     with ||W(nu)|| = radius, located by bisection (||W(nu)|| is strictly
-    decreasing in nu).
+    decreasing in nu, and at most ||phi'y|| / nu, which bounds the bracket).
+
+    Each ``||W(nu)|| > radius`` of the bracket and the bisection is decided
+    from one eigendecomposition phi'phi = Q diag(l) Q', as the secular norm
+    ||W(nu)||^2 = sum_k (q_k'phi'y)^2 / (l_k + nu)^2, unless that norm lies
+    within rounding of the radius; then the solve decides, as it did alone
+    before, so the multiplier and the result keep their bits. Raises
+    ValueError for a radius so small that the bound overflows.
     """
     gram = phi.T @ phi
     rhs = phi.T @ y
     w0, *_ = np.linalg.lstsq(phi, y, rcond=None)
     if np.linalg.norm(w0) <= radius:
         return w0
+    # ||W(nu)|| <= ||phi'y|| / nu, so the bracket closes by twice that multiplier
+    cap = 4.0 * math.hypot(*rhs.tolist()) / radius
+    if not math.isfinite(cap):
+        raise ValueError(f"weight_radius {radius!r} is too small: the ridge multiplier "
+                         "bound ||phi'y|| / radius overflows")
 
     eye = np.eye(gram.shape[0])
+    lams, q = np.linalg.eigh(gram)
+    coef = (rhs @ q).tolist()
+    lams = lams.tolist()
+    lam_min, lam_max = lams[0], lams[-1]
+    rel = EIGEN_MARGIN * len(lams) * np.finfo(float).eps
 
-    def norm_at(nu):  # np.linalg.norm's own formula for a 1-D vector
+    def outside(nu):
+        """||W(nu)|| > radius, as the norm of the LAPACK solve compares."""
+        if lam_min + nu > 0.0:
+            norm = math.hypot(*[c / (lam + nu) for c, lam in zip(coef, lams)])
+            kappa = (lam_max + nu) / (max(lam_min, 0.0) + nu)
+            if abs(norm - radius) > rel * kappa * max(norm, radius):
+                return norm > radius
         x = np.linalg.solve(gram + nu * eye, rhs)
-        return math.sqrt(x.dot(x))
+        return math.sqrt(x.dot(x)) > radius  # np.linalg.norm's own formula
 
     lo, hi = 0.0, 1.0
-    while norm_at(hi) > radius:
+    while outside(hi):
         hi *= 2.0
-        if hi > 1e16:
+        if hi > cap:
             raise RuntimeError("ridge bisection failed to bracket the multiplier")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if norm_at(mid) > radius:
+        if outside(mid):
             lo = mid
         else:
             hi = mid

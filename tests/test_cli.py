@@ -695,6 +695,23 @@ def test_srm_summary_checks_the_last_slack(tmp_path):
     assert records["both"] == records["last"]
 
 
+def test_srm_solves_a_tiny_weight_radius_and_rejects_one_whose_bound_overflows(
+        tmp_path, capsys):
+    # 1e-17 used to exit 2: the ridge bracket stopped at a multiplier of 1e16
+    out = tmp_path / "tiny"
+    path = write_config(tmp_path, "tiny.ini", SRM_CYCLE8.format(out=out)
+                        + "srm.weight_radius = 1e-17\n")
+    assert run_cli(["run", path]) == 0
+    assert json.loads((out / "summary.json").read_text())["satisfied"] is True
+    out = tmp_path / "overflow"
+    path = write_config(tmp_path, "overflow.ini", SRM_CYCLE8.format(out=out)
+                        + "srm.weight_radius = 1e-310\n")
+    assert run_cli(["run", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "weight_radius 1e-310" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("body, error, message", [
     ("experiment = srm\nsrm.lambdas = nan\n", "ConfigError", "srm.lambdas"),
     ("experiment = srm\nsrm.lambdas = 0.1 inf\n", "ConfigError", "srm.lambdas"),

@@ -9,8 +9,11 @@ from grlstab.objectives import (QuadraticFieldObjective, RippleFieldObjective,
                                 contraction_check)
 from grlstab.sgd import (SgdConfig, SgdDivergenceError, coupled_train, draw_indices,
                          envelope_check, train)
+from grlstab.objectives import _penalty_function
 from grlstab.sampling import rows_in_ball
 from grlstab.seeding import child_rng
+
+from test_objectives import ReferenceRipple, same_bits
 
 
 def setup_problem(n=8, seed=0, w_radius=1.0):
@@ -309,6 +312,59 @@ def test_descent_ignores_the_alignment_of_the_u_rows(family, monkeypatch):
         monkeypatch.undo()
         assert np.array_equal(trace.base.weights, weights)
         assert np.array_equal(trace.perturbed.weights, weights_p)
+
+
+RIPPLE_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                      -1.5e-310, 1e-300, 1.0, -0.75, 3.0, 1e308, -1e308)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_ripple_k_dot_w_is_one_product_bit_for_bit(dim):
+    # k = frequency * e_0, so numpy's dot of k and w is frequency * w0 plus
+    # the +0.0 a BLAS ddot sums from, which dim 1 (a plain product) has not:
+    # the + 0.0 form alone turns a -0.0 product into +0.0 there
+    rng = child_rng(41, "ripple-kw", dim)
+    buf = np.zeros(dim)  # allocated as the descent allocates its iterate
+    for frequency in (1e-3, 0.5, 4.0, 7.25, 3e5):
+        obj = RippleFieldObjective(dim, 1.0, 1.0, 1.0, None, 1.0, frequency)
+        gradient = _penalty_function(obj.penalty, dim)
+        edges = np.array(RIPPLE_EDGE_VALUES)
+        draws = [rng.choice(edges, size=dim) for _ in range(60)]
+        draws += [rng.normal(size=dim) * 10.0 ** rng.uniform(-300, 300) for _ in range(60)]
+        for w in draws:
+            buf[:] = w
+            with np.errstate(all="ignore"):  # a product may overflow, and sin(inf)
+                expected = float(obj.direction.dot(buf))
+                c = obj.amplitude * float(np.sin(expected))
+                grad = gradient(obj, *w.tolist())
+            assert same_bits(obj.frequency * float(w[0]) + obj.kw_zero, expected)
+            assert all(same_bits(g, c * k) for g, k in zip(grad, obj.direction.tolist()))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_ripple_descent_equals_reference_ripple_gradient_bit_for_bit(dim):
+    # the reference loop on the test-side ripple, whose gradient takes k.w
+    # from numpy's dot and shares no code with the step kernel
+    rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(8))
+    sampler = sampling.IidSampler(rf=rf, dim=dim)
+    for seed, (frequency, amplitude, step_size) in enumerate(
+            [(4.0, 1 / 32, 0.3), (2.0, 1 / 8, 3.0), (7.5, None, 0.5), (0.5, 1.0, 3.0)]):
+        args = (dim, 1.0, 1.0, 1.0, amplitude, 1.0, frequency)
+        obj = RippleFieldObjective(*args)
+        ref = ReferenceRipple(*args[:4], obj.amplitude, *args[5:])
+        sets = [sampler.sample(100 * c + seed) for c in (1, 2)]
+        z_i = sampler.replace(sets[0], [seed], seed=300 + seed)
+        cfg = SgdConfig(step_size=step_size, steps=200, seed=seed)
+        bounds = [obj.bind(z, rf) for z in (*sets, z_i)]
+        on_ref = [dataclasses.replace(b, objective=ref) for b in bounds]
+        for m in (1, 2):
+            expected = reference_descend(on_ref[:m], draw_indices(cfg, m * rf.n), cfg)
+            assert np.array_equal(train(bounds[:m], cfg).weights, expected)
+        trace = coupled_train(sets[0], z_i, rf, obj, cfg)
+        indices = draw_indices(cfg, rf.n)
+        assert np.array_equal(trace.base.weights, reference_descend(on_ref[:1], indices, cfg))
+        assert np.array_equal(trace.perturbed.weights,
+                              reference_descend(on_ref[2:], indices, cfg))
 
 
 def test_train_rejects_pools_that_disagree_on_n_or_objective():

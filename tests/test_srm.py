@@ -156,6 +156,83 @@ def test_ball_constrained_least_squares_matches_reference_bit_for_bit(columns):
             assert w.tobytes() == expected.tobytes()
 
 
+def srm_problems(rng):
+    """(kind, phi, y): uniform, rank-deficient and near-duplicate columns,
+    each column scaled by 10^[-6, 3], and pooled pairs of the srm job's
+    design matrices on cycle-16 (32 rows, classes 1..3)."""
+    for columns in (3, 9, 15):
+        for rows in (16, 32):
+            for kind in ("uniform", "rank-deficient", "near-duplicate"):
+                phi = rng.uniform(-1.0, 1.0, size=(rows, columns))
+                if kind == "rank-deficient":
+                    rank = int(rng.integers(1, columns))
+                    phi = phi[:, :rank] @ rng.uniform(-1.0, 1.0, size=(rank, columns))
+                elif kind == "near-duplicate":
+                    phi[:, -1] = phi[:, 0] * (1.0 + 10.0 ** rng.uniform(-15, -6))
+                phi *= 10.0 ** rng.uniform(-6.0, 3.0, size=columns)
+                yield kind, phi, rng.uniform(-1.0, 1.0, size=rows)
+    family = make_family(n=16, d_max=3)
+    sampler = sampling.IidSampler(rf=family.rf, dim=family.dim)
+    for seed in range(4):
+        sets = [sampler.sample(2 * seed), sampler.sample(2 * seed + 1)]
+        for d in (1, 2, 3):
+            phi, y = srm.SrmClassAlgorithm(family, d).prepare(sets[0])
+            phi2, y2 = srm.SrmClassAlgorithm(family, d).prepare(sets[1])
+            yield "pooled", np.vstack([phi, phi2]), np.concatenate([y, y2])
+
+
+def test_eigen_decided_bisection_matches_reference_bit_for_bit(monkeypatch):
+    # radii at the ridge norms for the multipliers the bracket and the first
+    # bisection steps compare (nu = 2, 1, 1/2, 1/4, 3/4) tie a comparison,
+    # which the closed-form norm must leave to the solve
+    solve = np.linalg.solve
+    calls = []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or solve(a, b))
+    rng = child_rng(6, "ls-eigen")
+    eigen_solves = reference_solves = ties = 0
+    for kind, phi, y in srm_problems(rng):
+        columns = phi.shape[1]
+        w_norm = float(np.linalg.norm(np.linalg.lstsq(phi, y, rcond=None)[0]))
+        gram, rhs = phi.T @ phi, phi.T @ y
+        tie_radii = [float(np.linalg.norm(solve(gram + nu * np.eye(columns), rhs)))
+                     for nu in (2.0, 1.0, 0.5, 0.25, 0.75)]
+        for radius in (0.5 * w_norm, 1e-3 * w_norm, *tie_radii):
+            calls.clear()
+            w = srm.ball_constrained_least_squares(phi, y, radius)
+            made = len(calls)
+            calls.clear()
+            expected = reference_ball_constrained_least_squares(phi, y, radius)
+            assert w.tobytes() == expected.tobytes(), (kind, columns, radius)
+            if radius in tie_radii and radius < w_norm:
+                ties += 1
+                assert made >= 2  # one comparison and the final solve
+            if kind == "pooled" and radius == 0.5 * w_norm:
+                eigen_solves += made
+                reference_solves += len(calls)
+    assert ties > 100
+    # the job's design matrices, away from a tie: the closed form decides most
+    assert eigen_solves * 4 < reference_solves
+
+
+@pytest.mark.parametrize("radius", [1e-17, 1e-30])
+def test_ball_constrained_least_squares_solves_tiny_radii(radius):
+    # the bracket's cap was 1e16, below ||phi'y|| / radius, which bounds it
+    family = make_family(n=8, d_max=2)
+    phi, y = srm.SrmClassAlgorithm(family, 2).prepare(make_instance(family, seed=3)[1])
+    w = srm.ball_constrained_least_squares(phi, y, radius)
+    assert np.linalg.norm(w / radius) == pytest.approx(1.0, abs=1e-9)
+    grad = phi.T @ (phi @ w - y)
+    cos = float(grad @ w / (np.linalg.norm(grad) * np.linalg.norm(w)))
+    assert cos == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_ball_constrained_least_squares_rejects_a_radius_whose_bound_overflows():
+    family = make_family(n=8, d_max=2)
+    phi, y = srm.SrmClassAlgorithm(family, 2).prepare(make_instance(family, seed=3)[1])
+    with pytest.raises(ValueError, match="weight_radius 1e-310 is too small"):
+        srm.ball_constrained_least_squares(phi, y, 1e-310)
+
+
 def test_class_ris0_non_increasing_in_degree():
     family = make_family(d_max=4)
     for seed in range(5):
