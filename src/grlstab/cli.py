@@ -104,11 +104,11 @@ def build_sgd_config(cfg: ExperimentConfig) -> SgdConfig:
     )
 
 
-def _get_count(cfg: ExperimentConfig, key: str, default: int, minimum: int = 1) -> int:
-    """A config count: an integer of at least ``minimum``."""
+def _get_count(cfg: ExperimentConfig, key: str, default: int) -> int:
+    """A config count: an integer of at least 1."""
     value = cfg.get_int(key, default)
-    if value < minimum:
-        raise ConfigError(f"key {key!r}: expected a count >= {minimum}, got {value}")
+    if value < 1:
+        raise ConfigError(f"key {key!r}: expected a count >= 1, got {value}")
     return value
 
 
@@ -231,13 +231,12 @@ def run_stability(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
 def run_gnn(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     kind = cfg.get_str("gnn.kind", gnn_mod.LABEL_MODE)
     trials = _get_count(cfg, "gnn.trials", 4)
-    # the feature bump and the Monte Carlo test draws serve feature mode only;
-    # label mode leaves their keys unread, so a config that sets them is rejected
+    # the feature bump serves feature mode only; label mode leaves its key
+    # unread, so a config that sets it is rejected
     feature = kind == gnn_mod.FEATURE_MODE
     eps = cfg.get_float("gnn.eps", 0.05) if feature else 0.0
     extra = {
         "ridge": cfg.get_float("gnn.ridge", 1.0),
-        "n_test_draws": _get_count(cfg, "gnn.test_draws", 32, minimum=0) if feature else 0,
         "dim": _get_count(cfg, "gnn.dim", 3),
         "b_w": cfg.get_float("gnn.bw", 1.0),
     }

@@ -43,14 +43,14 @@ perturbed fit. It is kept as row i of a composite matrix per endpoint. A
 block of vertices' corners goes through one batch of full matrix-vector
 products with A~ and the composites, read at entry i for vertex i: an
 entry depends only on its row, its position and the vector, so it has
-the perturbed fit's own bits (a lone row's dot product may not). Label
-mode evaluates the sign corners only; the test-draw count is unread.
+the perturbed fit's own bits (a lone row's dot product may not).
 
-In feature mode the sup is lower estimated by Monte Carlo draws plus
-sign-corner candidates. One vertex's candidates are evaluated as one batch:
-a (C, n, dim) array of test features, batched matrix-vector products for
-the base and perturbed fits, and one exact max over the (C, n) block
-of loss differences, so the estimate equals a candidate-by-candidate loop's.
+In feature mode the sup over test features is exact too (_feature_sup):
+with d and s the rows of a_p - a and a_p + a, (d.v', s.v') ranges over a
+2-D zonotope, generators b_x ||w|| (d_k, s_k), whose boundary is the
+angle-sorted walk of those generators. |d.v'| (|s.v'| + 2 B_y) is the max
+of four bilinear functions, each peaking at a vertex or at an interior
+stationary point of an edge, so the sup is a max over O(n) points per row.
 
 Perturbed problems derive from the trial's validated base problem
 (GnnProblem.label_row, GnnProblem.with_feature_row): the shared mask is
@@ -231,63 +231,55 @@ def _label_trial(base: GnnProblem, a_base: np.ndarray, corner, beta2_i: np.ndarr
         beta2_i[vert] = np.maximum(beta2_i[vert], sup_y.max(axis=0))
 
 
-def _test_feature_candidates(rng, n, dim, b_x, weight, pair, n_draws) -> np.ndarray:
-    """Feature-mode test feature sets, Monte Carlo draws then sign corners; (C, n, dim).
+def _feature_sup(d: np.ndarray, s: np.ndarray, radius: float, b_y: float) -> np.ndarray:
+    """Per row j, max over v in [-radius, radius]^n of |d_j.v| (|s_j.v| + 2 b_y); (r,).
 
-    A feature bump at vertex i changes v_i and, through the fit's
-    denominator, rows of A~ beyond row i, so the sign corners need not
-    attain the sup over test features; these candidates lower-estimate it.
-
-    The n_draws Monte Carlo sets come first, one ``sampling.rows_in_ball``
-    call each. Corners follow: they set every row to +-b_x along the weight
-    direction; sign patterns come from the dominant rows of the fitted
-    difference, the first of ``pair = (difference, sum)`` (these rows drive
-    the first factor of the loss-difference product), and from the matching
-    rows of the base+perturbed sum (the second factor). Rows where the
-    difference is negligible contribute nothing to the product, so only the
-    leading rows (at least a quarter of the largest row norm, at most eight)
-    spawn corners. Corners use no randomness.
+    The vertices of the zonotope's half boundary (see the module docstring)
+    and, on each edge e, the stationary points of the two bilinear functions
+    sigma x (tau y + c) that are concave along it (sigma tau = -sign(e_x e_y)),
+    clipped to the edge, are the candidates.
     """
-    signs = []
-    delta, summed = pair
-    wn = float(np.linalg.norm(weight))
-    norms = np.linalg.norm(delta, axis=1)
-    top = float(norms.max())
-    if wn > 0.0 and top > 0.0:
-        rows = np.nonzero(norms >= 0.25 * top)[0]
-        rows = rows[np.argsort(norms[rows])[::-1][:8]]
-        for j in rows:
-            for source in (delta[j], summed[j]):
-                if np.any(source != 0.0):
-                    signs.append(np.where(source >= 0.0, 1.0, -1.0))
-    cands = np.empty((n_draws + len(signs), n, dim))
-    for k in range(n_draws):
-        cands[k] = rows_in_ball(rng, n, dim, b_x)
-    if signs:
-        np.multiply(np.array(signs)[:, :, None], b_x * (weight / wn), out=cands[n_draws:])
-    return cands
+    # each generator turned into the upper half-plane, then doubled: the edges
+    turn = np.where((s < 0.0) | ((s == 0.0) & (d < 0.0)), -2.0 * radius, 2.0 * radius)
+    ex, ey = turn * d, turn * s
+    order = np.argsort(np.arctan2(ey, ex), axis=1)
+    ex = np.take_along_axis(ex, order, axis=1)
+    ey = np.take_along_axis(ey, order, axis=1)
+    # each edge's end, from -sum g + 2 g_1 to +sum g (the objective is even,
+    # so the start -sum g counts as its mirror), then each edge's start
+    x = np.cumsum(ex, axis=1) - 0.5 * ex.sum(axis=1, keepdims=True)
+    y = np.cumsum(ey, axis=1) - 0.5 * ey.sum(axis=1, keepdims=True)
+    c = 2.0 * b_y
+    best = (np.abs(x) * (np.abs(y) + c)).max(axis=1)
+    x, y = x - ex, y - ey
+    curv = np.abs(ex * ey)
+    lin = -np.sign(ex * ey) * (ex * y + ey * x)
+    for sigma in (-1.0, 1.0):
+        t = np.divide(lin + sigma * c * ex, 2.0 * curv, out=np.zeros_like(curv),
+                      where=curv > 0.0)
+        np.clip(t, 0.0, 1.0, out=t)
+        best = np.maximum(best, (np.abs(x + t * ex) * (np.abs(y + t * ey) + c)).max(axis=1))
+    return best
 
 
 def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
-                             eps_feature: float, seed: int,
-                             n_test_draws: int = 32, ridge: float = 1.0,
+                             eps_feature: float, seed: int, ridge: float = 1.0,
                              b_x: float = 1.0, b_y: float = 1.0, b_w: float = 1.0,
                              dim: int = 3) -> GnnStabilityResult:
     """Estimate per-vertex type-1/type-2 stability of the masked ridge fit.
 
     label mode: y_i replaced by each endpoint of [-B_y, B_y].
     feature mode: row i bumped by eps_feature along the weight direction
-    (first-order regime; eps, >= 0.1 b_x is rejected). Estimates are lower
-    bounds of the definitional suprema. In label mode the sup over test
-    samples is exact (the sign corners attain it), so n_test_draws is not
-    read there. ValueError is raised up front for a feature-mode eps_feature
+    (first-order regime; eps, >= 0.1 b_x is rejected). In both modes the sup
+    over test samples is exact: the sign corner attains it in label mode,
+    and _feature_sup computes it in feature mode. The max over the trials'
+    random training data stays a lower estimate of the definitional sup.
+    ValueError is raised up front for a feature-mode eps_feature
     that is not finite and >= 0, and by the first trial's GnnProblem for a
     ridge that is not finite and > 0 or a b_w that is not finite and >= 0.
     """
     if kind not in (LABEL_MODE, FEATURE_MODE):
         raise ValueError(f"unknown perturbation kind {kind!r}")
-    if n_test_draws < 0:
-        raise ValueError("n_test_draws must be >= 0")
     if kind == FEATURE_MODE:
         check_range("eps_feature", eps_feature, strict=False)
         if eps_feature >= 0.1 * b_x:
@@ -313,19 +305,10 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
         bump = unit * eps_feature
         for i in range(n):
             a_p = fit_projected_closed_form(base.with_feature_row(i, x[i] + bump))
-            # The candidates and the (difference, sum) pair die with this
-            # call, before the (C, n) block below is built.
-            vt = _test_feature_candidates(rng, n, dim, b_x, w, (a_p - a_base, a_p + a_base),
-                                          n_test_draws) @ w
-            if not len(vt):
-                continue
-            # (C, n, 1) test projections; each product below is one
-            # matrix-vector call per candidate, as in a per-candidate loop.
-            vt = vt[:, :, None]
-            sup_y = _loss_diff_sup_label((a_base @ vt)[..., 0], (a_p @ vt)[..., 0], b_y)
-            beta2_i[i] = max(beta2_i[i], float(sup_y.max()))
+            sup = _feature_sup(a_p - a_base, a_p + a_base, b_x * wn, b_y)
+            beta2_i[i] = max(beta2_i[i], float(sup.max()))
             if outside[i].size:
-                beta1_i[i] = max(beta1_i[i], float(sup_y[:, outside[i]].max()))
+                beta1_i[i] = max(beta1_i[i], float(sup[outside[i]].max()))
 
     return GnnStabilityResult(beta1_i=beta1_i, beta2_i=beta2_i, sup_d=rf.sup_d,
                               inf_d=float(rf.d.min()), seed=seed)

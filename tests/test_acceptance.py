@@ -343,7 +343,7 @@ def loglog_slope(xs, ys) -> float:
 def test_criterion_10_scaling_slope():
     started = time.time()
     densities = [0.03, 0.06, 0.12, 0.25, 0.5]
-    results = [gnn.sweep_point(p, di, rep, n=64, trials=2, seed=1001, n_test_draws=8)
+    results = [gnn.sweep_point(p, di, rep, n=64, trials=2, seed=1001)
                for di, p in enumerate(densities) for rep in range(16)]
     slope = loglog_slope([r.sup_d for r in results], [r.beta2 for r in results])
     report(10, "type-2 scaling slope", 0.6 <= slope <= 1.4,
@@ -365,7 +365,7 @@ def test_criterion_11_discrepancy_lower_bounds():
             for rep in range(6):
                 res = gnn.gnn_stability_experiment(
                     rf, kind, trials=2, eps_feature=eps,
-                    seed=seed_int(1101, kind, n, rep), n_test_draws=8,
+                    seed=seed_int(1101, kind, n, rep),
                 )
                 gap = res.beta2 - res.beta1
                 vals.append(n * gap if kind == "label" else gap / res.inf_d)

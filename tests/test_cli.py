@@ -334,8 +334,7 @@ gnn.replicates = 2
 """)
     assert run_cli(["run", path]) == 0
     header, rows = read_csv(out / "results.csv")
-    results = [gnn.sweep_point(p, di, rep, n=12, trials=1, seed=9, kind="label",
-                               n_test_draws=4)
+    results = [gnn.sweep_point(p, di, rep, n=12, trials=1, seed=9, kind="label")
                for di, p in enumerate([0.2, 0.5]) for rep in range(2)]
     sup_i, b2_i = header.index("sup_d"), header.index("beta2")
     assert [(float(r[sup_i]), float(r[b2_i])) for r in rows] \
@@ -353,12 +352,11 @@ graph.n = 8
 gnn.kind = feature-first-order
 gnn.trials = 2
 gnn.eps = 0.04
-gnn.test_draws = 5
 """)
     assert run_cli(["run", path]) == 0
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(8))
     res = gnn.gnn_stability_experiment(rf, "feature-first-order", 2, 0.04,
-                                       seed_int(7, "gnn"), n_test_draws=5)
+                                       seed_int(7, "gnn"))
     header, rows = read_csv(out / "results.csv")
     assert header == ["n", "sup_d", "inf_d", "kind", "beta1", "beta2",
                       "discrepancy", "trials", "seed"]
@@ -567,11 +565,10 @@ graph.n = 6
 
 
 @pytest.mark.parametrize("kind", [gnn.LABEL_MODE, gnn.FEATURE_MODE])
-@pytest.mark.parametrize("draws", [-3, -1, 0])
+@pytest.mark.parametrize("draws", [-3, -1, 0, 5])
 def test_negative_gnn_test_draws_is_user_error(tmp_path, capsys, kind, draws):
-    # feature mode rejects a negative count and accepts 0 (sign corners
-    # only); label mode never reads the draws, so any value is rejected as
-    # unread
+    # neither mode draws test features (both take the exact sup over them),
+    # so gnn.test_draws is unread and any value is rejected
     out = tmp_path / "out"
     path = write_config(tmp_path, "draws.ini", f"""
 experiment = gnn
@@ -583,9 +580,6 @@ gnn.kind = {kind}
 gnn.trials = 1
 gnn.test_draws = {draws}
 """)
-    if draws == 0 and kind == gnn.FEATURE_MODE:
-        assert run_cli(["run", path]) == 0
-        return
     assert run_cli(["run", path]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and "gnn.test_draws" in err["message"]
