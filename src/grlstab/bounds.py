@@ -60,6 +60,7 @@ not-applicable (None).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -79,6 +80,14 @@ class BoundDomainError(ValueError):
 # Singularity-safe kernels
 
 
+def _power(x: float, k: int) -> float:
+    """x ** k for an integer k, or a signed infinity where a float ** raises OverflowError."""
+    try:
+        return x**k
+    except OverflowError:
+        return -math.inf if x < 0 and k % 2 else math.inf
+
+
 def geometric_series(x: float, steps: int) -> float:
     """sum_{t=0}^{steps-1} x^t, continuous through x = 1."""
     if steps < 0:
@@ -89,14 +98,14 @@ def geometric_series(x: float, steps: int) -> float:
     if abs(eps) < BRANCH_WIDTH:
         # limit steps at x = 1, first-order correction keeps loop equivalence
         return steps + eps * steps * (steps - 1) / 2.0
-    return (x**steps - 1.0) / eps
+    return (_power(x, steps) - 1.0) / eps
 
 
 def double_geometric(x: float, steps: int) -> float:
     """(x^{2T} - x^T)/(x^2 - x) via the identity x^{T-1} * geom(x, T)."""
     if steps == 0:
         return 0.0
-    return x ** (steps - 1) * geometric_series(x, steps)
+    return _power(x, steps - 1) * geometric_series(x, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +177,7 @@ def _conditions(p: SgdBoundParams) -> dict:
         return {}
     a = p.step_size
     lam, gamma = p.certificate.smoothness, p.certificate.strong_convexity
-    step = a**4 * lam**2 + 2.0 * a * lam * gamma / (lam + gamma)
+    step = _power(a, 4) * _power(lam, 2) + 2.0 * a * lam * gamma / (lam + gamma)
     return {
         "step-size: a^4 lam^2 + 2 a lam gamma/(lam+gamma) <= 1": {
             "value": step, "ok": bool(step <= 1.0)},
@@ -195,17 +204,17 @@ def _sup(values: np.ndarray) -> float:
 def _loose_second_ratio(z: float, steps: int) -> float:
     """(1 - z^T)/(1 - z)^2; no finite limit at z = 1, falls back to geom^2."""
     if abs(1.0 - z) < 1e-9:
-        return geometric_series(z, steps) ** 2
-    return (1.0 - z**steps) / (1.0 - z) ** 2
+        return _power(geometric_series(z, steps), 2)
+    return (1.0 - _power(z, steps)) / _power(1.0 - z, 2)
 
 
 def variance_term_loose(growth: float, kick: float, steps: int) -> float:
-    return 2.0 * kick**2 * double_geometric(growth, steps) \
-        + kick**2 * _loose_second_ratio(growth, steps)
+    return 2.0 * _power(kick, 2) * double_geometric(growth, steps) \
+        + _power(kick, 2) * _loose_second_ratio(growth, steps)
 
 
 def variance_term_exact(growth: float, kick: float, steps: int) -> float:
-    return (kick * geometric_series(growth, steps)) ** 2
+    return _power(kick * geometric_series(growth, steps), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +292,7 @@ def highprob_stability_bound(p: SgdBoundParams, delta: float) -> float | None:
         sup_env = _sup(t.geom * t.kick)
         gap = (lam - gamma) * math.sqrt(log_term / 8.0)
         chebyshev = math.sqrt(total_loose / delta)
-        return (lip + gap) * sup_env + gap * (sup_env + chebyshev) ** 2
+        return (lip + gap) * sup_env + gap * _power(sup_env + chebyshev, 2)
     return expected_stability_bound(p) * (1.0 + math.sqrt(log_term / 2.0)) \
         + lip * math.sqrt(log_term / delta * total_loose)
 
@@ -420,35 +429,43 @@ def srm_confidence(beta1: float, beta2: float, loss_bound: float, lambda_slack: 
 
 
 def bound_report(p: SgdBoundParams, delta: float) -> dict:
-    """JSON-serializable report of every bound with validity conditions.
+    """JSON report of every bound with validity conditions.
 
     Failed conditions mark dependent bounds as null (not-applicable) rather
     than numeric. The non-convex regime has no condition: its growth
-    exceeds 1 at every step size.
+    exceeds 1 at every step size, so at a large enough T a number leaves
+    float range, and a report that would hold it raises BoundDomainError.
     """
-    t = bound_terms(p)
-    env = t.expected if t.applicable else None
-    per_vertex = [{
-        "vertex": i,
-        "growth": g,
-        "kick": k,
-        "expected_beta2": None if env is None else float(env[i]),
-        "variance_loose": float(t.loose[i]),
-        "variance_exact": float(t.exact[i]),
-    } for i, (g, k) in enumerate(zip(t.growth.tolist(), t.kick.tolist()))]
-
-    return {
-        "regime": p.regime,
-        "n_vertices": p.n_vertices,
-        "steps": p.steps,
-        "step_size": p.step_size,
-        "delta": delta,
-        "certificate": asdict(p.certificate),
-        "conditions": t.conditions,
-        "per_vertex": per_vertex,
-        "expected_beta2": None if env is None else _sup(env),
-        "variance_sum_loose": float(t.loose.sum()),
-        "variance_sum_exact": float(t.exact.sum()),
-        "highprob_beta2": highprob_stability_bound(p, delta),
-        "generalization_surplus": sgd_generalization_bound(p, delta),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = bound_terms(p)
+        env = t.expected if t.applicable else None
+        per_vertex = [{
+            "vertex": i,
+            "growth": g,
+            "kick": k,
+            "expected_beta2": None if env is None else float(env[i]),
+            "variance_loose": float(t.loose[i]),
+            "variance_exact": float(t.exact[i]),
+        } for i, (g, k) in enumerate(zip(t.growth.tolist(), t.kick.tolist()))]
+        report = {
+            "regime": p.regime,
+            "n_vertices": p.n_vertices,
+            "steps": p.steps,
+            "step_size": p.step_size,
+            "delta": delta,
+            "certificate": asdict(p.certificate),
+            "conditions": t.conditions,
+            "per_vertex": per_vertex,
+            "expected_beta2": None if env is None else _sup(env),
+            "variance_sum_loose": float(t.loose.sum()),
+            "variance_sum_exact": float(t.exact.sum()),
+            "highprob_beta2": highprob_stability_bound(p, delta),
+            "generalization_surplus": sgd_generalization_bound(p, delta),
+        }
+    try:
+        json.dumps(report, allow_nan=False)
+    except ValueError:
+        raise BoundDomainError(
+            f"the bound report leaves float range at sgd.steps = {p.steps} "
+            f"(sgd.step_size = {p.step_size}); lower sgd.steps or sgd.step_size") from None
+    return report

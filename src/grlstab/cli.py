@@ -172,9 +172,16 @@ def run_train(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
         return
 
     vertex = cfg.get_int("train.perturb_vertex")
+    if not 0 <= vertex < rf.n:
+        raise ConfigError(f"key 'train.perturb_vertex': expected 0 <= vertex < {rf.n}, got {vertex}")
     runs = _get_count(cfg, "train.runs", 1)
-    params = build_bound_params(sgd_cfg, obj, rf)
+    terms = bnd.bound_terms(build_bound_params(sgd_cfg, obj, rf))
     cfg.reject_unread()
+    growth, kick = float(terms.growth[vertex]), float(terms.kick[vertex])
+    envelope = [kick * bnd.geometric_series(growth, t) for t in range(sgd_cfg.steps + 1)]
+    if not np.all(np.isfinite(envelope)):
+        raise bnd.BoundDomainError(f"the expected envelope leaves float range at sgd.steps = "
+                                   f"{sgd_cfg.steps}; lower sgd.steps or sgd.step_size")
     sum_delta = np.zeros(sgd_cfg.steps + 1)
     verdicts = []  # (ok, smallest margin) of every run's envelope check
     for r in range(runs):
@@ -189,11 +196,7 @@ def run_train(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
         if r == 0:  # train.runs is at least 1
             first = trace
     _write_trajectory(outdir, chash, first.base, first)
-    terms = bnd.bound_terms(params)
-    growth, kick = float(terms.growth[vertex]), float(terms.kick[vertex])
-    stats = [[t, float(sum_delta[t] / runs),
-              kick * bnd.geometric_series(growth, t)]
-             for t in range(sgd_cfg.steps + 1)]
+    stats = [[t, float(sum_delta[t] / runs), envelope[t]] for t in range(sgd_cfg.steps + 1)]
     write_csv(outdir / "delta_stats.csv",
               ["t", "mean_delta", "expected_envelope"], stats, chash)
     oks, margins = zip(*verdicts)

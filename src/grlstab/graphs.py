@@ -189,9 +189,8 @@ def parse_edge_list(text: str):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
         try:
-            i, j = map(int, parts)
+            i, j = map(int, line.split())
         except ValueError:  # wrong arity or a token that is not an integer
             raise GraphError(f"line {lineno}: expected 'i j', got {raw!r}") from None
         edges.append((i, j))

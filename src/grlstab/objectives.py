@@ -299,14 +299,7 @@ class RippleFieldObjective(FieldObjective):
 def finite_difference_gradient(fn, w: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a scalar function of w."""
     w = np.asarray(w, dtype=float)
-    g = np.zeros_like(w)
-    for j in range(w.size):
-        wp = w.copy()
-        wm = w.copy()
-        wp[j] += step
-        wm[j] -= step
-        g[j] = (fn(wp) - fn(wm)) / (2.0 * step)
-    return g
+    return np.array([(fn(w + e) - fn(w - e)) / (2.0 * step) for e in step * np.eye(w.size)])
 
 
 def gradient_check(obj: FieldObjective, trials: int, seed: int, tol: float = 1e-6) -> float:
@@ -354,13 +347,6 @@ def certify_constants(obj: FieldObjective, trials: int, seed: int,
                 f"{name} ratio {value} exceeds declared {declared}", witness=witness
             )
 
-    # the adversarial pair: top-curvature field, antipodal extreme weights
-    x_top = np.zeros((1, obj.dim))
-    x_top[0, 0] = obj.b_x
-    w_edge = np.zeros(obj.dim)
-    w_edge[0] = obj.weight_radius
-    adversarial = (x_top, obj.b_y, w_edge, -w_edge)
-
     for t in range(trials):
         x, y = obj._random_field(rng)
         w1, w2 = rows_in_ball(rng, 2, obj.dim, obj.weight_radius)
@@ -398,8 +384,11 @@ def certify_constants(obj: FieldObjective, trials: int, seed: int,
             check("gradient-vs-sample", zeta, cert.gradient_data_lipschitz,
                   (x, y, x2, y2, w1))
 
-    # the adversarial pair, checked last so random maxima are kept
-    x, y, w1, w2 = adversarial
+    # the adversarial pair, checked last so random maxima are kept: a
+    # top-curvature field and antipodal extreme weights, both along e_0
+    e0 = np.eye(obj.dim)[0]
+    x, y, w1 = obj.b_x * e0[None, :], obj.b_y, obj.weight_radius * e0
+    w2 = -w1
     u = obj.field_feature(x)
     dw = np.linalg.norm(w1 - w2)
     smooth = float(np.linalg.norm(obj.grad_uy(u, y, w1) - obj.grad_uy(u, y, w2)) / dw)
@@ -449,8 +438,7 @@ def cocoercivity_check(obj: FieldObjective, trials: int, seed: int) -> Cocoerciv
     if not obj.convex:
         u0 = np.zeros(obj.dim)
         grid = np.linspace(-obj.weight_radius, obj.weight_radius, 41)
-        e0 = np.zeros(obj.dim)
-        e0[0] = 1.0
+        e0 = np.eye(obj.dim)[0]
         for s1 in grid:
             for s2 in grid:
                 if s1 <= s2:

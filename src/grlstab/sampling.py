@@ -29,9 +29,9 @@ One chain runs a Python kernel generated per neighbour structure
 table entry is replaced by its position p among the sorted distinct entries
 of all tables, one searchsorted turns a block of uniforms u into ranks
 r = #{entries <= u}, and u < entry exactly when r <= p. Many chains advance
-together in numpy, one site at a time; a spec with a site of degree above
-TABLE_DEGREE_LIMIT runs them from the local field instead, and one above
-ENUMERATION_LIMIT runs every chain that way.
+together in numpy on the same tables, one site at a time. A spec with a site
+of degree above ENUMERATION_LIMIT has no tables, and runs any number of
+chains from the local field.
 
 Perturbed sets Z^Lambda replace the samples indexed by Lambda and keep every
 other coordinate bit-identical, which realizes the single-vertex sets Z^i
@@ -226,7 +226,7 @@ class IsingSpec:
             raise ValueError("coupling/field sizes must match the receptive-field map")
         if not np.all(np.isfinite(j)) or not np.all(np.isfinite(h)):
             raise ValueError("coupling and field entries must be finite")
-        if not np.allclose(j, j.T):
+        if not np.array_equal(j, j.T):
             raise ValueError("coupling must be symmetric")
         if np.any(np.diag(j) != 0.0):
             raise ValueError("coupling diagonal must be zero")
@@ -306,16 +306,12 @@ class IsingSpec:
         c.setflags(write=False)
         return c
 
-    def feature_directions(self) -> np.ndarray:
-        """(n, feature_dim) unit directions q_i (identity columns, cycled)."""
+    def features_from_spins(self, spins: np.ndarray) -> np.ndarray:
+        """Map spin configurations (..., n) to features (..., n, feature_dim):
+        X_i = s_i B_X q_i, q_i the identity column i mod feature_dim."""
         q = np.zeros((self.n, self.feature_dim))
         q[np.arange(self.n), np.arange(self.n) % self.feature_dim] = 1.0
-        return q
-
-    def features_from_spins(self, spins: np.ndarray) -> np.ndarray:
-        """Map spin configurations (..., n) to features (..., n, feature_dim)."""
-        spins = np.asarray(spins, dtype=float)
-        return spins[..., :, None] * (self.b_x * self.feature_directions())
+        return np.asarray(spins, dtype=float)[..., :, None] * (self.b_x * q)
 
     def labels_from_spins(self, spins: np.ndarray) -> np.ndarray:
         spins = np.asarray(spins, dtype=float)
@@ -345,12 +341,6 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
-# Largest degree whose conditionals are tabulated (2^degree entries per site).
-# At most 8: the many-chain sweep builds pattern indices in uint8, then copies
-# them into an intp buffer to gather the table entries.
-TABLE_DEGREE_LIMIT = 8
-
-
 def _p_up(spec: IsingSpec, spins: np.ndarray, site: int) -> np.ndarray:
     """P(s_site = +1 | rest) = sigmoid(2(J_site.s + h_site)) for spins of shape (..., n)."""
     return _sigmoid(2.0 * (spins @ spec.coupling[site] + spec.external_field[site]))
@@ -374,13 +364,13 @@ def _site_table(spec: IsingSpec, site: int, neighbours: np.ndarray) -> np.ndarra
 
 
 def _glauber_direct(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> np.ndarray:
-    """All chains at once from the local field, one rng.random(n * n_chains) per sweep."""
+    """All chains at once from the local field, one rng.random(n * n_chains) per
+    sweep: the path of a spec past ENUMERATION_LIMIT, which has no tables."""
     n, n_chains = spec.n, spins.shape[0]
     for _ in range(sweeps):
         u = rng.random(n * n_chains).reshape(n, n_chains)
         for site in range(n):
-            p_up = _p_up(spec, spins, site)
-            spins[:, site] = np.where(u[site] < p_up, 1, -1).astype(np.int8)
+            spins[:, site] = np.where(u[site] < _p_up(spec, spins, site), 1, -1)
     return spins.astype(int)
 
 
@@ -414,15 +404,17 @@ def _glauber_one_chain(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> 
 def _glauber_chains(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> np.ndarray:
     """All chains at once: site state is a (n, n_chains) array of 0/1 bytes.
 
-    A site's pattern index is built in uint8 from its neighbours' rows, then
-    copied into one intp buffer that gathers the table entries: a uint8
-    fancy index would be cast to intp on every gather.
+    A site's pattern index is built in the smallest unsigned type that holds
+    2^max_degree - 1 (uint8 up to degree 8, uint16 up to ENUMERATION_LIMIT)
+    from its neighbours' rows, then copied into one intp buffer that gathers
+    the table entries: a narrow fancy index would be cast to intp on every
+    gather.
     """
     n, n_chains = spec.n, spins.shape[0]
     neighbours, tables = spec._neighbours, spec._tables
     up = np.ascontiguousarray((spins > 0).T, dtype=np.uint8)
     plan = [(up[s], tables[s], [up[k] for k in neighbours[s].tolist()]) for s in range(n)]
-    index = np.empty(n_chains, dtype=np.uint8)
+    index = np.empty(n_chains, dtype=np.min_scalar_type((1 << spec._max_degree) - 1))
     gather = np.empty(n_chains, dtype=np.intp)
     for _ in range(sweeps):
         u = rng.random(n * n_chains).reshape(n, n_chains)
@@ -458,17 +450,17 @@ def glauber_spins(
     Generator state left behind, are bit-identical to the per-site
     local-field loop.
 
-    One chain on a spec of degree at most ENUMERATION_LIMIT runs the spec's
-    generated kernel over ranks (see the module docstring). More chains
-    advance together with numpy, one site at a time, from the tables up to
-    TABLE_DEGREE_LIMIT and from the local field above it; so does one chain
-    above ENUMERATION_LIMIT.
+    One rule picks the path. A spec with a degree above ENUMERATION_LIMIT
+    has no tables, so its chains, however many, advance from the local
+    field. Otherwise one chain runs the spec's generated kernel over ranks
+    (see the module docstring), and more chains advance together with
+    numpy, one site at a time, on the tables.
     """
     spins = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_chains, spec.n))
-    if n_chains == 1 and spec._max_degree <= ENUMERATION_LIMIT:
-        return _glauber_one_chain(spec, spins[0], sweeps, rng)
-    if spec._max_degree > TABLE_DEGREE_LIMIT:
+    if spec._max_degree > ENUMERATION_LIMIT:
         return _glauber_direct(spec, spins, sweeps, rng)
+    if n_chains == 1:
+        return _glauber_one_chain(spec, spins[0], sweeps, rng)
     return _glauber_chains(spec, spins, sweeps, rng)
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from grlstab import bounds, graphs
-from grlstab.objectives import ConstantsCertificate, QuadraticFieldObjective, contraction_check
+from grlstab.objectives import (ConstantsCertificate, QuadraticFieldObjective,
+                                RippleFieldObjective, contraction_check)
 
 
 def unit_cert(lam=1.0, gamma=1.0, lip=1.0, zeta=1.0, b_l=1.0, b_z=1.0):
@@ -536,6 +537,47 @@ def test_bound_report_nonconvex_has_no_conditions_and_stays_numeric():
     assert report["conditions"] == {}
     assert report["per_vertex"][0]["growth"] == pytest.approx(19.0, rel=1e-15)
     assert report["expected_beta2"] is not None and np.isfinite(report["expected_beta2"])
+
+
+def cycle8_params(obj, step_size, steps):
+    rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(8))
+    return bounds.SgdBoundParams(certificate=obj.certificate, step_size=step_size, steps=steps,
+                                 n_vertices=8, field_sizes=rf.sizes, regime=obj.regime)
+
+
+# the default ripple and quadratic objectives of a ``bounds`` run on cycle-8:
+# at a = 0.05 the ripple growth 1.04375 squares the exact second moment past
+# float range at T = 8500, and sums the per-vertex ones past it at T = 8250;
+# at a = 1e80 the step-size condition's a^4 leaves it
+RIPPLE = RippleFieldObjective(3, 1.0, 1.0, 1.0, None, 1.0, 4.0)
+FLOAT_RANGE_CASES = {
+    "ripple-8250": (RIPPLE, 0.05, 8250),
+    "ripple-8500": (RIPPLE, 0.05, 8500),
+    "quadratic-1e80": (QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, 1.0), 1e80, 100),
+}
+
+
+def test_power_is_the_float_power_or_a_signed_infinity():
+    assert bounds._power(1.04375, 8500) == 1.04375**8500
+    assert bounds._power(1.04375, 17000) == math.inf
+    assert bounds._power(-1e200, 3) == -math.inf
+    assert bounds._power(-1e200, 4) == math.inf
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_RANGE_CASES))
+def test_report_past_float_range_is_a_domain_error(case):
+    # bound_terms used to raise OverflowError at 8500 and 1e80, and the
+    # report at 8250 held Infinity (invalid JSON)
+    p = cycle8_params(*FLOAT_RANGE_CASES[case])
+    bounds.bound_terms(p)
+    with pytest.raises(bounds.BoundDomainError, match=f"at sgd.steps = {p.steps} "):
+        bounds.bound_report(p, 0.1)
+
+
+def test_ripple_exact_second_moment_leaves_float_range_by_8500_steps():
+    report = bounds.bound_report(cycle8_params(RIPPLE, 0.05, 8000), 0.1)
+    assert np.isfinite(report["variance_sum_exact"]) and np.isfinite(report["highprob_beta2"])
+    assert np.all(np.isinf(bounds.bound_terms(cycle8_params(RIPPLE, 0.05, 8500)).exact))
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,71 @@ sgd.steps = 10
     assert report["generalization_surplus"] is None
 
 
+RIPPLE_CYCLE8 = """
+seed = 2
+out = {out}
+graph.kind = cycle
+graph.n = 8
+objective = ripple
+sgd.step_size = 0.05
+"""
+
+
+@pytest.mark.parametrize("body", [
+    "experiment = bounds\nsgd.steps = 8500\n",
+    "experiment = bounds\nsgd.steps = 8250\n",
+    "experiment = compare\nsampler.kind = iid\nsgd.steps = 8500\n",
+])
+def test_bound_report_past_float_range_is_user_error(tmp_path, capsys, monkeypatch, body):
+    # 8500 steps used to exit 2 with an OverflowError, and 8250 to write
+    # Infinity into report.json; compare stops before its estimate
+    def never(*args, **kwargs):
+        raise AssertionError("estimated before the bound report was checked")
+
+    monkeypatch.setattr(cli, "estimate_stability", never)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "overflow.ini", RIPPLE_CYCLE8.format(out=out) + body)
+    assert run_cli(["run", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BoundDomainError" and "sgd.steps" in err["message"]
+    assert not out.exists()
+
+
+def test_ripple_train_runs_while_its_own_envelope_is_finite(tmp_path, capsys, monkeypatch):
+    # the report's squared second moment leaves float range at 8500 steps, but
+    # the train files do not read it; its envelope column leaves it at 16503
+    out = tmp_path / "out"
+    body = "experiment = train\nsampler.kind = iid\ntrain.perturb_vertex = 1\n"
+    path = write_config(tmp_path, "t.ini", RIPPLE_CYCLE8.format(out=out) + body
+                        + "sgd.steps = 8500\n")
+    assert run_cli(["run", path]) == 0
+    header, rows = read_csv(out / "delta_stats.csv")
+    assert len(rows) == 8501 and all(np.isfinite(float(r[2])) for r in rows)
+
+    def never(*args, **kwargs):
+        raise AssertionError("trained before the envelope was checked")
+
+    monkeypatch.setattr(cli, "coupled_train", never)
+    out = tmp_path / "long"
+    path = write_config(tmp_path, "long.ini", RIPPLE_CYCLE8.format(out=out) + body
+                        + "sgd.steps = 16503\n")
+    assert run_cli(["run", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BoundDomainError" and "sgd.steps = 16503" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("vertex", [-1, 8])
+def test_train_perturb_vertex_out_of_range_is_user_error(tmp_path, capsys, vertex):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "t.ini", RIPPLE_CYCLE8.format(out=out)
+                        + f"experiment = train\ntrain.perturb_vertex = {vertex}\n")
+    assert run_cli(["run", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "train.perturb_vertex" in err["message"]
+    assert not out.exists()
+
+
 def test_coupled_ripple_train_mean_delta_within_expected_envelope(tmp_path):
     # the expected envelope kick * geom(growth, t) bounds the mean deviation
     # over coupled runs at every step

@@ -218,8 +218,10 @@ KERNEL_SPECS = {
     # vertex 4 has no neighbour: a one-entry table read at pattern 0, right
     # after vertex 3's gather, so a gather buffer left unreset shows
     "isolated-vertex": lambda: general_spec(graphs.build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 5)]), 4),
-    # hub degree 8 = TABLE_DEGREE_LIMIT: pattern indices reach 255, the uint8 maximum
+    # hub degree 8: many-chain pattern indices reach 255, the uint8 maximum
     "star-9": lambda: general_spec(graphs.star_graph(9), 6),
+    # hub degree 9: indices reach 511, the first value past uint8, so uint16
+    "star-10": lambda: general_spec(graphs.star_graph(10), 7),
 }
 
 
@@ -249,13 +251,6 @@ def test_many_chains_match_reference_at_zero_and_one_sweep_and_two_chains(name):
     spec = KERNEL_SPECS[name]()
     for sweeps, n_chains in ((0, 64), (1, 64), (0, 2), (1, 2), (40, 2)):
         assert_matches_reference(spec, sweeps, n_chains)
-
-
-def test_star_hub_has_the_largest_tabulated_degree():
-    spec = KERNEL_SPECS["star-9"]()
-    neighbours, tables = spec._neighbours, spec._tables
-    assert len(neighbours[0]) == sampling.TABLE_DEGREE_LIMIT
-    assert len(tables[0]) - 1 == np.iinfo(np.uint8).max
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
@@ -290,19 +285,6 @@ def test_sampler_draws_match_reference_across_a_block_boundary():
     assert np.array_equal(got.labels, labels)
 
 
-def test_complete_graph_exceeds_table_limit():
-    # many chains compute every conditional from the local field and build no
-    # tables; one chain reads them, as does the influence
-    spec = KERNEL_SPECS["complete-11"]()
-    assert spec._max_degree == spec.n - 1 > sampling.TABLE_DEGREE_LIMIT
-    sampling.glauber_spins(spec, 2, np.random.default_rng(0), 4)
-    assert "_tables" not in vars(spec)
-    sampling.glauber_spins(spec, 2, np.random.default_rng(0), 1)
-    assert "_tables" in vars(spec)
-    assert [len(t) for t in spec._tables] == [2 ** 10] * 11
-    assert spec.influence.shape == (11, 11)
-
-
 def test_one_chain_reads_tables_up_to_the_enumeration_limit():
     # complete-13 has degree 12 = ENUMERATION_LIMIT: 4096-entry tables, and
     # a block boundary after 315 sweeps
@@ -312,6 +294,26 @@ def test_one_chain_reads_tables_up_to_the_enumeration_limit():
         assert_matches_reference(spec, sweeps, 1)
     assert "_ranks" in vars(spec)
     assert [len(t) for t in spec._tables] == [2 ** 12] * 13
+
+
+def test_many_chains_read_tables_up_to_the_enumeration_limit():
+    # many chains on complete-13 build pattern indices up to 4095 and never
+    # rank the table entries, which only the one-chain kernel reads
+    spec = general_spec(graphs.complete_graph(13), 8)
+    for sweeps, n_chains in ((3, 64), (1, 2)):
+        assert_matches_reference(spec, sweeps, n_chains)
+    assert [len(t) for t in spec._tables] == [2 ** 12] * 13
+    assert "_ranks" not in vars(spec)
+
+
+@pytest.mark.parametrize("n_chains", [1, 64])
+def test_spec_above_the_enumeration_limit_sweeps_from_the_local_field(n_chains):
+    # complete-14 has degree 13: no tables, so every chain count reads the local field
+    spec = general_spec(graphs.complete_graph(14), 9)
+    assert spec._max_degree == sampling.ENUMERATION_LIMIT + 1
+    for sweeps in (0, 1, 3):
+        assert_matches_reference(spec, sweeps, n_chains)
+    assert "_tables" not in vars(spec)
 
 
 class ReplayRng:
@@ -428,6 +430,29 @@ def test_ising_spec_rejects_out_of_range_bounds(kw, name):
     # the same check, and message, as the i.i.d. sampler
     with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got"):
         ring_spec(4, 0.2, **kw)
+
+
+def test_nearly_symmetric_coupling_rejected():
+    # within np.allclose's tolerance, yet site 0's table would read J_01 and
+    # site 1's J_10, while the Gibbs weights read their mean
+    rf = graphs.one_hop_receptive_fields(graphs.path_graph(2))
+    j = np.array([[0.0, 0.3], [0.3 + 2e-6, 0.0]])
+    with pytest.raises(ValueError, match="coupling must be symmetric"):
+        sampling.IsingSpec(coupling=j, external_field=np.zeros(2), rf=rf)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_built_couplings_are_exactly_symmetric(seed):
+    from grlstab import cli
+    from grlstab.config import ExperimentConfig
+
+    # the spec rejects any asymmetry, so building these is the test: (w + w.T) *
+    # adjacency, as the tests build couplings, and c * (mask & ~eye), as the CLI does
+    g = graphs.erdos_renyi_graph(12, 0.5, seed)
+    general_spec(g, seed)
+    cfg = ExperimentConfig({"experiment": "sample", "seed": "1", "sampler.kind": "ising",
+                            "sampler.coupling": str(0.1 + 0.07 * seed)})
+    cli.build_sampler(cfg, graphs.one_hop_receptive_fields(g))
 
 
 def test_nonfinite_coupling_rejected():
