@@ -22,28 +22,23 @@ affine in the test label, so the sup over y'_j in [-B_y, B_y] is attained
 at an endpoint and computed exactly. Test features enter only through
 v' = X' w, each v'_k in [-b_x ||w||, b_x ||w||].
 
-In label mode the sup over test features is exact at the sign corner, and
-the experiment needs only row i of each perturbed fit:
+In label mode the sup over test features is read off the fitted rows:
 
 - replacing y_i changes only row i of A~, which either fit sets to
   y_i c m with m = mask_i o v and c the fit's denominator. Every other
   row comes from the same operands through the same elementwise
-  operations, so it equals the base's row bit for bit, and so does its
-  entry of each matrix-vector product: the predictions differ only at
-  test vertex i, and label-mode beta1 is exactly 0;
-- there the rows of a_p - a and a_p + a are both multiples of m, so the
-  loss-difference sup |d.v'| (|s.v'| + 2 B_y) increases with |m.v'|;
-- |m.v'| is largest at v'_k = b_x ||w|| sign(m_k), so vertex i has one
-  corner, read off the base problem's mask_i o v.
+  operations, so it equals the base's row bit for bit: the predictions
+  differ only at test vertex i, and label-mode beta1 is exactly 0;
+- there the rows d and s of a_p - a and a_p + a are both multiples of m
+  (rounding is monotone, so each entry keeps its sign), so |d.v'| and
+  |s.v'| peak at the same corner v'_k = R sign(m_k), R = b_x ||w||, and
+  the loss-difference sup |d.v'| (|s.v'| + 2 B_y) is
+  R ||d||_1 (R ||s||_1 + 2 B_y).
 
 So each perturbed problem is fitted on its one changed row alone
 (GnnProblem.label_row): a (1, n) fit from the same operands through the
 same elementwise operations, so it has the bits of row i of the full
-perturbed fit. It is kept as row i of a composite matrix per endpoint. A
-block of vertices' corners goes through one batch of full matrix-vector
-products with A~ and the composites, read at entry i for vertex i: an
-entry depends only on its row, its position and the vector, so it has
-the perturbed fit's own bits (a lone row's dot product may not).
+perturbed fit. Label mode makes no matrix-vector product.
 
 In feature mode the sup over test features is exact too (_feature_sup):
 with d and s the rows of a_p - a and a_p + a, (d.v', s.v') ranges over a
@@ -192,43 +187,22 @@ class GnnStabilityResult(StabilityEstimate):
     seed: int
 
 
-def _loss_diff_sup_label(pred_base: np.ndarray, pred_pert: np.ndarray, b_y: float) -> np.ndarray:
-    """sup over y' in [-B_y, B_y] of |(p - y')^2 - (q - y')^2| per vertex.
+def _label_trial(base: GnnProblem, a_base: np.ndarray, radius: float, beta2_i: np.ndarray):
+    """Fit a label-mode trial's 2n perturbed problems; fold their exact sups into beta2_i.
 
-    (p - y')^2 - (q - y')^2 = (p - q)(p + q - 2 y') is affine in y', so the
-    sup sits at an endpoint: |p - q| (|p + q| + 2 B_y).
+    Row i of rows[f] is the one row of the fit of base.label_row(i, (-B_y, B_y)[f]);
+    radius is b_x ||w||, the bound on each test projection v'_k.
     """
-    return np.abs(pred_base - pred_pert) * (np.abs(pred_base + pred_pert) + 2.0 * b_y)
-
-
-# Cap on the candidate entries (corners x test vertices) of one label-mode
-# product; a vertex has one corner, so at n = 64 a trial is one block.
-LABEL_BLOCK = 1 << 14
-
-
-def _label_trial(base: GnnProblem, a_base: np.ndarray, corner, beta2_i: np.ndarray):
-    """Fit a label-mode trial's 2n perturbed problems; fold its sups into beta2_i.
-
-    Row i of rows[f] is the one row of the fit of base.label_row(i, (-B_y, B_y)[f]).
-    """
-    n, w, b_y = base.n, base.weight, base.b_y
+    n, b_y = base.n, base.b_y
     rows = np.empty((2, n, n))
-    for i, f in np.ndindex(n, 2):  # every perturbed problem is fitted, even with no corner
+    for i, f in np.ndindex(n, 2):
         rows[f, i] = fit_projected_closed_form(base.label_row(i, (-b_y, b_y)[f]))[0]
-    if corner is None:
-        return
-    step = max(1, LABEL_BLOCK // n)
-    for lo in range(0, n, step):
-        delta = rows[:, lo:lo + step] - a_base[lo:lo + step]
-        # a vertex whose row some fit moved (some square is nonzero) gets its corner
-        vert = lo + np.nonzero((delta * delta).any(axis=2).any(axis=0))[0]
-        signs = np.where(base.mask[vert] * base.v >= 0.0, 1.0, -1.0)
-        # (K, n, 1) test projections; each product is one matrix-vector call per corner
-        vt = ((signs[:, :, None] * corner) @ w)[:, :, None]
-        k = np.arange(vert.size)
-        sup_y = _loss_diff_sup_label((a_base @ vt)[k, vert, 0],
-                                     (rows[:, None] @ vt)[:, k, vert, 0], b_y)
-        beta2_i[vert] = np.maximum(beta2_i[vert], sup_y.max(axis=0))
+    # the l1 norms of each fit's row i of a_p - a and a_p + a (module docstring)
+    d = rows - a_base
+    d = np.abs(d, out=d).sum(axis=2)
+    rows += a_base
+    s = np.abs(rows, out=rows).sum(axis=2)
+    np.maximum(beta2_i, (radius * d * (radius * s + 2.0 * b_y)).max(axis=0), out=beta2_i)
 
 
 def _feature_sup(d: np.ndarray, s: np.ndarray, radius: float, b_y: float) -> np.ndarray:
@@ -271,9 +245,9 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
     label mode: y_i replaced by each endpoint of [-B_y, B_y].
     feature mode: row i bumped by eps_feature along the weight direction
     (first-order regime; eps, >= 0.1 b_x is rejected). In both modes the sup
-    over test samples is exact: the sign corner attains it in label mode,
-    and _feature_sup computes it in feature mode. The max over the trials'
-    random training data stays a lower estimate of the definitional sup.
+    over test samples is exact: label mode reads it off the fitted rows' l1
+    norms, and _feature_sup computes it in feature mode. The max over the
+    trials' random training data stays a lower estimate of the definitional sup.
     ValueError is raised up front for a feature-mode eps_feature
     that is not finite and >= 0, and by the first trial's GnnProblem for a
     ridge that is not finite and > 0 or a b_w that is not finite and >= 0.
@@ -298,11 +272,10 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
                           b_x=b_x, b_y=b_y, b_w=b_w)
         a_base = fit_projected_closed_form(base)
         wn = float(np.linalg.norm(w))
-        unit = w / wn if wn > 0 else np.eye(dim)[0]
-        if kind == LABEL_MODE:  # corners at +-b_x along w; a zero weight has none
-            _label_trial(base, a_base, b_x * unit if wn > 0 else None, beta2_i)
+        if kind == LABEL_MODE:
+            _label_trial(base, a_base, b_x * wn, beta2_i)
             continue
-        bump = unit * eps_feature
+        bump = (w / wn if wn > 0 else np.eye(dim)[0]) * eps_feature
         for i in range(n):
             a_p = fit_projected_closed_form(base.with_feature_row(i, x[i] + bump))
             sup = _feature_sup(a_p - a_base, a_p + a_base, b_x * wn, b_y)

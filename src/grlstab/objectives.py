@@ -15,7 +15,8 @@ The SGD bounds follow from the regime: strongly convex iff gamma > 0.
 Weights live in a ball of radius ``weight_radius`` (SGD projects onto it),
 which makes the Lipschitz constant, the loss bound, and the gradient-vs-data
 constant finite and analytically certifiable. All constants are recorded in
-a ConstantsCertificate, built once per objective, and can be stress-tested
+a ConstantsCertificate, built when the objective is constructed (a constant
+that leaves float range raises ValueError there), and can be stress-tested
 empirically, together with the contraction properties of the SGD update map
 they imply. Parameters and constants are range-checked by
 ``sampling.check_range``, and the message names the parameter.
@@ -140,7 +141,8 @@ class FieldObjective:
     family supplies only its weight penalty P, through ``_penalty`` and the
     class attribute ``penalty``, and three constants of P: its curvature
     bound (a constructor argument), and its Lipschitz constant and sup on
-    the weight ball (``_penalty_lipschitz``, ``_penalty_sup``). ``penalty``
+    the weight ball (``_penalty_bounds``, called by this class's ``__init__``,
+    so it reads only what a family sets before calling it). ``penalty``
     is grad P as a ``PenaltyGradient`` declaration: ``grad_uy`` evaluates it
     and the SGD step kernel inlines it, so the two agree bit for bit. The
     data term gets the curvature budget the penalty leaves: ||u|| <= u_max =
@@ -169,27 +171,30 @@ class FieldObjective:
         self.gamma = float(strong_convexity)
         self._u_max = np.sqrt(self.smoothness - penalty_curvature)
         self.feature_scale = float(self._u_max / self.b_x)
+        # a constant past float range is inf, which the certificate rejects
+        with np.errstate(over="ignore"):
+            self.certificate = self._certificate()
 
     @property
     def regime(self) -> str:
         """The SGD bound regime: STRONGLY_CONVEX iff gamma > 0."""
         return STRONGLY_CONVEX if self.gamma > 0 else NON_CONVEX
 
-    @functools.cached_property
-    def certificate(self) -> ConstantsCertificate:
-        """The analytic constants, computed once: they are fixed by ``__init__``."""
+    def _certificate(self) -> ConstantsCertificate:
+        """The analytic constants; ``__init__`` builds them once."""
         u_max = self._u_max
         w_r = self.weight_radius
         margin = u_max * w_r + self.b_y  # sup |<u,w> - y|
         zeta = np.sqrt(
             (self.feature_scale * (2 * u_max * w_r + self.b_y)) ** 2 + u_max**2
         )
+        penalty_lipschitz, penalty_sup = self._penalty_bounds()
         return ConstantsCertificate(
             smoothness=self.smoothness,
             strong_convexity=self.gamma,
-            lipschitz=u_max * margin + self._penalty_lipschitz,
+            lipschitz=u_max * margin + penalty_lipschitz,
             gradient_data_lipschitz=zeta,
-            loss_bound=0.5 * margin**2 + self._penalty_sup,
+            loss_bound=0.5 * margin**2 + penalty_sup,
             sample_diameter=sample_space_diameter(self.b_x, self.b_y),
             weight_radius=w_r,
         )
@@ -244,8 +249,11 @@ class QuadraticFieldObjective(FieldObjective):
             raise ValueError("strong_convexity must be > 0")
         super().__init__(dim, smoothness, strong_convexity, strong_convexity,
                          b_x, b_y, weight_radius)
-        self._penalty_lipschitz = self.gamma * self.weight_radius
-        self._penalty_sup = 0.5 * self.gamma * self.weight_radius**2
+
+    def _penalty_bounds(self):
+        # a float64 square is inf past float range, where a Python float's raises
+        w_r = np.float64(self.weight_radius)
+        return self.gamma * w_r, 0.5 * self.gamma * w_r**2
 
     def _penalty(self, w):
         return 0.5 * self.gamma * float(np.dot(w, w))
@@ -271,12 +279,14 @@ class RippleFieldObjective(FieldObjective):
         check_range("ripple_frequency", freq, strict=True)
         if ripple_amplitude is None:
             check_range("smoothness", smoothness, strict=False)
-            ripple_amplitude = smoothness / (2 * freq * freq)
+            # a tiny freq leaves a non-finite amplitude, rejected below
+            with np.errstate(all="ignore"):
+                ripple_amplitude = np.float64(smoothness) / (2 * freq * freq)
         a = float(ripple_amplitude)
         check_range("ripple_amplitude", a, strict=False)
-        super().__init__(dim, smoothness, 0.0, a * freq * freq, b_x, b_y, weight_radius)
         self.amplitude = a
         self.frequency = freq
+        super().__init__(dim, smoothness, 0.0, a * freq * freq, b_x, b_y, weight_radius)
         self.direction = np.zeros(self.dim)
         self.direction[0] = freq  # ripple wavevector k = freq * e_0
         # k.w bit for bit as numpy's dot gives it: the one product freq * w0,
@@ -284,9 +294,10 @@ class RippleFieldObjective(FieldObjective):
         # -0.0 product into +0.0); at dim 1 numpy multiplies, keeping -0.0
         self.kw_zero = -0.0 if self.dim == 1 else 0.0
         self.convex = a == 0.0
+
+    def _penalty_bounds(self):
         # |a sin(<k, w>)| ||k|| <= a freq and 0 <= a (1 - cos(<k, w>)) <= 2a
-        self._penalty_lipschitz = a * freq
-        self._penalty_sup = 2.0 * a
+        return self.amplitude * self.frequency, 2.0 * self.amplitude
 
     def _penalty(self, w):
         return self.amplitude * (1.0 - np.cos(float(np.dot(self.direction, w))))

@@ -849,12 +849,26 @@ REJECTED_VALUES = {
                           "ValueError", "weight_radius must be finite and > 0"),
     "train-weight-radius-inf": ("experiment = train\nobjective.weight_radius = inf\n",
                                 "ValueError", "weight_radius must be finite and > 0"),
+    # finite parameters whose certificate constants leave float range
+    "bounds-weight-radius-1e300": ("experiment = bounds\nobjective.weight_radius = 1e300\n",
+                                   "ValueError", "gradient_data_lipschitz must be finite"),
+    "ripple-frequency-1e-200": ("experiment = bounds\nobjective = ripple\n"
+                                "objective.frequency = 1e-200\n",
+                                "ValueError", "ripple_amplitude must be finite"),
+    "bounds-smoothness-1e300": ("experiment = bounds\nobjective.smoothness = 1e300\n",
+                                "ValueError", "gradient_data_lipschitz must be finite"),
+    "stability-smoothness-1e300": ("experiment = stability\nobjective.smoothness = 1e300\n",
+                                   "ValueError", "gradient_data_lipschitz must be finite"),
+    "train-smoothness-1e300": ("experiment = train\nobjective.smoothness = 1e300\n",
+                               "ValueError", "gradient_data_lipschitz must be finite"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED_VALUES))
+@pytest.mark.filterwarnings("error")
 def test_out_of_range_value_is_user_error(tmp_path, capsys, case):
-    # each used to exit 0 with NaN results, exit 2, or exit 1 only through numpy
+    # each used to exit 0 with NaN results, exit 2, or exit 1 only through numpy;
+    # a warning would be printed before the JSON error, so here it is an error
     body, error, message = REJECTED_VALUES[case]
     out = tmp_path / "out"
     path = write_config(tmp_path, "value.ini", f"""

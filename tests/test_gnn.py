@@ -201,6 +201,15 @@ def test_projected_features_cached_once_with_unchanged_bits():
 # Stability experiments
 
 
+def loss_diff_sup_label(pred_base, pred_pert, b_y):
+    """sup over y' in [-B_y, B_y] of |(p - y')^2 - (q - y')^2|, elementwise.
+
+    (p - y')^2 - (q - y')^2 = (p - q)(p + q - 2 y') is affine in y', so the
+    sup sits at an endpoint: |p - q| (|p + q| + 2 B_y).
+    """
+    return np.abs(pred_base - pred_pert) * (np.abs(pred_base + pred_pert) + 2.0 * b_y)
+
+
 def reference_test_feature_candidates(rng, n, dim, b_x, weight, pairs, n_draws):
     """Test feature sets: Monte Carlo draws, then sign corners of the leading rows.
 
@@ -233,9 +242,9 @@ def reference_gnn_stability_experiment(rf, kind, trials, eps_feature, seed,
                                        b_x=1.0, b_y=1.0, b_w=1.0, dim=3):
     """Per-candidate loop over fits, test draws and sign corners.
 
-    It pins label mode's bits, whose one corner per vertex attains the sup
-    over test features, and lower-bounds feature mode, whose draws and
-    corners sample that sup. Returns (beta1_i, beta2_i).
+    Its corners attain label mode's sup over test features, so label mode
+    matches it to rounding; its draws and corners lower-bound feature mode's
+    sup. Returns (beta1_i, beta2_i).
     """
     fit = gnn.fit_projected_closed_form
     mask = rf.mask
@@ -280,7 +289,7 @@ def reference_gnn_stability_experiment(rf, kind, trials, eps_feature, seed,
                 vt = x_test @ w
                 p_base = a_base @ vt
                 for a_p in fits:
-                    sup_y = gnn._loss_diff_sup_label(p_base, a_p @ vt, b_y)
+                    sup_y = loss_diff_sup_label(p_base, a_p @ vt, b_y)
                     beta2_i[i] = max(beta2_i[i], float(sup_y.max()))
                     if outside[i].size:
                         beta1_i[i] = max(beta1_i[i], float(sup_y[outside[i]].max()))
@@ -288,8 +297,8 @@ def reference_gnn_stability_experiment(rf, kind, trials, eps_feature, seed,
 
 
 def assert_matches_reference(rf, kind, seed, trials=1, n_test_draws=32, **kwargs):
-    """Label mode equals the reference loop bit for bit; feature mode's exact
-    sup is at least the loop's draws and corners on every vertex.
+    """Label mode equals the reference loop to 1e-12 relative; feature mode's
+    exact sup is at least the loop's draws and corners on every vertex.
 
     The draws are the reference's own; the experiment has none.
     """
@@ -299,7 +308,7 @@ def assert_matches_reference(rf, kind, seed, trials=1, n_test_draws=32, **kwargs
                                              n_test_draws=n_test_draws, **kwargs)
     for got, expected in zip((res.beta1_i, res.beta2_i), ref):
         if kind == gnn.LABEL_MODE:
-            assert np.array_equal(got, expected)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
         else:
             assert (got >= expected * (1.0 - 1e-12)).all()
     return res
@@ -354,7 +363,7 @@ def test_feature_sup_bounds_ball_draws(density):
         a_p = gnn.fit_projected_closed_form(p.with_feature_row(i, p.features[i] + bump))
         sup = gnn._feature_sup(a_p - a, a_p + a, p.b_x * np.linalg.norm(p.weight), p.b_y)
         vt = np.array([rows_in_ball(rng, n, dim, p.b_x) @ p.weight for _ in range(2000)])
-        drawn = gnn._loss_diff_sup_label(vt @ a.T, vt @ a_p.T, p.b_y)
+        drawn = loss_diff_sup_label(vt @ a.T, vt @ a_p.T, p.b_y)
         assert (drawn <= sup * (1.0 + 1e-12)).all()
 
 
@@ -364,8 +373,8 @@ def test_feature_sup_bounds_ball_draws(density):
                                         (7, 0.4), (13, 0.3), (1, 0.5), (2, 1.0), (3, 0.5),
                                         (9, 0.0), (20, 0.0)])
 def test_batched_candidates_bit_equal_reference_loop(kind, solver, n, density, monkeypatch):
-    # n = 7 and 13 are not multiples of a BLAS row block, so the matrix-vector
-    # kernels take their remainder paths; label mode still reads only row i.
+    # n = 7 and 13 are not multiples of a BLAS row block, so the reference
+    # loop's matrix-vector kernels take their remainder paths.
     # At density 0 every mask row holds only its own vertex. Feature mode is
     # checked against the reference's 6 draws and its corners per vertex.
     use_fit(monkeypatch, solver)
@@ -406,14 +415,19 @@ def test_batched_candidates_corners_only_bit_equal(kind):
 @pytest.mark.parametrize("solver", ["projected", "rowwise"])
 def test_label_mode_underflowing_difference_is_skipped(solver, monkeypatch):
     # ridge 1e300 makes every fitted difference so small that its squares,
-    # and so its row norm, underflow to 0: the reference loop makes no
-    # corner for it, and neither does the row-i rule (no Monte Carlo sets
-    # either, so nothing else reaches the tiny gaps)
+    # and so its row norm, underflow to 0: the reference loop skips it and
+    # reads 0, while the l1 norms keep the exact sup, about 1e-300
     use_fit(monkeypatch, solver)
     rf = gnn.density_mask_fields(12, 0.4, seed=7)
-    res = assert_matches_reference(rf, gnn.LABEL_MODE, seed=27, trials=2, n_test_draws=0,
-                                   ridge=1e300)
-    assert not res.beta2_i.any()
+    kwargs = {"seed": 27, "trials": 2, "ridge": 1e300}
+    res = gnn.gnn_stability_experiment(rf, gnn.LABEL_MODE, eps_feature=0.0, **kwargs)
+    expected = sign_corner_closed_form(rf, solver, **kwargs)
+    assert (expected > 1e-300).all() and (expected < 1e-298).all()
+    np.testing.assert_allclose(res.beta2_i, expected, rtol=1e-12, atol=0.0)
+    assert not res.beta1_i.any()
+    ref = reference_gnn_stability_experiment(rf, gnn.LABEL_MODE, eps_feature=0.0,
+                                             n_test_draws=0, **kwargs)
+    assert not ref[1].any()
 
 
 @pytest.mark.parametrize("solver", ["projected", "rowwise"])
@@ -425,21 +439,14 @@ def test_label_mode_draws_change_nothing(solver, monkeypatch):
     assert_matches_reference(rf, gnn.LABEL_MODE, seed=24, trials=2, n_test_draws=32)
 
 
-@pytest.mark.parametrize("solver", ["projected", "rowwise"])
-@pytest.mark.parametrize("case", range(4))
-def test_label_mode_beta2_is_sign_corner_closed_form(solver, case, monkeypatch):
-    # beta2_i = max_e |e - y_i| c T (|e + y_i| c T + 2 b_y), T = b_x ||w|| sum_k |m_k|,
-    # m = mask_i o v, c the fit's row-i denominator
-    use_fit(monkeypatch, solver)
-    draw = child_rng(30, "closed-form", case)
-    n = int(draw.integers(8, 41))
-    density = float(draw.uniform(0.05, 1.0))
-    ridge, b_x, b_y, b_w = (float(t) for t in draw.uniform(0.2, 2.0, size=4))
-    rf = gnn.density_mask_fields(n, density, seed=case)
-    seed, trials, dim = 40 + case, 2, 3
-    res = gnn.gnn_stability_experiment(rf, gnn.LABEL_MODE, trials, 0.0, seed,
-                                       ridge=ridge, b_x=b_x, b_y=b_y, b_w=b_w, dim=dim)
-    mask = rf.mask
+def sign_corner_closed_form(rf, solver, seed, trials, ridge=1.0, b_x=1.0, b_y=1.0, b_w=1.0,
+                            dim=3):
+    """Label-mode beta2_i at the sign corner, from the trials' data alone.
+
+    beta2_i = max_e |e - y_i| c T (|e + y_i| c T + 2 b_y), T = b_x ||w|| sum_k |m_k|,
+    m = mask_i o v, c the fit's row-i denominator.
+    """
+    n, mask = rf.n, rf.mask
     expected = np.zeros(n)
     for trial in range(trials):
         rng = child_rng(seed, "gnn-trial", trial)
@@ -456,6 +463,23 @@ def test_label_mode_beta2_is_sign_corner_closed_form(solver, case, monkeypatch):
         for e in (-b_y, b_y):
             value = np.abs(e - y) * c * t * (np.abs(e + y) * c * t + 2.0 * b_y)
             expected = np.maximum(expected, value)
+    return expected
+
+
+@pytest.mark.parametrize("solver", ["projected", "rowwise"])
+@pytest.mark.parametrize("case", range(4))
+def test_label_mode_beta2_is_sign_corner_closed_form(solver, case, monkeypatch):
+    use_fit(monkeypatch, solver)
+    draw = child_rng(30, "closed-form", case)
+    n = int(draw.integers(8, 41))
+    density = float(draw.uniform(0.05, 1.0))
+    ridge, b_x, b_y, b_w = (float(t) for t in draw.uniform(0.2, 2.0, size=4))
+    rf = gnn.density_mask_fields(n, density, seed=case)
+    seed, trials = 40 + case, 2
+    res = gnn.gnn_stability_experiment(rf, gnn.LABEL_MODE, trials, 0.0, seed,
+                                       ridge=ridge, b_x=b_x, b_y=b_y, b_w=b_w)
+    expected = sign_corner_closed_form(rf, solver, seed, trials, ridge=ridge, b_x=b_x,
+                                       b_y=b_y, b_w=b_w)
     np.testing.assert_allclose(res.beta2_i, expected, rtol=1e-12, atol=0.0)
     assert not res.beta1_i.any()
 
@@ -463,7 +487,7 @@ def test_label_mode_beta2_is_sign_corner_closed_form(solver, case, monkeypatch):
 @pytest.mark.parametrize("solver", ["projected", "rowwise"])
 def test_label_mode_vertices_without_corners_bit_equal(solver, monkeypatch):
     # isolated vertex 4 gets feature row 0, so v_4 = 0 and its fits never move
-    # row 4: it has no corner, while every other vertex of the batch has some
+    # row 4: its sup is 0, while every other vertex's is positive
     use_fit(monkeypatch, solver)
     draw = rows_in_ball
 
@@ -479,20 +503,6 @@ def test_label_mode_vertices_without_corners_bit_equal(solver, monkeypatch):
         graphs.build_graph(9, [(0, 1), (1, 2), (2, 3), (5, 6)]))
     res = assert_matches_reference(rf, gnn.LABEL_MODE, seed=28, trials=2, n_test_draws=0)
     assert res.beta2_i[4] == 0.0 and np.delete(res.beta2_i, 4).all()
-
-
-@pytest.mark.parametrize("solver", ["projected", "rowwise"])
-@pytest.mark.parametrize("n, block", [(130, None), (13, 13 * 3)])
-def test_label_mode_blocks_bit_equal(solver, n, block, monkeypatch):
-    # the vertices span several blocks, the last one shorter: at the default
-    # cap n = 130 runs 126 + 4 vertices, the small cap 3 + 3 + 3 + 3 + 1
-    use_fit(monkeypatch, solver)
-    if block is not None:
-        monkeypatch.setattr(gnn, "LABEL_BLOCK", block)
-    step = gnn.LABEL_BLOCK // n
-    assert step < n and n % step
-    rf = gnn.density_mask_fields(n, 0.3, seed=n)
-    assert_matches_reference(rf, gnn.LABEL_MODE, seed=70 + n, trials=2, n_test_draws=0)
 
 
 @pytest.mark.parametrize("solver", ["projected", "rowwise"])
@@ -529,7 +539,7 @@ def test_label_mode_beta2_is_sup_over_every_test_corner(solver, n, density, ridg
         for e in (-b_y, b_y):
             y_p = y.copy()
             y_p[i] = e
-            sup_y = gnn._loss_diff_sup_label(p_base, fit(problem(y_p)) @ vt, b_y)
+            sup_y = loss_diff_sup_label(p_base, fit(problem(y_p)) @ vt, b_y)
             expected[i] = max(expected[i], float(sup_y.max()))
     assert (res.beta2_i > 0.0).all() == (b_w > 0.0)
     np.testing.assert_allclose(res.beta2_i, expected, rtol=1e-12, atol=0.0)
@@ -537,8 +547,8 @@ def test_label_mode_beta2_is_sup_over_every_test_corner(solver, n, density, ridg
 
 def test_label_trial_memory_stays_below_eight_n_squared_doubles():
     # one trial at n = 256 holds the base fit, the two composites of fitted
-    # rows and one block of corners; a whole-trial batch of corners would
-    # hold (4 n, n) arrays, about 14.5 MiB here
+    # rows and one (2, n, n) difference; a batch of sign corners over the
+    # whole trial would hold (4 n, n) arrays, about 14.5 MiB here
     n = 256
     rf = gnn.density_mask_fields(n, 0.2, seed=3)
     tracemalloc.start()
@@ -703,6 +713,27 @@ def test_label_row_fit_is_row_of_full_fit(solver, density, n):
                                    mask=p.mask, ridge=p.ridge)
             assert row_fit.shape == (1, n)
             assert np.array_equal(row_fit, fit(fresh)[i:i + 1])
+
+
+@pytest.mark.parametrize("solver", ["projected", "rowwise"])
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+def test_label_row_fits_are_multiples_of_the_base_row(solver, density):
+    # the l1 formula rests on this: row i of each endpoint's fit is a multiple
+    # of row i of the base fit, and both have the signs of label * m_i,
+    # m = mask o v, entry by entry (rounding is monotone)
+    fit = gnn.fit_projected_closed_form if solver == "projected" else fit_exact_rowwise
+    n = 24
+    rf = gnn.density_mask_fields(n, density, seed=n)
+    p = random_problem(child_rng(34, "multiples", density), rf)
+    a = fit(p)
+    sign_m = np.sign(np.where(p.mask, p.v, 0.0))
+    for i in range(n):
+        y_i = p.labels[i]
+        assert np.array_equal(np.sign(a[i]), np.sign(y_i) * sign_m[i])
+        for value in (-p.b_y, p.b_y):
+            row = fit(p.label_row(i, value))[0]
+            assert np.array_equal(np.sign(row), np.sign(value) * sign_m[i])
+            np.testing.assert_allclose(row * y_i, value * a[i], rtol=1e-14, atol=0.0)
 
 
 def test_null_label_perturbation_zero_difference():

@@ -141,11 +141,10 @@ def test_certificate_constants_must_be_finite(name, value):
 
 def test_certify_catches_understated_smoothness():
     obj = quad()
-    # understate by replacing the declared certificate via a wrapper object
+    # understate by replacing the certificate the constructor builds
     class Lying(objectives.QuadraticFieldObjective):
-        @property
-        def certificate(self):
-            true = super().certificate
+        def _certificate(self):
+            true = super()._certificate()
             return objectives.ConstantsCertificate(
                 smoothness=0.6 * true.smoothness,  # true top curvature is 1.0
                 strong_convexity=true.strong_convexity,
