@@ -84,16 +84,24 @@ def build_objective(cfg: ExperimentConfig):
     radius = cfg.get_float("objective.weight_radius", 1.0)
     lam = cfg.get_float("objective.smoothness", 1.0)
     if kind == "quadratic":
-        return QuadraticFieldObjective(
-            dim, lam, cfg.get_float("objective.strong_convexity", 0.5),
-            b_x, b_y, radius,
-        )
-    if kind != "ripple":
+        family = QuadraticFieldObjective
+        args = (dim, lam, cfg.get_float("objective.strong_convexity", 0.5), b_x, b_y, radius)
+    elif kind == "ripple":
+        freq = cfg.get_float("objective.frequency", 4.0)
+        amp = (cfg.get_float("objective.ripple_amplitude")
+               if cfg.has("objective.ripple_amplitude") else None)
+        family, args = RippleFieldObjective, (dim, lam, b_x, b_y, amp, radius, freq)
+    else:
         raise ConfigError(f"unknown objective {kind!r}")
-    freq = cfg.get_float("objective.frequency", 4.0)
-    amp = (cfg.get_float("objective.ripple_amplitude")
-           if cfg.has("objective.ripple_amplitude") else None)
-    return RippleFieldObjective(dim, lam, b_x, b_y, amp, radius, freq)
+    try:
+        return family(*args)
+    except ValueError as exc:
+        # a constant derived from finite parameters left float range: it is
+        # no key of the config, so name the objective keys the config set
+        if not str(exc).startswith(("certificate constant", "ripple_amplitude")):
+            raise
+        keys = sorted(key for key in cfg.raw if key.startswith("objective."))
+        raise ConfigError(f"keys {keys}: {exc}") from exc
 
 
 def build_sgd_config(cfg: ExperimentConfig) -> SgdConfig:

@@ -7,7 +7,7 @@ training objective is
 
     f(A~) = 0.5 ||y - A~ X w||^2 + 0.5 gamma ||A~||_F^2 .
 
-The experiments fit with fit_projected_closed_form, the masked projection
+The experiments use fit_projected_closed_form, the masked projection
 of the unconstrained stationary point, A~ = Pi o ( y v' (v v' + gamma I)^{-1} )
 with v = X w, evaluated through the rank-one identity y v' / (gamma + ||v||^2)
 (no matrix inversion). The tests check it against the support-constrained
@@ -16,11 +16,11 @@ A~_{ij} = y_i v_j 1[j in Xi(i)] / (gamma + sum_{k in Xi(i)} v_k^2), and
 whose objective value never exceeds the projected formula's.
 
 Stability experiments replace one training vertex (label endpoint or a
-first-order feature bump), refit, and measure worst-case test loss
-differences |(yhat_j - y'_j)^2 - (yhat^i_j - y'_j)^2|. The difference is
-affine in the test label, so the sup over y'_j in [-B_y, B_y] is attained
-at an endpoint and computed exactly. Test features enter only through
-v' = X' w, each v'_k in [-b_x ||w||, b_x ||w||].
+first-order feature bump) and measure worst-case test loss differences
+|(yhat_j - y'_j)^2 - (yhat^i_j - y'_j)^2|. The difference is affine in the
+test label, so the sup over y'_j in [-B_y, B_y] is attained at an endpoint
+and computed exactly. Test features enter only through v' = X' w, each
+v'_k in [-R, R] with R = b_x ||w||.
 
 In label mode the sup over test features is read off the fitted rows:
 
@@ -31,26 +31,28 @@ In label mode the sup over test features is read off the fitted rows:
   differ only at test vertex i, and label-mode beta1 is exactly 0;
 - there the rows d and s of a_p - a and a_p + a are both multiples of m
   (rounding is monotone, so each entry keeps its sign), so |d.v'| and
-  |s.v'| peak at the same corner v'_k = R sign(m_k), R = b_x ||w||, and
-  the loss-difference sup |d.v'| (|s.v'| + 2 B_y) is
-  R ||d||_1 (R ||s||_1 + 2 B_y).
+  |s.v'| peak at the same corner v'_k = R sign(m_k), and the
+  loss-difference sup |d.v'| (|s.v'| + 2 B_y) is R ||d||_1 (R ||s||_1 + 2 B_y).
 
 So each perturbed problem is fitted on its one changed row alone
-(GnnProblem.label_row): a (1, n) fit from the same operands through the
-same elementwise operations, so it has the bits of row i of the full
-perturbed fit. Label mode makes no matrix-vector product.
+(GnnProblem.label_row, derived from the trial's validated base problem
+with only the new label checked): a (1, n) fit from the same operands
+through the same elementwise operations, so it has the bits of row i of
+the full perturbed fit. Label mode makes no matrix-vector product.
 
-In feature mode the sup over test features is exact too (_feature_sup):
-with d and s the rows of a_p - a and a_p + a, (d.v', s.v') ranges over a
-2-D zonotope, generators b_x ||w|| (d_k, s_k), whose boundary is the
-angle-sorted walk of those generators. |d.v'| (|s.v'| + 2 B_y) is the max
-of four bilinear functions, each peaking at a vertex or at an interior
-stationary point of an edge, so the sup is a max over O(n) points per row.
-
-Perturbed problems derive from the trial's validated base problem
-(GnnProblem.label_row, GnnProblem.with_feature_row): the shared mask is
-not re-checked and only the replaced entries are bound-checked. A label
-row problem fits row i only; a feature-row problem fits all n rows.
+Feature mode makes no fit (_feature_trial). Bumping row i by eps along w
+moves only v_i, by delta = eps ||w||, and c = gamma + ||v||^2 to
+c'_i = c + delta (2 v_i + delta). Row j of a_p -+ a is
+y_j mask_j o (v'/c'_i -+ v/c): its entries at k != i lie on one line and
+add up to y_j L'_ij (a-, a+), L'_ij = sum_{k in Xi(j), k != i} |v_k|, and
+entry i is y_j mask_ji (g-, g+). a- = -delta (2 v_i + delta) / c / c'_i and
+g- = delta (c - v_i (v_i + v'_i)) / c / c'_i are the differences free of
+cancellation (never forming c c'_i, which can overflow), beside
+a+ = 1/c'_i + 1/c and g+ = v'_i/c'_i + v_i/c. (d.v', s.v') ranges over the
+zonotope of the generators times R, bounded by their angle-sorted walk
+(_feature_sup), where |d.v'| (|s.v'| + 2 B_y), a max of four bilinear
+functions, peaks at a vertex or an edge's stationary point. Base rows are
+drawn in the b_x - eps ball, so every bumped row stays in the b_x ball.
 """
 
 from __future__ import annotations
@@ -74,9 +76,10 @@ class GnnProblem:
     """A masked-ridge training problem over n vertices.
 
     Its fitted rows, the labels and the mask rows, may be a subset of the
-    vertices: a constructed problem fits all n rows, and label_row derives
-    one that fits a single row. features, v and n always cover all n
-    vertices, so a fit has one row per label and n columns.
+    vertices: a constructed problem is validated and fits all n rows, and
+    label_row derives one that fits a single row from this problem's arrays.
+    features, v and n always cover all n vertices, so a fit has one row per
+    label and n columns.
     """
 
     features: np.ndarray  # (n, m), row norms <= b_x
@@ -120,11 +123,7 @@ class GnnProblem:
 
     @cached_property
     def v(self) -> np.ndarray:
-        """v = X w, the per-vertex projected features, computed once per problem.
-
-        A problem's arrays are not modified after construction, so the cached
-        product stays valid.
-        """
+        """v = X w, computed once per problem: its arrays are never modified."""
         return self.features @ self.weight
 
     @cached_property
@@ -141,30 +140,9 @@ class GnnProblem:
         """
         if not (abs(value) <= self.b_y + _BOUND_TOL):
             raise ValueError("label magnitude exceeds b_y")
-        return self._derived(labels=np.array([value], dtype=float),
-                             mask=self.mask[i:i + 1], v=self.v,
-                             denominator=self.denominator)
-
-    def with_feature_row(self, i: int, row) -> GnnProblem:
-        """This problem with feature row i replaced; only the new row is checked.
-
-        The labels, weight and mask are shared with this validated problem;
-        v and the denominator are recomputed from the new features on first use.
-        """
-        row = np.asarray(row, dtype=float)
-        if row.shape != self.weight.shape:
-            raise ValueError("feature row length must match the feature columns")
-        if not (np.linalg.norm(row) <= self.b_x + _BOUND_TOL):
-            raise ValueError("feature row norm exceeds b_x")
-        features = self.features.copy()
-        features[i] = row
-        return self._derived(features=features)
-
-    def _derived(self, **fields) -> GnnProblem:
-        """A problem sharing every field but ``fields`` with this one, unvalidated."""
         q = object.__new__(GnnProblem)
-        vars(q).update({k: val for k, val in vars(self).items()
-                        if k not in ("v", "denominator")}, **fields)
+        vars(q).update(vars(self), labels=np.array([value], dtype=float),
+                       mask=self.mask[i:i + 1], v=self.v, denominator=self.denominator)
         return q
 
 
@@ -236,6 +214,34 @@ def _feature_sup(d: np.ndarray, s: np.ndarray, radius: float, b_y: float) -> np.
     return best
 
 
+def _feature_trial(base: GnnProblem, delta: float, radius: float, beta1_i: np.ndarray,
+                   beta2_i: np.ndarray):
+    """Fold a feature-mode trial's exact sups into beta1_i and beta2_i, with no fit.
+
+    delta = eps ||w|| bumps v_i and radius = b_x ||w|| bounds each v'_k; every
+    (vertex i, test row j) has two generators (module docstring), passed to
+    _feature_sup a block of vertices at a time.
+    """
+    v, c, mask = base.v, base.denominator, base.mask
+    bumped, c_i = v + delta, c + delta * (2.0 * v + delta)
+    d_coef = np.stack((-delta * (2.0 * v + delta) / c / c_i,
+                       delta * (c - v * (v + bumped)) / c / c_i), axis=1)
+    s_coef = np.stack((1.0 / c_i + 1.0 / c, bumped / c_i + v / c), axis=1)
+    size = np.abs(v)
+    total = mask @ size  # L_j
+    block = max(1, 4096 // base.n)  # ~4096 (i, j) pairs per call: memory stays O(n)
+    for lo in range(0, base.n, block):
+        verts = slice(lo, lo + block)
+        m = mask[verts]  # (vertex i, test row j): mask_ij = mask_ji
+        # y_j L'_ij and y_j mask_ji
+        coef = np.stack((total - m * size[verts, None], m), axis=2) * base.labels[:, None]
+        sup = _feature_sup((coef * d_coef[verts, None]).reshape(-1, 2),
+                           (coef * s_coef[verts, None]).reshape(-1, 2),
+                           radius, base.b_y).reshape(m.shape)
+        np.maximum(beta2_i[verts], sup.max(axis=1), out=beta2_i[verts])
+        np.maximum(beta1_i[verts], np.where(m, 0.0, sup).max(axis=1), out=beta1_i[verts])
+
+
 def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
                              eps_feature: float, seed: int, ridge: float = 1.0,
                              b_x: float = 1.0, b_y: float = 1.0, b_w: float = 1.0,
@@ -246,11 +252,11 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
     feature mode: row i bumped by eps_feature along the weight direction
     (first-order regime; eps, >= 0.1 b_x is rejected). In both modes the sup
     over test samples is exact: label mode reads it off the fitted rows' l1
-    norms, and _feature_sup computes it in feature mode. The max over the
-    trials' random training data stays a lower estimate of the definitional sup.
-    ValueError is raised up front for a feature-mode eps_feature
-    that is not finite and >= 0, and by the first trial's GnnProblem for a
-    ridge that is not finite and > 0 or a b_w that is not finite and >= 0.
+    norms, and feature mode makes no fit (_feature_trial). The max over the
+    trials' random training data stays a lower estimate of the definitional
+    sup. ValueError is raised up front for a feature-mode eps_feature that is
+    not finite and >= 0, and by the first trial's GnnProblem for a ridge
+    that is not finite and > 0 or a b_w that is not finite and >= 0.
     """
     if kind not in (LABEL_MODE, FEATURE_MODE):
         raise ValueError(f"unknown perturbation kind {kind!r}")
@@ -258,30 +264,20 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
         check_range("eps_feature", eps_feature, strict=False)
         if eps_feature >= 0.1 * b_x:
             raise ValueError("feature bump must stay below 0.1 b_x (first-order regime)")
-    n = rf.n
+    n, base_radius = rf.n, b_x - eps_feature if kind == FEATURE_MODE else b_x
     beta1_i, beta2_i = np.zeros((2, n))
-    outside = [rf.outside(i) for i in range(n)] if kind == FEATURE_MODE else None
-
     for trial in range(trials):
         rng = child_rng(seed, "gnn-trial", trial)
-        base_radius = b_x - eps_feature if kind == FEATURE_MODE else b_x
         x = rows_in_ball(rng, n, dim, base_radius)
         y = rng.uniform(-b_y, b_y, size=n)
         w = rows_in_ball(rng, 1, dim, b_w)[0]
         base = GnnProblem(features=x, labels=y, weight=w, mask=rf.mask, ridge=ridge,
                           b_x=b_x, b_y=b_y, b_w=b_w)
-        a_base = fit_projected_closed_form(base)
         wn = float(np.linalg.norm(w))
         if kind == LABEL_MODE:
-            _label_trial(base, a_base, b_x * wn, beta2_i)
-            continue
-        bump = (w / wn if wn > 0 else np.eye(dim)[0]) * eps_feature
-        for i in range(n):
-            a_p = fit_projected_closed_form(base.with_feature_row(i, x[i] + bump))
-            sup = _feature_sup(a_p - a_base, a_p + a_base, b_x * wn, b_y)
-            beta2_i[i] = max(beta2_i[i], float(sup.max()))
-            if outside[i].size:
-                beta1_i[i] = max(beta1_i[i], float(sup[outside[i]].max()))
+            _label_trial(base, fit_projected_closed_form(base), b_x * wn, beta2_i)
+        else:
+            _feature_trial(base, eps_feature * wn, b_x * wn, beta1_i, beta2_i)
 
     return GnnStabilityResult(beta1_i=beta1_i, beta2_i=beta2_i, sup_d=rf.sup_d,
                               inf_d=float(rf.d.min()), seed=seed)

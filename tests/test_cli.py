@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -849,18 +853,24 @@ REJECTED_VALUES = {
                           "ValueError", "weight_radius must be finite and > 0"),
     "train-weight-radius-inf": ("experiment = train\nobjective.weight_radius = inf\n",
                                 "ValueError", "weight_radius must be finite and > 0"),
-    # finite parameters whose certificate constants leave float range
+    # finite parameters whose certificate constants leave float range: the
+    # error names the objective keys the config set, then the constant
     "bounds-weight-radius-1e300": ("experiment = bounds\nobjective.weight_radius = 1e300\n",
-                                   "ValueError", "gradient_data_lipschitz must be finite"),
+                                   "ConfigError", "keys ['objective.weight_radius']: "
+                                   "certificate constant gradient_data_lipschitz must be finite"),
     "ripple-frequency-1e-200": ("experiment = bounds\nobjective = ripple\n"
                                 "objective.frequency = 1e-200\n",
-                                "ValueError", "ripple_amplitude must be finite"),
+                                "ConfigError", "keys ['objective.frequency']: "
+                                "ripple_amplitude must be finite"),
     "bounds-smoothness-1e300": ("experiment = bounds\nobjective.smoothness = 1e300\n",
-                                "ValueError", "gradient_data_lipschitz must be finite"),
+                                "ConfigError", "keys ['objective.smoothness']: "
+                                "certificate constant gradient_data_lipschitz must be finite"),
     "stability-smoothness-1e300": ("experiment = stability\nobjective.smoothness = 1e300\n",
-                                   "ValueError", "gradient_data_lipschitz must be finite"),
+                                   "ConfigError", "keys ['objective.smoothness']: "
+                                   "certificate constant gradient_data_lipschitz must be finite"),
     "train-smoothness-1e300": ("experiment = train\nobjective.smoothness = 1e300\n",
-                               "ValueError", "gradient_data_lipschitz must be finite"),
+                               "ConfigError", "keys ['objective.smoothness']: "
+                               "certificate constant gradient_data_lipschitz must be finite"),
 }
 
 
@@ -881,6 +891,48 @@ graph.n = 6
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error and message in err["message"]
     assert not out.exists()
+
+
+GNN_CYCLE_8 = """
+experiment = gnn
+graph.kind = cycle
+graph.n = 8
+gnn.kind = feature-first-order
+"""
+
+# (config body, exit status, error type of an exit-1 case)
+ENTRY_POINT_CASES = {
+    "gnn-feature-cycle-8": (GNN_CYCLE_8 + "gnn.trials = 1\n", 0, None),
+    # both GNN modes take the exact sup over test features, so no key sets test draws
+    "gnn-test-draws": (GNN_CYCLE_8 + "gnn.test_draws = 5\n", 1, "ConfigError"),
+    **{case: ("graph.kind = cycle\ngraph.n = 6\n" + REJECTED_VALUES[case][0], 1,
+              REJECTED_VALUES[case][1])
+       for case in ("bounds-step-nan", "ripple-frequency-1e-200")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENTRY_POINT_CASES))
+def test_entry_point_exit_status_in_a_fresh_process(tmp_path, case):
+    # `python -m grlstab.cli` ends in `raise SystemExit(main())`, the console
+    # script's exit path; an exit-1 case prints exactly one JSON object on
+    # stderr and leaves no output directory
+    body, status, error = ENTRY_POINT_CASES[case]
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "run.ini", f"seed = 1\nout = {out}\n" + body)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-m", "grlstab.cli", "run", str(path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == status, proc.stderr
+    if status == 0:
+        assert proc.stderr == ""
+        rows = (out / "per_vertex.csv").read_text().splitlines()
+        assert sum(not row.startswith("#") for row in rows) == 9
+    else:
+        err = json.loads(proc.stderr)
+        assert set(err) == {"error", "message"} and err["error"] == error
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("t_grid", ["nan", "-1", "0.5 inf"])

@@ -5,10 +5,11 @@ import pytest
 
 from grlstab import gnn, graphs
 from grlstab.sampling import rows_in_ball
-from grlstab.seeding import child_rng
+from grlstab.seeding import child_rng, seed_int
 
-from gnn_oracles import (SupportError, feature_sup_box_edges, fit_exact_rowwise,
-                         full_objective_gradient, gnn_objective)
+from gnn_oracles import (SupportError, feature_sup_box_edges, feature_trial_by_exact_fits,
+                         feature_trial_by_fits, fit_exact_rowwise, full_objective_gradient,
+                         gnn_objective)
 
 
 def use_fit(monkeypatch, solver):
@@ -350,21 +351,116 @@ def test_feature_sup_matches_box_edge_oracle(case):
 @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
 def test_feature_sup_bounds_ball_draws(density):
     # 2000 Monte Carlo test feature sets, each evaluated through a @ (X' @ w)
-    # for the base and the bumped fit, never exceed the exact sup
+    # for the base fit and the fit of a freshly built bumped problem, never
+    # exceed _feature_trial's exact sups
     n, dim, eps = 12, 3, 0.05
     rf = gnn.density_mask_fields(n, density, seed=n)
     rng = child_rng(33, "ball-draws", density)
     p = gnn.GnnProblem(features=rows_in_ball(rng, n, dim, 1.0 - eps),
                        labels=rng.uniform(-1.0, 1.0, size=n),
                        weight=rows_in_ball(rng, 1, dim, 1.0)[0], mask=rf.mask, ridge=0.8)
-    bump = eps * p.weight / np.linalg.norm(p.weight)
+    wn = float(np.linalg.norm(p.weight))
+    beta1_i, beta2_i = np.zeros((2, n))
+    gnn._feature_trial(p, eps * wn, p.b_x * wn, beta1_i, beta2_i)
     a = gnn.fit_projected_closed_form(p)
     for i in (0, 5):
-        a_p = gnn.fit_projected_closed_form(p.with_feature_row(i, p.features[i] + bump))
-        sup = gnn._feature_sup(a_p - a, a_p + a, p.b_x * np.linalg.norm(p.weight), p.b_y)
+        x = p.features.copy()
+        x[i] += eps * p.weight / wn
+        a_p = gnn.fit_projected_closed_form(gnn.GnnProblem(
+            features=x, labels=p.labels, weight=p.weight, mask=p.mask, ridge=p.ridge))
         vt = np.array([rows_in_ball(rng, n, dim, p.b_x) @ p.weight for _ in range(2000)])
         drawn = loss_diff_sup_label(vt @ a.T, vt @ a_p.T, p.b_y)
-        assert (drawn <= sup * (1.0 + 1e-12)).all()
+        assert (drawn <= beta2_i[i] * (1.0 + 1e-12)).all()
+        assert (drawn[:, rf.outside(i)] <= beta1_i[i] * (1.0 + 1e-12)).all()
+
+
+def fitted_feature_experiment(rf, trials, eps, seed, dtype=float, ridge=1.0, b_x=1.0,
+                              b_y=1.0, b_w=1.0, dim=3):
+    """Feature-mode (beta1_i, beta2_i) by perturbed fits, on the experiment's trial data."""
+    beta = np.zeros((2, rf.n), dtype=dtype)
+    for trial in range(trials):
+        rng = child_rng(seed, "gnn-trial", trial)
+        x = rows_in_ball(rng, rf.n, dim, b_x - eps)
+        y = rng.uniform(-b_y, b_y, size=rf.n)
+        w = rows_in_ball(rng, 1, dim, b_w)[0]
+        p = gnn.GnnProblem(features=x, labels=y, weight=w, mask=rf.mask, ridge=ridge,
+                           b_x=b_x, b_y=b_y, b_w=b_w)
+        np.maximum(beta, feature_trial_by_fits(p, eps, dtype), out=beta)
+    return beta
+
+
+def cycle_case(n):
+    # criterion 11's cycle, at its first feature-mode seed
+    return (graphs.one_hop_receptive_fields(graphs.cycle_graph(n)),
+            seed_int(1101, gnn.FEATURE_MODE, n, 0), {})
+
+
+FEATURE_CASES = {
+    "cycle-20": lambda: cycle_case(20),
+    "cycle-40": lambda: cycle_case(40),
+    "cycle-80": lambda: cycle_case(80),
+    "density-0": lambda: (gnn.density_mask_fields(12, 0.0, seed=1), 51, {}),
+    "density-1": lambda: (gnn.density_mask_fields(12, 1.0, seed=2), 52, {}),
+    "n-1": lambda: (gnn.density_mask_fields(1, 0.5, seed=3), 53, {}),
+    "n-2": lambda: (gnn.density_mask_fields(2, 1.0, seed=4), 54, {}),
+    "ridge-0.05": lambda: (gnn.density_mask_fields(30, 0.3, seed=5), 55,
+                           {"ridge": 0.05, "b_y": 1.5, "b_w": 2.0}),
+    "b_w-0": lambda: (gnn.density_mask_fields(12, 0.4, seed=6), 56, {"b_w": 0.0}),
+    "ridge-1e300": lambda: (gnn.density_mask_fields(12, 0.4, seed=7), 57, {"ridge": 1e300}),
+}
+
+
+def feature_case(case):
+    """The case's experiment result, its receptive fields, seed and keyword arguments."""
+    rf, seed, kwargs = FEATURE_CASES[case]()
+    res = gnn.gnn_stability_experiment(rf, gnn.FEATURE_MODE, 2, 0.05, seed, **kwargs)
+    beta = np.array([res.beta1_i, res.beta2_i])
+    assert (beta[1] > 0.0).all() == (kwargs.get("b_w") != 0.0)
+    if case == "ridge-1e300":
+        assert ((beta[1] > 1e-303) & (beta[1] < 1e-300)).all()
+    return beta, rf, seed, kwargs
+
+
+@pytest.mark.parametrize("case", sorted(FEATURE_CASES))
+@pytest.mark.filterwarnings("error")
+def test_feature_mode_matches_fitted_path(case):
+    # the closed form against n refits per trial, each through _feature_sup
+    # on its (n, n) pair; the refits' own cancellation error is about 1e-12
+    beta, rf, seed, kwargs = feature_case(case)
+    expected = fitted_feature_experiment(rf, 2, 0.05, seed, **kwargs)
+    np.testing.assert_allclose(beta, expected, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("case", sorted(FEATURE_CASES))
+@pytest.mark.filterwarnings("error")
+def test_feature_mode_matches_extended_precision_refits(case):
+    # the same refits with every step in long double: the closed form is
+    # within a few ulps of them, closer than the double-precision refits
+    beta, rf, seed, kwargs = feature_case(case)
+    expected = fitted_feature_experiment(rf, 2, 0.05, seed, np.longdouble, **kwargs)
+    np.testing.assert_allclose(beta, expected.astype(float), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("eps", [0.05, 1e-4, 1e-8, 0.0])
+@pytest.mark.parametrize("density", [0.4, 1.0])
+def test_feature_trial_matches_exact_refits_at_any_bump(eps, density):
+    # refits in rational arithmetic, no cancellation: the closed form keeps
+    # its accuracy as the bump shrinks, where a double-precision refit's
+    # a_p - a loses about 1e-16 / eps of it
+    n, dim = 12, 3
+    rf = gnn.density_mask_fields(n, density, seed=8)
+    rng = child_rng(35, "exact-refits", density)
+    p = gnn.GnnProblem(features=rows_in_ball(rng, n, dim, 1.0 - eps),
+                       labels=rng.uniform(-1.0, 1.0, size=n),
+                       weight=rows_in_ball(rng, 1, dim, 1.0)[0], mask=rf.mask, ridge=0.8)
+    wn = float(np.linalg.norm(p.weight))
+    beta = np.zeros((2, n))
+    gnn._feature_trial(p, eps * wn, p.b_x * wn, *beta)
+    expected = feature_trial_by_exact_fits(p, eps * wn)
+    np.testing.assert_allclose(beta, expected.astype(float), rtol=1e-13, atol=0.0)
+    assert (beta[1] > 0.0).all() == (eps > 0.0)
 
 
 @pytest.mark.parametrize("kind", [gnn.LABEL_MODE, gnn.FEATURE_MODE])
@@ -376,11 +472,17 @@ def test_batched_candidates_bit_equal_reference_loop(kind, solver, n, density, m
     # n = 7 and 13 are not multiples of a BLAS row block, so the reference
     # loop's matrix-vector kernels take their remainder paths.
     # At density 0 every mask row holds only its own vertex. Feature mode is
-    # checked against the reference's 6 draws and its corners per vertex.
-    use_fit(monkeypatch, solver)
+    # checked against the projected reference's 6 draws and its corners per
+    # vertex; it makes no fit, so the rowwise solver changes none of its bits.
+    use_fit(monkeypatch, solver if kind == gnn.LABEL_MODE else "projected")
     rf = gnn.density_mask_fields(n, density, seed=n)
     res = assert_matches_reference(rf, kind, seed=100 + n, trials=2, n_test_draws=6)
     assert res.beta2 > 0.0
+    if kind == gnn.FEATURE_MODE:
+        use_fit(monkeypatch, solver)
+        again = gnn.gnn_stability_experiment(rf, kind, 2, 0.05, 100 + n)
+        assert np.array_equal(again.beta1_i, res.beta1_i)
+        assert np.array_equal(again.beta2_i, res.beta2_i)
 
 
 @pytest.mark.parametrize("kind", [gnn.LABEL_MODE, gnn.FEATURE_MODE])
@@ -546,26 +648,30 @@ def test_label_mode_beta2_is_sup_over_every_test_corner(solver, n, density, ridg
 
 
 def test_label_trial_memory_stays_below_eight_n_squared_doubles():
-    # one trial at n = 256 holds the base fit, the two composites of fitted
-    # rows and one (2, n, n) difference; a batch of sign corners over the
-    # whole trial would hold (4 n, n) arrays, about 14.5 MiB here
+    # one label-mode trial at n = 256 holds the base fit, the two composites
+    # of fitted rows and one (2, n, n) difference; a batch of sign corners
+    # over the whole trial would hold (4 n, n) arrays, about 14.5 MiB here.
+    # A feature-mode trial takes a block of vertices at a time; n refits and
+    # one (n, n) pair per vertex peaked at 8.55 MiB, and a one-call trial
+    # would hold (n n, 2) generator pairs, about 16 MiB
     n = 256
     rf = gnn.density_mask_fields(n, 0.2, seed=3)
-    tracemalloc.start()
-    try:
-        gnn.gnn_stability_experiment(rf, gnn.LABEL_MODE, 1, 0.0, seed=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * n * n * np.dtype(float).itemsize
+    for kind, eps in ((gnn.LABEL_MODE, 0.0), (gnn.FEATURE_MODE, 0.05)):
+        tracemalloc.start()
+        try:
+            gnn.gnn_stability_experiment(rf, kind, 1, eps, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n * np.dtype(float).itemsize, kind
 
 
-@pytest.mark.parametrize("kind, fits_per_vertex", [(gnn.LABEL_MODE, 2), (gnn.FEATURE_MODE, 1)])
+@pytest.mark.parametrize("kind, fits_per_vertex", [(gnn.LABEL_MODE, 2), (gnn.FEATURE_MODE, 0)])
 @pytest.mark.parametrize("case", ["erdos-renyi", "isolated", "zero-weight"])
 def test_every_perturbed_problem_is_fitted(kind, fits_per_vertex, case, monkeypatch):
-    # trials * (fits_per_vertex * n + 1) fits per experiment: one base fit per
+    # label mode: trials * (2 n + 1) fits per experiment, one base fit per
     # trial and one per perturbed problem, even when the fit moves nothing
-    # (zero weight) or the vertex has no neighbours
+    # (zero weight) or the vertex has no neighbours; feature mode fits nothing
     fitted = []
     fit = gnn.fit_projected_closed_form
 
@@ -585,7 +691,7 @@ def test_every_perturbed_problem_is_fitted(kind, fits_per_vertex, case, monkeypa
     trials = 3
     res = gnn.gnn_stability_experiment(rf, kind, trials, eps, seed=26,
                                        b_w=0.0 if case == "zero-weight" else 1.0)
-    assert len(fitted) == trials * (fits_per_vertex * rf.n + 1)
+    assert len(fitted) == (trials * (fits_per_vertex * rf.n + 1) if fits_per_vertex else 0)
     assert (res.beta2 == 0.0) == (case == "zero-weight")
 
 
@@ -655,8 +761,7 @@ def test_problem_rejects_nan_entries(field, message):
 
 @pytest.mark.parametrize("derive, message", [
     (lambda p: p.label_row(0, NAN), "label magnitude exceeds b_y"),
-    (lambda p: p.with_feature_row(0, [NAN, 0.0, 0.0]), "feature row norm exceeds b_x"),
-], ids=["label_row", "with_feature_row"])
+], ids=["label_row"])
 def test_derived_problems_reject_nan_entries(derive, message):
     p = random_problem(child_rng(29, "nan-derived"), graphs.one_hop_receptive_fields(
         graphs.cycle_graph(5)))
@@ -671,10 +776,6 @@ def test_derived_problems_check_only_replaced_entries():
     labels = p.labels.copy()
     with pytest.raises(ValueError, match="b_y"):
         p.label_row(2, 1.5)
-    with pytest.raises(ValueError, match="b_x"):
-        p.with_feature_row(2, [1.2, 0.0, 0.0])
-    with pytest.raises(ValueError, match="feature columns"):
-        p.with_feature_row(2, [0.1, 0.1])
 
     q = p.label_row(2, -1.0)
     assert q.v is p.v and q.features is p.features and q.denominator == p.denominator
@@ -682,17 +783,12 @@ def test_derived_problems_check_only_replaced_entries():
     assert np.array_equal(p.labels, labels) and np.array_equal(q.labels, [-1.0])
     y_q = labels.copy()
     y_q[2] = -1.0
-    row = p.features[5] + 0.05 * p.weight / np.linalg.norm(p.weight)
-    r = p.with_feature_row(5, row)
-    assert r.labels is p.labels and r.mask is p.mask
-    assert "v" not in vars(r) and "denominator" not in vars(r)
-    # q fits row 2 only; r fits every row
-    for derived, fresh_labels, rows in ((q, y_q, slice(2, 3)), (r, p.labels, slice(None))):
-        fresh = gnn.GnnProblem(features=derived.features, labels=fresh_labels,
-                               weight=p.weight, mask=p.mask, ridge=p.ridge)
-        assert np.array_equal(derived.v, fresh.v)
-        for fit in (gnn.fit_projected_closed_form, fit_exact_rowwise):
-            assert np.array_equal(fit(derived), fit(fresh)[rows])
+    # q fits row 2 only
+    fresh = gnn.GnnProblem(features=q.features, labels=y_q, weight=p.weight, mask=p.mask,
+                           ridge=p.ridge)
+    assert np.array_equal(q.v, fresh.v)
+    for fit in (gnn.fit_projected_closed_form, fit_exact_rowwise):
+        assert np.array_equal(fit(q), fit(fresh)[2:3])
 
 
 @pytest.mark.parametrize("solver", ["projected", "rowwise"])
@@ -831,8 +927,7 @@ def test_scaling_sweep_slope_near_linear():
 
 def test_experiment_deterministic():
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(6))
-    r1 = gnn.gnn_stability_experiment(rf, "label", trials=2, eps_feature=0.0,
-                                      seed=16)
-    r2 = gnn.gnn_stability_experiment(rf, "label", trials=2, eps_feature=0.0,
-                                      seed=16)
-    assert np.array_equal(r1.beta2_i, r2.beta2_i)
+    for kind, eps in ((gnn.LABEL_MODE, 0.0), (gnn.FEATURE_MODE, 0.05)):
+        r1, r2 = (gnn.gnn_stability_experiment(rf, kind, trials=2, eps_feature=eps, seed=16)
+                  for _ in range(2))
+        assert np.array_equal(r1.beta1_i, r2.beta1_i) and np.array_equal(r1.beta2_i, r2.beta2_i)
