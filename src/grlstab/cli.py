@@ -28,7 +28,7 @@ from . import gnn as gnn_mod
 from . import graphs, sampling, srm
 from .config import ConfigError, ExperimentConfig, load_config
 from .harness import estimate_mu, estimate_stability
-from .objectives import QuadraticFieldObjective, RippleFieldObjective
+from .objectives import QuadraticFieldObjective, RippleFieldObjective, row_norms
 from .reporting import config_hash, read_csv, write_csv, write_json, write_manifest
 from .sgd import SgdAlgorithm, SgdConfig, coupled_train, envelope_check, train
 from .seeding import seed_int
@@ -162,8 +162,9 @@ def _write_trajectory(outdir: Path, chash: str, traj, trace=None) -> None:
     blank = [""] * len(traj.weights)
     deltas = blank if trace is None else trace.delta_norms.tolist()
     cases = blank if trace is None else ["", *trace.case_labels]
-    rows = [[t, traj.indices[t - 1] if t else "", float(np.linalg.norm(w)), d, c]
-            for t, (w, d, c) in enumerate(zip(traj.weights, deltas, cases))]
+    norms = row_norms(traj.weights).tolist()
+    rows = [[t, traj.indices[t - 1] if t else "", norm, d, c]
+            for t, (norm, d, c) in enumerate(zip(norms, deltas, cases))]
     write_csv(outdir / "trajectory.csv", TRAJECTORY_HEADER, rows, chash)
 
 

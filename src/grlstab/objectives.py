@@ -20,6 +20,14 @@ that leaves float range raises ValueError there), and can be stress-tested
 empirically, together with the contraction properties of the SGD update map
 they imply. Parameters and constants are range-checked by
 ``sampling.check_range``, and the message names the parameter.
+
+Every u.w and w.w on the SGD path is one sum, ``dot_source``: the products
+added left to right from the first, u0*w0 + u1*w1 + ..., with no +0.0 start
+and no BLAS call. The step kernel inlines its text, and ``dot_function``
+compiles it for ``grad_uy``, ``loss_uy``, the quadratic penalty and, over
+columns, ``losses_uy`` and ``row_norms``; IEEE products and sums round the
+same in Python floats and in numpy's elementwise loops, so every path has the
+same bits on every BLAS build.
 """
 
 from __future__ import annotations
@@ -107,6 +115,29 @@ class PenaltyGradient:
         return [self.term.format(i=i) for i in range(dim)]
 
 
+def dot_source(a: str, b: str, dim: int) -> str:
+    """The package's dot product of the floats a0, a1, ... and b0, b1, ...
+    as source: "a0 * b0 + a1 * b1 + ...", summed left to right."""
+    return " + ".join(f"{a}{i} * {b}{i}" for i in range(dim))
+
+
+@functools.lru_cache(maxsize=None)
+def dot_function(dim: int):
+    """``dot(a, b)`` -> ``dot_source`` over two length-dim sequences: of
+    floats (a float), or of equal-shape arrays (elementwise, an array)."""
+    a, b = (", ".join(f"{v}{i}" for i in range(dim)) + "," for v in "ab")
+    namespace = {}
+    exec(f"def dot(a, b):\n    {a} = a\n    {b} = b\n    return {dot_source('a', 'b', dim)}",
+         namespace)
+    return namespace["dot"]
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """||row|| of each row of an (n, dim) array, as sqrt of the w.w sum."""
+    columns = rows.T
+    return np.sqrt(dot_function(rows.shape[1])(columns, columns))
+
+
 @functools.lru_cache(maxsize=None)
 def _penalty_function(penalty: PenaltyGradient, dim: int):
     """grad P as a function (obj, w0, w1, ...) -> list of floats."""
@@ -138,11 +169,12 @@ class FieldObjective:
 
     h_w(T_i) = <w, u_i> with u_i = feature_scale * mean of features over
     Xi(i). The data term, the feature scale and the certificate live here; a
-    family supplies only its weight penalty P, through ``_penalty`` and the
-    class attribute ``penalty``, and three constants of P: its curvature
-    bound (a constructor argument), and its Lipschitz constant and sup on
-    the weight ball (``_penalty_bounds``, called by this class's ``__init__``,
-    so it reads only what a family sets before calling it). ``penalty``
+    family supplies only its weight penalty P, through ``_penalty`` (of w as
+    a list of floats) and the class attribute ``penalty``, and three
+    constants of P: its curvature bound (a constructor argument), and its
+    Lipschitz constant and sup on the weight ball (``_penalty_bounds``,
+    called by this class's ``__init__``, so it reads only what a family sets
+    before calling it). ``penalty``
     is grad P as a ``PenaltyGradient`` declaration: ``grad_uy`` evaluates it
     and the SGD step kernel inlines it, so the two agree bit for bit. The
     data term gets the curvature budget the penalty leaves: ||u|| <= u_max =
@@ -164,6 +196,7 @@ class FieldObjective:
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = int(dim)
+        self._dot = dot_function(self.dim)
         self.b_x = float(b_x)
         self.b_y = float(b_y)
         self.weight_radius = float(weight_radius)
@@ -213,18 +246,21 @@ class FieldObjective:
             u[vertices] = self.feature_scale * z.features[members].mean(axis=1)
         return BoundObjective(u=u, y=z.labels.astype(float).copy(), objective=self)
 
-    # -- data term plus penalty ----------------------------------------------
+    # -- data term plus penalty: w as floats, u.w as dot_source --------------
     def loss_uy(self, u, y, w) -> float:
-        r = float(u.dot(w)) - y
+        w = w.tolist()
+        r = self._dot(u.tolist(), w) - y
         return 0.5 * r * r + self._penalty(w)
 
     def grad_uy(self, u, y, w) -> np.ndarray:
-        r = float(u.dot(w)) - y
+        w = w.tolist()
+        r = self._dot(u.tolist(), w) - y
         gradient = _penalty_function(self.penalty, self.dim)
-        return u * r + np.array(gradient(self, *w.tolist()))
+        return u * r + np.array(gradient(self, *w))
 
     def losses_uy(self, u, y, w) -> np.ndarray:
-        r = u @ w - y
+        w = w.tolist()
+        r = self._dot(u.T, w) - y  # the same sum over the columns of u
         return 0.5 * r * r + self._penalty(w)
 
     # -- random admissible draws used by the empirical certifiers ------------
@@ -256,7 +292,7 @@ class QuadraticFieldObjective(FieldObjective):
         return self.gamma * w_r, 0.5 * self.gamma * w_r**2
 
     def _penalty(self, w):
-        return 0.5 * self.gamma * float(np.dot(w, w))
+        return 0.5 * self.gamma * self._dot(w, w)
 
 
 class RippleFieldObjective(FieldObjective):
@@ -267,9 +303,9 @@ class RippleFieldObjective(FieldObjective):
     """
 
     kind = "ripple"
-    penalty = PenaltyGradient(scalars=("amplitude", "frequency", "kw_zero"),
+    penalty = PenaltyGradient(scalars=("amplitude", "frequency"),
                               term="c * direction{i}", vectors=("direction",),
-                              prelude="c = amplitude * float(sin(frequency * w0 + kw_zero))")
+                              prelude="c = amplitude * float(sin(frequency * w0))")
 
     def __init__(self, dim, smoothness, b_x, b_y, ripple_amplitude,
                  weight_radius=1.0, ripple_frequency=4.0):
@@ -288,11 +324,7 @@ class RippleFieldObjective(FieldObjective):
         self.frequency = freq
         super().__init__(dim, smoothness, 0.0, a * freq * freq, b_x, b_y, weight_radius)
         self.direction = np.zeros(self.dim)
-        self.direction[0] = freq  # ripple wavevector k = freq * e_0
-        # k.w bit for bit as numpy's dot gives it: the one product freq * w0,
-        # plus the +0.0 that a BLAS ddot sums from at dim >= 2 (it turns a
-        # -0.0 product into +0.0); at dim 1 numpy multiplies, keeping -0.0
-        self.kw_zero = -0.0 if self.dim == 1 else 0.0
+        self.direction[0] = freq  # ripple wavevector k = freq * e_0, so k.w = freq * w0
         self.convex = a == 0.0
 
     def _penalty_bounds(self):
@@ -300,7 +332,7 @@ class RippleFieldObjective(FieldObjective):
         return self.amplitude * self.frequency, 2.0 * self.amplitude
 
     def _penalty(self, w):
-        return self.amplitude * (1.0 - np.cos(float(np.dot(self.direction, w))))
+        return self.amplitude * (1.0 - np.cos(self.frequency * w[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -22,37 +22,30 @@ to the objective (``FieldObjective.bind``), so a caller that trains on one
 set many times aggregates its receptive fields once; ``coupled_train`` binds
 its pair.
 
-A T = 200 step training in 3 dimensions costs Python and numpy call
-overhead, not arithmetic, so the loop makes two or three numpy calls per
-step and keeps every bit of the trajectory that the array expressions of
-``FieldObjective.grad_uy`` and the projection would give. Before the first
-step it lists each pooled vertex once, as a (u row view, u row as floats, y)
-triple, and maps the index stream through that list; a stream shorter than
-the pool gathers its T rows instead, so that a large graph costs O(T), not
-O(N). It runs the steps through a step kernel generated from one source
-template for each penalty family and dimension (``_kernel``, cached, built
-at the first descent of that pair). The kernel holds the coordinates in
-local floats w0, w1, ..., unpacks each u row into u0, u1, ..., and inlines
-the family's penalty gradient from its ``objectives.PenaltyGradient``
-declaration; the constants are read off the objective, an argument, and
-never written into the source. The dot products u.w of the residual and w.w
-of the projection norm stay BLAS ``ddot`` calls, since a Python sum of
-products rounds differently. The ripple's k.w is one float product: with
-k = frequency * e_0, the ddot's other products are zeros, which leave a
-non-zero sum as it is, so frequency * w0 plus the +0.0 that ddot sums from
-(nothing at dim 1, where numpy multiplies without BLAS) has its bits at
-every finite w. The ddot operand w is always one buffer, allocated once per
-descent, because OpenBLAS's SSE2 kernel rounds differently when its second
-vector is not 16-byte aligned; the first may sit anywhere, so the u rows
-stay views, whose alignment alternates row by row in 3 dimensions.
-Everything elementwise runs on Python floats, in numpy's order: u_i r + p_i,
-then w_i - alpha g_i, then w_i (radius / norm). The exact norm is computed
-only when ``math.hypot`` cannot rule out a projection. After the loop, a
-trajectory with a non-finite iterate is replayed through ``grad_uy`` (a
-non-finite gradient makes the next iterate non-finite), and a
-``SgdDivergenceError`` names the first bad step and its vertex. A coupled
-run stays two descents, not a row batch of two: batching pays only across
-many trainings, where the per-step call overhead is shared.
+A T = 200 step training in 3 dimensions costs Python call overhead, not
+arithmetic, so the loop makes no BLAS call, and no numpy call per step but
+the ripple penalty's ``sin``. Before the first step it lists each pooled
+vertex once, as the floats (u0, u1, ..., y) of its row, and maps the index
+stream through that list; a stream shorter than the pool gathers its T rows
+instead, so that a large graph costs O(T), not O(N). It
+runs the steps through a step kernel generated from one source template for
+each penalty family and dimension (``_kernel``, cached, built at the first
+descent of that pair). The kernel holds the coordinates in local floats w0,
+w1, ..., unpacks each row into u0, u1, ..., y, and inlines the family's
+penalty gradient from its ``objectives.PenaltyGradient`` declaration; the
+constants are read off the objective, an argument, and never written into
+the source. The residual's u.w and the projection norm's w.w are the
+package's one dot product, ``objectives.dot_source``, written out in the
+kernel's source, so a trajectory has the bits of ``FieldObjective.grad_uy``
+and the projection on every BLAS build. Everything elementwise runs in
+numpy's order: u_i r + p_i, then w_i - alpha g_i, then w_i (radius / norm).
+The exact norm is computed only when ``math.hypot`` cannot rule out a
+projection. After the loop, a trajectory with a non-finite iterate is
+replayed through ``grad_uy`` (a non-finite gradient makes the next iterate
+non-finite), and a ``SgdDivergenceError`` names the first bad step and its
+vertex. A coupled run stays two descents, not a row batch of two: batching
+pays only across many trainings, where the per-step call overhead is
+shared.
 
 Per-step deviation envelopes (the ``bounds.step_cases`` table) for the
 strongly convex and the smooth non-convex regimes can be rechecked against a
@@ -68,7 +61,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +68,7 @@ import numpy as np
 from .bounds import step_cases
 from .graphs import ReceptiveFieldMap
 from .objectives import (PENALTY_NAMESPACE, BoundObjective, FieldObjective,
-                         PenaltyGradient)
+                         PenaltyGradient, dot_source, row_norms)
 from .sampling import SampleSet, check_range
 from .seeding import child_rng
 
@@ -137,26 +129,24 @@ def draw_indices(cfg: SgdConfig, n: int) -> np.ndarray:
 # The step loop of ``_descend``, written out for one penalty family and
 # dimension: coordinates are local floats, and ``{w}`` is the tuple target
 # "w0, w1, ...," (a trailing comma, so that dim 1 unpacks too). ``seq`` has
-# one row triple per step, each shared by every visit of its pooled vertex;
-# only ``buf``, the second ddot operand, needs 16-byte alignment. The step
-# assigns all coordinates at once, so every penalty term reads w_t.
+# one row (u0, u1, ..., y) per step, each shared by every visit of its pooled
+# vertex. The step assigns all coordinates at once, so every penalty term
+# reads w_t.
 _KERNEL = """\
-def descend(obj, seq, buf, alpha, radius, inside):
+def descend(obj, seq, alpha, radius, inside, start):
     {setup}
-    {w} = {zeros}
+    {w} = start
     out = [({w})]
     append = out.append
-    for u_row, ({u}), y in seq:
-        r = float(u_row.dot(buf)) - y
+    for {u} y in seq:
+        r = {uw} - y
         {prelude}
         {w} = {steps}
-        pack_into(buf, 0, {w})
         if not hypot({w}) <= inside:
-            norm = sqrt(buf.dot(buf))
+            norm = sqrt({ww})
             if norm > radius:
                 scale = radius / norm
                 {w} = {scaled}
-                pack_into(buf, 0, {w})
         append(({w}))
     return out
 """
@@ -164,9 +154,9 @@ def descend(obj, seq, buf, alpha, radius, inside):
 
 @functools.lru_cache(maxsize=None)
 def _kernel(penalty: PenaltyGradient, dim: int):
-    """``descend(obj, seq, buf, alpha, radius, inside)`` -> the list of
-    iterates w_0..w_T as tuples, for one penalty and dim; ``seq`` holds one
-    (u row view, u row as floats, y) triple per step.
+    """``descend(obj, seq, alpha, radius, inside, start)`` -> the list of
+    iterates w_0..w_T as tuples from w_0 = ``start``, for one penalty and
+    dim; ``seq`` holds one row (u0, u1, ..., y) per step.
 
     The penalty's constants are read off the objective ``obj`` at each call,
     never written into the source.
@@ -177,13 +167,13 @@ def _kernel(penalty: PenaltyGradient, dim: int):
     source = _KERNEL.format(
         setup="\n    ".join(penalty.setup(dim)),
         prelude=penalty.prelude,
-        w=seq("w{i}"), u=seq("u{i}"), zeros=seq("0.0"),
+        w=seq("w{i}"), u=seq("u{i}"),
+        uw=dot_source("u", "w", dim), ww=dot_source("w", "w", dim),
         steps=", ".join(f"w{i} - alpha * (u{i} * r + {p})"
                         for i, p in enumerate(penalty.terms(dim))) + ",",
         scaled=seq("w{i} * scale"),
     )
-    namespace = {**PENALTY_NAMESPACE, "hypot": math.hypot, "sqrt": math.sqrt,
-                 "pack_into": struct.Struct(f"{dim}d").pack_into}  # buf[:] = w
+    namespace = {**PENALTY_NAMESPACE, "hypot": math.hypot, "sqrt": math.sqrt}
     exec(source, namespace)
     return namespace["descend"]
 
@@ -197,27 +187,24 @@ def _descend(bounds, indices: np.ndarray, cfg: SgdConfig) -> np.ndarray:
     dim = obj.dim
     radius = obj.weight_radius
     inside = radius * (1 - 1e-9)  # hypot(*w) <= inside rules out projecting
-    # one (u row view, u row as floats, y) triple per step
-    if len(bounds) * bounds[0].n <= len(indices):
-        # listed once per pooled vertex, the views into the bound sets
-        rows = [row for b in bounds for row in zip(b.u, b.u.tolist(), b.y.tolist())]
+    # one row (u0, u1, ..., y) per pooled vertex, and seq one per step
+    table = np.concatenate([np.column_stack((b.u, b.y)) for b in bounds])
+    if len(table) <= len(indices):  # listed once, shared by every visit
+        rows = table.tolist()
         seq = list(map(rows.__getitem__, indices.tolist()))
     else:  # fewer steps than pooled vertices: gather the visited rows, O(T) not O(N)
-        us = np.concatenate([b.u for b in bounds])[indices]
-        ys = np.concatenate([b.y for b in bounds])[indices]
-        seq = list(zip(us, us.tolist(), ys.tolist()))
-    buf = np.zeros(dim)  # the iterate w, as every dot product reads it
+        seq = table[indices].tolist()
     descend = _kernel(obj.penalty, dim)
     with np.errstate(all="ignore"):  # a non-finite gradient is reported below
-        out = descend(obj, seq, buf, cfg.step_size, radius, inside)
+        out = descend(obj, seq, cfg.step_size, radius, inside, (0.0,) * dim)
     weights = np.fromiter(itertools.chain.from_iterable(out), float,
                           len(out) * dim).reshape(len(out), dim)
     if not np.isfinite(weights).all():
         # a non-finite gradient makes the next iterate non-finite: replay
         # grad_uy along the trajectory to name the first one
         with np.errstate(all="ignore"):
-            for t, (u, _, y) in enumerate(seq):
-                if not np.isfinite(obj.grad_uy(u, y, weights[t].copy())).all():
+            for t, row in enumerate(seq):
+                if not np.isfinite(obj.grad_uy(np.array(row[:-1]), row[-1], weights[t])).all():
                     raise SgdDivergenceError(f"non-finite gradient at step {t}, "
                                              f"vertex {int(indices[t]) % bounds[0].n}")
     return weights
@@ -289,14 +276,7 @@ def coupled_train(z: SampleSet, z_pert: SampleSet, rf: ReceptiveFieldMap,
     indices = draw_indices(cfg, z.n)
     weights = _descend([bound], indices, cfg)
     weights_p = _descend([bound_p], indices, cfg)
-    # one row dot per step, bit-equal to np.linalg.norm of each row; the
-    # norm(axis=1) reduction differs in the last bits. Rows padded to an even
-    # length start 16-byte aligned, where the SSE2 dot kernel reads them as
-    # it reads a fresh vector.
-    dim = weights.shape[1]
-    d = np.empty((len(weights), dim + dim % 2))[:, :dim]
-    np.subtract(weights, weights_p, out=d)
-    deltas = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    deltas = row_norms(weights - weights_p)
     code_of = np.where(rf.mask[vertex], CASES.index("hit"), CASES.index("miss"))
     code_of[vertex] = CASES.index("self")
 

@@ -272,7 +272,18 @@ def test_finite_difference_helper():
 # Reference: the two families written out in full, each with its own data
 # term, feature scale and certificate, as they stood before FieldObjective
 # took over the shared parts. The shared implementation must match them bit
-# for bit.
+# for bit. Their dot products are the package's arithmetic, the loop below,
+# not numpy's dot, whose rounding depends on the BLAS kernel.
+
+
+def left_to_right_dot(a, b):
+    """a0*b0 + a1*b1 + ..., a plain loop from the first product: no builtin
+    sum (compensated since Python 3.12), numpy reduction or BLAS call."""
+    a, b = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
+    total = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        total += x * y
+    return total
 
 
 class ReferenceFieldBase:
@@ -315,16 +326,16 @@ class ReferenceQuadratic(ReferenceFieldBase):
         )
 
     def loss_uy(self, u, y, w):
-        r = float(np.dot(u, w)) - y
-        return 0.5 * r * r + 0.5 * self.gamma * float(np.dot(w, w))
+        r = left_to_right_dot(u, w) - y
+        return 0.5 * r * r + 0.5 * self.gamma * left_to_right_dot(w, w)
 
     def grad_uy(self, u, y, w):
-        r = float(np.dot(u, w)) - y
+        r = left_to_right_dot(u, w) - y
         return u * r + self.gamma * w
 
     def losses_uy(self, u, y, w):
-        r = u @ w - y
-        return 0.5 * r * r + 0.5 * self.gamma * float(np.dot(w, w))
+        r = np.array([left_to_right_dot(row, w) for row in u]) - y
+        return 0.5 * r * r + 0.5 * self.gamma * left_to_right_dot(w, w)
 
     def hessian_uy(self, u, w=None):
         return np.outer(u, u) + self.gamma * np.eye(self.dim)
@@ -368,24 +379,26 @@ class ReferenceRipple(ReferenceFieldBase):
             weight_radius=w_r,
         )
 
+    def phase(self, w):
+        """<k, w> with k = frequency * e_0: the one product frequency * w0."""
+        return self.frequency * float(w[0])
+
     def loss_uy(self, u, y, w):
-        r = float(np.dot(u, w)) - y
-        return 0.5 * r * r + self.amplitude * (1.0 - np.cos(float(np.dot(self.direction, w))))
+        r = left_to_right_dot(u, w) - y
+        return 0.5 * r * r + self.amplitude * (1.0 - np.cos(self.phase(w)))
 
     def grad_uy(self, u, y, w):
-        r = float(np.dot(u, w)) - y
-        return u * r + self.amplitude * np.sin(float(np.dot(self.direction, w))) * self.direction
+        r = left_to_right_dot(u, w) - y
+        return u * r + self.amplitude * np.sin(self.phase(w)) * self.direction
 
     def losses_uy(self, u, y, w):
-        r = u @ w - y
-        ripple = self.amplitude * (1.0 - np.cos(float(np.dot(self.direction, w))))
+        r = np.array([left_to_right_dot(row, w) for row in u]) - y
+        ripple = self.amplitude * (1.0 - np.cos(self.phase(w)))
         return 0.5 * r * r + ripple
 
     def hessian_uy(self, u, w):
         h = np.outer(u, u)
-        h += self.amplitude * np.cos(float(np.dot(self.direction, w))) * np.outer(
-            self.direction, self.direction
-        )
+        h += self.amplitude * np.cos(self.phase(w)) * np.outer(self.direction, self.direction)
         return h
 
 

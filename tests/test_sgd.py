@@ -1,19 +1,26 @@
 import dataclasses
+import hashlib
+import json
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from grlstab import bounds, graphs, sampling, sgd
+from grlstab import bounds, cli, graphs, sampling, sgd
 from grlstab.objectives import (QuadraticFieldObjective, RippleFieldObjective,
                                 contraction_check)
 from grlstab.sgd import (SgdConfig, SgdDivergenceError, coupled_train, draw_indices,
                          envelope_check, train)
-from grlstab.objectives import _penalty_function
 from grlstab.sampling import rows_in_ball
 from grlstab.seeding import child_rng
 
-from test_objectives import ReferenceRipple, same_bits
+from test_objectives import (ReferenceQuadratic, ReferenceRipple, left_to_right_dot,
+                             same_bits)
 
 
 def setup_problem(n=8, seed=0, w_radius=1.0):
@@ -26,13 +33,18 @@ def setup_problem(n=8, seed=0, w_radius=1.0):
 # ---------------------------------------------------------------------------
 # Reference: the per-step update map G and the SGD loop as they stood before
 # the loop gathered its rows and checked its gradients after the last step.
-# `train` and `coupled_train` must match them bit for bit.
+# `train` and `coupled_train` must match them bit for bit. Norms are the
+# square root of the package's w.w, the plain loop `left_to_right_dot`.
+
+
+def norm(w):
+    return math.sqrt(left_to_right_dot(w, w))
 
 
 def project(w, radius):
-    norm = float(np.linalg.norm(w))
-    if norm > radius:
-        return w * (radius / norm)
+    norm_w = norm(w)
+    if norm_w > radius:
+        return w * (radius / norm_w)
     return w
 
 
@@ -79,7 +91,7 @@ def reference_coupled(z, z_pert, rf, obj, cfg):
     indices = draw_indices(cfg, z.n)
     weights = reference_descend([obj.bind(z, rf)], indices, cfg)
     weights_p = reference_descend([obj.bind(z_pert, rf)], indices, cfg)
-    deltas = np.array([float(np.linalg.norm(w - wp)) for w, wp in zip(weights, weights_p)])
+    deltas = np.array([norm(w - wp) for w, wp in zip(weights, weights_p)])
     labels = tuple(case_label(rf, vertex, i) for i in indices.tolist())
     return weights, weights_p, deltas, labels
 
@@ -184,10 +196,8 @@ def test_coupled_sides_equal_separate_trainings():
     trace = coupled_train(z, z_i, rf, obj, cfg)
     assert np.array_equal(trace.base.weights, train([obj.bind(z, rf)], cfg).weights)
     assert np.array_equal(trace.perturbed.weights, train([obj.bind(z_i, rf)], cfg).weights)
-    # one norm per row: norm(..., axis=1) differs in the last bits and would
-    # change the recorded deviation files
-    rows = [float(np.linalg.norm(w - wp)) for w, wp in zip(trace.base.weights,
-                                                          trace.perturbed.weights)]
+    # the row norms over columns equal one left-to-right w.w per row
+    rows = [norm(w - wp) for w, wp in zip(trace.base.weights, trace.perturbed.weights)]
     assert np.array_equal(trace.delta_norms, rows)
 
 
@@ -290,9 +300,9 @@ def shifted_rows(bound):
 
 @pytest.mark.parametrize("family", ["quadratic", "ripple"])
 def test_descent_ignores_the_alignment_of_the_u_rows(family, monkeypatch):
-    # only buf, the second operand of every ddot, has to be 16-byte aligned:
-    # the u rows are read where the bound sets keep them. Under OpenBLAS's
-    # SSE2 kernel a misaligned second operand changes the rounding
+    # a BLAS dot can round differently on operands off a 16-byte boundary
+    # (OpenBLAS's SSE2 kernel does); the descent reads its rows as floats and
+    # makes no BLAS call, so misaligned u rows give the reference's bits
     obj = BIT_EQUALITY_OBJECTIVES[family](3)
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(16))
     sampler = sampling.IidSampler(rf=rf, dim=3)
@@ -318,27 +328,57 @@ RIPPLE_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                       -1.5e-310, 1e-300, 1.0, -0.75, 3.0, 1e308, -1e308)
 
 
+def same_floats(a, b):
+    """Equal bits, zero signs included, except that every NaN equals every
+    other: a NaN's sign follows the operand order, which a compiler may swap."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan_a, nan_b = np.isnan(a), np.isnan(b)
+    return np.array_equal(nan_a, nan_b) and same_bits(np.where(nan_a, 0.0, a),
+                                                      np.where(nan_b, 0.0, b))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
-def test_ripple_k_dot_w_is_one_product_bit_for_bit(dim):
-    # k = frequency * e_0, so numpy's dot of k and w is frequency * w0 plus
-    # the +0.0 a BLAS ddot sums from, which dim 1 (a plain product) has not:
-    # the + 0.0 form alone turns a -0.0 product into +0.0 there
-    rng = child_rng(41, "ripple-kw", dim)
-    buf = np.zeros(dim)  # allocated as the descent allocates its iterate
-    for frequency in (1e-3, 0.5, 4.0, 7.25, 3e5):
-        obj = RippleFieldObjective(dim, 1.0, 1.0, 1.0, None, 1.0, frequency)
-        gradient = _penalty_function(obj.penalty, dim)
-        edges = np.array(RIPPLE_EDGE_VALUES)
-        draws = [rng.choice(edges, size=dim) for _ in range(60)]
-        draws += [rng.normal(size=dim) * 10.0 ** rng.uniform(-300, 300) for _ in range(60)]
-        for w in draws:
-            buf[:] = w
-            with np.errstate(all="ignore"):  # a product may overflow, and sin(inf)
-                expected = float(obj.direction.dot(buf))
-                c = obj.amplitude * float(np.sin(expected))
-                grad = gradient(obj, *w.tolist())
-            assert same_bits(obj.frequency * float(w[0]) + obj.kw_zero, expected)
-            assert all(same_bits(g, c * k) for g, k in zip(grad, obj.direction.tolist()))
+def test_dot_products_are_left_to_right_sums_at_edge_values(dim):
+    # u.w and w.w at signed zeros, subnormals and +-1e308, through one step
+    # of the kernel (residual and projection norm), grad_uy, loss_uy and
+    # losses_uy, against the plain loop `left_to_right_dot`. Products that
+    # are all -0.0 sum to -0.0, which a +0.0 start would turn into +0.0, and
+    # 1e16, 1.0, -1e16 sum to 0.0 left to right and to 1.0 compensated
+    rng = child_rng(41, "edge-dot", dim)
+    edges = np.array(RIPPLE_EDGE_VALUES)
+    draws = [rng.choice(edges, size=(3, dim)) for _ in range(60)]
+    draws += [rng.normal(size=(3, dim)) * 10.0 ** rng.uniform(-300, 300, size=(3, 1))
+              for _ in range(30)]
+    cases = [(u, float(y[0]), w) for u, y, w in draws]
+    cases.append((np.full(dim, 0.75), 0.0, np.full(dim, -0.0)))
+    if dim >= 3:
+        cancel = np.zeros(dim)
+        cancel[:3] = (1e16, 1.0, -1e16)
+        assert left_to_right_dot(np.ones(dim), cancel) == 0.0
+        assert math.fsum(cancel) == 1.0
+        cases += [(np.ones(dim), 0.0, cancel), (cancel, 0.0, np.ones(dim))]
+    us = np.array([u for u, _, _ in cases])
+    ys = np.array([y for _, y, _ in cases])
+    for args in [(dim, 1.0, 0.5, 1.0, 1.0), (dim, 1.0, 1.0, 1.0, None, 1.0, 4.0),
+                 (dim, 1.0, 1.0, 1.0, 1e-12, 1.0, 3e5)]:
+        if len(args) == 5:
+            obj, ref = QuadraticFieldObjective(*args), ReferenceQuadratic(*args)
+        else:
+            obj = RippleFieldObjective(*args)
+            ref = ReferenceRipple(*args[:4], obj.amplitude, *args[5:])
+        descend = sgd._kernel(obj.penalty, dim)
+        with np.errstate(all="ignore"):  # products overflow, and sin(inf) is NaN
+            for u, y, w in cases:
+                assert same_floats(obj.grad_uy(u, y, w), ref.grad_uy(u, y, w))
+                assert same_floats(obj.loss_uy(u, y, w), ref.loss_uy(u, y, w))
+                for radius in (1.0, math.inf):
+                    start = tuple(w.tolist())
+                    out = descend(obj, [(*u.tolist(), y)], 0.5, radius, radius * (1 - 1e-9),
+                                  start)
+                    assert out[0] == start
+                    assert same_floats(out[1], project(w - 0.5 * ref.grad_uy(u, y, w), radius))
+            for _, _, w in cases:
+                assert same_floats(obj.losses_uy(us, ys, w), ref.losses_uy(us, ys, w))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5])
@@ -365,6 +405,71 @@ def test_ripple_descent_equals_reference_ripple_gradient_bit_for_bit(dim):
         assert np.array_equal(trace.base.weights, reference_descend(on_ref[:1], indices, cfg))
         assert np.array_equal(trace.perturbed.weights,
                               reference_descend(on_ref[2:], indices, cfg))
+
+
+def blas_independent_digests():
+    """sha256 of descents, coupled deviation norms and losses_uy tables at
+    dims 1, 3 and 5, keyed by family and dim."""
+    digests = {}
+    for dim in (1, 3, 5):
+        rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(16))
+        sampler = sampling.IidSampler(rf=rf, dim=dim)
+        z = sampler.sample(dim)
+        z_i = sampler.replace(z, [3], seed=300 + dim)
+        for family, make in sorted(BIT_EQUALITY_OBJECTIVES.items()):
+            obj = make(dim)
+            cfg = SgdConfig(step_size=0.3, steps=200, seed=dim)
+            trace = coupled_train(z, z_i, rf, obj, cfg)
+            pooled = train([obj.bind(s, rf) for s in (z, z_i)], cfg).weights
+            bound = obj.bind(z, rf)
+            losses = np.array([bound.losses(w) for w in trace.base.weights])
+            arrays = (trace.base.weights, trace.perturbed.weights, trace.delta_norms,
+                      pooled, losses)
+            digests[f"{family}-{dim}"] = hashlib.sha256(
+                b"".join(a.tobytes() for a in arrays)).hexdigest()
+    return digests
+
+
+PRESCOTT_CHILD = """\
+import json, sys
+from grlstab import cli
+from test_sgd import blas_independent_digests
+assert cli.main(["run", sys.argv[1]]) == 0
+print(json.dumps(blas_independent_digests()))
+"""
+
+
+def test_results_equal_under_openblas_prescott_kernel(tmp_path, monkeypatch):
+    # a fresh process on OpenBLAS's SSE2 kernel (Prescott), whose dot rounds
+    # differently from the default kernel's, gives the SGD path's bits: the
+    # descents, deviation norms and loss tables, and a train job's result
+    # files. Where numpy's BLAS is not OpenBLAS the variable is ignored and
+    # this only compares two processes
+    config = tmp_path / "train.ini"
+    config.write_text("experiment = train\nseed = 11\nout = result\ngraph.kind = cycle\n"
+                      "graph.n = 16\nsampler.kind = iid\nobjective = quadratic\n"
+                      "objective.weight_radius = 0.15\nsgd.step_size = 0.1\nsgd.steps = 200\n"
+                      "train.perturb_vertex = 3\ntrain.runs = 20\n")
+    here, there = tmp_path / "here", tmp_path / "there"
+    here.mkdir()
+    there.mkdir()
+    tests = Path(__file__).resolve().parent
+    paths = [str(tests.parent / "src"), str(tests)]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": os.pathsep.join(
+        paths + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", PRESCOTT_CHILD, str(config)], cwd=there,
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.chdir(here)
+    assert cli.main(["run", str(config)]) == 0
+    assert json.loads(proc.stdout) == blas_independent_digests()
+    ours, theirs = here / "result", there / "result"
+    files = sorted(path.name for path in ours.iterdir())
+    assert files == sorted(path.name for path in theirs.iterdir())
+    assert "trajectory.csv" in files and "delta_stats.csv" in files
+    for name in files:
+        if name != "manifest.json":  # holds the wall time
+            assert (ours / name).read_bytes() == (theirs / name).read_bytes(), name
 
 
 def test_train_rejects_pools_that_disagree_on_n_or_objective():
