@@ -13,9 +13,9 @@ the norm-ball-constrained least squares
 
     min over ||W|| <= R of (1/2N) ||Phi_d W - y||^2
 
-exactly (ridge path + bisection on the multiplier, whose comparisons one
-eigendecomposition decides away from ties), which makes the per-class
-empirical risk provably non-increasing in d.
+exactly (one SVD of Phi_d; on the boundary, Newton's method on the ridge
+multiplier's secular equation), which makes the per-class empirical risk
+provably non-increasing in d.
 
 The penalized estimator picks argmin_d Rhat(h_d) + 2 lambda d beta2(d)
 (ties toward smaller d); the plain ERM of a fixed degree class is
@@ -103,72 +103,41 @@ class DegreeClassFamily:
         return 0.5 * (pred_max + self.b_y) ** 2
 
 
-# The closed-form ridge norm f decides ``f > radius`` alone only when
-# |f - radius| > EIGEN_MARGIN n eps kappa(nu) max(f, radius), a multiple of
-# the rounding error of both f and the LAPACK solve's norm, where kappa(nu)
-# is the condition number of phi'phi + nu I
-EIGEN_MARGIN = 1e3
-
-
-def ball_constrained_least_squares(phi: np.ndarray, y: np.ndarray, radius: float,
-                                   tol: float = 1e-12) -> np.ndarray:
+def ball_constrained_least_squares(phi: np.ndarray, y: np.ndarray, radius: float) -> np.ndarray:
     """argmin ||phi W - y||^2 over ||W|| <= radius, solved exactly.
 
-    If the minimum-norm least-squares solution fits inside the ball it is
-    returned; otherwise the solution lies on the boundary and equals the
-    ridge path W(nu) = (phi'phi + nu I)^{-1} phi'y at the unique nu > 0
-    with ||W(nu)|| = radius, located by bisection (||W(nu)|| is strictly
-    decreasing in nu, and at most ||phi'y|| / nu, which bounds the bracket).
-
-    Each ``||W(nu)|| > radius`` of the bracket and the bisection is decided
-    from one eigendecomposition phi'phi = Q diag(l) Q', as the secular norm
-    ||W(nu)||^2 = sum_k (q_k'phi'y)^2 / (l_k + nu)^2, unless that norm lies
-    within rounding of the radius; then the solve decides, as it did alone
-    before, so the multiplier and the result keep their bits. Raises
-    ValueError for a radius so small that the bound overflows.
+    One SVD phi = U diag(s) V' gives the ridge path W(nu) = V w(nu), with
+    w_k = s_k b_k / (s_k^2 + nu) and b = U'y, over the singular values above
+    lstsq's cutoff max(M, N) eps s_max. W(0), the minimum-norm least-squares
+    solution, is returned when it fits inside the ball. Otherwise the
+    solution is W(nu) at the root of the secular equation
+    1/||w(nu)|| = 1/radius, whose left side is concave and increasing in nu,
+    so Newton's method from nu = 0 climbs to the root monotonically (Hebden
+    1973; More and Sorensen 1983); it stops when nu stops increasing. The
+    step (||w||/radius - 1) / sum_k (w_k/||w||)^2 / (s_k^2 + nu) is formed
+    from w/||w||, so radii down to 1e-300 neither underflow nor overflow.
+    Raises ValueError for a radius so small that the multiplier overflows.
     """
-    gram = phi.T @ phi
-    rhs = phi.T @ y
-    w0, *_ = np.linalg.lstsq(phi, y, rcond=None)
-    if np.linalg.norm(w0) <= radius:
-        return w0
-    # ||W(nu)|| <= ||phi'y|| / nu, so the bracket closes by twice that multiplier
-    cap = 4.0 * math.hypot(*rhs.tolist()) / radius
-    if not math.isfinite(cap):
-        raise ValueError(f"weight_radius {radius!r} is too small: the ridge multiplier "
-                         "bound ||phi'y|| / radius overflows")
-
-    eye = np.eye(gram.shape[0])
-    lams, q = np.linalg.eigh(gram)
-    coef = (rhs @ q).tolist()
-    lams = lams.tolist()
-    lam_min, lam_max = lams[0], lams[-1]
-    rel = EIGEN_MARGIN * len(lams) * np.finfo(float).eps
-
-    def outside(nu):
-        """||W(nu)|| > radius, as the norm of the LAPACK solve compares."""
-        if lam_min + nu > 0.0:
-            norm = math.hypot(*[c / (lam + nu) for c, lam in zip(coef, lams)])
-            kappa = (lam_max + nu) / (max(lam_min, 0.0) + nu)
-            if abs(norm - radius) > rel * kappa * max(norm, radius):
-                return norm > radius
-        x = np.linalg.solve(gram + nu * eye, rhs)
-        return math.sqrt(x.dot(x)) > radius  # np.linalg.norm's own formula
-
-    lo, hi = 0.0, 1.0
-    while outside(hi):
-        hi *= 2.0
-        if hi > cap:
-            raise RuntimeError("ridge bisection failed to bracket the multiplier")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if outside(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol * max(1.0, hi):
+    u, s, vt = np.linalg.svd(phi, full_matrices=False)
+    keep = s > max(phi.shape) * np.finfo(float).eps * s[0]
+    s, vt = s[keep], vt[keep]
+    q = (y @ u[:, keep]) * s
+    s2 = s * s
+    nu = 0.0
+    while True:
+        d = s2 + nu
+        w = q / d
+        norm = math.hypot(*w.tolist())
+        if norm <= radius:
             break
-    return np.linalg.solve(gram + hi * eye, rhs)
+        step = (norm / radius - 1.0) / float(np.sum((w / norm) ** 2 / d))
+        if nu + step == nu:
+            break
+        nu += step
+        if not math.isfinite(nu):
+            raise ValueError(f"weight_radius {radius!r} is too small: the ridge "
+                             "multiplier overflows")
+    return w @ vt
 
 
 @dataclass(frozen=True, eq=False)

@@ -900,6 +900,13 @@ graph.n = 8
 gnn.kind = feature-first-order
 """
 
+SRM_IID_CYCLE_8 = """
+experiment = srm
+graph.kind = cycle
+graph.n = 8
+sampler.kind = iid
+"""
+
 # (config body, exit status, error type of an exit-1 case)
 ENTRY_POINT_CASES = {
     "gnn-feature-cycle-8": (GNN_CYCLE_8 + "gnn.trials = 1\n", 0, None),
@@ -908,6 +915,10 @@ ENTRY_POINT_CASES = {
     **{case: ("graph.kind = cycle\ngraph.n = 6\n" + REJECTED_VALUES[case][0], 1,
               REJECTED_VALUES[case][1])
        for case in ("bounds-step-nan", "ripple-frequency-1e-200")},
+    "srm-lambdas-nan": (SRM_IID_CYCLE_8 + "srm.lambdas = nan\n", 1, "ConfigError"),
+    "srm-lambdas-inf": (SRM_IID_CYCLE_8 + "srm.lambdas = 0.1 inf\n", 1, "ConfigError"),
+    "srm-epsilon-nan": (SRM_IID_CYCLE_8 + "srm.epsilon = nan\n", 1, "ConfigError"),
+    "srm-weight-radius-nan": (SRM_IID_CYCLE_8 + "srm.weight_radius = nan\n", 1, "ValueError"),
 }
 
 
