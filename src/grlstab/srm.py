@@ -119,7 +119,7 @@ def ball_constrained_least_squares(phi: np.ndarray, y: np.ndarray, radius: float
     Raises ValueError for a radius so small that the multiplier overflows.
     """
     u, s, vt = np.linalg.svd(phi, full_matrices=False)
-    keep = s > max(phi.shape) * np.finfo(float).eps * s[0]
+    keep = s > max(phi.shape) * np.finfo(float).eps * s.max(initial=0.0)
     s, vt = s[keep], vt[keep]
     q = (y @ u[:, keep]) * s
     s2 = s * s

@@ -177,8 +177,9 @@ def cosine_to_gradient(phi, y, w, radius):
 
 
 def test_ball_constrained_least_squares_is_optimal_from_one_svd(monkeypatch):
-    # every srm_problems case and an all-zero design, inside the ball and on
-    # its boundary; each fit makes one SVD and no lstsq, eigh or solve call
+    # every srm_problems case, an all-zero design and one with no columns,
+    # inside the ball and on its boundary; each fit makes one SVD and no
+    # lstsq, eigh or solve call
     lstsq, svd = np.linalg.lstsq, np.linalg.svd
     calls = []
     for name in ("lstsq", "eigh", "solve"):
@@ -188,7 +189,8 @@ def test_ball_constrained_least_squares_is_optimal_from_one_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
     eps = np.finfo(float).eps
     rng = child_rng(6, "ls-optimal")
-    problems = [*srm_problems(rng), ("zero", np.zeros((16, 9)), rng.uniform(-1.0, 1.0, 16))]
+    problems = [*srm_problems(rng), ("zero", np.zeros((16, 9)), rng.uniform(-1.0, 1.0, 16)),
+                ("no columns", np.zeros((16, 0)), rng.uniform(-1.0, 1.0, 16))]
     boundary = 0
     for kind, phi, y in problems:
         w_ls = lstsq(phi, y, rcond=None)[0]
@@ -218,7 +220,7 @@ def test_ball_constrained_least_squares_is_optimal_from_one_svd(monkeypatch):
             assert np.linalg.norm(grad - along * w) <= slack, (kind, factor)
             reference = reference_ball_constrained_least_squares(phi, y, radius)
             assert objective(phi, y, w) <= objective(phi, y, reference) + 1e-12 * y_scale
-    assert boundary == 3 * (len(problems) - 1)
+    assert boundary == 3 * (len(problems) - 2)
 
 
 def test_ball_constrained_least_squares_reaches_the_sphere_at_small_multipliers():
