@@ -33,6 +33,7 @@ same bits on every BLAS build.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -133,9 +134,16 @@ def dot_function(dim: int):
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
-    """||row|| of each row of an (n, dim) array, as sqrt of the w.w sum."""
+    """||row|| of each row of an (n, dim) array, as sqrt of the w.w sum; a
+    row whose w.w overflows or falls below the smallest normal float (a
+    zero row too) takes its norm from ``np.hypot`` instead."""
     columns = rows.T
-    return np.sqrt(dot_function(rows.shape[1])(columns, columns))
+    ww = dot_function(rows.shape[1])(columns, columns)
+    norms = np.sqrt(ww)
+    off = ~((ww >= sys.float_info.min) & (ww < np.inf))
+    if off.any():
+        norms[off] = np.hypot.reduce(np.abs(rows[off]), axis=1)
+    return norms
 
 
 @functools.lru_cache(maxsize=None)

@@ -29,23 +29,40 @@ vertex once, as the floats (u0, u1, ..., y) of its row, and maps the index
 stream through that list; a stream shorter than the pool gathers its T rows
 instead, so that a large graph costs O(T), not O(N). It
 runs the steps through a step kernel generated from one source template for
-each penalty family and dimension (``_kernel``, cached, built at the first
-descent of that pair). The kernel holds the coordinates in local floats w0,
-w1, ..., unpacks each row into u0, u1, ..., y, and inlines the family's
-penalty gradient from its ``objectives.PenaltyGradient`` declaration; the
-constants are read off the objective, an argument, and never written into
-the source. The residual's u.w and the projection norm's w.w are the
-package's one dot product, ``objectives.dot_source``, written out in the
-kernel's source, so a trajectory has the bits of ``FieldObjective.grad_uy``
-and the projection on every BLAS build. Everything elementwise runs in
-numpy's order: u_i r + p_i, then w_i - alpha g_i, then w_i (radius / norm).
-The exact norm is computed only when ``math.hypot`` cannot rule out a
-projection. After the loop, a trajectory with a non-finite iterate is
-replayed through ``grad_uy`` (a non-finite gradient makes the next iterate
-non-finite), and a ``SgdDivergenceError`` names the first bad step and its
-vertex. A coupled run stays two descents, not a row batch of two: batching
-pays only across many trainings, where the per-step call overhead is
-shared.
+each penalty family, dimension and output (``_kernel``, cached, built at the
+first descent of that triple). The kernel holds the coordinates in local
+floats w0, w1, ..., unpacks each row into u0, u1, ..., y, and inlines the
+family's penalty gradient from its ``objectives.PenaltyGradient``
+declaration; the constants are read off the objective, an argument, and
+never written into the source. The residual's u.w and the projection norm's
+w.w are the package's one dot product, ``objectives.dot_source``, written out
+in the kernel's source, so a trajectory has the bits of
+``FieldObjective.grad_uy`` and the projection on every BLAS build.
+Everything elementwise runs in numpy's order: u_i r + p_i, then
+w_i - alpha g_i, then w_i (radius / norm). The exact norm is computed only
+when ``math.hypot`` cannot rule out a projection, and it is sqrt(w.w) unless
+w.w overflows or falls below the smallest normal float, where it is
+``math.hypot``'s.
+
+Most trainings are read only at w_T: the harness learner keeps ``final``.
+So ``train`` runs the kernel that records nothing and returns w_T, and its
+``Trajectory`` replays the same deterministic descent with recording when
+``weights`` is first read. A recording descent (``coupled_train`` records
+both of its sides, since it needs every deviation) appends each iterate's
+coordinates to one flat list, read into the (T+1, dim) array at once.
+Divergence is checked on w_T alone: a NaN coordinate stays NaN through every
+step, and an infinite one makes ``hypot`` infinite, so the projection scales
+by 0 and leaves a NaN; a non-finite iterate thus makes every later one
+non-finite. A non-finite w_T is replayed with recording, then through
+``grad_uy`` (a non-finite gradient makes the next iterate non-finite), and a
+``SgdDivergenceError`` names the first bad step and its vertex. A coupled
+run stays two descents, not a row batch of two: batching pays only across
+many trainings, where the per-step call overhead is shared.
+
+``draw_indices`` draws each (config, pool size) stream once and keeps it,
+read-only, in a memo on the ``SgdConfig``: the trainings of one estimate
+share their learner's config and so one stream, and the memo goes with the
+config, at the latest when the run that built it ends.
 
 Per-step deviation envelopes (the ``bounds.step_cases`` table) for the
 strongly convex and the smooth non-convex regimes can be rechecked against a
@@ -59,9 +76,9 @@ The contraction properties of G itself are stress-tested in
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -95,16 +112,35 @@ class SgdConfig:
         if self.steps < 0:
             raise ValueError("step count must be >= 0")
 
+    @functools.cached_property
+    def _streams(self) -> dict:
+        """``draw_indices``'s read-only streams under this config, keyed by n."""
+        return {}
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    weights: np.ndarray  # (T+1, dim)
+    """One descent from w_0 = 0 over the bound sets ``bounds``.
+
+    ``final`` is w_T. ``weights``, the iterates w_0..w_T, replays the same
+    deterministic descent with recording on first read, unless the run
+    passed them as ``recorded``.
+    """
+
+    final: np.ndarray  # (dim,)
     indices: np.ndarray  # (T,), pooled: index k is vertex k % N of set k // N
     config: SgdConfig
+    bounds: tuple
+    recorded: InitVar[np.ndarray | None] = None
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.weights[-1]
+    def __post_init__(self, recorded):
+        if recorded is not None:
+            self.__dict__["weights"] = recorded
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """(T+1, dim) iterates w_0..w_T."""
+        return _descend(self.bounds, self.indices, self.config, record=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,9 +157,17 @@ class CoupledTrace:
 
 
 def draw_indices(cfg: SgdConfig, n: int) -> np.ndarray:
-    """The seeded uniform index stream n_1..n_T (with replacement)."""
-    rng = child_rng(cfg.seed, "indices")
-    return rng.integers(0, n, size=cfg.steps)
+    """The seeded uniform index stream n_1..n_T (with replacement), read-only.
+
+    Each (config, n) draws once: a repeat returns the same array. The memo
+    is the config's, so it lives as long as the config does.
+    """
+    streams = cfg._streams
+    if n not in streams:
+        indices = child_rng(cfg.seed, "indices").integers(0, n, size=cfg.steps)
+        indices.flags.writeable = False
+        streams[n] = indices
+    return streams[n]
 
 
 # The step loop of ``_descend``, written out for one penalty family and
@@ -131,32 +175,34 @@ def draw_indices(cfg: SgdConfig, n: int) -> np.ndarray:
 # "w0, w1, ...," (a trailing comma, so that dim 1 unpacks too). ``seq`` has
 # one row (u0, u1, ..., y) per step, each shared by every visit of its pooled
 # vertex. The step assigns all coordinates at once, so every penalty term
-# reads w_t.
+# reads w_t. A recording descent appends each iterate's coordinates to one
+# flat list; any other keeps only its locals and returns w_T.
 _KERNEL = """\
 def descend(obj, seq, alpha, radius, inside, start):
     {setup}
     {w} = start
-    out = [({w})]
-    append = out.append
+    {init}
     for {u} y in seq:
         r = {uw} - y
         {prelude}
         {w} = {steps}
         if not hypot({w}) <= inside:
-            norm = sqrt({ww})
+            ww = {ww}
+            norm = sqrt(ww) if TINY <= ww < inf else hypot({w})
             if norm > radius:
                 scale = radius / norm
                 {w} = {scaled}
-        append(({w}))
-    return out
+        {record}
+    return {result}
 """
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel(penalty: PenaltyGradient, dim: int):
-    """``descend(obj, seq, alpha, radius, inside, start)`` -> the list of
-    iterates w_0..w_T as tuples from w_0 = ``start``, for one penalty and
-    dim; ``seq`` holds one row (u0, u1, ..., y) per step.
+def _kernel(penalty: PenaltyGradient, dim: int, record: bool):
+    """``descend(obj, seq, alpha, radius, inside, start)`` for one penalty
+    and dim: from w_0 = ``start``, the iterates w_0..w_T as one flat list of
+    floats when ``record``, else w_T as a tuple; ``seq`` holds one row
+    (u0, u1, ..., y) per step.
 
     The penalty's constants are read off the objective ``obj`` at each call,
     never written into the source.
@@ -164,22 +210,28 @@ def _kernel(penalty: PenaltyGradient, dim: int):
     def seq(fmt):
         return ", ".join(fmt.format(i=i) for i in range(dim)) + ","
 
+    w = seq("w{i}")
     source = _KERNEL.format(
         setup="\n    ".join(penalty.setup(dim)),
         prelude=penalty.prelude,
-        w=seq("w{i}"), u=seq("u{i}"),
+        w=w, u=seq("u{i}"),
         uw=dot_source("u", "w", dim), ww=dot_source("w", "w", dim),
         steps=", ".join(f"w{i} - alpha * (u{i} * r + {p})"
                         for i, p in enumerate(penalty.terms(dim))) + ",",
         scaled=seq("w{i} * scale"),
+        init=f"out = [{w}]" if record else "",
+        record="; ".join(f"out.append(w{i})" for i in range(dim)) if record else "",
+        result="out" if record else w,
     )
-    namespace = {**PENALTY_NAMESPACE, "hypot": math.hypot, "sqrt": math.sqrt}
+    namespace = {**PENALTY_NAMESPACE, "hypot": math.hypot, "sqrt": math.sqrt,
+                 "TINY": sys.float_info.min, "inf": math.inf}
     exec(source, namespace)
     return namespace["descend"]
 
 
-def _descend(bounds, indices: np.ndarray, cfg: SgdConfig) -> np.ndarray:
-    """Projected SGD from w_0 = 0 along a pooled index stream; weights (T+1, dim).
+def _descend(bounds, indices: np.ndarray, cfg: SgdConfig, record: bool) -> np.ndarray:
+    """Projected SGD from w_0 = 0 along a pooled index stream: the weights
+    (T+1, dim) when ``record``, else w_T (dim,).
 
     Pooled index k visits vertex k % N of bounds[k // N].
     """
@@ -194,12 +246,17 @@ def _descend(bounds, indices: np.ndarray, cfg: SgdConfig) -> np.ndarray:
         seq = list(map(rows.__getitem__, indices.tolist()))
     else:  # fewer steps than pooled vertices: gather the visited rows, O(T) not O(N)
         seq = table[indices].tolist()
-    descend = _kernel(obj.penalty, dim)
+    descend = _kernel(obj.penalty, dim, record)
     with np.errstate(all="ignore"):  # a non-finite gradient is reported below
         out = descend(obj, seq, cfg.step_size, radius, inside, (0.0,) * dim)
-    weights = np.fromiter(itertools.chain.from_iterable(out), float,
-                          len(out) * dim).reshape(len(out), dim)
-    if not np.isfinite(weights).all():
+    if not record:
+        if all(map(math.isfinite, out)):
+            return np.array(out)
+        # a non-finite iterate makes every later one non-finite, so w_T
+        # decides; the recorded descent names the step
+        return _descend(bounds, indices, cfg, record=True)[-1]
+    weights = np.fromiter(out, float, len(out)).reshape(-1, dim)
+    if not all(map(math.isfinite, out[-dim:])):
         # a non-finite gradient makes the next iterate non-finite: replay
         # grad_uy along the trajectory to name the first one
         with np.errstate(all="ignore"):
@@ -211,8 +268,8 @@ def _descend(bounds, indices: np.ndarray, cfg: SgdConfig) -> np.ndarray:
 
 
 def train(bounds, cfg: SgdConfig) -> Trajectory:
-    """Run SGD from w_0 = 0 over the pooled vertices of m bound sample sets
-    and record the full trajectory.
+    """Run SGD from w_0 = 0 over the pooled vertices of m bound sample sets;
+    the trajectory holds w_T, and records the iterates when first read.
 
     The index stream is uniform over the m*N pooled vertices; each visit
     takes a gradient step on that vertex's objective within its own graph
@@ -225,7 +282,8 @@ def train(bounds, cfg: SgdConfig) -> Trajectory:
     if any(b.objective is not obj for b in bounds):
         raise ValueError("pooled sets are bound to different objectives")
     indices = draw_indices(cfg, len(bounds) * n)
-    return Trajectory(weights=_descend(bounds, indices, cfg), indices=indices, config=cfg)
+    return Trajectory(final=_descend(bounds, indices, cfg, record=False), indices=indices,
+                      config=cfg, bounds=tuple(bounds))
 
 
 class SgdAlgorithm:
@@ -274,14 +332,16 @@ def coupled_train(z: SampleSet, z_pert: SampleSet, rf: ReceptiveFieldMap,
     bound = obj.bind(z, rf)
     bound_p = obj.bind(z_pert, rf)
     indices = draw_indices(cfg, z.n)
-    weights = _descend([bound], indices, cfg)
-    weights_p = _descend([bound_p], indices, cfg)
+    weights = _descend([bound], indices, cfg, record=True)
+    weights_p = _descend([bound_p], indices, cfg, record=True)
     deltas = row_norms(weights - weights_p)
     code_of = np.where(rf.mask[vertex], CASES.index("hit"), CASES.index("miss"))
     code_of[vertex] = CASES.index("self")
 
-    base = Trajectory(weights=weights, indices=indices, config=cfg)
-    pert = Trajectory(weights=weights_p, indices=indices.copy(), config=cfg)
+    base = Trajectory(final=weights[-1], indices=indices, config=cfg, bounds=(bound,),
+                      recorded=weights)
+    pert = Trajectory(final=weights_p[-1], indices=indices, config=cfg, bounds=(bound_p,),
+                      recorded=weights_p)
     return CoupledTrace(base=base, perturbed=pert, vertex=vertex,
                         delta_norms=deltas, case_codes=code_of[indices])
 

@@ -208,6 +208,30 @@ sgd.steps = 10
     assert len(rows) == 11 and all(float(r[2]) == 0.0 for r in rows)
 
 
+@pytest.mark.parametrize("radius, step_size", [(1.0, 1e160), (1e-200, 1e-180)])
+def test_train_trajectory_norms_where_w_dot_w_leaves_the_normal_range(tmp_path, radius,
+                                                                      step_size):
+    # every step leaves the ball and is projected back onto it; w.w of these
+    # iterates overflows (step 1e160) or underflows (radius 1e-200), and the
+    # w_norm column used to read 0.0 on every row
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "t.ini", f"""
+experiment = train
+seed = 1
+out = {out}
+graph.kind = cycle
+graph.n = 6
+sgd.steps = 4
+sgd.step_size = {step_size}
+objective.weight_radius = {radius}
+""")
+    assert run_cli(["run", path]) == 0
+    header, rows = read_csv(out / "trajectory.csv")
+    norms = [float(r[2]) for r in rows[1:]]
+    assert len(norms) == 4
+    assert all(abs(norm - radius) <= 1e-12 * radius for norm in norms), norms
+
+
 def test_bounds_experiment_report(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, "b.ini", f"""
@@ -914,7 +938,15 @@ ENTRY_POINT_CASES = {
     "gnn-test-draws": (GNN_CYCLE_8 + "gnn.test_draws = 5\n", 1, "ConfigError"),
     **{case: ("graph.kind = cycle\ngraph.n = 6\n" + REJECTED_VALUES[case][0], 1,
               REJECTED_VALUES[case][1])
-       for case in ("bounds-step-nan", "ripple-frequency-1e-200")},
+       for case in ("bounds-step-nan", "ripple-frequency-zero", "ripple-frequency-negative",
+                    "weight-radius-nan", "bounds-weight-radius-1e300", "ripple-frequency-1e-200",
+                    "stability-smoothness-1e300")},
+    # the ripple growth 1.04375 squares the exact second moment past float range
+    "bounds-ripple-steps-8500": ("graph.kind = cycle\ngraph.n = 8\nexperiment = bounds\n"
+                                 "objective = ripple\nsgd.step_size = 0.05\nsgd.steps = 8500\n",
+                                 1, "BoundDomainError"),
+    "train-runs-0": ("graph.kind = cycle\ngraph.n = 6\nexperiment = train\nsgd.steps = 5\n"
+                     "train.perturb_vertex = 1\ntrain.runs = 0\n", 1, "ConfigError"),
     "srm-lambdas-nan": (SRM_IID_CYCLE_8 + "srm.lambdas = nan\n", 1, "ConfigError"),
     "srm-lambdas-inf": (SRM_IID_CYCLE_8 + "srm.lambdas = 0.1 inf\n", 1, "ConfigError"),
     "srm-epsilon-nan": (SRM_IID_CYCLE_8 + "srm.epsilon = nan\n", 1, "ConfigError"),

@@ -13,7 +13,7 @@ import pytest
 
 from grlstab import bounds, cli, graphs, sampling, sgd
 from grlstab.objectives import (QuadraticFieldObjective, RippleFieldObjective,
-                                contraction_check)
+                                contraction_check, row_norms)
 from grlstab.sgd import (SgdConfig, SgdDivergenceError, coupled_train, draw_indices,
                          envelope_check, train)
 from grlstab.sampling import rows_in_ball
@@ -34,11 +34,13 @@ def setup_problem(n=8, seed=0, w_radius=1.0):
 # Reference: the per-step update map G and the SGD loop as they stood before
 # the loop gathered its rows and checked its gradients after the last step.
 # `train` and `coupled_train` must match them bit for bit. Norms are the
-# square root of the package's w.w, the plain loop `left_to_right_dot`.
+# square root of the package's w.w, the plain loop `left_to_right_dot`, or
+# math.hypot where w.w overflows or falls below the smallest normal float.
 
 
 def norm(w):
-    return math.sqrt(left_to_right_dot(w, w))
+    ww = left_to_right_dot(w, w)
+    return math.sqrt(ww) if sys.float_info.min <= ww < math.inf else math.hypot(*w)
 
 
 def project(w, radius):
@@ -216,10 +218,14 @@ def assert_descents_equal_reference(obj, rf, sampler, seed, step_size, pool, ste
     cfg = SgdConfig(step_size=step_size, steps=steps, seed=seed)
     bounds = [obj.bind(z, rf) for z in sets]
 
-    traj = train(bounds[:1], cfg)
-    assert np.array_equal(traj.weights, reference_descend(bounds[:1], traj.indices, cfg))
-    pooled = draw_indices(cfg, pool * rf.n)
-    assert np.array_equal(train(bounds, cfg).weights, reference_descend(bounds, pooled, cfg))
+    # train keeps only w_T, from the descent that records nothing, and
+    # records the iterates when they are first read
+    single = train(bounds[:1], cfg)
+    for pooled, traj in ((bounds[:1], single), (bounds, train(bounds, cfg))):
+        assert "weights" not in vars(traj)
+        weights = reference_descend(pooled, draw_indices(cfg, len(pooled) * rf.n), cfg)
+        assert same_bits(traj.final, weights[-1])
+        assert np.array_equal(traj.weights, weights) and traj.weights is traj.weights
 
     trace = coupled_train(sets[0], z_i, rf, obj, cfg)
     weights, weights_p, deltas, labels = reference_coupled(sets[0], z_i, rf, obj, cfg)
@@ -227,7 +233,7 @@ def assert_descents_equal_reference(obj, rf, sampler, seed, step_size, pool, ste
     assert np.array_equal(trace.perturbed.weights, weights_p)
     assert np.array_equal(trace.delta_norms, deltas)
     assert trace.case_labels == labels
-    return traj
+    return single
 
 
 @pytest.mark.parametrize("family", sorted(BIT_EQUALITY_OBJECTIVES))
@@ -257,14 +263,15 @@ def test_descent_equals_reference_loop_across_dims_pools_and_step_sizes(family, 
 
 
 @pytest.mark.parametrize("steps", [40, 64, 65])
+@pytest.mark.parametrize("dim", [1, 3, 5])
 @pytest.mark.parametrize("family", sorted(BIT_EQUALITY_OBJECTIVES))
-def test_descent_equals_reference_loop_around_the_pool_size(family, steps):
+def test_descent_equals_reference_loop_around_the_pool_size(family, dim, steps):
     # a stream shorter than the pool (40 and 64 steps on 2 x 64 pooled
     # vertices, 40 on one set) gathers its rows, a longer one lists each
     # pooled vertex once
-    obj = BIT_EQUALITY_OBJECTIVES[family](3)
+    obj = BIT_EQUALITY_OBJECTIVES[family](dim)
     rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(64))
-    sampler = sampling.IidSampler(rf=rf, dim=3)
+    sampler = sampling.IidSampler(rf=rf, dim=dim)
     for seed in range(3):
         assert_descents_equal_reference(obj, rf, sampler, seed, 0.3, 2, steps)
 
@@ -282,7 +289,8 @@ def test_one_kernel_serves_every_constant_of_a_family(first, second):
     sampler = sampling.IidSampler(rf=rf, dim=3)
     trajectories = [assert_descents_equal_reference(obj, rf, sampler, 4, 0.3, 2).weights
                     for obj in (first, second, first)]
-    assert sgd._kernel(first.penalty, 3) is sgd._kernel(second.penalty, 3)
+    for record in (False, True):
+        assert sgd._kernel(first.penalty, 3, record) is sgd._kernel(second.penalty, 3, record)
     assert not np.array_equal(trajectories[0], trajectories[1])
     assert np.array_equal(trajectories[0], trajectories[2])
 
@@ -340,8 +348,9 @@ def same_floats(a, b):
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
 def test_dot_products_are_left_to_right_sums_at_edge_values(dim):
     # u.w and w.w at signed zeros, subnormals and +-1e308, through one step
-    # of the kernel (residual and projection norm), grad_uy, loss_uy and
-    # losses_uy, against the plain loop `left_to_right_dot`. Products that
+    # of the kernel (residual and projection norm; the recording kernel's
+    # flat list holds w_0 then w_1, the other returns w_1), grad_uy, loss_uy
+    # and losses_uy, against the plain loop `left_to_right_dot`. Products that
     # are all -0.0 sum to -0.0, which a +0.0 start would turn into +0.0, and
     # 1e16, 1.0, -1e16 sum to 0.0 left to right and to 1.0 compensated
     rng = child_rng(41, "edge-dot", dim)
@@ -366,17 +375,19 @@ def test_dot_products_are_left_to_right_sums_at_edge_values(dim):
         else:
             obj = RippleFieldObjective(*args)
             ref = ReferenceRipple(*args[:4], obj.amplitude, *args[5:])
-        descend = sgd._kernel(obj.penalty, dim)
+        descend, descend_final = (sgd._kernel(obj.penalty, dim, record)
+                                  for record in (True, False))
         with np.errstate(all="ignore"):  # products overflow, and sin(inf) is NaN
             for u, y, w in cases:
                 assert same_floats(obj.grad_uy(u, y, w), ref.grad_uy(u, y, w))
                 assert same_floats(obj.loss_uy(u, y, w), ref.loss_uy(u, y, w))
                 for radius in (1.0, math.inf):
                     start = tuple(w.tolist())
-                    out = descend(obj, [(*u.tolist(), y)], 0.5, radius, radius * (1 - 1e-9),
-                                  start)
-                    assert out[0] == start
-                    assert same_floats(out[1], project(w - 0.5 * ref.grad_uy(u, y, w), radius))
+                    args = (obj, [(*u.tolist(), y)], 0.5, radius, radius * (1 - 1e-9), start)
+                    out = descend(*args)
+                    assert len(out) == 2 * dim and same_floats(out[:dim], start)
+                    assert same_floats(out[dim:], project(w - 0.5 * ref.grad_uy(u, y, w), radius))
+                    assert same_floats(descend_final(*args), out[dim:])
             for _, _, w in cases:
                 assert same_floats(obj.losses_uy(us, ys, w), ref.losses_uy(us, ys, w))
 
@@ -550,6 +561,99 @@ def test_overflowing_iterate_raises_the_reference_divergence_error():
         assert divergence_message(train, [bound], cfg) == expected
         assert divergence_message(train, [bound_i, bound], cfg) == expected_pooled
         assert divergence_message(coupled_train, z, z_i, rf, obj, cfg) == expected
+
+
+@pytest.mark.parametrize("case", ["inf-feature", "overflowing-iterate"])
+def test_interior_divergence_raises_the_reference_error_through_the_learner(case):
+    # the harness learner reads only w_T, from the descent that records
+    # nothing; a non-finite iterate at an interior step t < T stays
+    # non-finite through w_T, and the recorded replay names the step
+    rf, sampler, obj, z = setup_problem()
+    cfg = SgdConfig(step_size=0.1, steps=50, seed=33)
+    if case == "overflowing-iterate":  # every gradient of the data is finite
+        obj = QuadraticFieldObjective(3, 50.0, 0.5, 1.0, 1.0, 1.0)
+        z, z_bad = sampler.sample(3), sampler.sample(4)
+        cfg = SgdConfig(step_size=1e308, steps=50, seed=33)
+    else:
+        features = z.features.copy()
+        features[0, 1] = np.inf
+        z_bad = sampling.SampleSet(features=features, labels=z.labels, seed=0)
+    alg = sgd.SgdAlgorithm(obj, rf, cfg)
+    for sets in ([z_bad], [z, z_bad]):
+        bounds = [alg.prepare(s) for s in sets]
+        with np.errstate(all="ignore"):
+            expected = divergence_message(reference_descend, bounds,
+                                          draw_indices(cfg, len(sets) * rf.n), cfg)
+        step = int(expected.split("step ")[1].split(",")[0])
+        assert 0 < step < cfg.steps - 1, expected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert divergence_message(alg.train, bounds) == expected
+
+
+def test_index_stream_is_drawn_once_per_config_and_pool_size(monkeypatch):
+    calls = []
+
+    def counting_child_rng(*args):
+        calls.append(args)
+        return child_rng(*args)
+
+    monkeypatch.setattr(sgd, "child_rng", counting_child_rng)
+    cfg = SgdConfig(step_size=0.1, steps=30, seed=7)
+    first = draw_indices(cfg, 16)
+    assert draw_indices(cfg, 16) is first and len(calls) == 1
+    assert np.array_equal(first, child_rng(7, "indices").integers(0, 16, size=30))
+    assert not first.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 0
+    pooled = draw_indices(cfg, 32)
+    assert draw_indices(cfg, 32) is pooled and len(calls) == 2
+    # a new config with equal fields has its own memo, and draws afresh
+    twin = SgdConfig(step_size=0.1, steps=30, seed=7)
+    assert twin == cfg
+    fresh = draw_indices(twin, 16)
+    assert fresh is not first and np.array_equal(fresh, first) and len(calls) == 3
+    # a learner's trainings share their config's stream
+    rf, sampler, obj, z = setup_problem()
+    alg = sgd.SgdAlgorithm(obj, rf, SgdConfig(step_size=0.1, steps=20, seed=8))
+    bound = alg.prepare(z)
+    assert np.array_equal(alg.train([bound]), alg.train([bound])) and len(calls) == 4
+
+
+def projected_norms(radius, step_size):
+    """math.hypot of w_1..w_4 of a 4-step cycle-6 training at this radius."""
+    rf = graphs.one_hop_receptive_fields(graphs.cycle_graph(6))
+    sampler = sampling.IidSampler(rf=rf, dim=3)
+    obj = QuadraticFieldObjective(3, 1.0, 0.5, 1.0, 1.0, radius)
+    traj = train([obj.bind(sampler.sample(1), rf)], SgdConfig(step_size=step_size, steps=4, seed=1))
+    return [math.hypot(*w) for w in traj.weights[1:].tolist()]
+
+
+def test_projection_where_w_dot_w_overflows():
+    # each step leaves the unit ball by about 1e160, so w.w overflows; the
+    # scale radius / inf used to zero the iterate
+    norms = projected_norms(1.0, 1e160)
+    assert all(abs(norm_w - 1.0) <= 1e-12 for norm_w in norms), norms
+
+
+def test_projection_where_w_dot_w_underflows():
+    # w.w of iterates near 1e-180 underflows to 0, which used to rule out
+    # projecting them onto the ball of radius 1e-200
+    radius = 1e-200
+    norms = projected_norms(radius, 1e-180)
+    assert all(0.0 < norm_w <= radius * (1 + 1e-12) for norm_w in norms), norms
+
+
+def test_row_norms_where_w_dot_w_leaves_the_normal_range():
+    rows = np.array([[3e200, -4e200, 0.0], [1e-200, 0.0, -1e-200], [5e-324, -5e-324, 0.0],
+                     [0.0, -0.0, 0.0], [0.6, -0.8, 1e-170]])
+    with np.errstate(over="ignore"):
+        norms = row_norms(rows)
+    for row, norm_w in zip(rows.tolist(), norms.tolist()):
+        assert norm_w == pytest.approx(math.hypot(*row), rel=1e-15, abs=0.0)
+    # inside the normal range, the square root of the left-to-right w.w
+    assert same_bits(norms[4], np.float64(math.sqrt(left_to_right_dot(rows[4], rows[4]))))
+    assert same_bits(row_norms(np.array([[-1e-200], [-2.0]])), np.array([1e-200, 2.0]))
 
 
 def test_coupled_rejects_multi_vertex_difference():
