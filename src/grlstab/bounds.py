@@ -239,17 +239,22 @@ class BoundTerms:
 
 
 def bound_terms(p: SgdBoundParams) -> BoundTerms:
-    """The per-vertex terms of p, each scalar kernel mapped one vertex at a time."""
-    growth, kick = recursion_constants(p)
-    pairs = list(zip(growth.tolist(), kick.tolist()))
-    geom = np.array([geometric_series(g, p.steps) for g, _ in pairs])
-    return BoundTerms(
-        growth=growth, kick=kick, geom=geom,
-        loose=np.array([variance_term_loose(g, k, p.steps) for g, k in pairs]),
-        exact=np.array([variance_term_exact(g, k, p.steps) for g, k in pairs]),
-        expected=p.certificate.lipschitz * geom * kick,
-        conditions=_conditions(p),
-    )
+    """The per-vertex terms of p, each scalar kernel mapped one vertex at a time.
+
+    A term past float range is a signed infinity, with no numpy warning: its
+    callers reject a non-finite number they read, each with its own message.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth, kick = recursion_constants(p)
+        pairs = list(zip(growth.tolist(), kick.tolist()))
+        geom = np.array([geometric_series(g, p.steps) for g, _ in pairs])
+        return BoundTerms(
+            growth=growth, kick=kick, geom=geom,
+            loose=np.array([variance_term_loose(g, k, p.steps) for g, k in pairs]),
+            exact=np.array([variance_term_exact(g, k, p.steps) for g, k in pairs]),
+            expected=p.certificate.lipschitz * geom * kick,
+            conditions=_conditions(p),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +421,13 @@ def srm_confidence(beta1: float, beta2: float, loss_bound: float, lambda_slack: 
     floor = srm_epsilon_floor(beta2, lambda_slack, d_max)
     if epsilon < floor:
         raise SrmFloorError(floor)
+    # on Python floats, whose products and _power overflow to inf with no warning
+    beta1, beta2, loss_bound, lambda_slack, epsilon = map(
+        float, (beta1, beta2, loss_bound, lambda_slack, epsilon))
     total = 0.0
     for d in range(1, d_max + 1):
-        num = (epsilon / 2.0 + (lambda_slack - 2.0) * d * beta2) ** 2
-        den = 2.0 * n_vertices * ((2.0 - 2.0 * d) * beta1 + d * (beta2 + loss_bound)) ** 2
+        num = _power(epsilon / 2.0 + (lambda_slack - 2.0) * d * beta2, 2)
+        den = 2.0 * n_vertices * _power((2.0 - 2.0 * d) * beta1 + d * (beta2 + loss_bound), 2)
         total += 0.0 if den == 0.0 else math.exp(-num / den)
     return float(min(1.0, 2.0 * total))
 

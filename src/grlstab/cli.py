@@ -259,6 +259,12 @@ def run_gnn(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
         return [len(res.beta2_i), res.sup_d, res.inf_d, kind, res.beta1, res.beta2,
                 res.discrepancy, trials, res.seed]
 
+    def check_bw(n):
+        try:
+            gnn_mod.check_weight_bound(n, 1.0, extra["b_w"])
+        except ValueError as exc:
+            raise ConfigError(f"key 'gnn.bw': {exc}") from exc
+
     if cfg.has("gnn.densities"):
         densities = cfg.get_floats("gnn.densities")
         if not densities:
@@ -273,6 +279,7 @@ def run_gnn(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
             raise ConfigError("a gnn.densities sweep draws Erdos-Renyi masks; "
                               "graph.kind must be erdos-renyi")
         cfg.reject_unread()
+        check_bw(n)
         results = [gnn_mod.sweep_point(p, di, rep, n=n, trials=trials, seed=cfg.seed,
                                        kind=kind, eps_feature=eps, **extra)
                    for di, p in enumerate(densities) for rep in range(replicates)]
@@ -280,6 +287,7 @@ def run_gnn(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     else:
         rf = graphs.one_hop_receptive_fields(build_graph(cfg))
         cfg.reject_unread()
+        check_bw(rf.n)
         res = gnn_mod.gnn_stability_experiment(
             rf, kind, trials, eps, seed_int(cfg.seed, "gnn"), **extra)
         write_csv(outdir / "results.csv", header, [row(res)], chash)
@@ -349,13 +357,20 @@ def run_srm(cfg: ExperimentConfig, outdir: Path, chash: str) -> None:
     if eps is not None and not np.isfinite(eps):
         raise ConfigError(f"key 'srm.epsilon': expected a finite value, got {eps}")
     cfg.reject_unread()
-    beta2_by_degree = {}
-    for d in range(1, d_max + 1):
-        est = estimate_stability(srm.SrmClassAlgorithm(family, d), sampler, k, kp,
-                                 seed_int(cfg.seed, "srm-beta", d))
-        beta2_by_degree[d] = est.beta2
-    z = sampler.sample(seed_int(cfg.seed, "srm-train"))
-    selections = [srm.select_sparse(family, z, lam, beta2_by_degree) for lam in lambdas]
+    try:
+        beta2_by_degree = {}
+        for d in range(1, d_max + 1):
+            est = estimate_stability(srm.SrmClassAlgorithm(family, d), sampler, k, kp,
+                                     seed_int(cfg.seed, "srm-beta", d))
+            beta2_by_degree[d] = est.beta2
+        z = sampler.sample(seed_int(cfg.seed, "srm-train"))
+        selections = [srm.select_sparse(family, z, lam, beta2_by_degree) for lam in lambdas]
+    except ValueError as exc:
+        # the feature bound sets the design's scale: a design whose squared
+        # singular values leave float range has no fit to select from
+        if not str(exc).startswith("design"):
+            raise
+        raise ConfigError(f"key 'sampler.bx': {exc}") from exc
     rows = [[sel.lambda_slack, fit.degree, fit.empirical_risk, fit.penalty,
              fit.penalized_risk, fit.degree == sel.selected.degree]
             for sel in selections for fit in sel.fits]

@@ -57,6 +57,8 @@ drawn in the b_x - eps ball, so every bumped row stays in the b_x ball.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,6 +71,21 @@ from .seeding import child_rng, seed_int
 
 
 _BOUND_TOL = 1e-9  # slack on the b_x / b_y / b_w bound checks
+
+
+def check_weight_bound(n: int, b_x: float, b_w: float) -> None:
+    """Raise ValueError for a b_w at which ||w||^2 or v.v can leave float range.
+
+    Over the b_w ball and n feature rows in the b_x ball, ||w||^2 <= b_w^2
+    and v.v <= n (b_x b_w)^2; both must stay below half the largest float,
+    which leaves room for the ridge and for rounding. A bound that is not
+    finite passes, for the GnnProblem range check to name.
+    """
+    if not (math.isfinite(b_w) and math.isfinite(b_x)):
+        return
+    if b_w * max(1.0, b_x * math.sqrt(n)) > math.sqrt(0.5 * sys.float_info.max):
+        raise ValueError(f"b_w {b_w!r}: the squared weight and projection norms over "
+                         f"{n} rows can leave float range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,12 +271,15 @@ def gnn_stability_experiment(rf: ReceptiveFieldMap, kind: str, trials: int,
     over test samples is exact: label mode reads it off the fitted rows' l1
     norms, and feature mode makes no fit (_feature_trial). The max over the
     trials' random training data stays a lower estimate of the definitional
-    sup. ValueError is raised up front for a feature-mode eps_feature that is
-    not finite and >= 0, and by the first trial's GnnProblem for a ridge
-    that is not finite and > 0 or a b_w that is not finite and >= 0.
+    sup. ValueError is raised up front for a b_w whose squared norms can
+    leave float range (check_weight_bound) and for a feature-mode
+    eps_feature that is not finite and >= 0, and by the first trial's
+    GnnProblem for a ridge that is not finite and > 0 or a b_w that is not
+    finite and >= 0.
     """
     if kind not in (LABEL_MODE, FEATURE_MODE):
         raise ValueError(f"unknown perturbation kind {kind!r}")
+    check_weight_bound(rf.n, b_x, b_w)
     if kind == FEATURE_MODE:
         check_range("eps_feature", eps_feature, strict=False)
         if eps_feature >= 0.1 * b_x:

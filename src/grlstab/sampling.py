@@ -342,8 +342,13 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 
 def _p_up(spec: IsingSpec, spins: np.ndarray, site: int) -> np.ndarray:
-    """P(s_site = +1 | rest) = sigmoid(2(J_site.s + h_site)) for spins of shape (..., n)."""
-    return _sigmoid(2.0 * (spins @ spec.coupling[site] + spec.external_field[site]))
+    """P(s_site = +1 | rest) = sigmoid(2(J_site.s + h_site)) for spins of shape (..., n).
+
+    A field past float range is a signed infinity, whose sigmoid is exactly 0
+    or 1, so its overflow is silenced.
+    """
+    with np.errstate(over="ignore"):
+        return _sigmoid(2.0 * (spins @ spec.coupling[site] + spec.external_field[site]))
 
 
 def _site_table(spec: IsingSpec, site: int, neighbours: np.ndarray) -> np.ndarray:
@@ -353,14 +358,16 @@ def _site_table(spec: IsingSpec, site: int, neighbours: np.ndarray) -> np.ndarra
     significant), so the rows follow enumerate_spin_configs(d). Each local
     field is the dot of one full-width spin row with the coupling row, as a
     one-chain update evaluates it; the logistic then runs once over the table.
+    As in _p_up, a field past float range saturates the entry at 0 or 1.
     """
     row = np.ones(spec.n, dtype=np.int8)  # other sites have zero coupling
     coupling = spec.coupling[site]
     local = np.empty(2 ** len(neighbours))
-    for k, pattern in enumerate(enumerate_spin_configs(len(neighbours))):
-        row[neighbours] = pattern
-        local[k] = row @ coupling
-    return _sigmoid(2.0 * (local + spec.external_field[site]))
+    with np.errstate(over="ignore"):
+        for k, pattern in enumerate(enumerate_spin_configs(len(neighbours))):
+            row[neighbours] = pattern
+            local[k] = row @ coupling
+        return _sigmoid(2.0 * (local + spec.external_field[site]))
 
 
 def _glauber_direct(spec: IsingSpec, spins: np.ndarray, sweeps: int, rng) -> np.ndarray:

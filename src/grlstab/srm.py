@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ import numpy as np
 from .bounds import srm_confidence, srm_epsilon_floor
 from .graphs import ReceptiveFieldMap
 from .sampling import SampleSet, check_range
+
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)  # the largest s whose s * s is finite
 
 
 def _circular_distance(i: int, j: int, n: int) -> int:
@@ -99,8 +102,9 @@ class DegreeClassFamily:
 
     def loss_bound(self) -> float:
         """B_L for the squared loss over the constrained class."""
-        pred_max = self.weight_radius * np.sqrt(self.n_slots(self.d_max)) * self.b_x
-        return 0.5 * (pred_max + self.b_y) ** 2
+        # Python floats: past float range the bound is inf, with no warning
+        pred = self.weight_radius * math.sqrt(self.n_slots(self.d_max)) * self.b_x + self.b_y
+        return 0.5 * (pred * pred)
 
 
 def ball_constrained_least_squares(phi: np.ndarray, y: np.ndarray, radius: float) -> np.ndarray:
@@ -116,10 +120,15 @@ def ball_constrained_least_squares(phi: np.ndarray, y: np.ndarray, radius: float
     1973; More and Sorensen 1983); it stops when nu stops increasing. The
     step (||w||/radius - 1) / sum_k (w_k/||w||)^2 / (s_k^2 + nu) is formed
     from w/||w||, so radii down to 1e-300 neither underflow nor overflow.
-    Raises ValueError for a radius so small that the multiplier overflows.
+    Raises ValueError for a design whose squared singular values leave float
+    range, where every w_k would read 0, and for a radius so small that the
+    multiplier overflows.
     """
     u, s, vt = np.linalg.svd(phi, full_matrices=False)
-    keep = s > max(phi.shape) * np.finfo(float).eps * s.max(initial=0.0)
+    s_max = float(s.max(initial=0.0))
+    if s_max > _SQRT_FLOAT_MAX:
+        raise ValueError(f"design singular value {s_max!r} squares past float range")
+    keep = s > max(phi.shape) * np.finfo(float).eps * s_max
     s, vt = s[keep], vt[keep]
     q = (y @ u[:, keep]) * s
     s2 = s * s

@@ -1,8 +1,11 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -839,143 +842,281 @@ sampler.kind = iid
     assert not out.exists()
 
 
-REJECTED_VALUES = {
-    "bounds-step-nan": ("experiment = bounds\nsgd.step_size = nan\n",
-                        "ValueError", "step size must be finite"),
-    "bounds-step-inf": ("experiment = bounds\nsgd.step_size = inf\n",
-                        "ValueError", "step size must be finite"),
-    "stability-step-nan": ("experiment = stability\nsgd.step_size = nan\n",
-                           "ValueError", "step size must be finite"),
-    "conc-t-nan": ("experiment = concentration\nsampler.kind = ising\nsampler.sweeps = 5\n"
-                   "conc.draws = 10\nconc.t_grid = nan\n",
-                   "ConfigError", "conc.t_grid"),
-    "conc-t-empty": ("experiment = concentration\nsampler.kind = ising\n"
-                     "sampler.sweeps = 5\nconc.t_grid =\n",
-                     "ConfigError", "conc.t_grid"),
-    "sample-dim-0": ("experiment = sample\nsampler.dim = 0\n", "ValueError", "dim must be"),
-    "sample-bx-nan": ("experiment = sample\nsampler.bx = nan\n", "ValueError", "b_x must be"),
-    "sample-bx-negative": ("experiment = sample\nsampler.bx = -1\n",
-                           "ValueError", "b_x must be"),
-    "srm-eps-below-floor": ("experiment = srm\nsrm.epsilon = -5\n",
-                            "SrmFloorError", "guarantee floor"),
-    "sample-noise-nan": ("experiment = sample\nsampler.label_noise = nan\n",
-                         "ValueError", "label_noise must be"),
-    "ising-bx-nan": ("experiment = sample\nsampler.kind = ising\nsampler.bx = nan\n",
-                     "ValueError", "b_x must be"),
-    "ising-bx-inf": ("experiment = sample\nsampler.kind = ising\nsampler.bx = inf\n",
-                     "ValueError", "b_x must be"),
-    "ising-by-nan": ("experiment = sample\nsampler.kind = ising\nsampler.by = nan\n",
-                     "ValueError", "b_y must be"),
-    "ising-by-negative": ("experiment = sample\nsampler.kind = ising\nsampler.by = -1\n",
-                          "ValueError", "b_y must be"),
-    "ripple-frequency-zero": ("experiment = bounds\nobjective = ripple\nobjective.frequency = 0\n",
-                              "ValueError", "ripple_frequency must be finite and > 0"),
-    "ripple-frequency-negative": ("experiment = bounds\nobjective = ripple\n"
-                                  "objective.frequency = -4\n",
-                                  "ValueError", "ripple_frequency must be finite and > 0"),
-    "weight-radius-nan": ("experiment = bounds\nobjective.weight_radius = nan\n",
-                          "ValueError", "weight_radius must be finite and > 0"),
-    "train-weight-radius-inf": ("experiment = train\nobjective.weight_radius = inf\n",
-                                "ValueError", "weight_radius must be finite and > 0"),
-    # finite parameters whose certificate constants leave float range: the
-    # error names the objective keys the config set, then the constant
-    "bounds-weight-radius-1e300": ("experiment = bounds\nobjective.weight_radius = 1e300\n",
-                                   "ConfigError", "keys ['objective.weight_radius']: "
-                                   "certificate constant gradient_data_lipschitz must be finite"),
-    "ripple-frequency-1e-200": ("experiment = bounds\nobjective = ripple\n"
-                                "objective.frequency = 1e-200\n",
-                                "ConfigError", "keys ['objective.frequency']: "
-                                "ripple_amplitude must be finite"),
-    "bounds-smoothness-1e300": ("experiment = bounds\nobjective.smoothness = 1e300\n",
-                                "ConfigError", "keys ['objective.smoothness']: "
-                                "certificate constant gradient_data_lipschitz must be finite"),
-    "stability-smoothness-1e300": ("experiment = stability\nobjective.smoothness = 1e300\n",
-                                   "ConfigError", "keys ['objective.smoothness']: "
-                                   "certificate constant gradient_data_lipschitz must be finite"),
-    "train-smoothness-1e300": ("experiment = train\nobjective.smoothness = 1e300\n",
-                               "ConfigError", "keys ['objective.smoothness']: "
-                               "certificate constant gradient_data_lipschitz must be finite"),
+class RunCase(NamedTuple):
+    """One `grlstab run`: the config after its `out` line, the exit status, and
+    for exit 1 the (error type, message part) of its one JSON object on
+    stderr, for exit 0 a check of the files it wrote. A fresh row also runs
+    in a `python -m grlstab.cli` process."""
+
+    body: str
+    status: int
+    expect: tuple | Callable
+    fresh: bool = False
+
+
+def rejected(body, error, message, fresh=False):
+    return RunCase(body, 1, (error, message), fresh)
+
+
+def written(body, check, fresh=False):
+    return RunCase(body, 0, check, fresh)
+
+
+def cycle(n, seed=1):
+    return f"seed = {seed}\ngraph.kind = cycle\ngraph.n = {n}\n"
+
+
+def lines(name, count):
+    """Check: the CSV `name` holds `count` lines besides its config-hash comment."""
+    def check(out):
+        rows = (out / name).read_text().splitlines()
+        assert sum(not row.startswith("#") for row in rows) == count
+    return check
+
+
+def bounds_cycle_8(out):
+    # strongly convex growth is rho + (1 - rho)/N = 0.95 + 0.05/8 here (lam = 1,
+    # gamma = 0.5, a = 0.1), and both validity conditions hold
+    report = json.loads((out / "report.json").read_text())
+    assert abs(report["per_vertex"][0]["growth"] - 0.9708333333333333) <= 1e-12
+    assert len(report["conditions"]) == 2
+    assert all(c["ok"] for c in report["conditions"].values())
+
+
+def every_sgd_bound_null(out):
+    report = json.loads((out / "report.json").read_text())
+    assert [report[k] for k in ("expected_beta2", "highprob_beta2",
+                                "generalization_surplus")] == [None] * 3
+
+
+def alpha_is_tanh_of_2j(out):
+    # at h = 0 a cycle's row sum of the influence matrix is tanh(2J)
+    alpha = json.loads((out / "summary.json").read_text())["alpha_exact"]
+    assert abs(alpha - math.tanh(0.4)) <= 1e-12
+
+
+def conc_complete_11(out):
+    # header plus one row per threshold, and alpha_exact = 0.498 < 1 (the tanh
+    # bound 10 tanh(0.05) is 0.4996)
+    lines("tail.csv", 7)(out)
+    assert json.loads((out / "summary.json").read_text())["alpha_exact"] < 1
+
+
+def label_beta1_zero(out):
+    header, rows = read_csv(out / "per_vertex.csv")
+    assert len(rows) == 8 and all(float(r[1]) == 0.0 for r in rows)
+
+
+def failure_probability_one(out):
+    # B_L and the confidence denominator pass float range: the limit is 1
+    assert json.loads((out / "summary.json").read_text())["failure_probability"] == 1.0
+
+
+def every_spin_up(out):
+    # every local field overflows to +inf, so each conditional is exactly 1
+    header, rows = read_csv(out / "samples.csv")
+    assert len(rows) == 6 and all(r[header.index("label")] == "1.0" for r in rows)
+
+
+STEP_NAN = ("ValueError", "step size must be finite")
+RIPPLE_FREQUENCY = ("ValueError", "ripple_frequency must be finite and > 0")
+WEIGHT_RADIUS = ("ValueError", "weight_radius must be finite and > 0")
+# finite parameters whose certificate constants leave float range: the error
+# names the objective keys the config set, then the constant
+GRADIENT_LIPSCHITZ = "certificate constant gradient_data_lipschitz must be finite"
+GNN_CYCLE_8 = cycle(8) + "experiment = gnn\n"
+SRM_IID = "experiment = srm\nsampler.kind = iid\n"
+ISING_SAMPLE = "experiment = sample\nsampler.kind = ising\n"
+ISING_CONC = "experiment = concentration\nsampler.kind = ising\n"
+
+# Every `grlstab run` case of the suite's entry-point table. Each exit-1 row used
+# to exit 0 with NaN results, exit 2, exit 1 only through numpy, print a numpy
+# warning before its JSON error, or ran only in the CI workflow.
+RUN_CASES = {
+    "bounds-step-nan": rejected(cycle(6, 5) + "experiment = bounds\nsgd.step_size = nan\n",
+                                *STEP_NAN, fresh=True),
+    "bounds-step-inf": rejected(cycle(6, 5) + "experiment = bounds\nsgd.step_size = inf\n",
+                                *STEP_NAN),
+    "stability-step-nan": rejected(cycle(6, 5) + "experiment = stability\n"
+                                   "sgd.step_size = nan\n", *STEP_NAN),
+    "conc-t-nan": rejected(cycle(6, 5) + ISING_CONC + "sampler.sweeps = 5\nconc.draws = 10\n"
+                           "conc.t_grid = nan\n", "ConfigError", "conc.t_grid"),
+    "conc-t-empty": rejected(cycle(6, 5) + ISING_CONC + "sampler.sweeps = 5\nconc.t_grid =\n",
+                             "ConfigError", "conc.t_grid"),
+    "sample-dim-0": rejected(cycle(6, 5) + "experiment = sample\nsampler.dim = 0\n",
+                             "ValueError", "dim must be"),
+    "sample-bx-nan": rejected(cycle(6, 5) + "experiment = sample\nsampler.bx = nan\n",
+                              "ValueError", "b_x must be"),
+    "sample-bx-negative": rejected(cycle(6, 5) + "experiment = sample\nsampler.bx = -1\n",
+                                   "ValueError", "b_x must be"),
+    "srm-eps-below-floor": rejected(cycle(6, 5) + "experiment = srm\nsrm.epsilon = -5\n",
+                                    "SrmFloorError", "guarantee floor"),
+    "sample-noise-nan": rejected(cycle(6, 5) + "experiment = sample\nsampler.label_noise = nan\n",
+                                 "ValueError", "label_noise must be"),
+    "ising-bx-nan": rejected(cycle(6, 5) + ISING_SAMPLE + "sampler.bx = nan\n",
+                             "ValueError", "b_x must be"),
+    "ising-bx-inf": rejected(cycle(6, 5) + ISING_SAMPLE + "sampler.bx = inf\n",
+                             "ValueError", "b_x must be"),
+    "ising-by-nan": rejected(cycle(6, 5) + ISING_SAMPLE + "sampler.by = nan\n",
+                             "ValueError", "b_y must be"),
+    "ising-by-negative": rejected(cycle(6, 5) + ISING_SAMPLE + "sampler.by = -1\n",
+                                  "ValueError", "b_y must be"),
+    "ripple-frequency-zero": rejected(cycle(6, 5) + "experiment = bounds\nobjective = ripple\n"
+                                      "objective.frequency = 0\n", *RIPPLE_FREQUENCY,
+                                      fresh=True),
+    "ripple-frequency-negative": rejected(cycle(6, 5) + "experiment = bounds\n"
+                                          "objective = ripple\nobjective.frequency = -4\n",
+                                          *RIPPLE_FREQUENCY, fresh=True),
+    "weight-radius-nan": rejected(cycle(6, 5) + "experiment = bounds\n"
+                                  "objective.weight_radius = nan\n", *WEIGHT_RADIUS, fresh=True),
+    "train-weight-radius-inf": rejected(cycle(6, 5) + "experiment = train\n"
+                                        "objective.weight_radius = inf\n", *WEIGHT_RADIUS),
+    "bounds-weight-radius-1e300": rejected(
+        cycle(6, 5) + "experiment = bounds\nobjective.weight_radius = 1e300\n", "ConfigError",
+        f"keys ['objective.weight_radius']: {GRADIENT_LIPSCHITZ}", fresh=True),
+    "ripple-frequency-1e-200": rejected(
+        cycle(6, 5) + "experiment = bounds\nobjective = ripple\nobjective.frequency = 1e-200\n",
+        "ConfigError", "keys ['objective.frequency']: ripple_amplitude must be finite",
+        fresh=True),
+    **{f"{kind}-smoothness-1e300": rejected(
+        cycle(6, 5) + f"experiment = {kind}\nobjective.smoothness = 1e300\n", "ConfigError",
+        f"keys ['objective.smoothness']: {GRADIENT_LIPSCHITZ}", fresh=kind == "stability")
+       for kind in ("bounds", "stability", "train")},
+    # the ripple growth 1.04375 squares the exact second moment past float range
+    "bounds-ripple-steps-8500": rejected(cycle(8) + "experiment = bounds\nobjective = ripple\n"
+                                         "sgd.step_size = 0.05\nsgd.steps = 8500\n",
+                                         "BoundDomainError", "sgd.steps = 8500", fresh=True),
+    "train-runs-0": rejected(cycle(6) + "experiment = train\nsgd.steps = 5\n"
+                             "train.perturb_vertex = 1\ntrain.runs = 0\n",
+                             "ConfigError", "train.runs", fresh=True),
+    # the kick a B_Z zeta overflows in the step cases, before the envelope
+    "train-step-5e307": rejected(cycle(8) + "experiment = train\nsampler.kind = iid\n"
+                                 "sgd.step_size = 5e307\nsgd.steps = 5\n"
+                                 "train.perturb_vertex = 2\n",
+                                 "BoundDomainError", "expected envelope leaves float range"),
+    "compare-delta-2": rejected(cycle(6, 5) + "experiment = compare\nsampler.kind = iid\n"
+                                "sgd.steps = 10\ndelta = 2\n",
+                                "BoundDomainError", "delta must be in", fresh=True),
+    "srm-lambdas-nan": rejected(cycle(8) + SRM_IID + "srm.lambdas = nan\n",
+                                "ConfigError", "srm.lambdas", fresh=True),
+    "srm-lambdas-inf": rejected(cycle(8) + SRM_IID + "srm.lambdas = 0.1 inf\n",
+                                "ConfigError", "srm.lambdas", fresh=True),
+    "srm-epsilon-nan": rejected(cycle(8) + SRM_IID + "srm.epsilon = nan\n",
+                                "ConfigError", "srm.epsilon", fresh=True),
+    "srm-weight-radius-nan": rejected(cycle(8) + SRM_IID + "srm.weight_radius = nan\n",
+                                      "ValueError", "weight_radius must be finite", fresh=True),
+    # b_x = 1e160 squares the design's singular values past float range, where
+    # every fit used to read W = 0; at 1e77 only B_L's square in the
+    # confidence overflows, and at 4.5e153 with 11 slots B_L itself, and the
+    # failure probability reads its limit 1
+    "srm-bx-1e160": rejected(cycle(6) + SRM_IID + "sampler.bx = 1e160\n"
+                             "srm.beta_pert_draws = 1\nsrm.beta_test_draws = 1\n",
+                             "ConfigError", "key 'sampler.bx': design singular value"),
+    "srm-bx-1e77": written(cycle(6) + SRM_IID + "sampler.bx = 1e77\n"
+                           "srm.beta_pert_draws = 1\nsrm.beta_test_draws = 1\n",
+                           failure_probability_one),
+    "srm-bx-4.5e153-d-6": written(cycle(12) + SRM_IID + "sampler.bx = 4.5e153\nsrm.d_max = 6\n"
+                                  "srm.beta_pert_draws = 1\nsrm.beta_test_draws = 1\n",
+                                  failure_probability_one),
+    "gnn-feature-cycle-8": written(GNN_CYCLE_8 + "gnn.kind = feature-first-order\n"
+                                   "gnn.trials = 1\n", lines("per_vertex.csv", 9), fresh=True),
+    # both GNN modes take the exact sup over test features, so no key sets test draws
+    "gnn-test-draws": rejected(GNN_CYCLE_8 + "gnn.kind = feature-first-order\n"
+                               "gnn.test_draws = 5\n", "ConfigError", "gnn.test_draws",
+                               fresh=True),
+    # label-mode beta1_i is exactly 0 on every row
+    "gnn-label-cycle-8": written(GNN_CYCLE_8 + "gnn.kind = label\ngnn.trials = 1\n",
+                                 label_beta1_zero),
+    # ||w||^2 and v.v can overflow past b_w = 1.3e154 / sqrt(2 N): the drawn
+    # weight used to fail its own bound check
+    "gnn-bw-1e155": rejected(GNN_CYCLE_8 + "gnn.trials = 1\ngnn.bw = 1e155\n",
+                             "ConfigError", "key 'gnn.bw'"),
+    "gnn-bw-1e150": written(GNN_CYCLE_8 + "gnn.trials = 1\ngnn.bw = 1e150\n",
+                            lines("per_vertex.csv", 9)),
+    "sample-iid-sweeps-0": rejected(cycle(6) + "experiment = sample\nsampler.kind = iid\n"
+                                    "sampler.sweeps = 0\n", "ConfigError", "sampler.sweeps"),
+    # one chain per draw: cycle-300 runs two generated windows, complete-12
+    # (degree 11) the 2048-entry tables, complete-14 (degree 13, above the
+    # enumeration limit) the local field; header plus one row per vertex
+    "sample-cycle-300": written(cycle(300) + ISING_SAMPLE + "sampler.sweeps = 3\n",
+                                lines("samples.csv", 301)),
+    **{f"sample-complete-{n}": written(
+        f"seed = 1\ngraph.kind = complete\ngraph.n = {n}\n" + ISING_SAMPLE
+        + "sampler.sweeps = 3\n", lines("samples.csv", n + 1)) for n in (12, 14)},
+    "ising-field-1e308": written(cycle(6) + ISING_SAMPLE + "sampler.coupling = 1e308\n"
+                                 "sampler.field = 1e308\nsampler.sweeps = 5\n", every_spin_up,
+                                 fresh=True),
+    "bounds-iid-sampler": rejected(cycle(8) + "experiment = bounds\nsampler.kind = iid\n",
+                                   "ConfigError", "sampler.kind"),
+    "bounds-cycle-8": written(cycle(8) + "experiment = bounds\n", bounds_cycle_8),
+    # lam = 100, gamma = 1, a = 0.03: inside the step-size domain but
+    # a > 2/(lam+gamma), so every SGD bound is null
+    "bounds-contraction-hole": written(cycle(16) + "experiment = bounds\n"
+                                       "objective.smoothness = 100\n"
+                                       "objective.strong_convexity = 1\nsgd.step_size = 0.03\n",
+                                       every_sgd_bound_null),
+    "stability-ising-cycle-6": written(cycle(6) + "experiment = stability\n"
+                                       "sampler.kind = ising\nsampler.sweeps = 1000\n"
+                                       "sgd.steps = 20\nharness.pert_draws = 1\n"
+                                       "harness.test_draws = 1\n", lines("stability.csv", 7)),
+    "conc-cycle-8-tanh": written(cycle(8) + ISING_CONC + "sampler.coupling = 0.2\n"
+                                 "sampler.field = 0\nsampler.sweeps = 50\nconc.draws = 200\n",
+                                 alpha_is_tanh_of_2j),
+    # 200 chains on complete-11 (degree 10) read the 1024-entry tables
+    "conc-complete-11": written("seed = 1\ngraph.kind = complete\ngraph.n = 11\n" + ISING_CONC
+                                + "sampler.coupling = 0.05\nsampler.sweeps = 20\n"
+                                "conc.draws = 200\n", conc_complete_11),
+    # alpha is exact at N = 13, but the exact Gibbs mean still needs N <= 12
+    "conc-cycle-13": rejected(cycle(13) + ISING_CONC + "sampler.sweeps = 5\nconc.draws = 10\n",
+                              "CapacityError", "enumeration limited to n <= 12", fresh=True),
 }
 
 
-@pytest.mark.parametrize("case", sorted(REJECTED_VALUES))
+def write_case(tmp_path, case):
+    return write_config(tmp_path, "run.ini", f"out = {tmp_path / 'out'}\n" + RUN_CASES[case].body)
+
+
+def check_run(case, status, stderr, out):
+    """The exit status, stderr and files of a run of RUN_CASES[case]."""
+    row = RUN_CASES[case]
+    assert status == row.status, stderr
+    if row.status == 0:
+        assert stderr == ""
+        row.expect(out)
+    else:
+        err = json.loads(stderr)  # exactly one JSON object
+        error, message = row.expect
+        assert set(err) == {"error", "message"}
+        assert err["error"] == error and message in err["message"], err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(c for c, row in RUN_CASES.items() if row.status == 1))
 @pytest.mark.filterwarnings("error")
 def test_out_of_range_value_is_user_error(tmp_path, capsys, case):
-    # each used to exit 0 with NaN results, exit 2, or exit 1 only through numpy;
-    # a warning would be printed before the JSON error, so here it is an error
-    body, error, message = REJECTED_VALUES[case]
-    out = tmp_path / "out"
-    path = write_config(tmp_path, "value.ini", f"""
-seed = 5
-out = {out}
-graph.kind = cycle
-graph.n = 6
-""" + body)
-    assert run_cli(["run", path]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == error and message in err["message"]
-    assert not out.exists()
+    # a numpy warning would print before the JSON error, so here it is an error
+    status = run_cli(["run", write_case(tmp_path, case)])
+    check_run(case, status, capsys.readouterr().err, tmp_path / "out")
 
 
-GNN_CYCLE_8 = """
-experiment = gnn
-graph.kind = cycle
-graph.n = 8
-gnn.kind = feature-first-order
-"""
-
-SRM_IID_CYCLE_8 = """
-experiment = srm
-graph.kind = cycle
-graph.n = 8
-sampler.kind = iid
-"""
-
-# (config body, exit status, error type of an exit-1 case)
-ENTRY_POINT_CASES = {
-    "gnn-feature-cycle-8": (GNN_CYCLE_8 + "gnn.trials = 1\n", 0, None),
-    # both GNN modes take the exact sup over test features, so no key sets test draws
-    "gnn-test-draws": (GNN_CYCLE_8 + "gnn.test_draws = 5\n", 1, "ConfigError"),
-    **{case: ("graph.kind = cycle\ngraph.n = 6\n" + REJECTED_VALUES[case][0], 1,
-              REJECTED_VALUES[case][1])
-       for case in ("bounds-step-nan", "ripple-frequency-zero", "ripple-frequency-negative",
-                    "weight-radius-nan", "bounds-weight-radius-1e300", "ripple-frequency-1e-200",
-                    "stability-smoothness-1e300")},
-    # the ripple growth 1.04375 squares the exact second moment past float range
-    "bounds-ripple-steps-8500": ("graph.kind = cycle\ngraph.n = 8\nexperiment = bounds\n"
-                                 "objective = ripple\nsgd.step_size = 0.05\nsgd.steps = 8500\n",
-                                 1, "BoundDomainError"),
-    "train-runs-0": ("graph.kind = cycle\ngraph.n = 6\nexperiment = train\nsgd.steps = 5\n"
-                     "train.perturb_vertex = 1\ntrain.runs = 0\n", 1, "ConfigError"),
-    "srm-lambdas-nan": (SRM_IID_CYCLE_8 + "srm.lambdas = nan\n", 1, "ConfigError"),
-    "srm-lambdas-inf": (SRM_IID_CYCLE_8 + "srm.lambdas = 0.1 inf\n", 1, "ConfigError"),
-    "srm-epsilon-nan": (SRM_IID_CYCLE_8 + "srm.epsilon = nan\n", 1, "ConfigError"),
-    "srm-weight-radius-nan": (SRM_IID_CYCLE_8 + "srm.weight_radius = nan\n", 1, "ValueError"),
-}
+@pytest.mark.parametrize("case", sorted(c for c, row in RUN_CASES.items() if row.status == 0))
+@pytest.mark.filterwarnings("error")
+def test_entry_point_run_writes_its_files(tmp_path, capsys, case):
+    status = run_cli(["run", write_case(tmp_path, case)])
+    check_run(case, status, capsys.readouterr().err, tmp_path / "out")
 
 
-@pytest.mark.parametrize("case", sorted(ENTRY_POINT_CASES))
+@pytest.mark.parametrize("case", sorted(c for c, row in RUN_CASES.items() if row.fresh))
 def test_entry_point_exit_status_in_a_fresh_process(tmp_path, case):
     # `python -m grlstab.cli` ends in `raise SystemExit(main())`, the console
-    # script's exit path; an exit-1 case prints exactly one JSON object on
-    # stderr and leaves no output directory
-    body, status, error = ENTRY_POINT_CASES[case]
-    out = tmp_path / "out"
-    path = write_config(tmp_path, "run.ini", f"seed = 1\nout = {out}\n" + body)
+    # script's exit path
+    path = write_case(tmp_path, case)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     proc = subprocess.run([sys.executable, "-m", "grlstab.cli", "run", str(path)],
                           capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == status, proc.stderr
-    if status == 0:
-        assert proc.stderr == ""
-        rows = (out / "per_vertex.csv").read_text().splitlines()
-        assert sum(not row.startswith("#") for row in rows) == 9
-    else:
-        err = json.loads(proc.stderr)
-        assert set(err) == {"error", "message"} and err["error"] == error
-        assert not out.exists()
+    check_run(case, proc.returncode, proc.stderr, tmp_path / "out")
 
 
 @pytest.mark.parametrize("t_grid", ["nan", "-1", "0.5 inf"])

@@ -262,6 +262,16 @@ def test_ball_constrained_least_squares_rejects_a_radius_whose_bound_overflows()
         srm.ball_constrained_least_squares(phi, y, 1e-310)
 
 
+@pytest.mark.filterwarnings("error")
+def test_ball_constrained_least_squares_rejects_a_design_whose_squares_overflow():
+    # s * s used to overflow to inf, so every w_k read 0 and W = 0 came back
+    family = make_family(n=8, d_max=2)
+    phi, y = srm.SrmClassAlgorithm(family, 2).prepare(make_instance(family, seed=3)[1])
+    srm.ball_constrained_least_squares(phi * 1e150, y, 1.0)
+    with pytest.raises(ValueError, match="design singular value .* squares past float range"):
+        srm.ball_constrained_least_squares(phi * 1e160, y, 1.0)
+
+
 def test_class_ris0_non_increasing_in_degree():
     family = make_family(d_max=4)
     for seed in range(5):
